@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check fmt vet examples validate bench-smoke bench-serving bench-serving-mp bench-serving-matrix bench-compare profile-serving cluster-demo cluster-e2e
+.PHONY: all build test race check fmt vet examples validate bench-smoke bench-check bench-serving bench-serving-matrix bench-compare profile-serving cluster-demo cluster-e2e
 
 all: check test
 
@@ -44,21 +44,22 @@ validate:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
+# bench-check vets and tests bench/, the repo benchmark (BENCHMARK.json).
+# It is a module of its own that imports talus/internal/..., so the root
+# `go build ./...` never compiles it: this is the target that notices
+# when an API change here breaks the benchmark.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
+
 # bench-serving regenerates BENCH_serving.json, the serving hot path's
 # tracked perf baseline (store Get/Put, adaptive AccessBatch, monitor).
 bench-serving:
 	$(GO) run ./cmd/talus-bench -out BENCH_serving.json
 
-# bench-serving-mp adds the contended shape: the same hot paths under
-# GOMAXPROCS>=4, appended (not overwriting) as procs>1 rows keyed by
-# (name, procs). Run after bench-serving to get both shapes in one file.
-BENCH_PROCS ?= 4
-bench-serving-mp:
-	GOMAXPROCS=$(BENCH_PROCS) $(GO) run ./cmd/talus-bench -append -out BENCH_serving.json
-
 # bench-serving-matrix regenerates BENCH_serving.json at both tracked
 # GOMAXPROCS shapes: the single-proc baseline first (overwriting), then
 # the contended procs=$(BENCH_PROCS) rows appended by (name, procs).
+BENCH_PROCS ?= 4
 bench-serving-matrix:
 	GOMAXPROCS=1 $(GO) run ./cmd/talus-bench -out BENCH_serving.json
 	GOMAXPROCS=$(BENCH_PROCS) $(GO) run ./cmd/talus-bench -append -out BENCH_serving.json
@@ -73,14 +74,13 @@ bench-compare:
 	$(GO) run ./cmd/talus-bench -compare -threshold $(BENCH_THRESHOLD) -out BENCH_serving.json
 
 # profile-serving captures cpu and alloc profiles of the serving hot
-# path, built with -tags profilelabels so samples carry pprof labels
-# (talus=batch-flush for combiner flushes, talus=epoch-step for
-# reconfigurations; see EXPERIMENTS.md "Profiling the serving path").
-# Inspect with: go tool pprof -tagfocus talus=batch-flush profiles/serving.test profiles/serving.cpu.pprof
+# path; epoch reconfigurations carry the pprof label talus=epoch-step
+# (see EXPERIMENTS.md "Profiling the serving path").
+# Inspect with: go tool pprof -tagfocus talus=epoch-step profiles/serving.test profiles/serving.cpu.pprof
 PROFILE_DIR ?= profiles
 profile-serving:
 	mkdir -p $(PROFILE_DIR)
-	GOMAXPROCS=$(BENCH_PROCS) $(GO) test -tags profilelabels -run '^$$' \
+	GOMAXPROCS=$(BENCH_PROCS) $(GO) test -run '^$$' \
 		-bench 'StoreGet|StoreSet|AdaptiveAccessBatch|ShadowedShardedBatch' \
 		-benchtime 2s -benchmem \
 		-cpuprofile $(PROFILE_DIR)/serving.cpu.pprof \

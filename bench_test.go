@@ -322,13 +322,9 @@ func BenchmarkAdaptiveAccessBatch(b *testing.B) {
 // partitions, 2^20-access epochs) with one pre-registered tenant — the
 // same stack `talus-serve` runs with no flags, so these numbers track
 // what the HTTP front-end's store layer costs.
-func benchServingStore(b *testing.B, opts ...Option) *Store {
+func benchServingStore(b *testing.B) *Store {
 	b.Helper()
-	base := []Option{
-		WithTenants("bench"),
-		WithSeed(42),
-	}
-	st, err := NewStore(append(base, opts...)...)
+	st, err := NewStore(WithTenants("bench"), WithSeed(42))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -351,8 +347,10 @@ func benchStoreKeys() []string {
 	return keys
 }
 
-func benchStoreGet(b *testing.B, opts ...Option) {
-	st := benchServingStore(b, opts...)
+// BenchmarkStoreGet measures the sequential keyed-Get hot path:
+// hash + monitor + cache access + value-map read.
+func BenchmarkStoreGet(b *testing.B) {
+	st := benchServingStore(b)
 	keys := benchStoreKeys()
 	val := make([]byte, 64)
 	for _, k := range keys {
@@ -368,17 +366,10 @@ func benchStoreGet(b *testing.B, opts ...Option) {
 	}
 }
 
-// BenchmarkStoreGet measures the sequential keyed-Get hot path with the
-// request batcher on: an idle lane flushes immediately, so this is the
-// batcher's no-concurrency overhead on top of hash+monitor+cache+map.
-func BenchmarkStoreGet(b *testing.B) { benchStoreGet(b) }
-
-// BenchmarkStoreGetNoBatch is the sequential pre-batching baseline: one
-// direct datapath crossing per request.
-func BenchmarkStoreGetNoBatch(b *testing.B) { benchStoreGet(b, WithBatchSize(1)) }
-
-func benchStoreGetParallel(b *testing.B, opts ...Option) {
-	st := benchServingStore(b, opts...)
+// BenchmarkStoreGetParallel measures concurrent keyed Gets on one hot
+// tenant.
+func BenchmarkStoreGetParallel(b *testing.B) {
+	st := benchServingStore(b)
 	keys := benchStoreKeys()
 	val := make([]byte, 64)
 	for _, k := range keys {
@@ -398,18 +389,10 @@ func benchStoreGetParallel(b *testing.B, opts ...Option) {
 	})
 }
 
-// BenchmarkStoreGetParallel measures concurrent keyed Gets on one hot
-// tenant with the request batcher coalescing in-flight accesses — the
-// serving hot path after the batching overhaul.
-func BenchmarkStoreGetParallel(b *testing.B) { benchStoreGetParallel(b) }
-
-// BenchmarkStoreGetParallelNoBatch is the pre-batching per-request-lock
-// baseline the overhaul is measured against: every Get serializes on the
-// tenant's monitor-lane mutex.
-func BenchmarkStoreGetParallelNoBatch(b *testing.B) { benchStoreGetParallel(b, WithBatchSize(1)) }
-
-func benchStoreSetParallel(b *testing.B, opts ...Option) {
-	st := benchServingStore(b, opts...)
+// BenchmarkStoreSetParallel measures concurrent keyed Puts (value copy,
+// value-map write lock, cache access).
+func BenchmarkStoreSetParallel(b *testing.B) {
+	st := benchServingStore(b)
 	keys := benchStoreKeys()
 	val := make([]byte, 64)
 	b.ResetTimer()
@@ -423,13 +406,6 @@ func benchStoreSetParallel(b *testing.B, opts ...Option) {
 		}
 	})
 }
-
-// BenchmarkStoreSetParallel measures concurrent keyed Puts (value copy,
-// value-map write lock, batched cache access).
-func BenchmarkStoreSetParallel(b *testing.B) { benchStoreSetParallel(b) }
-
-// BenchmarkStoreSetParallelNoBatch is the unbatched Put baseline.
-func BenchmarkStoreSetParallelNoBatch(b *testing.B) { benchStoreSetParallel(b, WithBatchSize(1)) }
 
 // BenchmarkUMONObserve measures monitor overhead per access (most
 // accesses fail the sampling filter, as in hardware).

@@ -29,8 +29,8 @@
 // With -append, rows from an existing -out file are kept and merged:
 // a row is keyed by (name, procs), so a GOMAXPROCS=4 pass adds -4 rows
 // next to the single-proc baseline instead of erasing it. `make
-// bench-serving-mp` uses this to grow BENCH_serving.json with the
-// contended (procs > 1) shape of the same hot paths.
+// bench-serving-matrix` uses this to put the contended (procs > 1)
+// shape of the same hot paths beside the baseline in BENCH_serving.json.
 //
 // With -compare, the tool inverts its role: instead of writing a
 // baseline it runs the benchmarks fresh, diffs them against the

@@ -11,7 +11,6 @@
 //	            [-tenants a,b,...] [-scheme vantage] [-policy LRU]
 //	            [-alloc hill] [-assoc 32] [-epoch n] [-epoch-interval 1s]
 //	            [-max-value 1048576] [-record-dir dir] [-seed s]
-//	            [-batch 64] [-batch-deadline 100µs]
 //	            [-max-bytes n] [-max-tenants n]
 //	            [-backend mem] [-backend-latency 0s]
 //	            [-weights gold=4,bronze=1] [-control]
@@ -89,8 +88,6 @@ func main() {
 		maxValue   = flag.Int64("max-value", 1<<20, "maximum value size in bytes")
 		recordDir  = flag.String("record-dir", "", "directory POST /v1/record may write traces into (empty disables the endpoint)")
 		seed       = flag.Uint64("seed", 42, "deterministic seed for hashes, samplers, monitors")
-		batch      = flag.Int("batch", 0, "per-tenant request batcher: max accesses per flush (0 = 64, 1 disables batching)")
-		batchWait  = flag.Duration("batch-deadline", 0, "max time a request waits on the batcher before accessing directly (0 = 100µs, negative = unbounded)")
 		maxBytes   = flag.Int64("max-bytes", 0, "bound on total value bytes held (0 = unbounded); enables eviction-coupled storage and admission")
 		maxTenants = flag.Int("max-tenants", 0, "cap on tenants ever registered (0 = partition count only)")
 		backend    = flag.String("backend", "", "backing tier behind the cache: mem (empty = none)")
@@ -113,7 +110,6 @@ func main() {
 		tenants: *tenants, static: *static, scheme: *scheme, policy: *policy,
 		allocName: *allocName, assoc: *assoc, epoch: *epoch, interval: *interval,
 		maxValue: *maxValue, recordDir: *recordDir, seed: *seed,
-		batch: *batch, batchWait: *batchWait,
 		maxBytes: *maxBytes, maxTenants: *maxTenants,
 		backend: *backend, backendLat: *backendLat,
 		weights: *weights, control: *control,
@@ -144,8 +140,6 @@ type serveFlags struct {
 	maxValue   int64
 	recordDir  string
 	seed       uint64
-	batch      int
-	batchWait  time.Duration
 	maxBytes   int64
 	maxTenants int
 	backend    string
@@ -178,8 +172,6 @@ func run(cf serveFlags) error {
 		talus.WithAllocator(allocator),
 		talus.WithEpochInterval(cf.interval),
 		talus.WithMaxValueBytes(cf.maxValue),
-		talus.WithBatchSize(cf.batch),
-		talus.WithBatchDeadline(cf.batchWait),
 	}
 	if cf.maxBytes > 0 {
 		opts = append(opts, talus.WithMaxBytes(cf.maxBytes))

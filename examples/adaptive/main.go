@@ -32,8 +32,8 @@ func main() {
 	// Zero config: defaults pick the epoch length, EWMA decay, and the
 	// hill-climbing allocator. Two logical partitions, four shards so
 	// the stack is goroutine-safe (this demo feeds it sequentially).
-	ac, err := talus.NewAdaptiveCache("vantage", capacity, 16, 4, 2, "LRU", talus.DefaultMargin,
-		talus.AdaptiveConfig{Seed: 42})
+	ac, err := talus.New(talus.WithCapacity(capacity), talus.WithAssoc(16),
+		talus.WithShards(4), talus.WithPartitions(2), talus.WithSeed(42))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,61 +10,14 @@ import (
 // ErrBadInput reports invalid allocation inputs.
 var ErrBadInput = errors.New("alloc: bad input")
 
-// validate checks common preconditions and returns the partition count.
-func validate(curves []*curve.Curve, total, granule int64) (int, error) {
-	if len(curves) == 0 {
-		return 0, fmt.Errorf("%w: no curves", ErrBadInput)
-	}
-	if total < 0 || granule <= 0 {
-		return 0, fmt.Errorf("%w: total %d granule %d", ErrBadInput, total, granule)
-	}
-	for i, c := range curves {
-		if c == nil || c.NumPoints() == 0 {
-			return 0, fmt.Errorf("%w: curve %d empty", ErrBadInput, i)
-		}
-	}
-	return len(curves), nil
-}
-
 // HillClimb allocates total lines among the partitions by repeatedly
 // granting one granule to the partition whose miss curve drops the most
 // for it. This is the paper's "trivial linear-time for-loop": optimal when
 // every curve is convex, and demonstrably poor on cliffs (it sees zero
-// marginal utility across a plateau and never crosses it).
+// marginal utility across a plateau and never crosses it). It is
+// WeightedHillClimb on the plain request.
 func HillClimb(curves []*curve.Curve, total, granule int64) ([]int64, error) {
-	n, err := validate(curves, total, granule)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, n)
-	remaining := total
-	for remaining >= granule {
-		best := -1
-		var bestGain float64
-		for i, c := range curves {
-			x := float64(out[i])
-			gain := c.Eval(x) - c.Eval(x+float64(granule))
-			if gain > bestGain {
-				bestGain = gain
-				best = i
-			}
-		}
-		if best < 0 {
-			break // every curve is flat from here: no utility anywhere
-		}
-		out[best] += granule
-		remaining -= granule
-	}
-	// Leftover capacity (flat curves or sub-granule residue) is spread
-	// round-robin so the budget is fully assigned.
-	for i := 0; remaining >= granule; i = (i + 1) % n {
-		out[i] += granule
-		remaining -= granule
-	}
-	if remaining > 0 {
-		out[0] += remaining
-	}
-	return out, nil
+	return WeightedHillClimb(NewRequest(curves, total, granule))
 }
 
 // Lookahead implements UCP's Lookahead algorithm: at each step, every
@@ -72,45 +25,9 @@ func HillClimb(curves []*curve.Curve, total, granule int64) ([]int64, error) {
 // marginal utility *per granule*; the best proposal wins its whole
 // extension. This lets the allocator leap across plateaus to reach cliffs
 // — at quadratic cost, and with the all-or-nothing allocations that hurt
-// fairness (§VII-D).
+// fairness (§VII-D). It is WeightedLookahead on the plain request.
 func Lookahead(curves []*curve.Curve, total, granule int64) ([]int64, error) {
-	n, err := validate(curves, total, granule)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, n)
-	remaining := total
-	for remaining >= granule {
-		best := -1
-		var bestRate float64
-		var bestExt int64
-		for i, c := range curves {
-			x := float64(out[i])
-			base := c.Eval(x)
-			for ext := granule; ext <= remaining; ext += granule {
-				gain := base - c.Eval(x+float64(ext))
-				rate := gain / float64(ext/granule)
-				if rate > bestRate {
-					bestRate = rate
-					best = i
-					bestExt = ext
-				}
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out[best] += bestExt
-		remaining -= bestExt
-	}
-	for i := 0; remaining >= granule; i = (i + 1) % n {
-		out[i] += granule
-		remaining -= granule
-	}
-	if remaining > 0 {
-		out[0] += remaining
-	}
-	return out, nil
+	return WeightedLookahead(NewRequest(curves, total, granule))
 }
 
 // Fair returns equal allocations (total/n, rounded to granules, residue to
@@ -134,57 +51,10 @@ func Fair(n int, total, granule int64) ([]int64, error) {
 }
 
 // OptimalDP computes the misses-minimizing allocation exactly by dynamic
-// programming over the granule grid: dp[i][b] = min total MPKI giving b
-// granules to the first i partitions. O(n·B²) time, used as ground truth
-// in tests and ablations.
+// programming over the granule grid. O(n·B²) time, used as ground truth
+// in tests and ablations. It is WeightedOptimalDP on the plain request.
 func OptimalDP(curves []*curve.Curve, total, granule int64) ([]int64, error) {
-	n, err := validate(curves, total, granule)
-	if err != nil {
-		return nil, err
-	}
-	b := int(total / granule)
-	const inf = 1e300
-	prev := make([]float64, b+1)
-	cur := make([]float64, b+1)
-	choice := make([][]int, n) // choice[i][b] = granules given to partition i
-	for i := range choice {
-		choice[i] = make([]int, b+1)
-	}
-	// Exact-allocation semantics: dp[i][j] = min cost giving the first i
-	// partitions exactly j granules. Zero partitions can consume only
-	// zero granules; this forces the backtracked allocation to spend the
-	// whole budget (free capacity must be assigned somewhere).
-	prev[0] = 0
-	for j := 1; j <= b; j++ {
-		prev[j] = inf
-	}
-	// Build up one partition at a time.
-	for i := 0; i < n; i++ {
-		for j := 0; j <= b; j++ {
-			cur[j] = inf
-			for k := 0; k <= j; k++ {
-				if prev[j-k] >= inf {
-					continue
-				}
-				cost := prev[j-k] + curves[i].Eval(float64(int64(k)*granule))
-				if cost < cur[j] {
-					cur[j] = cost
-					choice[i][j] = k
-				}
-			}
-		}
-		prev, cur = cur, prev
-	}
-	// Backtrack.
-	out := make([]int64, n)
-	j := b
-	for i := n - 1; i >= 0; i-- {
-		k := choice[i][j]
-		out[i] = int64(k) * granule
-		j -= k
-	}
-	out[0] += total - int64(b)*granule
-	return out, nil
+	return WeightedOptimalDP(NewRequest(curves, total, granule))
 }
 
 // TotalMPKI evaluates the aggregate MPKI of an allocation under the given

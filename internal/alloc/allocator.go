@@ -16,9 +16,7 @@ type Allocator interface {
 	Name() string
 	// Allocate returns per-partition line counts summing to req.Total,
 	// allocated in multiples of req.Granule (plus sub-granule residue),
-	// honoring the request's weights, floors, and caps. A plain request
-	// (curves, total, granule only) reproduces the legacy unweighted
-	// algorithms exactly.
+	// honoring the request's weights, floors, and caps.
 	Allocate(req Request) ([]int64, error)
 }
 
@@ -38,7 +36,7 @@ func (a allocatorFunc) Allocate(req Request) ([]int64, error) {
 var (
 	// HillClimbAllocator is WeightedHillClimb: linear-time greedy, optimal
 	// on convex (hulled) curves — the paper's allocator of choice under
-	// Talus. On a plain request it is exactly the legacy HillClimb.
+	// Talus.
 	HillClimbAllocator Allocator = allocatorFunc{"hill", WeightedHillClimb}
 	// LookaheadAllocator is WeightedLookahead: quadratic UCP Lookahead,
 	// copes with cliffs.

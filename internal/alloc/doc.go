@@ -24,10 +24,8 @@
 // Σ wᵢ·missesᵢ — §VII-D's point that hulls make any objective easy),
 // MinLines floors, and MaxLines caps. The Weighted* functions implement
 // each algorithm over a Request; the plain functions (HillClimb, ...)
-// remain the uniform-request special case and the Weighted* versions
-// degenerate to them byte-identically when no weights or bounds are
-// set (TestUniformRequestMatchesLegacy). WeightedHillClimb stays
-// optimal on hulls for any weights (TestWeightedHillClimbOptimal
+// call them with the uniform, unconstrained request. WeightedHillClimb
+// stays optimal on hulls for any weights (TestWeightedHillClimbOptimal
 // checks it against WeightedOptimalDP). Objective (MinMiss,
 // WeightedMiss) names and scores the quantity being minimized.
 package alloc

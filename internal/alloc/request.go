@@ -1,11 +1,12 @@
-// Request: the objective-aware allocation seam. The plain functions in
-// alloc.go answer "minimize total misses over these curves"; Request
-// generalizes the question — per-partition weights price one partition's
-// miss reduction above another's (QoS), and per-partition line floors
-// and caps carve out guaranteed or bounded shares — without changing
-// the answer when none of those knobs are set: a Request carrying only
-// curves, total, and granule reproduces the legacy functions
-// byte-for-byte (pinned by TestUniformRequestMatchesLegacy).
+// Request: the objective-aware allocation seam, and the one
+// implementation of each algorithm. The plain functions in alloc.go
+// answer "minimize total misses over these curves"; Request generalizes
+// the question — per-partition weights price one partition's miss
+// reduction above another's (QoS), and per-partition line floors and
+// caps carve out guaranteed or bounded shares. The plain functions are
+// the Weighted* ones on a Request carrying only curves, total, and
+// granule: the weight factor is an exact ×1.0 and no constraint branch
+// is taken.
 
 package alloc
 
@@ -44,8 +45,8 @@ type Request struct {
 	MaxLines []int64
 }
 
-// NewRequest builds the plain (uniform, unconstrained) request for the
-// legacy three-argument call shape.
+// NewRequest builds the plain (uniform, unconstrained) request from the
+// three-argument call shape.
 func NewRequest(curves []*curve.Curve, total, granule int64) Request {
 	return Request{Curves: curves, Total: total, Granule: granule}
 }
@@ -75,14 +76,22 @@ func (r *Request) maxOf(i int) int64 {
 }
 
 // validate checks the request and returns the partition count. Beyond
-// the legacy curve/total/granule checks it verifies the constraint
+// the curve/total/granule checks it verifies the constraint
 // vectors' lengths and values, and that the constraints are feasible:
 // the floors must fit in the budget, and when every partition is
 // capped the caps must be able to absorb it.
 func (r *Request) validate() (int, error) {
-	n, err := validate(r.Curves, r.Total, r.Granule)
-	if err != nil {
-		return 0, err
+	n := len(r.Curves)
+	if n == 0 {
+		return 0, fmt.Errorf("%w: no curves", ErrBadInput)
+	}
+	if r.Total < 0 || r.Granule <= 0 {
+		return 0, fmt.Errorf("%w: total %d granule %d", ErrBadInput, r.Total, r.Granule)
+	}
+	for i, c := range r.Curves {
+		if c == nil || c.NumPoints() == 0 {
+			return 0, fmt.Errorf("%w: curve %d empty", ErrBadInput, i)
+		}
 	}
 	if r.Weights != nil && len(r.Weights) != n {
 		return 0, fmt.Errorf("%w: %d weights for %d partitions", ErrBadInput, len(r.Weights), n)
@@ -147,8 +156,8 @@ func (r *Request) grantFloors(out []int64) (remaining int64) {
 // spreadLeftover assigns the unallocated remainder: whole granules
 // round-robin over partitions with cap headroom, then the sub-granule
 // residue (and any granules no single cap could hold whole) in
-// partition order up to each cap. With no caps this is exactly the
-// legacy functions' round-robin-then-out[0] epilogue; validate
+// partition order up to each cap. With no caps this is round-robin,
+// then the residue to out[0]; validate
 // guarantees the caps leave enough headroom to spend the budget.
 func (r *Request) spreadLeftover(out []int64, remaining int64) {
 	n := len(out)
@@ -176,10 +185,7 @@ func (r *Request) spreadLeftover(out []int64, remaining int64) {
 // caps. On convex curves this greedy rule is optimal for the
 // WeightedMiss objective (each partition's weighted marginal utility is
 // non-increasing, so the globally best granule is always a locally best
-// one — verified against WeightedOptimalDP by the property tests). A
-// plain request (no weights, floors, or caps) reproduces HillClimb
-// byte-for-byte: the weight factor is an exact ×1.0 and no constraint
-// branch is ever taken.
+// one — verified against WeightedOptimalDP by the property tests).
 func WeightedHillClimb(req Request) ([]int64, error) {
 	n, err := req.validate()
 	if err != nil {
@@ -214,7 +220,6 @@ func WeightedHillClimb(req Request) ([]int64, error) {
 // WeightedLookahead is UCP Lookahead under the full Request: every
 // partition proposes the extension maximizing its weighted marginal
 // utility per granule (bounded by its cap); the best proposal wins.
-// A plain request reproduces Lookahead byte-for-byte.
 func WeightedLookahead(req Request) ([]int64, error) {
 	n, err := req.validate()
 	if err != nil {
@@ -307,9 +312,8 @@ func WeightedFair(req Request) ([]int64, error) {
 // WeightedOptimalDP computes the exact WeightedMiss-minimizing
 // allocation under the full Request by dynamic programming over the
 // granule grid, restricting each partition's granule count to its
-// [floor, cap] band. Ground truth for WeightedHillClimb in tests; a
-// plain request reproduces OptimalDP byte-for-byte. Fails with
-// ErrBadInput when granule rounding makes the floors infeasible.
+// [floor, cap] band. Ground truth for WeightedHillClimb in tests. Fails
+// with ErrBadInput when granule rounding makes the floors infeasible.
 func WeightedOptimalDP(req Request) ([]int64, error) {
 	n, err := req.validate()
 	if err != nil {
@@ -329,6 +333,10 @@ func WeightedOptimalDP(req Request) ([]int64, error) {
 	for i := range choice {
 		choice[i] = make([]int, b+1)
 	}
+	// Exact-allocation semantics: dp[i][j] = min cost giving the first i
+	// partitions exactly j granules. Zero partitions can consume only
+	// zero granules; this forces the backtracked allocation to spend the
+	// whole budget (free capacity must be assigned somewhere).
 	prev[0] = 0
 	for j := 1; j <= b; j++ {
 		prev[j] = inf

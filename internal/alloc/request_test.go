@@ -76,61 +76,6 @@ func TestWeightedHillClimbOptimal(t *testing.T) {
 	}
 }
 
-// TestUniformRequestMatchesLegacy pins the refactor's core promise: a
-// plain Request (no weights, floors, or caps) through every weighted
-// algorithm is byte-identical to the legacy function it replaced, across
-// a matrix of partition counts, budgets, and granules — including
-// budgets with sub-granule residue and flat curves that exercise the
-// leftover paths.
-func TestUniformRequestMatchesLegacy(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	type pair struct {
-		name   string
-		newFn  func(Request) ([]int64, error)
-		legacy func([]*curve.Curve, int64, int64) ([]int64, error)
-	}
-	pairs := []pair{
-		{"hill", WeightedHillClimb, HillClimb},
-		{"lookahead", WeightedLookahead, Lookahead},
-		{"optimal", WeightedOptimalDP, OptimalDP},
-		{"fair", WeightedFair, func(c []*curve.Curve, tot, g int64) ([]int64, error) {
-			return Fair(len(c), tot, g)
-		}},
-	}
-	for trial := 0; trial < 150; trial++ {
-		n := 1 + rng.Intn(5)
-		granule := int64(1 + rng.Intn(256))
-		total := granule*int64(rng.Intn(40)) + int64(rng.Intn(int(granule)))
-		curves := make([]*curve.Curve, n)
-		for i := range curves {
-			if rng.Intn(5) == 0 {
-				// Flat curve: exercises the round-robin leftover path.
-				h := rng.Float64() * 5
-				curves[i] = curve.MustNew([]curve.Point{{Size: 0, MPKI: h}, {Size: float64(total + 1), MPKI: h}})
-			} else {
-				curves[i] = randConvexCurve(rng, max(total, 2), 2+rng.Intn(6))
-			}
-		}
-		req := NewRequest(curves, total, granule)
-		for _, p := range pairs {
-			got, gerr := p.newFn(req)
-			want, werr := p.legacy(curves, total, granule)
-			if (gerr == nil) != (werr == nil) {
-				t.Fatalf("trial %d %s: error mismatch: %v vs %v", trial, p.name, gerr, werr)
-			}
-			if gerr != nil {
-				continue
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d %s (n=%d total=%d granule=%d):\nrequest %v\nlegacy  %v",
-						trial, p.name, n, total, granule, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestRequestConstraints exercises floors, caps, and their validation.
 func TestRequestConstraints(t *testing.T) {
 	c := func() *curve.Curve {

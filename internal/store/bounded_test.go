@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"talus/internal/hash"
 	"talus/internal/store"
@@ -136,63 +138,6 @@ func TestBackendReadThrough(t *testing.T) {
 	}
 }
 
-// TestBoundedBatchedMatchesUnbatched extends the batcher's exactness
-// contract to bounded mode: with eviction-coupled values, admission,
-// and a backend all active, a sequential stream through a batching
-// store returns byte-identical outcomes, values, stats, and final byte
-// counts to a batching-disabled store at the same seed.
-func TestBoundedBatchedMatchesUnbatched(t *testing.T) {
-	bounded := func(c store.Config) store.Config {
-		c.MaxBytes = 16 << 10 // small enough that eviction and the cap both fire
-		c.Backend = store.NewMemBackend(0)
-		c.Tenants = []string{"a", "b"}
-		return c
-	}
-	direct := buildStore(t, 2048, 4, 2, bounded(store.Config{BatchSize: 1}))
-	batched := buildStore(t, 2048, 4, 2, bounded(store.Config{}))
-
-	const ops = 1 << 15
-	for i := 0; i < ops; i++ {
-		tn := "a"
-		if i%3 == 0 {
-			tn = "b"
-		}
-		key := fmt.Sprintf("k%d", i%3000)
-		if i%2 == 0 {
-			hd, errD := direct.Set(tn, key, []byte(key))
-			hb, errB := batched.Set(tn, key, []byte(key))
-			if hd != hb || (errD == nil) != (errB == nil) {
-				t.Fatalf("op %d: Set diverges: (%v,%v) vs (%v,%v)", i, hd, errD, hb, errB)
-			}
-			continue
-		}
-		vd, hd, errD := direct.Get(tn, key)
-		vb, hb, errB := batched.Get(tn, key)
-		if hd != hb || string(vd) != string(vb) || (errD == nil) != (errB == nil) {
-			t.Fatalf("op %d: Get diverges: (%q,%v,%v) vs (%q,%v,%v)", i, vd, hd, errD, vb, hb, errB)
-		}
-	}
-	for _, tn := range []string{"a", "b"} {
-		sd, errD := direct.Stats(tn)
-		sb, errB := batched.Stats(tn)
-		if errD != nil || errB != nil {
-			t.Fatal(errD, errB)
-		}
-		if sd != sb {
-			t.Fatalf("tenant %s stats diverge:\n direct  %+v\n batched %+v", tn, sd, sb)
-		}
-		if sd.Evictions == 0 {
-			t.Fatalf("tenant %s: the byte-identity run never evicted — the contract was not exercised", tn)
-		}
-	}
-	if db, bb := direct.Bytes(), batched.Bytes(); db != bb {
-		t.Fatalf("byte totals diverge: direct %d, batched %d", db, bb)
-	}
-	if direct.Bytes() > 16<<10 {
-		t.Fatalf("bytes %d over the %d bound", direct.Bytes(), 16<<10)
-	}
-}
-
 // TestBoundedZipfSoak is the acceptance soak: a write-heavy Zipf
 // hammer whose footprint far exceeds MaxBytes, from many goroutines
 // (run under -race in CI). The byte bound must hold at every probe and
@@ -295,12 +240,12 @@ func TestBoundedZipfSoak(t *testing.T) {
 }
 
 // TestCloseRecorderRace pins the Close audit: concurrent Close, Close,
-// StopRecording, SetRecorder, and in-flight batched traffic must not
+// StopRecording, SetRecorder, and in-flight traffic must not
 // double-close the recorder or append to a closed writer (run under
 // -race in CI), and recorder installation after Close is refused.
 func TestCloseRecorderRace(t *testing.T) {
 	for round := 0; round < 8; round++ {
-		s := buildStore(t, 4096, 2, 2, store.Config{Tenants: []string{"a"}, BatchSize: 8})
+		s := buildStore(t, 4096, 2, 2, store.Config{Tenants: []string{"a"}})
 		if err := s.StartRecording(t.TempDir()+"/r.trc", false); err != nil {
 			t.Fatal(err)
 		}
@@ -363,5 +308,90 @@ func TestBoundedMaxTenants(t *testing.T) {
 	}
 	if names := s.Tenants(); len(names) != 2 {
 		t.Fatalf("roster grew past the cap: %v", names)
+	}
+}
+
+// TestRegisterUnderEvictionAndEpochs is the lock-order watchdog for
+// tenant registration on a bounded store. Registering a tenant with
+// configured Weights/LineBounds holds the store's tenant lock while it
+// takes the adaptive cache's epoch lock; an epoch step holds the epoch
+// lock while it takes shard locks; the eviction hook runs under a shard
+// lock. If the hook also took the tenant lock the three would form a
+// cycle and this test would wedge: weighted tenants auto-register while
+// two setters force evictions and a third goroutine forces epochs.
+func TestRegisterUnderEvictionAndEpochs(t *testing.T) {
+	const (
+		rounds  = 12
+		weighed = 7
+	)
+	weights := make(map[string]float64, weighed)
+	bounds := make(map[string]store.LineBounds, weighed)
+	for i := 0; i < weighed; i++ {
+		weights[fmt.Sprintf("t%d", i)] = float64(i + 2)
+		bounds[fmt.Sprintf("t%d", i)] = store.LineBounds{Min: 16}
+	}
+	for round := 0; round < rounds; round++ {
+		s := buildStore(t, 2048, 2, weighed+1, store.Config{
+			Tenants:    []string{"a"},
+			MaxBytes:   64 << 10,
+			Weights:    weights,
+			LineBounds: bounds,
+		})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; !stop.Load(); i++ {
+						// A key space far over the line capacity: nearly
+						// every Set evicts, so the hook runs constantly.
+						if _, err := s.Set("a", fmt.Sprintf("k%d-%d", w, i%20000), []byte("v")); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					s.Cache().ForceEpoch()
+				}
+			}()
+			// Each registration waits for fresh evictions, so it always
+			// lands while the hook and the epoch loop are both running.
+			var seen int64
+			for i := 0; i < weighed; i++ {
+				for {
+					st, err := s.Stats("a")
+					if err != nil {
+						t.Error(err)
+						break
+					}
+					if st.Evictions >= seen+64 {
+						seen = st.Evictions
+						break
+					}
+					runtime.Gosched()
+				}
+				if _, err := s.Set(fmt.Sprintf("t%d", i), "k", []byte("v")); err != nil {
+					t.Error(err)
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			buf := make([]byte, 1<<20)
+			t.Fatalf("round %d: registration deadlocked against eviction and epoch steps:\n%s",
+				round, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

@@ -67,25 +67,13 @@
 // costs latency, not data — exactly the deployment the X-Talus-Cache
 // header was modeling.
 //
-// # Request batching
+// # The access path
 //
-// Every Get/Set drives one simulated cache access, and unbatched each
-// access crosses the tenant's monitor-lane mutex, the monitor bank, and
-// a shard lock on its own. The store instead coalesces in-flight
-// requests per tenant with a group-commit combiner (see batch.go): a
-// request on an idle tenant flushes immediately (a batch of one, no
-// added latency), requests arriving while a flush is in flight queue up
-// and flush together as one adaptive.AccessBatch of up to
-// Config.BatchSize accesses, and a request parked longer than
-// Config.BatchDeadline falls back to a direct access. Batch size adapts
-// to the instantaneous concurrency, so sequential traffic pays nothing
-// and loaded tenants amortize every lock and the monitor's sampling
-// pass across the batch. Batching changes scheduling, never results:
-// queued requests flush in per-tenant arrival order (a deadline
-// fallback may overtake still-parked requests, as any concurrent
-// request always could), stats and the record hook count every access
-// exactly once, and a batch of k accesses is byte-identical to k
-// sequential ones at the same seed.
+// Every Get and Set drives exactly one simulated cache access, directly:
+// the record hook (when attached), adaptive.Cache.Access in the tenant's
+// partition space, then the tenant's hit/miss counters. There is one
+// such path for every request at every GOMAXPROCS; stats and the record
+// hook count every access exactly once.
 //
 // # Recording
 //

@@ -79,21 +79,6 @@ type Config struct {
 	Static bool
 	// MaxValueBytes caps Set value sizes; 0 means unlimited.
 	MaxValueBytes int64
-	// BatchSize caps how many in-flight accesses the per-tenant request
-	// batcher coalesces into one AccessBatch flush. 0 selects
-	// DefaultBatchSize; 1 disables batching, so every request drives the
-	// datapath directly (the pre-batching behaviour).
-	BatchSize int
-	// BatchDeadline bounds how long a request may wait on the batcher
-	// before falling back to a direct access. 0 selects
-	// DefaultBatchDeadline; negative waits without bound.
-	BatchDeadline time.Duration
-	// ForceBatching keeps the request batcher engaged even where the
-	// store would bypass it as pure overhead — a single-P runtime
-	// (GOMAXPROCS=1 at construction), where requests cannot overlap so
-	// every batch would be a batch of one. Tests that pin batching
-	// semantics set this; servers should leave it false.
-	ForceBatching bool
 	// MaxBytes bounds the total value bytes held across all tenants;
 	// 0 means unbounded (the pre-bounded system-of-record behaviour).
 	// A positive bound turns on bounded mode: value lifetime couples to
@@ -180,8 +165,6 @@ type tenant struct {
 	part  int
 	space uint64 // sim.AppSpace(part), OR-ed onto every address
 
-	lane lane // request batcher (see batch.go)
-
 	mu     sync.RWMutex
 	vals   map[string][]byte
 	bytes  int64
@@ -204,11 +187,6 @@ type Store struct {
 	ac  *adaptive.Cache
 	cfg Config
 
-	batchSize     int           // max ops per coalesced flush; <=1 disables
-	batchDeadline time.Duration // parked-request wait bound; <=0 unbounded
-	noBatch       bool          // batching resolved off (BatchSize<=1 or single-P)
-	flushPool     sync.Pool     // *flushScratch, combiner working sets
-
 	bounded    bool    // value lifetime coupled to line residency
 	maxBytes   int64   // global value-byte bound; 0 = none
 	backend    Backend // backing tier; nil = none
@@ -222,7 +200,10 @@ type Store struct {
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
-	byPart  []*tenant // partition index → tenant (nil while unclaimed)
+	// byPart maps partition index → tenant (nil while unclaimed). Fixed
+	// length; written under mu, but read without it by the eviction hook
+	// (see onEvict), hence the atomic slots.
+	byPart []atomic.Pointer[tenant]
 
 	recording atomic.Bool // fast-path gate; truth lives under recMu
 	recMu     sync.Mutex
@@ -247,18 +228,16 @@ func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("%w: %d tenants pre-declared with MaxTenants %d", ErrTenantCapacity, len(cfg.Tenants), cfg.MaxTenants)
 	}
 	s := &Store{
-		ac:            ac,
-		cfg:           cfg,
-		batchSize:     cfg.BatchSize,
-		batchDeadline: cfg.BatchDeadline,
-		bounded:       cfg.MaxBytes > 0 || cfg.Backend != nil,
-		maxBytes:      cfg.MaxBytes,
-		backend:       cfg.Backend,
-		maxTenants:    cfg.MaxTenants,
-		defaultTTL:    cfg.DefaultTTL,
-		now:           time.Now,
-		tenants:       make(map[string]*tenant, ac.NumLogical()),
-		byPart:        make([]*tenant, ac.NumLogical()),
+		ac:         ac,
+		cfg:        cfg,
+		bounded:    cfg.MaxBytes > 0 || cfg.Backend != nil,
+		maxBytes:   cfg.MaxBytes,
+		backend:    cfg.Backend,
+		maxTenants: cfg.MaxTenants,
+		defaultTTL: cfg.DefaultTTL,
+		now:        time.Now,
+		tenants:    make(map[string]*tenant, ac.NumLogical()),
+		byPart:     make([]atomic.Pointer[tenant], ac.NumLogical()),
 	}
 	if cfg.DefaultTTL < 0 {
 		return nil, fmt.Errorf("%w: default ttl %s", ErrBadTTL, cfg.DefaultTTL)
@@ -270,24 +249,6 @@ func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 			host = "node"
 		}
 		s.node.ID = fmt.Sprintf("%s-%d", host, s.node.PID)
-	}
-	if s.batchSize == 0 {
-		s.batchSize = DefaultBatchSize
-	}
-	if s.batchDeadline == 0 {
-		s.batchDeadline = DefaultBatchDeadline
-	}
-	// Resolve the batching decision once: GOMAXPROCS(0) takes the
-	// scheduler lock, so it must never be consulted per request. On a
-	// single-P runtime requests cannot overlap, so group commit can only
-	// add latency — bypass it unless explicitly forced.
-	s.noBatch = s.batchSize <= 1 || (!cfg.ForceBatching && runtime.GOMAXPROCS(0) == 1)
-	s.flushPool.New = func() any {
-		return &flushScratch{
-			chunk: make([]*batchOp, 0, s.batchSize),
-			addrs: make([]uint64, 0, s.batchSize),
-			hits:  make([]bool, s.batchSize),
-		}
 	}
 	// Validate the per-tenant control settings up front: a bad weight
 	// must fail construction, not the unlucky auto-registering Set that
@@ -351,14 +312,15 @@ func (s *Store) SetNow(now func() time.Time) { s.now = now }
 // evicted, so every value stored on that line dies with it — the next
 // Get for those keys is a true miss (served through the Backend when
 // one is configured). Runs on the accessing goroutine with a shard
-// lock held, so it only touches store/tenant state, never the cache.
+// lock held, so it only touches store/tenant state, never the cache —
+// and never s.mu: register holds s.mu while it takes the adaptive
+// cache's epoch lock, and the epoch step takes shard locks under that,
+// so s.mu below a shard lock would close a three-way cycle.
 func (s *Store) onEvict(part int, addr uint64) {
-	s.mu.RLock()
-	var t *tenant
-	if part >= 0 && part < len(s.byPart) {
-		t = s.byPart[part]
+	if part < 0 || part >= len(s.byPart) {
+		return
 	}
-	s.mu.RUnlock()
+	t := s.byPart[part].Load()
 	if t == nil {
 		return
 	}
@@ -410,8 +372,8 @@ func (s *Store) register(name string) (*tenant, error) {
 		return nil, fmt.Errorf("%w: tenant cap %d reached", ErrTenantCapacity, s.maxTenants)
 	}
 	part := -1
-	for p, t := range s.byPart {
-		if t == nil {
+	for p := range s.byPart {
+		if s.byPart[p].Load() == nil {
 			part = p
 			break
 		}
@@ -423,7 +385,7 @@ func (s *Store) register(name string) (*tenant, error) {
 	if s.bounded {
 		t.byAddr = make(map[uint64][]string)
 		// Deterministic per-partition seed: admission decisions replay
-		// identically across runs and across batched/unbatched stores.
+		// identically across runs.
 		t.admit = hash.NewSampler(0xAD417 ^ uint64(part)*0x9E3779B97F4A7C15)
 	}
 	// Thread the tenant's configured control settings into the claimed
@@ -440,8 +402,31 @@ func (s *Store) register(name string) (*tenant, error) {
 		}
 	}
 	s.tenants[name] = t
-	s.byPart[part] = t
+	s.byPart[part].Store(t)
 	return t, nil
+}
+
+// access drives one request's cache access: the record hook (addr is
+// the raw 48-bit key address, the trace format), then the adaptive
+// datapath in the tenant's partition space, then the tenant's outcome
+// counters. Every Get and Set takes exactly this path, once.
+func (s *Store) access(t *tenant, addr uint64) bool {
+	if s.recording.Load() {
+		s.recMu.Lock()
+		if s.rec != nil {
+			if err := s.rec.Append(t.part, addr); err != nil && s.recErr == nil {
+				s.recErr = err
+			}
+		}
+		s.recMu.Unlock()
+	}
+	hit := s.ac.Access(addr|t.space, t.part)
+	if hit {
+		t.hits.Add(1)
+	} else {
+		t.misses.Add(1)
+	}
+	return hit
 }
 
 // resolve returns the tenant for name, auto-registering it when allowed.
@@ -796,15 +781,25 @@ func (s *Store) Delete(tenantName, key string) (existed bool, err error) {
 	return ok, nil
 }
 
-// Tenants returns the registered tenant names in partition order.
-func (s *Store) Tenants() []string {
+// registered snapshots the registered tenants in partition order.
+func (s *Store) registered() []*tenant {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.tenants))
-	for _, t := range s.byPart {
-		if t != nil {
-			out = append(out, t.name)
+	out := make([]*tenant, 0, len(s.tenants))
+	for p := range s.byPart {
+		if t := s.byPart[p].Load(); t != nil {
+			out = append(out, t)
 		}
+	}
+	return out
+}
+
+// Tenants returns the registered tenant names in partition order.
+func (s *Store) Tenants() []string {
+	ts := s.registered()
+	out := make([]string, len(ts))
+	for i, t := range ts {
+		out[i] = t.name
 	}
 	return out
 }
@@ -856,12 +851,7 @@ func (s *Store) Stats(tenantName string) (TenantStats, error) {
 // tenant name for stable output.
 func (s *Store) StatsAll() []TenantStats {
 	allocs := s.ac.Allocations()
-	s.mu.RLock()
-	ts := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		ts = append(ts, t)
-	}
-	s.mu.RUnlock()
+	ts := s.registered()
 	out := make([]TenantStats, len(ts))
 	for i, t := range ts {
 		out[i] = s.statsOf(t, allocs)
@@ -923,14 +913,7 @@ type ControlState struct {
 // allocation.
 func (s *Store) Control() ControlState {
 	cs := ControlState{ControllerState: s.ac.Controller()}
-	s.mu.RLock()
-	ts := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.byPart {
-		if t != nil {
-			ts = append(ts, t)
-		}
-	}
-	s.mu.RUnlock()
+	ts := s.registered()
 	cs.Tenants = make([]TenantControl, 0, len(ts))
 	for _, t := range ts {
 		row := TenantControl{Tenant: t.name, Partition: t.part, Weight: 1}
@@ -990,13 +973,9 @@ func (s *Store) SetRecorder(r Recorder) error {
 // sim.RunAdaptiveTraceFile against a cache built like this store's.
 func (s *Store) StartRecording(path string, gz bool) error {
 	metas := make([]trace.AppMeta, s.ac.NumLogical())
-	s.mu.RLock()
-	for p, t := range s.byPart {
-		if t != nil {
-			metas[p] = trace.AppMeta{Name: t.name}
-		}
+	for _, t := range s.registered() {
+		metas[t.part] = trace.AppMeta{Name: t.name}
 	}
-	s.mu.RUnlock()
 
 	s.recMu.Lock()
 	defer s.recMu.Unlock()
@@ -1059,7 +1038,7 @@ func (s *Store) Recording() bool { return s.recording.Load() }
 // Close stops any active recording and shuts down the adaptive cache's
 // background epoch ticker. Safe to call concurrently and repeatedly:
 // the recorder teardown happens exactly once, under the same lock the
-// datapath's record appends take, so an in-flight batched access either
+// datapath's record appends take, so an in-flight access either
 // lands in the trace before the writer closes or is skipped cleanly —
 // never appended to a closed writer. The Get/Set/Delete datapath stays
 // usable after Close; only recorder installation is refused (ErrClosed).

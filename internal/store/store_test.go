@@ -13,6 +13,21 @@ import (
 	"talus/internal/trace"
 )
 
+// countingRecorder counts appends and remembers the order of addresses.
+type countingRecorder struct {
+	mu    sync.Mutex
+	addrs []uint64
+	parts []int
+}
+
+func (r *countingRecorder) Append(p int, addr uint64) error {
+	r.mu.Lock()
+	r.addrs = append(r.addrs, addr)
+	r.parts = append(r.parts, p)
+	r.mu.Unlock()
+	return nil
+}
+
 // buildStore constructs a small serving stack: sharded inner cache,
 // Talus runtime, control loop, keyed store.
 func buildStore(t *testing.T, capacity int64, shards, partitions int, cfg store.Config) *store.Store {
@@ -287,5 +302,62 @@ func TestStoreConcurrentHammer(t *testing.T) {
 	cs, ok := s.CacheStats()
 	if !ok || cs.Accesses != accesses {
 		t.Fatalf("sharded stats %v (ok=%v), want %d accesses", cs, ok, accesses)
+	}
+}
+
+// TestConcurrentAccessExactness hammers one tenant from many goroutines
+// (run under -race in CI) and checks that nothing is lost or
+// double-counted: request counters, simulated outcomes, and the record
+// hook all account for every Get/Set access exactly once.
+func TestConcurrentAccessExactness(t *testing.T) {
+	s := buildStore(t, 8192, 4, 2, store.Config{})
+	rec := &countingRecorder{}
+	if err := s.SetRecorder(rec); err != nil {
+		t.Fatal(err)
+	}
+
+	const (
+		workers   = 8
+		perWorker = 4096
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				key := fmt.Sprintf("k%d", (w*perWorker+i)%512)
+				if i%4 == 0 {
+					if _, err := s.Set("hot", key, []byte("v")); err != nil {
+						t.Error(err)
+						return
+					}
+				} else if _, _, err := s.Get("hot", key); err != nil && !errors.Is(err, store.ErrNotFound) {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	const total = int64(workers * perWorker)
+	st, err := s.Stats("hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Gets+st.Sets != total {
+		t.Fatalf("request counters: gets %d + sets %d != %d", st.Gets, st.Sets, total)
+	}
+	if st.CacheHits+st.CacheMisses != total {
+		t.Fatalf("outcome counters: hits %d + misses %d != %d", st.CacheHits, st.CacheMisses, total)
+	}
+	if got := int64(len(rec.addrs)); got != total {
+		t.Fatalf("recorded %d accesses, want %d", got, total)
+	}
+	for _, p := range rec.parts {
+		if p != st.Partition {
+			t.Fatalf("recorded partition %d, want %d", p, st.Partition)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 // Functional-options construction: the single public entry point for
-// building the serving stack. The telescoping constructors this
-// replaces (BuildCache, NewShardedCache, NewAdaptiveCache) grew one
-// positional argument per PR; New collapses them into self-describing
-// options with centrally validated defaults, so the zero-option call
+// building the serving stack: self-describing options with centrally
+// validated defaults, so the zero-option call
 //
 //	ac, err := talus.New()
 //
@@ -10,8 +8,7 @@
 // shape (8 MB LLC, 8 shards, 8 partitions, vantage partitioning over
 // LRU, hill climbing on hulls every 2^20 accesses) — and every option
 // adjusts exactly one knob. NewStore builds the keyed Get/Set layer
-// over the same options; the deprecated constructors remain as thin
-// wrappers.
+// over the same options.
 package talus
 
 import (
@@ -45,9 +42,6 @@ type options struct {
 	lineBounds    map[string]store.LineBounds
 	staticTenants bool
 	maxValueBytes int64
-	batchSize     int
-	batchDeadline time.Duration
-	forceBatching bool
 	maxBytes      int64
 	backend       store.Backend
 	maxTenants    int
@@ -188,31 +182,6 @@ func WithStaticTenants(names ...string) Option {
 // own body limit).
 func WithMaxValueBytes(n int64) Option { return func(o *options) { o.maxValueBytes = n } }
 
-// WithBatchSize caps how many in-flight requests the store's per-tenant
-// batcher coalesces into one cache access batch (NewStore only). The
-// batcher is group commit: a request on an idle tenant flushes
-// immediately, requests arriving during a flush form the next batch, so
-// batch size adapts to load up to this bound. 0 selects the default
-// (DefaultBatchSize, 64); 1 disables batching entirely, restoring
-// the per-request datapath.
-func WithBatchSize(n int) Option { return func(o *options) { o.batchSize = n } }
-
-// WithForceBatching keeps the request batcher engaged even where the
-// store would bypass it as pure overhead — a GOMAXPROCS=1 runtime,
-// where requests cannot overlap so every batch would be a batch of one
-// (NewStore only). Useful for tests and benchmarks that pin batching
-// semantics; servers should not need it.
-func WithForceBatching() Option { return func(o *options) { o.forceBatching = true } }
-
-// WithBatchDeadline bounds how long a request may wait on the store's
-// per-tenant batcher before it falls back to a direct, unbatched cache
-// access (NewStore only) — the tail-latency backstop for flushes stalled
-// behind an epoch reconfiguration. 0 selects the default
-// (DefaultBatchDeadline, 100µs); negative waits without bound.
-func WithBatchDeadline(d time.Duration) Option {
-	return func(o *options) { o.batchDeadline = d }
-}
-
 // WithMaxBytes bounds the total value bytes the store holds across all
 // tenants (NewStore only), turning it into a true bounded cache: value
 // lifetime couples to simulated-line residency (an evicted line
@@ -322,16 +291,6 @@ type Store = store.Store
 // TenantStats reports one tenant's serving counters.
 type TenantStats = store.TenantStats
 
-// Store request-batcher defaults (see WithBatchSize, WithBatchDeadline).
-const (
-	// DefaultBatchSize is the maximum number of in-flight requests the
-	// store's per-tenant batcher coalesces into one cache access batch.
-	DefaultBatchSize = store.DefaultBatchSize
-	// DefaultBatchDeadline bounds how long a request waits on the
-	// batcher before falling back to a direct access.
-	DefaultBatchDeadline = store.DefaultBatchDeadline
-)
-
 // Backend is the pluggable backing tier behind a bounded store: the
 // "database" the cache reads through on value misses and writes
 // through on Sets. See WithBackend.
@@ -385,9 +344,6 @@ func NewStore(opts ...Option) (*Store, error) {
 		LineBounds:    o.lineBounds,
 		Static:        o.staticTenants,
 		MaxValueBytes: o.maxValueBytes,
-		BatchSize:     o.batchSize,
-		BatchDeadline: o.batchDeadline,
-		ForceBatching: o.forceBatching,
 		MaxBytes:      o.maxBytes,
 		Backend:       o.backend,
 		MaxTenants:    o.maxTenants,

@@ -2,11 +2,11 @@ package talus
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
+
+	"talus/internal/sim"
 )
 
 // feedDeterministic drives an identical two-phase stream into ac:
@@ -57,12 +57,12 @@ func snapshot(t *testing.T, ac *AdaptiveCache) cacheState {
 	return s
 }
 
-// TestNewMatchesDeprecatedConstructors is the options matrix: for every
-// configuration, talus.New with options must build the exact stack
-// NewAdaptiveCache builds from positional arguments — identical
-// capacities, allocations, epoch counts, shadow sizes, and per-partition
-// Talus configs after an identical deterministic feed.
-func TestNewMatchesDeprecatedConstructors(t *testing.T) {
+// TestNewMatchesBuildAdaptiveCache is the options-threading matrix: for
+// every configuration, talus.New with options must build the exact
+// stack sim.BuildAdaptiveCache builds from positional arguments —
+// identical capacities, allocations, epoch counts, shadow sizes, and
+// per-partition Talus configs after an identical deterministic feed.
+func TestNewMatchesBuildAdaptiveCache(t *testing.T) {
 	lookahead, err := AllocatorByName("lookahead")
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestNewMatchesDeprecatedConstructors(t *testing.T) {
 		name   string
 		opts   []Option
 		rounds int
-		// NewAdaptiveCache arguments.
+		// sim.BuildAdaptiveCache arguments.
 		scheme string
 		lines  int64
 		assoc  int
@@ -120,15 +120,15 @@ func TestNewMatchesDeprecatedConstructors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy, err := NewAdaptiveCache(c.scheme, c.lines, c.assoc, c.shards, c.parts, c.policy, c.margin, c.acfg)
+			direct, err := sim.BuildAdaptiveCache(c.scheme, c.lines, c.assoc, c.shards, c.parts, c.policy, c.margin, c.acfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			feedDeterministic(fresh, c.rounds)
-			feedDeterministic(legacy, c.rounds)
-			a, b := snapshot(t, fresh), snapshot(t, legacy)
+			feedDeterministic(direct, c.rounds)
+			a, b := snapshot(t, fresh), snapshot(t, direct)
 			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("New state diverges from NewAdaptiveCache:\n new:    %+v\n legacy: %+v", a, b)
+				t.Fatalf("New state diverges from sim.BuildAdaptiveCache:\n new:    %+v\n direct: %+v", a, b)
 			}
 			if fresh.Epochs() == 0 {
 				t.Fatal("feed too small: no epochs ran, matrix proves nothing")
@@ -236,39 +236,5 @@ func TestNewStoreOptions(t *testing.T) {
 	}
 	if _, err := st.Set("d", "k", nil); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("static tenants: %v", err)
-	}
-}
-
-// TestNewStoreBatchOptions pins the batching knobs at the public
-// boundary: a batching store (default WithBatchSize, explicit
-// WithBatchDeadline) serves a sequential stream identically to a
-// WithBatchSize(1) (batching-disabled) store at the same seed.
-func TestNewStoreBatchOptions(t *testing.T) {
-	build := func(extra ...Option) *Store {
-		t.Helper()
-		opts := append([]Option{
-			WithCapacity(16384), WithShards(2), WithTenants("t"), WithSeed(11),
-		}, extra...)
-		st, err := NewStore(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		return st
-	}
-	batched := build(WithBatchSize(16), WithBatchDeadline(time.Millisecond))
-	direct := build(WithBatchSize(1))
-	for i := 0; i < 4096; i++ {
-		key := fmt.Sprintf("k%d", i%300)
-		hb, errB := batched.Set("t", key, []byte("v"))
-		hd, errD := direct.Set("t", key, []byte("v"))
-		if hb != hd || (errB == nil) != (errD == nil) {
-			t.Fatalf("op %d: batched (%v,%v) vs direct (%v,%v)", i, hb, errB, hd, errD)
-		}
-	}
-	sb, _ := batched.Stats("t")
-	sd, _ := direct.Stats("t")
-	if sb != sd {
-		t.Fatalf("stats diverge:\n batched %+v\n direct  %+v", sb, sd)
 	}
 }

@@ -17,7 +17,7 @@
 //     simulation harness (RunSweep, RunMix) that regenerates the paper's
 //     figures;
 //   - the concurrency layer: a sharded, per-shard-locked cache
-//     (NewShardedCache) that serves concurrent traffic — alone or under
+//     (ShardedCache, WithShards) that serves concurrent traffic under
 //     the Talus runtime via batched accesses (AccessBatch) — and the
 //     parallel experiment engine (SweepConfig.Parallelism, RunMixes)
 //     whose results are byte-identical to sequential runs;
@@ -31,12 +31,9 @@
 //     wall-clock epoch interval, Close it when done;
 //   - the keyed serving layer (NewStore): Get/Set/Delete over
 //     (tenant, key) pairs with real value storage, per-tenant Stats,
-//     live measured/hulled miss Curves, a record hook capturing
-//     front-end traffic as replayable traces, and a per-tenant
-//     group-commit request batcher (WithBatchSize, WithBatchDeadline)
-//     that coalesces in-flight requests into single cache access
-//     batches — plus the stdlib HTTP front-end (NewServeHandler,
-//     cmd/talus-serve) over it.
+//     live measured/hulled miss Curves, and a record hook capturing
+//     front-end traffic as replayable traces — plus the stdlib HTTP
+//     front-end (NewServeHandler, cmd/talus-serve) over it.
 //
 // See README.md for quickstarts, DESIGN.md for the system inventory,
 // and EXPERIMENTS.md for paper-vs-measured results; runnable examples
@@ -211,41 +208,11 @@ func NewShadowedCache(inner PartitionedCache, numLogical int, margin float64, se
 // "set", "vantage", "ideal"; policyName one of "LRU", "SRRIP", "BRRIP",
 // "DRRIP", "TA-DRRIP", "DIP", "PDP", "Random".
 //
-// Deprecated: the positional-argument constructors are frozen. Use
-// New with functional options (WithScheme, WithPolicy, ...) for the
-// full adaptive stack; BuildCache remains for callers assembling the
-// layers by hand (e.g. a ShadowedCache over a custom inner cache).
+// Use New with functional options (WithScheme, WithPolicy, ...) for the
+// full adaptive stack; BuildCache is for callers assembling the layers
+// by hand (e.g. a ShadowedCache over a custom inner cache).
 func BuildCache(scheme string, capacityLines int64, assoc, numPartitions int, policyName string, threads int, seed uint64) (PartitionedCache, error) {
 	return sim.BuildCache(scheme, capacityLines, assoc, numPartitions, policyName, threads, seed)
-}
-
-// NewShardedCache constructs a goroutine-safe LLC striped across
-// numShards independently locked shards, each built like BuildCache over
-// its share of the capacity. The result serves concurrent traffic via
-// Access/AccessBatch, aggregates Stats across shards, and — built with
-// 2×N partitions — can back NewShadowedCache so the whole Talus runtime
-// is safe for concurrent use.
-//
-// Deprecated: use New (WithShards selects the shard count); the
-// options builder constructs the same sharded cache inside the
-// adaptive stack. NewShardedCache remains for hand-assembled layers.
-func NewShardedCache(scheme string, capacityLines int64, assoc, numShards, numPartitions int, policyName string, threads int, seed uint64) (*ShardedCache, error) {
-	return sim.BuildShardedCache(scheme, capacityLines, assoc, numShards, numPartitions, policyName, threads, seed)
-}
-
-// NewAdaptiveCache constructs the zero-config adaptive serving stack: a
-// sharded LLC with 2×numPartitions shadow partitions, the Talus runtime
-// over it, and the epoch-driven control loop over that. Feed traffic
-// with Access/AccessBatch; the cache measures miss curves, convexifies
-// them, and reallocates capacity every cfg.EpochAccesses accesses. With
-// numShards > 1 the whole stack is safe for concurrent use.
-//
-// Deprecated: use New — the same stack from functional options instead
-// of eight positional arguments, with working defaults for every knob
-// (TestNewMatchesDeprecatedConstructors proves them equivalent
-// config-for-config).
-func NewAdaptiveCache(scheme string, capacityLines int64, assoc, numShards, numPartitions int, policyName string, margin float64, cfg AdaptiveConfig) (*AdaptiveCache, error) {
-	return sim.BuildAdaptiveCache(scheme, capacityLines, assoc, numShards, numPartitions, policyName, margin, cfg)
 }
 
 // RunAdaptive drives one adaptive-runtime experiment: per-app traffic

@@ -124,8 +124,8 @@ func TestPublicAPIAdaptive(t *testing.T) {
 			t.Fatalf("AllocatorByName(%q): %v", name, err)
 		}
 	}
-	ac, err := NewAdaptiveCache("vantage", 8192, 16, 2, 2, "LRU", DefaultMargin,
-		AdaptiveConfig{EpochAccesses: 1 << 14, Allocator: HillClimbAllocator, Seed: 1})
+	ac, err := New(WithCapacity(8192), WithAssoc(16), WithShards(2), WithPartitions(2),
+		WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 14, Allocator: HillClimbAllocator, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
