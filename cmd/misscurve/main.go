@@ -55,7 +55,7 @@ func main() {
 
 	if *traceTo != "" {
 		gen := workload.NewApp(spec, *seed)
-		if err := trace.WriteFile(*traceTo, trace.Capture(gen.Next, *traceN)); err != nil {
+		if err := writeTrace(*traceTo, trace.Capture(gen.Next, *traceN)); err != nil {
 			fmt.Fprintf(os.Stderr, "misscurve: %v\n", err)
 			os.Exit(1)
 		}
@@ -89,4 +89,23 @@ func main() {
 			curve.LinesToMB(p.Size), p.MPKI, sim.IPC(spec, p.MPKI))
 	}
 	tw.Flush()
+}
+
+// writeTrace writes addrs to path as a one-partition trace.
+func writeTrace(path string, addrs []uint64) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w, err := trace.NewWriter(f, 1)
+	if err == nil {
+		err = w.AppendBatch(0, addrs)
+	}
+	if err == nil {
+		err = w.Close()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

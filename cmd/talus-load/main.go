@@ -3,7 +3,8 @@
 // -route cluster, paced to a target RPS, with key popularity drawn
 // from the same workload patterns the simulator uses. It measures what
 // the serving tier actually delivers — hit ratio from the
-// X-Talus-Cache header, p50/p99/p999 latency from integer HDR-style
+// X-Talus-Cache header (a GET is a hit only when its body was served
+// from the owner's memory), p50/p99/p999 latency from integer HDR-style
 // histograms, per-node traffic from X-Talus-Node — and writes the
 // merged report as JSON (BENCH_cluster.json in CI).
 //

@@ -26,11 +26,11 @@
 // non-owner are forwarded one hop and relayed — any node can serve any
 // key, so clients need no routing logic.
 //
-// With -max-bytes and/or -backend the store is a true bounded cache:
-// values die when their simulated lines are evicted, writes pass the
-// Talus-managed admission gate, and (with a backend) misses read
-// through the backing tier. Without either, the store keeps every
-// value — the original system-of-record mode.
+// The store is a cache bounded by -mb: a value dies when its simulated
+// line is evicted. -max-bytes adds a byte cap (writes then pass the
+// Talus-managed admission gate); -backend adds a backing tier that
+// writes go through to and misses read through, so eviction costs a
+// backend read instead of the value.
 //
 // Routes:
 //
@@ -88,7 +88,7 @@ func main() {
 		maxValue   = flag.Int64("max-value", 1<<20, "maximum value size in bytes")
 		recordDir  = flag.String("record-dir", "", "directory POST /v1/record may write traces into (empty disables the endpoint)")
 		seed       = flag.Uint64("seed", 42, "deterministic seed for hashes, samplers, monitors")
-		maxBytes   = flag.Int64("max-bytes", 0, "bound on total value bytes held (0 = unbounded); enables eviction-coupled storage and admission")
+		maxBytes   = flag.Int64("max-bytes", 0, "cap on total value bytes held, enforced by the admission gate (0 = none: only the -mb line capacity bounds the cache)")
 		maxTenants = flag.Int("max-tenants", 0, "cap on tenants ever registered (0 = partition count only)")
 		backend    = flag.String("backend", "", "backing tier behind the cache: mem (empty = none)")
 		backendLat = flag.Duration("backend-latency", 0, "modeled latency per backend operation")
@@ -248,25 +248,18 @@ func run(cf serveFlags) error {
 	}
 	defer st.Close()
 
-	srv := &http.Server{
-		Addr:              cf.addr,
-		Handler:           talus.NewServeHandler(st, talus.ServeConfig{MaxValueBytes: cf.maxValue, RecordDir: cf.recordDir, Control: cf.control, Cluster: cl}),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := newServer(cf.addr, talus.NewServeHandler(st, talus.ServeConfig{MaxValueBytes: cf.maxValue, RecordDir: cf.recordDir, Control: cf.control, Cluster: cl}))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
 	go func() {
-		mode := "unbounded"
-		if st.Bounded() {
-			mode = fmt.Sprintf("bounded (max-bytes %d, backend %q)", cf.maxBytes, cf.backend)
-		}
+		tiers := fmt.Sprintf("max-bytes %d, backend %q", cf.maxBytes, cf.backend)
 		if cl != nil {
-			mode += fmt.Sprintf(", cluster %s of %d nodes", selfName, len(cl.Ring().Nodes()))
+			tiers += fmt.Sprintf(", cluster %s of %d nodes", selfName, len(cl.Ring().Nodes()))
 		}
 		log.Printf("talus-serve: listening on %s (%.1f MB, %d shards, %d partitions, %s/%s, alloc %s, %s)",
-			cf.addr, cf.mb, cf.shards, st.Cache().NumLogical(), cf.scheme, cf.policy, cf.allocName, mode)
+			cf.addr, cf.mb, cf.shards, st.Cache().NumLogical(), cf.scheme, cf.policy, cf.allocName, tiers)
 		errc <- srv.ListenAndServe()
 	}()
 
@@ -289,6 +282,29 @@ func run(cf serveFlags) error {
 			ts.Tenant, ts.Gets, ts.Sets, ts.HitRatio, talus.LinesToMB(float64(ts.AllocLines)))
 	}
 	return nil
+}
+
+// Connection deadlines. Without them a client that stalls mid-body,
+// never reads its response, or parks a keep-alive connection pins a
+// goroutine and a socket for as long as it likes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second // the whole request, body included
+	writeTimeout      = 30 * time.Second // from the end of the headers to the last response byte
+	idleTimeout       = 2 * time.Minute  // a keep-alive connection between requests
+)
+
+// newServer wraps h in an http.Server with every connection deadline
+// set.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // parseWeights parses the -weights list ("gold=4,bronze=1") into a

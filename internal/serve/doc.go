@@ -26,14 +26,14 @@
 // # The X-Talus-Cache header
 //
 // Every GET and successful PUT on /v1/cache carries X-Talus-Cache with
-// value "hit" or "miss": the simulated cache's outcome for that key's
-// line, the signal a production deployment would translate into backend
-// cost. The header reports the model, not value presence — a GET of a
-// key that was never stored still answers 404 *with* the header (its
-// miss traffic shapes the tenant's miss curve, exactly as fill traffic
-// shapes a real LLC's), and a warm line can report "hit" on a 404. A
-// rejected PUT (413 and other errors) has no header because no cache
-// access happened.
+// value "hit" or "miss". On a GET, "hit" means the body came from the
+// value resident in this node's cache: a 404 is always "miss" (its
+// access still shapes the tenant's miss curve, exactly as fill traffic
+// shapes a real LLC's), and so is a value read through the backend —
+// the header is the backend cost the request paid or avoided. On a PUT
+// it reports whether the key's line was already resident. A rejected
+// PUT (413 and other errors) has no header because no cache access
+// happened.
 //
 // # ETags, TTLs, and node identity
 //
@@ -72,19 +72,21 @@
 //	413  store.ErrValueTooLarge; request bodies over the PUT limit
 //	429  store.ErrTenantCapacity (every partition — or the -max-tenants
 //	     cap — already has a tenant; retry against an existing one)
-//	502  store.ErrBackend (the backing tier behind a bounded store failed)
+//	502  store.ErrBackend (the backing tier behind the store failed)
 //	400  store.ErrEmptyTenant/ErrEmptyKey, malformed /v1/record requests,
 //	     store.ErrRecording/ErrNotRecording (start while active / stop while idle),
 //	     malformed or negative /v1/control weight bodies,
 //	     store.ErrBadTTL and malformed X-Talus-TTL headers
 //
-// # Bounded-store stats
+// # Residency stats
 //
-// When the store runs in bounded mode (max-bytes and/or a backend —
-// see package store), /v1/stats additionally reports "bounded": true,
-// the live "bytes" total, "maxBytes" when a bound is set, and
-// "backend": true when a backing tier is attached; per-tenant rows gain
-// evictions, admitDrops, admitRho, backendGets, and backendSets.
+// /v1/stats reports the live "bytes" total, "maxBytes" when a byte cap
+// is set, and "backend": true when a backing tier is attached. Each
+// tenant row counts the values that left their lines (evictions,
+// expirations, admitDrops under the cap's gate at rate admitRho) and
+// the backend traffic that paid for it (backendGets, backendSets);
+// cacheHits/cacheMisses/hitRatio count line outcomes over Gets and
+// Sets — the control loop's input — not X-Talus-Cache values.
 //
 // # The POST /v1/record contract
 //

@@ -115,8 +115,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// hitHeader reports the simulated cache outcome without disturbing the
-// response body.
+// hitHeader reports the store's hit flag without disturbing the
+// response body: on a GET, "hit" means the body was served from the
+// value resident in the cache (never a 404, never a backend read); on a
+// PUT, that the key's line was already resident.
 func hitHeader(w http.ResponseWriter, hit bool) {
 	if hit {
 		w.Header().Set("X-Talus-Cache", "hit")
@@ -348,9 +350,8 @@ type statsResponse struct {
 	CapacityLines int64               `json:"capacityLines"`
 	Cache         *cacheStats         `json:"cache,omitempty"`
 	Recording     bool                `json:"recording"`
-	Bounded       bool                `json:"bounded"`            // value lifetime coupled to line residency
 	Bytes         int64               `json:"bytes"`              // value bytes held across all tenants
-	MaxBytes      int64               `json:"maxBytes,omitempty"` // configured bound (absent when unbounded)
+	MaxBytes      int64               `json:"maxBytes,omitempty"` // configured byte cap (absent without one)
 	Backend       bool                `json:"backend"`            // a backing tier is configured
 	Node          store.NodeStats     `json:"node"`               // serving-instance identity
 }
@@ -369,7 +370,6 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 		Epochs:        ac.Epochs(),
 		CapacityLines: ac.Shadowed().Inner().PartitionableCapacity(),
 		Recording:     h.st.Recording(),
-		Bounded:       h.st.Bounded(),
 		Bytes:         h.st.Bytes(),
 		MaxBytes:      h.st.MaxBytes(),
 		Backend:       h.st.Backend() != nil,

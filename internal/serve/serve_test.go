@@ -329,13 +329,18 @@ func TestHTTPContract(t *testing.T) {
 
 	// GET of a never-stored key: 404, but the header is still present
 	// (the access happened and shaped the miss curve) and the body is
-	// the documented JSON error shape naming the typed error.
-	resp, body := do(t, http.MethodGet, srv.URL+"/v1/cache/a/absent", nil)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET absent = %d", resp.StatusCode)
-	}
-	if h := resp.Header.Get("X-Talus-Cache"); h != "hit" && h != "miss" {
-		t.Fatalf("404 GET X-Talus-Cache = %q, want hit|miss", h)
+	// the documented JSON error shape naming the typed error. A 404 is
+	// never a hit — not even the second time, when the first lookup has
+	// left the key's line resident.
+	var body []byte
+	for i := 0; i < 2; i++ {
+		resp, body = do(t, http.MethodGet, srv.URL+"/v1/cache/a/absent", nil)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET absent = %d", resp.StatusCode)
+		}
+		if h := resp.Header.Get("X-Talus-Cache"); h != "miss" {
+			t.Fatalf("404 GET %d: X-Talus-Cache = %q, want miss", i, h)
+		}
 	}
 	var e404 struct {
 		Error string `json:"error"`

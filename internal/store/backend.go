@@ -1,5 +1,5 @@
-// Backend is the pluggable backing tier behind the bounded store: the
-// "database" a cache sits in front of. In bounded mode the store is
+// Backend is the pluggable backing tier behind the store: the
+// "database" a cache sits in front of. With one configured the store is
 // write-through (Set persists to the backend before the cached copy is
 // updated) and read-through (a Get whose value was evicted or never
 // admitted fetches from the backend and re-admits), so evicting a value

@@ -38,53 +38,60 @@ func TestDeleteInvalidatesLine(t *testing.T) {
 	}
 }
 
-// TestBoundedEvictionReleasesValues pins the tentpole's core coupling:
-// in bounded mode an evicted line releases its value bytes, so a
-// working set far over capacity cannot accumulate — and without a
-// backend, an evicted key reads back as a true miss.
+// TestBoundedEvictionReleasesValues pins the core coupling: an evicted
+// line releases the values hanging off it, so a working set far over
+// capacity cannot accumulate — and without a backend, an evicted key
+// reads back as a true miss. It holds with no byte cap at all (the line
+// capacity is the bound) exactly as under a cap that never binds.
 func TestBoundedEvictionReleasesValues(t *testing.T) {
-	const capacity = 2048
-	s := buildStore(t, capacity, 1, 2, store.Config{
-		Tenants:  []string{"a"},
-		MaxBytes: 1 << 40, // bounded mode without cap pressure: eviction alone governs
-	})
-	if !s.Bounded() {
-		t.Fatal("MaxBytes did not select bounded mode")
-	}
-	const n = 4 * capacity
-	for i := 0; i < n; i++ {
-		if _, err := s.Set("a", fmt.Sprintf("k%d", i), []byte("0123456789abcdef")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := s.Stats("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Evictions == 0 {
-		t.Fatalf("%d keys through %d lines evicted nothing: %+v", n, capacity, st)
-	}
-	if st.Keys >= n {
-		t.Fatalf("all %d keys retained despite %d-line cache: %+v", n, capacity, st)
-	}
-	if st.Keys+st.Evictions+st.AdmitDrops < n {
-		t.Fatalf("key conservation: %d kept + %d evicted + %d dropped < %d inserted", st.Keys, st.Evictions, st.AdmitDrops, n)
-	}
-	if st.Bytes != st.Keys*16 {
-		t.Fatalf("byte accounting: %d bytes for %d 16-byte keys", st.Bytes, st.Keys)
-	}
-	if got := s.Bytes(); got != st.Bytes {
-		t.Fatalf("global byte counter %d != tenant bytes %d", got, st.Bytes)
-	}
-	// Without a backend an evicted key is simply gone: a true miss.
-	missing := 0
-	for i := 0; i < n; i++ {
-		if _, _, err := s.Get("a", fmt.Sprintf("k%d", i)); errors.Is(err, store.ErrNotFound) {
-			missing++
-		}
-	}
-	if missing == 0 {
-		t.Fatal("no evicted key read back as a miss")
+	const (
+		capacity = 2048
+		n        = 4 * capacity
+	)
+	for name, cfg := range map[string]store.Config{
+		"no cap, no backend":   {Tenants: []string{"a"}},
+		"cap that never binds": {Tenants: []string{"a"}, MaxBytes: n * 16},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := buildStore(t, capacity, 1, 2, cfg)
+			for i := 0; i < n; i++ {
+				if _, err := s.Set("a", fmt.Sprintf("k%d", i), []byte("0123456789abcdef")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := s.Stats("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Evictions == 0 {
+				t.Fatalf("%d keys through %d lines evicted nothing: %+v", n, capacity, st)
+			}
+			if st.Keys > capacity {
+				t.Fatalf("%d keys resident on a %d-line cache: %+v", st.Keys, capacity, st)
+			}
+			if st.Keys+st.Evictions+st.AdmitDrops < n {
+				t.Fatalf("key conservation: %d kept + %d evicted + %d dropped < %d inserted", st.Keys, st.Evictions, st.AdmitDrops, n)
+			}
+			if st.Bytes != st.Keys*16 {
+				t.Fatalf("byte accounting: %d bytes for %d 16-byte keys", st.Bytes, st.Keys)
+			}
+			if got := s.Bytes(); got != st.Bytes {
+				t.Fatalf("global byte counter %d != tenant bytes %d", got, st.Bytes)
+			}
+			// Without a backend an evicted key is simply gone: a true miss.
+			missing := 0
+			for i := 0; i < n; i++ {
+				if _, hit, err := s.Get("a", fmt.Sprintf("k%d", i)); errors.Is(err, store.ErrNotFound) {
+					missing++
+					if hit {
+						t.Fatalf("k%d: ErrNotFound reported as a hit", i)
+					}
+				}
+			}
+			if missing == 0 {
+				t.Fatal("no evicted key read back as a miss")
+			}
+		})
 	}
 }
 
@@ -312,7 +319,7 @@ func TestBoundedMaxTenants(t *testing.T) {
 }
 
 // TestRegisterUnderEvictionAndEpochs is the lock-order watchdog for
-// tenant registration on a bounded store. Registering a tenant with
+// tenant registration. Registering a tenant with
 // configured Weights/LineBounds holds the store's tenant lock while it
 // takes the adaptive cache's epoch lock; an epoch step holds the epoch
 // lock while it takes shard locks; the eviction hook runs under a shard

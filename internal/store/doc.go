@@ -15,7 +15,8 @@
 // stream recorded from the store replays through sim.FeedAdaptiveTrace
 // and friends unchanged. Distinct keys may collide on a line (two keys
 // in ~2^48 lines); a collision only nudges the simulated hit ratio,
-// never the stored values, which live in an exact per-tenant map.
+// never the stored values: colliding entries chain off the line and
+// are told apart by their full key.
 //
 // Tenants bind to logical partitions in arrival order: the first Set
 // naming a new tenant claims the next free partition (Config.Static
@@ -27,45 +28,41 @@
 // construction, so once every partition (or the MaxTenants cap) is
 // claimed, further new tenants are refused with ErrTenantCapacity.
 //
-// # Hit/miss semantics
+// # Residency: one index, one way out
 //
-// The simulated cache decides hit or miss; the value map decides found
-// or not found. A Get whose key was never Set still accesses the cache
-// (miss traffic shapes the miss curve, as in a real LLC) and returns
-// ErrNotFound. A Get whose key exists returns the bytes either way and
-// reports whether the line hit — the "miss" is the simulated cost a
-// production deployment would pay.
+// A value lives exactly as long as its simulated line does. Each tenant
+// keeps one index, line address → the entries admitted on that line
+// (key, bytes, expiry deadline), and a Get is a hit exactly when it is
+// served from that entry — never for ErrNotFound, never for a backend
+// read. A Get whose key holds no value still accesses the cache (miss
+// traffic shapes the miss curve, as in a real LLC); TenantStats counts
+// those line outcomes, which are what the control loop consumes.
 //
-// # Bounded mode: eviction-coupled values, admission, read-through
+// Every value leaves through one release path. The store installs an
+// eviction hook down the cache stack (ErrNoEviction if the stack cannot
+// provide one): when the replacement policy evicts a line, the hook
+// releases every entry on it, so the footprint tracks the simulated
+// contents and the line capacity bounds the key count whatever else is
+// configured. TTL expiry and Delete release the entry and invalidate
+// its line (statelessly — no stats, no hook), so a dead key cannot keep
+// "hitting"; an admission refusal releases any stale copy.
 //
-// By default the store keeps every value — the system-of-record mode,
-// where the adaptive cache in front is purely a performance model.
-// Setting Config.MaxBytes or Config.Backend turns the store into a true
-// bounded cache. The store installs an eviction hook down the cache
-// stack (ErrNoEviction if the stack cannot provide one): when the
-// replacement policy evicts a line, the hook releases every value keyed
-// to that line, so the byte footprint tracks the simulated contents and
-// a Get on an evicted key is a real miss. Delete likewise invalidates
-// the key's line (statelessly — no stats, no hook), so a deleted key
-// cannot keep "hitting".
+// Config.MaxBytes and Config.Backend are independent parameters on
+// that one path. With MaxBytes > 0 a hard reservation check refuses any
+// Set that would push total value bytes over the cap, and in front of
+// it sits the Talus-managed admission gate: each tenant samples
+// incoming lines with the same ρ-style hashed sampling the shadow
+// partitions use, and every admitEvery sets the rate is refreshed from
+// bypass.Optimal over the tenant's live hulled miss curve at its byte
+// budget (its share of MaxBytes, scaled by current line allocation) —
+// the paper's bypassing analysis (§VII) steering which values are worth
+// caching at all. Rejected sets count as AdmitDrops in TenantStats.
 //
-// With MaxBytes > 0 two more mechanisms engage. A hard reservation
-// check refuses any Set that would push total value bytes over the
-// bound. In front of it sits the Talus-managed admission gate: each
-// tenant samples incoming lines with the same ρ-style hashed sampling
-// the shadow partitions use, and every admitEvery sets the rate is
-// refreshed from bypass.Optimal over the tenant's live hulled miss
-// curve at its byte budget (its share of MaxBytes, scaled by current
-// line allocation) — the paper's bypassing analysis (§VII) steering
-// which values are worth caching at all. Rejected sets count as
-// AdmitDrops in TenantStats.
-//
-// With a Backend configured the store is a read-through, write-through
-// cache over it: Set writes the backing tier first (failures surface as
-// ErrBackend), and a Get whose cached value died refetches from the
-// backend and re-admits through the same admission path. Eviction then
-// costs latency, not data — exactly the deployment the X-Talus-Cache
-// header was modeling.
+// With a Backend the store is a read-through, write-through cache over
+// it: Set writes the backing tier first (failures surface as
+// ErrBackend), and a Get whose value is gone refetches from the backend
+// and re-admits through the same admission path. Eviction then costs
+// latency, not data; without a Backend an evicted value is lost.
 //
 // # The access path
 //

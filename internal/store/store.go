@@ -44,10 +44,9 @@ var (
 	ErrRecording = errors.New("store: already recording")
 	// ErrClosed reports SetRecorder/StartRecording after Close.
 	ErrClosed = errors.New("store: closed")
-	// ErrNoEviction reports a bounded configuration (MaxBytes or Backend)
-	// over a cache stack that cannot deliver eviction notifications:
-	// without them evicted lines would strand their value bytes and the
-	// bound could not be honored.
+	// ErrNoEviction reports a cache stack that cannot deliver eviction
+	// notifications: without them evicted lines would strand the values
+	// hanging off them.
 	ErrNoEviction = errors.New("store: cache stack does not support eviction notification")
 	// ErrBadTTL rejects a negative per-entry TTL.
 	ErrBadTTL = errors.New("store: negative ttl")
@@ -79,15 +78,15 @@ type Config struct {
 	Static bool
 	// MaxValueBytes caps Set value sizes; 0 means unlimited.
 	MaxValueBytes int64
-	// MaxBytes bounds the total value bytes held across all tenants;
-	// 0 means unbounded (the pre-bounded system-of-record behaviour).
-	// A positive bound turns on bounded mode: value lifetime couples to
-	// simulated-line residency (evicted lines release their values) and
-	// Sets pass a Talus-managed admission gate.
+	// MaxBytes bounds the total value bytes held across all tenants
+	// (0 = no byte cap; the line capacity still bounds the key count).
+	// Under a cap, Sets pass a Talus-managed admission gate and a hard
+	// reservation check.
 	MaxBytes int64
 	// Backend, when non-nil, is the backing tier: Sets write through to
-	// it and a Get whose value is gone (evicted, or never admitted)
-	// reads through and re-admits. A Backend also turns on bounded mode.
+	// it and a Get whose value is gone (evicted, expired or never
+	// admitted) reads through and re-admits. Without one such a value
+	// is lost.
 	Backend Backend
 	// MaxTenants caps how many tenants may ever register (pre-declared
 	// plus auto-registered); 0 bounds them only by the partition count.
@@ -150,7 +149,6 @@ type TenantStats struct {
 	// (discovered lazily on Get; zero when no TTLs are in use).
 	Expirations int64 `json:"expirations"`
 
-	// Bounded-mode counters (zero when the store is unbounded).
 	Evictions   int64   `json:"evictions"`   // values released by line eviction
 	AdmitDrops  int64   `json:"admitDrops"`  // values refused by admission (gate or byte cap)
 	AdmitRho    float64 `json:"admitRho"`    // current admitted fraction (1 = admit all)
@@ -158,20 +156,28 @@ type TenantStats struct {
 	BackendSets int64   `json:"backendSets"` // write-through stores performed
 }
 
-// tenant is one registered tenant: a logical partition, its value map,
-// and its counters.
+// entry is one resident value, hanging off the simulated line that
+// admitted it. Fields are read and written under the tenant's mu.
+type entry struct {
+	key      string
+	val      []byte
+	deadline int64  // expiry, unix nanos; 0 = never
+	next     *entry // another key hashed to the same 48-bit line (odds 2^-48 a pair)
+}
+
+// tenant is one registered tenant: a logical partition, the values
+// resident on its lines, and its counters.
 type tenant struct {
 	name  string
 	part  int
 	space uint64 // sim.AppSpace(part), OR-ed onto every address
 
-	mu     sync.RWMutex
-	vals   map[string][]byte
-	bytes  int64
-	byAddr map[uint64][]string // bounded mode: 48-bit line addr → keys on that line
-	exp    map[string]int64    // per-entry expiry deadline (unix nanos); nil until a TTL lands
+	mu    sync.RWMutex
+	lines map[uint64]*entry // 48-bit line addr → the values on that line
+	keys  int64             // entries across all lines
+	bytes int64             // their value bytes
 
-	admit *hash.Sampler // bounded mode: Talus-managed admission gate
+	admit *hash.Sampler // Talus-managed admission gate (consulted under MaxBytes)
 
 	gets, sets, deletes atomic.Int64
 	hits, misses        atomic.Int64
@@ -187,7 +193,6 @@ type Store struct {
 	ac  *adaptive.Cache
 	cfg Config
 
-	bounded    bool    // value lifetime coupled to line residency
 	maxBytes   int64   // global value-byte bound; 0 = none
 	backend    Backend // backing tier; nil = none
 	maxTenants int     // registration cap; 0 = partition count only
@@ -196,7 +201,7 @@ type Store struct {
 	node NodeStats        // this instance's identity (cluster attribution)
 	now  func() time.Time // clock; replaceable for TTL tests (SetNow)
 
-	bytesTotal atomic.Int64 // value bytes across all tenants (all modes)
+	bytesTotal atomic.Int64 // value bytes across all tenants
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
@@ -216,10 +221,10 @@ type Store struct {
 
 // New builds a Store over an adaptive cache, registering cfg.Tenants
 // onto the first partitions. The cache's logical partition count bounds
-// the tenant count. A positive MaxBytes or a non-nil Backend selects
-// bounded mode, which requires the cache stack to support eviction
-// notification (every stack sim.BuildAdaptiveCache builds does);
-// otherwise New fails with ErrNoEviction.
+// the tenant count. Values live and die with their simulated lines, so
+// the cache stack must support eviction notification (every stack
+// sim.BuildAdaptiveCache builds does); otherwise New fails with
+// ErrNoEviction.
 func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 	if len(cfg.Tenants) > ac.NumLogical() {
 		return nil, fmt.Errorf("%w: %d tenants for %d partitions", ErrTenantCapacity, len(cfg.Tenants), ac.NumLogical())
@@ -230,7 +235,6 @@ func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 	s := &Store{
 		ac:         ac,
 		cfg:        cfg,
-		bounded:    cfg.MaxBytes > 0 || cfg.Backend != nil,
 		maxBytes:   cfg.MaxBytes,
 		backend:    cfg.Backend,
 		maxTenants: cfg.MaxTenants,
@@ -274,7 +278,7 @@ func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 	// (Stacks that refuse — RRIP policies, set partitioning — simply
 	// keep taking shard locks; either way the datapath is correct.)
 	ac.EnableSharedHits()
-	if s.bounded && !ac.SetEvictHook(s.onEvict) {
+	if !ac.SetEvictHook(s.onEvict) {
 		return nil, ErrNoEviction
 	}
 	for _, name := range cfg.Tenants {
@@ -285,15 +289,11 @@ func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Bounded reports whether value lifetime is coupled to simulated-line
-// residency (MaxBytes or a Backend was configured).
-func (s *Store) Bounded() bool { return s.bounded }
-
 // MaxBytes returns the configured global value-byte bound (0 = none).
 func (s *Store) MaxBytes() int64 { return s.maxBytes }
 
-// Bytes returns the value bytes currently held across all tenants. In
-// bounded mode it never exceeds MaxBytes (when one is set).
+// Bytes returns the value bytes currently held across all tenants. It
+// never exceeds MaxBytes (when one is set).
 func (s *Store) Bytes() int64 { return s.bytesTotal.Load() }
 
 // Backend returns the configured backing tier (nil when none).
@@ -326,22 +326,46 @@ func (s *Store) onEvict(part int, addr uint64) {
 	}
 	line := addr & addrMask // strip the feeder's partition-space bits
 	t.mu.Lock()
-	keys := t.byAddr[line]
-	if len(keys) > 0 {
-		delete(t.byAddr, line)
-		for _, k := range keys {
-			if v, ok := t.vals[k]; ok {
-				t.bytes -= int64(len(v))
-				s.bytesTotal.Add(-int64(len(v)))
-				delete(t.vals, k)
-				if t.exp != nil {
-					delete(t.exp, k)
-				}
-				t.evictions.Add(1)
-			}
-		}
+	for e := t.lines[line]; e != nil; e = e.next {
+		s.release(t, line, e.key)
+		t.evictions.Add(1)
 	}
 	t.mu.Unlock()
+}
+
+// find returns key's entry on line addr, or nil. Caller holds t.mu.
+func (t *tenant) find(addr uint64, key string) *entry {
+	e := t.lines[addr]
+	for e != nil && e.key != key {
+		e = e.next
+	}
+	return e
+}
+
+// release unlinks key's entry from line addr and returns its bytes to
+// the books: the one way a value leaves the store, whatever ended its
+// residency (eviction, expiry, Delete, an admission refusal). Reports
+// whether there was one. Caller holds t.mu.
+func (s *Store) release(t *tenant, addr uint64, key string) bool {
+	var prev *entry
+	e := t.lines[addr]
+	for e != nil && e.key != key {
+		prev, e = e, e.next
+	}
+	switch {
+	case e == nil:
+		return false
+	case prev != nil:
+		prev.next = e.next
+	case e.next != nil:
+		t.lines[addr] = e.next
+	default:
+		delete(t.lines, addr)
+	}
+	t.keys--
+	t.bytes -= int64(len(e.val))
+	s.bytesTotal.Add(-int64(len(e.val)))
+	return true
 }
 
 // hashKey maps a key to its 48-bit line address by FNV-1a: stable
@@ -381,12 +405,12 @@ func (s *Store) register(name string) (*tenant, error) {
 	if part < 0 {
 		return nil, fmt.Errorf("%w (%d)", ErrTenantCapacity, len(s.byPart))
 	}
-	t := &tenant{name: name, part: part, space: sim.AppSpace(part), vals: make(map[string][]byte)}
-	if s.bounded {
-		t.byAddr = make(map[uint64][]string)
+	t := &tenant{
+		name: name, part: part, space: sim.AppSpace(part),
+		lines: make(map[uint64]*entry),
 		// Deterministic per-partition seed: admission decisions replay
 		// identically across runs.
-		t.admit = hash.NewSampler(0xAD417 ^ uint64(part)*0x9E3779B97F4A7C15)
+		admit: hash.NewSampler(0xAD417 ^ uint64(part)*0x9E3779B97F4A7C15),
 	}
 	// Thread the tenant's configured control settings into the claimed
 	// partition. Values were validated at New; a tenant without entries
@@ -448,16 +472,20 @@ func (s *Store) resolve(name string, autoRegister bool) (*tenant, error) {
 
 // Get looks key up for tenant. It always performs one cache access
 // (misses shape the miss curve exactly like a real cache's fill
-// traffic) and returns the stored bytes, whether the simulated cache
-// line hit, and ErrNotFound when the key holds no value. A pure lookup
-// never registers a tenant: naming an unknown one fails with
-// ErrUnknownTenant (tenants are minted by Set). A value whose TTL has
-// passed is expired lazily here: its bytes are released, its simulated
-// line invalidated (a dead key must not linger as phantom residency),
-// and the Get proceeds as a value miss. In bounded mode with a
-// Backend, a value miss (evicted, expired, or never admitted) reads
-// through the Backend and re-admits under the admission rules. The
-// returned slice is shared — callers must not modify it.
+// traffic) and returns the stored bytes, or ErrNotFound when the key
+// holds no value. hit reports that the bytes came from the value
+// resident on the key's line — false for ErrNotFound and for a read
+// served through the Backend. (TenantStats.CacheHits counts the line's
+// outcome, which the control loop consumes; the two agree except where
+// a line is resident without this key's value.) A pure lookup never
+// registers a tenant: naming an unknown one fails with ErrUnknownTenant
+// (tenants are minted by Set). A value whose TTL has passed is expired
+// lazily here: its bytes are released, its simulated line invalidated
+// (a dead key must not linger as phantom residency), and the Get
+// proceeds as a miss. With a Backend, a miss (evicted, expired, or
+// never admitted) reads through the Backend and re-admits under the
+// admission rules. The returned slice is shared — callers must not
+// modify it.
 func (s *Store) Get(tenantName, key string) (value []byte, hit bool, err error) {
 	if key == "" {
 		return nil, false, ErrEmptyKey
@@ -468,29 +496,19 @@ func (s *Store) Get(tenantName, key string) (value []byte, hit bool, err error) 
 	}
 	t.gets.Add(1)
 	addr := hashKey(key)
-	hit = s.access(t, addr)
-	t.mu.RLock()
-	value, ok := t.vals[key]
-	expired := false
-	if ok && t.exp != nil {
-		if d, has := t.exp[key]; has && d <= s.now().UnixNano() {
-			expired = true
-		}
-	}
-	t.mu.RUnlock()
+	s.access(t, addr)
+	value, ok, expired := s.lookup(t, addr, key)
 	if expired {
 		s.expireValue(t, key, addr)
 		// Re-read: a Set racing the expiry may have landed a fresh value
 		// (with a fresh deadline) that must be served, not swallowed.
-		t.mu.RLock()
-		value, ok = t.vals[key]
-		t.mu.RUnlock()
+		value, ok, _ = s.lookup(t, addr, key)
 	}
 	if ok {
-		return value, hit, nil
+		return value, true, nil
 	}
 	if s.backend == nil {
-		return nil, hit, fmt.Errorf("%w: %q", ErrNotFound, key)
+		return nil, false, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	// Read through: the value is gone locally (evicted, expired, never
 	// admitted, or never written here) — fetch it from the backing tier
@@ -501,12 +519,24 @@ func (s *Store) Get(tenantName, key string) (value []byte, hit bool, err error) 
 	v, berr := s.backend.Get(t.name, key)
 	if berr != nil {
 		if errors.Is(berr, ErrNotFound) {
-			return nil, hit, fmt.Errorf("%w: %q", ErrNotFound, key)
+			return nil, false, fmt.Errorf("%w: %q", ErrNotFound, key)
 		}
-		return nil, hit, fmt.Errorf("%w: %v", ErrBackend, berr)
+		return nil, false, fmt.Errorf("%w: %v", ErrBackend, berr)
 	}
 	s.admitValue(t, key, addr, v, s.deadlineFor(0))
-	return v, hit, nil
+	return v, false, nil
+}
+
+// lookup reads key's resident value off line addr, reporting whether
+// its TTL has passed.
+func (s *Store) lookup(t *tenant, addr uint64, key string) (value []byte, ok, expired bool) {
+	t.mu.RLock()
+	if e := t.find(addr, key); e != nil {
+		value, ok = e.val, true
+		expired = e.deadline != 0 && e.deadline <= s.now().UnixNano()
+	}
+	t.mu.RUnlock()
+	return value, ok, expired
 }
 
 // deadlineFor converts a per-entry TTL into an absolute expiry
@@ -523,40 +553,32 @@ func (s *Store) deadlineFor(ttl time.Duration) int64 {
 }
 
 // expireValue releases (t, key)'s value after its TTL passed: bytes
-// freed, deadline cleared, expiry counted, and the simulated line
-// invalidated (after t.mu is released — invalidation takes a shard
-// lock, and the eviction hook takes t.mu while holding one, so the
-// orders must never interleave). The deadline is re-checked under the
-// lock: a racing Set may have refreshed the entry, in which case
-// nothing is expired. Reports whether the value was released.
-func (s *Store) expireValue(t *tenant, key string, addr uint64) bool {
+// freed, expiry counted, and the simulated line invalidated (after
+// t.mu is released — invalidation takes a shard lock, and the eviction
+// hook takes t.mu while holding one, so the orders must never
+// interleave). The deadline is re-checked under the lock: a racing Set
+// may have refreshed the entry, in which case nothing is expired.
+func (s *Store) expireValue(t *tenant, key string, addr uint64) {
 	now := s.now().UnixNano()
 	t.mu.Lock()
-	d, has := t.exp[key]
-	if !has || d > now {
+	e := t.find(addr, key)
+	if e == nil || e.deadline == 0 || e.deadline > now {
 		t.mu.Unlock()
-		return false
+		return
 	}
-	if old, ok := t.vals[key]; ok {
-		t.bytes -= int64(len(old))
-		s.bytesTotal.Add(-int64(len(old)))
-		delete(t.vals, key)
-		t.dropAddrKeyLocked(addr, key)
-	}
-	delete(t.exp, key)
+	s.release(t, addr, key)
 	t.expirations.Add(1)
 	t.mu.Unlock()
 	s.ac.Invalidate(addr|t.space, t.part)
-	return true
 }
 
 // Set stores value under (tenant, key), warming the key's cache line,
 // and reports whether that line hit (i.e. the key's line was already
-// resident). The value is copied. In bounded mode the write goes
-// through to the Backend first (when one is configured) and the cached
-// copy is then subject to admission: the Talus-managed gate and the
-// MaxBytes bound may decline to retain it (see admitValue), which is
-// not an error — with a Backend the value is durable either way.
+// resident). The value is copied. The write goes through to the Backend
+// first (when one is configured) and the cached copy is then subject to
+// admission: under MaxBytes the Talus-managed gate and the byte bound
+// may decline to retain it (see admitValue), which is not an error —
+// with a Backend the value is durable either way.
 // The value expires after Config.DefaultTTL (never, when zero); use
 // SetTTL for a per-entry TTL.
 func (s *Store) Set(tenantName, key string, value []byte) (hit bool, err error) {
@@ -589,7 +611,7 @@ func (s *Store) SetTTL(tenantName, key string, value []byte, ttl time.Duration) 
 		t.backendSets.Add(1)
 	}
 	t.sets.Add(1)
-	if s.bounded && t.admitClock.Add(1)%admitEvery == 0 {
+	if s.maxBytes > 0 && t.admitClock.Add(1)%admitEvery == 0 {
 		s.refreshAdmit(t)
 	}
 	addr := hashKey(key)
@@ -600,102 +622,49 @@ func (s *Store) SetTTL(tenantName, key string, value []byte, ttl time.Duration) 
 	return hit, nil
 }
 
-// admitValue retains cp as (t, key)'s cached copy with the given
-// expiry deadline (unix nanos; 0 = never), subject in bounded mode to
-// the admission gate and the global byte bound. On rejection any stale
-// cached copy is dropped (a newer backend value must never be shadowed
-// by an older cached one) and the drop is counted. Reports whether the
-// value was retained. Caller must not hold t.mu.
-func (s *Store) admitValue(t *tenant, key string, addr uint64, cp []byte, deadline int64) bool {
+// admitValue hangs cp off line addr as (t, key)'s resident value with
+// the given expiry deadline (unix nanos; 0 = never — a fresh Set
+// without a TTL does not inherit a stale one), subject under MaxBytes
+// to the admission gate and the global byte bound. On rejection any
+// stale resident copy is released (a newer backend value must never be
+// shadowed by an older cached one) and the drop is counted. Caller must
+// not hold t.mu.
+func (s *Store) admitValue(t *tenant, key string, addr uint64, cp []byte, deadline int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	// The rho gate: the same H3-sampler mechanism Talus uses to split
 	// shadow partitions here decides which lines are worth caching at
 	// all — bypass.Optimal picks the admitted fraction (refreshAdmit),
 	// the sampler realizes it deterministically per address.
-	if s.bounded && s.maxBytes > 0 && !t.admit.ToAlpha(addr) {
+	if s.maxBytes > 0 && !t.admit.ToAlpha(addr) {
 		t.admitDrops.Add(1)
-		s.dropValue(t, key, addr)
-		return false
+		s.release(t, addr, key)
+		return
 	}
-	t.mu.Lock()
-	old, had := t.vals[key]
-	delta := int64(len(cp)) - int64(len(old))
+	e := t.find(addr, key)
+	delta := int64(len(cp))
+	if e != nil {
+		delta -= int64(len(e.val))
+	}
 	if s.maxBytes > 0 && delta > 0 {
 		// Reserve-then-check keeps the bound exact under concurrency:
 		// the Add is the reservation, rolled back when it overdraws.
 		if s.bytesTotal.Add(delta) > s.maxBytes {
 			s.bytesTotal.Add(-delta)
-			if had {
-				t.bytes -= int64(len(old))
-				s.bytesTotal.Add(-int64(len(old)))
-				delete(t.vals, key)
-				t.dropAddrKeyLocked(addr, key)
-				t.setDeadlineLocked(key, 0)
-			}
-			t.mu.Unlock()
 			t.admitDrops.Add(1)
-			return false
+			s.release(t, addr, key)
+			return
 		}
 	} else {
 		s.bytesTotal.Add(delta)
 	}
 	t.bytes += delta
-	t.vals[key] = cp
-	if s.bounded && !had {
-		t.byAddr[addr] = append(t.byAddr[addr], key)
+	if e == nil {
+		e = &entry{key: key, next: t.lines[addr]}
+		t.lines[addr] = e
+		t.keys++
 	}
-	t.setDeadlineLocked(key, deadline)
-	t.mu.Unlock()
-	return true
-}
-
-// setDeadlineLocked records key's expiry deadline (0 clears it — a
-// fresh Set without a TTL must not inherit a stale one). Caller holds
-// t.mu.
-func (t *tenant) setDeadlineLocked(key string, deadline int64) {
-	if deadline == 0 {
-		if t.exp != nil {
-			delete(t.exp, key)
-		}
-		return
-	}
-	if t.exp == nil {
-		t.exp = make(map[string]int64)
-	}
-	t.exp[key] = deadline
-}
-
-// dropValue removes (t, key)'s cached copy, if any, releasing its bytes.
-func (s *Store) dropValue(t *tenant, key string, addr uint64) {
-	t.mu.Lock()
-	if old, ok := t.vals[key]; ok {
-		t.bytes -= int64(len(old))
-		s.bytesTotal.Add(-int64(len(old)))
-		delete(t.vals, key)
-		t.dropAddrKeyLocked(addr, key)
-	}
-	t.setDeadlineLocked(key, 0)
-	t.mu.Unlock()
-}
-
-// dropAddrKeyLocked unlinks key from the byAddr index. Caller holds
-// t.mu; no-op in unbounded mode.
-func (t *tenant) dropAddrKeyLocked(addr uint64, key string) {
-	if t.byAddr == nil {
-		return
-	}
-	keys := t.byAddr[addr]
-	for i, k := range keys {
-		if k == key {
-			keys[i] = keys[len(keys)-1]
-			keys = keys[:len(keys)-1]
-			break
-		}
-	}
-	if len(keys) == 0 {
-		delete(t.byAddr, addr)
-	} else {
-		t.byAddr[addr] = keys
-	}
+	e.val, e.deadline = cp, deadline
 }
 
 // refreshAdmit reprograms t's admission rate from its live miss curve:
@@ -705,9 +674,6 @@ func (t *tenant) dropAddrKeyLocked(addr uint64, key string) {
 // lines via the tenant's mean value size. Before the first epoch (no
 // curve yet) the gate stays open (ρ = 1).
 func (s *Store) refreshAdmit(t *tenant) {
-	if s.maxBytes <= 0 {
-		return
-	}
 	c := s.ac.Curve(t.part)
 	if c == nil {
 		return
@@ -725,7 +691,7 @@ func (s *Store) refreshAdmit(t *tenant) {
 	}
 	budgetBytes := float64(s.maxBytes) * float64(allocs[t.part]) / float64(sum)
 	t.mu.RLock()
-	keys, bytes := len(t.vals), t.bytes
+	keys, bytes := t.keys, t.bytes
 	t.mu.RUnlock()
 	avg := 256.0 // before any residency, assume modest values
 	if keys > 0 && bytes > 0 {
@@ -769,16 +735,9 @@ func (s *Store) Delete(tenantName, key string) (existed bool, err error) {
 	// in the opposite order here would deadlock.
 	s.ac.Invalidate(addr|t.space, t.part)
 	t.mu.Lock()
-	old, ok := t.vals[key]
-	if ok {
-		t.bytes -= int64(len(old))
-		s.bytesTotal.Add(-int64(len(old)))
-		delete(t.vals, key)
-		t.dropAddrKeyLocked(addr, key)
-	}
-	t.setDeadlineLocked(key, 0)
+	existed = s.release(t, addr, key)
 	t.mu.Unlock()
-	return ok, nil
+	return existed, nil
 }
 
 // registered snapshots the registered tenants in partition order.
@@ -807,7 +766,7 @@ func (s *Store) Tenants() []string {
 // statsOf snapshots one tenant's counters.
 func (s *Store) statsOf(t *tenant, allocs []int64) TenantStats {
 	t.mu.RLock()
-	keys, bytes := int64(len(t.vals)), t.bytes
+	keys, bytes := t.keys, t.bytes
 	t.mu.RUnlock()
 	st := TenantStats{
 		Tenant:      t.name,
@@ -822,12 +781,9 @@ func (s *Store) statsOf(t *tenant, allocs []int64) TenantStats {
 		Expirations: t.expirations.Load(),
 		Evictions:   t.evictions.Load(),
 		AdmitDrops:  t.admitDrops.Load(),
-		AdmitRho:    1,
+		AdmitRho:    t.admit.Rate(),
 		BackendGets: t.backendGets.Load(),
 		BackendSets: t.backendSets.Load(),
-	}
-	if t.admit != nil {
-		st.AdmitRho = t.admit.Rate()
 	}
 	if acc := st.CacheHits + st.CacheMisses; acc > 0 {
 		st.HitRatio = float64(st.CacheHits) / float64(acc)

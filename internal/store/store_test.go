@@ -4,13 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"talus/internal/adaptive"
+	"talus/internal/hash"
 	"talus/internal/sim"
 	"talus/internal/store"
 	"talus/internal/trace"
+	"talus/internal/workload"
 )
 
 // countingRecorder counts appends and remembers the order of addresses.
@@ -56,16 +60,20 @@ func TestStoreRoundTrip(t *testing.T) {
 	if _, err := s.Set("alice", "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	// Registered tenant, absent key: a plain value miss.
-	if _, _, err := s.Get("alice", "nope"); !errors.Is(err, store.ErrNotFound) {
-		t.Fatalf("get absent key: %v, want ErrNotFound", err)
+	// Registered tenant, absent key: a miss, however often it is asked —
+	// the first lookup leaves the key's line resident, and the second
+	// used to report that line's hit for a value that was never there.
+	for i := 0; i < 2; i++ {
+		if _, hit, err := s.Get("alice", "nope"); !errors.Is(err, store.ErrNotFound) || hit {
+			t.Fatalf("get %d of an absent key: hit %v, %v; want a miss with ErrNotFound", i, hit, err)
+		}
 	}
-	val, _, err := s.Get("alice", "k")
-	if err != nil || string(val) != "v1" {
-		t.Fatalf("get = %q, %v; want v1", val, err)
+	val, hit, err := s.Get("alice", "k")
+	if err != nil || string(val) != "v1" || !hit {
+		t.Fatalf("get = %q, hit %v, %v; want v1 served from the cache", val, hit, err)
 	}
 	// Overwrite; the line is warm now, so the access should hit.
-	hit, err := s.Set("alice", "k", []byte("v2"))
+	hit, err = s.Set("alice", "k", []byte("v2"))
 	if err != nil || !hit {
 		t.Fatalf("overwrite hit = %v, %v; want warm line", hit, err)
 	}
@@ -281,15 +289,19 @@ func TestStoreConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	var gets, sets, deletes, accesses int64
+	var gets, sets, deletes, accesses, bytes int64
 	for _, st := range s.StatsAll() {
 		gets += st.Gets
 		sets += st.Sets
 		deletes += st.Deletes
 		accesses += st.CacheHits + st.CacheMisses
-		if st.Keys < 0 || st.Bytes < 0 {
-			t.Fatalf("negative inventory: %+v", st)
+		bytes += st.Bytes
+		if keys, b := store.Recount(s, st.Tenant); st.Keys != keys || st.Bytes != b {
+			t.Fatalf("%s: books say %d keys/%d bytes, a recount over the lines %d/%d", st.Tenant, st.Keys, st.Bytes, keys, b)
 		}
+	}
+	if got := s.Bytes(); got != bytes {
+		t.Fatalf("global byte counter %d != tenant bytes %d", got, bytes)
 	}
 	total := int64(goroutines * perG)
 	if gets+sets+deletes != total {
@@ -359,5 +371,78 @@ func TestConcurrentAccessExactness(t *testing.T) {
 		if p != st.Partition {
 			t.Fatalf("recorded partition %d, want %d", p, st.Partition)
 		}
+	}
+}
+
+// TestStoreReplayIdentity is the before/after gate for changes to how
+// the store holds its values: one goroutine replays a seeded script of
+// Get/Set/SetTTL/Delete over two tenants — a cyclic scan and a skewed
+// draw — on a 4096-line store with a byte cap, a backend and a logical
+// clock (so expiry fires), and the final books must equal literals
+// recorded before the values moved onto their lines (PR 15). It pins
+// no Get hit value: only counts, which the cache access stream,
+// eviction order and admission decisions determine.
+func TestStoreReplayIdentity(t *testing.T) {
+	const (
+		ops      = 200_000
+		scanKeys = 3000
+		zipfKeys = 8192
+	)
+	s := buildStore(t, 4096, 1, 2, store.Config{
+		Tenants:  []string{"scan", "zipf"},
+		MaxBytes: 160 << 10,
+		Backend:  store.NewMemBackend(0),
+	})
+	now := time.Unix(1_000_000, 0)
+	s.SetNow(func() time.Time { return now })
+
+	rng := hash.NewSplitMix64(15)
+	z := workload.NewZipf(zipfKeys, 0.9)
+	val := make([]byte, 160)
+	for i := range val {
+		val[i] = byte(i)
+	}
+	for i, scan := 0, 0; i < ops; i++ {
+		now = now.Add(time.Millisecond)
+		tenant, key := "zipf", fmt.Sprintf("z%d", z.Next(rng))
+		if i%3 == 0 {
+			tenant, key = "scan", fmt.Sprintf("s%d", scan%scanKeys)
+			scan++
+		}
+		v := val[:16+24*rng.Intn(7)]
+		var err error
+		switch r := rng.Intn(100); {
+		case r < 60:
+			if _, _, err = s.Get(tenant, key); errors.Is(err, store.ErrNotFound) {
+				err = nil
+			}
+		case r < 80:
+			_, err = s.Set(tenant, key, v)
+		case r < 95:
+			_, err = s.SetTTL(tenant, key, v, time.Duration(50+rng.Intn(5000))*time.Millisecond)
+		default:
+			_, err = s.Delete(tenant, key)
+		}
+		if err != nil {
+			t.Fatalf("op %d on %s/%s: %v", i, tenant, key, err)
+		}
+	}
+
+	want := []store.TenantStats{
+		{Tenant: "scan", Partition: 0, Gets: 39961, Sets: 23322, Deletes: 3384,
+			CacheHits: 34614, CacheMisses: 28669, HitRatio: 0.5469715405401134,
+			Keys: 746, Bytes: 59240, AllocLines: 2204, Expirations: 1388, Evictions: 1998,
+			AdmitDrops: 36412, AdmitRho: 0.35546875, BackendGets: 32294, BackendSets: 23322},
+		{Tenant: "zipf", Partition: 1, Gets: 79919, Sets: 46849, Deletes: 6565,
+			CacheHits: 83377, CacheMisses: 43391, HitRatio: 0.6577133030417771,
+			Keys: 1374, Bytes: 104424, AllocLines: 1482, Expirations: 2292, Evictions: 18236,
+			AdmitDrops: 22443, AdmitRho: 1, BackendGets: 42893, BackendSets: 46849},
+	}
+	got := s.StatsAll()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("final stats diverged from the recorded replay:\n got %#v\nwant %#v", got, want)
+	}
+	if got, want := s.Bytes(), int64(163664); got != want {
+		t.Errorf("Bytes() = %d, want %d", got, want)
 	}
 }

@@ -16,7 +16,8 @@
 // magic "TALUSTRC" and a uint32 version.
 //
 // Version 1 (legacy, flat): uint64 count, then count uint64 line
-// addresses. Written by Write/WriteFile; still read transparently.
+// addresses. No longer written; still read transparently, as one
+// partition.
 //
 // Version 2 (partitioned): a uint32 flags word follows the version.
 // If FlagGzip is set, everything after the flags word is a gzip

@@ -644,63 +644,6 @@ func init() {
 	workload.RegisterSource("trace", AppSpec)
 }
 
-// --- Legacy flat API (version 1) ----------------------------------------
-
-// Write serializes addrs to w in the flat version-1 format.
-func Write(w io.Writer, addrs []uint64) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(Magic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, Version1); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(addrs))); err != nil {
-		return err
-	}
-	var buf [8]byte
-	for _, a := range addrs {
-		binary.LittleEndian.PutUint64(buf[:], a)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace from r as a flat address stream (either
-// version; partition structure is dropped).
-func Read(r io.Reader) ([]uint64, error) {
-	t, err := ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return t.Flat(), nil
-}
-
-// WriteFile writes a flat version-1 trace to path.
-func WriteFile(path string, addrs []uint64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Write(f, addrs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadFile reads a trace from path as a flat address stream.
-func ReadFile(path string) ([]uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
-}
-
 // Capture collects n addresses from next (a generator's Next method).
 func Capture(next func() uint64, n int) []uint64 {
 	out := make([]uint64, n)

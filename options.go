@@ -182,23 +182,23 @@ func WithStaticTenants(names ...string) Option {
 // own body limit).
 func WithMaxValueBytes(n int64) Option { return func(o *options) { o.maxValueBytes = n } }
 
-// WithMaxBytes bounds the total value bytes the store holds across all
-// tenants (NewStore only), turning it into a true bounded cache: value
-// lifetime couples to simulated-line residency (an evicted line
-// releases its values, so Get on an evicted key is a real miss) and
-// writes pass a Talus-managed admission gate — the paper's optimal
+// WithMaxBytes caps the total value bytes the store holds across all
+// tenants (NewStore only): writes pass a hard reservation check and, in
+// front of it, a Talus-managed admission gate — the paper's optimal
 // bypassing (Eq. 6) applied to value admission, refreshed from each
-// tenant's live miss curve. 0 (the default) keeps the unbounded
-// system-of-record behaviour.
+// tenant's live miss curve. 0 (the default) sets no byte cap; the line
+// capacity (WithCapacityMB) bounds the store either way, because an
+// evicted line releases its values.
 func WithMaxBytes(n int64) Option { return func(o *options) { o.maxBytes = n } }
 
 // WithBackend installs the backing tier behind the cache (NewStore
 // only): Sets write through to it and a Get whose value was evicted or
 // never admitted reads through it and re-admits, making the store a
-// read-through cache. A Backend also enables eviction-coupled value
-// storage (like WithMaxBytes, but without a byte bound of its own).
-// Use NewMemBackend for the in-memory reference tier with modeled
-// latency, or bring any Backend implementation.
+// read-through cache: eviction costs a backend read, not the value.
+// Without one an evicted value is lost — a caller who wants nothing
+// ever lost passes WithBackend(NewMemBackend(0)), the in-memory
+// reference tier (its argument is a modeled latency), or brings any
+// Backend implementation.
 func WithBackend(b Backend) Option { return func(o *options) { o.backend = b } }
 
 // WithDefaultTTL gives every value written without an explicit TTL a
@@ -291,7 +291,7 @@ type Store = store.Store
 // TenantStats reports one tenant's serving counters.
 type TenantStats = store.TenantStats
 
-// Backend is the pluggable backing tier behind a bounded store: the
+// Backend is the pluggable backing tier behind the store: the
 // "database" the cache reads through on value misses and writes
 // through on Sets. See WithBackend.
 type Backend = store.Backend
@@ -324,10 +324,10 @@ var (
 // WithStaticTenants, WithMaxValueBytes, WithMaxBytes, WithBackend,
 // WithMaxTenants). Tenants map to logical partitions (first come,
 // first served unless static); keys hash to line addresses; every
-// request drives the adaptive control loop. WithMaxBytes or
-// WithBackend makes the store a true bounded cache — values die with
-// their evicted lines instead of accumulating forever. Close the store
-// when done (stops recording and the epoch ticker).
+// request drives the adaptive control loop. The store is a cache
+// bounded by its line capacity: a value dies with its evicted line
+// (and is refetched through the Backend when there is one). Close the
+// store when done (stops recording and the epoch ticker).
 func NewStore(opts ...Option) (*Store, error) {
 	o, err := build(opts)
 	if err != nil {
