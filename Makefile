@@ -1,9 +1,10 @@
-# Developer entry points. Everything here is plain go tool invocations —
-# the Makefile only names the workflows CI and DESIGN.md refer to.
+# Developer entry points. Everything here is a plain go tool invocation
+# or the repo benchmark's own command — the Makefile only names the
+# workflows CI and DESIGN.md refer to.
 
 GO ?= go
 
-.PHONY: all build test race check fmt vet examples validate bench-smoke bench-check bench-serving bench-serving-matrix bench-compare profile-serving cluster-demo cluster-e2e
+.PHONY: all build test race check fmt vet examples validate bench bench-ladder bench-check bench-smoke profile-serving cluster-demo cluster-e2e
 
 all: check test
 
@@ -40,9 +41,22 @@ validate:
 	$(GO) test -run 'TestImportChampSim|TestParseText' ./internal/trace
 	$(GO) run ./cmd/talus-oracle -accesses 393216 -o ORACLE_errors.md
 
-# bench-smoke is the CI benchmark pass: every benchmark once, reduced scale.
-bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
+# bench runs the repo benchmark (BENCHMARK.json): its four workloads, one
+# after the other, each ending in a one-line JSON result with the host
+# stamp. This is the one way numbers quoted in README/DESIGN/EXPERIMENTS
+# are produced; to compare two commits, alternate runs of each (see
+# bench/README.md). Seed, length and tracing are fixed on purpose.
+bench:
+	@for w in store-cliff store-churn http-hot cluster-hop; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 12 --trace 0 || exit 1; \
+	done
+
+# bench-ladder is the traced run of the headline workload: the per-layer
+# ladder (cache → core → monitor → adaptive → store → handler → socket →
+# proxied hop, with the oracle bracket) written to
+# bench/out/trace-store-cliff.json.
+bench-ladder:
+	bash bench/run.sh --workload store-cliff --seed 1 --seconds 12 --trace 1
 
 # bench-check vets and tests bench/, the repo benchmark (BENCHMARK.json).
 # It is a module of its own that imports talus/internal/..., so the root
@@ -51,36 +65,21 @@ bench-smoke:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
-# bench-serving regenerates BENCH_serving.json, the serving hot path's
-# tracked perf baseline (store Get/Put, adaptive AccessBatch, monitor).
-bench-serving:
-	$(GO) run ./cmd/talus-bench -out BENCH_serving.json
-
-# bench-serving-matrix regenerates BENCH_serving.json at both tracked
-# GOMAXPROCS shapes: the single-proc baseline first (overwriting), then
-# the contended procs=$(BENCH_PROCS) rows appended by (name, procs).
-BENCH_PROCS ?= 4
-bench-serving-matrix:
-	GOMAXPROCS=1 $(GO) run ./cmd/talus-bench -out BENCH_serving.json
-	GOMAXPROCS=$(BENCH_PROCS) $(GO) run ./cmd/talus-bench -append -out BENCH_serving.json
-
-# bench-compare reruns the serving benchmarks and diffs them against the
-# committed BENCH_serving.json, keyed by (name, procs); it exits
-# non-zero when any benchmark is more than BENCH_THRESHOLD (fractional)
-# slower than the baseline. CI runs this as a non-blocking lane so the
-# delta table is in every run's log.
-BENCH_THRESHOLD ?= 0.10
-bench-compare:
-	$(GO) run ./cmd/talus-bench -compare -threshold $(BENCH_THRESHOLD) -out BENCH_serving.json
+# bench-smoke is the CI micro-benchmark pass: every `go test -bench`
+# benchmark once, reduced scale. These are development aids with no
+# committed baseline — `make bench` is where tracked numbers come from.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
 # profile-serving captures cpu and alloc profiles of the serving hot
-# path; epoch reconfigurations carry the pprof label talus=epoch-step
-# (see EXPERIMENTS.md "Profiling the serving path").
+# path at the benchmark's own GOMAXPROCS=2; epoch reconfigurations carry
+# the pprof label talus=epoch-step (see EXPERIMENTS.md "Profiling the
+# serving path").
 # Inspect with: go tool pprof -tagfocus talus=epoch-step profiles/serving.test profiles/serving.cpu.pprof
 PROFILE_DIR ?= profiles
 profile-serving:
 	mkdir -p $(PROFILE_DIR)
-	GOMAXPROCS=$(BENCH_PROCS) $(GO) test -run '^$$' \
+	GOMAXPROCS=2 $(GO) test -run '^$$' \
 		-bench 'StoreGet|StoreSet|AdaptiveAccessBatch|ShadowedShardedBatch' \
 		-benchtime 2s -benchmem \
 		-cpuprofile $(PROFILE_DIR)/serving.cpu.pprof \

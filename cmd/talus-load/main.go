@@ -1,18 +1,18 @@
 // Command talus-load is the closed-loop load harness for talus-serve:
-// a fixed worker pool drives cache GETs and PUTs against one node or a
-// -route cluster, paced to a target RPS, with key popularity drawn
-// from the same workload patterns the simulator uses. It measures what
-// the serving tier actually delivers — hit ratio from the
-// X-Talus-Cache header (a GET is a hit only when its body was served
-// from the owner's memory), p50/p99/p999 latency from integer HDR-style
-// histograms, per-node traffic from X-Talus-Node — and writes the
-// merged report as JSON (BENCH_cluster.json in CI).
+// a fixed worker pool drives cache GETs and PUTs back-to-back against
+// one node or a -route cluster, with key popularity drawn from the same
+// workload patterns the simulator uses. It measures what the serving
+// tier actually delivers — hit ratio from the X-Talus-Cache header (a
+// GET is a hit only when its body was served from the owner's memory),
+// p50/p99/p999 latency from integer HDR-style histograms, per-node
+// traffic from X-Talus-Node — and writes the merged report as JSON
+// (BENCH_cluster.json in CI).
 //
 // Usage:
 //
 //	talus-load -nodes host1:p1,host2:p2,... [-tenant bench]
 //	           [-keys 10000] [-value-bytes 256] [-pattern zipf]
-//	           [-zipf-s 0.9] [-rps 0] [-workers 8]
+//	           [-zipf-s 0.9] [-workers 8]
 //	           [-duration 10s] [-max-requests 0]
 //	           [-set-fraction 0.1] [-ttl 0] [-seed 42]
 //	           [-out report.json]
@@ -20,7 +20,10 @@
 // Closed-loop means each worker waits for its response before issuing
 // the next request: when the server slows down, offered load drops
 // instead of queueing — the harness measures the server, not its own
-// backlog. -rps 0 runs flat-out (throughput-limited by the workers).
+// backlog. Workers are not paced: throughput is whatever -workers
+// closed loops sustain, and latency is service time at that
+// concurrency. The repo's tracked numbers come from `make bench`
+// (BENCHMARK.json), not from this tool.
 //
 // Patterns: "zipf" (exponent -zipf-s), "rand" (uniform), "scan"
 // (sequential sweep), "phased" (alternating zipf/scan stages — the
@@ -57,7 +60,6 @@ func main() {
 		valueBytes  = flag.Int("value-bytes", 256, "PUT body size")
 		pattern     = flag.String("pattern", "zipf", "key popularity: zipf, rand, scan, phased, strided, pointerchase, diurnal, cliffseeker")
 		zipfS       = flag.Float64("zipf-s", 0.9, "zipf exponent for -pattern zipf/phased")
-		rps         = flag.Float64("rps", 0, "aggregate target RPS (0 = flat-out)")
 		workers     = flag.Int("workers", loadgen.DefaultWorkers, "closed-loop worker count")
 		duration    = flag.Duration("duration", 10*time.Second, "run length (0 = until -max-requests)")
 		maxRequests = flag.Int64("max-requests", 0, "request bound (0 = until -duration)")
@@ -67,14 +69,14 @@ func main() {
 		out         = flag.String("out", "", "write the JSON report here (default stdout only)")
 	)
 	flag.Parse()
-	if err := run(*nodes, *tenant, *keys, *valueBytes, *pattern, *zipfS, *rps,
+	if err := run(*nodes, *tenant, *keys, *valueBytes, *pattern, *zipfS,
 		*workers, *duration, *maxRequests, *setFraction, *ttl, *seed, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "talus-load: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(nodes, tenant string, keys int64, valueBytes int, patternName string, zipfS, rps float64,
+func run(nodes, tenant string, keys int64, valueBytes int, patternName string, zipfS float64,
 	workers int, duration time.Duration, maxRequests int64, setFraction float64, ttl int,
 	seed uint64, out string) error {
 	var targets []string
@@ -93,7 +95,6 @@ func run(nodes, tenant string, keys int64, valueBytes int, patternName string, z
 		Keys:        keys,
 		ValueBytes:  valueBytes,
 		Pattern:     pattern,
-		RPS:         rps,
 		Workers:     workers,
 		Duration:    duration,
 		MaxRequests: maxRequests,

@@ -6,10 +6,11 @@
 // algorithm reallocates capacity every epoch. This package is that loop
 // in software.
 //
-// Cache wraps a core.ShadowedCache and embeds one monitor.EpochMonitor
-// per logical partition on the pre-sampling access stream (monitors must
-// see the full stream; the Talus sampler splits it afterwards). Every
-// EpochAccesses observed accesses, the crossing goroutine:
+// Cache wraps a core.ShadowedCache and keeps one
+// monitor.SlicedEpochMonitor per logical partition on the pre-sampling
+// access stream (monitors must see the full stream; the Talus sampler
+// splits it afterwards). Every EpochAccesses observed accesses, the
+// crossing goroutine:
 //
 //  1. extracts each partition's EWMA miss curve from its monitor bank
 //     (misses per kilo-access, all partitions sharing one denominator so
@@ -40,10 +41,13 @@
 // # Concurrency
 //
 // All methods are safe for concurrent use when the ShadowedCache's inner
-// cache is (wrap it in a cache.ShardedCache). Each partition's monitor is
-// guarded by its own mutex; the epoch step serializes on a TryLock so at
-// most one goroutine reconfigures while the rest keep serving traffic
-// through the immutable-H3 / atomic-limit sampling datapath. Over a
-// single-threaded inner cache the loop still works and is exactly as
-// single-threaded as that cache.
+// cache is (wrap it in a cache.ShardedCache). A partition's monitor lane
+// has no lock of its own: the sliced monitor locks only the slice that
+// owns a sampled access's monitor set (Config.MonitorSlices; unsampled
+// accesses lock nothing), and the lane's epoch access count is an
+// atomic. The epoch step serializes on a TryLock so at most one
+// goroutine reconfigures — draining the slices into the epoch curve —
+// while the rest keep serving traffic through the immutable-H3 /
+// atomic-limit sampling datapath. Over a single-threaded inner cache
+// the loop still works and is exactly as single-threaded as that cache.
 package adaptive

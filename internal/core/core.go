@@ -87,19 +87,6 @@ func Configure(m *curve.Curve, s float64, margin float64) (Config, error) {
 	return cfg, nil
 }
 
-// ConfigureOnHull is Configure for callers that have already computed the
-// hull (the pre-processing step computes hulls once per reconfiguration
-// and reuses them for both the allocator and the post-processing step).
-func ConfigureOnHull(h *curve.Curve, s float64, margin float64) (Config, error) {
-	if h == nil || h.NumPoints() == 0 {
-		return Config{}, ErrNilCurve
-	}
-	if !(s > 0) || math.IsInf(s, 0) || math.IsNaN(s) {
-		return Config{}, fmt.Errorf("%w: got %g", ErrBadSize, s)
-	}
-	return configureOnHull(h, s, margin), nil
-}
-
 func configureOnHull(h *curve.Curve, s, margin float64) Config {
 	alpha, beta, ok := hull.Neighbors(h, s)
 	if !ok {
@@ -457,21 +444,6 @@ func (t *ShadowedCache) Config(p int) Config {
 // measurements; hulls are computed here. See transition for the in-place
 // reconfiguration safety argument.
 func (t *ShadowedCache) Reconfigure(allocations []int64, curves []*curve.Curve) error {
-	return t.reconfigure(allocations, curves, false)
-}
-
-// ReconfigureHulls is Reconfigure for callers that hold only convex
-// hulls (each curve must be its own lower hull, e.g. from Convexify).
-// Unlike Reconfigure, it cannot apply Configure's flat-gain degenerate
-// collapse — that check compares the raw curve against the hull — so
-// partitions whose raw curve was already convex get a (harmless but
-// pointless) shadow split; callers that still have the raw measurements
-// should prefer Reconfigure.
-func (t *ShadowedCache) ReconfigureHulls(allocations []int64, hulls []*curve.Curve) error {
-	return t.reconfigure(allocations, hulls, true)
-}
-
-func (t *ShadowedCache) reconfigure(allocations []int64, curves []*curve.Curve, hulled bool) error {
 	if len(allocations) != t.numLogical || len(curves) != t.numLogical {
 		return fmt.Errorf("core: Reconfigure wants %d allocations and curves, got %d and %d",
 			t.numLogical, len(allocations), len(curves))
@@ -487,13 +459,7 @@ func (t *ShadowedCache) reconfigure(allocations []int64, curves []*curve.Curve, 
 	shadow := make([]int64, 2*t.numLogical)
 	for p := 0; p < t.numLogical; p++ {
 		alloc := float64(allocations[p])
-		var cfg Config
-		var err error
-		if hulled {
-			cfg, err = ConfigureOnHull(curves[p], alloc, t.margin)
-		} else {
-			cfg, err = Configure(curves[p], alloc, t.margin)
-		}
+		cfg, err := Configure(curves[p], alloc, t.margin)
 		if err != nil {
 			// No usable curve: fall back to a single partition of the
 			// allocated size, which is plain (Talus-less) behaviour.

@@ -6,12 +6,11 @@ import (
 	"talus/internal/cache"
 	"talus/internal/curve"
 	"talus/internal/hash"
-	"talus/internal/hull"
 )
 
 // cliffCurve has a plateau-then-cliff shape whose hull strictly improves
 // on the raw curve at mid-plateau targets, so configurations are
-// non-degenerate and the hulled/raw paths must agree exactly.
+// non-degenerate.
 // Its hull is (0,40)→(1024,18)→(3000,2)→(8192,2), so mid-plateau targets
 // get a nonzero α anchor (the α shadow partition actually holds lines).
 func plateauCliffCurve() *curve.Curve {
@@ -22,33 +21,6 @@ func plateauCliffCurve() *curve.Curve {
 		{Size: 3000, MPKI: 2},
 		{Size: 8192, MPKI: 2},
 	})
-}
-
-func TestReconfigureHullsMatchesReconfigure(t *testing.T) {
-	raw := plateauCliffCurve()
-	h := hull.Lower(raw)
-	allocs := []int64{2000, 1600}
-
-	a := newShadowed(t, 8192, 2)
-	if err := a.Reconfigure(allocs, []*curve.Curve{raw, raw}); err != nil {
-		t.Fatal(err)
-	}
-	b := newShadowed(t, 8192, 2)
-	if err := b.ReconfigureHulls(allocs, []*curve.Curve{h, h}); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < 2; p++ {
-		ca, cb := a.Config(p), b.Config(p)
-		if ca != cb {
-			t.Errorf("partition %d: raw-curve config %+v != hulled config %+v", p, ca, cb)
-		}
-	}
-	sa, sb := a.ShadowSizes(), b.ShadowSizes()
-	for i := range sa {
-		if sa[i] != sb[i] {
-			t.Fatalf("shadow sizes diverge: %v vs %v", sa, sb)
-		}
-	}
 }
 
 func TestFailedTransitionCommitsNothing(t *testing.T) {

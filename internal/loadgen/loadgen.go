@@ -1,17 +1,16 @@
 // Package loadgen is a closed-loop HTTP load harness for the talus
 // serving tier. A fixed pool of workers issues cache GETs and PUTs
-// against one or more nodes, paced to an aggregate target RPS (or
-// flat-out when unpaced), with key popularity drawn from the same
-// internal/workload patterns the simulator uses — so a zipf curve that
-// produces a cliff in simulation produces the same reference stream
-// against a live cluster.
+// back-to-back against one or more nodes, with key popularity drawn
+// from the same internal/workload patterns the simulator uses — so a
+// zipf curve that produces a cliff in simulation produces the same
+// reference stream against a live cluster.
 //
 // Closed-loop means each worker waits for its previous response before
 // issuing the next request: concurrency is bounded by the worker count,
 // and when the server slows down the offered load drops instead of
-// piling up an unbounded backlog. Pacing deadlines that fall more than
-// one period behind are snapped forward — the harness measures the
-// server, not a queue of its own making.
+// piling up an unbounded backlog. Workers are not paced (the shape
+// bench/drive.go uses too), so a latency here is a service time at the
+// stated worker count.
 //
 // Latency is captured per worker in integer-microsecond HDR-style
 // histograms (hist.go) and merged after the run: the hot path performs
@@ -53,9 +52,6 @@ type Config struct {
 	// Pattern draws key popularity (nil = uniform over Keys). Each
 	// worker runs an independent Clone with its own RNG.
 	Pattern workload.Pattern
-	// RPS is the aggregate pacing target across workers; 0 runs
-	// flat-out (each worker issues back-to-back).
-	RPS float64
 	// Workers is the closed-loop concurrency (0 = DefaultWorkers).
 	Workers int
 	// Duration bounds the run in wall time (0 = until MaxRequests).
@@ -80,7 +76,6 @@ type Report struct {
 	Nodes       []string `json:"nodes"`
 	Tenant      string   `json:"tenant"`
 	Workers     int      `json:"workers"`
-	TargetRPS   float64  `json:"target_rps,omitempty"`
 	Seconds     float64  `json:"seconds"`
 	Requests    int64    `json:"requests"`
 	Errors      int64    `json:"errors"`
@@ -179,12 +174,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		defer cancel()
 	}
 
-	// One period per worker: W workers each pacing at RPS/W sums to the
-	// aggregate target without any cross-worker coordination.
-	var period time.Duration
-	if cfg.RPS > 0 {
-		period = time.Duration(float64(cfg.Workers) / cfg.RPS * float64(time.Second))
-	}
 	// Read/write choice compares the RNG's top 32 bits against an
 	// integer threshold: no floats per request.
 	setThresh := uint64(cfg.SetFraction * float64(1<<32))
@@ -206,29 +195,12 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 			defer wg.Done()
 			rng := hash.NewSplitMix64(cfg.Seed + uint64(id)*0x9E3779B97F4A7C15 + 1)
 			pattern := cfg.Pattern.Clone()
-			next := time.Now()
 			for seq := 0; ; seq++ {
 				if ctx.Err() != nil {
 					return
 				}
 				if cfg.MaxRequests > 0 && issued.Add(1) > cfg.MaxRequests {
 					return
-				}
-				if period > 0 {
-					now := time.Now()
-					if wait := next.Sub(now); wait > 0 {
-						select {
-						case <-time.After(wait):
-						case <-ctx.Done():
-							return
-						}
-					} else if -wait > period {
-						// More than one period behind: the server (or host)
-						// is slower than the target. Snap forward instead of
-						// replaying the backlog as a burst.
-						next = now
-					}
-					next = next.Add(period)
 				}
 				key := fmt.Sprintf("k%08d", pattern.Next(rng)%uint64(cfg.Keys))
 				node := cfg.Nodes[(id+seq)%len(cfg.Nodes)]
@@ -243,7 +215,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		Nodes:         cfg.Nodes,
 		Tenant:        cfg.Tenant,
 		Workers:       cfg.Workers,
-		TargetRPS:     cfg.RPS,
 		Seconds:       elapsed.Seconds(),
 		PerNode:       make(map[string]int64),
 		StatusClasses: make(map[string]int64),
@@ -288,7 +259,10 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// issue sends one request and folds the outcome into w.
+// issue sends one request and folds the outcome into w. A request
+// counts — toward Requests, its op kind and a status class, all at once
+// — only if it got an answer or failed on its own; one the run's
+// deadline cancelled in flight counts toward nothing.
 func (r *Runner) issue(ctx context.Context, w *worker, rng *hash.SplitMix64, node, key string, value []byte, setThresh uint64, ttl int) {
 	url := "http://" + node + "/v1/cache/" + r.cfg.Tenant + "/" + key
 	isSet := rng.Next()>>32 < setThresh
@@ -299,10 +273,8 @@ func (r *Runner) issue(ctx context.Context, w *worker, rng *hash.SplitMix64, nod
 		if err == nil && ttl > 0 {
 			req.Header.Set("X-Talus-TTL", fmt.Sprint(ttl))
 		}
-		w.sets++
 	} else {
 		req, err = http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		w.gets++
 	}
 	if err != nil {
 		w.errors++
@@ -310,20 +282,25 @@ func (r *Runner) issue(ctx context.Context, w *worker, rng *hash.SplitMix64, nod
 	}
 	begin := time.Now()
 	resp, err := r.client.Do(req)
-	if err != nil {
+	if err != nil && ctx.Err() != nil {
 		// A cancelled context at the deadline is the run ending, not a
 		// server failure.
-		if ctx.Err() == nil {
-			w.requests++
-			w.errors++
-			w.statuses[0]++
-		}
+		return
+	}
+	w.requests++
+	if isSet {
+		w.sets++
+	} else {
+		w.gets++
+	}
+	if err != nil {
+		w.errors++
+		w.statuses[0]++
 		return
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	w.hist.Record(uint64(time.Since(begin) / time.Microsecond))
-	w.requests++
 	w.statuses[resp.StatusCode/100%6]++
 	if resp.StatusCode >= 500 {
 		w.errors++

@@ -2,6 +2,8 @@ package loadgen_test
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -107,32 +109,46 @@ func TestClosedLoopRun(t *testing.T) {
 	}
 }
 
-// TestPacing pins that the closed loop honours a target RPS: 200
-// requests at 2000 RPS cannot finish materially faster than 100ms.
-func TestPacing(t *testing.T) {
-	node := newNode(t)
+// TestDeadlineAccounting pins that the report adds up when the run's
+// deadline cancels requests in flight: against a handler slower than
+// the gap to the deadline every worker is mid-request when the run
+// ends, and such a request must count toward nothing — not toward
+// Requests, not toward Gets/Sets, not toward a status class.
+func TestDeadlineAccounting(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		select {
+		case <-time.After(30 * time.Millisecond):
+		case <-r.Context().Done():
+		}
+	}))
+	defer srv.Close()
 	r, err := loadgen.New(loadgen.Config{
-		Nodes:       []string{node},
-		Tenant:      "paced",
+		Nodes:       []string{strings.TrimPrefix(srv.URL, "http://")},
+		Tenant:      "slow",
 		Keys:        10,
 		Workers:     4,
-		RPS:         2000,
-		MaxRequests: 200,
+		Duration:    100 * time.Millisecond,
+		SetFraction: 0.5,
 		Seed:        1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
 	rep, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
-		t.Fatalf("200 requests at 2000 RPS finished in %v; pacing is off", elapsed)
+	if rep.Requests == 0 || rep.Errors != 0 {
+		t.Fatalf("requests = %d, errors = %d", rep.Requests, rep.Errors)
 	}
-	if rep.TargetRPS != 2000 || rep.AchievedRPS > 3000 {
-		t.Fatalf("rps accounting: %+v", rep)
+	var classes int64
+	for _, c := range rep.StatusClasses {
+		classes += c
+	}
+	if rep.Gets+rep.Sets != rep.Requests || classes != rep.Requests {
+		t.Fatalf("report does not add up: gets %d + sets %d, status classes %v, requests %d",
+			rep.Gets, rep.Sets, rep.StatusClasses, rep.Requests)
 	}
 }
 

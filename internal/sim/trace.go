@@ -57,8 +57,9 @@ func RecordApps(w *trace.Writer, apps []*workload.App, accessesPerApp int64, bat
 // RecordSpecs instantiates specs with RunAdaptive's per-app seeds
 // (seed + i*7919), records their interleaved stream to path with
 // per-app metadata embedded, and reports the record count. A trace
-// recorded at seed S replays — via RunAdaptiveTrace on an identically
-// configured cache — exactly as RunAdaptive(cfg with Seed S) runs live.
+// recorded at seed S replays — via RunAdaptiveTraceFile on an
+// identically configured cache — exactly as RunAdaptive(cfg with Seed S)
+// runs live.
 func RecordSpecs(path string, specs []workload.Spec, accessesPerApp int64, batchLen int, seed uint64, gz bool) (int64, error) {
 	if len(specs) == 0 {
 		return 0, fmt.Errorf("sim: recording needs apps")
@@ -108,58 +109,15 @@ func SpecsFromTrace(path string) ([]workload.Spec, error) {
 	return t.Specs()
 }
 
-// FeedAdaptiveTrace feeds a loaded trace through ac: records stream in
-// recorded order, maximal same-partition runs fed as batches capped at
-// batchLen, the AppSpace offset applied exactly as FeedAdaptive does.
-// Returns per-partition miss and access counts over each partition's
-// trailing tailFrac of its recorded accesses.
-func FeedAdaptiveTrace(ac BatchCache, tr *trace.Trace, batchLen int, tailFrac float64) (misses, accs []int64) {
-	if batchLen <= 0 {
-		batchLen = 2048
-	}
-	if tailFrac <= 0 || tailFrac > 1 {
-		tailFrac = 0.5
-	}
-	n := tr.NumPartitions()
-	misses = make([]int64, n)
-	accs = make([]int64, n)
-	tailStart := traceTailStarts(tr.Counts(), tailFrac)
-	fed := make([]int64, n)
-	batch := make([]uint64, batchLen)
-	hits := make([]bool, batchLen)
-	recs := tr.Records
-	for i := 0; i < len(recs); {
-		p := recs[i].P
-		space := AppSpace(p)
-		k := 0
-		for i < len(recs) && recs[i].P == p && k < batchLen {
-			batch[k] = recs[i].Addr | space
-			k++
-			i++
-		}
-		ac.AccessBatch(batch[:k], p, hits[:k])
-		for j := 0; j < k; j++ {
-			if fed[p]+int64(j) >= tailStart[p] {
-				accs[p]++
-				if !hits[j] {
-					misses[p]++
-				}
-			}
-		}
-		fed[p] += int64(k)
-	}
-	return misses, accs
-}
-
-// FeedAdaptiveTraceReader is the streaming FeedAdaptiveTrace: it drives
-// a trace.Reader record by record into ac without loading the trace —
-// maximal same-partition runs fed as batches capped at batchLen, the
-// AppSpace offset applied exactly as the loaded path does, so batch
-// boundaries (hence epoch crossings and miss counts) are identical.
-// tailStart[p] is the record index within partition p where
-// steady-state measurement begins (traceTailStarts computes it from
-// per-partition totals); memory use is one batch regardless of trace
-// length.
+// FeedAdaptiveTraceReader drives a trace.Reader record by record into
+// ac without loading the trace — maximal same-partition runs fed as
+// batches capped at batchLen, the AppSpace offset applied exactly as
+// FeedAdaptive does, so batch boundaries (hence epoch crossings and miss
+// counts) are identical to the live run's. Returns per-partition miss
+// and access counts from tailStart[p] on, the record index within
+// partition p where steady-state measurement begins (traceTailStarts
+// computes it from per-partition totals); memory use is one batch
+// regardless of trace length.
 func FeedAdaptiveTraceReader(ac BatchCache, r *trace.Reader, tailStart []int64, batchLen int) (misses, accs []int64, err error) {
 	if batchLen <= 0 {
 		batchLen = 2048
@@ -207,8 +165,7 @@ func FeedAdaptiveTraceReader(ac BatchCache, r *trace.Reader, tailStart []int64, 
 }
 
 // traceTailStarts converts per-partition record totals and a tail
-// fraction into the per-partition indices where measurement begins —
-// the exact arithmetic FeedAdaptiveTrace uses.
+// fraction into the per-partition indices where measurement begins.
 func traceTailStarts(totals []int64, tailFrac float64) []int64 {
 	out := make([]int64, len(totals))
 	for p, total := range totals {
@@ -242,9 +199,9 @@ func traceShape(path string) (trace.Header, []int64, error) {
 
 // adaptiveTraceCache validates a trace-driven config against the
 // trace's partition count, resolves specs (cfg.Apps, else the trace's
-// metadata), and builds the adaptive cache. Shared by the loaded and
-// streaming replay paths.
-func adaptiveTraceCache(cfg AdaptiveConfig, n int, headerSpecs func() ([]workload.Spec, error)) (*adaptive.Cache, AdaptiveConfig, error) {
+// metadata), and builds the adaptive cache.
+func adaptiveTraceCache(cfg AdaptiveConfig, hdr trace.Header) (*adaptive.Cache, AdaptiveConfig, error) {
+	n := hdr.NumPartitions
 	if cfg.CapacityLines <= 0 {
 		return nil, cfg, fmt.Errorf("sim: adaptive trace run needs capacity")
 	}
@@ -253,10 +210,7 @@ func adaptiveTraceCache(cfg AdaptiveConfig, n int, headerSpecs func() ([]workloa
 	}
 	specs := cfg.Apps
 	if len(specs) == 0 {
-		var err error
-		if specs, err = headerSpecs(); err != nil {
-			return nil, cfg, err
-		}
+		specs = trace.HeaderSpecs(hdr)
 	}
 	// Borrow the generator-driven config's defaulting for the shared
 	// knobs (allocator, margin, batch length, tail fraction).
@@ -302,36 +256,22 @@ func adaptiveTraceResult(ac *adaptive.Cache, specs []workload.Spec, misses, accs
 	return res
 }
 
-// RunAdaptiveTrace drives one adaptive run from a loaded trace instead
-// of live generators: the cache is built for the trace's partition
-// count and fed the recorded stream. cfg.Apps is optional (metadata
-// embedded in the trace, or defaults, name the partitions and scale
-// MPKI); cfg.AccessesPerApp is ignored — the trace determines the
-// traffic.
-func RunAdaptiveTrace(cfg AdaptiveConfig, tr *trace.Trace) (*AdaptiveResult, error) {
-	ac, probe, err := adaptiveTraceCache(cfg, tr.NumPartitions(), tr.Specs)
-	if err != nil {
-		return nil, err
-	}
-	misses, accs := FeedAdaptiveTrace(ac, tr, probe.BatchLen, probe.TailFrac)
-	return adaptiveTraceResult(ac, probe.Apps, misses, accs), nil
-}
-
-// RunAdaptiveTraceFile is RunAdaptiveTrace over a trace file path,
-// streaming: the file is scanned once for its shape (partition counts →
-// tail boundaries) and once more to feed the cache, so traces larger
-// than memory replay in one batch of memory. Results are identical to
-// loading the trace and calling RunAdaptiveTrace — same batching, same
-// epoch crossings — except that partitions with no records are
-// tolerated (metadata-only specs need no addresses).
+// RunAdaptiveTraceFile drives one adaptive run from a recorded trace
+// instead of live generators: the cache is built for the trace's
+// partition count and fed the recorded stream. cfg.Apps is optional
+// (metadata embedded in the trace, or defaults, name the partitions and
+// scale MPKI); cfg.AccessesPerApp is ignored — the trace determines the
+// traffic. The replay streams: the file is scanned once for its shape
+// (partition counts → tail boundaries) and once more to feed the cache,
+// so traces larger than memory replay in one batch of memory, and
+// partitions with no records are tolerated (metadata-only specs need no
+// addresses).
 func RunAdaptiveTraceFile(cfg AdaptiveConfig, path string) (*AdaptiveResult, error) {
 	hdr, counts, err := traceShape(path)
 	if err != nil {
 		return nil, err
 	}
-	ac, probe, err := adaptiveTraceCache(cfg, hdr.NumPartitions, func() ([]workload.Spec, error) {
-		return trace.HeaderSpecs(hdr), nil
-	})
+	ac, probe, err := adaptiveTraceCache(cfg, hdr)
 	if err != nil {
 		return nil, err
 	}

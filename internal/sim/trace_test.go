@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"talus/internal/trace"
@@ -46,10 +45,10 @@ func (c *captureCache) AccessBatch(addrs []uint64, p int, hits []bool) int {
 }
 
 // TestRecordReplayByteIdentical asserts the acceptance criterion
-// directly: the batches FeedAdaptiveTrace feeds from a recording are
-// byte-identical — same boundaries, same partitions, same addresses —
-// to the ones FeedAdaptive feeds live at the same seed and batch
-// length.
+// directly: the batches FeedAdaptiveTraceReader feeds from a recording
+// are byte-identical — same boundaries, same partitions, same
+// addresses — to the ones FeedAdaptive feeds live at the same seed and
+// batch length.
 func TestRecordReplayByteIdentical(t *testing.T) {
 	const (
 		perApp   = 1 << 14
@@ -80,12 +79,24 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.ReadAll(&buf)
+	r, err := trace.NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replay := &captureCache{}
-	FeedAdaptiveTrace(replay, tr, batchLen, 0.5)
+	tailStart := traceTailStarts([]int64{perApp, perApp}, 0.5)
+	misses, accs, err := FeedAdaptiveTraceReader(replay, r, tailStart, batchLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// captureCache misses everything, so the measured tail is exactly
+	// the trailing half of each partition's records.
+	for p := range specs {
+		if accs[p] != perApp/2 || misses[p] != perApp/2 {
+			t.Fatalf("partition %d tail: %d misses of %d accesses, want %d of %d",
+				p, misses[p], accs[p], perApp/2, perApp/2)
+		}
+	}
 
 	if len(replay.batches) != len(live.batches) {
 		t.Fatalf("replay fed %d batches, live fed %d", len(replay.batches), len(live.batches))
@@ -158,48 +169,6 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 	if replayRes.Epochs != liveRes.Epochs {
 		t.Fatalf("replay ran %d epochs, live ran %d", replayRes.Epochs, liveRes.Epochs)
-	}
-}
-
-// TestStreamingReplayMatchesLoaded pins the streaming path to the
-// loaded one: RunAdaptiveTraceFile (two streaming passes, one batch of
-// memory) must produce exactly the result of loading the trace and
-// running RunAdaptiveTrace — same batching, same epoch crossings, same
-// miss counts.
-func TestStreamingReplayMatchesLoaded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "mix.trc")
-	if _, err := RecordSpecs(path, traceTestSpecs(), 1<<15, 512, 11, true); err != nil {
-		t.Fatal(err)
-	}
-	cfg := AdaptiveConfig{
-		CapacityLines: 8192,
-		EpochAccesses: 1 << 14,
-		BatchLen:      512,
-		Seed:          11,
-	}
-	tr, err := trace.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := RunAdaptiveTrace(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := RunAdaptiveTraceFile(cfg, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded.Apps, streamed.Apps) {
-		t.Fatalf("apps: loaded %v, streamed %v", loaded.Apps, streamed.Apps)
-	}
-	if !reflect.DeepEqual(loaded.MissRatio, streamed.MissRatio) ||
-		!reflect.DeepEqual(loaded.MPKI, streamed.MPKI) {
-		t.Fatalf("miss rates diverge:\n loaded   %v %v\n streamed %v %v",
-			loaded.MissRatio, loaded.MPKI, streamed.MissRatio, streamed.MPKI)
-	}
-	if !reflect.DeepEqual(loaded.Allocs, streamed.Allocs) || loaded.Epochs != streamed.Epochs {
-		t.Fatalf("allocations/epochs diverge: loaded %v/%d, streamed %v/%d",
-			loaded.Allocs, loaded.Epochs, streamed.Allocs, streamed.Epochs)
 	}
 }
 

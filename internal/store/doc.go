@@ -12,11 +12,11 @@
 // A key's line address is the FNV-1a 64-bit hash of its bytes, masked
 // to 48 bits — the feeders' per-partition offset (sim.AppSpace, bits
 // 48–55) and the trace flattener's tags (bits 56–63) stay clear, so a
-// stream recorded from the store replays through sim.FeedAdaptiveTrace
-// and friends unchanged. Distinct keys may collide on a line (two keys
-// in ~2^48 lines); a collision only nudges the simulated hit ratio,
-// never the stored values: colliding entries chain off the line and
-// are told apart by their full key.
+// stream recorded from the store replays through
+// sim.RunAdaptiveTraceFile unchanged. Distinct keys may collide on a
+// line (two keys in ~2^48 lines); a collision only nudges the simulated
+// hit ratio, never the stored values: colliding entries chain off the
+// line and are told apart by their full key.
 //
 // Tenants bind to logical partitions in arrival order: the first Set
 // naming a new tenant claims the next free partition (Config.Static

@@ -3,7 +3,7 @@
 // simulator (which needs two passes over the same stream), snapshotting
 // workload generators for reproducibility, exchanging streams with
 // external tools, and — the main one — driving the adaptive runtime
-// (sim.RunAdaptiveTrace) and the multi-programmed simulator from
+// (sim.RunAdaptiveTraceFile) and the multi-programmed simulator from
 // recorded rather than synthetic streams. Because Talus is blind to
 // individual lines and driven only by the miss curve (paper §III), any
 // recorded stream realizing a curve exercises Talus faithfully, so a
