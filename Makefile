@@ -80,7 +80,7 @@ PROFILE_DIR ?= profiles
 profile-serving:
 	mkdir -p $(PROFILE_DIR)
 	GOMAXPROCS=2 $(GO) test -run '^$$' \
-		-bench 'StoreGet|StoreSet|AdaptiveAccessBatch|ShadowedShardedBatch' \
+		-bench 'StoreGet|StoreSet|AdaptiveAccess|ShadowedShardedAccess' \
 		-benchtime 2s -benchmem \
 		-cpuprofile $(PROFILE_DIR)/serving.cpu.pprof \
 		-memprofile $(PROFILE_DIR)/serving.mem.pprof \

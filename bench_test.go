@@ -217,8 +217,8 @@ func benchShardedCache(b *testing.B) *cache.ShardedCache {
 // misrepresents both contention and hit behavior.
 var benchGoroutineSeed atomic.Uint64
 
-// BenchmarkShardedAccess measures the unbatched concurrent hot path: one
-// lock acquisition per access, all goroutines hammering at once.
+// BenchmarkShardedAccess measures the concurrent hot path: one lock
+// acquisition per access, all goroutines hammering at once.
 func BenchmarkShardedAccess(b *testing.B) {
 	sc := benchShardedCache(b)
 	b.RunParallel(func(pb *testing.PB) {
@@ -229,32 +229,9 @@ func BenchmarkShardedAccess(b *testing.B) {
 	})
 }
 
-// BenchmarkShardedAccessBatch measures the batched hot path: AccessBatch
-// groups each 512-access batch by shard and takes each shard lock once,
-// amortizing acquisition ~64× at 8 shards. Per-op time is per access.
-func BenchmarkShardedAccessBatch(b *testing.B) {
-	sc := benchShardedCache(b)
-	const batchLen = 512
-	b.RunParallel(func(pb *testing.PB) {
-		rng := hash.NewSplitMix64(benchGoroutineSeed.Add(1))
-		addrs := make([]uint64, batchLen)
-		i := batchLen
-		for pb.Next() {
-			if i == batchLen {
-				for j := range addrs {
-					addrs[j] = rng.Uint64n(32768)
-				}
-				sc.AccessBatch(addrs, nil, nil)
-				i = 0
-			}
-			i++
-		}
-	})
-}
-
-// BenchmarkShadowedShardedBatch measures the full concurrent Talus stack:
-// sampler routing plus batched sharded access.
-func BenchmarkShadowedShardedBatch(b *testing.B) {
+// BenchmarkShadowedShardedAccess measures the full concurrent Talus
+// stack: sampler routing plus sharded access.
+func BenchmarkShadowedShardedAccess(b *testing.B) {
 	inner, err := sim.BuildShardedCache("vantage", 16384, 16, 8, 2, "LRU", 1, 42)
 	if err != nil {
 		b.Fatal(err)
@@ -269,48 +246,28 @@ func BenchmarkShadowedShardedBatch(b *testing.B) {
 	if err := tc.Reconfigure([]int64{inner.PartitionableCapacity()}, []*curve.Curve{mc}); err != nil {
 		b.Fatal(err)
 	}
-	const batchLen = 512
 	b.RunParallel(func(pb *testing.PB) {
 		rng := hash.NewSplitMix64(benchGoroutineSeed.Add(1))
-		addrs := make([]uint64, batchLen)
-		i := batchLen
 		for pb.Next() {
-			if i == batchLen {
-				for j := range addrs {
-					addrs[j] = rng.Uint64n(32768)
-				}
-				tc.AccessBatch(addrs, 0, nil)
-				i = 0
-			}
-			i++
+			tc.Access(rng.Uint64n(32768), 0)
 		}
 	})
 }
 
-// BenchmarkAdaptiveAccessBatch measures the whole self-tuning stack:
-// per-partition monitor observation, sampler routing, batched sharded
-// access, and the epoch reconfigurations the traffic itself triggers.
-func BenchmarkAdaptiveAccessBatch(b *testing.B) {
+// BenchmarkAdaptiveAccess measures the whole self-tuning stack:
+// per-partition monitor observation, sampler routing, sharded access,
+// and the epoch reconfigurations the traffic itself triggers.
+func BenchmarkAdaptiveAccess(b *testing.B) {
 	ac, err := sim.BuildAdaptiveCache("vantage", 16384, 16, 8, 2, "LRU",
 		core.DefaultMargin, adaptive.Config{EpochAccesses: 1 << 18, Seed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}
-	const batchLen = 512
 	b.RunParallel(func(pb *testing.PB) {
 		rng := hash.NewSplitMix64(benchGoroutineSeed.Add(1))
 		part := int(rng.Uint64n(2))
-		addrs := make([]uint64, batchLen)
-		i := batchLen
 		for pb.Next() {
-			if i == batchLen {
-				for j := range addrs {
-					addrs[j] = rng.Uint64n(32768) | uint64(part+1)<<48
-				}
-				ac.AccessBatch(addrs, part, nil)
-				i = 0
-			}
-			i++
+			ac.Access(rng.Uint64n(32768)|uint64(part+1)<<48, part)
 		}
 	})
 }

@@ -44,7 +44,7 @@ func main() {
 	var (
 		specPath = flag.String("spec", "", "JSON simulation spec")
 		appsFlag = flag.String("apps", "", "comma-separated app list (registry clones or trace:<path>)")
-		mode     = flag.String("mode", "talus-hill", "management mode (lru, tadrrip, hill-lru, lookahead-lru, fair-lru, talus-hill, talus-fair)")
+		mode     = flag.String("mode", "talus-hill", "management mode ("+sim.ValidModes+")")
 		mb       = flag.Float64("mb", 8, "LLC capacity in MB")
 		work     = flag.Int64("work", 30<<20, "fixed work per app (instructions)")
 		seed     = flag.Uint64("seed", 42, "random seed")
@@ -56,7 +56,6 @@ func main() {
 		allocF    = flag.String("alloc", "hill", "adaptive allocator: hill, lookahead, fair, optimal")
 		accessesF = flag.Int64("accesses", 4<<20, "adaptive traffic per app (accesses)")
 		shardsF   = flag.Int("shards", 1, "adaptive cache shard count")
-		batchF    = flag.Int("batch", 0, "adaptive accesses per batch (0 = default 2048; match the recording for exact trace replay)")
 		tailF     = flag.Float64("tail", 0, "adaptive trailing fraction measured for steady-state rates (0 = default 0.5)")
 		weightsF  = flag.String("weights", "", "adaptive per-app objective weights in app order, e.g. 4,1,1,1 (empty = uniform)")
 		selfTuneF = flag.Bool("self-tune", false, "adaptive churn-driven epoch controller")
@@ -72,8 +71,7 @@ func main() {
 	vals := flagValues{
 		apps: *appsFlag, mode: *mode, mb: *mb, work: *work, seed: *seed,
 		adaptive: *adaptiveF, epoch: *epochF, alloc: *allocF,
-		accesses: *accessesF, shards: *shardsF, batch: *batchF,
-		tail: *tailF, traces: *traceF,
+		accesses: *accessesF, shards: *shardsF, tail: *tailF, traces: *traceF,
 		weights: weightsV, selfTune: *selfTuneF,
 		minEpoch: *minEpochF, maxEpoch: *maxEpochF,
 	}
@@ -102,7 +100,6 @@ func main() {
 			Allocator:     *allocF,
 			Accesses:      *accessesF,
 			Shards:        *shardsF,
-			BatchLen:      *batchF,
 			TailFrac:      *tailF,
 			Weights:       weightsV,
 			SelfTune:      *selfTuneF,
@@ -115,7 +112,7 @@ func main() {
 	}
 
 	// An adaptive run whose only source is one trace file replays the
-	// recorded stream exactly (same interleaving, same batching).
+	// recorded stream exactly, record by record.
 	if spec.Adaptive && len(spec.Apps) == 0 && len(spec.TraceFiles) == 1 {
 		runAdaptiveTrace(spec)
 		return
@@ -186,7 +183,6 @@ func adaptiveCfg(spec specFile) sim.AdaptiveConfig {
 		Allocator:      spec.Allocator,
 		EpochAccesses:  spec.EpochAccesses,
 		AccessesPerApp: spec.Accesses,
-		BatchLen:       spec.BatchLen,
 		TailFrac:       spec.TailFrac,
 		Weights:        spec.Weights,
 		SelfTune:       spec.SelfTune,

@@ -28,14 +28,12 @@ type specFile struct {
 	TraceFiles []string `json:"trace_files"`
 
 	// Adaptive-runtime fields (used with "adaptive": true): the online
-	// control loop replaces the cycle-driven CPU simulation. BatchLen
-	// must match a recording's batch length for exact trace replay.
+	// control loop replaces the cycle-driven CPU simulation.
 	Adaptive      bool    `json:"adaptive"`
 	EpochAccesses int64   `json:"epoch_accesses"`
 	Allocator     string  `json:"allocator"`
 	Accesses      int64   `json:"accesses_per_app"`
 	Shards        int     `json:"shards"`
-	BatchLen      int     `json:"batch_len"`
 	TailFrac      float64 `json:"tail_frac"`
 
 	// Weights gives each app's partition an objective weight, in app
@@ -80,7 +78,6 @@ type flagValues struct {
 	alloc    string
 	accesses int64
 	shards   int
-	batch    int
 	tail     float64
 	traces   string
 	weights  []float64
@@ -123,9 +120,6 @@ func (s *specFile) applyFlags(set map[string]bool, v flagValues) {
 	}
 	if set["shards"] {
 		s.Shards = v.shards
-	}
-	if set["batch"] {
-		s.BatchLen = v.batch
 	}
 	if set["tail"] {
 		s.TailFrac = v.tail

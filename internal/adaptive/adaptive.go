@@ -21,7 +21,11 @@ import (
 // rates lands within an order of magnitude of this).
 const DefaultEpochAccesses = 1 << 20
 
-// Self-tuning controller defaults: the epoch budget may stretch to
+// allocGranules is the allocator grid resolution: capacity/allocGranules
+// lines per step (the mix simulator's grid).
+const allocGranules = 64
+
+// Self-tuning controller constants: the epoch budget may stretch to
 // DefaultMaxEpochFactor × its configured value; churn below
 // DefaultChurnLow for calmEpochs consecutive epochs doubles the budget,
 // churn above DefaultChurnHigh halves it.
@@ -47,9 +51,6 @@ type Config struct {
 	// nil selects alloc.HillClimbAllocator (optimal on hulls — the
 	// paper's point is that Talus makes hill climbing sufficient).
 	Allocator alloc.Allocator
-	// Granules is the allocator grid resolution: capacity/Granules lines
-	// per step; 0 selects 64 (the mix simulator's grid).
-	Granules int
 	// EpochInterval, when positive, adds a wall-clock epoch trigger: a
 	// background ticker drives the same TryLock epoch step the access
 	// clock does, so lightly loaded caches still reconfigure on time
@@ -58,12 +59,6 @@ type Config struct {
 	// control loop purely access-driven with no background goroutine.
 	// Callers that set this must Close the cache to stop the ticker.
 	EpochInterval time.Duration
-	// MonitorSlices is the per-partition monitor's slice count: sampled
-	// accesses lock only the slice owning their monitor set, so
-	// concurrent accessors to one partition stop contending on a single
-	// monitor lock. 0 selects monitor.DefaultMonitorSlices; the value is
-	// clamped by the monitor geometry (see NewSlicedEpochMonitor).
-	MonitorSlices int
 	// Seed derives the monitors' hash functions.
 	Seed uint64
 
@@ -81,9 +76,9 @@ type Config struct {
 
 	// SelfTune enables the churn-driven epoch controller: when
 	// successive epochs' measured curves barely move (normalized L1
-	// distance below ChurnLow for calmEpochs epochs) the epoch budget —
-	// and the wall-clock interval, proportionally — doubles, up to
-	// MaxEpoch; a churn spike above ChurnHigh halves it, down to
+	// distance below DefaultChurnLow for calmEpochs epochs) the epoch
+	// budget — and the wall-clock interval, proportionally — doubles, up
+	// to MaxEpoch; a churn spike above DefaultChurnHigh halves it, down to
 	// MinEpoch. Retain adapts alongside: shorter epochs are noisier so
 	// retention rises (√retain); longer epochs measure well on their own
 	// so retention falls (retain²).
@@ -92,10 +87,6 @@ type Config struct {
 	// 0 selects EpochAccesses and DefaultMaxEpochFactor×EpochAccesses.
 	MinEpoch int64
 	MaxEpoch int64
-	// ChurnLow / ChurnHigh are the controller's churn thresholds;
-	// 0 selects DefaultChurnLow / DefaultChurnHigh.
-	ChurnLow  float64
-	ChurnHigh float64
 }
 
 func (c *Config) defaults() {
@@ -108,9 +99,6 @@ func (c *Config) defaults() {
 	if c.Allocator == nil {
 		c.Allocator = alloc.HillClimbAllocator
 	}
-	if c.Granules <= 0 {
-		c.Granules = 64
-	}
 	if c.MinEpoch <= 0 {
 		c.MinEpoch = c.EpochAccesses
 	}
@@ -119,15 +107,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxEpoch < c.MinEpoch {
 		c.MaxEpoch = c.MinEpoch
-	}
-	if c.ChurnLow <= 0 {
-		c.ChurnLow = DefaultChurnLow
-	}
-	if c.ChurnHigh <= 0 {
-		c.ChurnHigh = DefaultChurnHigh
-	}
-	if c.ChurnHigh < c.ChurnLow {
-		c.ChurnHigh = c.ChurnLow
 	}
 }
 
@@ -205,7 +184,7 @@ type Cache struct {
 	curEpoch     int64   // current epoch budget in accesses
 	curRetain    float64 // current monitor retention factor
 	churn        float64 // last measuring epoch's churn
-	calm         int     // consecutive epochs with churn ≤ ChurnLow
+	calm         int     // consecutive epochs with churn < DefaultChurnLow
 	baseInterval time.Duration
 	curInterval  time.Duration
 
@@ -253,13 +232,13 @@ func New(sc *core.ShadowedCache, cfg Config) (*Cache, error) {
 		a.maxLines = append([]int64(nil), cfg.MaxLines...)
 	}
 	for p := range a.mons {
-		mon, err := monitor.NewSlicedEpochMonitor(budget, cfg.Retain, cfg.Seed+uint64(p)*0x9E3779B9, cfg.MonitorSlices)
+		mon, err := monitor.NewSlicedEpochMonitor(budget, cfg.Retain, cfg.Seed+uint64(p)*0x9E3779B9, monitor.DefaultMonitorSlices)
 		if err != nil {
 			return nil, fmt.Errorf("adaptive: partition %d monitor: %w", p, err)
 		}
 		a.mons[p].mon = mon
 	}
-	fair, err := alloc.Fair(n, budget, max(budget/int64(cfg.Granules), 1))
+	fair, err := alloc.Fair(n, budget, max(budget/allocGranules, 1))
 	if err != nil {
 		return nil, fmt.Errorf("adaptive: initial fair split: %w", err)
 	}
@@ -340,27 +319,6 @@ func (a *Cache) Access(addr uint64, p int) bool {
 	hit := a.sc.Access(addr, p)
 	a.afterAccesses(1)
 	return hit
-}
-
-// AccessBatch is Access for a batch of one partition's accesses: each
-// touched monitor slice's lock and the inner cache's shard locks are
-// taken once per batch, and the monitor bank samples the batch in one
-// pass (SlicedEpochMonitor.ObserveBatch). hits, when non-nil, receives
-// per-access outcomes; the return value is the number of hits. Results
-// are byte-identical to the equivalent Access loop; when batch
-// boundaries divide the epoch length, epoch timing — and therefore
-// every curve, allocation, and hit — matches the unbatched run exactly.
-func (a *Cache) AccessBatch(addrs []uint64, p int, hits []bool) int {
-	a.checkPartition(p)
-	if len(addrs) == 0 {
-		return 0
-	}
-	s := &a.mons[p]
-	s.mon.ObserveBatch(addrs)
-	s.accesses.Add(int64(len(addrs)))
-	n := a.sc.AccessBatch(addrs, p, hits)
-	a.afterAccesses(int64(len(addrs)))
-	return n
 }
 
 // afterAccesses advances the epoch clock and fires the epoch step when
@@ -460,7 +418,7 @@ func (a *Cache) epochBody() {
 	}
 
 	hulls := core.Convexify(a.lastCurves)
-	granule := max(budget/int64(a.cfg.Granules), 1)
+	granule := max(budget/allocGranules, 1)
 	allocs, err := a.cfg.Allocator.Allocate(alloc.Request{
 		Curves:   hulls,
 		Total:    budget,
@@ -498,14 +456,14 @@ func (a *Cache) epochBody() {
 // triggers stretch and shrink together. Caller holds epochMu.
 func (a *Cache) tuneLocked() {
 	switch {
-	case a.churn > a.cfg.ChurnHigh:
+	case a.churn > DefaultChurnHigh:
 		a.calm = 0
 		if a.curEpoch > a.cfg.MinEpoch {
 			a.curEpoch = max(a.curEpoch/2, a.cfg.MinEpoch)
 			a.curRetain = clampRetain(math.Sqrt(a.curRetain))
 			a.applyTuningLocked()
 		}
-	case a.churn < a.cfg.ChurnLow:
+	case a.churn < DefaultChurnLow:
 		a.calm++
 		if a.calm >= calmEpochs && a.curEpoch < a.cfg.MaxEpoch {
 			a.curEpoch = min(a.curEpoch*2, a.cfg.MaxEpoch)

@@ -23,6 +23,17 @@ func buildAdaptive(t *testing.T, capacity int64, shards, logical int, cfg adapti
 	return ac
 }
 
+// feed drives addrs through Access on partition p and returns the hits.
+func feed(ac *adaptive.Cache, addrs []uint64, p int) int {
+	n := 0
+	for _, a := range addrs {
+		if ac.Access(a, p) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestAdaptiveConvergesOnCliff(t *testing.T) {
 	// Partition 0 scans 6144 lines cyclically (cliff at 6144); partition
 	// 1 reuses 2048 lines at random. The loop must discover the rand
@@ -42,7 +53,6 @@ func TestAdaptiveConvergesOnCliff(t *testing.T) {
 	const batch = 2048
 	scanBuf := make([]uint64, batch)
 	randBuf := make([]uint64, batch)
-	scanHits := make([]bool, batch)
 	var tailScanHits, tailScanAcc int64
 	const perPart = 6 << 20
 	for fed := 0; fed < perPart; fed += batch {
@@ -51,8 +61,8 @@ func TestAdaptiveConvergesOnCliff(t *testing.T) {
 			pos = (pos + 1) % scanLines
 			randBuf[i] = rng.Uint64n(randLines) | 2<<48
 		}
-		n := ac.AccessBatch(scanBuf, 0, scanHits)
-		ac.AccessBatch(randBuf, 1, nil)
+		n := feed(ac, scanBuf, 0)
+		feed(ac, randBuf, 1)
 		if fed >= perPart*3/4 {
 			tailScanHits += int64(n)
 			tailScanAcc += batch
@@ -83,7 +93,7 @@ func TestAdaptiveConvergesOnCliff(t *testing.T) {
 }
 
 func TestAdaptiveRaceHammer(t *testing.T) {
-	// Concurrent AccessBatch traffic from many goroutines across
+	// Concurrent Access traffic from many goroutines across
 	// partitions while epochs reconfigure underneath. Run with -race;
 	// afterwards the sharded stats must conserve accesses exactly.
 	const capacity = 16384
@@ -100,9 +110,9 @@ func TestAdaptiveRaceHammer(t *testing.T) {
 	var forceDone sync.WaitGroup
 	forceDone.Add(1)
 	go func() {
-		// Forced epoch reconfigures racing the batch traffic: the epoch
+		// Forced epoch reconfigures racing the traffic: the epoch
 		// step drains every monitor slice and reprograms shadow sizes
-		// while AccessBatch streams through the same monitors and cache.
+		// while Access streams through the same monitors and cache.
 		defer forceDone.Done()
 		for {
 			select {
@@ -122,13 +132,12 @@ func TestAdaptiveRaceHammer(t *testing.T) {
 			defer wg.Done()
 			rng := hash.NewSplitMix64(uint64(g) * 977)
 			buf := make([]uint64, batch)
-			hits := make([]bool, batch)
 			part := g % 2
 			for fed := 0; fed < perG; fed += batch {
 				for i := range buf {
 					buf[i] = rng.Uint64n(8192) | uint64(part+1)<<48
 				}
-				ac.AccessBatch(buf, part, hits)
+				feed(ac, buf, part)
 			}
 		}(g)
 	}
@@ -156,7 +165,7 @@ func TestAdaptiveRaceHammer(t *testing.T) {
 }
 
 // TestPartitionRangeValidation is the regression test for the
-// out-of-range partition bug: Access/AccessBatch/Curve/Config with a
+// out-of-range partition bug: Access/Curve/Config with a
 // bad p used to panic deep inside monSlot indexing with a bare bounds
 // error; they must now fail fast with a descriptive message.
 func TestPartitionRangeValidation(t *testing.T) {
@@ -177,15 +186,12 @@ func TestPartitionRangeValidation(t *testing.T) {
 	}
 	for _, p := range []int{-1, 2, 100} {
 		wantPanic("Access", p, func() { ac.Access(1, p) })
-		wantPanic("AccessBatch", p, func() { ac.AccessBatch([]uint64{1}, p, nil) })
 		wantPanic("Curve", p, func() { ac.Curve(p) })
 		wantPanic("Config", p, func() { ac.Config(p) })
 	}
 	// In-range indices still work.
 	ac.Access(1, 0)
-	if n := ac.AccessBatch([]uint64{1, 2}, 1, nil); n < 0 {
-		t.Fatal("valid batch failed")
-	}
+	ac.Access(2, 1)
 	if c := ac.Curve(1); c != nil {
 		t.Fatalf("curve before first epoch = %v", c)
 	}

@@ -35,7 +35,7 @@ func TestIdleEpochsAreSkipped(t *testing.T) {
 	for i := range buf {
 		buf[i] = rng.Uint64n(1024) | 1<<48
 	}
-	ac.AccessBatch(buf, 0, nil)
+	feed(ac, buf, 0)
 	deadline := time.Now().Add(5 * time.Second)
 	for ac.Curve(0) == nil {
 		if time.Now().After(deadline) {
@@ -43,6 +43,9 @@ func TestIdleEpochsAreSkipped(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// A tick may have split the feed; give the next one time to measure
+	// the rest before sampling the count that must then freeze.
+	time.Sleep(10 * time.Millisecond)
 	measured := ac.Epochs()
 	if measured == 0 {
 		t.Fatal("curve extracted but epoch count still zero")
@@ -69,7 +72,7 @@ func TestIdlePartitionCurvePreserved(t *testing.T) {
 		for i := range buf {
 			buf[i] = rng.Uint64n(1024) | uint64(p+1)<<48
 		}
-		ac.AccessBatch(buf, p, nil)
+		feed(ac, buf, p)
 	}
 	feed(0)
 	feed(1)
@@ -121,11 +124,11 @@ func TestChurnControllerRoundTrip(t *testing.T) {
 		for i := range buf {
 			buf[i] = rng.Uint64n(1024) | 1<<48
 		}
-		ac.AccessBatch(buf, 0, nil)
+		feed(ac, buf, 0)
 		for i := range buf {
 			buf[i] = rng.Uint64n(512) | 2<<48
 		}
-		ac.AccessBatch(buf, 1, nil)
+		feed(ac, buf, 1)
 	}
 	// Phase 1: stable traffic. Reaching MaxEpoch needs 3 doublings × 2
 	// calm epochs, plus slack for the early novel-curve epochs; feed
@@ -158,11 +161,11 @@ func TestChurnControllerRoundTrip(t *testing.T) {
 			buf[i] = (pos + 1<<20) | 1<<48
 			pos = (pos + 1) % 3072
 		}
-		ac.AccessBatch(buf, 0, nil)
+		feed(ac, buf, 0)
 		for i := range buf {
 			buf[i] = rng.Uint64n(512) | 2<<48
 		}
-		ac.AccessBatch(buf, 1, nil)
+		feed(ac, buf, 1)
 	}
 	epochsBefore := ac.Controller().Epochs
 	for ac.Controller().Epochs < epochsBefore+2 {
@@ -202,7 +205,7 @@ func TestWeightedTenantAttractsCapacity(t *testing.T) {
 				// Both partitions want ~3k lines; the cache fits ~4k total.
 				buf[i] = rng.Uint64n(3072) | uint64(p+1)<<48
 			}
-			ac.AccessBatch(buf, p, nil)
+			feed(ac, buf, p)
 		}
 		if err := ac.ForceEpoch(); err != nil {
 			t.Fatal(err)

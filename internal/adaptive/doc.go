@@ -28,9 +28,10 @@
 // Config.SelfTune enables the churn-driven epoch controller: each epoch
 // the loop measures how much every partition's curve moved
 // (curve.Distance, access-share-weighted) and adapts its own budget —
-// churn above ChurnHigh halves the epoch (floor MinEpoch) and raises
-// monitor retention, churn below ChurnLow for two consecutive epochs
-// doubles it (cap MaxEpoch) and decays retention; the wall-clock
+// churn above DefaultChurnHigh (a constant, 0.30) halves the epoch
+// (floor MinEpoch) and raises monitor retention, churn below
+// DefaultChurnLow (0.05) for two consecutive epochs doubles it (cap
+// MaxEpoch) and decays retention; the wall-clock
 // ticker rescales proportionally. Epochs that observed zero accesses
 // are complete no-ops, and a partition idle for an epoch keeps its
 // previous curve untouched instead of decaying toward zero. SetWeight
@@ -43,11 +44,12 @@
 // All methods are safe for concurrent use when the ShadowedCache's inner
 // cache is (wrap it in a cache.ShardedCache). A partition's monitor lane
 // has no lock of its own: the sliced monitor locks only the slice that
-// owns a sampled access's monitor set (Config.MonitorSlices; unsampled
-// accesses lock nothing), and the lane's epoch access count is an
-// atomic. The epoch step serializes on a TryLock so at most one
-// goroutine reconfigures — draining the slices into the epoch curve —
-// while the rest keep serving traffic through the immutable-H3 /
-// atomic-limit sampling datapath. Over a single-threaded inner cache
-// the loop still works and is exactly as single-threaded as that cache.
+// owns a sampled access's monitor set (monitor.DefaultMonitorSlices of
+// them, a constant; unsampled accesses lock nothing), and the lane's
+// epoch access count is an atomic. The epoch step serializes on a
+// TryLock so at most one goroutine reconfigures — draining the slices
+// into the epoch curve — while the rest keep serving traffic through the
+// immutable-H3 / atomic-limit sampling datapath. Over a single-threaded
+// inner cache the loop still works and is exactly as single-threaded as
+// that cache.
 package adaptive

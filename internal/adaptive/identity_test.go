@@ -10,12 +10,12 @@ import (
 	"talus/internal/monitor"
 )
 
-// TestAdaptiveMonitorMatchesBaseline pins the tentpole identity at the
-// stack level: the per-partition sliced monitors inside a full adaptive
-// cache — fed by concurrent AccessBatch across goroutines, drained by
+// TestAdaptiveMonitorMatchesBaseline pins the sliced-monitor identity at
+// the stack level: the per-partition 8-slice monitors inside a full
+// adaptive cache — fed by concurrent Access across goroutines, drained by
 // forced epoch reconfigures — hold byte-identical histograms and produce
-// bit-identical epoch curves to standalone single-lock EpochMonitors fed
-// the same streams sequentially. Each goroutine's stream is confined to
+// bit-identical epoch curves to standalone one-slice monitors fed the
+// same streams sequentially. Each goroutine's stream is confined to
 // one monitor slice (SampledSlice), which keeps every monitor set's
 // access order deterministic under any goroutine interleaving; the
 // shadow sampler and cache underneath see fully racing traffic.
@@ -31,11 +31,11 @@ func TestAdaptiveMonitorMatchesBaseline(t *testing.T) {
 	})
 	budget := ac.Shadowed().Inner().PartitionableCapacity()
 
-	// Baselines: one classic EpochMonitor per partition, at exactly the
+	// Baselines: one single-slice monitor per partition, at exactly the
 	// seeds the adaptive constructor derives.
-	base := make([]*monitor.EpochMonitor, logical)
+	base := make([]*monitor.SlicedEpochMonitor, logical)
 	for p := range base {
-		em, err := monitor.NewEpochMonitor(budget, 0, seed+uint64(p)*0x9E3779B9)
+		em, err := monitor.NewSlicedEpochMonitor(budget, 0, seed+uint64(p)*0x9E3779B9, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestAdaptiveMonitorMatchesBaseline(t *testing.T) {
 	compare := func(round int) {
 		t.Helper()
 		for p := 0; p < logical; p++ {
-			bh, ba := base[p].Monitor().HistogramSnapshot()
+			bh, ba := base[p].HistogramSnapshot()
 			sh, sa := ac.Monitor(p).HistogramSnapshot()
 			for i := range bh {
 				if ba[i] != sa[i] {
@@ -92,11 +92,10 @@ func TestAdaptiveMonitorMatchesBaseline(t *testing.T) {
 				go func(p int, stream []uint64) {
 					defer wg.Done()
 					for i := 0; i < len(stream); {
-						n := 48 + i%97
-						if i+n > len(stream) {
-							n = len(stream) - i
+						n := min(48+i%97, len(stream)-i)
+						for _, a := range stream[i : i+n] {
+							ac.Access(a, p)
 						}
-						ac.AccessBatch(stream[i:i+n], p, nil)
 						i += n
 						runtime.Gosched()
 					}
@@ -106,7 +105,9 @@ func TestAdaptiveMonitorMatchesBaseline(t *testing.T) {
 		wg.Wait()
 		for p := 0; p < logical; p++ {
 			for _, stream := range streams[p] {
-				base[p].ObserveBatch(stream)
+				for _, a := range stream {
+					base[p].Observe(a)
+				}
 			}
 		}
 		compare(r)

@@ -25,7 +25,7 @@ func TestEpochIntervalTicker(t *testing.T) {
 	for i := range buf {
 		buf[i] = rng.Uint64n(1024) | 1<<48
 	}
-	ac.AccessBatch(buf, 0, nil)
+	feed(ac, buf, 0)
 
 	// Wait for a tick that measured the trickle (an idle tick racing in
 	// before the batch is a trivially successful epoch with no curve).

@@ -12,9 +12,7 @@
 //
 // The shard backing is anything implementing Shard (SetAssoc, Ideal, or
 // any core.PartitionedCache — the interfaces are structurally identical).
-// Each shard is guarded by its own mutex; AccessBatch groups a batch of
-// addresses by shard and takes each shard's lock once per batch, which
-// amortizes lock acquisition on the hot path.
+// Each shard is guarded by its own mutex.
 
 package cache
 
@@ -44,12 +42,11 @@ type Shard interface {
 // ShardedCache stripes a partitioned cache across N shards keyed by an H3
 // hash of the line address, with per-shard locking. It implements
 // core.PartitionedCache (so a core.ShadowedCache can sit on top of it, and
-// the Talus runtime becomes goroutine-safe end to end) plus the batch
-// interface core.BatchAccessor. All methods are safe for concurrent use.
+// the Talus runtime becomes goroutine-safe end to end). All methods are
+// safe for concurrent use.
 type ShardedCache struct {
-	router  *hash.H3
-	shards  []shardSlot
-	scratch sync.Pool // *batchScratch
+	router *hash.H3
+	shards []shardSlot
 }
 
 // shardSlot pairs one shard with its lock and router-level counters. The
@@ -128,14 +125,6 @@ func (s *ShardedCache) EnableSharedHits() bool {
 	return all
 }
 
-// batchScratch is the reusable per-call state of AccessBatch.
-type batchScratch struct {
-	shard []int32 // shard index of each access in the batch
-	order []int32 // access indices grouped by shard, per-shard order kept
-	off   []int32 // per-shard start offsets into order (len nShards+1)
-	fill  []int32 // per-shard write cursors for the grouping pass
-}
-
 // Errors returned by NewSharded.
 var (
 	ErrBadShards     = errors.New("cache: shard count must be positive")
@@ -171,9 +160,6 @@ func NewSharded(nShards int, totalLines int64, seed uint64, build func(shard int
 	s := &ShardedCache{
 		router: hash.NewH3(seed^0x54A6DED, 64),
 		shards: make([]shardSlot, nShards),
-	}
-	s.scratch.New = func() any {
-		return &batchScratch{off: make([]int32, nShards+1), fill: make([]int32, nShards)}
 	}
 	for i := range s.shards {
 		c, err := build(i, ShardCapacity(totalLines, nShards, i))
@@ -231,117 +217,6 @@ func (s *ShardedCache) Access(addr uint64, part int) bool {
 	sh.bump(1, h)
 	sh.mu.Unlock()
 	return hit
-}
-
-// AccessBatch performs len(addrs) accesses, taking each shard's lock once
-// for the whole batch, and returns the number of hits. parts gives the
-// partition of each access (nil means partition 0 throughout); hits, when
-// non-nil, receives each access's outcome at the matching index. Within a
-// shard the original access order is preserved, and distinct shards hold
-// disjoint lines, so a batch returns exactly the outcomes of the
-// equivalent Access loop. Safe for concurrent use.
-func (s *ShardedCache) AccessBatch(addrs []uint64, parts []int, hits []bool) int {
-	n := len(addrs)
-	if n == 0 {
-		return 0
-	}
-	if parts != nil && len(parts) != n {
-		panic("cache: AccessBatch parts length mismatch")
-	}
-	if hits != nil && len(hits) != n {
-		panic("cache: AccessBatch hits length mismatch")
-	}
-	if n == 1 {
-		// Degenerate batch: skip the grouping passes and scratch state.
-		p := 0
-		if parts != nil {
-			p = parts[0]
-		}
-		hit := s.Access(addrs[0], p)
-		if hits != nil {
-			hits[0] = hit
-		}
-		if hit {
-			return 1
-		}
-		return 0
-	}
-	nHits := 0
-	if len(s.shards) == 1 {
-		sh := &s.shards[0]
-		sh.mu.Lock()
-		for i, a := range addrs {
-			p := 0
-			if parts != nil {
-				p = parts[i]
-			}
-			hit := sh.c.Access(a, p)
-			if hits != nil {
-				hits[i] = hit
-			}
-			if hit {
-				nHits++
-			}
-		}
-		sh.bump(int64(n), int64(nHits))
-		sh.mu.Unlock()
-		return nHits
-	}
-
-	sc := s.scratch.Get().(*batchScratch)
-	if cap(sc.shard) < n {
-		sc.shard = make([]int32, n)
-		sc.order = make([]int32, n)
-	}
-	shard, order := sc.shard[:n], sc.order[:n]
-	off := sc.off
-	for i := range off {
-		off[i] = 0
-	}
-	// Pass 1: route every address and count per-shard batch sizes.
-	for i, a := range addrs {
-		sh := int32(s.shardOf(a))
-		shard[i] = sh
-		off[sh+1]++
-	}
-	for i := 1; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	// Pass 2: group access indices by shard, preserving order.
-	fill := sc.fill
-	copy(fill, off[:len(s.shards)])
-	for i := range addrs {
-		order[fill[shard[i]]] = int32(i)
-		fill[shard[i]]++
-	}
-	// Replay each shard's slice of the batch under one lock acquisition.
-	for si := range s.shards {
-		lo, hi := off[si], off[si+1]
-		if lo == hi {
-			continue
-		}
-		sh := &s.shards[si]
-		shardHits := 0
-		sh.mu.Lock()
-		for _, idx := range order[lo:hi] {
-			p := 0
-			if parts != nil {
-				p = parts[idx]
-			}
-			hit := sh.c.Access(addrs[idx], p)
-			if hits != nil {
-				hits[idx] = hit
-			}
-			if hit {
-				shardHits++
-			}
-		}
-		sh.bump(int64(hi-lo), int64(shardHits))
-		sh.mu.Unlock()
-		nHits += shardHits
-	}
-	s.scratch.Put(sc)
-	return nHits
 }
 
 // splitTargets computes the per-shard target matrix for SetPartitionSizes:

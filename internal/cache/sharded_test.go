@@ -149,51 +149,14 @@ func TestShardedFullCapacityTargets(t *testing.T) {
 	}
 }
 
-// TestShardedBatchMatchesLoop checks AccessBatch's core contract: a batch
-// returns exactly the outcomes of the equivalent Access loop, because
-// per-shard order is preserved and shards hold disjoint lines.
-func TestShardedBatchMatchesLoop(t *testing.T) {
-	scBatch := buildSharded(t, 4, 8192, 1)
-	scLoop := buildSharded(t, 4, 8192, 1)
-
-	rng := hash.NewSplitMix64(7)
-	const batches, batchLen = 64, 512
-	addrs := make([]uint64, batchLen)
-	hits := make([]bool, batchLen)
-	for b := 0; b < batches; b++ {
-		for i := range addrs {
-			addrs[i] = rng.Uint64n(16384)
-		}
-		nHits := scBatch.AccessBatch(addrs, nil, hits)
-		sum := 0
-		for i, a := range addrs {
-			want := scLoop.Access(a, 0)
-			if hits[i] != want {
-				t.Fatalf("batch %d access %d (addr %d): batch hit=%v, loop hit=%v",
-					b, i, a, hits[i], want)
-			}
-			if hits[i] {
-				sum++
-			}
-		}
-		if nHits != sum {
-			t.Fatalf("batch %d: AccessBatch returned %d hits, outcomes sum to %d", b, nHits, sum)
-		}
-	}
-	if got, want := scBatch.Stats(), scLoop.Stats(); got != want {
-		t.Fatalf("stats diverge: batch %+v, loop %+v", got, want)
-	}
-}
-
 // TestShardedConcurrentConservation hammers one cache from many
-// goroutines, mixing single accesses and batches, and checks that the
-// aggregated counters conserve every access issued.
+// goroutines and checks that the aggregated counters conserve every
+// access issued.
 func TestShardedConcurrentConservation(t *testing.T) {
 	sc := buildSharded(t, 8, 32768, 2)
 	const (
 		goroutines = 16
-		batches    = 40
-		batchLen   = 256
+		perG       = 40 * 256 // accesses per goroutine
 	)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -201,27 +164,16 @@ func TestShardedConcurrentConservation(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := hash.NewSplitMix64(uint64(g) * 0x9E3779B97F4A7C15)
-			addrs := make([]uint64, batchLen)
-			parts := make([]int, batchLen)
-			for b := 0; b < batches; b++ {
-				for i := range addrs {
-					addrs[i] = rng.Uint64n(65536)
-					parts[i] = int(rng.Uint64n(2))
-				}
-				if b%2 == 0 {
-					sc.AccessBatch(addrs, parts, nil)
-				} else {
-					for i, a := range addrs {
-						sc.Access(a, parts[i])
-					}
-				}
+			for i := 0; i < perG; i++ {
+				addr := rng.Uint64n(65536)
+				sc.Access(addr, int(rng.Uint64n(2)))
 			}
 		}(g)
 	}
 	wg.Wait()
 
 	st := sc.Stats()
-	want := int64(goroutines * batches * batchLen)
+	want := int64(goroutines * perG)
 	if st.Accesses != want {
 		t.Fatalf("Accesses = %d, want %d", st.Accesses, want)
 	}

@@ -225,17 +225,6 @@ type PartitionedCache interface {
 	Granule() int64
 }
 
-// BatchAccessor is the optional batching extension of PartitionedCache:
-// caches that can amortize per-call overhead (above all, lock
-// acquisition) across many accesses implement it. parts gives each
-// access's partition (nil means partition 0 throughout); hits, when
-// non-nil, receives per-access outcomes; the return value is the number
-// of hits. cache.ShardedCache implements it by taking each shard lock
-// once per batch.
-type BatchAccessor interface {
-	AccessBatch(addrs []uint64, parts []int, hits []bool) int
-}
-
 // ShadowedCache is the Talus runtime: it exposes N logical partitions,
 // backed by 2N shadow partitions of an underlying partitioned cache, and
 // routes each access through a per-logical-partition H3 sampler with an
@@ -248,16 +237,15 @@ type BatchAccessor interface {
 //
 // The sampling datapath is goroutine-safe by construction: samplers are
 // immutable H3 matrices plus an atomic limit register, exactly like the
-// hardware, so Access and AccessBatch may run from any number of
-// goroutines — including concurrently with Reconfigure — provided the
-// inner cache is itself safe for concurrent access (wrap it in a
-// cache.ShardedCache to get that). Over a goroutine-unsafe inner cache
-// (plain SetAssoc), the ShadowedCache is exactly as single-threaded as
-// its inner cache, which is what the sequential simulator uses.
+// hardware, so Access may run from any number of goroutines — including
+// concurrently with Reconfigure — provided the inner cache is itself safe
+// for concurrent access (wrap it in a cache.ShardedCache to get that).
+// Over a goroutine-unsafe inner cache (plain SetAssoc), the ShadowedCache
+// is exactly as single-threaded as its inner cache, which is what the
+// sequential simulator uses.
 // Reconfigure, Config, and ShadowSizes serialize on an internal mutex.
 type ShadowedCache struct {
 	inner      PartitionedCache
-	batch      BatchAccessor // inner's batching interface, nil if absent
 	numLogical int
 	samplers   []*hash.Sampler
 
@@ -265,8 +253,6 @@ type ShadowedCache struct {
 	configs []Config
 	margin  float64
 	shadow  []int64 // scratch: per-shadow-partition sizes
-
-	scratch sync.Pool // *[]int: per-batch shadow partition ids
 }
 
 // NewShadowedCache wraps inner, which must expose exactly 2×numLogical
@@ -287,8 +273,6 @@ func NewShadowedCache(inner PartitionedCache, numLogical int, margin float64, se
 		margin:     margin,
 		shadow:     make([]int64, 2*numLogical),
 	}
-	sc.batch, _ = inner.(BatchAccessor)
-	sc.scratch.New = func() any { s := make([]int, 0, 1024); return &s }
 	seeds := hash.NewSplitMix64(seed)
 	for i := range sc.samplers {
 		sc.samplers[i] = hash.NewSampler(seeds.Next())
@@ -309,47 +293,6 @@ func (t *ShadowedCache) Access(addr uint64, logical int) bool {
 		shadow++
 	}
 	return t.inner.Access(addr, shadow)
-}
-
-// AccessBatch routes a batch of accesses for one logical partition and
-// returns the number of hits; hits, when non-nil, receives per-access
-// outcomes. When the inner cache batches (implements BatchAccessor, as
-// cache.ShardedCache does), the whole batch flows down in one call so
-// lock acquisition is amortized across the batch; otherwise this is an
-// Access loop. Either way the outcomes equal the equivalent sequence of
-// Access calls.
-func (t *ShadowedCache) AccessBatch(addrs []uint64, logical int, hits []bool) int {
-	if hits != nil && len(hits) != len(addrs) {
-		panic("core: AccessBatch hits length mismatch")
-	}
-	if t.batch == nil {
-		n := 0
-		for i, a := range addrs {
-			hit := t.Access(a, logical)
-			if hits != nil {
-				hits[i] = hit
-			}
-			if hit {
-				n++
-			}
-		}
-		return n
-	}
-	sp := t.scratch.Get().(*[]int)
-	parts := (*sp)[:0]
-	sampler := t.samplers[logical]
-	alpha := 2 * logical
-	for _, a := range addrs {
-		shadow := alpha
-		if !sampler.ToAlpha(a) {
-			shadow++
-		}
-		parts = append(parts, shadow)
-	}
-	n := t.batch.AccessBatch(addrs, parts, hits)
-	*sp = parts
-	t.scratch.Put(sp)
-	return n
 }
 
 // SharedHitEnabler is the optional lock-free-hits extension of

@@ -1,6 +1,6 @@
 // Concurrency tests for the Talus runtime over a sharded inner cache:
 // run under -race these prove the full serving stack — sampler routing,
-// batched shard access, and epoch reconfiguration — is goroutine-safe,
+// shard access, and epoch reconfiguration — is goroutine-safe,
 // and that aggregated hit/miss counts conserve every access issued.
 
 package core
@@ -46,8 +46,8 @@ func cliffCurve(totalLines int64) *curve.Curve {
 }
 
 // TestShadowedConcurrentHammer drives the Talus runtime from many
-// goroutines (batched and unbatched) while another goroutine keeps
-// reprogramming shadow partitions, then checks access conservation.
+// goroutines while another goroutine keeps reprogramming shadow
+// partitions, then checks access conservation.
 func TestShadowedConcurrentHammer(t *testing.T) {
 	const totalLines = 32768
 	sc, inner := newShardedShadowed(t, 8, totalLines)
@@ -62,8 +62,7 @@ func TestShadowedConcurrentHammer(t *testing.T) {
 
 	const (
 		goroutines = 12
-		batches    = 30
-		batchLen   = 512
+		perG       = 30 * 512 // accesses per goroutine
 	)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -71,29 +70,8 @@ func TestShadowedConcurrentHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := hash.NewSplitMix64(uint64(g)*0x9E3779B97F4A7C15 + 5)
-			addrs := make([]uint64, batchLen)
-			hits := make([]bool, batchLen)
-			for b := 0; b < batches; b++ {
-				for i := range addrs {
-					addrs[i] = rng.Uint64n(totalLines * 4)
-				}
-				if b%2 == 0 {
-					n := sc.AccessBatch(addrs, 0, hits)
-					sum := 0
-					for _, h := range hits {
-						if h {
-							sum++
-						}
-					}
-					if n != sum {
-						t.Errorf("AccessBatch returned %d hits, outcomes sum to %d", n, sum)
-						return
-					}
-				} else {
-					for _, a := range addrs {
-						sc.Access(a, 0)
-					}
-				}
+			for i := 0; i < perG; i++ {
+				sc.Access(rng.Uint64n(totalLines*4), 0)
 			}
 		}(g)
 	}
@@ -114,43 +92,11 @@ func TestShadowedConcurrentHammer(t *testing.T) {
 	wg.Wait()
 
 	st := inner.Stats()
-	want := int64(goroutines * batches * batchLen)
+	want := int64(goroutines * perG)
 	if st.Accesses != want {
 		t.Fatalf("Accesses = %d, want %d", st.Accesses, want)
 	}
 	if st.Hits+st.Misses != st.Accesses {
 		t.Fatalf("Hits (%d) + Misses (%d) != Accesses (%d)", st.Hits, st.Misses, st.Accesses)
-	}
-}
-
-// TestShadowedBatchMatchesLoop checks that AccessBatch over a sharded
-// inner cache produces exactly the outcomes of an Access loop on an
-// identically built stack.
-func TestShadowedBatchMatchesLoop(t *testing.T) {
-	const totalLines = 16384
-	scBatch, _ := newShardedShadowed(t, 4, totalLines)
-	scLoop, _ := newShardedShadowed(t, 4, totalLines)
-	mcurve := cliffCurve(totalLines)
-	for _, sc := range []*ShadowedCache{scBatch, scLoop} {
-		budget := sc.Inner().PartitionableCapacity()
-		if err := sc.Reconfigure([]int64{budget}, []*curve.Curve{mcurve}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	rng := hash.NewSplitMix64(99)
-	const batches, batchLen = 48, 384
-	addrs := make([]uint64, batchLen)
-	hits := make([]bool, batchLen)
-	for b := 0; b < batches; b++ {
-		for i := range addrs {
-			addrs[i] = rng.Uint64n(totalLines * 4)
-		}
-		scBatch.AccessBatch(addrs, 0, hits)
-		for i, a := range addrs {
-			if want := scLoop.Access(a, 0); hits[i] != want {
-				t.Fatalf("batch %d access %d: batch hit=%v, loop hit=%v", b, i, hits[i], want)
-			}
-		}
 	}
 }

@@ -381,23 +381,6 @@ func (m *LRUMonitor) Observe(addr uint64) {
 	m.coarse.observeIn(addr, hv, sv)
 }
 
-// ObserveBatch feeds a batch of accesses, in order. It is byte-identical
-// to calling Observe on each address (TestObserveBatchIdentical pins
-// this): batching exists so the adaptive runtime's batch path crosses
-// the monitor once per batch, not once per access.
-func (m *LRUMonitor) ObserveBatch(addrs []uint64) {
-	for _, addr := range addrs {
-		hv := m.h.Hash(addr)
-		if hv >= m.maxThresh {
-			continue
-		}
-		sv := bankSetValue(addr, m.setSeed)
-		m.sub.observeIn(addr, hv, sv)
-		m.fine.observeIn(addr, hv, sv)
-		m.coarse.observeIn(addr, hv, sv)
-	}
-}
-
 // Curve assembles the combined miss curve: sub-range points up to LLC/4,
 // fine points up to the LLC size, coarse points beyond. The result is
 // forced non-increasing (LRU's stack property guarantees monotonicity;

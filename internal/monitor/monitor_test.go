@@ -227,3 +227,32 @@ func TestMultiMonitorValidation(t *testing.T) {
 		t.Fatal("single-point multi-monitor must fail")
 	}
 }
+
+// TestSharedSamplingHashNests checks the monitor bank's shared-hash
+// construction: all three arrays filter on one hash value against their
+// own thresholds, so the sparser arrays' sampled sets are subsets of the
+// denser ones' (coarse ⊆ fine ⊆ sub) and the sampled-access counts are
+// ordered accordingly.
+func TestSharedSamplingHashNests(t *testing.T) {
+	const llc = 1 << 16 // large enough that all three rates are < 1
+	m, err := NewLRUMonitor(llc, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := hash.NewSplitMix64(5)
+	for i := 0; i < 1<<16; i++ {
+		m.Observe(rng.Uint64n(llc))
+	}
+	sub, fine, coarse := m.sub.SampledAccesses(), m.fine.SampledAccesses(), m.coarse.SampledAccesses()
+	if coarse == 0 {
+		t.Fatal("coarse array sampled nothing; stream too small for the test")
+	}
+	if !(sub >= fine && fine >= coarse) {
+		t.Fatalf("sampled sets not nested: sub %d, fine %d, coarse %d", sub, fine, coarse)
+	}
+	// Thresholds must be ordered for the subset property, not just counts.
+	if !(m.sub.thresh >= m.fine.thresh && m.fine.thresh >= m.coarse.thresh) {
+		t.Fatalf("thresholds not ordered: sub %d, fine %d, coarse %d",
+			m.sub.thresh, m.fine.thresh, m.coarse.thresh)
+	}
+}

@@ -103,9 +103,10 @@ func TestRoundTripUniformRamp(t *testing.T) {
 }
 
 func TestEpochMonitorMatchesManualEWMA(t *testing.T) {
-	// EpochMonitor must reproduce the open-coded decay bookkeeping it
-	// replaced: Curve(effUnits), then Decay(retain), effUnits *= retain.
-	em, err := NewEpochMonitor(4096, 0, 33)
+	// EpochCurve must reproduce the open-coded decay bookkeeping over a
+	// classic bank: Curve(effUnits), then Decay(retain), effUnits *=
+	// retain — with retain 0 selecting DefaultRetain.
+	em, err := NewSlicedEpochMonitor(4096, 0, 33, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,22 @@
-// SlicedEpochMonitor: the contention-free form of EpochMonitor. The
-// classic bank serializes every sampled access through one set of tag
-// arrays, which makes the monitor the shared-state bottleneck of the
-// adaptive hot path. This variant partitions the bank's *sets* into
-// power-of-two slices, each behind its own mutex: an access locks only
-// the slice that owns its set, and slices accumulate raw per-epoch
-// counters that are merged into central EWMA accumulators inside the
-// epoch step (which the adaptive runtime already serializes under
-// epochMu).
+// SlicedEpochMonitor: epoch-driven EWMA curve extraction over the
+// monitor bank, contention-free. Each epoch the hit counters decay by a
+// retention factor and the matching denominator — the effective number
+// of kilo-units observed — decays in lockstep, so the extracted curve is
+// always a consistent EWMA of the recent stream. "Units" are whatever
+// the caller normalizes miss rates by: the CPU simulator passes
+// instructions (curves in MPKI); the adaptive cache runtime passes
+// accesses (curves in misses per kilo-access). The curve's shape — and
+// therefore every Talus and allocator decision — is identical either
+// way; only the y-axis scale differs.
+//
+// A single LRUMonitor bank would serialize every sampled access through
+// one set of tag arrays, which makes the monitor the shared-state
+// bottleneck of the adaptive hot path. This type partitions the bank's
+// *sets* into power-of-two slices, each behind its own mutex: an access
+// locks only the slice that owns its set, and slices accumulate raw
+// per-epoch counters that are merged into central EWMA accumulators
+// inside the epoch step (which the adaptive runtime already serializes
+// under epochMu). One slice is the sequential case.
 //
 // The partitioning leans on a property of the bank's shared set-index
 // hash: every array's set count is a power of two and hash.Reduce is
@@ -16,8 +26,10 @@
 // aligned block of sets in all three arrays at once, and an address's
 // slice is computable before touching any array.
 //
-// Byte-identity with EpochMonitor (pinned by TestSlicedMatchesEpoch and
-// the adaptive round-trip tests) follows from three invariants:
+// Byte-identity with an LRUMonitor whose caller decays it by hand each
+// epoch (Curve, Decay(retain), effUnits *= retain — pinned by
+// TestSlicedMatchesEpoch and the adaptive round-trip tests)
+// follows from three invariants:
 //   - same sampling decisions: identical sampling/set-mix seeds and per-array
 //     thresholds from the shared bankSpecs;
 //   - same tag walks: each global set's MRU stack lives in exactly one
@@ -27,7 +39,8 @@
 //     current epoch — int64 addition is exact and commutative, so the
 //     drain's merge order cannot change the totals — and the EWMA decay
 //     (the only lossy step) is applied exclusively to the central
-//     accumulators, exactly as EpochMonitor applies it to its counters.
+//     accumulators, exactly as LRUMonitor.Decay applies it to its
+//     counters.
 package monitor
 
 import (
@@ -37,6 +50,11 @@ import (
 	"talus/internal/curve"
 	"talus/internal/hash"
 )
+
+// DefaultRetain is the default EWMA retention factor: counters keep half
+// their weight each epoch (a one-epoch half-life), the behaviour of
+// DecayCounters that the phase-adaptation tests were tuned against.
+const DefaultRetain = 0.5
 
 // DefaultMonitorSlices is the default slice count: enough to spread
 // sampled traffic from a typical shard/goroutine count, small enough
@@ -75,8 +93,8 @@ type arrayAcc struct {
 	accesses int64
 }
 
-// SlicedEpochMonitor is a drop-in replacement for EpochMonitor whose
-// Observe/ObserveBatch are safe to call concurrently. EpochCurve and
+// SlicedEpochMonitor is a per-epoch EWMA curve monitor whose Observe is
+// safe to call concurrently. EpochCurve and
 // HistogramSnapshot must be externally serialized with each other (the
 // adaptive runtime's epochMu does this), but may run concurrently with
 // observers: an access that races the drain lands in either this epoch
@@ -91,20 +109,12 @@ type SlicedEpochMonitor struct {
 	acc       [3]arrayAcc
 	retain    float64
 	effUnits  float64
-	scratch   sync.Pool // *[]sampledRef, ObserveBatch grouping
 	llc       int64
 }
 
-// sampledRef is one batch address that survived the sampling filter,
-// carried with its hashes so they are computed once.
-type sampledRef struct {
-	addr, hv, sv uint64
-	slice        int32
-}
-
 // NewSlicedEpochMonitor builds a sliced epoch monitor for an LLC (or
-// partition budget) of llcLines. retain follows NewEpochMonitor's
-// convention (≤ 0 or ≥ 1 selects DefaultRetain). nSlices ≤ 0 selects
+// partition budget) of llcLines. retain is the EWMA retention factor in
+// (0, 1); anything else selects DefaultRetain. nSlices ≤ 0 selects
 // DefaultMonitorSlices; the count is rounded down to a power of two and
 // clamped so the smallest array keeps at least one set per slice.
 func NewSlicedEpochMonitor(llcLines int64, retain float64, seed uint64, nSlices int) (*SlicedEpochMonitor, error) {
@@ -163,10 +173,6 @@ func NewSlicedEpochMonitor(llcLines int64, retain float64, seed uint64, nSlices 
 			a.hitCtr = make([]int64, sp.ways)
 		}
 	}
-	s.scratch.New = func() any {
-		buf := make([]sampledRef, 0, 256)
-		return &buf
-	}
 	return s, nil
 }
 
@@ -220,47 +226,6 @@ func (s *SlicedEpochMonitor) Observe(addr uint64) {
 	sl.mu.Unlock()
 }
 
-// ObserveBatch feeds a batch of pre-sampling accesses, in order — the
-// result is byte-identical to observing each address individually. The
-// batch is filtered and grouped by slice first, so each touched slice's
-// lock is taken once per batch rather than once per sampled access.
-// Safe for concurrent use; per-set access order within the batch is
-// preserved because grouping is a stable scan.
-func (s *SlicedEpochMonitor) ObserveBatch(addrs []uint64) {
-	buf := s.scratch.Get().(*[]sampledRef)
-	refs := (*buf)[:0]
-	for _, addr := range addrs {
-		hv := s.h.Hash(addr)
-		if hv >= s.maxThresh {
-			continue
-		}
-		sv := bankSetValue(addr, s.setSeed)
-		refs = append(refs, sampledRef{addr: addr, hv: hv, sv: sv, slice: int32(s.sliceOf(sv))})
-	}
-	for si := 0; si < s.nSlices && len(refs) > 0; si++ {
-		first := -1
-		for j := range refs {
-			if int(refs[j].slice) == si {
-				first = j
-				break
-			}
-		}
-		if first < 0 {
-			continue
-		}
-		sl := &s.slices[si]
-		sl.mu.Lock()
-		for j := first; j < len(refs); j++ {
-			if int(refs[j].slice) == si {
-				sl.observe(refs[j].addr, refs[j].hv, refs[j].sv)
-			}
-		}
-		sl.mu.Unlock()
-	}
-	*buf = refs[:0]
-	s.scratch.Put(buf)
-}
-
 // observe fans one sampled access out to the slice's array segments.
 // Caller holds sl.mu.
 func (sl *monSlice) observe(addr, hv, sv uint64) {
@@ -309,9 +274,10 @@ func (s *SlicedEpochMonitor) drain() {
 // EpochCurve closes the current epoch: drains the slices, accounts
 // unitsThisEpoch, extracts the combined miss curve from the EWMA'd
 // accumulators, then decays accumulators and denominator for the next
-// epoch — the exact sequence (and arithmetic) of
-// EpochMonitor.EpochCurve. Must be externally serialized with other
-// EpochCurve/HistogramSnapshot calls; concurrent observers are fine.
+// epoch. The returned curve is in misses per kilo-unit; an error means
+// no sampled access has been seen yet, and the epoch still advances.
+// Must be externally serialized with other EpochCurve/HistogramSnapshot
+// calls; concurrent observers are fine.
 func (s *SlicedEpochMonitor) EpochCurve(unitsThisEpoch float64) (*curve.Curve, error) {
 	s.drain()
 	s.effUnits += unitsThisEpoch
@@ -337,7 +303,7 @@ func (s *SlicedEpochMonitor) EpochCurve(unitsThisEpoch float64) (*curve.Curve, e
 // HistogramSnapshot drains pending slice counters and returns copies of
 // the three arrays' accumulated hit histograms in bank order (sub, fine,
 // coarse) plus their sampled access counts — the state the byte-identity
-// tests compare against an EpochMonitor fed the same stream. Serialize
+// tests compare against an LRUMonitor fed the same stream. Serialize
 // with EpochCurve.
 func (s *SlicedEpochMonitor) HistogramSnapshot() (hists [3][]int64, accesses [3]int64) {
 	s.drain()

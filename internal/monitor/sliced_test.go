@@ -6,15 +6,40 @@ import (
 	"sync"
 	"testing"
 
+	"talus/internal/curve"
 	"talus/internal/hash"
 )
 
+// manualEWMA is the reference the sliced bank is checked against: one
+// classic LRUMonitor whose caller keeps the per-epoch EWMA by hand.
+type manualEWMA struct {
+	mon      *LRUMonitor
+	effUnits float64
+}
+
+func newManualEWMA(t *testing.T, llc int64, seed uint64) *manualEWMA {
+	t.Helper()
+	mon, err := NewLRUMonitor(llc, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &manualEWMA{mon: mon}
+}
+
+func (m *manualEWMA) epochCurve(units float64) (*curve.Curve, error) {
+	m.effUnits += units
+	c, err := m.mon.Curve(m.effUnits / 1000)
+	m.mon.Decay(DefaultRetain)
+	m.effUnits *= DefaultRetain
+	return c, err
+}
+
 // feedEpochs drives the same phased stream through both monitors with
-// epochs closed at the same boundaries, returning the curves from each
-// epoch. The stream mixes a cyclic scan with random reuse so every array
+// epochs closed at the same boundaries, comparing histograms and curves
+// at each. The stream mixes a cyclic scan with random reuse so every array
 // sees hits at several depths and the EWMA decay truncation is exercised
 // on non-trivial counter values.
-func feedEpochs(t *testing.T, em *EpochMonitor, sm *SlicedEpochMonitor, epochs, perEpoch int, seed uint64) {
+func feedEpochs(t *testing.T, em *manualEWMA, sm *SlicedEpochMonitor, epochs, perEpoch int, seed uint64) {
 	t.Helper()
 	rng := hash.NewSplitMix64(seed)
 	for e := 0; e < epochs; e++ {
@@ -26,21 +51,12 @@ func feedEpochs(t *testing.T, em *EpochMonitor, sm *SlicedEpochMonitor, epochs, 
 				addrs[i] = 1 << 20 * (rng.Next()%4096 + 1) // random reuse
 			}
 		}
-		// Mix the entry points: batch on one side, singles on the other,
-		// alternating — all four paths must agree.
-		if e%2 == 0 {
-			em.ObserveBatch(addrs)
-			for _, a := range addrs {
-				sm.Observe(a)
-			}
-		} else {
-			for _, a := range addrs {
-				em.Observe(a)
-			}
-			sm.ObserveBatch(addrs)
+		for _, a := range addrs {
+			em.mon.Observe(a)
+			sm.Observe(a)
 		}
 
-		eh, ea := em.Monitor().HistogramSnapshot()
+		eh, ea := em.mon.HistogramSnapshot()
 		sh, sa := sm.HistogramSnapshot()
 		for i := range eh {
 			if ea[i] != sa[i] {
@@ -53,7 +69,7 @@ func feedEpochs(t *testing.T, em *EpochMonitor, sm *SlicedEpochMonitor, epochs, 
 			}
 		}
 
-		ec, eErr := em.EpochCurve(float64(perEpoch))
+		ec, eErr := em.epochCurve(float64(perEpoch))
 		sc, sErr := sm.EpochCurve(float64(perEpoch))
 		if (eErr == nil) != (sErr == nil) {
 			t.Fatalf("epoch %d: error mismatch: single=%v sliced=%v", e, eErr, sErr)
@@ -73,18 +89,15 @@ func feedEpochs(t *testing.T, em *EpochMonitor, sm *SlicedEpochMonitor, epochs, 
 	}
 }
 
-// TestSlicedMatchesEpoch pins the tentpole's core identity: a
+// TestSlicedMatchesEpoch pins the sliced bank's core identity: a
 // SlicedEpochMonitor fed any stream produces, at every epoch boundary,
-// bit-identical hit histograms, sampled-access counts, and curves to an
-// EpochMonitor fed the same stream — across EWMA decay, warm tags, and
-// both batch and single entry points.
+// bit-identical hit histograms, sampled-access counts, and curves to a
+// classic LRUMonitor with hand-kept EWMA fed the same stream — across
+// EWMA decay and warm tags, at every slice count.
 func TestSlicedMatchesEpoch(t *testing.T) {
 	for _, llc := range []int64{2048, 16384, 131072} {
 		for _, slices := range []int{1, 2, 8, 64} {
-			em, err := NewEpochMonitor(llc, DefaultRetain, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
+			em := newManualEWMA(t, llc, 42)
 			sm, err := NewSlicedEpochMonitor(llc, DefaultRetain, 42, slices)
 			if err != nil {
 				t.Fatal(err)
@@ -124,14 +137,11 @@ func TestSlicedSliceClamp(t *testing.T) {
 // many goroutines — each feeding a stream pre-filtered to a single
 // slice, so every set's access order is deterministic even under racing
 // schedulers — and requires the merged histograms to be byte-identical
-// to a single EpochMonitor fed the same streams sequentially. Run with
+// to a single LRUMonitor fed the same streams sequentially. Run with
 // -race this also hammers the slice-locking discipline.
 func TestSlicedConcurrentMatchesSequential(t *testing.T) {
 	const llc = 65536
-	em, err := NewEpochMonitor(llc, DefaultRetain, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	em := newManualEWMA(t, llc, 7)
 	sm, err := NewSlicedEpochMonitor(llc, DefaultRetain, 7, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -155,18 +165,11 @@ func TestSlicedConcurrentMatchesSequential(t *testing.T) {
 			wg.Add(1)
 			go func(stream []uint64) {
 				defer wg.Done()
-				// Ragged batches exercise both entry points concurrently.
+				// Ragged runs between yields vary the interleaving.
 				for i := 0; i < len(stream); {
-					n := 64 + i%129
-					if i+n > len(stream) {
-						n = len(stream) - i
-					}
-					if i%2 == 0 {
-						sm.ObserveBatch(stream[i : i+n])
-					} else {
-						for _, a := range stream[i : i+n] {
-							sm.Observe(a)
-						}
+					n := min(64+i%129, len(stream)-i)
+					for _, a := range stream[i : i+n] {
+						sm.Observe(a)
 					}
 					i += n
 					runtime.Gosched()
@@ -175,9 +178,11 @@ func TestSlicedConcurrentMatchesSequential(t *testing.T) {
 		}
 		wg.Wait()
 		for _, stream := range perSlice {
-			em.ObserveBatch(stream)
+			for _, a := range stream {
+				em.mon.Observe(a)
+			}
 		}
-		eh, ea := em.Monitor().HistogramSnapshot()
+		eh, ea := em.mon.HistogramSnapshot()
 		sh, sa := sm.HistogramSnapshot()
 		for i := range eh {
 			if ea[i] != sa[i] {
@@ -190,7 +195,7 @@ func TestSlicedConcurrentMatchesSequential(t *testing.T) {
 			}
 		}
 		// Decay between rounds so warm-tag + EWMA state carries over.
-		if _, err := em.EpochCurve(1000); err != nil {
+		if _, err := em.epochCurve(1000); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sm.EpochCurve(1000); err != nil {
@@ -201,7 +206,7 @@ func TestSlicedConcurrentMatchesSequential(t *testing.T) {
 
 // TestSlicedObserveDuringEpochCurve races observers against epoch
 // drains; under -race this pins that EpochCurve's drain and concurrent
-// Observe/ObserveBatch are properly synchronized. Timing decides which
+// Observe are properly synchronized. Timing decides which
 // epoch a racing access lands in, so the assertion is race-cleanliness
 // plus a well-formed curve, not specific counter values.
 func TestSlicedObserveDuringEpochCurve(t *testing.T) {
@@ -216,17 +221,15 @@ func TestSlicedObserveDuringEpochCurve(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := hash.NewSplitMix64(uint64(g) * 977)
-			batch := make([]uint64, 128)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				for i := range batch {
-					batch[i] = rng.Next() % 50000
+				for i := 0; i < 128; i++ {
+					sm.Observe(rng.Next() % 50000)
 				}
-				sm.ObserveBatch(batch)
 			}
 		}(g)
 	}

@@ -56,9 +56,8 @@ type AdaptiveConfig struct {
 	Policy        string // "" → "LRU"
 	Shards        int    // 0 → 1 (deterministic sequential feed)
 
-	Allocator     string  // "hill", "lookahead", "fair", "optimal"; "" → "hill"
-	EpochAccesses int64   // control-loop interval; 0 → adaptive default
-	Retain        float64 // monitor EWMA retention; 0 → 0.5
+	Allocator     string // "hill", "lookahead", "fair", "optimal"; "" → "hill"
+	EpochAccesses int64  // control-loop interval; 0 → adaptive default
 	// Margin is the Talus safety margin: 0 selects the paper's
 	// DefaultMargin (5%); negative disables it.
 	Margin float64
@@ -72,7 +71,6 @@ type AdaptiveConfig struct {
 	MaxEpoch int64
 
 	AccessesPerApp int64 // traffic per app; 0 → 4M
-	BatchLen       int   // accesses per AccessBatch call; 0 → 2048
 	// TailFrac is the fraction of each app's trailing accesses measured
 	// for steady-state miss rates (the head is the convergence window);
 	// 0 → 0.5.
@@ -99,9 +97,6 @@ func (c *AdaptiveConfig) defaults() error {
 	if c.AccessesPerApp <= 0 {
 		c.AccessesPerApp = 4 << 20
 	}
-	if c.BatchLen <= 0 {
-		c.BatchLen = 2048
-	}
 	if c.TailFrac <= 0 || c.TailFrac > 1 {
 		c.TailFrac = 0.5
 	}
@@ -109,6 +104,27 @@ func (c *AdaptiveConfig) defaults() error {
 		return fmt.Errorf("sim: %d weights for %d apps", len(c.Weights), len(c.Apps))
 	}
 	return nil
+}
+
+// buildCache resolves a defaulted config's allocator and builds the
+// adaptive cache, one partition per app — the one AdaptiveConfig →
+// adaptive.Config translation the live and the trace-driven runs both
+// use.
+func (c *AdaptiveConfig) buildCache() (*adaptive.Cache, error) {
+	allocator, err := alloc.ByName(c.Allocator)
+	if err != nil {
+		return nil, err
+	}
+	return BuildAdaptiveCache(c.Scheme, c.CapacityLines, c.Assoc, c.Shards, len(c.Apps),
+		c.Policy, c.Margin, adaptive.Config{
+			EpochAccesses: c.EpochAccesses,
+			Allocator:     allocator,
+			Seed:          c.Seed,
+			Weights:       c.Weights,
+			SelfTune:      c.SelfTune,
+			MinEpoch:      c.MinEpoch,
+			MaxEpoch:      c.MaxEpoch,
+		})
 }
 
 // AdaptiveResult reports an adaptive run's steady-state outcomes.
@@ -121,40 +137,10 @@ type AdaptiveResult struct {
 	Epochs    int
 }
 
-// RunAdaptive drives one adaptive run: each app's stream is fed to its
-// own logical partition in interleaved batches, the control loop adapts
-// as it goes, and miss rates are measured over each app's trailing
-// TailFrac of accesses (after the loop has had the head to converge).
-func RunAdaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
-	allocator, err := alloc.ByName(cfg.Allocator)
-	if err != nil {
-		return nil, err
-	}
-	n := len(cfg.Apps)
-	ac, err := BuildAdaptiveCache(cfg.Scheme, cfg.CapacityLines, cfg.Assoc, cfg.Shards, n,
-		cfg.Policy, cfg.Margin, adaptive.Config{
-			EpochAccesses: cfg.EpochAccesses,
-			Retain:        cfg.Retain,
-			Allocator:     allocator,
-			Seed:          cfg.Seed,
-			Weights:       cfg.Weights,
-			SelfTune:      cfg.SelfTune,
-			MinEpoch:      cfg.MinEpoch,
-			MaxEpoch:      cfg.MaxEpoch,
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	apps := make([]*workload.App, n)
-	for i, spec := range cfg.Apps {
-		apps[i] = workload.NewApp(spec, cfg.Seed+uint64(i)*7919)
-	}
-	misses, accs := FeedAdaptive(ac, apps, cfg.AccessesPerApp, cfg.BatchLen, cfg.TailFrac)
-
+// adaptiveResult assembles the per-partition report from a fed cache and
+// the measured tail counts.
+func adaptiveResult(ac *adaptive.Cache, specs []workload.Spec, misses, accs []int64) *AdaptiveResult {
+	n := len(specs)
 	res := &AdaptiveResult{
 		Apps:      make([]string, n),
 		MPKI:      make([]float64, n),
@@ -163,58 +149,73 @@ func RunAdaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 		Curves:    make([]*curve.Curve, n),
 		Epochs:    ac.Epochs(),
 	}
-	for i, spec := range cfg.Apps {
-		res.Apps[i] = spec.Name
-		res.Curves[i] = ac.Curve(i)
-		if accs[i] > 0 {
-			res.MissRatio[i] = float64(misses[i]) / float64(accs[i])
-			res.MPKI[i] = mpkiOf(misses[i], accs[i], spec.APKI)
+	for p, spec := range specs {
+		res.Apps[p] = spec.Name
+		res.Curves[p] = ac.Curve(p)
+		if accs[p] > 0 {
+			res.MissRatio[p] = float64(misses[p]) / float64(accs[p])
+			res.MPKI[p] = mpkiOf(misses[p], accs[p], spec.APKI)
 		}
 	}
-	return res, nil
+	return res
 }
 
-// BatchCache is the slice of cache functionality the traffic feeder
-// needs; adaptive.Cache and core.ShadowedCache both provide it.
-type BatchCache interface {
-	AccessBatch(addrs []uint64, p int, hits []bool) int
+// RunAdaptive drives one adaptive run: each app's stream is fed to its
+// own logical partition in interleaved runs, the control loop adapts as
+// it goes, and miss rates are measured over each app's trailing TailFrac
+// of accesses (after the loop has had the head to converge).
+func RunAdaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
+	if err := cfg.defaults(); err != nil {
+		return nil, err
+	}
+	ac, err := cfg.buildCache()
+	if err != nil {
+		return nil, err
+	}
+	apps := make([]*workload.App, len(cfg.Apps))
+	for i, spec := range cfg.Apps {
+		apps[i] = workload.NewApp(spec, cfg.Seed+uint64(i)*7919)
+	}
+	misses, accs := FeedAdaptive(ac, apps, cfg.AccessesPerApp, cfg.TailFrac)
+	return adaptiveResult(ac, cfg.Apps, misses, accs), nil
 }
+
+// Accessor is the slice of cache functionality the traffic feeders need;
+// adaptive.Cache and core.ShadowedCache both provide it.
+type Accessor interface {
+	Access(addr uint64, p int) bool
+}
+
+// feedRunLen is the live feeders' traffic shape: apps take turns, each
+// contributing this many consecutive accesses per turn.
+const feedRunLen = 2048
 
 // FeedAdaptive interleaves accessesPerApp accesses from each app into
-// its partition of ac in batches of batchLen, and returns per-app miss
-// and access counts over each app's trailing tailFrac of the stream.
-// Also used by tests to drive phase-by-phase traffic at a cache that
-// persists across calls — adaptive, or a statically configured
-// ShadowedCache serving as the oracle baseline.
-func FeedAdaptive(ac BatchCache, apps []*workload.App, accessesPerApp int64, batchLen int, tailFrac float64) (misses, accs []int64) {
+// its partition of ac, round-robin in runs of feedRunLen, and returns
+// per-app miss and access counts over each app's trailing tailFrac of
+// the stream. Also used by tests to drive phase-by-phase traffic at a
+// cache that persists across calls — adaptive, or a statically
+// configured ShadowedCache serving as the oracle baseline.
+func FeedAdaptive(ac Accessor, apps []*workload.App, accessesPerApp int64, tailFrac float64) (misses, accs []int64) {
 	n := len(apps)
 	misses = make([]int64, n)
 	accs = make([]int64, n)
 	fed := make([]int64, n)
 	tailStart := accessesPerApp - int64(tailFrac*float64(accessesPerApp))
-	batch := make([]uint64, batchLen)
-	hits := make([]bool, batchLen)
 	for done := false; !done; {
 		done = true
 		for i, app := range apps {
-			left := accessesPerApp - fed[i]
-			if left <= 0 {
+			k := min(feedRunLen, accessesPerApp-fed[i])
+			if k <= 0 {
 				continue
 			}
 			done = false
-			k := int64(batchLen)
-			if k > left {
-				k = left
-			}
 			space := AppSpace(i)
 			for j := int64(0); j < k; j++ {
-				batch[j] = app.Next() | space
-			}
-			ac.AccessBatch(batch[:k], i, hits[:k])
-			for j := int64(0); j < k; j++ {
+				hit := ac.Access(app.Next()|space, i)
 				if fed[i]+j >= tailStart {
 					accs[i]++
-					if !hits[j] {
+					if !hit {
 						misses[i]++
 					}
 				}

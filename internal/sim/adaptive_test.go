@@ -22,7 +22,6 @@ const (
 	e2eScan     = 6144 // scan footprint: cliff past any fair share
 	e2eRand     = 4096 // random working set
 	e2ePerApp   = 3 << 20
-	e2eBatch    = 2048
 	e2eTail     = 0.25 // steady-state measurement window
 	e2eEpoch    = 1 << 18
 )
@@ -94,7 +93,7 @@ func oracleMissRatio(t *testing.T, specs []workload.Spec, seed uint64) float64 {
 	for i, spec := range specs {
 		apps[i] = workload.NewApp(spec, seed+uint64(i)*7919)
 	}
-	misses, accs := FeedAdaptive(sc, apps, e2ePerApp, e2eBatch, e2eTail)
+	misses, accs := FeedAdaptive(sc, apps, e2ePerApp, e2eTail)
 	return ratioOf(misses, accs)
 }
 
@@ -123,7 +122,7 @@ func TestAdaptiveTracksOracleAcrossPhases(t *testing.T) {
 		for i, spec := range specs {
 			apps[i] = workload.NewApp(spec, seed+uint64(i)*7919)
 		}
-		misses, accs := FeedAdaptive(ac, apps, e2ePerApp, e2eBatch, e2eTail)
+		misses, accs := FeedAdaptive(ac, apps, e2ePerApp, e2eTail)
 		return ratioOf(misses, accs)
 	}
 

@@ -151,12 +151,12 @@ func buildMixCache(cfg *MixConfig) (mixCache, bool, error) {
 		tc, err := core.NewShadowedCache(inner, n, cfg.Margin, cfg.Seed^0x7A105)
 		return &talusMix{tc}, true, err
 	}
-	return nil, false, fmt.Errorf("sim: unknown mode %q (valid: %s)", cfg.Mode, validModes)
+	return nil, false, fmt.Errorf("sim: unknown mode %q (valid: %s)", cfg.Mode, ValidModes)
 }
 
-// validModes enumerates every management scheme buildMixCache accepts,
-// for error messages that teach the caller the vocabulary.
-const validModes = "lru, tadrrip, hill-lru, lookahead-lru, fair-lru, talus-hill, talus-fair, talus-lookahead"
+// ValidModes enumerates every management scheme buildMixCache accepts,
+// for error messages and flag help that teach the caller the vocabulary.
+const ValidModes = "lru, tadrrip, hill-lru, lookahead-lru, fair-lru, talus-hill, talus-fair, talus-lookahead"
 
 // allocatorFor maps a management mode to its allocation policy and
 // whether curves are convexified (the Talus pre-processing step) before
@@ -220,6 +220,25 @@ func RunMixes(cfgs []MixConfig, parallelism int) ([]*MixResult, error) {
 	return results, nil
 }
 
+// closeEpoch closes every monitor's epoch with units[i] as monitor i's
+// denominator, stores the extracted curves, and reports whether every
+// monitor produced one. All epochs are closed even when an earlier
+// monitor has no sampled access yet: a monitor left open would keep
+// undecayed counters against an unadvanced denominator, and its next
+// curve would come out over-scaled.
+func closeEpoch(mons []*monitor.SlicedEpochMonitor, units []float64, curves []*curve.Curve) bool {
+	ok := true
+	for i, m := range mons {
+		c, err := m.EpochCurve(units[i])
+		if err != nil {
+			ok = false
+			continue
+		}
+		curves[i] = c
+	}
+	return ok
+}
+
 // RunMix simulates one multi-programmed mix and returns per-app results.
 func RunMix(cfg MixConfig) (*MixResult, error) {
 	if err := cfg.defaults(); err != nil {
@@ -232,11 +251,12 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 	}
 
 	apps := make([]*workload.App, n)
-	mons := make([]*monitor.EpochMonitor, n)
+	mons := make([]*monitor.SlicedEpochMonitor, n)
 	for i, spec := range cfg.Apps {
 		apps[i] = workload.NewApp(spec, cfg.Seed+uint64(i)*7919)
 		if managed {
-			mons[i], err = monitor.NewEpochMonitor(cfg.CapacityLines, monitor.DefaultRetain, cfg.Seed+uint64(i)*104729)
+			// One slice: the mix simulator feeds sequentially.
+			mons[i], err = monitor.NewSlicedEpochMonitor(cfg.CapacityLines, monitor.DefaultRetain, cfg.Seed+uint64(i)*104729, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -342,19 +362,13 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 
 		// Reconfigure for the next epoch. The epoch monitors decay rather
 		// than reset, so curves integrate history with a one-epoch
-		// half-life (monitor.EpochMonitor owns the EWMA bookkeeping).
+		// half-life.
 		if managed {
-			ok := true
-			for i := range mons {
-				instr := float64(epochAcc[i]) * 1000 / cfg.Apps[i].APKI
-				c, err := mons[i].EpochCurve(instr)
-				if err != nil {
-					ok = false
-					break
-				}
-				curves[i] = c
+			instr := make([]float64, n)
+			for i, spec := range cfg.Apps {
+				instr[i] = float64(epochAcc[i]) * 1000 / spec.APKI
 			}
-			if ok {
+			if closeEpoch(mons, instr, curves) {
 				budget := mc.Budget()
 				granule := budget / 64
 				if granule < 1 {

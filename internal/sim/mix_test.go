@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"talus/internal/curve"
+	"talus/internal/hash"
+	"talus/internal/monitor"
 	"talus/internal/stats"
 	"talus/internal/workload"
 )
@@ -186,6 +189,55 @@ func TestMixDeterminism(t *testing.T) {
 	for i := range r1.IPC {
 		if r1.IPC[i] != r2.IPC[i] || r1.MPKI[i] != r2.MPKI[i] {
 			t.Fatal("same-seed mixes must be bit-identical")
+		}
+	}
+}
+
+// TestCloseEpochClosesEveryMonitor is the regression test for RunMix's
+// epoch-close step stopping at the first monitor with no sampled access:
+// a monitor that is still empty in the first epoch, ahead of a busy one,
+// must not change the busy one's second-epoch curve (left open, it kept
+// undecayed counters against an unadvanced denominator and read
+// over-scaled).
+func TestCloseEpochClosesEveryMonitor(t *testing.T) {
+	const llc, perEpoch = 4096, 100_000
+	newMon := func() *monitor.SlicedEpochMonitor {
+		m, err := monitor.NewSlicedEpochMonitor(llc, monitor.DefaultRetain, 17, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	late, behind, alone := newMon(), newMon(), newMon()
+	pair := []*monitor.SlicedEpochMonitor{late, behind}
+	solo := []*monitor.SlicedEpochMonitor{alone}
+	pairCurves := make([]*curve.Curve, 2)
+	soloCurves := make([]*curve.Curve, 1)
+
+	rng := hash.NewSplitMix64(3)
+	for epoch := 0; epoch < 2; epoch++ {
+		for i := 0; i < perEpoch; i++ {
+			addr := rng.Uint64n(2048)
+			behind.Observe(addr)
+			alone.Observe(addr)
+			if epoch > 0 {
+				late.Observe(addr)
+			}
+		}
+		if got, want := closeEpoch(pair, []float64{perEpoch, perEpoch}, pairCurves), epoch > 0; got != want {
+			t.Fatalf("epoch %d: closeEpoch = %v with the late monitor empty = %v", epoch, got, !want)
+		}
+		if !closeEpoch(solo, []float64{perEpoch}, soloCurves) {
+			t.Fatalf("epoch %d: busy monitor produced no curve", epoch)
+		}
+	}
+	got, want := pairCurves[1].Points(), soloCurves[0].Points()
+	if len(got) != len(want) {
+		t.Fatalf("second-epoch curve has %d points behind a late monitor, %d alone", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("second-epoch point %d: %+v behind a late monitor, %+v alone", i, got[i], want[i])
 		}
 	}
 }

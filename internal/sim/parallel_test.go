@@ -119,12 +119,8 @@ func TestShardedPointConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := hash.NewSplitMix64(3)
-	addrs := make([]uint64, 1024)
-	for b := 0; b < 16; b++ {
-		for i := range addrs {
-			addrs[i] = rng.Uint64n(16384)
-		}
-		sc.AccessBatch(addrs, nil, nil)
+	for i := 0; i < 16*1024; i++ {
+		sc.Access(rng.Uint64n(16384), 0)
 	}
 	st := sc.Stats()
 	if st.Accesses != 16*1024 || st.Hits+st.Misses != st.Accesses {

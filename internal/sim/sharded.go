@@ -14,10 +14,9 @@ import (
 // BuildShardedCache constructs a goroutine-safe LLC striped across
 // numShards independently locked shards, each a BuildCache of the same
 // scheme/policy over its share of capacityLines (see cache.ShardCapacity
-// for the split). The result implements core.PartitionedCache and
-// core.BatchAccessor, so it can back a core.ShadowedCache directly: a
-// Talus runtime over a sharded inner cache serves concurrent traffic end
-// to end.
+// for the split). The result implements core.PartitionedCache, so it
+// can back a core.ShadowedCache directly: a Talus runtime over a sharded
+// inner cache serves concurrent traffic end to end.
 func BuildShardedCache(scheme string, capacityLines int64, assoc, numShards, numPartitions int, policyName string, threads int, seed uint64) (*cache.ShardedCache, error) {
 	if numShards <= 0 {
 		return nil, cache.ErrBadShards
@@ -35,8 +34,5 @@ func BuildShardedCache(scheme string, capacityLines int64, assoc, numShards, num
 }
 
 // Compile-time proof that the sharded cache slots in wherever the Talus
-// runtime expects a partitioned cache, with batching.
-var (
-	_ core.PartitionedCache = (*cache.ShardedCache)(nil)
-	_ core.BatchAccessor    = (*cache.ShardedCache)(nil)
-)
+// runtime expects a partitioned cache.
+var _ core.PartitionedCache = (*cache.ShardedCache)(nil)

@@ -3,9 +3,10 @@
 // happens at the feeder level (the same interleaving FeedAdaptive
 // drives), and addresses are stored in each generator's private space —
 // the per-app address-space offset (AppSpace) is applied by the feeders
-// on both the live and replay paths, so a recorded stream replayed at
-// the same batch length is byte-identical to the live one and produces
-// identical miss counts on an identically built cache.
+// on both the live and replay paths. Replay is one Access per record, in
+// record order, so the trace alone determines it: a recorded stream is
+// byte-identical to the live one and produces identical miss counts on
+// an identically built cache.
 
 package sim
 
@@ -15,34 +16,24 @@ import (
 	"os"
 
 	"talus/internal/adaptive"
-	"talus/internal/alloc"
-	"talus/internal/curve"
 	"talus/internal/trace"
 	"talus/internal/workload"
 )
 
 // RecordApps writes the interleaved stream FeedAdaptive would feed —
-// accessesPerApp accesses per app in round-robin batches of batchLen —
+// accessesPerApp accesses per app, round-robin in runs of feedRunLen —
 // to w, one record per access, without the AppSpace offset (feeders
 // re-apply it at replay).
-func RecordApps(w *trace.Writer, apps []*workload.App, accessesPerApp int64, batchLen int) error {
-	if batchLen <= 0 {
-		batchLen = 2048
-	}
-	n := len(apps)
-	fed := make([]int64, n)
+func RecordApps(w *trace.Writer, apps []*workload.App, accessesPerApp int64) error {
+	fed := make([]int64, len(apps))
 	for done := false; !done; {
 		done = true
 		for i, app := range apps {
-			left := accessesPerApp - fed[i]
-			if left <= 0 {
+			k := min(feedRunLen, accessesPerApp-fed[i])
+			if k <= 0 {
 				continue
 			}
 			done = false
-			k := int64(batchLen)
-			if k > left {
-				k = left
-			}
 			for j := int64(0); j < k; j++ {
 				if err := w.Append(i, app.Next()); err != nil {
 					return err
@@ -60,7 +51,7 @@ func RecordApps(w *trace.Writer, apps []*workload.App, accessesPerApp int64, bat
 // recorded at seed S replays — via RunAdaptiveTraceFile on an
 // identically configured cache — exactly as RunAdaptive(cfg with Seed S)
 // runs live.
-func RecordSpecs(path string, specs []workload.Spec, accessesPerApp int64, batchLen int, seed uint64, gz bool) (int64, error) {
+func RecordSpecs(path string, specs []workload.Spec, accessesPerApp int64, seed uint64, gz bool) (int64, error) {
 	if len(specs) == 0 {
 		return 0, fmt.Errorf("sim: recording needs apps")
 	}
@@ -86,7 +77,7 @@ func RecordSpecs(path string, specs []workload.Spec, accessesPerApp int64, batch
 		f.Close()
 		return 0, err
 	}
-	if err := RecordApps(w, apps, accessesPerApp, batchLen); err != nil {
+	if err := RecordApps(w, apps, accessesPerApp); err != nil {
 		f.Close()
 		return 0, err
 	}
@@ -109,59 +100,35 @@ func SpecsFromTrace(path string) ([]workload.Spec, error) {
 	return t.Specs()
 }
 
-// FeedAdaptiveTraceReader drives a trace.Reader record by record into
-// ac without loading the trace — maximal same-partition runs fed as
-// batches capped at batchLen, the AppSpace offset applied exactly as
-// FeedAdaptive does, so batch boundaries (hence epoch crossings and miss
-// counts) are identical to the live run's. Returns per-partition miss
-// and access counts from tailStart[p] on, the record index within
-// partition p where steady-state measurement begins (traceTailStarts
-// computes it from per-partition totals); memory use is one batch
-// regardless of trace length.
-func FeedAdaptiveTraceReader(ac BatchCache, r *trace.Reader, tailStart []int64, batchLen int) (misses, accs []int64, err error) {
-	if batchLen <= 0 {
-		batchLen = 2048
-	}
+// FeedAdaptiveTraceReader replays a trace.Reader into ac without loading
+// the trace: one Access per record, in record order, the AppSpace offset
+// applied exactly as FeedAdaptive does. Returns per-partition miss and
+// access counts from tailStart[p] on, the record index within partition
+// p where steady-state measurement begins (traceTailStarts computes it
+// from per-partition totals); memory use is constant regardless of trace
+// length.
+func FeedAdaptiveTraceReader(ac Accessor, r *trace.Reader, tailStart []int64) (misses, accs []int64, err error) {
 	n := r.Header().NumPartitions
 	misses = make([]int64, n)
 	accs = make([]int64, n)
 	fed := make([]int64, n)
-	batch := make([]uint64, batchLen)
-	hits := make([]bool, batchLen)
-	cur, k := 0, 0
-	flush := func() {
-		if k == 0 {
-			return
-		}
-		ac.AccessBatch(batch[:k], cur, hits[:k])
-		for j := 0; j < k; j++ {
-			if fed[cur]+int64(j) >= tailStart[cur] {
-				accs[cur]++
-				if !hits[j] {
-					misses[cur]++
-				}
-			}
-		}
-		fed[cur] += int64(k)
-		k = 0
-	}
 	for {
 		rec, e := r.Next()
 		if e == io.EOF {
-			break
+			return misses, accs, nil
 		}
 		if e != nil {
 			return nil, nil, e
 		}
-		if rec.P != cur || k == batchLen {
-			flush()
-			cur = rec.P
+		hit := ac.Access(rec.Addr|AppSpace(rec.P), rec.P)
+		if fed[rec.P] >= tailStart[rec.P] {
+			accs[rec.P]++
+			if !hit {
+				misses[rec.P]++
+			}
 		}
-		batch[k] = rec.Addr | AppSpace(rec.P)
-		k++
+		fed[rec.P]++
 	}
-	flush()
-	return misses, accs, nil
 }
 
 // traceTailStarts converts per-partition record totals and a tail
@@ -176,8 +143,8 @@ func traceTailStarts(totals []int64, tailFrac float64) []int64 {
 
 // traceShape streams path once and returns its header and per-partition
 // record counts: the pre-pass a streaming replay needs (tail boundaries
-// and partition count) at one batch of memory, where Load would hold
-// the whole trace.
+// and partition count) in constant memory, where Load would hold the
+// whole trace.
 func traceShape(path string) (trace.Header, []int64, error) {
 	r, err := trace.OpenFile(path)
 	if err != nil {
@@ -213,47 +180,16 @@ func adaptiveTraceCache(cfg AdaptiveConfig, hdr trace.Header) (*adaptive.Cache, 
 		specs = trace.HeaderSpecs(hdr)
 	}
 	// Borrow the generator-driven config's defaulting for the shared
-	// knobs (allocator, margin, batch length, tail fraction).
+	// knobs (allocator, margin, tail fraction) and its Weights length
+	// check — specs has one entry per trace partition, so that check and
+	// the cache's partition count both follow the trace.
 	probe := cfg
 	probe.Apps = specs
 	if err := probe.defaults(); err != nil {
 		return nil, cfg, err
 	}
-	allocator, err := alloc.ByName(probe.Allocator)
-	if err != nil {
-		return nil, cfg, err
-	}
-	ac, err := BuildAdaptiveCache(probe.Scheme, probe.CapacityLines, probe.Assoc, probe.Shards, n,
-		probe.Policy, probe.Margin, adaptive.Config{
-			EpochAccesses: probe.EpochAccesses,
-			Retain:        probe.Retain,
-			Allocator:     allocator,
-			Seed:          probe.Seed,
-		})
+	ac, err := probe.buildCache()
 	return ac, probe, err
-}
-
-// adaptiveTraceResult assembles the per-partition report from a fed
-// cache and the measured tail counts.
-func adaptiveTraceResult(ac *adaptive.Cache, specs []workload.Spec, misses, accs []int64) *AdaptiveResult {
-	n := len(specs)
-	res := &AdaptiveResult{
-		Apps:      make([]string, n),
-		MPKI:      make([]float64, n),
-		MissRatio: make([]float64, n),
-		Allocs:    ac.Allocations(),
-		Curves:    make([]*curve.Curve, n),
-		Epochs:    ac.Epochs(),
-	}
-	for p := 0; p < n; p++ {
-		res.Apps[p] = specs[p].Name
-		res.Curves[p] = ac.Curve(p)
-		if accs[p] > 0 {
-			res.MissRatio[p] = float64(misses[p]) / float64(accs[p])
-			res.MPKI[p] = mpkiOf(misses[p], accs[p], specs[p].APKI)
-		}
-	}
-	return res
 }
 
 // RunAdaptiveTraceFile drives one adaptive run from a recorded trace
@@ -263,7 +199,7 @@ func adaptiveTraceResult(ac *adaptive.Cache, specs []workload.Spec, misses, accs
 // scale MPKI); cfg.AccessesPerApp is ignored — the trace determines the
 // traffic. The replay streams: the file is scanned once for its shape
 // (partition counts → tail boundaries) and once more to feed the cache,
-// so traces larger than memory replay in one batch of memory, and
+// so traces larger than memory replay in constant memory, and
 // partitions with no records are tolerated (metadata-only specs need no
 // addresses).
 func RunAdaptiveTraceFile(cfg AdaptiveConfig, path string) (*AdaptiveResult, error) {
@@ -280,9 +216,9 @@ func RunAdaptiveTraceFile(cfg AdaptiveConfig, path string) (*AdaptiveResult, err
 		return nil, err
 	}
 	defer r.Close()
-	misses, accs, err := FeedAdaptiveTraceReader(ac, r.Reader, traceTailStarts(counts, probe.TailFrac), probe.BatchLen)
+	misses, accs, err := FeedAdaptiveTraceReader(ac, r.Reader, traceTailStarts(counts, probe.TailFrac))
 	if err != nil {
 		return nil, fmt.Errorf("sim: replaying %s: %w", path, err)
 	}
-	return adaptiveTraceResult(ac, probe.Apps, misses, accs), nil
+	return adaptiveResult(ac, probe.Apps, misses, accs), nil
 }

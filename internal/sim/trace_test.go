@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"talus/internal/adaptive"
+	"talus/internal/hash"
 	"talus/internal/trace"
 	"talus/internal/workload"
 )
@@ -27,33 +29,26 @@ func traceTestSpecs() []workload.Spec {
 	}
 }
 
-// captureCache records every batch fed to it, missing everything.
+// captureCache records every access fed to it, missing everything.
 type captureCache struct {
-	batches [][]uint64
-	parts   []int
+	addrs []uint64
+	parts []int
 }
 
-func (c *captureCache) AccessBatch(addrs []uint64, p int, hits []bool) int {
-	cp := make([]uint64, len(addrs))
-	copy(cp, addrs)
-	c.batches = append(c.batches, cp)
+func (c *captureCache) Access(addr uint64, p int) bool {
+	c.addrs = append(c.addrs, addr)
 	c.parts = append(c.parts, p)
-	for i := range hits {
-		hits[i] = false
-	}
-	return 0
+	return false
 }
 
 // TestRecordReplayByteIdentical asserts the acceptance criterion
-// directly: the batches FeedAdaptiveTraceReader feeds from a recording
-// are byte-identical — same boundaries, same partitions, same
-// addresses — to the ones FeedAdaptive feeds live at the same seed and
-// batch length.
+// directly: the accesses FeedAdaptiveTraceReader feeds from a recording
+// are byte-identical — same order, same partitions, same addresses — to
+// the ones FeedAdaptive feeds live at the same seed.
 func TestRecordReplayByteIdentical(t *testing.T) {
 	const (
-		perApp   = 1 << 14
-		batchLen = 512
-		seed     = 77
+		perApp = 1 << 14
+		seed   = 77
 	)
 	specs := traceTestSpecs()
 
@@ -66,14 +61,14 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 	}
 
 	live := &captureCache{}
-	FeedAdaptive(live, newApps(), perApp, batchLen, 0.5)
+	FeedAdaptive(live, newApps(), perApp, 0.5)
 
 	var buf bytes.Buffer
 	w, err := trace.NewWriter(&buf, len(specs), trace.WithGzip())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RecordApps(w, newApps(), perApp, batchLen); err != nil {
+	if err := RecordApps(w, newApps(), perApp); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -85,7 +80,7 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 	}
 	replay := &captureCache{}
 	tailStart := traceTailStarts([]int64{perApp, perApp}, 0.5)
-	misses, accs, err := FeedAdaptiveTraceReader(replay, r, tailStart, batchLen)
+	misses, accs, err := FeedAdaptiveTraceReader(replay, r, tailStart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,21 +93,13 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 		}
 	}
 
-	if len(replay.batches) != len(live.batches) {
-		t.Fatalf("replay fed %d batches, live fed %d", len(replay.batches), len(live.batches))
+	if len(replay.addrs) != len(live.addrs) {
+		t.Fatalf("replay fed %d accesses, live fed %d", len(replay.addrs), len(live.addrs))
 	}
-	for b := range live.batches {
-		if replay.parts[b] != live.parts[b] {
-			t.Fatalf("batch %d partition %d, want %d", b, replay.parts[b], live.parts[b])
-		}
-		if len(replay.batches[b]) != len(live.batches[b]) {
-			t.Fatalf("batch %d length %d, want %d", b, len(replay.batches[b]), len(live.batches[b]))
-		}
-		for j := range live.batches[b] {
-			if replay.batches[b][j] != live.batches[b][j] {
-				t.Fatalf("batch %d addr %d = %#x, want %#x",
-					b, j, replay.batches[b][j], live.batches[b][j])
-			}
+	for i := range live.addrs {
+		if replay.parts[i] != live.parts[i] || replay.addrs[i] != live.addrs[i] {
+			t.Fatalf("access %d = (%d, %#x), want (%d, %#x)",
+				i, replay.parts[i], replay.addrs[i], live.parts[i], live.addrs[i])
 		}
 	}
 }
@@ -120,55 +107,170 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 // TestReplayDeterminism asserts the end-to-end half of the criterion: a
 // mix recorded with RecordSpecs and replayed through the adaptive loop
 // (RunAdaptiveTraceFile) reproduces the exact per-app miss and access
-// counts of the live generator run (RunAdaptive) at the same seed.
+// counts of the live generator run (RunAdaptive) at the same seed — for
+// every control-loop setting the config carries, not just the defaults.
 func TestReplayDeterminism(t *testing.T) {
 	specs := traceTestSpecs()
-	cfg := AdaptiveConfig{
+	base := AdaptiveConfig{
 		Apps:           specs,
 		CapacityLines:  8192,
 		EpochAccesses:  1 << 14,
-		AccessesPerApp: 1 << 16,
-		BatchLen:       512,
+		AccessesPerApp: 1 << 17,
 		Seed:           42,
 	}
-	liveRes, err := RunAdaptive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	path := filepath.Join(t.TempDir(), "mix.trc")
-	count, err := RecordSpecs(path, specs, cfg.AccessesPerApp, cfg.BatchLen, cfg.Seed, true)
+	count, err := RecordSpecs(path, specs, base.AccessesPerApp, base.Seed, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(len(specs)) * cfg.AccessesPerApp; count != want {
+	if want := int64(len(specs)) * base.AccessesPerApp; count != want {
 		t.Fatalf("recorded %d accesses, want %d", count, want)
 	}
 
-	replayCfg := cfg
-	replayCfg.Apps = nil // names and APKI come from the embedded metadata
-	replayRes, err := RunAdaptiveTraceFile(replayCfg, path)
+	tuned := base
+	tuned.SelfTune = true
+	tuned.Weights = []float64{1, 8}
+	tuned.MaxEpoch = 1 << 16
+	var results [2]*AdaptiveResult
+	for c, tc := range []struct {
+		name string
+		cfg  AdaptiveConfig
+	}{{"defaults", base}, {"self-tune+weights", tuned}} {
+		t.Run(tc.name, func(t *testing.T) {
+			liveRes, err := RunAdaptive(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[c] = liveRes
+			replayCfg := tc.cfg
+			replayCfg.Apps = nil // names and APKI come from the embedded metadata
+			replayRes, err := RunAdaptiveTraceFile(replayCfg, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range liveRes.Apps {
+				if replayRes.Apps[i] != liveRes.Apps[i] {
+					t.Fatalf("app %d = %q, want %q (metadata lost?)", i, replayRes.Apps[i], liveRes.Apps[i])
+				}
+				if replayRes.MissRatio[i] != liveRes.MissRatio[i] {
+					t.Fatalf("app %s miss ratio %v, want %v (replay not deterministic)",
+						liveRes.Apps[i], replayRes.MissRatio[i], liveRes.MissRatio[i])
+				}
+				if replayRes.MPKI[i] != liveRes.MPKI[i] {
+					t.Fatalf("app %s MPKI %v, want %v", liveRes.Apps[i], replayRes.MPKI[i], liveRes.MPKI[i])
+				}
+				if replayRes.Allocs[i] != liveRes.Allocs[i] {
+					t.Fatalf("app %s alloc %d, want %d", liveRes.Apps[i], replayRes.Allocs[i], liveRes.Allocs[i])
+				}
+			}
+			if replayRes.Epochs != liveRes.Epochs {
+				t.Fatalf("replay ran %d epochs, live ran %d", replayRes.Epochs, liveRes.Epochs)
+			}
+		})
+	}
+	// The tuned case only pins anything if the settings moved the run.
+	if results[0] != nil && results[1] != nil && results[0].Epochs == results[1].Epochs &&
+		results[0].Allocs[0] == results[1].Allocs[0] {
+		t.Fatalf("self-tune+weights left the live run unchanged (%d epochs, allocs %v)",
+			results[1].Epochs, results[1].Allocs)
+	}
+
+	// Weights are per partition: a vector that does not match the
+	// trace's partition count is refused, not truncated.
+	bad := base
+	bad.Apps = nil
+	bad.Weights = []float64{1, 2, 3}
+	if _, err := RunAdaptiveTraceFile(bad, path); err == nil {
+		t.Fatal("3 weights accepted for a 2-partition trace")
+	}
+}
+
+// TestReplayRaggedRunsMatchDirectAccess pins "the trace determines the
+// replay": a hand-written trace whose same-partition runs are ragged
+// (1, 3, 700, 5 000 records) replays exactly as the same sequence fed
+// through Access directly — no run is capped or regrouped, and epochs
+// (a budget no run length divides) fire at the same access.
+func TestReplayRaggedRunsMatchDirectAccess(t *testing.T) {
+	type rec struct {
+		p    int
+		addr uint64
+	}
+	var recs []rec
+	var scanPos uint64
+	rng := hash.NewSplitMix64(5)
+	for round := 0; round < 12; round++ {
+		for k, n := range []int{1, 3, 700, 5000} {
+			p := (round + k) % 2
+			for j := 0; j < n; j++ {
+				if p == 0 {
+					recs = append(recs, rec{0, scanPos % 6144})
+					scanPos++
+				} else {
+					recs = append(recs, rec{1, rng.Uint64n(3000)})
+				}
+			}
+		}
+	}
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	totals := make([]int64, 2)
+	for _, r := range recs {
+		if err := w.Append(r.p, r.addr); err != nil {
+			t.Fatal(err)
+		}
+		totals[r.p]++
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for i := range liveRes.Apps {
-		if replayRes.Apps[i] != liveRes.Apps[i] {
-			t.Fatalf("app %d = %q, want %q (metadata lost?)", i, replayRes.Apps[i], liveRes.Apps[i])
+	cfg := AdaptiveConfig{CapacityLines: 8192, EpochAccesses: 5003, Seed: 9}
+	build := func() *adaptive.Cache {
+		ac, _, err := adaptiveTraceCache(cfg, r.Header())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if replayRes.MissRatio[i] != liveRes.MissRatio[i] {
-			t.Fatalf("app %s miss ratio %v, want %v (replay not deterministic)",
-				liveRes.Apps[i], replayRes.MissRatio[i], liveRes.MissRatio[i])
-		}
-		if replayRes.MPKI[i] != liveRes.MPKI[i] {
-			t.Fatalf("app %s MPKI %v, want %v", liveRes.Apps[i], replayRes.MPKI[i], liveRes.MPKI[i])
-		}
-		if replayRes.Allocs[i] != liveRes.Allocs[i] {
-			t.Fatalf("app %s alloc %d, want %d", liveRes.Apps[i], replayRes.Allocs[i], liveRes.Allocs[i])
-		}
+		return ac
 	}
-	if replayRes.Epochs != liveRes.Epochs {
-		t.Fatalf("replay ran %d epochs, live ran %d", replayRes.Epochs, liveRes.Epochs)
+	tailStart := traceTailStarts(totals, 0.5)
+
+	replayed := build()
+	misses, accs, err := FeedAdaptiveTraceReader(replayed, r, tailStart)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	direct := build()
+	wantMisses, wantAccs, fed := make([]int64, 2), make([]int64, 2), make([]int64, 2)
+	for _, r := range recs {
+		hit := direct.Access(r.addr|AppSpace(r.p), r.p)
+		if fed[r.p] >= tailStart[r.p] {
+			wantAccs[r.p]++
+			if !hit {
+				wantMisses[r.p]++
+			}
+		}
+		fed[r.p]++
+	}
+
+	if replayed.Epochs() != direct.Epochs() || direct.Epochs() != len(recs)/5003 {
+		t.Fatalf("epochs: replay %d, direct %d, want %d", replayed.Epochs(), direct.Epochs(), len(recs)/5003)
+	}
+	for p := 0; p < 2; p++ {
+		if misses[p] != wantMisses[p] || accs[p] != wantAccs[p] {
+			t.Fatalf("partition %d: replay %d/%d misses, direct %d/%d",
+				p, misses[p], accs[p], wantMisses[p], wantAccs[p])
+		}
+		if got, want := replayed.Allocations()[p], direct.Allocations()[p]; got != want {
+			t.Fatalf("partition %d alloc: replay %d, direct %d", p, got, want)
+		}
 	}
 }
 
@@ -178,7 +280,7 @@ func TestReplayDeterminism(t *testing.T) {
 func TestStreamingReplayCorruptTrace(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.trc")
-	if _, err := RecordSpecs(good, traceTestSpecs(), 1<<12, 512, 3, false); err != nil {
+	if _, err := RecordSpecs(good, traceTestSpecs(), 1<<12, 3, false); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(good)
@@ -201,7 +303,7 @@ func TestStreamingReplayCorruptTrace(t *testing.T) {
 // drive the multi-programmed simulator.
 func TestSpecsFromTraceDrivesRunMix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mix.trc")
-	if _, err := RecordSpecs(path, traceTestSpecs(), 1<<14, 512, 7, false); err != nil {
+	if _, err := RecordSpecs(path, traceTestSpecs(), 1<<14, 7, false); err != nil {
 		t.Fatal(err)
 	}
 	specs, err := SpecsFromTrace(path)

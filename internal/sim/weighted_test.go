@@ -25,7 +25,6 @@ func TestWeightedTenantE2E(t *testing.T) {
 		Assoc:          e2eAssoc,
 		EpochAccesses:  1 << 17,
 		AccessesPerApp: 2 << 20,
-		BatchLen:       e2eBatch,
 		TailFrac:       e2eTail,
 		Seed:           61,
 	}
@@ -68,7 +67,6 @@ func TestSelfTuneE2E(t *testing.T) {
 		MaxEpoch:       1 << 19,
 		SelfTune:       true,
 		AccessesPerApp: 2 << 20,
-		BatchLen:       e2eBatch,
 		TailFrac:       e2eTail,
 		Seed:           62,
 	}

@@ -6,8 +6,8 @@
 // (sim.RunAdaptiveTraceFile) and the multi-programmed simulator from
 // recorded rather than synthetic streams. Because Talus is blind to
 // individual lines and driven only by the miss curve (paper §III), any
-// recorded stream realizing a curve exercises Talus faithfully, so a
-// trace replayed at the same batching is bit-for-bit equivalent to the
+// recorded stream realizing a curve exercises Talus faithfully, and a
+// trace replayed one access per record is bit-for-bit equivalent to the
 // live generator run it captured.
 //
 // # Format

@@ -13,15 +13,13 @@ import (
 // enough traffic for several epochs at the small test scales.
 func feedDeterministic(ac *AdaptiveCache, rounds int) {
 	parts := ac.NumLogical()
-	batch := make([]uint64, 256)
 	for round := 0; round < rounds; round++ {
 		for p := 0; p < parts; p++ {
-			for i := range batch {
+			for i := 0; i < 256; i++ {
 				// Partition p scans a footprint that grows with p, offset
 				// into its own address space like the feeders do.
-				batch[i] = uint64(round*256+i)%uint64(2048*(p+1)) | uint64(p+1)<<48
+				ac.Access(uint64(round*256+i)%uint64(2048*(p+1))|uint64(p+1)<<48, p)
 			}
-			ac.AccessBatch(batch, p, nil)
 		}
 	}
 }
@@ -155,12 +153,8 @@ func TestNewZeroOptions(t *testing.T) {
 		t.Fatalf("default capacity = %d lines, want %d (8 MB)", got, want)
 	}
 	// It serves traffic and reconfigures.
-	batch := make([]uint64, 512)
-	for i := range batch {
-		batch[i] = uint64(i) | 1<<48
-	}
-	if n := ac.AccessBatch(batch, 0, nil); n < 0 {
-		t.Fatal("batch failed")
+	for i := 0; i < 512; i++ {
+		ac.Access(uint64(i)|1<<48, 0)
 	}
 	if err := ac.ForceEpoch(); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@
 //     figures;
 //   - the concurrency layer: a sharded, per-shard-locked cache
 //     (ShardedCache, WithShards) that serves concurrent traffic under
-//     the Talus runtime via batched accesses (AccessBatch) — and the
+//     the Talus runtime, one Access per reference — and the
 //     parallel experiment engine (SweepConfig.Parallelism, RunMixes)
 //     whose results are byte-identical to sequential runs;
 //   - the online control loop: an epoch-driven runtime that monitors
@@ -68,8 +68,6 @@ type (
 	ShadowedCache = core.ShadowedCache
 	// PartitionedCache is the cache interface Talus partitions.
 	PartitionedCache = core.PartitionedCache
-	// BatchAccessor is the optional batch extension of PartitionedCache.
-	BatchAccessor = core.BatchAccessor
 	// ShardedCache is a goroutine-safe cache striped across locked shards.
 	ShardedCache = cache.ShardedCache
 	// CacheStats aggregates hit/miss counts over a cache's accesses.
@@ -224,14 +222,14 @@ func RunAdaptive(cfg AdaptiveRunConfig) (*AdaptiveRunResult, error) { return sim
 // exact stream RunAdaptive would feed at the same seed — to a binary
 // trace file (internal/trace format) with per-app metadata embedded,
 // returning the record count. gz enables gzip compression.
-func RecordTrace(path string, specs []WorkloadSpec, accessesPerApp int64, batchLen int, seed uint64, gz bool) (int64, error) {
-	return sim.RecordSpecs(path, specs, accessesPerApp, batchLen, seed, gz)
+func RecordTrace(path string, specs []WorkloadSpec, accessesPerApp int64, seed uint64, gz bool) (int64, error) {
+	return sim.RecordSpecs(path, specs, accessesPerApp, seed, gz)
 }
 
 // RunAdaptiveTraceFile replays a recorded trace through the adaptive
 // runtime: the cache is built for the trace's partition count and fed
-// the recorded stream, reproducing the live run exactly at matching
-// seed and batch length. cfg.Apps and cfg.AccessesPerApp are optional —
+// the recorded stream one Access per record, reproducing the live run
+// exactly at a matching seed. cfg.Apps and cfg.AccessesPerApp are optional —
 // the trace carries the traffic and (when recorded with metadata) the
 // app parameters.
 func RunAdaptiveTraceFile(cfg AdaptiveRunConfig, path string) (*AdaptiveRunResult, error) {

@@ -129,13 +129,11 @@ func TestPublicAPIAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]uint64, 256)
 	for round := 0; round < 400; round++ {
 		for p := 0; p < 2; p++ {
-			for i := range batch {
-				batch[i] = uint64(round*256+i)%4096 | uint64(p+1)<<48
+			for i := 0; i < 256; i++ {
+				ac.Access(uint64(round*256+i)%4096|uint64(p+1)<<48, p)
 			}
-			ac.AccessBatch(batch, p, nil)
 		}
 	}
 	if ac.Epochs() == 0 {
