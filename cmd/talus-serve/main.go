@@ -3,7 +3,7 @@
 // bytes by (tenant, key); underneath, every request drives the
 // monitor → hull → Talus → allocator control loop, so capacity flows
 // between tenants as their measured miss curves evolve — the paper's
-// self-tuning system (§VI) with a network in front of it.
+// end-to-end system (§VI) with a network in front of it.
 //
 // Usage:
 //
@@ -14,7 +14,6 @@
 //	            [-max-bytes n] [-max-tenants n]
 //	            [-backend mem] [-backend-latency 0s]
 //	            [-weights gold=4,bronze=1] [-control]
-//	            [-self-tune] [-min-epoch n] [-max-epoch n]
 //	            [-route host1:p1,host2:p2,...] [-self host:port]
 //	            [-vnodes n] [-ring-seed s] [-node-id id]
 //	            [-default-ttl 0s]
@@ -43,10 +42,9 @@
 //	POST /v1/record                            start/stop trace capture (needs -record-dir)
 //
 // -weights assigns per-tenant objective weights (the allocator then
-// minimizes Σ wᵢ·missesᵢ, so a weight-4 tenant's misses count 4×);
-// -self-tune enables the churn-driven epoch controller, which widens
-// the reconfiguration interval up to -max-epoch while measured curves
-// are stable and snaps back toward -min-epoch on a phase change.
+// minimizes Σ wᵢ·missesᵢ, so a weight-4 tenant's misses count 4×).
+// The loop reconfigures at the one interval -epoch / -epoch-interval
+// set; GET /v1/control reports the measured curve churn beside it.
 //
 // A captured trace replays offline through talus-trace replay (or
 // talus.RunAdaptiveTraceFile), closing the loop between served traffic
@@ -94,9 +92,6 @@ func main() {
 		backendLat = flag.Duration("backend-latency", 0, "modeled latency per backend operation")
 		weights    = flag.String("weights", "", "per-tenant objective weights, e.g. gold=4,bronze=1")
 		control    = flag.Bool("control", false, "enable the mutating control plane (PUT /v1/control/tenants/{tenant})")
-		selfTune   = flag.Bool("self-tune", false, "enable the churn-driven epoch controller")
-		minEpoch   = flag.Int64("min-epoch", 0, "self-tuner's epoch budget floor in accesses (0 = the -epoch budget)")
-		maxEpoch   = flag.Int64("max-epoch", 0, "self-tuner's epoch budget ceiling in accesses (0 = 16x the floor)")
 		route      = flag.String("route", "", "comma-separated cluster membership (host:port,...); enables thin-proxy mode")
 		self       = flag.String("self", "", "this node's own name in -route (default: the -addr, host-completed)")
 		vnodes     = flag.Int("vnodes", 0, "virtual nodes per cluster member (0 = the ring default)")
@@ -113,7 +108,6 @@ func main() {
 		maxBytes: *maxBytes, maxTenants: *maxTenants,
 		backend: *backend, backendLat: *backendLat,
 		weights: *weights, control: *control,
-		selfTune: *selfTune, minEpoch: *minEpoch, maxEpoch: *maxEpoch,
 		route: *route, self: *self, vnodes: *vnodes, ringSeed: *ringSeed,
 		nodeID: *nodeID, defaultTTL: *defaultTTL,
 	}
@@ -146,9 +140,6 @@ type serveFlags struct {
 	backendLat time.Duration
 	weights    string
 	control    bool
-	selfTune   bool
-	minEpoch   int64
-	maxEpoch   int64
 	route      string
 	self       string
 	vnodes     int
@@ -205,9 +196,6 @@ func run(cf serveFlags) error {
 			Allocator:     allocator,
 			Seed:          cf.seed,
 		}))
-	}
-	if cf.selfTune || cf.minEpoch > 0 || cf.maxEpoch > 0 {
-		opts = append(opts, talus.WithSelfTuning(cf.minEpoch, cf.maxEpoch))
 	}
 	tenantWeights, err := parseWeights(cf.weights)
 	if err != nil {

@@ -1,30 +1,23 @@
-// Command talus-sim runs a multi-programmed CMP simulation described by a
-// JSON spec and reports per-app IPC, MPKI, and speedups over the
-// unpartitioned-LRU baseline.
+// Command talus-sim runs one multi-programmed mix and reports per-app
+// outcomes. Flags are the one way in; there are two run kinds:
+//
+//   - the cycle-driven CMP simulation (the default): per-app IPC, MPKI
+//     and speedups over the unpartitioned-LRU baseline, managed by -mode
+//     for -work instructions per app;
+//   - -adaptive: the online control loop (monitor → hull → allocator at
+//     a fixed -epoch) driven purely by the access stream, reporting
+//     per-app miss ratios and converged allocations.
 //
 // Usage:
 //
-//	talus-sim -spec mix.json
 //	talus-sim -apps mcf,lbm,omnetpp,xalancbmk -mode talus-hill -mb 4
-//	talus-sim -spec mix.json -mb 8 -seed 7     # flags override spec fields
+//	talus-sim -adaptive -apps mcf,lbm -mb 2 -epoch 131072 -weights 4,1
 //	talus-sim -adaptive -trace mix.trc -mb 8   # exact replay of a recording
 //
-// Spec file format (unknown keys are rejected):
-//
-//	{
-//	  "apps": ["mcf", "lbm", "omnetpp", "xalancbmk"],
-//	  "capacity_mb": 4,
-//	  "mode": "talus-hill",
-//	  "work_instr": 52428800,
-//	  "epoch_cycles": 1048576,
-//	  "seed": 42,
-//	  "trace_files": ["mix.trc"]
-//	}
-//
-// Apps name registry clones or "trace:<path>" recordings; trace_files
-// (or -trace) adds every partition of the listed recordings as a
-// replayed app. Explicitly-set command-line flags override the
-// corresponding spec fields.
+// -apps names registry clones or "trace:<path>" recordings; -trace adds
+// every partition of the listed recordings as a replayed app. A flag
+// the chosen run kind does not read (-weights without -adaptive, -mode
+// with it) is refused rather than silently ignored.
 package main
 
 import (
@@ -42,7 +35,6 @@ import (
 
 func main() {
 	var (
-		specPath = flag.String("spec", "", "JSON simulation spec")
 		appsFlag = flag.String("apps", "", "comma-separated app list (registry clones or trace:<path>)")
 		mode     = flag.String("mode", "talus-hill", "management mode ("+sim.ValidModes+")")
 		mb       = flag.Float64("mb", 8, "LLC capacity in MB")
@@ -58,75 +50,51 @@ func main() {
 		shardsF   = flag.Int("shards", 1, "adaptive cache shard count")
 		tailF     = flag.Float64("tail", 0, "adaptive trailing fraction measured for steady-state rates (0 = default 0.5)")
 		weightsF  = flag.String("weights", "", "adaptive per-app objective weights in app order, e.g. 4,1,1,1 (empty = uniform)")
-		selfTuneF = flag.Bool("self-tune", false, "adaptive churn-driven epoch controller")
-		minEpochF = flag.Int64("min-epoch", 0, "self-tuner's epoch budget floor in accesses (0 = the -epoch budget)")
-		maxEpochF = flag.Int64("max-epoch", 0, "self-tuner's epoch budget ceiling in accesses (0 = 16x the floor)")
 	)
 	flag.Parse()
 
-	weightsV, err := parseWeights(*weightsF)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkRunKind(*adaptiveF, set); err != nil {
+		fatal(err)
+	}
+	weights, err := parseWeights(*weightsF)
 	if err != nil {
 		fatal(err)
 	}
-	vals := flagValues{
-		apps: *appsFlag, mode: *mode, mb: *mb, work: *work, seed: *seed,
-		adaptive: *adaptiveF, epoch: *epochF, alloc: *allocF,
-		accesses: *accessesF, shards: *shardsF, tail: *tailF, traces: *traceF,
-		weights: weightsV, selfTune: *selfTuneF,
-		minEpoch: *minEpochF, maxEpoch: *maxEpochF,
-	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	var spec specFile
-	if *specPath != "" {
-		var err error
-		if spec, err = loadSpec(*specPath); err != nil {
-			fatal(err)
-		}
-		// Explicit flags override the spec's fields.
-		spec.applyFlags(set, vals)
-	} else if *appsFlag != "" || *traceF != "" {
-		// No spec: every flag is authoritative, set or not.
-		spec = specFile{
-			Apps:          splitList(*appsFlag),
-			CapacityMB:    *mb,
-			Mode:          *mode,
-			WorkInstr:     *work,
-			Seed:          *seed,
-			TraceFiles:    splitList(*traceF),
-			Adaptive:      *adaptiveF,
-			EpochAccesses: *epochF,
-			Allocator:     *allocF,
-			Accesses:      *accessesF,
-			Shards:        *shardsF,
-			TailFrac:      *tailF,
-			Weights:       weightsV,
-			SelfTune:      *selfTuneF,
-			MinEpoch:      *minEpochF,
-			MaxEpoch:      *maxEpochF,
-		}
-	} else {
+	appNames, traceFiles := splitList(*appsFlag), splitList(*traceF)
+	if len(appNames) == 0 && len(traceFiles) == 0 {
 		flag.Usage()
 		os.Exit(2)
+	}
+	capacity := int64(curve.MBToLines(*mb))
+	acfg := sim.AdaptiveConfig{
+		CapacityLines:  capacity,
+		Shards:         *shardsF,
+		Allocator:      *allocF,
+		EpochAccesses:  *epochF,
+		AccessesPerApp: *accessesF,
+		TailFrac:       *tailF,
+		Weights:        weights,
+		Seed:           *seed,
 	}
 
 	// An adaptive run whose only source is one trace file replays the
 	// recorded stream exactly, record by record.
-	if spec.Adaptive && len(spec.Apps) == 0 && len(spec.TraceFiles) == 1 {
-		runAdaptiveTrace(spec)
+	if *adaptiveF && len(appNames) == 0 && len(traceFiles) == 1 {
+		printAdaptive(sim.RunAdaptiveTraceFile(acfg, traceFiles[0]))
 		return
 	}
 
-	apps := make([]workload.Spec, 0, len(spec.Apps))
-	for _, name := range spec.Apps {
+	apps := make([]workload.Spec, 0, len(appNames))
+	for _, name := range appNames {
 		s, err := workload.Resolve(name)
 		if err != nil {
 			fatal(err)
 		}
 		apps = append(apps, s)
 	}
-	for _, path := range spec.TraceFiles {
+	for _, path := range traceFiles {
 		traced, err := sim.SpecsFromTrace(path)
 		if err != nil {
 			fatal(fmt.Errorf("trace %s: %w", path, err))
@@ -134,20 +102,23 @@ func main() {
 		apps = append(apps, traced...)
 	}
 	if len(apps) == 0 {
-		fatal(fmt.Errorf("no apps: give -apps, -trace, or spec fields"))
+		fatal(fmt.Errorf("no apps: give -apps or -trace"))
 	}
 
-	if spec.Adaptive {
-		runAdaptive(spec, apps)
+	// The online control loop: no CPU model, no offline curves — the
+	// cache measures, convexifies, allocates, and reconfigures itself
+	// from its own traffic.
+	if *adaptiveF {
+		acfg.Apps = apps
+		printAdaptive(sim.RunAdaptive(acfg))
 		return
 	}
 	mixCfg := sim.MixConfig{
 		Apps:          apps,
-		CapacityLines: int64(curve.MBToLines(spec.CapacityMB)),
-		Mode:          sim.Mode(spec.Mode),
-		WorkInstr:     spec.WorkInstr,
-		EpochCycles:   spec.EpochCycles,
-		Seed:          spec.Seed,
+		CapacityLines: capacity,
+		Mode:          sim.Mode(*mode),
+		WorkInstr:     *work,
+		Seed:          *seed,
 	}
 
 	// The baseline and the managed run are independent simulations: fan
@@ -175,46 +146,11 @@ func main() {
 		res.Epochs)
 }
 
-// adaptiveCfg maps the shared spec fields onto an AdaptiveConfig.
-func adaptiveCfg(spec specFile) sim.AdaptiveConfig {
-	return sim.AdaptiveConfig{
-		CapacityLines:  int64(curve.MBToLines(spec.CapacityMB)),
-		Shards:         spec.Shards,
-		Allocator:      spec.Allocator,
-		EpochAccesses:  spec.EpochAccesses,
-		AccessesPerApp: spec.Accesses,
-		TailFrac:       spec.TailFrac,
-		Weights:        spec.Weights,
-		SelfTune:       spec.SelfTune,
-		MinEpoch:       spec.MinEpoch,
-		MaxEpoch:       spec.MaxEpoch,
-		Seed:           spec.Seed,
-	}
-}
-
-// runAdaptive drives the online control loop: no CPU model, no offline
-// curves — the cache measures, convexifies, allocates, and reconfigures
-// itself from its own traffic.
-func runAdaptive(spec specFile, apps []workload.Spec) {
-	cfg := adaptiveCfg(spec)
-	cfg.Apps = apps
-	res, err := sim.RunAdaptive(cfg)
+// printAdaptive reports an adaptive run, or exits on its error.
+func printAdaptive(res *sim.AdaptiveResult, err error) {
 	if err != nil {
 		fatal(err)
 	}
-	printAdaptive(res)
-}
-
-// runAdaptiveTrace replays a recorded stream through the adaptive loop.
-func runAdaptiveTrace(spec specFile) {
-	res, err := sim.RunAdaptiveTraceFile(adaptiveCfg(spec), spec.TraceFiles[0])
-	if err != nil {
-		fatal(err)
-	}
-	printAdaptive(res)
-}
-
-func printAdaptive(res *sim.AdaptiveResult) {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "app\tMPKI\tmiss-ratio\talloc-lines\talloc-MB")
 	for i := range res.Apps {

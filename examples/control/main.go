@@ -1,14 +1,14 @@
-// control: weighted tenants and the self-tuning control loop.
+// control: weighted tenants on the live control loop.
 //
 // Two identical tenants contend for a store whose cache fits neither
 // working set. The run starts uniform — neither tenant is preferred
 // and both hit alike — then the gold tenant's objective weight is
 // raised to 4× at run time (the same adjustment an operator makes with
 // PUT /v1/control/tenants/gold), so the allocator minimizes
-// 4·misses(gold) + misses(bronze) and capacity flows to gold. Along
-// the way the churn-driven epoch controller widens the
-// reconfiguration interval while the measured curves are stable — the
-// state GET /v1/control serves.
+// 4·misses(gold) + misses(bronze) and capacity flows to gold. Each
+// report prints the loop's state as GET /v1/control serves it: epochs
+// run, the measured curve churn (a reported signal — nothing acts on
+// it), and the epoch budget, which stays what it was configured to be.
 //
 // Run with:
 //
@@ -29,7 +29,6 @@ func main() {
 		talus.WithShards(2),
 		talus.WithStaticTenants("gold", "bronze"),
 		talus.WithAdaptive(talus.AdaptiveConfig{EpochAccesses: 1 << 15, Seed: 11}),
-		talus.WithSelfTuning(0, 0), // churn-driven epoch budget, default bounds
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -25,28 +25,11 @@ const DefaultEpochAccesses = 1 << 20
 // lines per step (the mix simulator's grid).
 const allocGranules = 64
 
-// Self-tuning controller constants: the epoch budget may stretch to
-// DefaultMaxEpochFactor × its configured value; churn below
-// DefaultChurnLow for calmEpochs consecutive epochs doubles the budget,
-// churn above DefaultChurnHigh halves it.
-const (
-	DefaultMaxEpochFactor = 16
-	DefaultChurnLow       = 0.05
-	DefaultChurnHigh      = 0.30
-	calmEpochs            = 2
-	minRetain             = 0.05
-	maxRetain             = 0.90
-)
-
 // Config parameterizes the control loop.
 type Config struct {
 	// EpochAccesses is the reconfiguration interval in observed accesses
-	// (all partitions combined); 0 selects DefaultEpochAccesses. With
-	// SelfTune this is the starting budget the controller adapts.
+	// (all partitions combined); 0 selects DefaultEpochAccesses.
 	EpochAccesses int64
-	// Retain is the monitors' EWMA retention factor in (0, 1);
-	// 0 selects monitor.DefaultRetain (0.5: one-epoch half-life).
-	Retain float64
 	// Allocator divides capacity over the hulls each epoch;
 	// nil selects alloc.HillClimbAllocator (optimal on hulls — the
 	// paper's point is that Talus makes hill climbing sufficient).
@@ -73,40 +56,14 @@ type Config struct {
 	// SetPartitionLines.
 	MinLines []int64
 	MaxLines []int64
-
-	// SelfTune enables the churn-driven epoch controller: when
-	// successive epochs' measured curves barely move (normalized L1
-	// distance below DefaultChurnLow for calmEpochs epochs) the epoch
-	// budget — and the wall-clock interval, proportionally — doubles, up
-	// to MaxEpoch; a churn spike above DefaultChurnHigh halves it, down to
-	// MinEpoch. Retain adapts alongside: shorter epochs are noisier so
-	// retention rises (√retain); longer epochs measure well on their own
-	// so retention falls (retain²).
-	SelfTune bool
-	// MinEpoch / MaxEpoch bound the self-tuned epoch budget in accesses.
-	// 0 selects EpochAccesses and DefaultMaxEpochFactor×EpochAccesses.
-	MinEpoch int64
-	MaxEpoch int64
 }
 
 func (c *Config) defaults() {
 	if c.EpochAccesses <= 0 {
 		c.EpochAccesses = DefaultEpochAccesses
 	}
-	if c.Retain <= 0 || c.Retain >= 1 {
-		c.Retain = monitor.DefaultRetain
-	}
 	if c.Allocator == nil {
 		c.Allocator = alloc.HillClimbAllocator
-	}
-	if c.MinEpoch <= 0 {
-		c.MinEpoch = c.EpochAccesses
-	}
-	if c.MaxEpoch <= 0 {
-		c.MaxEpoch = DefaultMaxEpochFactor * c.EpochAccesses
-	}
-	if c.MaxEpoch < c.MinEpoch {
-		c.MaxEpoch = c.MinEpoch
 	}
 }
 
@@ -128,21 +85,14 @@ type ControllerState struct {
 	Epochs int `json:"epochs"`
 	// Churn is the last measuring epoch's access-share-weighted
 	// normalized L1 distance between successive per-partition curves
-	// (see curve.Distance); 0 before the second measuring epoch.
+	// (see curve.Distance); 0 before the second measuring epoch. A
+	// reported signal: nothing in the loop acts on it.
 	Churn float64 `json:"churn"`
-	// SelfTune reports whether the churn controller is active.
-	SelfTune bool `json:"self_tune"`
-	// EpochAccesses is the current epoch budget (self-tuned between
-	// MinEpoch and MaxEpoch when SelfTune; otherwise the configured
-	// value).
+	// EpochAccesses is the configured epoch budget in accesses.
 	EpochAccesses int64 `json:"epoch_accesses"`
-	MinEpoch      int64 `json:"min_epoch"`
-	MaxEpoch      int64 `json:"max_epoch"`
-	// EpochInterval is the current wall-clock trigger interval (0
-	// without a ticker); scaled with the epoch budget under SelfTune.
+	// EpochInterval is the configured wall-clock trigger interval (0
+	// without a ticker).
 	EpochInterval time.Duration `json:"epoch_interval_ns"`
-	// Retain is the monitors' current EWMA retention factor.
-	Retain float64 `json:"retain"`
 	// Allocator names the allocation policy.
 	Allocator string `json:"allocator"`
 	// Allocations is the most recent per-partition allocation in lines.
@@ -152,6 +102,10 @@ type ControllerState struct {
 	Weights  []float64 `json:"weights,omitempty"`
 	MinLines []int64   `json:"min_lines,omitempty"`
 	MaxLines []int64   `json:"max_lines,omitempty"`
+	// LastError is the most recent epoch step's allocate or reconfigure
+	// failure (the allocation then stands unchanged); empty after a good
+	// step.
+	LastError string `json:"last_error,omitempty"`
 }
 
 // Cache is the adaptive Talus runtime. Construct with New (or the
@@ -171,6 +125,7 @@ type Cache struct {
 	lastAllocs []int64
 	lastCurves []*curve.Curve
 	lastErr    error
+	churn      float64 // last measuring epoch's churn
 	partAcc    []int64 // scratch: per-partition accesses drained this epoch
 
 	// Allocation constraints threaded into each epoch's Request. nil
@@ -179,14 +134,6 @@ type Cache struct {
 	weights  []float64
 	minLines []int64
 	maxLines []int64
-
-	// Self-tuning controller state.
-	curEpoch     int64   // current epoch budget in accesses
-	curRetain    float64 // current monitor retention factor
-	churn        float64 // last measuring epoch's churn
-	calm         int     // consecutive epochs with churn < DefaultChurnLow
-	baseInterval time.Duration
-	curInterval  time.Duration
 
 	ticker    *time.Ticker  // non-nil iff EpochInterval > 0
 	tickStop  chan struct{} // nil without EpochInterval
@@ -210,8 +157,6 @@ func New(sc *core.ShadowedCache, cfg Config) (*Cache, error) {
 		lastAllocs: make([]int64, n),
 		lastCurves: make([]*curve.Curve, n),
 		partAcc:    make([]int64, n),
-		curEpoch:   cfg.EpochAccesses,
-		curRetain:  cfg.Retain,
 	}
 	if cfg.Weights != nil {
 		if len(cfg.Weights) != n {
@@ -224,6 +169,9 @@ func New(sc *core.ShadowedCache, cfg Config) (*Cache, error) {
 			return nil, fmt.Errorf("adaptive: %d line floors for %d partitions", len(cfg.MinLines), n)
 		}
 		a.minLines = append([]int64(nil), cfg.MinLines...)
+		if err := checkFloors(a.minLines, budget); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.MaxLines != nil {
 		if len(cfg.MaxLines) != n {
@@ -232,7 +180,7 @@ func New(sc *core.ShadowedCache, cfg Config) (*Cache, error) {
 		a.maxLines = append([]int64(nil), cfg.MaxLines...)
 	}
 	for p := range a.mons {
-		mon, err := monitor.NewSlicedEpochMonitor(budget, cfg.Retain, cfg.Seed+uint64(p)*0x9E3779B9, monitor.DefaultMonitorSlices)
+		mon, err := monitor.NewSlicedEpochMonitor(budget, monitor.DefaultRetain, cfg.Seed+uint64(p)*0x9E3779B9, monitor.DefaultMonitorSlices)
 		if err != nil {
 			return nil, fmt.Errorf("adaptive: partition %d monitor: %w", p, err)
 		}
@@ -248,10 +196,8 @@ func New(sc *core.ShadowedCache, cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("adaptive: initial reconfigure: %w", err)
 	}
 	copy(a.lastAllocs, fair)
-	a.nextEpoch.Store(a.curEpoch)
+	a.nextEpoch.Store(cfg.EpochAccesses)
 	if cfg.EpochInterval > 0 {
-		a.baseInterval = cfg.EpochInterval
-		a.curInterval = cfg.EpochInterval
 		a.ticker = time.NewTicker(cfg.EpochInterval)
 		a.tickStop = make(chan struct{})
 		a.tickDone = make(chan struct{})
@@ -263,9 +209,7 @@ func New(sc *core.ShadowedCache, cfg Config) (*Cache, error) {
 // tickLoop is the wall-clock epoch trigger: every tick it attempts the
 // same TryLock epoch step the access clock fires, so reconfiguration
 // happens on time even when traffic is too light to reach the epoch
-// budget. The controller retunes the ticker's interval in lockstep with
-// the budget (time.Ticker.Reset is safe against a concurrent receive).
-// Runs until Close.
+// budget. Runs until Close.
 func (a *Cache) tickLoop() {
 	defer close(a.tickDone)
 	defer a.ticker.Stop()
@@ -278,7 +222,7 @@ func (a *Cache) tickLoop() {
 				continue // an access-driven epoch is already running
 			}
 			a.runEpochLocked()
-			a.nextEpoch.Store(a.accTotal.Load() + a.curEpoch)
+			a.nextEpoch.Store(a.accTotal.Load() + a.cfg.EpochAccesses)
 			a.epochMu.Unlock()
 		}
 	}
@@ -337,7 +281,7 @@ func (a *Cache) afterAccesses(k int64) {
 		return // another goroutine already ran this epoch
 	}
 	a.runEpochLocked()
-	a.nextEpoch.Store(a.accTotal.Load() + a.curEpoch)
+	a.nextEpoch.Store(a.accTotal.Load() + a.cfg.EpochAccesses)
 }
 
 // ForceEpoch runs one epoch step immediately regardless of the access
@@ -346,7 +290,7 @@ func (a *Cache) ForceEpoch() error {
 	a.epochMu.Lock()
 	defer a.epochMu.Unlock()
 	a.runEpochLocked()
-	a.nextEpoch.Store(a.accTotal.Load() + a.curEpoch)
+	a.nextEpoch.Store(a.accTotal.Load() + a.cfg.EpochAccesses)
 	return a.lastErr
 }
 
@@ -413,9 +357,6 @@ func (a *Cache) epochBody() {
 		}
 	}
 	a.churn = churn
-	if a.cfg.SelfTune {
-		a.tuneLocked()
-	}
 
 	hulls := core.Convexify(a.lastCurves)
 	granule := max(budget/allocGranules, 1)
@@ -447,59 +388,6 @@ func (a *Cache) epochBody() {
 	a.epochs++
 }
 
-// tuneLocked is the churn controller's state machine, run once per
-// measuring epoch. A churn spike halves the epoch budget (faster
-// re-measurement) and raises retention toward 1 (shorter epochs are
-// noisier, so lean harder on history); sustained calm doubles the
-// budget and lowers retention (long epochs measure well on their own).
-// The wall-clock ticker interval scales with the budget so both
-// triggers stretch and shrink together. Caller holds epochMu.
-func (a *Cache) tuneLocked() {
-	switch {
-	case a.churn > DefaultChurnHigh:
-		a.calm = 0
-		if a.curEpoch > a.cfg.MinEpoch {
-			a.curEpoch = max(a.curEpoch/2, a.cfg.MinEpoch)
-			a.curRetain = clampRetain(math.Sqrt(a.curRetain))
-			a.applyTuningLocked()
-		}
-	case a.churn < DefaultChurnLow:
-		a.calm++
-		if a.calm >= calmEpochs && a.curEpoch < a.cfg.MaxEpoch {
-			a.curEpoch = min(a.curEpoch*2, a.cfg.MaxEpoch)
-			a.curRetain = clampRetain(a.curRetain * a.curRetain)
-			a.calm = 0
-			a.applyTuningLocked()
-		}
-	default:
-		a.calm = 0
-	}
-}
-
-func clampRetain(r float64) float64 {
-	return math.Min(maxRetain, math.Max(minRetain, r))
-}
-
-// applyTuningLocked pushes the controller's current retention into
-// every monitor and rescales the wall-clock ticker proportionally to
-// the epoch budget. Caller holds epochMu (which also serializes the
-// monitors' SetRetain with their EpochCurve).
-func (a *Cache) applyTuningLocked() {
-	for p := range a.mons {
-		a.mons[p].mon.SetRetain(a.curRetain)
-	}
-	if a.ticker != nil {
-		iv := time.Duration(float64(a.baseInterval) * float64(a.curEpoch) / float64(a.cfg.EpochAccesses))
-		if iv <= 0 {
-			iv = a.baseInterval
-		}
-		if iv != a.curInterval {
-			a.curInterval = iv
-			a.ticker.Reset(iv)
-		}
-	}
-}
-
 // SetWeight sets partition p's objective weight for subsequent epochs
 // (see alloc.Request.Weights). The weight must be finite and
 // non-negative. The first call materializes the weight vector (uniform
@@ -522,10 +410,25 @@ func (a *Cache) SetWeight(p int, w float64) error {
 	return nil
 }
 
+// checkFloors rejects a floor vector the budget cannot hold: every epoch
+// would fail in the allocator and freeze the allocation where it stood.
+func checkFloors(minLines []int64, budget int64) error {
+	var sum int64
+	for _, m := range minLines {
+		sum += m
+	}
+	if sum > budget {
+		return fmt.Errorf("adaptive: line floors sum to %d, partitionable capacity %d", sum, budget)
+	}
+	return nil
+}
+
 // SetPartitionLines sets partition p's allocation floor and cap in
 // lines for subsequent epochs (see alloc.Request); maxLines 0 means
-// unbounded. Feasibility against the budget is checked by the allocator
-// each epoch (an infeasible combination surfaces through Err).
+// unbounded. A floor that would push the floors' sum past the
+// partitionable capacity is refused and nothing changes; any other
+// infeasible combination (caps summing below the budget) is the
+// allocator's to report, through Err and ControllerState.LastError.
 func (a *Cache) SetPartitionLines(p int, minLines, maxLines int64) error {
 	a.checkPartition(p)
 	if minLines < 0 || maxLines < 0 || (maxLines > 0 && maxLines < minLines) {
@@ -533,13 +436,16 @@ func (a *Cache) SetPartitionLines(p int, minLines, maxLines int64) error {
 	}
 	a.epochMu.Lock()
 	defer a.epochMu.Unlock()
-	if a.minLines == nil {
-		a.minLines = make([]int64, a.n)
+	floors := make([]int64, a.n)
+	copy(floors, a.minLines)
+	floors[p] = minLines
+	if err := checkFloors(floors, a.sc.Inner().PartitionableCapacity()); err != nil {
+		return err
 	}
+	a.minLines = floors
 	if a.maxLines == nil {
 		a.maxLines = make([]int64, a.n)
 	}
-	a.minLines[p] = minLines
 	a.maxLines[p] = maxLines
 	return nil
 }
@@ -563,12 +469,8 @@ func (a *Cache) Controller() ControllerState {
 	st := ControllerState{
 		Epochs:        a.epochs,
 		Churn:         a.churn,
-		SelfTune:      a.cfg.SelfTune,
-		EpochAccesses: a.curEpoch,
-		MinEpoch:      a.cfg.MinEpoch,
-		MaxEpoch:      a.cfg.MaxEpoch,
-		EpochInterval: a.curInterval,
-		Retain:        a.curRetain,
+		EpochAccesses: a.cfg.EpochAccesses,
+		EpochInterval: max(a.cfg.EpochInterval, 0),
 		Allocator:     a.cfg.Allocator.Name(),
 		Allocations:   append([]int64(nil), a.lastAllocs...),
 	}
@@ -580,6 +482,9 @@ func (a *Cache) Controller() ControllerState {
 	}
 	if a.maxLines != nil {
 		st.MaxLines = append([]int64(nil), a.maxLines...)
+	}
+	if a.lastErr != nil {
+		st.LastError = a.lastErr.Error()
 	}
 	return st
 }

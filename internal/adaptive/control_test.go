@@ -1,11 +1,14 @@
 package adaptive_test
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"talus/internal/adaptive"
 	"talus/internal/hash"
+	"talus/internal/sim"
 )
 
 // TestIdleEpochsAreSkipped is the regression test for the idle-decay
@@ -103,18 +106,16 @@ func TestIdlePartitionCurvePreserved(t *testing.T) {
 	}
 }
 
-// TestChurnControllerRoundTrip is the satellite round trip: a stable
-// workload drives the self-tuned epoch budget up to MaxEpoch; an
-// injected phase shift (the scan-vs-rand flip of examples/adaptive)
-// snaps it back down within two epochs.
-func TestChurnControllerRoundTrip(t *testing.T) {
+// TestChurnTracksPhaseShift: churn is a reported signal. Stable traffic
+// settles it below 0.05; an injected phase shift (the scan-vs-rand flip
+// of examples/adaptive) reads above 0.30 within two epochs — and the
+// epoch budget stays the configured one throughout, because nothing
+// acts on the signal.
+func TestChurnTracksPhaseShift(t *testing.T) {
 	const capacity = 4096
 	const epoch = 1 << 16
-	const maxEpoch = 8 * epoch
 	ac := buildAdaptive(t, capacity, 1, 2, adaptive.Config{
 		EpochAccesses: epoch,
-		MaxEpoch:      maxEpoch,
-		SelfTune:      true,
 		Seed:          23,
 	})
 
@@ -130,24 +131,14 @@ func TestChurnControllerRoundTrip(t *testing.T) {
 		}
 		feed(ac, buf, 1)
 	}
-	// Phase 1: stable traffic. Reaching MaxEpoch needs 3 doublings × 2
-	// calm epochs, plus slack for the early novel-curve epochs; feed
-	// generously and watch the controller.
-	deadlineEpochs := 64
-	for e := 0; e < deadlineEpochs; e++ {
-		st := ac.Controller()
-		if st.EpochAccesses == maxEpoch {
-			break
-		}
-		// One current-budget epoch's worth of traffic.
-		for fed := int64(0); fed < st.EpochAccesses; fed += int64(2 * len(buf)) {
-			stable()
-		}
+	// Phase 1: stable traffic. The first epochs measure novel curves
+	// (churn 1 against nil); after that successive curves barely move.
+	for ac.Controller().Epochs < 8 {
+		stable()
 	}
 	st := ac.Controller()
-	if st.EpochAccesses != maxEpoch {
-		t.Fatalf("stable workload never reached MaxEpoch: budget %d after %d epochs (churn %.3f)",
-			st.EpochAccesses, st.Epochs, st.Churn)
+	if st.Churn >= 0.05 {
+		t.Fatalf("stable workload still reads churn %.3f after %d epochs", st.Churn, st.Epochs)
 	}
 	if err := ac.Err(); err != nil {
 		t.Fatal(err)
@@ -167,17 +158,18 @@ func TestChurnControllerRoundTrip(t *testing.T) {
 		}
 		feed(ac, buf, 1)
 	}
-	epochsBefore := ac.Controller().Epochs
-	for ac.Controller().Epochs < epochsBefore+2 {
+	var peak float64
+	for seen := st.Epochs; seen < st.Epochs+2; {
 		shifted()
+		if now := ac.Controller(); now.Epochs > seen {
+			seen, peak = now.Epochs, max(peak, now.Churn)
+		}
 	}
-	st = ac.Controller()
-	if st.EpochAccesses >= maxEpoch {
-		t.Fatalf("churn spike did not shrink the epoch budget within two epochs: budget %d, churn %.3f",
-			st.EpochAccesses, st.Churn)
+	if peak <= 0.30 {
+		t.Fatalf("phase shift read churn %.3f within two epochs, want > 0.30", peak)
 	}
-	if !st.SelfTune || st.MinEpoch != epoch || st.MaxEpoch != maxEpoch {
-		t.Fatalf("controller state inconsistent: %+v", st)
+	if got := ac.Controller().EpochAccesses; got != epoch {
+		t.Fatalf("epoch budget moved from %d to %d", epoch, got)
 	}
 }
 
@@ -231,5 +223,99 @@ func TestWeightedTenantAttractsCapacity(t *testing.T) {
 	}
 	if err := ac.SetPartitionLines(1, 512, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randEpoch feeds each of a two-partition cache's partitions 4096 draws
+// from its own 1k-line working set, then forces the epoch step.
+func randEpoch(ac *adaptive.Cache, rng *hash.SplitMix64) error {
+	buf := make([]uint64, 4096)
+	for p := 0; p < 2; p++ {
+		for i := range buf {
+			buf[i] = rng.Uint64n(1024) | uint64(p+1)<<48
+		}
+		feed(ac, buf, p)
+	}
+	return ac.ForceEpoch()
+}
+
+// TestInfeasibleFloorsRefused: a floor vector the partitionable capacity
+// cannot hold used to be accepted and then fail inside the allocator on
+// every epoch, freezing the allocation silently. It is refused up front
+// — at New and at SetPartitionLines — and a refusal changes nothing.
+func TestInfeasibleFloorsRefused(t *testing.T) {
+	const capacity = 4096
+	if _, err := sim.BuildAdaptiveCache("vantage", capacity, 16, 1, 2, "LRU", 0.05, adaptive.Config{
+		MinLines: []int64{4000, 4000},
+	}); err == nil || !strings.Contains(err.Error(), "floors sum to 8000") {
+		t.Fatalf("New with floors past the capacity: err = %v", err)
+	}
+
+	ac := buildAdaptive(t, capacity, 1, 2, adaptive.Config{EpochAccesses: 1 << 40, Seed: 25})
+	budget := ac.Shadowed().Inner().PartitionableCapacity()
+	if err := ac.SetPartitionLines(0, budget/2, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := ac.Allocations()
+	if err := ac.SetPartitionLines(1, budget/2+64, 0); err == nil {
+		t.Fatal("floors summing past the partitionable capacity accepted")
+	}
+	st := ac.Controller()
+	if st.MinLines[0] != budget/2 || st.MinLines[1] != 0 || st.MaxLines[1] != 0 {
+		t.Fatalf("refused bounds leaked into the controller: %+v", st)
+	}
+	if got := ac.Allocations(); !slices.Equal(got, before) {
+		t.Fatalf("refusal moved the allocation: %v -> %v", before, got)
+	}
+	// The next epoch runs clean on the bounds that were accepted.
+	if err := randEpoch(ac, hash.NewSplitMix64(13)); err != nil {
+		t.Fatalf("epoch after a refused floor: %v", err)
+	}
+	if got := ac.Allocations()[0]; got < budget/2 {
+		t.Fatalf("accepted floor %d not honoured: partition 0 has %d lines", budget/2, got)
+	}
+}
+
+// TestEpochErrorIsVisible: a failing epoch step leaves the allocation
+// where it stood, so the failure must show where an operator looks —
+// Controller().LastError, served at /v1/control — and clear again on the
+// next good step. Caps that cannot absorb the budget are the allocator's
+// own check, which no setter pre-empts.
+func TestEpochErrorIsVisible(t *testing.T) {
+	ac := buildAdaptive(t, 4096, 1, 2, adaptive.Config{EpochAccesses: 1 << 40, Seed: 26})
+	rng := hash.NewSplitMix64(15)
+	step := func() error { return randEpoch(ac, rng) }
+	if err := step(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ac.Controller().LastError; got != "" {
+		t.Fatalf("good epoch reports last_error %q", got)
+	}
+	good := ac.Allocations()
+
+	for p := 0; p < 2; p++ {
+		if err := ac.SetPartitionLines(p, 0, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := step(); err == nil {
+		t.Fatal("caps summing to 200 lines absorbed the whole budget")
+	}
+	st := ac.Controller()
+	if !strings.Contains(st.LastError, "caps sum to 200") {
+		t.Fatalf("last_error = %q, want the allocator's caps refusal", st.LastError)
+	}
+	if !slices.Equal(st.Allocations, good) {
+		t.Fatalf("failed epoch moved the allocation: %v -> %v", good, st.Allocations)
+	}
+
+	if err := ac.SetPartitionLines(1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := step(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ac.Controller().LastError; got != "" {
+		t.Fatalf("last_error %q survived a good epoch", got)
 	}
 }

@@ -1,10 +1,10 @@
 // Package adaptive closes the paper's end-to-end control loop (§VI):
 // monitor → hull → Talus → allocator → reconfigure, driven online by the
 // access stream itself. The paper's system is not an offline curve
-// transformer but a self-tuning cache: UMONs observe the live stream,
-// Talus convexifies the measured miss curves, and a partitioning
-// algorithm reallocates capacity every epoch. This package is that loop
-// in software.
+// transformer but a cache that reconfigures itself: UMONs observe the
+// live stream, Talus convexifies the measured miss curves, and a
+// partitioning algorithm reallocates capacity at a fixed interval
+// (10 ms in §VI-C). This package is that loop in software.
 //
 // Cache wraps a core.ShadowedCache and keeps one
 // monitor.SlicedEpochMonitor per logical partition on the pre-sampling
@@ -23,21 +23,23 @@
 //     core.ShadowedCache.Reconfigure (the raw curves go down too, so
 //     already-convex partitions collapse to a single shadow partition).
 //
-// # Self-tuning and the control plane
+// # One speed, and the control plane
 //
-// Config.SelfTune enables the churn-driven epoch controller: each epoch
-// the loop measures how much every partition's curve moved
-// (curve.Distance, access-share-weighted) and adapts its own budget —
-// churn above DefaultChurnHigh (a constant, 0.30) halves the epoch
-// (floor MinEpoch) and raises monitor retention, churn below
-// DefaultChurnLow (0.05) for two consecutive epochs doubles it (cap
-// MaxEpoch) and decays retention; the wall-clock
-// ticker rescales proportionally. Epochs that observed zero accesses
-// are complete no-ops, and a partition idle for an epoch keeps its
-// previous curve untouched instead of decaying toward zero. SetWeight
-// and SetPartitionLines adjust the allocation Request live;
-// Controller() snapshots the whole state (ControllerState — what
-// serve's GET /v1/control returns).
+// The loop runs at the interval its caller configured — EpochAccesses,
+// plus the EpochInterval ticker when set — and nothing varies it; the
+// monitors' EWMA retention is monitor.DefaultRetain. Each epoch also
+// measures how much every partition's curve moved (curve.Distance,
+// access-share-weighted): that churn is reported, not acted on —
+// stretching epochs on low churn saves about 0.1 % of a request and
+// costs hit ratio on phased traffic (EXPERIMENTS.md, "A control loop
+// with one speed"). Epochs that observed zero accesses are complete
+// no-ops, and a partition idle for an epoch keeps its previous curve
+// untouched instead of decaying toward zero. SetWeight and SetPartitionLines adjust the allocation
+// Request live; floors that cannot fit the partitionable capacity are
+// refused at New and at the setter. Controller() snapshots the whole
+// state (ControllerState — what serve's GET /v1/control returns),
+// including the last epoch step's error: a failed step leaves the
+// allocation standing, so that is where an operator sees it.
 //
 // # Concurrency
 //

@@ -49,18 +49,16 @@ var (
 )
 
 // ByName resolves an allocator name ("hill", "lookahead", "fair",
-// "optimal") to its shared Allocator value. The "weighted-*" aliases
-// name the same values: every allocator is weight-aware through its
-// Request.
+// "optimal") to its shared Allocator value.
 func ByName(name string) (Allocator, error) {
 	switch name {
-	case "hill", "hillclimb", "hill-climb", "weighted-hill":
+	case "hill":
 		return HillClimbAllocator, nil
-	case "lookahead", "weighted-lookahead":
+	case "lookahead":
 		return LookaheadAllocator, nil
-	case "fair", "weighted-fair":
+	case "fair":
 		return FairAllocator, nil
-	case "optimal", "dp", "optimal-dp", "weighted-optimal":
+	case "optimal":
 		return OptimalDPAllocator, nil
 	}
 	return nil, fmt.Errorf("%w: unknown allocator %q (valid: fair, hill, lookahead, optimal)", ErrBadInput, name)

@@ -51,11 +51,9 @@ func TestAllocatorValuesMatchFunctions(t *testing.T) {
 func TestAllocatorByName(t *testing.T) {
 	for name, want := range map[string]Allocator{
 		"hill":      HillClimbAllocator,
-		"hillclimb": HillClimbAllocator,
 		"lookahead": LookaheadAllocator,
 		"fair":      FairAllocator,
 		"optimal":   OptimalDPAllocator,
-		"dp":        OptimalDPAllocator,
 	} {
 		got, err := ByName(name)
 		if err != nil {

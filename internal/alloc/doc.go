@@ -26,6 +26,5 @@
 // each algorithm over a Request; the plain functions (HillClimb, ...)
 // call them with the uniform, unconstrained request. WeightedHillClimb
 // stays optimal on hulls for any weights (TestWeightedHillClimbOptimal
-// checks it against WeightedOptimalDP). Objective (MinMiss,
-// WeightedMiss) names and scores the quantity being minimized.
+// checks it against WeightedOptimalDP).
 package alloc

@@ -182,8 +182,8 @@ func (r *Request) spreadLeftover(out []int64, remaining int64) {
 // WeightedHillClimb is HillClimb under the full Request: after granting
 // the floors, it repeatedly gives one granule to the partition whose
 // weighted miss reduction is largest, skipping partitions at their
-// caps. On convex curves this greedy rule is optimal for the
-// WeightedMiss objective (each partition's weighted marginal utility is
+// caps. On convex curves this greedy rule is optimal for the objective
+// Σ wᵢ·missesᵢ (each partition's weighted marginal utility is
 // non-increasing, so the globally best granule is always a locally best
 // one — verified against WeightedOptimalDP by the property tests).
 func WeightedHillClimb(req Request) ([]int64, error) {
@@ -309,7 +309,7 @@ func WeightedFair(req Request) ([]int64, error) {
 	return out, nil
 }
 
-// WeightedOptimalDP computes the exact WeightedMiss-minimizing
+// WeightedOptimalDP computes the exact Σ wᵢ·missesᵢ-minimizing
 // allocation under the full Request by dynamic programming over the
 // granule grid, restricting each partition's granule count to its
 // [floor, cap] band. Ground truth for WeightedHillClimb in tests. Fails

@@ -1,9 +1,6 @@
 // Distance: the normalized L1 gap between two miss curves — the churn
-// signal the adaptive runtime's self-tuning controller feeds on. When
-// successive epochs' measured curves barely move, reconfiguring (and
-// EWMA-decaying the monitors) every epoch is pure waste; when they jump,
-// the loop should measure faster. Distance turns "how much did the curve
-// move" into one dimensionless number.
+// signal the adaptive runtime reports each epoch. Distance turns "how
+// much did the curve move" into one dimensionless number.
 
 package curve
 

@@ -14,5 +14,5 @@
 //
 // Distance measures how much two curves differ (normalized L1 over the
 // union size range, in [0, 1]) — the epoch-to-epoch churn signal the
-// adaptive self-tuner steers by.
+// adaptive runtime reports.
 package curve

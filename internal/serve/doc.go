@@ -106,11 +106,12 @@
 //
 // # The control plane
 //
-// GET /v1/control is read-only and always served: the epoch
-// controller's live state (epoch count, measured curve churn, the
-// self-tuner's current epoch budget and retention, allocator name,
-// per-partition allocations and weights) plus one row per tenant
-// (weight, line bounds, current allocation). Mutation is gated like
+// GET /v1/control is read-only and always served: the control loop's
+// state (epoch count, measured curve churn, the configured epoch budget
+// and interval, allocator name, per-partition allocations and weights,
+// and "last_error" when the latest epoch step failed and left the
+// allocation standing) plus one row per tenant (weight, line bounds,
+// current allocation). Mutation is gated like
 // recording: unless the handler is configured with Config.Control
 // (talus-serve -control), PUT /v1/control/tenants/{tenant} refuses
 // every request with status 403 and the exact body

@@ -415,10 +415,10 @@ func (h *Handler) curves(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// controlState serves GET /v1/control: the epoch controller's live
-// tunables (current epoch budget and interval, last churn measurement,
-// retain) plus every tenant's weight, bounds, and allocation. Read-only,
-// so it is always available, like /v1/stats.
+// controlState serves GET /v1/control: the control loop's state
+// (configured epoch budget and interval, last churn measurement, last
+// epoch error) plus every tenant's weight, bounds, and allocation.
+// Read-only, so it is always available, like /v1/stats.
 func (h *Handler) controlState(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.st.Control())
 }

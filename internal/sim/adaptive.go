@@ -64,11 +64,6 @@ type AdaptiveConfig struct {
 	// Weights gives each app's partition an objective weight (see
 	// alloc.Request.Weights); nil means uniform. Length must match Apps.
 	Weights []float64
-	// SelfTune enables the churn-driven epoch controller (see
-	// adaptive.Config.SelfTune); MinEpoch/MaxEpoch bound its budget.
-	SelfTune bool
-	MinEpoch int64
-	MaxEpoch int64
 
 	AccessesPerApp int64 // traffic per app; 0 → 4M
 	// TailFrac is the fraction of each app's trailing accesses measured
@@ -121,9 +116,6 @@ func (c *AdaptiveConfig) buildCache() (*adaptive.Cache, error) {
 			Allocator:     allocator,
 			Seed:          c.Seed,
 			Weights:       c.Weights,
-			SelfTune:      c.SelfTune,
-			MinEpoch:      c.MinEpoch,
-			MaxEpoch:      c.MaxEpoch,
 		})
 }
 

@@ -127,15 +127,13 @@ func TestReplayDeterminism(t *testing.T) {
 		t.Fatalf("recorded %d accesses, want %d", count, want)
 	}
 
-	tuned := base
-	tuned.SelfTune = true
-	tuned.Weights = []float64{1, 8}
-	tuned.MaxEpoch = 1 << 16
+	weighted := base
+	weighted.Weights = []float64{1, 8}
 	var results [2]*AdaptiveResult
 	for c, tc := range []struct {
 		name string
 		cfg  AdaptiveConfig
-	}{{"defaults", base}, {"self-tune+weights", tuned}} {
+	}{{"defaults", base}, {"weights", weighted}} {
 		t.Run(tc.name, func(t *testing.T) {
 			liveRes, err := RunAdaptive(tc.cfg)
 			if err != nil {
@@ -168,11 +166,9 @@ func TestReplayDeterminism(t *testing.T) {
 			}
 		})
 	}
-	// The tuned case only pins anything if the settings moved the run.
-	if results[0] != nil && results[1] != nil && results[0].Epochs == results[1].Epochs &&
-		results[0].Allocs[0] == results[1].Allocs[0] {
-		t.Fatalf("self-tune+weights left the live run unchanged (%d epochs, allocs %v)",
-			results[1].Epochs, results[1].Allocs)
+	// The weighted case only pins anything if the weights moved the run.
+	if results[0] != nil && results[1] != nil && results[0].Allocs[0] == results[1].Allocs[0] {
+		t.Fatalf("weights left the live run unchanged (allocs %v)", results[1].Allocs)
 	}
 
 	// Weights are per partition: a vector that does not match the

@@ -54,30 +54,3 @@ func TestWeightedTenantE2E(t *testing.T) {
 		t.Fatalf("unweighted tenant paid %.3f for the weighted tenant's %.3f gain", cost, gain)
 	}
 }
-
-// TestSelfTuneE2E smokes the self-tuning controller through the full
-// RunAdaptive harness: a steady mix must finish with no control-loop
-// error and the same qualitative allocation the static-epoch run finds.
-func TestSelfTuneE2E(t *testing.T) {
-	cfg := AdaptiveConfig{
-		Apps:           []workload.Spec{scanSpec("scan"), randSpec("rand")},
-		CapacityLines:  e2eCapacity,
-		Assoc:          e2eAssoc,
-		EpochAccesses:  1 << 16,
-		MaxEpoch:       1 << 19,
-		SelfTune:       true,
-		AccessesPerApp: 2 << 20,
-		TailFrac:       e2eTail,
-		Seed:           62,
-	}
-	res, err := RunAdaptive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Epochs == 0 {
-		t.Fatal("no epochs ran")
-	}
-	if res.Allocs[1] < e2eRand/2 {
-		t.Fatalf("rand partition got %d lines under self-tuning", res.Allocs[1])
-	}
-}

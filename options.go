@@ -94,9 +94,10 @@ func WithMargin(margin float64) Option {
 func WithSeed(seed uint64) Option { return func(o *options) { o.acfg.Seed = seed } }
 
 // WithAdaptive replaces the whole control-loop configuration (epoch
-// length, wall-clock interval, EWMA retention, allocator, seed). It
-// overrides earlier WithSeed/WithAllocator/WithEpochInterval calls and
-// is overridden field-by-field by later ones.
+// length, wall-clock interval, allocator, seed, weights, line bounds).
+// It overrides every earlier control-loop option — WithSeed,
+// WithAllocator, WithEpochInterval and WithWeights — and is overridden
+// field-by-field by later ones.
 func WithAdaptive(cfg AdaptiveConfig) Option { return func(o *options) { o.acfg = cfg } }
 
 // WithAllocator sets the epoch allocation policy (default
@@ -118,21 +119,6 @@ func WithEpochInterval(d time.Duration) Option {
 // unweighted allocation exactly. For tenant-name weights at the store
 // layer use WithTenantWeight.
 func WithWeights(w ...float64) Option { return func(o *options) { o.acfg.Weights = w } }
-
-// WithSelfTuning enables the churn-driven epoch controller: when
-// successive measured miss curves stop changing (churn below the low
-// watermark for two epochs) the epoch budget doubles — fewer, cheaper
-// reconfigurations — and when a phase change spikes churn it halves
-// back, bounded by [minEpoch, maxEpoch] accesses. Zero bounds select
-// the defaults (the base epoch budget and 16× it). Live state is
-// visible via Controller() and GET /v1/control.
-func WithSelfTuning(minEpoch, maxEpoch int64) Option {
-	return func(o *options) {
-		o.acfg.SelfTune = true
-		o.acfg.MinEpoch = minEpoch
-		o.acfg.MaxEpoch = maxEpoch
-	}
-}
 
 // WithTenantWeight sets the named tenant's objective weight (NewStore
 // only; see WithWeights for semantics). The weight attaches when the

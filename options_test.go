@@ -2,6 +2,7 @@ package talus
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -93,11 +94,11 @@ func TestNewMatchesBuildAdaptiveCache(t *testing.T) {
 				WithCapacityMB(1), WithScheme("set"), WithPolicy("SRRIP"), WithAssoc(16),
 				WithShards(4), WithPartitions(3), WithMargin(0.1), WithSeed(77),
 				WithAllocator(lookahead),
-				WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 13, Retain: 0.7, Allocator: lookahead, Seed: 77}),
+				WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 13, Allocator: lookahead, Seed: 77}),
 			},
 			rounds: 200,
 			scheme: "set", lines: int64(MBToLines(1)), assoc: 16, shards: 4, parts: 3, policy: "SRRIP",
-			margin: 0.1, acfg: AdaptiveConfig{EpochAccesses: 1 << 13, Retain: 0.7, Allocator: lookahead, Seed: 77},
+			margin: 0.1, acfg: AdaptiveConfig{EpochAccesses: 1 << 13, Allocator: lookahead, Seed: 77},
 		},
 		{
 			// The all-defaults control loop (EpochAccesses 2^20) needs a
@@ -230,5 +231,44 @@ func TestNewStoreOptions(t *testing.T) {
 	}
 	if _, err := st.Set("d", "k", nil); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("static tenants: %v", err)
+	}
+}
+
+// TestNewStoreRefusesInfeasibleFloors: tenant floors summing past the
+// partitionable capacity used to build a store whose every epoch failed
+// in the allocator — the allocation frozen at the initial fair split,
+// the error visible nowhere a store or HTTP caller looks. Pre-declared
+// tenants now fail construction; a walk-in tenant whose floor no longer
+// fits fails its registering Set and leaves the allocation alone.
+func TestNewStoreRefusesInfeasibleFloors(t *testing.T) {
+	_, err := NewStore(WithCapacity(4096), WithShards(1), WithStaticTenants("a", "b"),
+		WithTenantLines("a", 4000, 0), WithTenantLines("b", 4000, 0),
+		WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 12, Seed: 1}))
+	if err == nil || !strings.Contains(err.Error(), "line floors sum to") {
+		t.Fatalf("NewStore with 8000 lines of floors on 4096 = %v", err)
+	}
+
+	st, err := NewStore(WithCapacity(4096), WithShards(1), WithPartitions(2), WithTenants("a"),
+		WithTenantLines("a", 3000, 0), WithTenantLines("walk-in", 3000, 0),
+		WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 12, Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	before := st.Cache().Allocations()
+	if _, err := st.Set("walk-in", "k", []byte("v")); err == nil || !strings.Contains(err.Error(), "floors sum to 6000") {
+		t.Fatalf("walk-in tenant with an unfittable floor: Set = %v", err)
+	}
+	if got := st.Cache().Allocations(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("refused registration moved the allocation: %v -> %v", before, got)
+	}
+	for i := 0; i < 1<<13; i++ {
+		if _, err := st.Set("a", fmt.Sprintf("k%d", i%2048), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := st.Control()
+	if cs.Epochs == 0 || cs.LastError != "" {
+		t.Fatalf("after the refusal: %d epochs, last_error %q", cs.Epochs, cs.LastError)
 	}
 }

@@ -24,11 +24,11 @@
 //   - the online control loop: an epoch-driven runtime that monitors
 //     the live stream with per-partition UMONs, convexifies the
 //     measured curves, runs a pluggable Allocator over the hulls, and
-//     live-reconfigures shadow sizes and sampling rates — the paper's
-//     self-tuning end-to-end system (§VI), goroutine-safe over a
-//     sharded inner cache. Construct it with New (functional options;
-//     zero options yield a working stack) and, when configured with a
-//     wall-clock epoch interval, Close it when done;
+//     live-reconfigures shadow sizes and sampling rates at one fixed
+//     interval — the paper's end-to-end system (§VI), goroutine-safe
+//     over a sharded inner cache. Construct it with New (functional
+//     options; zero options yield a working stack) and, when configured
+//     with a wall-clock epoch interval, Close it when done;
 //   - the keyed serving layer (NewStore): Get/Set/Delete over
 //     (tenant, key) pairs with real value storage, per-tenant Stats,
 //     live measured/hulled miss Curves, and a record hook capturing
@@ -91,16 +91,13 @@ type (
 	// Weights, MinLines floors, and MaxLines caps. Build uniform
 	// requests with NewAllocRequest.
 	AllocRequest = alloc.Request
-	// Objective scores an allocation against a request — the quantity
-	// allocators minimize. See MinMiss, WeightedMiss, ObjectiveByName.
-	Objective = alloc.Objective
 	// AdaptiveCache is the online monitor→hull→Talus→allocator loop.
 	AdaptiveCache = adaptive.Cache
 	// AdaptiveConfig parameterizes the adaptive control loop.
 	AdaptiveConfig = adaptive.Config
 	// ControllerState is one read-only snapshot of the control loop:
-	// epoch count, measured curve churn, the self-tuner's live epoch
-	// budget and retention, and current allocations/weights.
+	// epoch count, measured curve churn, the configured epoch budget,
+	// current allocations/weights, and the last epoch step's error.
 	ControllerState = adaptive.ControllerState
 	// ControlState is the store-level control snapshot: ControllerState
 	// plus per-tenant weight/bounds/allocation rows (GET /v1/control).
@@ -131,21 +128,6 @@ var (
 // its shared Allocator value.
 func AllocatorByName(name string) (Allocator, error) { return alloc.ByName(name) }
 
-// Shared objective values (stateless and goroutine-safe).
-var (
-	// MinMiss scores an allocation by total MPKI — the classic
-	// minimize-overall-misses objective every unweighted allocator
-	// optimizes.
-	MinMiss = alloc.MinMiss
-	// WeightedMiss scores by Σ wᵢ·MPKIᵢ using the request's weights —
-	// the QoS objective behind WithWeights/WithTenantWeight.
-	WeightedMiss = alloc.WeightedMiss
-)
-
-// ObjectiveByName resolves "min-miss" or "weighted-miss" (alias
-// "weighted", "qos") to its shared Objective value.
-func ObjectiveByName(name string) (Objective, error) { return alloc.ObjectiveByName(name) }
-
 // NewAllocRequest builds the uniform AllocRequest — no weights, floors,
 // or caps — equivalent to the plain (curves, total, granule) call.
 func NewAllocRequest(curves []*MissCurve, total, granule int64) AllocRequest {
@@ -154,7 +136,7 @@ func NewAllocRequest(curves []*MissCurve, total, granule int64) AllocRequest {
 
 // CurveDistance measures how much two miss curves differ, normalized to
 // [0, 1]: ∫|a−b| over ∫max(a,b) across their union size range. The
-// adaptive self-tuner uses it as the epoch-to-epoch churn signal.
+// control loop reports it as the epoch-to-epoch churn signal.
 func CurveDistance(a, b *MissCurve) float64 { return curve.Distance(a, b) }
 
 // DefaultMargin is the paper's 5% sampling-rate safety margin (§VI-B).
