@@ -554,14 +554,6 @@ func (a *Cache) Config(p int) core.Config {
 // NumLogical returns the number of software-visible partitions.
 func (a *Cache) NumLogical() int { return a.n }
 
-// EnableSharedHits switches the underlying cache stack into lock-free
-// hit mode (see core.SharedHitEnabler) and reports whether it took end
-// to end. The adaptive layer's own hot path is already contention-free —
-// sliced monitors and atomic access counters — so this is the last
-// switch needed for a fully shared-hit serving path. One-way; call
-// before concurrent traffic starts.
-func (a *Cache) EnableSharedHits() bool { return a.sc.EnableSharedHits() }
-
 // Monitor exposes partition p's sliced epoch monitor. Identity tests
 // compare its merged histograms against a single-monitor baseline fed
 // the same stream; production callers have no reason to touch it.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"talus/internal/adaptive"
@@ -95,7 +96,10 @@ func TestAdaptiveConvergesOnCliff(t *testing.T) {
 func TestAdaptiveRaceHammer(t *testing.T) {
 	// Concurrent Access traffic from many goroutines across
 	// partitions while epochs reconfigure underneath. Run with -race;
-	// afterwards the sharded stats must conserve accesses exactly.
+	// afterwards the sharded stats must account for every call made and
+	// every hit handed back (Accesses == Hits + Misses holds by
+	// construction now, so it proves nothing) and equal the sum over
+	// shards they are computed from.
 	const capacity = 16384
 	const goroutines = 8
 	const batch = 512
@@ -106,6 +110,7 @@ func TestAdaptiveRaceHammer(t *testing.T) {
 	})
 
 	var wg sync.WaitGroup
+	var calls, hitsSeen atomic.Int64
 	stopForce := make(chan struct{})
 	var forceDone sync.WaitGroup
 	forceDone.Add(1)
@@ -137,7 +142,8 @@ func TestAdaptiveRaceHammer(t *testing.T) {
 				for i := range buf {
 					buf[i] = rng.Uint64n(8192) | uint64(part+1)<<48
 				}
-				feed(ac, buf, part)
+				hitsSeen.Add(int64(feed(ac, buf, part)))
+				calls.Add(batch)
 			}
 		}(g)
 	}
@@ -145,12 +151,24 @@ func TestAdaptiveRaceHammer(t *testing.T) {
 	close(stopForce)
 	forceDone.Wait()
 
-	stats := ac.Shadowed().Inner().(*cache.ShardedCache).Stats()
-	if want := int64(goroutines * perG); stats.Accesses != want {
-		t.Fatalf("accesses %d, want %d", stats.Accesses, want)
+	sharded := ac.Shadowed().Inner().(*cache.ShardedCache)
+	stats := sharded.Stats()
+	if calls.Load() != goroutines*perG || stats.Accesses != calls.Load() {
+		t.Fatalf("accesses %d, calls made %d, want %d", stats.Accesses, calls.Load(), goroutines*perG)
 	}
-	if stats.Hits+stats.Misses != stats.Accesses {
-		t.Fatalf("hit/miss accounting broken: %+v", stats)
+	if stats.Hits != hitsSeen.Load() {
+		t.Fatalf("hits counted %d, hits returned to callers %d", stats.Hits, hitsSeen.Load())
+	}
+	var sum cache.Stats
+	for i := 0; i < sharded.NumShards(); i++ {
+		st := sharded.ShardStats(i)
+		sum.Accesses += st.Accesses
+		sum.Hits += st.Hits
+		sum.Misses += st.Misses
+		sum.Bypasses += st.Bypasses
+	}
+	if sum != stats {
+		t.Fatalf("Stats() %+v != sum of ShardStats %+v", stats, sum)
 	}
 	if ac.Epochs() == 0 {
 		t.Fatal("no epochs ran under concurrent traffic")

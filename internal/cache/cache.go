@@ -26,6 +26,40 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
+func (s Stats) plus(o Stats) Stats {
+	return Stats{s.Accesses + o.Accesses, s.Hits + o.Hits, s.Misses + o.Misses, s.Bypasses + o.Bypasses}
+}
+
+// counters is what an array stores per partition. Each field has one
+// kind of writer: hits, misses and bypasses move only inside Access, so
+// they are plain and covered by whatever serializes Access; probeHits is
+// the one counter a lock-free probe moves, so it is atomic. Accesses and
+// the array-wide total are not stored — every access is a hit or a
+// miss, so both are sums computed when read.
+type counters struct {
+	hits, misses, bypasses int64
+	probeHits              atomic.Int64
+}
+
+// stats reads the counters; like Access, it must not run beside Access.
+func (k *counters) stats() Stats {
+	h := k.hits + k.probeHits.Load()
+	return Stats{Accesses: h + k.misses, Hits: h, Misses: k.misses, Bypasses: k.bypasses}
+}
+
+func (k *counters) reset() {
+	k.hits, k.misses, k.bypasses = 0, 0, 0
+	k.probeHits.Store(0)
+}
+
+func sumStats(perPart []counters) Stats {
+	var total Stats
+	for i := range perPart {
+		total = total.plus(perPart[i].stats())
+	}
+	return total
+}
+
 // EvictNotifier is the optional eviction-reporting extension of the
 // cache contract: implementations call the installed hook once per line
 // evicted by replacement (and once per resident line on Flush), passing
@@ -52,29 +86,33 @@ type Invalidator interface {
 // SetAssoc is a hash-indexed, set-associative, write-allocate cache array
 // with a partitioning scheme restricting victim choice and a replacement
 // policy ranking victims. It implements core.PartitionedCache.
+//
+// Every method but AccessShared needs external serialization — a
+// ShardedCache's shard lock, or a single goroutine. AccessShared does
+// not: every tags/owner write is atomic inside a seqlock bracket (seq is
+// odd while a mutator is rewriting lines) and the one counter a probe
+// moves is atomic, so a probe running beside a mutator either sees a
+// consistent line or detects the race and reports !ok. Whether probes
+// can ever answer is a fact about what the array is, fixed at
+// construction (probeable).
 type SetAssoc struct {
 	sets  int
 	assoc int
 	tags  []uint64
-	owner []int32 // per line: owning partition, -1 = invalid (int32: atomically loadable in shared mode)
+	owner []int32 // per line: owning partition, -1 = invalid
 
 	pol    policy.Policy
 	scheme partition.Scheme
 	idx    *hash.H3
 	evict  func(part int, addr uint64) // eviction hook, nil when unset
 
-	// shared-hits mode (EnableSharedHits): AccessShared may probe for
-	// hits without any external lock. seq is a seqlock generation
-	// counter — odd while a mutator is rewriting tags/owner — that lets
-	// probes detect a racing eviction/invalidation/flush and fall back
-	// to the locked path. In shared mode every tags/owner write and
-	// every stats counter is atomic so probes and (externally locked)
-	// mutators never data-race.
-	shared bool
-	seq    atomic.Uint64
+	// probeable: the policy's Hit tolerates running without the lock
+	// (policy.ConcurrentHitter) and the scheme's set index never moves
+	// (partition.Scheme.StableSetIndex).
+	probeable bool
+	seq       atomic.Uint64
 
-	total   Stats
-	perPart []Stats
+	perPart []counters
 
 	wayBuf  []int
 	lineBuf []int
@@ -109,78 +147,21 @@ func NewSetAssoc(capacityLines int64, assoc int, scheme partition.Scheme, factor
 		pol:     factory(sets, assoc, seed),
 		scheme:  scheme,
 		idx:     hash.NewH3(seed^0xCAC4E, 64),
-		perPart: make([]Stats, scheme.NumPartitions()),
+		perPart: make([]counters, scheme.NumPartitions()),
 		wayBuf:  make([]int, 0, assoc),
 		lineBuf: make([]int, 0, assoc),
 	}
+	_, concurrent := c.pol.(policy.ConcurrentHitter)
+	c.probeable = concurrent && scheme.StableSetIndex()
 	for i := range c.owner {
 		c.owner[i] = -1
 	}
 	return c, nil
 }
 
-// bumpAccess / bumpHit / bumpMiss / bumpBypass move the stats counters,
-// atomically in shared mode (lock-free probes update them concurrently
-// with the locked path).
-func (c *SetAssoc) bumpAccess(part int) {
-	if c.shared {
-		atomic.AddInt64(&c.total.Accesses, 1)
-		atomic.AddInt64(&c.perPart[part].Accesses, 1)
-		return
-	}
-	c.total.Accesses++
-	c.perPart[part].Accesses++
-}
-
-func (c *SetAssoc) bumpHit(part int) {
-	if c.shared {
-		atomic.AddInt64(&c.total.Hits, 1)
-		atomic.AddInt64(&c.perPart[part].Hits, 1)
-		return
-	}
-	c.total.Hits++
-	c.perPart[part].Hits++
-}
-
-func (c *SetAssoc) bumpMiss(part int) {
-	if c.shared {
-		atomic.AddInt64(&c.total.Misses, 1)
-		atomic.AddInt64(&c.perPart[part].Misses, 1)
-		return
-	}
-	c.total.Misses++
-	c.perPart[part].Misses++
-}
-
-func (c *SetAssoc) bumpBypass(part int) {
-	if c.shared {
-		atomic.AddInt64(&c.total.Bypasses, 1)
-		atomic.AddInt64(&c.perPart[part].Bypasses, 1)
-		return
-	}
-	c.total.Bypasses++
-	c.perPart[part].Bypasses++
-}
-
-// EnableSharedHits switches the array into shared-hits mode, in which
-// AccessShared may resolve hits without the caller's lock. It reports
-// whether the mode could be enabled: the policy must support concurrent
-// hit bookkeeping (policy.ConcurrentHitter) and the scheme's set
-// indexing must be stable (partition.Scheme.StableSetIndex). One-way;
-// call before concurrent traffic starts.
-func (c *SetAssoc) EnableSharedHits() bool {
-	ch, ok := c.pol.(policy.ConcurrentHitter)
-	if !ok || !c.scheme.StableSetIndex() {
-		return false
-	}
-	ch.EnableSharedHits()
-	c.shared = true
-	return true
-}
-
 // AccessShared attempts to resolve one access lock-free and reports
 // (hit, ok). ok=false means the probe could not decide — the array is
-// not in shared mode, a mutation was in flight, or the line was not
+// not probeable, a mutation was in flight, or the line was not
 // resident — and the caller must retry under its lock via Access, which
 // then performs the authoritative miss path (fill, eviction hook, byte
 // accounting) exactly as today. On ok=true the access has been fully
@@ -192,7 +173,7 @@ func (c *SetAssoc) EnableSharedHits() bool {
 // one line), never a correctness issue — misses, fills, evictions, and
 // bookkeeping all still happen under the lock.
 func (c *SetAssoc) AccessShared(addr uint64, part int) (hit, ok bool) {
-	if !c.shared {
+	if !c.probeable {
 		return false, false
 	}
 	s1 := c.seq.Load()
@@ -208,8 +189,7 @@ func (c *SetAssoc) AccessShared(addr uint64, part int) (hit, ok bool) {
 			if c.seq.Load() != s1 {
 				return false, false // raced a mutation: retry locked
 			}
-			c.bumpAccess(part)
-			c.bumpHit(part)
+			c.perPart[part].probeHits.Add(1)
 			c.pol.Hit(li, policy.AccessContext{Addr: addr, Set: set, Thread: part})
 			return true, true
 		}
@@ -225,8 +205,7 @@ func (c *SetAssoc) Access(addr uint64, part int) bool {
 	set := c.scheme.SetIndex(h, part)
 	base := set * c.assoc
 	ctx := policy.AccessContext{Addr: addr, Set: set, Thread: part}
-
-	c.bumpAccess(part)
+	stats := &c.perPart[part]
 
 	// Lookup: scan the set's ways. Tag first: a 64-bit tag mismatch
 	// rejects a way with one compare, where owner-first pays two loads
@@ -236,17 +215,17 @@ func (c *SetAssoc) Access(addr uint64, part int) bool {
 	setOwners := c.owner[base : base+c.assoc]
 	for w, tag := range setTags {
 		if tag == addr && setOwners[w] >= 0 {
-			c.bumpHit(part)
+			stats.hits++
 			c.pol.Hit(base+w, ctx)
 			return true
 		}
 	}
 
-	c.bumpMiss(part)
+	stats.misses++
 
 	cands := c.scheme.Candidates(set, part, c.owner[base:base+c.assoc], c.wayBuf[:0])
 	if len(cands) == 0 {
-		c.bumpBypass(part)
+		stats.bypasses++
 		return false
 	}
 	// Prefer a free way among the candidates.
@@ -264,7 +243,7 @@ func (c *SetAssoc) Access(addr uint64, part int) bool {
 	}
 	victim := c.pol.Victim(lines, ctx)
 	if victim < 0 {
-		c.bumpBypass(part)
+		stats.bypasses++
 		return false
 	}
 	c.scheme.OnEvict(int(c.owner[victim]))
@@ -297,29 +276,28 @@ func (c *SetAssoc) Invalidate(addr uint64, part int) bool {
 		li := base + w
 		if c.owner[li] >= 0 && c.tags[li] == addr {
 			c.scheme.OnEvict(int(c.owner[li]))
-			if c.shared {
-				c.seq.Add(1)
-				atomic.StoreInt32(&c.owner[li], -1)
-				c.seq.Add(1)
-			} else {
-				c.owner[li] = -1
-			}
+			c.bumpSeq()
+			atomic.StoreInt32(&c.owner[li], -1)
+			c.bumpSeq()
 			return true
 		}
 	}
 	return false
 }
 
-func (c *SetAssoc) fill(li int, addr uint64, part int, ctx policy.AccessContext) {
-	if c.shared {
+// bumpSeq opens (odd) or closes (even) a rewrite of tags/owner. An array
+// no probe can read has nobody to tell, so it skips the bump.
+func (c *SetAssoc) bumpSeq() {
+	if c.probeable {
 		c.seq.Add(1)
-		atomic.StoreUint64(&c.tags[li], addr)
-		atomic.StoreInt32(&c.owner[li], int32(part))
-		c.seq.Add(1)
-	} else {
-		c.tags[li] = addr
-		c.owner[li] = int32(part)
 	}
+}
+
+func (c *SetAssoc) fill(li int, addr uint64, part int, ctx policy.AccessContext) {
+	c.bumpSeq()
+	atomic.StoreUint64(&c.tags[li], addr)
+	atomic.StoreInt32(&c.owner[li], int32(part))
+	c.bumpSeq()
 	c.scheme.OnFill(part)
 	c.pol.Fill(li, ctx)
 }
@@ -352,67 +330,30 @@ func (c *SetAssoc) Scheme() partition.Scheme { return c.scheme }
 // Policy returns the replacement policy.
 func (c *SetAssoc) Policy() policy.Policy { return c.pol }
 
-// Stats returns total access statistics; PartStats returns partition p's.
-func (c *SetAssoc) Stats() Stats          { return c.loadStats(&c.total) }
-func (c *SetAssoc) PartStats(p int) Stats { return c.loadStats(&c.perPart[p]) }
-
-func (c *SetAssoc) loadStats(s *Stats) Stats {
-	if !c.shared {
-		return *s
-	}
-	return Stats{
-		Accesses: atomic.LoadInt64(&s.Accesses),
-		Hits:     atomic.LoadInt64(&s.Hits),
-		Misses:   atomic.LoadInt64(&s.Misses),
-		Bypasses: atomic.LoadInt64(&s.Bypasses),
-	}
-}
+// Stats returns total access statistics (the sum over partitions);
+// PartStats returns partition p's.
+func (c *SetAssoc) Stats() Stats          { return sumStats(c.perPart) }
+func (c *SetAssoc) PartStats(p int) Stats { return c.perPart[p].stats() }
 
 // ResetStats clears counters without disturbing cache contents, so
 // measurement can begin after warmup.
 func (c *SetAssoc) ResetStats() {
-	if c.shared {
-		for _, s := range append([]*Stats{&c.total}, statPtrs(c.perPart)...) {
-			atomic.StoreInt64(&s.Accesses, 0)
-			atomic.StoreInt64(&s.Hits, 0)
-			atomic.StoreInt64(&s.Misses, 0)
-			atomic.StoreInt64(&s.Bypasses, 0)
-		}
-		return
-	}
-	c.total = Stats{}
 	for i := range c.perPart {
-		c.perPart[i] = Stats{}
+		c.perPart[i].reset()
 	}
-}
-
-func statPtrs(ss []Stats) []*Stats {
-	out := make([]*Stats, len(ss))
-	for i := range ss {
-		out[i] = &ss[i]
-	}
-	return out
 }
 
 // Flush invalidates all lines and clears policy and occupancy state.
 // The eviction hook, if set, fires for every line that was resident.
 func (c *SetAssoc) Flush() {
-	if c.shared {
-		c.seq.Add(1)
-	}
+	c.bumpSeq()
 	for i := range c.owner {
 		if c.owner[i] >= 0 && c.evict != nil {
 			c.evict(int(c.owner[i]), c.tags[i])
 		}
-		if c.shared {
-			atomic.StoreInt32(&c.owner[i], -1)
-		} else {
-			c.owner[i] = -1
-		}
+		atomic.StoreInt32(&c.owner[i], -1)
 	}
-	if c.shared {
-		c.seq.Add(1)
-	}
+	c.bumpSeq()
 	c.pol.Reset()
 	c.scheme.Reset()
 	c.ResetStats()

@@ -17,8 +17,7 @@ import (
 type Ideal struct {
 	parts    []*fullLRU
 	capacity int64
-	total    Stats
-	perPart  []Stats
+	perPart  []counters
 	evict    func(part int, addr uint64) // eviction hook, nil when unset
 }
 
@@ -34,7 +33,7 @@ func NewIdeal(capacityLines int64, numPartitions int) (*Ideal, error) {
 	c := &Ideal{
 		parts:    make([]*fullLRU, numPartitions),
 		capacity: capacityLines,
-		perPart:  make([]Stats, numPartitions),
+		perPart:  make([]counters, numPartitions),
 	}
 	for i := range c.parts {
 		share := capacityLines / int64(numPartitions)
@@ -48,15 +47,11 @@ func NewIdeal(capacityLines int64, numPartitions int) (*Ideal, error) {
 
 // Access implements core.PartitionedCache.
 func (c *Ideal) Access(addr uint64, part int) bool {
-	c.total.Accesses++
-	c.perPart[part].Accesses++
 	hit := c.parts[part].access(addr)
 	if hit {
-		c.total.Hits++
-		c.perPart[part].Hits++
+		c.perPart[part].hits++
 	} else {
-		c.total.Misses++
-		c.perPart[part].Misses++
+		c.perPart[part].misses++
 	}
 	return hit
 }
@@ -96,14 +91,13 @@ func (c *Ideal) PartitionableCapacity() int64 { return c.capacity }
 func (c *Ideal) Granule() int64 { return 1 }
 
 // Stats and PartStats report access statistics.
-func (c *Ideal) Stats() Stats          { return c.total }
-func (c *Ideal) PartStats(p int) Stats { return c.perPart[p] }
+func (c *Ideal) Stats() Stats          { return sumStats(c.perPart) }
+func (c *Ideal) PartStats(p int) Stats { return c.perPart[p].stats() }
 
 // ResetStats clears counters without disturbing contents.
 func (c *Ideal) ResetStats() {
-	c.total = Stats{}
 	for i := range c.perPart {
-		c.perPart[i] = Stats{}
+		c.perPart[i].reset()
 	}
 }
 

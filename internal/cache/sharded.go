@@ -21,17 +21,18 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"talus/internal/hash"
 )
 
 // Shard is the per-shard cache contract: structurally identical to
 // core.PartitionedCache, restated here so the cache package does not
-// depend on core. Implementations need not be goroutine-safe; the
-// ShardedCache serializes all calls into a shard behind its lock.
+// depend on core, plus the Stats every backing keeps (the sharded cache
+// counts nothing itself). Implementations need not be goroutine-safe;
+// the ShardedCache serializes all calls into a shard behind its lock.
 type Shard interface {
 	Access(addr uint64, part int) bool
+	Stats() Stats
 	SetPartitionSizes(sizes []int64) error
 	NumPartitions() int
 	Capacity() int64
@@ -49,80 +50,26 @@ type ShardedCache struct {
 	shards []shardSlot
 }
 
-// shardSlot pairs one shard with its lock and router-level counters. The
-// pad keeps hot per-shard state on distinct cache lines so shards do not
-// false-share under concurrent traffic. probe is non-nil once
-// EnableSharedHits succeeded on the backing: Access then tries the
-// lock-free hit path first, and this slot's counters move atomically on
-// every path (the probe updates them outside the lock).
+// shardSlot pairs one shard with its lock. The pad keeps hot per-shard
+// state on distinct cache lines so shards do not false-share under
+// concurrent traffic. probe is the backing itself when it is a
+// SharedProber (captured once, in NewSharded): Access then tries the
+// lock-free hit path first.
 type shardSlot struct {
 	mu    sync.Mutex
 	c     Shard
 	probe SharedProber
-	stats Stats
 	_     [64]byte
 }
 
 // SharedProber is implemented by shard backings (SetAssoc) that can
 // resolve cache hits without the shard lock. AccessShared reports
-// (hit, ok): ok=false means the probe could not decide (not in shared
-// mode, mutation in flight, or the line is not resident) and the caller
-// must fall back to locked Access, which re-runs the access from
-// scratch. EnableSharedHits switches the backing into shared mode and
-// reports whether it could (policy and scheme permitting); it is one-way
-// and must happen before concurrent traffic.
+// (hit, ok): ok=false means the probe could not decide (the backing's
+// policy or scheme rules probing out, a mutation is in flight, or the
+// line is not resident) and the caller must fall back to locked Access,
+// which re-runs the access from scratch.
 type SharedProber interface {
-	EnableSharedHits() bool
 	AccessShared(addr uint64, part int) (hit, ok bool)
-}
-
-// bump moves a slot's router counters for n accesses with the given hit
-// count — atomically once the slot has a lock-free probe, since probes
-// update the same counters without the lock.
-func (sh *shardSlot) bump(n, hits int64) {
-	if sh.probe != nil {
-		atomic.AddInt64(&sh.stats.Accesses, n)
-		atomic.AddInt64(&sh.stats.Hits, hits)
-		atomic.AddInt64(&sh.stats.Misses, n-hits)
-		return
-	}
-	sh.stats.Accesses += n
-	sh.stats.Hits += hits
-	sh.stats.Misses += n - hits
-}
-
-// load snapshots a slot's router counters; the caller holds sh.mu. In
-// shared mode concurrent probes may still be adding, so the fields are
-// loaded atomically (each field exact, the triple approximate — same
-// contract any concurrent counter read has).
-func (sh *shardSlot) load() Stats {
-	if sh.probe == nil {
-		return sh.stats
-	}
-	return Stats{
-		Accesses: atomic.LoadInt64(&sh.stats.Accesses),
-		Hits:     atomic.LoadInt64(&sh.stats.Hits),
-		Misses:   atomic.LoadInt64(&sh.stats.Misses),
-	}
-}
-
-// EnableSharedHits switches every shard whose backing supports it into
-// shared-hits mode and reports whether ALL shards did — the usual case,
-// since shards are built homogeneously. Shards that enabled keep their
-// probe either way (a partially shared cache is merely slower, never
-// wrong). One-way; call before concurrent traffic starts.
-func (s *ShardedCache) EnableSharedHits() bool {
-	all := true
-	for i := range s.shards {
-		sh := &s.shards[i]
-		p, ok := sh.c.(SharedProber)
-		if !ok || !p.EnableSharedHits() {
-			all = false
-			continue
-		}
-		sh.probe = p
-	}
-	return all
 }
 
 // Errors returned by NewSharded.
@@ -170,6 +117,7 @@ func NewSharded(nShards int, totalLines int64, seed uint64, build func(shard int
 			return nil, ErrShardMismatch
 		}
 		s.shards[i].c = c
+		s.shards[i].probe, _ = c.(SharedProber)
 	}
 	return s, nil
 }
@@ -196,25 +144,11 @@ func (s *ShardedCache) Access(addr uint64, part int) bool {
 	sh := &s.shards[s.shardOf(addr)]
 	if sh.probe != nil {
 		if hit, ok := sh.probe.AccessShared(addr, part); ok {
-			// The probe fully accounted the access in the backing;
-			// mirror it in the router counters and skip the lock.
-			var h int64
-			if hit {
-				h = 1
-			}
-			atomic.AddInt64(&sh.stats.Accesses, 1)
-			atomic.AddInt64(&sh.stats.Hits, h)
-			atomic.AddInt64(&sh.stats.Misses, 1-h)
 			return hit
 		}
 	}
 	sh.mu.Lock()
 	hit := sh.c.Access(addr, part)
-	var h int64
-	if hit {
-		h = 1
-	}
-	sh.bump(1, h)
 	sh.mu.Unlock()
 	return hit
 }
@@ -336,21 +270,13 @@ func (s *ShardedCache) Granule() int64 {
 	return g * int64(len(s.shards))
 }
 
-// Stats returns router-level access counts aggregated over all shards.
-// Hits and Misses partition Accesses exactly (misses that bypassed
-// allocation are counted as plain misses here; per-backing bypass counts
-// remain available via Shard). Safe for concurrent use; under concurrent
-// traffic the result is a consistent per-shard snapshot.
+// Stats returns the shards' access counts summed. Safe for concurrent
+// use: each shard is read under its lock, so under traffic the result
+// is a per-shard snapshot of everything but probe hits still landing.
 func (s *ShardedCache) Stats() Stats {
 	var total Stats
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		st := sh.load()
-		sh.mu.Unlock()
-		total.Accesses += st.Accesses
-		total.Hits += st.Hits
-		total.Misses += st.Misses
+		total = total.plus(s.ShardStats(i))
 	}
 	return total
 }
@@ -394,28 +320,12 @@ func (s *ShardedCache) Invalidate(addr uint64, part int) bool {
 	return inv.Invalidate(addr, part)
 }
 
-// ShardStats returns shard i's router-level counters.
+// ShardStats returns shard i's access counts.
 func (s *ShardedCache) ShardStats(i int) Stats {
 	sh := &s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.load()
-}
-
-// ResetStats clears the router-level counters on every shard.
-func (s *ShardedCache) ResetStats() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if sh.probe != nil {
-			atomic.StoreInt64(&sh.stats.Accesses, 0)
-			atomic.StoreInt64(&sh.stats.Hits, 0)
-			atomic.StoreInt64(&sh.stats.Misses, 0)
-		} else {
-			sh.stats = Stats{}
-		}
-		sh.mu.Unlock()
-	}
+	return sh.c.Stats()
 }
 
 // String describes the sharded configuration.

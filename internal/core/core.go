@@ -295,26 +295,6 @@ func (t *ShadowedCache) Access(addr uint64, logical int) bool {
 	return t.inner.Access(addr, shadow)
 }
 
-// SharedHitEnabler is the optional lock-free-hits extension of
-// PartitionedCache (structurally the cache package's EnableSharedHits
-// contract): EnableSharedHits switches the cache into a mode where hits
-// may be resolved without per-shard locks, and reports whether the whole
-// stack could enable it. One-way; call before concurrent traffic.
-type SharedHitEnabler interface {
-	EnableSharedHits() bool
-}
-
-// EnableSharedHits forwards to the inner cache when it supports
-// lock-free hit probing (cache.ShardedCache over SetAssoc does), and
-// reports whether it was enabled end to end. The shadow routing layer
-// itself is already lock-free — samplers are immutable H3 matrices plus
-// an atomic rate register — so enabling the inner cache makes the whole
-// Access hit path contention-free. Implements SharedHitEnabler.
-func (t *ShadowedCache) EnableSharedHits() bool {
-	e, ok := t.inner.(SharedHitEnabler)
-	return ok && e.EnableSharedHits()
-}
-
 // EvictNotifier is the optional eviction-reporting extension of
 // PartitionedCache (structurally cache.EvictNotifier — restated so core
 // keeps no dependency on the cache package): SetEvictHook installs a

@@ -103,7 +103,7 @@ func (p *DIP) insertAtLRU(idx, set int) {
 	if minTS == 0 {
 		minTS = 1 // keep stamps non-negative; ties at 0 behave as oldest
 	}
-	p.lru.ts[idx] = minTS - 1
+	p.lru.ts[idx].Store(minTS - 1)
 }
 
 // Reset implements Policy.

@@ -35,16 +35,15 @@ type Policy interface {
 // Policies needing randomness derive it deterministically from seed.
 type Factory func(sets, assoc int, seed uint64) Policy
 
-// ConcurrentHitter is implemented by policies whose Hit bookkeeping can
-// safely run without the cache's shard lock, concurrently with other
-// Hits and with Victim/Fill running under the lock. EnableSharedHits
-// switches the policy into that mode (atomic stamp updates for LRU);
-// it must be called before concurrent traffic starts and is one-way.
-// Policies that cannot offer this (e.g. the stack-moving RRIP variants)
-// simply don't implement the interface, and the cache keeps taking the
-// shard lock for their hits.
+// ConcurrentHitter marks policies whose Hit bookkeeping can safely run
+// without the cache's shard lock, concurrently with other Hits and with
+// Victim/Fill running under the lock. cache.NewSetAssoc reads it once,
+// at construction, to decide whether the array can answer lock-free hit
+// probes. Policies that cannot offer this (e.g. the stack-moving RRIP
+// variants) simply don't implement the interface, and the cache keeps
+// taking the shard lock for their hits.
 type ConcurrentHitter interface {
-	EnableSharedHits()
+	ConcurrentHits()
 }
 
 // --- LRU -------------------------------------------------------------
@@ -54,20 +53,19 @@ type ConcurrentHitter interface {
 // Stamps are globally comparable, so LRU ranks victims correctly within
 // any partition's candidate subset.
 //
-// In shared-hits mode (EnableSharedHits) every clock and stamp
-// operation is atomic, so Hit may run lock-free concurrently with
-// locked Victim/Fill: a racing Victim sees each stamp either before or
-// after its bump — at worst it evicts a line that became MRU during the
-// race, which is a recency approximation, never a correctness issue.
+// Every clock and stamp operation is atomic, so Hit may run lock-free
+// concurrently with locked Victim/Fill: a racing Victim sees each stamp
+// either before or after its bump — at worst it evicts a line that
+// became MRU during the race, which is a recency approximation, never a
+// correctness issue.
 type LRU struct {
-	clock  uint64
-	ts     []uint64
-	shared bool
+	clock atomic.Uint64
+	ts    []atomic.Uint64
 }
 
 // NewLRU returns an LRU policy for sets×assoc lines.
 func NewLRU(sets, assoc int, _ uint64) *LRU {
-	return &LRU{ts: make([]uint64, sets*assoc)}
+	return &LRU{ts: make([]atomic.Uint64, sets*assoc)}
 }
 
 // LRUFactory adapts NewLRU to the Factory signature.
@@ -76,47 +74,22 @@ func LRUFactory(sets, assoc int, seed uint64) Policy { return NewLRU(sets, assoc
 // Name implements Policy.
 func (p *LRU) Name() string { return "LRU" }
 
-// EnableSharedHits implements ConcurrentHitter: all clock/stamp traffic
-// becomes atomic so hits may bypass the shard lock.
-func (p *LRU) EnableSharedHits() { p.shared = true }
+// ConcurrentHits implements ConcurrentHitter.
+func (p *LRU) ConcurrentHits() {}
 
 // Hit implements Policy: touching a line makes it most-recently used.
-func (p *LRU) Hit(idx int, _ AccessContext) {
-	if p.shared {
-		atomic.StoreUint64(&p.ts[idx], atomic.AddUint64(&p.clock, 1))
-		return
-	}
-	p.clock++
-	p.ts[idx] = p.clock
-}
+func (p *LRU) Hit(idx int, _ AccessContext) { p.ts[idx].Store(p.clock.Add(1)) }
 
 // Fill implements Policy: new lines are inserted at MRU.
-func (p *LRU) Fill(idx int, _ AccessContext) {
-	if p.shared {
-		atomic.StoreUint64(&p.ts[idx], atomic.AddUint64(&p.clock, 1))
-		return
-	}
-	p.clock++
-	p.ts[idx] = p.clock
-}
+func (p *LRU) Fill(idx int, _ AccessContext) { p.ts[idx].Store(p.clock.Add(1)) }
 
 // Victim implements Policy: evict the least recently used candidate.
 func (p *LRU) Victim(candidates []int, _ AccessContext) int {
-	if p.shared {
-		best := candidates[0]
-		bestTS := atomic.LoadUint64(&p.ts[best])
-		for _, idx := range candidates[1:] {
-			if ts := atomic.LoadUint64(&p.ts[idx]); ts < bestTS {
-				best, bestTS = idx, ts
-			}
-		}
-		return best
-	}
 	best := candidates[0]
-	bestTS := p.ts[best]
+	bestTS := p.ts[best].Load()
 	for _, idx := range candidates[1:] {
-		if p.ts[idx] < bestTS {
-			best, bestTS = idx, p.ts[idx]
+		if ts := p.ts[idx].Load(); ts < bestTS {
+			best, bestTS = idx, ts
 		}
 	}
 	return best
@@ -124,27 +97,15 @@ func (p *LRU) Victim(candidates []int, _ AccessContext) int {
 
 // Reset implements Policy.
 func (p *LRU) Reset() {
-	if p.shared {
-		atomic.StoreUint64(&p.clock, 0)
-		for i := range p.ts {
-			atomic.StoreUint64(&p.ts[i], 0)
-		}
-		return
-	}
-	p.clock = 0
+	p.clock.Store(0)
 	for i := range p.ts {
-		p.ts[i] = 0
+		p.ts[i].Store(0)
 	}
 }
 
 // Timestamp exposes a line's LRU stamp; the DIP insertion variants and
 // tests use it.
-func (p *LRU) Timestamp(idx int) uint64 {
-	if p.shared {
-		return atomic.LoadUint64(&p.ts[idx])
-	}
-	return p.ts[idx]
-}
+func (p *LRU) Timestamp(idx int) uint64 { return p.ts[idx].Load() }
 
 // --- Random ----------------------------------------------------------
 
@@ -166,9 +127,9 @@ func RandomFactory(sets, assoc int, seed uint64) Policy { return NewRandom(sets,
 // Name implements Policy.
 func (p *Random) Name() string { return "Random" }
 
-// EnableSharedHits implements ConcurrentHitter: hits keep no state, so
+// ConcurrentHits implements ConcurrentHitter: hits keep no state, so
 // they are trivially safe without the shard lock.
-func (p *Random) EnableSharedHits() {}
+func (p *Random) ConcurrentHits() {}
 
 // Hit implements Policy (random replacement keeps no per-line state).
 func (p *Random) Hit(int, AccessContext) {}

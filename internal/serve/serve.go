@@ -93,6 +93,11 @@ func statusOf(err error) int {
 		// "stop asking", keeps unauthenticated clients from reading a
 		// 5xx as a server bug to retry against.
 		return http.StatusTooManyRequests
+	case errors.Is(err, store.ErrInfeasibleBounds):
+		// The operator promised this tenant a floor the node cannot
+		// hold beside the tenants already here: a conflict with current
+		// state, not a server fault, and retrying will not change it.
+		return http.StatusConflict
 	case errors.Is(err, store.ErrBackend):
 		return http.StatusBadGateway
 	case errors.Is(err, store.ErrEmptyTenant), errors.Is(err, store.ErrEmptyKey),

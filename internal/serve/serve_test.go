@@ -179,6 +179,23 @@ func TestMaxTenantsCap(t *testing.T) {
 	}
 }
 
+// TestInfeasibleFloorIs409: a walk-in tenant whose configured floor does
+// not fit beside the floors already claimed is a conflict with the
+// node's state — it used to fall through statusOf to a 500.
+func TestInfeasibleFloorIs409(t *testing.T) {
+	srv, _ := newServer(t, store.Config{
+		Tenants:    []string{"a"},
+		LineBounds: map[string]store.LineBounds{"a": {Min: 6000}, "late": {Min: 6000}},
+	}, 0)
+	resp, body := do(t, http.MethodPut, srv.URL+"/v1/cache/late/k", []byte("v"))
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "line floors sum to") {
+		t.Fatalf("unfittable floor = %d %s, want 409 naming the floors", resp.StatusCode, body)
+	}
+	if resp, _ := do(t, http.MethodPut, srv.URL+"/v1/cache/a/k", []byte("v")); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("resident tenant after the refusal = %d", resp.StatusCode)
+	}
+}
+
 func TestStaticTenant404(t *testing.T) {
 	srv, _ := newServer(t, store.Config{Tenants: []string{"only"}, Static: true}, 0)
 	if resp, _ := do(t, http.MethodPut, srv.URL+"/v1/cache/other/k", []byte("v")); resp.StatusCode != http.StatusNotFound {

@@ -112,7 +112,7 @@ func TestWorkersResolution(t *testing.T) {
 
 // TestShardedPointConservation drives a plain sweep point's worth of
 // accesses through a sharded cache built by BuildShardedCache and checks
-// the router-level stats conserve.
+// the summed shard stats account for every access.
 func TestShardedPointConservation(t *testing.T) {
 	sc, err := BuildShardedCache("vantage", 8192, 16, 4, 2, "LRU", 1, 7)
 	if err != nil {

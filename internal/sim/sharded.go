@@ -29,7 +29,7 @@ func BuildShardedCache(scheme string, capacityLines int64, assoc, numShards, num
 	}
 	return cache.NewSharded(numShards, capacityLines, routerSeed,
 		func(i int, capLines int64) (cache.Shard, error) {
-			return BuildCache(scheme, capLines, assoc, numPartitions, policyName, threads, shardSeeds[i])
+			return buildArray(scheme, capLines, assoc, numPartitions, policyName, threads, shardSeeds[i])
 		})
 }
 

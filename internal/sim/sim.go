@@ -59,6 +59,12 @@ func PolicyByName(name string, threads int) (policy.Factory, error) {
 // "ideal" builds the fully-associative per-partition LRU cache (the
 // policy name is ignored for "ideal", which is inherently LRU).
 func BuildCache(scheme string, capacityLines int64, assoc int, numPartitions int, policyName string, threads int, seed uint64) (core.PartitionedCache, error) {
+	return buildArray(scheme, capacityLines, assoc, numPartitions, policyName, threads, seed)
+}
+
+// buildArray is BuildCache typed as what it really builds: an array that
+// can also sit behind a ShardedCache shard lock.
+func buildArray(scheme string, capacityLines int64, assoc int, numPartitions int, policyName string, threads int, seed uint64) (cache.Shard, error) {
 	if scheme == "ideal" {
 		return cache.NewIdeal(capacityLines, numPartitions)
 	}

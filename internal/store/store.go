@@ -50,6 +50,11 @@ var (
 	ErrNoEviction = errors.New("store: cache stack does not support eviction notification")
 	// ErrBadTTL rejects a negative per-entry TTL.
 	ErrBadTTL = errors.New("store: negative ttl")
+	// ErrInfeasibleBounds refuses a registration whose configured line
+	// floor does not fit beside the floors already claimed; it wraps the
+	// adaptive layer's reason. The tenant is not registered and its
+	// partition stays free and unconfigured.
+	ErrInfeasibleBounds = errors.New("store: tenant line bounds do not fit")
 )
 
 // addrMask keeps the 48 address bits hashKey produces; bits 48+ carry
@@ -224,7 +229,8 @@ type Store struct {
 // the tenant count. Values live and die with their simulated lines, so
 // the cache stack must support eviction notification (every stack
 // sim.BuildAdaptiveCache builds does); otherwise New fails with
-// ErrNoEviction.
+// ErrNoEviction. Whether resident Gets skip the shard lock was settled
+// when the arrays were built (cache.SetAssoc); New has nothing to switch.
 func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 	if len(cfg.Tenants) > ac.NumLogical() {
 		return nil, fmt.Errorf("%w: %d tenants for %d partitions", ErrTenantCapacity, len(cfg.Tenants), ac.NumLogical())
@@ -273,11 +279,6 @@ func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("store: bad line bounds [%d, %d] for tenant %q", b.Min, b.Max, name)
 		}
 	}
-	// Serving traffic is concurrent by nature: switch the cache stack
-	// into lock-free hit mode where the policy and scheme allow it.
-	// (Stacks that refuse — RRIP policies, set partitioning — simply
-	// keep taking shard locks; either way the datapath is correct.)
-	ac.EnableSharedHits()
 	if !ac.SetEvictHook(s.onEvict) {
 		return nil, ErrNoEviction
 	}
@@ -413,15 +414,18 @@ func (s *Store) register(name string) (*tenant, error) {
 		admit: hash.NewSampler(0xAD417 ^ uint64(part)*0x9E3779B97F4A7C15),
 	}
 	// Thread the tenant's configured control settings into the claimed
-	// partition. Values were validated at New; a tenant without entries
-	// leaves the allocator's Request untouched (uniform objective).
-	if w, ok := s.cfg.Weights[name]; ok {
-		if err := s.ac.SetWeight(part, w); err != nil {
-			return nil, err
-		}
-	}
+	// partition; a tenant without entries leaves the allocator's Request
+	// untouched (uniform objective). Bounds go first: the floor check is
+	// the one step that can refuse at this point (it depends on who
+	// registered before), and a refusal must leave the free partition as
+	// it was for the next tenant. Weights were validated at New.
 	if b, ok := s.cfg.LineBounds[name]; ok {
 		if err := s.ac.SetPartitionLines(part, b.Min, b.Max); err != nil {
+			return nil, fmt.Errorf("%w: tenant %q: %w", ErrInfeasibleBounds, name, err)
+		}
+	}
+	if w, ok := s.cfg.Weights[name]; ok {
+		if err := s.ac.SetWeight(part, w); err != nil {
 			return nil, err
 		}
 	}
@@ -895,8 +899,8 @@ func (s *Store) Control() ControlState {
 // per-partition Talus configs).
 func (s *Store) Cache() *adaptive.Cache { return s.ac }
 
-// CacheStats returns router-level access counts when the inner cache
-// tracks them (sharded caches do); ok reports availability.
+// CacheStats returns the inner cache's access counts when it reports
+// them (sharded caches sum their shards'); ok reports availability.
 func (s *Store) CacheStats() (st cache.Stats, ok bool) {
 	if c, has := s.ac.Shadowed().Inner().(interface{ Stats() cache.Stats }); has {
 		return c.Stats(), true

@@ -294,15 +294,16 @@ func NewMemBackend(latency time.Duration) *MemBackend {
 
 // Store boundary errors (see the internal/store package docs).
 var (
-	ErrEmptyTenant    = store.ErrEmptyTenant
-	ErrEmptyKey       = store.ErrEmptyKey
-	ErrUnknownTenant  = store.ErrUnknownTenant
-	ErrTenantCapacity = store.ErrTenantCapacity
-	ErrNotFound       = store.ErrNotFound
-	ErrValueTooLarge  = store.ErrValueTooLarge
-	ErrBackend        = store.ErrBackend
-	ErrClosed         = store.ErrClosed
-	ErrBadTTL         = store.ErrBadTTL
+	ErrEmptyTenant      = store.ErrEmptyTenant
+	ErrEmptyKey         = store.ErrEmptyKey
+	ErrUnknownTenant    = store.ErrUnknownTenant
+	ErrTenantCapacity   = store.ErrTenantCapacity
+	ErrNotFound         = store.ErrNotFound
+	ErrValueTooLarge    = store.ErrValueTooLarge
+	ErrBackend          = store.ErrBackend
+	ErrClosed           = store.ErrClosed
+	ErrBadTTL           = store.ErrBadTTL
+	ErrInfeasibleBounds = store.ErrInfeasibleBounds
 )
 
 // NewStore constructs the keyed store over a cache built from the same

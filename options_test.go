@@ -272,3 +272,33 @@ func TestNewStoreRefusesInfeasibleFloors(t *testing.T) {
 		t.Fatalf("after the refusal: %d epochs, last_error %q", cs.Epochs, cs.LastError)
 	}
 }
+
+// TestRefusedRegistrationLeaksNothing: register used to apply a tenant's
+// weight to the free partition before the floor check could refuse the
+// tenant, so the partition kept the weight and handed it to whoever
+// claimed it next — "gold" is refused, "bronze" walks in at weight 4.
+func TestRefusedRegistrationLeaksNothing(t *testing.T) {
+	st, err := NewStore(WithCapacity(4096), WithShards(1), WithPartitions(3), WithTenants("a"),
+		WithTenantLines("a", 3000, 0),
+		WithTenantWeight("gold", 4), WithTenantLines("gold", 3000, 0),
+		WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 12, Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, err = st.Set("gold", "k", []byte("v"))
+	if !errors.Is(err, ErrInfeasibleBounds) || !strings.Contains(err.Error(), "line floors sum to 6000, partitionable capacity 3686") {
+		t.Fatalf("gold's unfittable floor: Set = %v", err)
+	}
+	if _, err := st.Set("bronze", "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range st.Control().Tenants {
+		if row.Tenant == "gold" {
+			t.Fatalf("refused tenant is registered: %+v", row)
+		}
+		if row.Tenant == "bronze" && (row.Partition != 1 || row.Weight != 1 || row.MinLines != 0) {
+			t.Fatalf("bronze inherited the refused tenant's settings: %+v", row)
+		}
+	}
+}
