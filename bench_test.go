@@ -2,7 +2,7 @@
 // version of each artifact through the same code paths as cmd/talus-exp),
 // plus micro-benchmarks of the operations on Talus's critical paths —
 // hull construction, shadow-partition configuration, the H3 sampler, the
-// cache access path, and UMON observation.
+// cache access path, and monitor observation.
 //
 // Run with:
 //
@@ -364,10 +364,11 @@ func BenchmarkStoreSetParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkUMONObserve measures monitor overhead per access (most
-// accesses fail the sampling filter, as in hardware).
-func BenchmarkUMONObserve(b *testing.B) {
-	m, err := monitor.NewLRUMonitor(131072, 3)
+// BenchmarkMonitorObserve measures monitor overhead per access on the
+// bank as requests reach it, default-sliced (most accesses fail the
+// sampling filter, as in hardware).
+func BenchmarkMonitorObserve(b *testing.B) {
+	m, err := monitor.NewSlicedEpochMonitor(131072, 0, 3, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

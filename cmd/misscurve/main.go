@@ -31,13 +31,18 @@ func main() {
 		minMB   = flag.Float64("min", 0.25, "smallest LLC size (MB)")
 		maxMB   = flag.Float64("max", 16, "largest LLC size (MB)")
 		points  = flag.Int("points", 10, "number of sweep points")
-		mon     = flag.Int("monitor-points", 0, "multi-monitor points for non-LRU policies with -talus")
+		mon     = flag.Int("monitor-points", 0, "per-size monitors profiling a -talus run (0 = the LRU-stack bank for LRU, 64 monitors for any other policy)")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		list    = flag.Bool("list", false, "list workloads and exit")
 		traceTo = flag.String("trace", "", "dump a trace to this file instead of sweeping")
 		traceN  = flag.Int("n", 1<<20, "trace length with -trace")
 	)
 	flag.Parse()
+	if err := checkFlags(*minMB, *maxMB, *points, *traceN); err != nil {
+		fmt.Fprintf(os.Stderr, "misscurve: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, name := range workload.Names() {
@@ -89,6 +94,22 @@ func main() {
 			curve.LinesToMB(p.Size), p.MPKI, sim.IPC(spec, p.MPKI))
 	}
 	tw.Flush()
+}
+
+// checkFlags refuses a sweep that cannot be laid out (the sizes are
+// -points values spaced evenly from -min to -max) or an empty trace.
+func checkFlags(minMB, maxMB float64, points, traceN int) error {
+	switch {
+	case points < 2:
+		return fmt.Errorf("-points %d: a sweep needs at least 2 points", points)
+	case !(minMB > 0):
+		return fmt.Errorf("-min %g: want a positive size in MB", minMB)
+	case !(maxMB > minMB):
+		return fmt.Errorf("-max %g: want a size above -min (%g MB)", maxMB, minMB)
+	case traceN <= 0:
+		return fmt.Errorf("-n %d: want a positive trace length", traceN)
+	}
+	return nil
 }
 
 // writeTrace writes addrs to path as a one-partition trace.

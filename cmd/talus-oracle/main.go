@@ -1,7 +1,8 @@
 // Command talus-oracle runs the monitor-vs-oracle validation suite and
 // prints the per-generator error table: for every scenario in
-// oracle.Scenarios, the same access stream is fed to a live LRUMonitor
-// and to the exact stack-distance simulator, and the table reports how
+// oracle.Scenarios, the same access stream is fed to the monitor bank
+// that serves requests (monitor.SlicedEpochMonitor) and to the exact
+// stack-distance simulator, and the table reports how
 // far the measured miss curve lands from ground truth (curve.Distance
 // and the worst off-cliff miss-ratio gap). CI's validate lane runs this
 // to publish ORACLE_errors.md; EXPERIMENTS.md's accuracy table is a

@@ -11,44 +11,6 @@ import (
 	"talus/internal/policy"
 )
 
-// UMON is a sampled LRU stack monitor: sets×ways tags, true LRU within
-// each set, hits bucketed by LRU depth. With sampling rate r (fraction of
-// the stream monitored), the array models a cache of sets·ways/r lines.
-type UMON struct {
-	sets, ways int
-	rate       float64 // fraction of accesses sampled
-	thresh     uint64  // sample iff hash(addr) < thresh
-	h          *hash.H3
-	setH       *hash.H3
-	tags       [][]uint64 // per set, MRU-first
-	sizes      []int      // valid entries per set
-	hitCtr     []int64    // hits by LRU depth
-	misses     int64
-	accesses   int64 // sampled accesses
-}
-
-// NewUMON builds a monitor with the given geometry and sampling rate
-// (0 < rate ≤ 1). The paper's configuration is 16 sets × 64 ways at
-// rate = 1024/LLC lines, plus an extended monitor at rate/16 with 16 ways.
-func NewUMON(sets, ways int, rate float64, seed uint64) (*UMON, error) {
-	if sets <= 0 || ways <= 0 || !(rate > 0 && rate <= 1) {
-		return nil, fmt.Errorf("monitor: bad UMON config %d×%d rate %g", sets, ways, rate)
-	}
-	u := &UMON{
-		sets: sets, ways: ways, rate: rate,
-		h:      hash.NewH3(seed^0x500D, 64),
-		setH:   hash.NewH3(seed^0x5E75, 64),
-		tags:   make([][]uint64, sets),
-		sizes:  make([]int, sets),
-		hitCtr: make([]int64, ways),
-	}
-	u.thresh = rateToThreshold(rate)
-	for i := range u.tags {
-		u.tags[i] = make([]uint64, ways)
-	}
-	return u, nil
-}
-
 // rateToThreshold converts a sampling fraction to a 64-bit hash threshold.
 func rateToThreshold(rate float64) uint64 {
 	if rate >= 1 {
@@ -57,56 +19,10 @@ func rateToThreshold(rate float64) uint64 {
 	return uint64(rate * float64(1<<63) * 2)
 }
 
-// Observe feeds one access to the monitor.
-func (u *UMON) Observe(addr uint64) {
-	u.ObserveHashed(addr, u.h.Hash(addr))
-}
-
-// ObserveHashed feeds one access with a precomputed 64-bit sampling hash,
-// letting a monitor bank hash each address once and fan the value out to
-// every array (LRUMonitor does this; see also PolicyMonitor.ObserveHashed).
-// Sharing the hash nests the arrays' sampled sets — an array at rate
-// r2 < r1 samples a subset of the r1 array's addresses — which Theorem 4
-// is indifferent to: each subset is still a statistically self-similar
-// slice of the stream.
-func (u *UMON) ObserveHashed(addr, hashVal uint64) {
-	if hashVal >= u.thresh {
-		return
-	}
-	u.observeAt(addr, hash.Reduce(u.setH.Hash(addr), u.sets))
-}
-
-// observeIn is the bank-driven observation path: the sampling hash and
-// the bank-level set hash are computed once per access by the caller;
-// this array filters on its own threshold and reduces the shared set
-// value to its own set count. Because every array's set count is a power
-// of two and Reduce is multiply-shift, the resulting index is a prefix
-// of the shared value's top bits — the property the sliced monitor's
-// set-partitioning relies on.
-func (u *UMON) observeIn(addr, hashVal, setVal uint64) {
-	if hashVal >= u.thresh {
-		return
-	}
-	u.observeAt(addr, hash.Reduce(setVal, u.sets))
-}
-
-// observeAt performs the sampled LRU stack walk on a precomputed set.
-func (u *UMON) observeAt(addr uint64, set int) {
-	u.accesses++
-	d, n := stackWalk(u.tags[set], u.sizes[set], u.ways, addr)
-	u.sizes[set] = n
-	if d >= 0 {
-		u.hitCtr[d]++
-	} else {
-		u.misses++
-	}
-}
-
 // stackWalk performs one MRU-first LRU stack access on a single set's tag
 // array: hit moves the tag to MRU and returns its depth; miss inserts at
 // MRU (growing the valid count up to ways, silently dropping the LRU tag
-// once full) and returns depth -1. Shared by UMON and the epoch-sliced
-// monitor so the two walks cannot drift apart.
+// once full) and returns depth -1.
 func stackWalk(tags []uint64, n, ways int, addr uint64) (depth, newN int) {
 	for d := 0; d < n; d++ {
 		if tags[d] == addr {
@@ -124,26 +40,10 @@ func stackWalk(tags []uint64, n, ways int, addr uint64) (depth, newN int) {
 	return -1, n
 }
 
-// ModeledCapacity returns the cache size in lines this monitor's deepest
-// way-point corresponds to.
-func (u *UMON) ModeledCapacity() int64 {
-	return int64(float64(u.sets*u.ways) / u.rate)
-}
-
-// SampledAccesses returns how many accesses passed the sampling filter.
-func (u *UMON) SampledAccesses() int64 { return u.accesses }
-
-// Points converts the counters to full-stream miss-curve points:
-// (0, all-miss) plus one point per way depth. kiloInstr is the number of
-// kilo-instructions over which the monitor observed the stream.
-func (u *UMON) Points(kiloInstr float64) []curve.Point {
-	return stackPoints(u.accesses, u.hitCtr, u.ways, u.rate, u.ModeledCapacity(), kiloInstr)
-}
-
-// stackPoints converts sampled LRU stack counters to full-stream
-// miss-curve points — the single place the counter→curve float math
-// lives, so UMON.Points and the epoch-sliced monitor's merged
-// accumulators produce bit-identical curves from identical counters.
+// stackPoints converts one array's sampled LRU stack counters to
+// full-stream miss-curve points: (0, all-miss) plus one point per way
+// depth, the deepest at modeledCap lines. kiloInstr is the number of
+// kilo-units the counters were accumulated over.
 func stackPoints(accesses int64, hitCtr []int64, ways int, rate float64, modeledCap int64, kiloInstr float64) []curve.Point {
 	if kiloInstr <= 0 || accesses == 0 {
 		return nil
@@ -162,66 +62,6 @@ func stackPoints(accesses int64, hitCtr []int64, ways int, rate float64, modeled
 		})
 	}
 	return pts
-}
-
-// ResetCounters clears hit/miss counters but keeps resident tags, so the
-// next interval starts warm (as hardware UMONs do between
-// reconfigurations).
-func (u *UMON) ResetCounters() {
-	for i := range u.hitCtr {
-		u.hitCtr[i] = 0
-	}
-	u.misses = 0
-	u.accesses = 0
-}
-
-// DecayCounters halves all counters, implementing an exponential moving
-// average across reconfiguration intervals. Short intervals see too few
-// sampled accesses for a stable curve; decaying instead of resetting
-// integrates history with a one-interval half-life, matching Assumption 1
-// (curves change slowly relative to the interval).
-func (u *UMON) DecayCounters() { u.Decay(0.5) }
-
-// Decay scales all counters by retain in [0, 1), generalizing
-// DecayCounters to an arbitrary EWMA retention factor: retain 0 resets
-// each interval (no history), retain near 1 integrates many intervals
-// (stable curves, slow phase tracking).
-func (u *UMON) Decay(retain float64) {
-	if retain <= 0 {
-		u.ResetCounters()
-		return
-	}
-	for i := range u.hitCtr {
-		u.hitCtr[i] = int64(float64(u.hitCtr[i]) * retain)
-	}
-	u.misses = int64(float64(u.misses) * retain)
-	u.accesses = int64(float64(u.accesses) * retain)
-}
-
-// Reset clears everything including tags.
-func (u *UMON) Reset() {
-	u.ResetCounters()
-	for i := range u.sizes {
-		u.sizes[i] = 0
-	}
-}
-
-// LRUMonitor combines three UMONs into one miss curve spanning LLC/4 to
-// 4× the LLC: the conventional monitor, the paper's extended-coverage
-// monitor (§VI-C "Miss curve coverage"), and a *sub-range* monitor
-// applying the same Theorem-4 trick downward — sampling 4× more of the
-// stream to model LLC/4 with 4× finer way granularity. The sub-range
-// monitor matters in partitioned caches, where a partition's allocation
-// is often a small fraction of the LLC and the conventional monitor's
-// LLC/64 granularity would smear any cliff there.
-type LRUMonitor struct {
-	h         *hash.H3 // sampling hash shared by all three arrays
-	setSeed   uint64   // set-index mix seed shared by all three arrays
-	maxThresh uint64   // loosest array threshold: early-out bound
-	sub       *UMON
-	fine      *UMON
-	coarse    *UMON
-	llc       int64
 }
 
 // Monitor geometry. The paper's hardware UMON is 16 sets × 64 ways (1K
@@ -269,9 +109,7 @@ func arrayGeometry(modeledLines int64, ways int) (sets int, rate float64) {
 }
 
 // arraySpec is one bank array's derived configuration: geometry, sampling
-// rate/threshold, and the capacity its deepest way-point models. Both the
-// classic LRUMonitor bank and the epoch-sliced monitor are built from the
-// same specs so their sampling decisions and curve scales agree exactly.
+// rate/threshold, and the capacity its deepest way-point models.
 type arraySpec struct {
 	sets, ways int
 	rate       float64
@@ -280,7 +118,14 @@ type arraySpec struct {
 }
 
 // bankSpecs derives the three arrays' specs (sub, fine, coarse) for an
-// LLC of llcLines.
+// LLC of llcLines. Together they span LLC/4 to 4× the LLC: the
+// conventional monitor (fine), the paper's extended-coverage monitor
+// (coarse, §VI-C "Miss curve coverage"), and a sub-range monitor applying
+// the same Theorem-4 trick downward — sampling 4× more of the stream to
+// model LLC/4 with 4× finer way granularity. The sub-range array matters
+// in partitioned caches, where a partition's allocation is often a small
+// fraction of the LLC and the conventional monitor's LLC/64 granularity
+// would smear any cliff there.
 func bankSpecs(llcLines int64) [3]arraySpec {
 	var specs [3]arraySpec
 	modeled := [3]int64{llcLines / coverageFactor, llcLines, coverageFactor * llcLines}
@@ -294,12 +139,6 @@ func bankSpecs(llcLines int64) [3]arraySpec {
 		}
 	}
 	return specs
-}
-
-// bankSeeds returns the per-array H3 seeds for a bank built from seed,
-// in spec order (sub, fine, coarse).
-func bankSeeds(seed uint64) [3]uint64 {
-	return [3]uint64{seed ^ 0x5B5B, seed, seed ^ 0xC0A25E}
 }
 
 // Bank-level hash seeds: the sampling hash every array's threshold is
@@ -333,69 +172,9 @@ func Rates(llcLines int64) [3]float64 {
 	return [3]float64{specs[0].rate, specs[1].rate, specs[2].rate}
 }
 
-// NewLRUMonitor builds the monitor bank for an LLC of llcLines.
-func NewLRUMonitor(llcLines int64, seed uint64) (*LRUMonitor, error) {
-	if llcLines <= 0 {
-		return nil, fmt.Errorf("monitor: bad LLC size %d", llcLines)
-	}
-	specs := bankSpecs(llcLines)
-	seeds := bankSeeds(seed)
-	var arrs [3]*UMON
-	for i, sp := range specs {
-		u, err := NewUMON(sp.sets, sp.ways, sp.rate, seeds[i])
-		if err != nil {
-			return nil, err
-		}
-		arrs[i] = u
-	}
-	m := &LRUMonitor{
-		h:       hash.NewH3(seed^bankSampleSeed, 64),
-		setSeed: hash.Mix64(seed ^ bankSetSeed),
-		sub:     arrs[0], fine: arrs[1], coarse: arrs[2], llc: llcLines,
-	}
-	for _, sp := range specs {
-		if sp.thresh > m.maxThresh {
-			m.maxThresh = sp.thresh
-		}
-	}
-	return m, nil
-}
-
-// Observe feeds one access to all three arrays, hashing the address once
-// with the bank's shared sampling hash and once with the shared set-index
-// mix, and fanning both values out (the arrays' thresholds and set
-// counts differ, their hashes no longer do). The arrays' sampled sets
-// nest — coarse ⊆ fine ⊆ sub — which Theorem 4 permits, and because every
-// set count is a power of two the shared set value reduces to nested
-// set-index prefixes, the property the epoch-sliced monitor partitions
-// on. Addresses outside even the loosest threshold exit before any
-// per-array work.
-func (m *LRUMonitor) Observe(addr uint64) {
-	hv := m.h.Hash(addr)
-	if hv >= m.maxThresh {
-		return
-	}
-	sv := bankSetValue(addr, m.setSeed)
-	m.sub.observeIn(addr, hv, sv)
-	m.fine.observeIn(addr, hv, sv)
-	m.coarse.observeIn(addr, hv, sv)
-}
-
-// Curve assembles the combined miss curve: sub-range points up to LLC/4,
-// fine points up to the LLC size, coarse points beyond. The result is
-// forced non-increasing (LRU's stack property guarantees monotonicity;
-// sampling noise between the arrays must not manufacture fake cliffs).
-func (m *LRUMonitor) Curve(kiloInstr float64) (*curve.Curve, error) {
-	return assembleCurve(
-		m.sub.Points(kiloInstr),
-		m.fine.Points(kiloInstr),
-		m.coarse.Points(kiloInstr),
-	)
-}
-
 // assembleCurve merges the three arrays' point sets (sub, fine, coarse)
-// into one monotone curve — shared by LRUMonitor and the epoch-sliced
-// monitor so merged counters assemble exactly like live ones.
+// into one monotone curve: sub-range points up to LLC/4, fine points up
+// to the LLC size, coarse points beyond.
 func assembleCurve(subPts, finePts, coarsePts []curve.Point) (*curve.Curve, error) {
 	if subPts == nil && finePts == nil && coarsePts == nil {
 		return nil, fmt.Errorf("monitor: no observations")
@@ -432,35 +211,6 @@ func assembleCurve(subPts, finePts, coarsePts []curve.Point) (*curve.Curve, erro
 		}
 	}
 	return curve.New(pts)
-}
-
-// HistogramSnapshot returns copies of the three arrays' hit histograms
-// in bank order (sub, fine, coarse) plus their sampled access counts —
-// the counterpart of SlicedEpochMonitor.HistogramSnapshot, used by the
-// byte-identity tests.
-func (m *LRUMonitor) HistogramSnapshot() (hists [3][]int64, accesses [3]int64) {
-	for i, u := range [3]*UMON{m.sub, m.fine, m.coarse} {
-		hists[i] = append([]int64(nil), u.hitCtr...)
-		accesses[i] = u.accesses
-	}
-	return hists, accesses
-}
-
-// ResetCounters starts a new measurement interval (tags stay warm).
-func (m *LRUMonitor) ResetCounters() {
-	m.sub.ResetCounters()
-	m.fine.ResetCounters()
-	m.coarse.ResetCounters()
-}
-
-// DecayCounters halves all monitors' counters (see UMON.DecayCounters).
-func (m *LRUMonitor) DecayCounters() { m.Decay(0.5) }
-
-// Decay scales all monitors' counters by retain (see UMON.Decay).
-func (m *LRUMonitor) Decay(retain float64) {
-	m.sub.Decay(retain)
-	m.fine.Decay(retain)
-	m.coarse.Decay(retain)
 }
 
 // PolicyMonitor models one point of a non-stack policy's miss curve: a

@@ -4,110 +4,105 @@ import (
 	"math"
 	"testing"
 
-	"talus/internal/curve"
 	"talus/internal/hash"
 	"talus/internal/policy"
 )
 
+// newBank builds the LRU-stack bank as requests reach it (default slice
+// count, default retention).
+func newBank(t *testing.T, llc int64, seed uint64) *SlicedEpochMonitor {
+	t.Helper()
+	m, err := NewSlicedEpochMonitor(llc, 0, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestUMONValidation(t *testing.T) {
-	if _, err := NewUMON(0, 64, 0.5, 1); err == nil {
-		t.Fatal("zero sets must fail")
+	for _, llc := range []int64{0, -1} {
+		if _, err := NewSlicedEpochMonitor(llc, 0, 1, 1); err == nil {
+			t.Fatalf("llc %d must fail", llc)
+		}
 	}
-	if _, err := NewUMON(16, 0, 0.5, 1); err == nil {
-		t.Fatal("zero ways must fail")
-	}
-	if _, err := NewUMON(16, 64, 0, 1); err == nil {
-		t.Fatal("zero rate must fail")
-	}
-	if _, err := NewUMON(16, 64, 1.5, 1); err == nil {
-		t.Fatal("rate > 1 must fail")
-	}
-}
-
-func TestUMONScanCurve(t *testing.T) {
-	// A cyclic scan over F lines: the miss curve is ~all-miss below F and
-	// ~all-hit above. An unsampled (rate-1) UMON with capacity 2F should
-	// show exactly that cliff.
-	const f = 512
-	u, err := NewUMON(16, 64, 1, 7) // 1024 monitored lines, unsampled
-	if err != nil {
-		t.Fatal(err)
-	}
-	const accesses = f * 40
-	for i := 0; i < accesses; i++ {
-		u.Observe(uint64(i % f))
-	}
-	apki := 10.0
-	kiloInstr := float64(accesses) / apki
-	pts := u.Points(kiloInstr)
-	c, err := curve.New(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Below the footprint: near-APKI MPKI. Above: near zero.
-	if got := c.Eval(f / 2); got < apki*0.9 {
-		t.Errorf("MPKI at F/2 = %g, want ≈ %g", got, apki)
-	}
-	if got := c.Eval(f * 3 / 2); got > apki*0.15 {
-		t.Errorf("MPKI at 1.5F = %g, want ≈ 0", got)
-	}
-	// LRU stack property: the curve must be non-increasing.
-	if !c.IsNonIncreasing() {
-		t.Errorf("UMON curve must be monotone: %v", c)
-	}
-}
-
-func TestUMONSampledMatchesUnsampled(t *testing.T) {
-	// Theorem 4 in practice: a 1/8-sampled monitor with the same array
-	// models 8× capacity; on a random working set both monitors must
-	// agree where their size ranges overlap.
-	rng := hash.NewSplitMix64(3)
-	full, err := NewUMON(32, 64, 1, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := NewUMON(32, 64, 0.125, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ws = 4096
-	const accesses = 1 << 21
-	for i := 0; i < accesses; i++ {
-		a := rng.Uint64n(ws)
-		full.Observe(a)
-		sampled.Observe(a)
-	}
-	kiloInstr := float64(accesses) / 10
-	cf, err := curve.New(full.Points(kiloInstr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := curve.New(sampled.Points(kiloInstr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []float64{512, 1024, 1536, 2048} {
-		a, b := cf.Eval(s), cs.Eval(s)
-		if math.Abs(a-b) > 0.15*(a+1) {
-			t.Errorf("size %g: full %g vs sampled %g", s, a, b)
+	// A retention factor outside (0, 1) selects the default.
+	for _, retain := range []float64{-0.5, 0, 1, 1.5} {
+		m, err := NewSlicedEpochMonitor(1024, retain, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.retain != DefaultRetain {
+			t.Fatalf("retain %g kept as %g, want DefaultRetain", retain, m.retain)
 		}
 	}
 }
 
-func TestLRUMonitorCoverage(t *testing.T) {
-	// The paired monitor must produce points beyond the LLC size (4×
-	// coverage) — the paper's fix for cliffs beyond the LLC (§VI-C).
-	llc := int64(16384)
-	m, err := NewLRUMonitor(llc, 5)
+// TestUMONScanCurve checks the stack walk exactly, at the one geometry
+// small enough to do by hand: at llc 64 the sub and fine arrays are each a
+// single unsampled (rate-1) 64-way LRU stack. A cyclic scan over 32 lines
+// reuses every line at stack depth 31, so after the 32 cold misses every
+// access is a depth-31 hit: the curve is all-miss below 32 lines and
+// all-hit from 32 up.
+func TestUMONScanCurve(t *testing.T) {
+	const llc, f, n = 64, 32, 32 * 1000
+	specs := bankSpecs(llc)
+	for i := 0; i < 2; i++ {
+		if sp := specs[i]; sp.sets != 1 || sp.rate != 1 || sp.modeled != llc {
+			t.Fatalf("array %d at llc %d: %+v, want one unsampled %d-line set", i, llc, sp, llc)
+		}
+	}
+	m := newBank(t, llc, 7)
+	for i := 0; i < n; i++ {
+		m.Observe(uint64(i % f))
+	}
+	hists, accesses := m.HistogramSnapshot()
+	for i := 0; i < 2; i++ {
+		if accesses[i] != n {
+			t.Fatalf("array %d sampled %d of %d accesses at rate 1", i, accesses[i], n)
+		}
+		for d, h := range hists[i] {
+			want := int64(0)
+			if d == f-1 {
+				want = n - f
+			}
+			if h != want {
+				t.Fatalf("array %d depth %d: %d hits, want %d", i, d, h, want)
+			}
+		}
+	}
+	c, err := m.EpochCurve(n) // misses per kilo-access
 	if err != nil {
 		t.Fatal(err)
 	}
+	for s := 0; s < f; s++ {
+		if got := c.Eval(float64(s)); math.Abs(got-1000) > 1e-9 {
+			t.Fatalf("m(%d) = %g, want 1000 (all miss below the footprint)", s, got)
+		}
+	}
+	// From the footprint up only cold misses remain: f of them in the exact
+	// arrays, at most 4f once scaled up from the quarter-rate coarse array.
+	for s := f; s <= 4*llc; s++ {
+		if got := c.Eval(float64(s)); got > 4*f*1000.0/n {
+			t.Fatalf("m(%d) = %g, want ≈ 0 (all hit from the footprint up)", s, got)
+		}
+	}
+	// LRU stack property: the curve must be non-increasing.
+	if !c.IsNonIncreasing() {
+		t.Errorf("bank curve must be monotone: %v", c)
+	}
+}
+
+func TestMonitorCoverage(t *testing.T) {
+	// The bank must produce points beyond the LLC size (4× coverage) —
+	// the paper's fix for cliffs beyond the LLC (§VI-C).
+	llc := int64(16384)
+	m := newBank(t, llc, 5)
 	rng := hash.NewSplitMix64(9)
 	const accesses = 1 << 21
 	for i := 0; i < accesses; i++ {
 		m.Observe(rng.Uint64n(100000))
 	}
-	c, err := m.Curve(float64(accesses) / 20)
+	c, err := m.EpochCurve(float64(accesses) / 20 * 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,20 +117,17 @@ func TestLRUMonitorCoverage(t *testing.T) {
 	}
 }
 
-func TestLRUMonitorDetectsCliffBeyondLLC(t *testing.T) {
-	// A scan of 2× the LLC: the conventional UMON alone cannot see the
-	// cliff; the extended monitor must reveal MPKI dropping past 2×LLC.
+func TestMonitorDetectsCliffBeyondLLC(t *testing.T) {
+	// A scan of 2× the LLC: the conventional (fine) array alone cannot see
+	// the cliff; the extended array must reveal MPKI dropping past 2×LLC.
 	llc := int64(8192)
 	footprint := uint64(2 * llc)
-	m, err := NewLRUMonitor(llc, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newBank(t, llc, 5)
 	accesses := int(footprint) * 48
 	for i := 0; i < accesses; i++ {
 		m.Observe(uint64(i) % footprint)
 	}
-	c, err := m.Curve(float64(accesses) / 30)
+	c, err := m.EpochCurve(float64(accesses) / 30 * 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,32 +138,10 @@ func TestLRUMonitorDetectsCliffBeyondLLC(t *testing.T) {
 	}
 }
 
-func TestLRUMonitorNoObservations(t *testing.T) {
-	m, err := NewLRUMonitor(1024, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Curve(10); err == nil {
+func TestMonitorNoObservations(t *testing.T) {
+	m := newBank(t, 1024, 1)
+	if _, err := m.EpochCurve(10000); err == nil {
 		t.Fatal("curve with no observations must fail")
-	}
-}
-
-func TestUMONResetCounters(t *testing.T) {
-	u, err := NewUMON(4, 8, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		u.Observe(uint64(i % 16))
-	}
-	u.ResetCounters()
-	if u.SampledAccesses() != 0 {
-		t.Fatal("ResetCounters must clear access counts")
-	}
-	// Tags stay warm: re-observing resident lines hits immediately.
-	u.Observe(15)
-	if u.SampledAccesses() != 1 {
-		t.Fatal("monitor must keep observing after reset")
 	}
 }
 
@@ -235,15 +205,13 @@ func TestMultiMonitorValidation(t *testing.T) {
 // ordered accordingly.
 func TestSharedSamplingHashNests(t *testing.T) {
 	const llc = 1 << 16 // large enough that all three rates are < 1
-	m, err := NewLRUMonitor(llc, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newBank(t, llc, 11)
 	rng := hash.NewSplitMix64(5)
 	for i := 0; i < 1<<16; i++ {
 		m.Observe(rng.Uint64n(llc))
 	}
-	sub, fine, coarse := m.sub.SampledAccesses(), m.fine.SampledAccesses(), m.coarse.SampledAccesses()
+	_, sampled := m.HistogramSnapshot()
+	sub, fine, coarse := sampled[0], sampled[1], sampled[2]
 	if coarse == 0 {
 		t.Fatal("coarse array sampled nothing; stream too small for the test")
 	}
@@ -251,8 +219,9 @@ func TestSharedSamplingHashNests(t *testing.T) {
 		t.Fatalf("sampled sets not nested: sub %d, fine %d, coarse %d", sub, fine, coarse)
 	}
 	// Thresholds must be ordered for the subset property, not just counts.
-	if !(m.sub.thresh >= m.fine.thresh && m.fine.thresh >= m.coarse.thresh) {
+	specs := bankSpecs(llc)
+	if !(specs[0].thresh >= specs[1].thresh && specs[1].thresh >= specs[2].thresh) {
 		t.Fatalf("thresholds not ordered: sub %d, fine %d, coarse %d",
-			m.sub.thresh, m.fine.thresh, m.coarse.thresh)
+			specs[0].thresh, specs[1].thresh, specs[2].thresh)
 	}
 }

@@ -3,6 +3,7 @@ package monitor
 import (
 	"testing"
 
+	"talus/internal/curve"
 	"talus/internal/hash"
 )
 
@@ -18,14 +19,14 @@ import (
 //     anywhere in the LRU stack of W distinct lines) — a straight ramp
 //     hitting zero at W.
 
-// feedKiloAccesses drives n accesses of pattern next into m and returns
-// the kilo-access denominator for Curve, so curve values are misses per
-// kilo-access (miss ratio × 1000).
-func feedKiloAccesses(m *LRUMonitor, n int, next func() uint64) float64 {
+// feedAccesses drives n accesses of pattern next into m and returns the
+// unit count for EpochCurve, so curve values are misses per kilo-access
+// (miss ratio × 1000).
+func feedAccesses(m *SlicedEpochMonitor, n int, next func() uint64) float64 {
 	for i := 0; i < n; i++ {
 		m.Observe(next())
 	}
-	return float64(n) / 1000
+	return float64(n)
 }
 
 func TestRoundTripScanCliffBeyondLLC(t *testing.T) {
@@ -34,17 +35,14 @@ func TestRoundTripScanCliffBeyondLLC(t *testing.T) {
 	// extended-coverage (coarse) array after the merge.
 	const llc = 4096
 	const scanLines = 6144
-	m, err := NewLRUMonitor(llc, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newBank(t, llc, 12)
 	var pos uint64
-	kilo := feedKiloAccesses(m, 3_000_000, func() uint64 {
+	units := feedAccesses(m, 3_000_000, func() uint64 {
 		a := pos
 		pos = (pos + 1) % scanLines
 		return a
 	})
-	c, err := m.Curve(kilo)
+	c, err := m.EpochCurve(units)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +50,7 @@ func TestRoundTripScanCliffBeyondLLC(t *testing.T) {
 		t.Fatalf("merged curve covers only %g lines; extended array missing", max)
 	}
 	// Below the cliff: every access misses (1000 misses per kilo-access).
-	// The UMON's way quantization smears the cliff by one way of modeled
+	// The bank's way quantization smears the cliff by one way of modeled
 	// capacity on each side; sample well clear of it.
 	if got := c.Eval(0.7 * scanLines); got < 900 {
 		t.Errorf("m(0.7F) = %g, want ≈ 1000 (all miss)", got)
@@ -77,13 +75,10 @@ func TestRoundTripUniformRamp(t *testing.T) {
 	// working set sits inside the sub-range and fine arrays' coverage.
 	const llc = 8192
 	const ws = llc / 2
-	m, err := NewLRUMonitor(llc, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newBank(t, llc, 21)
 	rng := hash.NewSplitMix64(5)
-	kilo := feedKiloAccesses(m, 4_000_000, func() uint64 { return rng.Uint64n(ws) })
-	c, err := m.Curve(kilo)
+	units := feedAccesses(m, 4_000_000, func() uint64 { return rng.Uint64n(ws) })
+	c, err := m.EpochCurve(units)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,42 +97,85 @@ func TestRoundTripUniformRamp(t *testing.T) {
 	}
 }
 
+// TestEpochMonitorMatchesManualEWMA checks EpochCurve's decay against
+// bookkeeping kept by hand. The raw per-epoch counts come from a second
+// bank on the same seed and stream whose epochs are never closed:
+// HistogramSnapshot drains without decaying, so its counters are running
+// totals, and since tag state never depends on counters both banks see
+// every access at the same depth. The hand-kept EWMA is then
+// acc ← trunc(acc·retain) + (total_e − total_{e−1}), with the unit
+// denominator decayed in lockstep — and retain 0 selecting DefaultRetain.
 func TestEpochMonitorMatchesManualEWMA(t *testing.T) {
-	// EpochCurve must reproduce the open-coded decay bookkeeping over a
-	// classic bank: Curve(effUnits), then Decay(retain), effUnits *=
-	// retain — with retain 0 selecting DefaultRetain.
-	em, err := NewSlicedEpochMonitor(4096, 0, 33, 1)
+	const llc = 4096
+	em, err := NewSlicedEpochMonitor(llc, 0, 33, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manual, err := NewLRUMonitor(4096, 33)
+	totals, err := NewSlicedEpochMonitor(llc, 0, 33, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rngA := hash.NewSplitMix64(9)
-	rngB := hash.NewSplitMix64(9)
+	specs := bankSpecs(llc)
+	var acc, prev [3][]int64
+	var accN, prevN [3]int64
+	for i, sp := range specs {
+		acc[i] = make([]int64, sp.ways)
+		prev[i] = make([]int64, sp.ways)
+	}
+	rng := hash.NewSplitMix64(9)
 	var effUnits float64
 	for epoch := 0; epoch < 4; epoch++ {
 		const n = 200_000
 		for i := 0; i < n; i++ {
-			em.Observe(rngA.Uint64n(1024))
-			manual.Observe(rngB.Uint64n(1024))
+			a := rng.Uint64n(1024)
+			em.Observe(a)
+			totals.Observe(a)
+		}
+		tot, totN := totals.HistogramSnapshot()
+		for i := range acc {
+			for d := range acc[i] {
+				acc[i][d] += tot[i][d] - prev[i][d]
+			}
+			accN[i] += totN[i] - prevN[i]
+		}
+		prev, prevN = tot, totN
+		effUnits += n
+
+		gotH, gotN := em.HistogramSnapshot()
+		for i := range acc {
+			if gotN[i] != accN[i] {
+				t.Fatalf("epoch %d array %d: %d sampled accesses, manual EWMA %d", epoch, i, gotN[i], accN[i])
+			}
+			for d := range acc[i] {
+				if gotH[i][d] != acc[i][d] {
+					t.Fatalf("epoch %d array %d depth %d: %d hits, manual EWMA %d", epoch, i, d, gotH[i][d], acc[i][d])
+				}
+			}
 		}
 		got, err := em.EpochCurve(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		effUnits += n
-		want, err := manual.Curve(effUnits / 1000)
+		var pts [3][]curve.Point
+		for i, sp := range specs {
+			pts[i] = stackPoints(accN[i], acc[i], sp.ways, sp.rate, sp.modeled, effUnits/1000)
+		}
+		want, err := assembleCurve(pts[0], pts[1], pts[2])
 		if err != nil {
 			t.Fatal(err)
 		}
-		manual.Decay(DefaultRetain)
-		effUnits *= DefaultRetain
 		for _, s := range []float64{0, 512, 1024, 2048} {
 			if g, w := got.Eval(s), want.Eval(s); g != w {
 				t.Fatalf("epoch %d: EpochCurve(%g) = %g, manual = %g", epoch, s, g, w)
 			}
 		}
+
+		for i := range acc {
+			for d := range acc[i] {
+				acc[i][d] = int64(float64(acc[i][d]) * DefaultRetain)
+			}
+			accN[i] = int64(float64(accN[i]) * DefaultRetain)
+		}
+		effUnits *= DefaultRetain
 	}
 }

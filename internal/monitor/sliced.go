@@ -9,14 +9,15 @@
 // therefore every Talus and allocator decision — is identical either
 // way; only the y-axis scale differs.
 //
-// A single LRUMonitor bank would serialize every sampled access through
-// one set of tag arrays, which makes the monitor the shared-state
-// bottleneck of the adaptive hot path. This type partitions the bank's
-// *sets* into power-of-two slices, each behind its own mutex: an access
-// locks only the slice that owns its set, and slices accumulate raw
-// per-epoch counters that are merged into central EWMA accumulators
-// inside the epoch step (which the adaptive runtime already serializes
-// under epochMu). One slice is the sequential case.
+// One set of tag arrays behind one lock would serialize every sampled
+// access, which makes the monitor the shared-state bottleneck of the
+// adaptive hot path. This type partitions the bank's *sets* into
+// power-of-two slices, each behind its own mutex: an access locks only
+// the slice that owns its set, and slices accumulate raw per-epoch
+// counters that are merged into central EWMA accumulators inside the
+// epoch step (which the adaptive runtime already serializes under
+// epochMu). One slice is the sequential case, the one the offline
+// profilers (sim.ProfileCurve, oracle.CompareMonitor) build.
 //
 // The partitioning leans on a property of the bank's shared set-index
 // hash: every array's set count is a power of two and hash.Reduce is
@@ -26,21 +27,19 @@
 // aligned block of sets in all three arrays at once, and an address's
 // slice is computable before touching any array.
 //
-// Byte-identity with an LRUMonitor whose caller decays it by hand each
-// epoch (Curve, Decay(retain), effUnits *= retain — pinned by
-// TestSlicedMatchesEpoch and the adaptive round-trip tests)
-// follows from three invariants:
-//   - same sampling decisions: identical sampling/set-mix seeds and per-array
-//     thresholds from the shared bankSpecs;
-//   - same tag walks: each global set's MRU stack lives in exactly one
-//     slice and is updated by the shared stackWalk, so per-set state is
+// The slice count is a lock-domain count and nothing else: histograms,
+// sampled counts and curves are bit-identical at every slice count
+// (pinned by TestSlicedMatchesEpoch), because of three invariants:
+//   - sampling decisions do not depend on the slice count: the sampling
+//     and set-mix seeds and the per-array thresholds come from the seed
+//     and bankSpecs alone;
+//   - each global set's MRU stack lives in exactly one slice and is
+//     updated by stackWalk under that slice's lock, so per-set state is
 //     identical whenever per-set access order is;
-//   - same arithmetic: slices hold only raw int64 counters for the
-//     current epoch — int64 addition is exact and commutative, so the
-//     drain's merge order cannot change the totals — and the EWMA decay
-//     (the only lossy step) is applied exclusively to the central
-//     accumulators, exactly as LRUMonitor.Decay applies it to its
-//     counters.
+//   - slices hold only raw int64 counters for the current epoch — int64
+//     addition is exact and commutative, so the drain's merge order
+//     cannot change the totals — and the EWMA decay (the only lossy
+//     step) is applied exclusively to the central accumulators.
 package monitor
 
 import (
@@ -52,8 +51,8 @@ import (
 )
 
 // DefaultRetain is the default EWMA retention factor: counters keep half
-// their weight each epoch (a one-epoch half-life), the behaviour of
-// DecayCounters that the phase-adaptation tests were tuned against.
+// their weight each epoch (a one-epoch half-life), the behaviour the
+// phase-adaptation tests were tuned against.
 const DefaultRetain = 0.5
 
 // DefaultMonitorSlices is the default slice count: enough to spread
@@ -86,7 +85,7 @@ type monSlice struct {
 }
 
 // arrayAcc is one array's central accumulator: the EWMA-decayed
-// counters, exactly UMON's counter state.
+// counters the curve is read from.
 type arrayAcc struct {
 	hitCtr   []int64
 	misses   int64
@@ -287,9 +286,8 @@ func (s *SlicedEpochMonitor) EpochCurve(unitsThisEpoch float64) (*curve.Curve, e
 
 // HistogramSnapshot drains pending slice counters and returns copies of
 // the three arrays' accumulated hit histograms in bank order (sub, fine,
-// coarse) plus their sampled access counts — the state the byte-identity
-// tests compare against an LRUMonitor fed the same stream. Serialize
-// with EpochCurve.
+// coarse) plus their sampled access counts — the state the slice-count
+// identity tests compare. Serialize with EpochCurve.
 func (s *SlicedEpochMonitor) HistogramSnapshot() (hists [3][]int64, accesses [3]int64) {
 	s.drain()
 	for i := range s.acc {

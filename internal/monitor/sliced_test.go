@@ -1,108 +1,91 @@
 package monitor
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"testing"
 
-	"talus/internal/curve"
 	"talus/internal/hash"
 )
 
-// manualEWMA is the reference the sliced bank is checked against: one
-// classic LRUMonitor whose caller keeps the per-epoch EWMA by hand.
-type manualEWMA struct {
-	mon      *LRUMonitor
-	effUnits float64
-}
-
-func newManualEWMA(t *testing.T, llc int64, seed uint64) *manualEWMA {
+// sameHistograms fails unless two banks hold identical hit histograms
+// and sampled-access counts.
+func sameHistograms(t *testing.T, at string, one, sliced *SlicedEpochMonitor) {
 	t.Helper()
-	mon, err := NewLRUMonitor(llc, seed)
-	if err != nil {
-		t.Fatal(err)
+	oh, oa := one.HistogramSnapshot()
+	sh, sa := sliced.HistogramSnapshot()
+	for i := range oh {
+		if oa[i] != sa[i] {
+			t.Fatalf("%s array %d: accesses %d (one slice) != %d (sliced)", at, i, oa[i], sa[i])
+		}
+		for d := range oh[i] {
+			if oh[i][d] != sh[i][d] {
+				t.Fatalf("%s array %d depth %d: hits %d (one slice) != %d (sliced)", at, i, d, oh[i][d], sh[i][d])
+			}
+		}
 	}
-	return &manualEWMA{mon: mon}
 }
 
-func (m *manualEWMA) epochCurve(units float64) (*curve.Curve, error) {
-	m.effUnits += units
-	c, err := m.mon.Curve(m.effUnits / 1000)
-	m.mon.Decay(DefaultRetain)
-	m.effUnits *= DefaultRetain
-	return c, err
-}
-
-// feedEpochs drives the same phased stream through both monitors with
+// feedEpochs drives the same phased stream through both banks with
 // epochs closed at the same boundaries, comparing histograms and curves
 // at each. The stream mixes a cyclic scan with random reuse so every array
 // sees hits at several depths and the EWMA decay truncation is exercised
 // on non-trivial counter values.
-func feedEpochs(t *testing.T, em *manualEWMA, sm *SlicedEpochMonitor, epochs, perEpoch int, seed uint64) {
+func feedEpochs(t *testing.T, one, sliced *SlicedEpochMonitor, epochs, perEpoch int, seed uint64) {
 	t.Helper()
 	rng := hash.NewSplitMix64(seed)
 	for e := 0; e < epochs; e++ {
-		addrs := make([]uint64, perEpoch)
-		for i := range addrs {
+		for i := 0; i < perEpoch; i++ {
+			var a uint64
 			if i%3 == 0 {
-				addrs[i] = uint64((e*perEpoch + i) % 5000) // scan
+				a = uint64((e*perEpoch + i) % 5000) // scan
 			} else {
-				addrs[i] = 1 << 20 * (rng.Next()%4096 + 1) // random reuse
+				a = 1 << 20 * (rng.Next()%4096 + 1) // random reuse
 			}
+			one.Observe(a)
+			sliced.Observe(a)
 		}
-		for _, a := range addrs {
-			em.mon.Observe(a)
-			sm.Observe(a)
-		}
+		sameHistograms(t, fmt.Sprintf("epoch %d", e), one, sliced)
 
-		eh, ea := em.mon.HistogramSnapshot()
-		sh, sa := sm.HistogramSnapshot()
-		for i := range eh {
-			if ea[i] != sa[i] {
-				t.Fatalf("epoch %d array %d: accesses %d (single) != %d (sliced)", e, i, ea[i], sa[i])
-			}
-			for d := range eh[i] {
-				if eh[i][d] != sh[i][d] {
-					t.Fatalf("epoch %d array %d depth %d: hits %d (single) != %d (sliced)", e, i, d, eh[i][d], sh[i][d])
-				}
-			}
+		oc, oErr := one.EpochCurve(float64(perEpoch))
+		sc, sErr := sliced.EpochCurve(float64(perEpoch))
+		if (oErr == nil) != (sErr == nil) {
+			t.Fatalf("epoch %d: error mismatch: one slice=%v sliced=%v", e, oErr, sErr)
 		}
-
-		ec, eErr := em.epochCurve(float64(perEpoch))
-		sc, sErr := sm.EpochCurve(float64(perEpoch))
-		if (eErr == nil) != (sErr == nil) {
-			t.Fatalf("epoch %d: error mismatch: single=%v sliced=%v", e, eErr, sErr)
-		}
-		if eErr != nil {
+		if oErr != nil {
 			continue
 		}
-		ep, sp := ec.Points(), sc.Points()
-		if len(ep) != len(sp) {
-			t.Fatalf("epoch %d: %d points (single) != %d (sliced)", e, len(ep), len(sp))
+		op, sp := oc.Points(), sc.Points()
+		if len(op) != len(sp) {
+			t.Fatalf("epoch %d: %d points (one slice) != %d (sliced)", e, len(op), len(sp))
 		}
-		for i := range ep {
-			if ep[i].Size != sp[i].Size || math.Float64bits(ep[i].MPKI) != math.Float64bits(sp[i].MPKI) {
-				t.Fatalf("epoch %d point %d: single=%+v sliced=%+v", e, i, ep[i], sp[i])
+		for i := range op {
+			if op[i].Size != sp[i].Size || math.Float64bits(op[i].MPKI) != math.Float64bits(sp[i].MPKI) {
+				t.Fatalf("epoch %d point %d: one slice=%+v sliced=%+v", e, i, op[i], sp[i])
 			}
 		}
 	}
 }
 
-// TestSlicedMatchesEpoch pins the sliced bank's core identity: a
-// SlicedEpochMonitor fed any stream produces, at every epoch boundary,
-// bit-identical hit histograms, sampled-access counts, and curves to a
-// classic LRUMonitor with hand-kept EWMA fed the same stream — across
-// EWMA decay and warm tags, at every slice count.
+// TestSlicedMatchesEpoch pins that the slice count is a lock-domain count
+// and nothing else: fed any stream, a bank of n slices holds, at every
+// epoch boundary, bit-identical hit histograms, sampled-access counts and
+// curves to a one-slice bank fed the same stream — across EWMA decay and
+// warm tags.
 func TestSlicedMatchesEpoch(t *testing.T) {
 	for _, llc := range []int64{2048, 16384, 131072} {
-		for _, slices := range []int{1, 2, 8, 64} {
-			em := newManualEWMA(t, llc, 42)
+		for _, slices := range []int{2, 8, 64} {
+			one, err := NewSlicedEpochMonitor(llc, DefaultRetain, 42, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sm, err := NewSlicedEpochMonitor(llc, DefaultRetain, 42, slices)
 			if err != nil {
 				t.Fatal(err)
 			}
-			feedEpochs(t, em, sm, 6, 20000, 0xABCD+uint64(llc)+uint64(slices))
+			feedEpochs(t, one, sm, 6, 20000, 0xABCD+uint64(llc)+uint64(slices))
 		}
 	}
 }
@@ -137,11 +120,14 @@ func TestSlicedSliceClamp(t *testing.T) {
 // many goroutines — each feeding a stream pre-filtered to a single
 // slice, so every set's access order is deterministic even under racing
 // schedulers — and requires the merged histograms to be byte-identical
-// to a single LRUMonitor fed the same streams sequentially. Run with
+// to a one-slice bank fed the same streams sequentially. Run with
 // -race this also hammers the slice-locking discipline.
 func TestSlicedConcurrentMatchesSequential(t *testing.T) {
 	const llc = 65536
-	em := newManualEWMA(t, llc, 7)
+	one, err := NewSlicedEpochMonitor(llc, DefaultRetain, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sm, err := NewSlicedEpochMonitor(llc, DefaultRetain, 7, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -151,11 +137,10 @@ func TestSlicedConcurrentMatchesSequential(t *testing.T) {
 	rng := hash.NewSplitMix64(99)
 	for i := 0; i < 1<<17; i++ {
 		addr := rng.Next() % 60000
-		hv := sm.h.Hash(addr)
-		if hv >= sm.maxThresh {
+		si, sampled := sm.SampledSlice(addr)
+		if !sampled {
 			continue // would be filtered; keep streams compact
 		}
-		si := sm.sliceOf(bankSetValue(addr, sm.setSeed))
 		perSlice[si] = append(perSlice[si], addr)
 	}
 	const rounds = 3
@@ -179,23 +164,12 @@ func TestSlicedConcurrentMatchesSequential(t *testing.T) {
 		wg.Wait()
 		for _, stream := range perSlice {
 			for _, a := range stream {
-				em.mon.Observe(a)
+				one.Observe(a)
 			}
 		}
-		eh, ea := em.mon.HistogramSnapshot()
-		sh, sa := sm.HistogramSnapshot()
-		for i := range eh {
-			if ea[i] != sa[i] {
-				t.Fatalf("round %d array %d: accesses %d (single) != %d (sliced)", r, i, ea[i], sa[i])
-			}
-			for d := range eh[i] {
-				if eh[i][d] != sh[i][d] {
-					t.Fatalf("round %d array %d depth %d: hits %d (single) != %d (sliced)", r, i, d, eh[i][d], sh[i][d])
-				}
-			}
-		}
+		sameHistograms(t, fmt.Sprintf("round %d", r), one, sm)
 		// Decay between rounds so warm-tag + EWMA state carries over.
-		if _, err := em.epochCurve(1000); err != nil {
+		if _, err := one.EpochCurve(1000); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sm.EpochCurve(1000); err != nil {

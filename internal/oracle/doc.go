@@ -5,7 +5,7 @@
 // monitor → hull → Talus stack from the outside.
 //
 // Everything else in the repo that produces a miss curve is sampled:
-// the UMON bank samples the stream (Theorem 4) and quantizes sizes to
+// the monitor bank samples the stream (Theorem 4) and quantizes sizes to
 // way granularity, and round-trip tests before this package existed
 // compared the monitor only to simulated caches built from the same
 // assumptions. The oracle is different in kind — StackSim computes the
@@ -20,8 +20,9 @@
 // The package underwrites four test tiers (see oracle tests and
 // DESIGN.md "Validation oracle"):
 //
-//   - monitor accuracy: CompareMonitor feeds one stream to a live
-//     LRUMonitor and a StackSim and bounds curve.Distance between the
+//   - monitor accuracy: CompareMonitor feeds one stream to the monitor
+//     bank that serves requests (monitor.SlicedEpochMonitor, one slice,
+//     one epoch) and a StackSim and bounds curve.Distance between the
 //     two curves for every generator in Scenarios;
 //   - hull soundness: lower hulls of oracle curves are verified to be
 //     true lower convex envelopes;

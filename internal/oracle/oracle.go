@@ -72,13 +72,14 @@ type Comparison struct {
 	MaxRatioErr float64
 }
 
-// CompareMonitor feeds one identical access stream to a live LRUMonitor
-// and an exact StackSim and reports how far the measured curve is from
-// ground truth, along with both curves (monitor, oracle) in misses per
-// kilo-access on the monitor's size grid.
+// CompareMonitor feeds one identical access stream to the monitor bank
+// that serves requests (a one-slice monitor.SlicedEpochMonitor closing one
+// epoch) and an exact StackSim and reports how far the measured curve is
+// from ground truth, along with both curves (monitor, oracle) in misses
+// per kilo-access on the monitor's size grid.
 func CompareMonitor(sc Scenario, llcLines int64, seed uint64) (Comparison, *curve.Curve, *curve.Curve, error) {
 	cmp := Comparison{Name: sc.Name, Accesses: sc.Accesses, LLC: llcLines, Rates: monitor.Rates(llcLines)}
-	mon, err := monitor.NewLRUMonitor(llcLines, seed)
+	mon, err := monitor.NewSlicedEpochMonitor(llcLines, 0, seed, 1)
 	if err != nil {
 		return cmp, nil, nil, err
 	}
@@ -91,7 +92,7 @@ func CompareMonitor(sc Scenario, llcLines int64, seed uint64) (Comparison, *curv
 		sim.Access(a)
 	}
 	kilo := float64(sc.Accesses) / 1000
-	monCurve, err := mon.Curve(kilo)
+	monCurve, err := mon.EpochCurve(float64(sc.Accesses))
 	if err != nil {
 		return cmp, nil, nil, fmt.Errorf("oracle: %s monitor curve: %w", sc.Name, err)
 	}

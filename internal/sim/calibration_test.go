@@ -9,7 +9,7 @@ import (
 	"talus/internal/workload"
 )
 
-// TestCloneCliffCalibration profiles each cliff clone with a UMON bank
+// TestCloneCliffCalibration profiles each cliff clone with the monitor bank
 // and checks the measured LRU cliff sits near the position the registry
 // promises (workload.CliffApps). This pins the scanLinesFor interleave
 // compensation: if mixture weights drift, cliffs move and this fails.
@@ -26,7 +26,7 @@ func TestCloneCliffCalibration(t *testing.T) {
 				t.Fatalf("%s missing", name)
 			}
 			// Monitor sized at the cliff: coverage spans [cliff/4, 4×cliff].
-			mon, err := monitor.NewLRUMonitor(cliff, 17)
+			mon, err := monitor.NewSlicedEpochMonitor(cliff, 0, 17, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +41,7 @@ func TestCloneCliffCalibration(t *testing.T) {
 			for i := int64(0); i < accesses; i++ {
 				mon.Observe(app.Next())
 			}
-			c, err := mon.Curve(float64(accesses) / spec.APKI)
+			c, err := mon.EpochCurve(float64(accesses) / spec.APKI * 1000)
 			if err != nil {
 				t.Fatal(err)
 			}

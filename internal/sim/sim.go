@@ -54,6 +54,16 @@ func PolicyByName(name string, threads int) (policy.Factory, error) {
 	return nil, fmt.Errorf("sim: unknown policy %q (valid: LRU, SRRIP, BRRIP, DRRIP, TA-DRRIP, DIP, PDP, Random)", name)
 }
 
+// defaultMonitorPoints is the paper's per-size monitor count for
+// profiling a policy without the stack property (§VI-C: 64 points).
+const defaultMonitorPoints = 64
+
+// replacesLRU reports whether BuildCache(scheme, …, policyName, …) evicts
+// in LRU order, so that one LRU stack yields its whole miss curve.
+func replacesLRU(scheme, policyName string) bool {
+	return scheme == "ideal" || policyName == "LRU" || policyName == "lru"
+}
+
 // BuildCache constructs a partitioned cache per the named scheme:
 // "none", "way", "set", "vantage" build set-associative arrays;
 // "ideal" builds the fully-associative per-partition LRU cache (the

@@ -249,6 +249,33 @@ func TestTalusSRRIPWithMultiMonitor(t *testing.T) {
 	}
 }
 
+func TestTalusNonStackPolicyDefaultsToMultiMonitor(t *testing.T) {
+	// A Talus run on a policy without the stack property must not profile
+	// with the LRU stack: MonitorPoints 0 selects the paper's 64-point
+	// MultiMonitor there, exactly as if the caller had asked for it.
+	cfg := SweepConfig{
+		App:             cliffSpec,
+		Policy:          "SRRIP",
+		Scheme:          "way",
+		Talus:           true,
+		WarmupAccesses:  1 << 16,
+		MeasureAccesses: 1 << 18,
+		Seed:            71,
+	}
+	got, err := RunPoint(cfg, 6144, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MonitorPoints = 64
+	want, err := RunPoint(cfg, 6144, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("SRRIP with MonitorPoints 0: MPKI %g, with 64: %g; want identical", got, want)
+	}
+}
+
 func TestProfileCurveShape(t *testing.T) {
 	cfg := SweepConfig{App: cliffSpec, ProfileAccesses: 1 << 20, Seed: 61}
 	cfg.defaults()

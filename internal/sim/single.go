@@ -26,9 +26,11 @@ type SweepConfig struct {
 	// entirely (used by tests and the margin ablation).
 	Margin float64
 
-	// MonitorPoints selects the profiling monitor for Talus runs: 0 uses
-	// the paper's UMON pair (valid for LRU); >0 uses a MultiMonitor with
-	// that many points (needed for non-stack policies like SRRIP, §VI-C).
+	// MonitorPoints sizes the profiling monitor for Talus runs on
+	// policies without the stack property (SRRIP, …), which need one
+	// sampled monitor per curve point (§VI-C): 0 selects the paper's 64.
+	// LRU runs profile with the LRU-stack bank at 0; a positive count
+	// forces the MultiMonitor there too.
 	MonitorPoints int
 
 	// CurveOverride, when set, skips profiling and hands Talus this miss
@@ -200,12 +202,16 @@ func ProfileCurve(cfg SweepConfig, llcLines int64, seed uint64) (*curve.Curve, e
 	app := workload.NewApp(cfg.App, seed^0xF10F)
 	kiloInstr := float64(profAccesses) / cfg.App.APKI
 
-	if cfg.MonitorPoints > 0 {
+	points := cfg.MonitorPoints
+	if points == 0 && !replacesLRU(cfg.Scheme, cfg.Policy) {
+		points = defaultMonitorPoints
+	}
+	if points > 0 {
 		factory, err := PolicyByName(cfg.Policy, 1)
 		if err != nil {
 			return nil, err
 		}
-		mm, err := monitor.NewMultiMonitor(4*llcLines, cfg.MonitorPoints, 2048, 16,
+		mm, err := monitor.NewMultiMonitor(4*llcLines, points, 2048, 16,
 			factory, seed^0x33F)
 		if err != nil {
 			return nil, err
@@ -216,14 +222,16 @@ func ProfileCurve(cfg SweepConfig, llcLines int64, seed uint64) (*curve.Curve, e
 		return mm.Curve(kiloInstr)
 	}
 
-	mon, err := monitor.NewLRUMonitor(llcLines, seed^0x33F)
+	// The bank that serves requests, as one slice closing one epoch (the
+	// first epoch's curve is read before any decay).
+	mon, err := monitor.NewSlicedEpochMonitor(llcLines, 0, seed^0x33F, 1)
 	if err != nil {
 		return nil, err
 	}
 	for i := int64(0); i < profAccesses; i++ {
 		mon.Observe(app.Next())
 	}
-	return mon.Curve(kiloInstr)
+	return mon.EpochCurve(kiloInstr * 1000)
 }
 
 // mpkiOf converts a miss count over n accesses at the given APKI to MPKI.
