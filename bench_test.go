@@ -204,7 +204,7 @@ func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
 // over 8 locked LRU shards.
 func benchShardedCache(b *testing.B) *cache.ShardedCache {
 	b.Helper()
-	sc, err := sim.BuildShardedCache("none", 16384, 16, 8, 1, "LRU", 1, 42)
+	sc, err := cache.BuildSharded("none", 16384, 16, 8, 1, "LRU", 1, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func BenchmarkShardedAccess(b *testing.B) {
 // BenchmarkShadowedShardedAccess measures the full concurrent Talus
 // stack: sampler routing plus sharded access.
 func BenchmarkShadowedShardedAccess(b *testing.B) {
-	inner, err := sim.BuildShardedCache("vantage", 16384, 16, 8, 2, "LRU", 1, 42)
+	inner, err := cache.BuildSharded("vantage", 16384, 16, 8, 2, "LRU", 1, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func BenchmarkShadowedShardedAccess(b *testing.B) {
 // per-partition monitor observation, sampler routing, sharded access,
 // and the epoch reconfigurations the traffic itself triggers.
 func BenchmarkAdaptiveAccess(b *testing.B) {
-	ac, err := sim.BuildAdaptiveCache("vantage", 16384, 16, 8, 2, "LRU",
+	ac, err := adaptive.Build("vantage", 16384, 16, 8, 2, "LRU",
 		core.DefaultMargin, adaptive.Config{EpochAccesses: 1 << 18, Seed: 42})
 	if err != nil {
 		b.Fatal(err)

@@ -26,8 +26,8 @@
 // key, so clients need no routing logic.
 //
 // The store is a cache bounded by -mb: a value dies when its simulated
-// line is evicted. -max-bytes adds a byte cap (writes then pass the
-// Talus-managed admission gate); -backend adds a backing tier that
+// line is evicted. -max-bytes adds a byte cap (a write that would
+// overdraw it is not kept); -backend adds a backing tier that
 // writes go through to and misses read through, so eviction costs a
 // backend read instead of the value.
 //
@@ -47,7 +47,7 @@
 // set; GET /v1/control reports the measured curve churn beside it.
 //
 // A captured trace replays offline through talus-trace replay (or
-// talus.RunAdaptiveTraceFile), closing the loop between served traffic
+// talus-sim -trace), closing the loop between served traffic
 // and the experiment suite. SIGINT/SIGTERM shut down gracefully:
 // in-flight requests drain, recording flushes, the epoch ticker stops.
 package main
@@ -86,7 +86,7 @@ func main() {
 		maxValue   = flag.Int64("max-value", 1<<20, "maximum value size in bytes")
 		recordDir  = flag.String("record-dir", "", "directory POST /v1/record may write traces into (empty disables the endpoint)")
 		seed       = flag.Uint64("seed", 42, "deterministic seed for hashes, samplers, monitors")
-		maxBytes   = flag.Int64("max-bytes", 0, "cap on total value bytes held, enforced by the admission gate (0 = none: only the -mb line capacity bounds the cache)")
+		maxBytes   = flag.Int64("max-bytes", 0, "cap on total value bytes held; a write that would overdraw it is not kept (0 = none: only the -mb line capacity bounds the cache)")
 		maxTenants = flag.Int("max-tenants", 0, "cap on tenants ever registered (0 = partition count only)")
 		backend    = flag.String("backend", "", "backing tier behind the cache: mem (empty = none)")
 		backendLat = flag.Duration("backend-latency", 0, "modeled latency per backend operation")

@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestDocsNameRealMakeTargets fails when a living document tells the
@@ -39,6 +40,35 @@ func TestDocsNameRealMakeTargets(t *testing.T) {
 					t.Errorf("%s names `make %s`, which is not in the Makefile's .PHONY list", doc, name)
 				}
 			}
+		}
+	}
+}
+
+// TestChangesEntriesStayShort caps each CHANGES.md entry at 1 500
+// characters: an entry is one paragraph of what changed and what moved,
+// plus a pointer to its EXPERIMENTS.md section, where the numbers live.
+// The first changesUncapped entries predate the cap and are exempt.
+func TestChangesEntriesStayShort(t *testing.T) {
+	const (
+		changesUncapped = 18
+		maxEntry        = 1500
+	)
+	text, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []string
+	for _, line := range strings.Split(string(text), "\n") {
+		if strings.TrimSpace(line) != "" {
+			entries = append(entries, line)
+		}
+	}
+	if len(entries) < changesUncapped {
+		t.Fatalf("CHANGES.md has %d entries, fewer than the %d exempt ones", len(entries), changesUncapped)
+	}
+	for i, e := range entries[changesUncapped:] {
+		if n := utf8.RuneCountInString(e); n > maxEntry {
+			t.Errorf("CHANGES.md entry %d is %d characters (cap %d): %.60s…", changesUncapped+i+1, n, maxEntry, e)
 		}
 	}
 }

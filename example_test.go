@@ -2,8 +2,6 @@ package talus_test
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"talus"
 )
@@ -59,34 +57,6 @@ func ExampleNewStore() {
 	// gets=1 sets=1
 }
 
-// ExampleRecordTrace captures two workload clones' interleaved access
-// stream to a trace file, then loads it back as workload specs — the
-// record/replay round trip the trace subsystem guarantees is exact.
-func ExampleRecordTrace() {
-	dir, err := os.MkdirTemp("", "talus-example")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "mix.trc")
-
-	libq, _ := talus.LookupWorkload("libquantum")
-	mcf, _ := talus.LookupWorkload("mcf")
-	n, err := talus.RecordTrace(path, []talus.WorkloadSpec{libq, mcf}, 10000, 42, false)
-	if err != nil {
-		panic(err)
-	}
-	specs, err := talus.WorkloadsFromTrace(path)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("records:", n)
-	fmt.Println("replayable apps:", len(specs))
-	// Output:
-	// records: 20000
-	// replayable apps: 2
-}
-
 // ExampleConfigure walks the paper's worked example (§III): a 4 MB cache
 // on a miss curve with a plateau from 2 MB to 5 MB.
 func ExampleConfigure() {
@@ -124,48 +94,4 @@ func ExampleConvexHull() {
 	// Output:
 	// convex: true
 	// at 250 lines: 5 instead of 10.5
-}
-
-// ExampleOptimalBypass reproduces Fig. 5: bypassing helps on the cliff
-// but cannot match the hull (Corollary 8).
-func ExampleOptimalBypass() {
-	mb := talus.MBToLines
-	m := talus.MustCurve([]talus.Point{
-		{Size: 0, MPKI: 24},
-		{Size: mb(2), MPKI: 12},
-		{Size: mb(4.999), MPKI: 12},
-		{Size: mb(5), MPKI: 3},
-		{Size: mb(10), MPKI: 3},
-	})
-	bc, _ := talus.OptimalBypass(m, mb(4))
-	fmt.Printf("admit %.0f%% of accesses, cache acts as %gMB\n",
-		bc.Rho*100, talus.LinesToMB(bc.Emulated))
-	fmt.Printf("bypassing: %.1f MPKI, Talus: %.1f MPKI\n",
-		bc.MPKI, talus.InterpolatedMPKI(m, mb(4)))
-	// Output:
-	// admit 80% of accesses, cache acts as 5MB
-	// bypassing: 7.2 MPKI, Talus: 6.0 MPKI
-}
-
-// ExampleHillClimb shows why convexity matters: on hulls, trivial hill
-// climbing matches the exact DP optimum.
-func ExampleHillClimb() {
-	cliff := talus.MustCurve([]talus.Point{
-		{Size: 0, MPKI: 20}, {Size: 490, MPKI: 20}, {Size: 500, MPKI: 1}, {Size: 800, MPKI: 1},
-	})
-	convex := talus.MustCurve([]talus.Point{
-		{Size: 0, MPKI: 10}, {Size: 200, MPKI: 4}, {Size: 800, MPKI: 2},
-	})
-	raw := []*talus.MissCurve{cliff, convex}
-
-	onRaw, _ := talus.HillClimb(raw, 800, 10)
-	onHulls, _ := talus.HillClimb(talus.Convexify(raw), 800, 10)
-	fmt.Println("hill on raw curves: ", onRaw)
-	fmt.Println("hill on Talus hulls:", onHulls)
-	// On the raw curves, hill climbing sees zero marginal gain anywhere
-	// on the cliff app's plateau and starves it; on the hulls it walks
-	// straight to the cliff's foot.
-	// Output:
-	// hill on raw curves:  [0 800]
-	// hill on Talus hulls: [500 300]
 }

@@ -17,21 +17,23 @@ import (
 	"log"
 
 	"talus"
+	"talus/internal/sim"
 	"talus/internal/stats"
+	"talus/internal/workload"
 )
 
 func main() {
-	spec, ok := talus.LookupWorkload("omnetpp")
+	spec, ok := workload.Lookup("omnetpp")
 	if !ok {
 		log.Fatal("omnetpp clone missing")
 	}
-	apps := make([]talus.WorkloadSpec, 8)
+	apps := make([]workload.Spec, 8)
 	for i := range apps {
 		apps[i] = spec
 	}
 
-	runMode := func(mode talus.Mode) *talus.MixResult {
-		res, err := talus.RunMix(talus.MixConfig{
+	runMode := func(mode sim.Mode) *sim.MixResult {
+		res, err := sim.RunMix(sim.MixConfig{
 			Apps:          apps,
 			CapacityLines: int64(talus.MBToLines(8)),
 			Mode:          mode,
@@ -44,18 +46,18 @@ func main() {
 		return res
 	}
 
-	base := runMode(talus.ModeLRU)
+	base := runMode(sim.ModeLRU)
 	fmt.Println("8 × omnetpp (2 MB cliffs) on an 8 MB LLC")
 	fmt.Printf("%-18s %-10s %-12s %-14s\n", "scheme", "speedup", "CoV of IPC", "slowest core")
 	for _, m := range []struct {
 		label string
-		mode  talus.Mode
+		mode  sim.Mode
 	}{
-		{"LRU", talus.ModeLRU},
-		{"Fair/LRU", talus.ModeFairLRU},
-		{"Lookahead/LRU", talus.ModeLookaheadLRU},
-		{"TA-DRRIP", talus.ModeTADRRIP},
-		{"Talus+Fair", talus.ModeTalusFair},
+		{"LRU", sim.ModeLRU},
+		{"Fair/LRU", sim.ModeFairLRU},
+		{"Lookahead/LRU", sim.ModeLookaheadLRU},
+		{"TA-DRRIP", sim.ModeTADRRIP},
+		{"Talus+Fair", sim.ModeTalusFair},
 	} {
 		res := runMode(m.mode)
 		slowest := res.IPC[0]

@@ -2,8 +2,8 @@
 //
 // This example runs the full Talus pipeline the way hardware would:
 //
-//  1. profile the libquantum clone's miss curve with a UMON pair
-//     (conventional + extended coverage, §VI-C);
+//  1. profile the libquantum clone's miss curve with the sampled
+//     LRU-stack monitor (4× the LLC's coverage, §VI-C);
 //  2. convexify and configure shadow partitions for a 24 MB LLC — right
 //     on the plateau of the 32 MB cliff, where LRU wastes every line;
 //  3. simulate both plain LRU and Talus and compare measured MPKI with
@@ -19,18 +19,20 @@ import (
 	"log"
 
 	"talus"
+	"talus/internal/sim"
+	"talus/internal/workload"
 )
 
 const llcMB = 24
 
 func main() {
-	spec, ok := talus.LookupWorkload("libquantum")
+	spec, ok := workload.Lookup("libquantum")
 	if !ok {
 		log.Fatal("libquantum clone missing")
 	}
 	size := int64(talus.MBToLines(llcMB))
 
-	base := talus.SweepConfig{
+	base := sim.SweepConfig{
 		App:             spec,
 		WarmupAccesses:  1 << 21,
 		MeasureAccesses: 1 << 22,
@@ -38,27 +40,27 @@ func main() {
 	}
 
 	// Plain LRU: stuck on the plateau.
-	lruMPKI, err := talus.RunPoint(base, size, 1)
+	lruMPKI, err := sim.RunPoint(base, size, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Talus on Vantage partitioning, LRU replacement. RunPoint profiles
-	// the miss curve with UMONs, computes the hull, programs the two
-	// shadow partitions, and measures.
+	// the miss curve with the monitor, computes the hull, programs the
+	// two shadow partitions, and measures.
 	cfg := base
 	cfg.Talus = true
 	cfg.Scheme = "vantage"
-	talusMPKI, err := talus.RunPoint(cfg, size, 2)
+	talusMPKI, err := sim.RunPoint(cfg, size, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("libquantum @ %d MB LLC (32 MB cliff)\n", llcMB)
-	fmt.Printf("  LRU:   %6.2f MPKI  (IPC %.3f)\n", lruMPKI, talus.IPCOf(spec, lruMPKI))
-	fmt.Printf("  Talus: %6.2f MPKI  (IPC %.3f)\n", talusMPKI, talus.IPCOf(spec, talusMPKI))
+	fmt.Printf("  LRU:   %6.2f MPKI  (IPC %.3f)\n", lruMPKI, sim.IPC(spec, lruMPKI))
+	fmt.Printf("  Talus: %6.2f MPKI  (IPC %.3f)\n", talusMPKI, sim.IPC(spec, talusMPKI))
 	fmt.Printf("  speedup: %.2fx\n",
-		talus.IPCOf(spec, talusMPKI)/talus.IPCOf(spec, lruMPKI))
+		sim.IPC(spec, talusMPKI)/sim.IPC(spec, lruMPKI))
 	if talusMPKI < lruMPKI {
 		fmt.Println("  → cliff removed: capacity on the plateau is useful again")
 	}

@@ -19,22 +19,24 @@ import (
 	"log"
 
 	"talus"
+	"talus/internal/sim"
 	"talus/internal/stats"
+	"talus/internal/workload"
 )
 
 func main() {
 	names := []string{"libquantum", "omnetpp", "xalancbmk", "mcf", "lbm", "milc", "gcc", "sphinx3"}
-	apps := make([]talus.WorkloadSpec, len(names))
+	apps := make([]workload.Spec, len(names))
 	for i, n := range names {
-		spec, ok := talus.LookupWorkload(n)
+		spec, ok := workload.Lookup(n)
 		if !ok {
 			log.Fatalf("unknown workload %s", n)
 		}
 		apps[i] = spec
 	}
 
-	runMode := func(mode talus.Mode) *talus.MixResult {
-		res, err := talus.RunMix(talus.MixConfig{
+	runMode := func(mode sim.Mode) *sim.MixResult {
+		res, err := sim.RunMix(sim.MixConfig{
 			Apps:          apps,
 			CapacityLines: int64(talus.MBToLines(8)),
 			Mode:          mode,
@@ -47,14 +49,14 @@ func main() {
 		return res
 	}
 
-	base := runMode(talus.ModeLRU)
+	base := runMode(sim.ModeLRU)
 	modes := []struct {
 		label string
-		mode  talus.Mode
+		mode  sim.Mode
 	}{
-		{"Hill/LRU", talus.ModeHillLRU},
-		{"Lookahead/LRU", talus.ModeLookaheadLRU},
-		{"Talus+Hill", talus.ModeTalusHill},
+		{"Hill/LRU", sim.ModeHillLRU},
+		{"Lookahead/LRU", sim.ModeLookaheadLRU},
+		{"Talus+Hill", sim.ModeTalusHill},
 	}
 	fmt.Printf("%-16s %-18s %-18s\n", "scheme", "weighted speedup", "harmonic speedup")
 	fmt.Printf("%-16s %-18.3f %-18.3f\n", "LRU (baseline)", 1.0, 1.0)

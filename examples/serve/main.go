@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 
 	"talus"
+	"talus/internal/sim"
 )
 
 const (
@@ -101,7 +102,7 @@ func run() error {
 
 	// Close the loop: the recorded front-end traffic replays offline
 	// through the adaptive simulator, tenant names intact.
-	res, err := talus.RunAdaptiveTraceFile(talus.AdaptiveRunConfig{
+	res, err := sim.RunAdaptiveTraceFile(sim.AdaptiveConfig{
 		CapacityLines: int64(talus.MBToLines(0.5)),
 		EpochAccesses: 1 << 14,
 		Seed:          42,

@@ -30,8 +30,8 @@ func main() {
 
 	// Two-phase apps: a cliff-maker that periodically rests, and a
 	// working-set app that periodically streams.
-	twoPhase := func(name string, apki float64, scan, reuse int64) talus.WorkloadSpec {
-		return talus.WorkloadSpec{
+	twoPhase := func(name string, apki float64, scan, reuse int64) workload.Spec {
+		return workload.Spec{
 			Name: name, APKI: apki, CPIBase: 0.5, MLP: 2,
 			Build: func() workload.Pattern {
 				p, err := workload.NewPhased(
@@ -45,12 +45,12 @@ func main() {
 			},
 		}
 	}
-	specs := []talus.WorkloadSpec{
+	specs := []workload.Spec{
 		twoPhase("phased-scan", 20, int64(mb(3)), int64(mb(0.5))),
 		twoPhase("phased-rand", 12, int64(mb(1)), int64(mb(1.5))),
 	}
 
-	cfg := talus.AdaptiveRunConfig{
+	cfg := sim.AdaptiveConfig{
 		Apps:           specs,
 		CapacityLines:  int64(mb(4)),
 		EpochAccesses:  1 << 18,
@@ -59,7 +59,7 @@ func main() {
 	}
 
 	// Live run: generators feed the adaptive loop directly.
-	live, err := talus.RunAdaptive(cfg)
+	live, err := sim.RunAdaptive(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func main() {
 	// Replay: the trace, not the generators, drives the loop.
 	replayCfg := cfg
 	replayCfg.Apps = nil // app names and APKI travel inside the trace
-	replay, err := talus.RunAdaptiveTraceFile(replayCfg, path)
+	replay, err := sim.RunAdaptiveTraceFile(replayCfg, path)
 	if err != nil {
 		log.Fatal(err)
 	}

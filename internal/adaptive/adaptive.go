@@ -108,8 +108,8 @@ type ControllerState struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// Cache is the adaptive Talus runtime. Construct with New (or the
-// convenience builder sim.BuildAdaptiveCache / talus.NewAdaptiveCache).
+// Cache is the adaptive Talus runtime. Construct with New over a
+// ShadowedCache you assembled, or with Build (talus.New) from names.
 type Cache struct {
 	sc  *core.ShadowedCache
 	cfg Config

@@ -10,14 +10,13 @@ import (
 	"talus/internal/adaptive"
 	"talus/internal/cache"
 	"talus/internal/hash"
-	"talus/internal/sim"
 )
 
 // buildAdaptive constructs the full serving stack the way production
 // callers do: sharded inner cache, Talus runtime, control loop.
 func buildAdaptive(t *testing.T, capacity int64, shards, logical int, cfg adaptive.Config) *adaptive.Cache {
 	t.Helper()
-	ac, err := sim.BuildAdaptiveCache("vantage", capacity, 16, shards, logical, "LRU", 0.05, cfg)
+	ac, err := adaptive.Build("vantage", capacity, 16, shards, logical, "LRU", 0.05, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"talus/internal/adaptive"
 	"talus/internal/hash"
-	"talus/internal/sim"
 )
 
 // TestIdleEpochsAreSkipped is the regression test for the idle-decay
@@ -245,7 +244,7 @@ func randEpoch(ac *adaptive.Cache, rng *hash.SplitMix64) error {
 // — at New and at SetPartitionLines — and a refusal changes nothing.
 func TestInfeasibleFloorsRefused(t *testing.T) {
 	const capacity = 4096
-	if _, err := sim.BuildAdaptiveCache("vantage", capacity, 16, 1, 2, "LRU", 0.05, adaptive.Config{
+	if _, err := adaptive.Build("vantage", capacity, 16, 1, 2, "LRU", 0.05, adaptive.Config{
 		MinLines: []int64{4000, 4000},
 	}); err == nil || !strings.Contains(err.Error(), "floors sum to 8000") {
 		t.Fatalf("New with floors past the capacity: err = %v", err)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"talus/internal/adaptive"
-	"talus/internal/sim"
 	"talus/internal/workload"
 )
 
@@ -38,7 +37,7 @@ func TestAdaptiveTracksPhaseChange(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := adaptive.Config{EpochAccesses: 1 << 16, Seed: 1}
-		ac, err := sim.BuildAdaptiveCache("vantage", lines, 0, 2, 2, "LRU", 0.05, cfg)
+		ac, err := adaptive.Build("vantage", lines, 32, 2, 2, "LRU", 0.05, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +49,7 @@ func TestAdaptiveTracksPhaseChange(t *testing.T) {
 		var stageEnd [2][]int64 // phased partition's allocation as each stage ends
 		for k := int64(0); k < tc.total; k++ {
 			p := int(k & 1)
-			hit := ac.Access(apps[p].Next()|sim.AppSpace(p), p)
+			hit := ac.Access(apps[p].Next()|adaptive.AppSpace(p), p)
 			if k >= skip {
 				n++
 				if hit {

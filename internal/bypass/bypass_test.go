@@ -72,6 +72,31 @@ func TestOptimalErrors(t *testing.T) {
 	}
 }
 
+// TestOptimalNeverBeatsHullOnSteepCliff checks Corollary 8 on a curve
+// whose cliff is a straight fall from 24 to 3 MPKI over 5 MB, and that
+// Curve returns one point per requested size.
+func TestOptimalNeverBeatsHullOnSteepCliff(t *testing.T) {
+	m := curve.MustNew([]curve.Point{
+		{Size: 0, MPKI: 24},
+		{Size: mb(5), MPKI: 3},
+		{Size: mb(10), MPKI: 3},
+	})
+	bc, err := Optimal(m, mb(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bc.MPKI < hull.Lower(m).Eval(mb(4))-1e-9 {
+		t.Fatal("bypassing beat the hull: violates Corollary 8")
+	}
+	bcurve, err := Curve(m, []float64{mb(2), mb(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bcurve.NumPoints() != 2 {
+		t.Fatal("bypass curve points")
+	}
+}
+
 func TestCurveFig6(t *testing.T) {
 	// Fig. 6's ordering at every size: hull ≤ bypassing ≤ original.
 	m := fig3Curve()
@@ -83,6 +108,9 @@ func TestCurveFig6(t *testing.T) {
 	b, err := Curve(m, sizes)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if b.NumPoints() != len(sizes) {
+		t.Fatalf("bypass curve has %d points for %d sizes", b.NumPoints(), len(sizes))
 	}
 	for _, s := range sizes {
 		hm, bm, om := h.Eval(s), b.Eval(s), m.Eval(s)

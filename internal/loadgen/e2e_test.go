@@ -10,7 +10,6 @@ import (
 	"talus/internal/cluster"
 	"talus/internal/loadgen"
 	"talus/internal/serve"
-	"talus/internal/sim"
 	"talus/internal/store"
 	"talus/internal/workload"
 )
@@ -34,7 +33,7 @@ func startNodes(t *testing.T, n int, lines int64) []string {
 				t.Fatal(err)
 			}
 		}
-		ac, err := sim.BuildAdaptiveCache("vantage", lines, 16, 1, 2, "LRU", 0.05,
+		ac, err := adaptive.Build("vantage", lines, 16, 1, 2, "LRU", 0.05,
 			adaptive.Config{EpochAccesses: 1 << 20, Seed: 33})
 		if err != nil {
 			t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"talus/internal/adaptive"
 	"talus/internal/loadgen"
 	"talus/internal/serve"
-	"talus/internal/sim"
 	"talus/internal/store"
 	"talus/internal/workload"
 )
@@ -20,7 +19,7 @@ import (
 // newNode starts one serving node and returns its host:port.
 func newNode(t *testing.T) string {
 	t.Helper()
-	ac, err := sim.BuildAdaptiveCache("vantage", 4096, 16, 1, 2, "LRU", 0.05,
+	ac, err := adaptive.Build("vantage", 4096, 16, 1, 2, "LRU", 0.05,
 		adaptive.Config{EpochAccesses: 1 << 14, Seed: 33})
 	if err != nil {
 		t.Fatal(err)

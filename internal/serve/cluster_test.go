@@ -14,7 +14,6 @@ import (
 	"talus/internal/adaptive"
 	"talus/internal/cluster"
 	"talus/internal/serve"
-	"talus/internal/sim"
 	"talus/internal/store"
 )
 
@@ -218,7 +217,7 @@ func newCluster(t *testing.T, n int, lines int64) *clusterHarness {
 		if h.ring == nil {
 			h.ring = cl.Ring()
 		}
-		ac, err := sim.BuildAdaptiveCache("vantage", lines, 16, 1, 2, "LRU", 0.05,
+		ac, err := adaptive.Build("vantage", lines, 16, 1, 2, "LRU", 0.05,
 			adaptive.Config{EpochAccesses: 1 << 14, Seed: 33})
 		if err != nil {
 			t.Fatal(err)

@@ -83,7 +83,7 @@
 // /v1/stats reports the live "bytes" total, "maxBytes" when a byte cap
 // is set, and "backend": true when a backing tier is attached. Each
 // tenant row counts the values that left their lines (evictions,
-// expirations, admitDrops under the cap's gate at rate admitRho) and
+// expirations, admitDrops when the byte cap refuses a value) and
 // the backend traffic that paid for it (backendGets, backendSets);
 // cacheHits/cacheMisses/hitRatio count line outcomes over Gets and
 // Sets — the control loop's input — not X-Talus-Cache values.

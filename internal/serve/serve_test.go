@@ -25,7 +25,7 @@ func newServer(t *testing.T, cfg store.Config, maxBody int64) (*httptest.Server,
 
 func newServerConfig(t *testing.T, cfg store.Config, scfg serve.Config) (*httptest.Server, *store.Store) {
 	t.Helper()
-	ac, err := sim.BuildAdaptiveCache("vantage", 8192, 16, 2, 2, "LRU", 0.05,
+	ac, err := adaptive.Build("vantage", 8192, 16, 2, 2, "LRU", 0.05,
 		adaptive.Config{EpochAccesses: 1 << 14, Seed: 33})
 	if err != nil {
 		t.Fatal(err)

@@ -1,51 +1,21 @@
-// Adaptive-runtime construction and experiments: the serving-side
-// counterpart of RunMix. Where RunMix simulates CPU epochs in cycles and
-// reconfigures between them, RunAdaptive drives the online control loop
-// (internal/adaptive) purely from the access stream — the configuration
-// a production cache service would run, and the harness behind the
-// adaptive-vs-oracle convergence experiment in EXPERIMENTS.md.
+// Adaptive-runtime experiments: the serving-side counterpart of RunMix.
+// Where RunMix simulates CPU epochs in cycles and reconfigures between
+// them, RunAdaptive drives the online control loop (internal/adaptive,
+// built by adaptive.Build) purely from the access stream — the
+// configuration a production cache service would run, and the harness
+// behind the adaptive-vs-oracle convergence experiment in EXPERIMENTS.md.
 
 package sim
 
 import (
+	"cmp"
 	"fmt"
 
 	"talus/internal/adaptive"
 	"talus/internal/alloc"
-	"talus/internal/core"
 	"talus/internal/curve"
 	"talus/internal/workload"
 )
-
-// BuildAdaptiveCache constructs the full adaptive serving stack: a
-// sharded LLC (numShards ≥ 1) with 2×numLogical shadow partitions, the
-// Talus runtime over it, and the epoch-driven control loop over that.
-// The result serves concurrent traffic end to end when numShards ≥ 1
-// (every layer is goroutine-safe) and reconfigures itself every
-// cfg.EpochAccesses accesses.
-func BuildAdaptiveCache(scheme string, capacityLines int64, assoc, numShards, numLogical int, policyName string, margin float64, cfg adaptive.Config) (*adaptive.Cache, error) {
-	if scheme == "" {
-		scheme = "vantage"
-	}
-	if policyName == "" {
-		policyName = "LRU"
-	}
-	if assoc == 0 {
-		assoc = DefaultAssoc
-	}
-	if numShards <= 0 {
-		numShards = 1
-	}
-	inner, err := BuildShardedCache(scheme, capacityLines, assoc, numShards, 2*numLogical, policyName, numLogical, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := core.NewShadowedCache(inner, numLogical, margin, cfg.Seed^0xADA97)
-	if err != nil {
-		return nil, err
-	}
-	return adaptive.New(sc, cfg)
-}
 
 // AdaptiveConfig parameterizes RunAdaptive.
 type AdaptiveConfig struct {
@@ -81,14 +51,12 @@ func (c *AdaptiveConfig) defaults() error {
 	if c.CapacityLines <= 0 {
 		return fmt.Errorf("sim: adaptive run needs capacity")
 	}
-	if c.Allocator == "" {
-		c.Allocator = "hill"
-	}
-	if c.Margin == 0 {
-		c.Margin = core.DefaultMargin
-	} else if c.Margin < 0 {
-		c.Margin = 0
-	}
+	c.Assoc = cmp.Or(c.Assoc, DefaultAssoc)
+	c.Scheme = cmp.Or(c.Scheme, "vantage")
+	c.Policy = cmp.Or(c.Policy, "LRU")
+	c.Shards = max(c.Shards, 1)
+	c.Allocator = cmp.Or(c.Allocator, "hill")
+	c.Margin = margin(c.Margin)
 	if c.AccessesPerApp <= 0 {
 		c.AccessesPerApp = 4 << 20
 	}
@@ -110,7 +78,7 @@ func (c *AdaptiveConfig) buildCache() (*adaptive.Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return BuildAdaptiveCache(c.Scheme, c.CapacityLines, c.Assoc, c.Shards, len(c.Apps),
+	return adaptive.Build(c.Scheme, c.CapacityLines, c.Assoc, c.Shards, len(c.Apps),
 		c.Policy, c.Margin, adaptive.Config{
 			EpochAccesses: c.EpochAccesses,
 			Allocator:     allocator,
@@ -182,6 +150,28 @@ type Accessor interface {
 // contributing this many consecutive accesses per turn.
 const feedRunLen = 2048
 
+// roundRobin walks the live feeders' traffic shape: apps take turns,
+// each contributing up to feedRunLen consecutive accesses per turn,
+// until every app has made perApp. visit gets the app and how many
+// accesses it made before this one.
+func roundRobin(apps int, perApp int64, visit func(app int, fed int64)) {
+	fed := make([]int64, apps)
+	for done := false; !done; {
+		done = true
+		for i := range fed {
+			k := min(feedRunLen, perApp-fed[i])
+			if k <= 0 {
+				continue
+			}
+			done = false
+			for j := int64(0); j < k; j++ {
+				visit(i, fed[i]+j)
+			}
+			fed[i] += k
+		}
+	}
+}
+
 // FeedAdaptive interleaves accessesPerApp accesses from each app into
 // its partition of ac, round-robin in runs of feedRunLen, and returns
 // per-app miss and access counts over each app's trailing tailFrac of
@@ -189,31 +179,17 @@ const feedRunLen = 2048
 // cache that persists across calls — adaptive, or a statically
 // configured ShadowedCache serving as the oracle baseline.
 func FeedAdaptive(ac Accessor, apps []*workload.App, accessesPerApp int64, tailFrac float64) (misses, accs []int64) {
-	n := len(apps)
-	misses = make([]int64, n)
-	accs = make([]int64, n)
-	fed := make([]int64, n)
+	misses = make([]int64, len(apps))
+	accs = make([]int64, len(apps))
 	tailStart := accessesPerApp - int64(tailFrac*float64(accessesPerApp))
-	for done := false; !done; {
-		done = true
-		for i, app := range apps {
-			k := min(feedRunLen, accessesPerApp-fed[i])
-			if k <= 0 {
-				continue
+	roundRobin(len(apps), accessesPerApp, func(i int, fed int64) {
+		hit := ac.Access(apps[i].Next()|adaptive.AppSpace(i), i)
+		if fed >= tailStart {
+			accs[i]++
+			if !hit {
+				misses[i]++
 			}
-			done = false
-			space := AppSpace(i)
-			for j := int64(0); j < k; j++ {
-				hit := ac.Access(app.Next()|space, i)
-				if fed[i]+j >= tailStart {
-					accs[i]++
-					if !hit {
-						misses[i]++
-					}
-				}
-			}
-			fed[i] += k
 		}
-	}
+	})
 	return misses, accs
 }

@@ -5,6 +5,7 @@ import (
 
 	"talus/internal/adaptive"
 	"talus/internal/alloc"
+	"talus/internal/cache"
 	"talus/internal/core"
 	"talus/internal/curve"
 	"talus/internal/workload"
@@ -68,7 +69,7 @@ func analyticCurve(t *testing.T, spec workload.Spec) *curve.Curve {
 func oracleMissRatio(t *testing.T, specs []workload.Spec, seed uint64) float64 {
 	t.Helper()
 	n := len(specs)
-	inner, err := BuildShardedCache("vantage", e2eCapacity, e2eAssoc, 1, 2*n, "LRU", n, seed)
+	inner, err := cache.BuildSharded("vantage", e2eCapacity, e2eAssoc, 1, 2*n, "LRU", n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestAdaptiveTracksOracleAcrossPhases(t *testing.T) {
 	phase1 := []workload.Spec{scanSpec("scanner"), randSpec("rander")}
 	phase2 := []workload.Spec{randSpec("rander"), scanSpec("scanner")} // roles swap
 
-	ac, err := BuildAdaptiveCache("vantage", e2eCapacity, e2eAssoc, 1, 2, "LRU",
+	ac, err := adaptive.Build("vantage", e2eCapacity, e2eAssoc, 1, 2, "LRU",
 		core.DefaultMargin, adaptive.Config{EpochAccesses: e2eEpoch, Seed: seed})
 	if err != nil {
 		t.Fatal(err)

@@ -15,10 +15,13 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
+	"talus/internal/adaptive"
 	"talus/internal/alloc"
+	"talus/internal/cache"
 	"talus/internal/core"
 	"talus/internal/curve"
 	"talus/internal/monitor"
@@ -70,31 +73,18 @@ func (c *MixConfig) defaults() error {
 	if c.CapacityLines <= 0 {
 		return fmt.Errorf("sim: mix needs capacity")
 	}
-	if c.Assoc == 0 {
-		c.Assoc = DefaultAssoc
-	}
-	if c.Mode == "" {
-		c.Mode = ModeLRU
-	}
-	if c.Margin == 0 {
-		c.Margin = core.DefaultMargin
-	} else if c.Margin < 0 {
-		c.Margin = 0
-	}
-	if c.EpochCycles == 0 {
-		c.EpochCycles = 2 << 20
-	}
-	if c.WorkInstr == 0 {
-		c.WorkInstr = 50 << 20
-	}
-	if c.MaxEpochs == 0 {
-		c.MaxEpochs = 10000
-	}
+	c.Assoc = cmp.Or(c.Assoc, DefaultAssoc)
+	c.Mode = cmp.Or(c.Mode, ModeLRU)
+	c.Margin = margin(c.Margin)
+	c.EpochCycles = cmp.Or(c.EpochCycles, 2<<20)
+	c.WorkInstr = cmp.Or(c.WorkInstr, 50<<20)
+	c.MaxEpochs = cmp.Or(c.MaxEpochs, 10000)
 	return nil
 }
 
 // mixCache abstracts the two datapaths (plain partitioned cache vs Talus
-// shadowed cache) behind one access/reconfigure interface.
+// shadowed cache) behind one access/reconfigure interface. Unmanaged
+// modes run a plainMix that is never reconfigured.
 type mixCache interface {
 	Access(addr uint64, app int) bool
 	Reconfigure(allocs []int64, curves []*curve.Curve) error
@@ -121,30 +111,21 @@ func (t *talusMix) Reconfigure(allocs []int64, curves []*curve.Curve) error {
 	return t.t.Reconfigure(allocs, curves)
 }
 
-// unmanagedMix is for unpartitioned modes: reconfiguration is a no-op.
-type unmanagedMix struct {
-	c core.PartitionedCache
-}
-
-func (u *unmanagedMix) Access(addr uint64, app int) bool          { return u.c.Access(addr, app) }
-func (u *unmanagedMix) Budget() int64                             { return u.c.PartitionableCapacity() }
-func (u *unmanagedMix) Reconfigure([]int64, []*curve.Curve) error { return nil }
-
 // buildMixCache constructs the datapath for a mode.
 func buildMixCache(cfg *MixConfig) (mixCache, bool, error) {
 	n := len(cfg.Apps)
 	switch cfg.Mode {
 	case ModeLRU:
-		c, err := BuildCache("none", cfg.CapacityLines, cfg.Assoc, n, "LRU", n, cfg.Seed)
-		return &unmanagedMix{c}, false, err
+		c, err := cache.Build("none", cfg.CapacityLines, cfg.Assoc, n, "LRU", n, cfg.Seed)
+		return &plainMix{c}, false, err
 	case ModeTADRRIP:
-		c, err := BuildCache("none", cfg.CapacityLines, cfg.Assoc, n, "TA-DRRIP", n, cfg.Seed)
-		return &unmanagedMix{c}, false, err
+		c, err := cache.Build("none", cfg.CapacityLines, cfg.Assoc, n, "TA-DRRIP", n, cfg.Seed)
+		return &plainMix{c}, false, err
 	case ModeHillLRU, ModeLookaheadLRU, ModeFairLRU:
-		c, err := BuildCache("vantage", cfg.CapacityLines, cfg.Assoc, n, "LRU", n, cfg.Seed)
+		c, err := cache.Build("vantage", cfg.CapacityLines, cfg.Assoc, n, "LRU", n, cfg.Seed)
 		return &plainMix{c}, true, err
 	case ModeTalusHill, ModeTalusFair, ModeTalusLookahead:
-		inner, err := BuildCache("vantage", cfg.CapacityLines, cfg.Assoc, 2*n, "LRU", n, cfg.Seed)
+		inner, err := cache.Build("vantage", cfg.CapacityLines, cfg.Assoc, 2*n, "LRU", n, cfg.Seed)
 		if err != nil {
 			return nil, false, err
 		}
@@ -191,14 +172,6 @@ func allocate(mode Mode, curves []*curve.Curve, budget, granule int64) ([]int64,
 	}
 	return a.Allocate(alloc.NewRequest(curves, budget, granule))
 }
-
-// AppSpace offsets each app's (or tenant's) addresses into a disjoint
-// address space via bits 48–55 (cores run separate programs; store
-// tenants are separate namespaces; there is no sharing). Every feeder —
-// live generators, trace replay, and the keyed store — applies the same
-// offset, which is what lets a stream recorded raw (without the offset)
-// replay identically.
-func AppSpace(app int) uint64 { return uint64(app+1) << 48 }
 
 // RunMixes simulates many mixes concurrently on a worker pool bounded by
 // parallelism (0 → GOMAXPROCS) and returns their results in input order.
@@ -308,7 +281,7 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 					quota = remaining[i]
 				}
 				remaining[i] -= quota
-				space := AppSpace(i)
+				space := adaptive.AppSpace(i)
 				for k := int64(0); k < quota; k++ {
 					addr := apps[i].Next() | space
 					if managed {

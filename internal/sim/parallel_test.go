@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"talus/internal/cache"
 	"talus/internal/hash"
 	"talus/internal/workload"
 )
@@ -114,7 +115,7 @@ func TestWorkersResolution(t *testing.T) {
 // accesses through a sharded cache built by BuildShardedCache and checks
 // the summed shard stats account for every access.
 func TestShardedPointConservation(t *testing.T) {
-	sc, err := BuildShardedCache("vantage", 8192, 16, 4, 2, "LRU", 1, 7)
+	sc, err := cache.BuildSharded("vantage", 8192, 16, 4, 2, "LRU", 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"talus/internal/core"
@@ -30,6 +29,25 @@ var mixedCliffSpec = workload.Spec{
 	},
 }
 
+// TestWorkloadRegistryAndIPC checks the simulator's view of the clone
+// registry: 29 SPEC CPU2006 clones, the 18-app memory-intensive pool,
+// lookup by name, and a positive IPC for a looked-up clone.
+func TestWorkloadRegistryAndIPC(t *testing.T) {
+	if len(workload.Names()) != 29 {
+		t.Fatalf("workload.Names() = %d names, want 29", len(workload.Names()))
+	}
+	if len(workload.MemoryIntensive()) != 18 {
+		t.Fatal("memory-intensive pool should have 18 names")
+	}
+	spec, ok := workload.Lookup("libquantum")
+	if !ok {
+		t.Fatal("libquantum missing")
+	}
+	if ipc := IPC(spec, 0); ipc <= 0 {
+		t.Fatal("IPC model broken")
+	}
+}
+
 func TestIPCModel(t *testing.T) {
 	spec := workload.Spec{Name: "x", APKI: 10, CPIBase: 0.5, MLP: 2}
 	// Zero misses: IPC = 1/CPIBase.
@@ -43,55 +61,6 @@ func TestIPCModel(t *testing.T) {
 	// More misses always means lower IPC.
 	if !(IPC(spec, 5) > IPC(spec, 15)) {
 		t.Fatal("IPC must fall with MPKI")
-	}
-}
-
-func TestPolicyByName(t *testing.T) {
-	for _, name := range []string{"LRU", "SRRIP", "BRRIP", "DRRIP", "TA-DRRIP", "DIP", "PDP", "Random"} {
-		f, err := PolicyByName(name, 4)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if p := f(16, 4, 1); p == nil {
-			t.Errorf("%s: nil policy", name)
-		}
-	}
-	// The error must enumerate the valid policies.
-	_, err := PolicyByName("bogus", 1)
-	if err == nil {
-		t.Fatal("unknown policy must fail")
-	}
-	for _, want := range []string{"bogus", "LRU", "TA-DRRIP", "PDP", "Random"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("PolicyByName error %q does not mention %q", err, want)
-		}
-	}
-}
-
-func TestBuildCacheSchemes(t *testing.T) {
-	for _, scheme := range []string{"none", "way", "set", "vantage", "ideal"} {
-		c, err := BuildCache(scheme, 4096, 16, 2, "LRU", 2, 1)
-		if err != nil {
-			t.Errorf("%s: %v", scheme, err)
-			continue
-		}
-		if c.NumPartitions() != 2 {
-			t.Errorf("%s: partitions = %d", scheme, c.NumPartitions())
-		}
-		if c.Capacity() <= 0 {
-			t.Errorf("%s: capacity = %d", scheme, c.Capacity())
-		}
-	}
-	// The error must enumerate the valid schemes.
-	_, err := BuildCache("bogus", 4096, 16, 1, "LRU", 1, 1)
-	if err == nil {
-		t.Fatal("unknown scheme must fail")
-	}
-	for _, want := range []string{"bogus", "none", "way", "set", "vantage", "futility", "ideal"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("BuildCache error %q does not mention %q", err, want)
-		}
 	}
 }
 

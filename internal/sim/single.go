@@ -5,8 +5,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 
+	"talus/internal/cache"
 	"talus/internal/core"
 	"talus/internal/curve"
 	"talus/internal/monitor"
@@ -53,43 +55,20 @@ type SweepConfig struct {
 }
 
 func (c *SweepConfig) defaults() {
-	if c.Assoc == 0 {
-		c.Assoc = DefaultAssoc
-	}
+	c.Assoc = cmp.Or(c.Assoc, DefaultAssoc)
 	if c.Scheme == "" {
+		c.Scheme = "none"
 		if c.Talus {
 			c.Scheme = "vantage"
-		} else {
-			c.Scheme = "none"
 		}
 	}
-	if c.Policy == "" {
-		c.Policy = "LRU"
-	}
-	if c.Margin == 0 {
-		c.Margin = core.DefaultMargin
-	} else if c.Margin < 0 {
-		c.Margin = 0
-	}
+	c.Policy = cmp.Or(c.Policy, "LRU")
+	c.Margin = margin(c.Margin)
 }
 
 // accessCounts returns warmup and measure access counts for a sweep point.
 func (c *SweepConfig) accessCounts(size int64) (warm, measure int64) {
-	warm = c.WarmupAccesses
-	if warm == 0 {
-		warm = 2 * size
-		if warm < 1<<18 {
-			warm = 1 << 18
-		}
-	}
-	measure = c.MeasureAccesses
-	if measure == 0 {
-		measure = 4 * size
-		if measure < 1<<20 {
-			measure = 1 << 20
-		}
-	}
-	return warm, measure
+	return cmp.Or(c.WarmupAccesses, max(2*size, 1<<18)), cmp.Or(c.MeasureAccesses, max(4*size, 1<<20))
 }
 
 // RunSweep measures the app's miss curve over the configured sizes and
@@ -132,10 +111,16 @@ func RunPoint(cfg SweepConfig, size int64, seed uint64) (float64, error) {
 }
 
 func runPlainPoint(cfg SweepConfig, size int64, seed uint64) (float64, error) {
-	c, err := BuildCache(cfg.Scheme, size, cfg.Assoc, 1, cfg.Policy, 1, seed)
+	c, err := cache.Build(cfg.Scheme, size, cfg.Assoc, 1, cfg.Policy, 1, seed)
 	if err != nil {
 		return 0, err
 	}
+	return measurePoint(c, cfg, size, seed), nil
+}
+
+// measurePoint warms c with the app's stream, then returns its MPKI
+// over the measured accesses — partition 0, the one a point simulates.
+func measurePoint(c Accessor, cfg SweepConfig, size int64, seed uint64) float64 {
 	app := workload.NewApp(cfg.App, seed^0xA99)
 	warm, measure := cfg.accessCounts(size)
 	for i := int64(0); i < warm; i++ {
@@ -147,7 +132,7 @@ func runPlainPoint(cfg SweepConfig, size int64, seed uint64) (float64, error) {
 			misses++
 		}
 	}
-	return mpkiOf(misses, measure, cfg.App.APKI), nil
+	return mpkiOf(misses, measure, cfg.App.APKI)
 }
 
 func runTalusPoint(cfg SweepConfig, size int64, seed uint64) (float64, error) {
@@ -164,7 +149,7 @@ func runTalusPoint(cfg SweepConfig, size int64, seed uint64) (float64, error) {
 
 	// Phase 2: build the shadow-partitioned cache, configure it from the
 	// curve, and measure.
-	inner, err := BuildCache(cfg.Scheme, size, cfg.Assoc, 2, cfg.Policy, 1, seed^0x7A1)
+	inner, err := cache.Build(cfg.Scheme, size, cfg.Assoc, 2, cfg.Policy, 1, seed^0x7A1)
 	if err != nil {
 		return 0, err
 	}
@@ -176,19 +161,7 @@ func runTalusPoint(cfg SweepConfig, size int64, seed uint64) (float64, error) {
 	if err := tc.Reconfigure([]int64{budget}, []*curve.Curve{mcurve}); err != nil {
 		return 0, err
 	}
-
-	app := workload.NewApp(cfg.App, seed^0xA99)
-	warm, measure := cfg.accessCounts(size)
-	for i := int64(0); i < warm; i++ {
-		tc.Access(app.Next(), 0)
-	}
-	var misses int64
-	for i := int64(0); i < measure; i++ {
-		if !tc.Access(app.Next(), 0) {
-			misses++
-		}
-	}
-	return mpkiOf(misses, measure, cfg.App.APKI), nil
+	return measurePoint(tc, cfg, size, seed), nil
 }
 
 // ProfileCurve runs the app through the configured monitor alone and
@@ -207,7 +180,7 @@ func ProfileCurve(cfg SweepConfig, llcLines int64, seed uint64) (*curve.Curve, e
 		points = defaultMonitorPoints
 	}
 	if points > 0 {
-		factory, err := PolicyByName(cfg.Policy, 1)
+		factory, err := cache.PolicyByName(cfg.Policy, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"talus/internal/adaptive"
@@ -246,7 +247,7 @@ func TestReplayRaggedRunsMatchDirectAccess(t *testing.T) {
 	direct := build()
 	wantMisses, wantAccs, fed := make([]int64, 2), make([]int64, 2), make([]int64, 2)
 	for _, r := range recs {
-		hit := direct.Access(r.addr|AppSpace(r.p), r.p)
+		hit := direct.Access(r.addr|adaptive.AppSpace(r.p), r.p)
 		if fed[r.p] >= tailStart[r.p] {
 			wantAccs[r.p]++
 			if !hit {
@@ -332,5 +333,183 @@ func TestSpecsFromTraceDrivesRunMix(t *testing.T) {
 	}
 	if spec.Build().Footprint() < 1 {
 		t.Fatal("resolved trace spec has no footprint")
+	}
+}
+
+func TestReplayPattern(t *testing.T) {
+	r, err := newReplay([]uint64{5, 6, 5, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Footprint() != 3 {
+		t.Fatalf("footprint = %d, want 3", r.Footprint())
+	}
+	got := make([]uint64, 6)
+	for i := range got {
+		got[i] = r.Next(nil)
+	}
+	want := []uint64{5, 6, 5, 7, 5, 6} // wraps around
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("replay = %v, want %v", got, want)
+		}
+	}
+	// Clone restarts; the original keeps its position.
+	c := r.Clone()
+	if c.(*replay).Next(nil) != 5 || r.Next(nil) != 5 {
+		t.Fatal("clone position not independent")
+	}
+	if _, err := newReplay(nil); err == nil {
+		t.Fatal("empty replay must fail")
+	}
+}
+
+func TestSpecsAndAppSpec(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "mix.trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.NewWriter(f, 2, trace.WithApps([]trace.AppMeta{
+		{Name: "alpha", APKI: 11, CPIBase: 0.6, MLP: 2.5},
+		{Name: "beta"},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Partition 1 reuses partition 0's address 1: private spaces, so the
+	// two must NOT alias when the trace is flattened into one app.
+	for _, r := range []trace.Record{{P: 0, Addr: 1}, {P: 1, Addr: 1}, {P: 0, Addr: 2}, {P: 1, Addr: 1}} {
+		if err := w.Append(r.P, r.Addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	specs, err := SpecsFromTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if specs[0].Name != "alpha" || specs[0].APKI != 11 {
+		t.Fatalf("spec 0 = %+v", specs[0])
+	}
+	// Missing meta fields fall back to defaults.
+	if specs[1].Name != "beta" || specs[1].APKI != traceAPKI {
+		t.Fatalf("spec 1 = %+v", specs[1])
+	}
+	p := specs[1].Build()
+	if p.Next(nil) != 1 || p.Next(nil) != 1 || p.Footprint() != 1 {
+		t.Fatal("partition replay wrong")
+	}
+
+	// traceAppSpec flattens a multi-partition trace, offsetting each
+	// partition into a disjoint subspace (addresses were recorded in
+	// private per-partition spaces) and ignoring its meta.
+	spec, err := traceAppSpec(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.APKI != traceAPKI {
+		t.Fatalf("flattened spec kept single-app meta: %+v", spec)
+	}
+	flat := spec.Build()
+	want := []uint64{1 | 1<<56, 1 | 2<<56, 2 | 1<<56, 1 | 2<<56}
+	for i, a := range want {
+		if got := flat.Next(nil); got != a {
+			t.Fatalf("flat replay %d = %#x, want %#x", i, got, a)
+		}
+	}
+	// Partition 0's line 1 and partition 1's line 1 are different lines:
+	// footprint counts 3 distinct addresses, not 2 aliased ones.
+	if flat.Footprint() != 3 {
+		t.Fatalf("flattened footprint = %d, want 3 (partition spaces aliased?)", flat.Footprint())
+	}
+	// The partition offsets must survive the feeders' own per-app OR
+	// offset (bits 48–55): distinct (partition, addr) pairs stay
+	// distinct after | space, for any plausible app slot.
+	for slot := uint64(1); slot <= 8; slot++ {
+		seen := map[uint64]struct{}{}
+		for _, a := range []uint64{1 | 1<<56, 1 | 2<<56, 2 | 1<<56} {
+			seen[a|slot<<48] = struct{}{}
+		}
+		if len(seen) != 3 {
+			t.Fatalf("slot %d: partition spaces alias under the feeder offset", slot)
+		}
+	}
+	// Resolve goes through the registered "trace" source.
+	rspec, err := workload.Resolve("trace:" + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rspec.Build().Next(nil) != 1|1<<56 {
+		t.Fatal("resolved trace spec replay wrong")
+	}
+
+	// A single-partition trace flattens raw (no offset) and keeps meta.
+	single := filepath.Join(dir, "single.trc")
+	sf, err := os.Create(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := trace.NewWriter(sf, 1, trace.WithApps([]trace.AppMeta{{Name: "solo", APKI: 3, CPIBase: 0.4, MLP: 1.5}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Append(0, 42); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sspec, err := traceAppSpec(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sspec.Name != "solo" || sspec.APKI != 3 || sspec.Build().Next(nil) != 42 {
+		t.Fatalf("single-partition spec = %+v", sspec)
+	}
+}
+
+// TestAppSpecRejectsHighBitAddresses: flattened multi-partition replay
+// tags partitions in bits 56–63 by OR, which only stays collision-free
+// while recorded addresses leave those bits clear — e.g. a re-recorded
+// flattened trace would alias silently, so it must be rejected.
+func TestAppSpecRejectsHighBitAddresses(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hi.trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.NewWriter(f, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(0, 1|1<<56); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := traceAppSpec(path); err == nil || !strings.Contains(err.Error(), "bits 56-63") {
+		t.Fatalf("traceAppSpec = %v, want high-bit rejection", err)
+	}
+	// Per-partition specs still work on the same trace.
+	if _, err := SpecsFromTrace(path); err != nil {
+		t.Fatal(err)
 	}
 }

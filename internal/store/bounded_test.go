@@ -95,6 +95,48 @@ func TestBoundedEvictionReleasesValues(t *testing.T) {
 	}
 }
 
+// TestByteCapIsTheOnlyRefusal: under a byte cap with room to spare, a
+// written value is kept. Tenant a cycles a scan twice its line capacity,
+// so its miss curve has a cliff past its allocation — the case an Eq. 6
+// optimal-bypassing gate (ρ < 1) used to answer by refusing values
+// Talus had already given a line. Tenant b is nearly idle, so the cap
+// never binds: every value a writes must read straight back, and
+// nothing may count as an admission drop.
+func TestByteCapIsTheOnlyRefusal(t *testing.T) {
+	const (
+		capacity = 4096
+		scanKeys = 2 * capacity
+		valBytes = 64
+		maxBytes = 6144 * valBytes // room for half again the cache's lines
+	)
+	s := buildStore(t, capacity, 1, 2, store.Config{Tenants: []string{"a", "b"}, MaxBytes: maxBytes})
+	val := make([]byte, valBytes)
+	for i := 0; i < 6*scanKeys; i++ {
+		key := fmt.Sprintf("k%d", i%scanKeys)
+		if _, err := s.Set("a", key, val); err != nil {
+			t.Fatal(err)
+		}
+		if _, hit, err := s.Get("a", key); err != nil || !hit {
+			t.Fatalf("set %d: value not kept with %d of %d bytes held (hit %v, %v)", i, s.Bytes(), s.MaxBytes(), hit, err)
+		}
+		if i%1024 == 0 {
+			if _, err := s.Set("b", fmt.Sprintf("b%d", i%16), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st, err := s.Stats("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.AdmitDrops != 0 {
+		t.Fatalf("%d admission drops below the byte cap", st.AdmitDrops)
+	}
+	if s.Bytes() > maxBytes*3/4 {
+		t.Fatalf("%d of %d bytes held: the cap came close to binding, so the test proves nothing", s.Bytes(), s.MaxBytes())
+	}
+}
+
 // TestBackendReadThrough: with a backend every value survives eviction
 // — a Get whose value was evicted fetches from the backing tier and
 // re-admits — so the cache serves every key correctly while holding

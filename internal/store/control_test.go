@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"talus/internal/adaptive"
-	"talus/internal/sim"
 	"talus/internal/store"
 )
 
 func buildControlStore(t *testing.T, cfg store.Config) *store.Store {
 	t.Helper()
-	ac, err := sim.BuildAdaptiveCache("vantage", 8192, 16, 1, 4, "LRU", 0.05,
+	ac, err := adaptive.Build("vantage", 8192, 16, 1, 4, "LRU", 0.05,
 		adaptive.Config{EpochAccesses: 1 << 14, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +82,7 @@ func TestControlConfigAppliedOnAutoRegister(t *testing.T) {
 }
 
 func TestControlConfigValidation(t *testing.T) {
-	ac, err := sim.BuildAdaptiveCache("vantage", 8192, 16, 1, 2, "LRU", 0.05,
+	ac, err := adaptive.Build("vantage", 8192, 16, 1, 2, "LRU", 0.05,
 		adaptive.Config{Seed: 52})
 	if err != nil {
 		t.Fatal(err)

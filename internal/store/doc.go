@@ -10,10 +10,10 @@
 // # Key → address, tenant → partition
 //
 // A key's line address is the FNV-1a 64-bit hash of its bytes, masked
-// to 48 bits — the feeders' per-partition offset (sim.AppSpace, bits
-// 48–55) and the trace flattener's tags (bits 56–63) stay clear, so a
-// stream recorded from the store replays through
-// sim.RunAdaptiveTraceFile unchanged. Distinct keys may collide on a
+// to 48 bits — the feeders' per-partition offset (adaptive.AppSpace,
+// bits 48–55) and the trace flattener's tags (bits 56–63) stay clear, so
+// a stream recorded from the store replays through the simulator
+// (talus-sim -trace) unchanged. Distinct keys may collide on a
 // line (two keys in ~2^48 lines); a collision only nudges the simulated
 // hit ratio, never the stored values: colliding entries chain off the
 // line and are told apart by their full key.
@@ -45,23 +45,21 @@
 // contents and the line capacity bounds the key count whatever else is
 // configured. TTL expiry and Delete release the entry and invalidate
 // its line (statelessly — no stats, no hook), so a dead key cannot keep
-// "hitting"; an admission refusal releases any stale copy.
+// "hitting"; a byte-cap refusal releases any stale copy.
 //
 // Config.MaxBytes and Config.Backend are independent parameters on
 // that one path. With MaxBytes > 0 a hard reservation check refuses any
-// Set that would push total value bytes over the cap, and in front of
-// it sits the Talus-managed admission gate: each tenant samples
-// incoming lines with the same ρ-style hashed sampling the shadow
-// partitions use, and every admitEvery sets the rate is refreshed from
-// bypass.Optimal over the tenant's live hulled miss curve at its byte
-// budget (its share of MaxBytes, scaled by current line allocation) —
-// the paper's bypassing analysis (§VII) steering which values are worth
-// caching at all. Rejected sets count as AdmitDrops in TenantStats.
+// value that would push total value bytes over the cap; refusals count
+// as AdmitDrops in TenantStats. Nothing else stands between a Set and
+// its line: which lines earn their capacity is Talus's decision, and
+// the paper shows its hull dominates optimal bypassing (Eq. 6) at every
+// size (§V-C, Fig. 6), so a bypass gate on top would only second-guess
+// it.
 //
 // With a Backend the store is a read-through, write-through cache over
 // it: Set writes the backing tier first (failures surface as
 // ErrBackend), and a Get whose value is gone refetches from the backend
-// and re-admits through the same admission path. Eviction then costs
+// and re-admits under the same cap. Eviction then costs
 // latency, not data; without a Backend an evicted value is lost.
 //
 // # The access path
@@ -76,8 +74,8 @@
 //
 // An optional record hook captures every cache access (partition, raw
 // 48-bit address) through a Recorder — trace.Writer satisfies it — so
-// live front-end traffic becomes a replayable trace
-// (sim.RunAdaptiveTraceFile). Recording serializes appends on a mutex;
+// live front-end traffic becomes a replayable trace (talus-sim -trace,
+// talus-trace replay). Recording serializes appends on a mutex;
 // under concurrent traffic the recorded order is one valid
 // interleaving of the live one.
 //

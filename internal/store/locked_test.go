@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"talus/internal/adaptive"
-	"talus/internal/sim"
 	"talus/internal/store"
 )
 
@@ -24,7 +23,7 @@ func TestStoreOverLockedStack(t *testing.T) {
 		{"LRU", "set"},
 	} {
 		t.Run(stack.policy+"/"+stack.scheme, func(t *testing.T) {
-			ac, err := sim.BuildAdaptiveCache(stack.scheme, capacity, 16, 2, 2, stack.policy, 0.05,
+			ac, err := adaptive.Build(stack.scheme, capacity, 16, 2, 2, stack.policy, 0.05,
 				adaptive.Config{EpochAccesses: 1 << 12, Seed: 21})
 			if err != nil {
 				t.Fatal(err)

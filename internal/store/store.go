@@ -11,12 +11,9 @@ import (
 	"time"
 
 	"talus/internal/adaptive"
-	"talus/internal/bypass"
 	"talus/internal/cache"
 	"talus/internal/curve"
-	"talus/internal/hash"
 	"talus/internal/hull"
-	"talus/internal/sim"
 	"talus/internal/trace"
 )
 
@@ -58,12 +55,8 @@ var (
 )
 
 // addrMask keeps the 48 address bits hashKey produces; bits 48+ carry
-// the per-partition feeder offsets (sim.AppSpace) the datapath ORs on.
+// the per-partition feeder offsets (adaptive.AppSpace) the datapath ORs on.
 const addrMask = 1<<48 - 1
-
-// admitEvery is how many Sets a tenant performs between refreshes of
-// its admission rate from the live miss curve (see refreshAdmit).
-const admitEvery = 1024
 
 // Recorder consumes one record per cache access: the record hook the
 // serving front-end uses to capture live traffic. *trace.Writer
@@ -85,8 +78,7 @@ type Config struct {
 	MaxValueBytes int64
 	// MaxBytes bounds the total value bytes held across all tenants
 	// (0 = no byte cap; the line capacity still bounds the key count).
-	// Under a cap, Sets pass a Talus-managed admission gate and a hard
-	// reservation check.
+	// Under a cap, a value that would overdraw it is not kept.
 	MaxBytes int64
 	// Backend, when non-nil, is the backing tier: Sets write through to
 	// it and a Get whose value is gone (evicted, expired or never
@@ -154,11 +146,10 @@ type TenantStats struct {
 	// (discovered lazily on Get; zero when no TTLs are in use).
 	Expirations int64 `json:"expirations"`
 
-	Evictions   int64   `json:"evictions"`   // values released by line eviction
-	AdmitDrops  int64   `json:"admitDrops"`  // values refused by admission (gate or byte cap)
-	AdmitRho    float64 `json:"admitRho"`    // current admitted fraction (1 = admit all)
-	BackendGets int64   `json:"backendGets"` // read-through fetches attempted
-	BackendSets int64   `json:"backendSets"` // write-through stores performed
+	Evictions   int64 `json:"evictions"`   // values released by line eviction
+	AdmitDrops  int64 `json:"admitDrops"`  // values refused by the byte cap
+	BackendGets int64 `json:"backendGets"` // read-through fetches attempted
+	BackendSets int64 `json:"backendSets"` // write-through stores performed
 }
 
 // entry is one resident value, hanging off the simulated line that
@@ -175,19 +166,16 @@ type entry struct {
 type tenant struct {
 	name  string
 	part  int
-	space uint64 // sim.AppSpace(part), OR-ed onto every address
+	space uint64 // adaptive.AppSpace(part), OR-ed onto every address
 
 	mu    sync.RWMutex
 	lines map[uint64]*entry // 48-bit line addr → the values on that line
 	keys  int64             // entries across all lines
 	bytes int64             // their value bytes
 
-	admit *hash.Sampler // Talus-managed admission gate (consulted under MaxBytes)
-
 	gets, sets, deletes atomic.Int64
 	hits, misses        atomic.Int64
 
-	admitClock                                      atomic.Int64 // sets since the last admission-rate refresh
 	evictions, admitDrops, backendGets, backendSets atomic.Int64
 	expirations                                     atomic.Int64
 }
@@ -228,7 +216,7 @@ type Store struct {
 // onto the first partitions. The cache's logical partition count bounds
 // the tenant count. Values live and die with their simulated lines, so
 // the cache stack must support eviction notification (every stack
-// sim.BuildAdaptiveCache builds does); otherwise New fails with
+// adaptive.Build builds does); otherwise New fails with
 // ErrNoEviction. Whether resident Gets skip the shard lock was settled
 // when the arrays were built (cache.SetAssoc); New has nothing to switch.
 func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
@@ -345,7 +333,7 @@ func (t *tenant) find(addr uint64, key string) *entry {
 
 // release unlinks key's entry from line addr and returns its bytes to
 // the books: the one way a value leaves the store, whatever ended its
-// residency (eviction, expiry, Delete, an admission refusal). Reports
+// residency (eviction, expiry, Delete, a byte-cap refusal). Reports
 // whether there was one. Caller holds t.mu.
 func (s *Store) release(t *tenant, addr uint64, key string) bool {
 	var prev *entry
@@ -407,11 +395,8 @@ func (s *Store) register(name string) (*tenant, error) {
 		return nil, fmt.Errorf("%w (%d)", ErrTenantCapacity, len(s.byPart))
 	}
 	t := &tenant{
-		name: name, part: part, space: sim.AppSpace(part),
+		name: name, part: part, space: adaptive.AppSpace(part),
 		lines: make(map[uint64]*entry),
-		// Deterministic per-partition seed: admission decisions replay
-		// identically across runs.
-		admit: hash.NewSampler(0xAD417 ^ uint64(part)*0x9E3779B97F4A7C15),
 	}
 	// Thread the tenant's configured control settings into the claimed
 	// partition; a tenant without entries leaves the allocator's Request
@@ -487,8 +472,8 @@ func (s *Store) resolve(name string, autoRegister bool) (*tenant, error) {
 // lazily here: its bytes are released, its simulated line invalidated
 // (a dead key must not linger as phantom residency), and the Get
 // proceeds as a miss. With a Backend, a miss (evicted, expired, or
-// never admitted) reads through the Backend and re-admits under the
-// admission rules. The returned slice is shared — callers must not
+// refused by the byte cap) reads through the Backend and re-admits
+// under the same cap. The returned slice is shared — callers must not
 // modify it.
 func (s *Store) Get(tenantName, key string) (value []byte, hit bool, err error) {
 	if key == "" {
@@ -514,9 +499,9 @@ func (s *Store) Get(tenantName, key string) (value []byte, hit bool, err error) 
 	if s.backend == nil {
 		return nil, false, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	// Read through: the value is gone locally (evicted, expired, never
-	// admitted, or never written here) — fetch it from the backing tier
-	// and re-admit it, paying the modeled backend cost this miss
+	// Read through: the value is gone locally (evicted, expired, refused
+	// by the byte cap, or never written here) — fetch it from the backing
+	// tier and re-admit it, paying the modeled backend cost this miss
 	// represents. The re-admitted copy starts a fresh DefaultTTL (the
 	// backend does not remember per-entry TTLs).
 	t.backendGets.Add(1)
@@ -579,10 +564,9 @@ func (s *Store) expireValue(t *tenant, key string, addr uint64) {
 // Set stores value under (tenant, key), warming the key's cache line,
 // and reports whether that line hit (i.e. the key's line was already
 // resident). The value is copied. The write goes through to the Backend
-// first (when one is configured) and the cached copy is then subject to
-// admission: under MaxBytes the Talus-managed gate and the byte bound
-// may decline to retain it (see admitValue), which is not an error —
-// with a Backend the value is durable either way.
+// first (when one is configured) and the cached copy is then kept
+// unless it would overdraw MaxBytes (see admitValue), which is not an
+// error — with a Backend the value is durable either way.
 // The value expires after Config.DefaultTTL (never, when zero); use
 // SetTTL for a per-entry TTL.
 func (s *Store) Set(tenantName, key string, value []byte) (hit bool, err error) {
@@ -615,9 +599,6 @@ func (s *Store) SetTTL(tenantName, key string, value []byte, ttl time.Duration) 
 		t.backendSets.Add(1)
 	}
 	t.sets.Add(1)
-	if s.maxBytes > 0 && t.admitClock.Add(1)%admitEvery == 0 {
-		s.refreshAdmit(t)
-	}
 	addr := hashKey(key)
 	hit = s.access(t, addr)
 	cp := make([]byte, len(value))
@@ -628,23 +609,16 @@ func (s *Store) SetTTL(tenantName, key string, value []byte, ttl time.Duration) 
 
 // admitValue hangs cp off line addr as (t, key)'s resident value with
 // the given expiry deadline (unix nanos; 0 = never — a fresh Set
-// without a TTL does not inherit a stale one), subject under MaxBytes
-// to the admission gate and the global byte bound. On rejection any
-// stale resident copy is released (a newer backend value must never be
-// shadowed by an older cached one) and the drop is counted. Caller must
-// not hold t.mu.
+// without a TTL does not inherit a stale one), unless under MaxBytes it
+// would overdraw the global byte bound. On that refusal any stale
+// resident copy is released (a newer backend value must never be
+// shadowed by an older cached one) and the drop is counted. Which lines
+// are worth their capacity is Talus's decision, made on the lines
+// themselves; the store only keeps the byte bound. Caller must not hold
+// t.mu.
 func (s *Store) admitValue(t *tenant, key string, addr uint64, cp []byte, deadline int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// The rho gate: the same H3-sampler mechanism Talus uses to split
-	// shadow partitions here decides which lines are worth caching at
-	// all — bypass.Optimal picks the admitted fraction (refreshAdmit),
-	// the sampler realizes it deterministically per address.
-	if s.maxBytes > 0 && !t.admit.ToAlpha(addr) {
-		t.admitDrops.Add(1)
-		s.release(t, addr, key)
-		return
-	}
 	e := t.find(addr, key)
 	delta := int64(len(cp))
 	if e != nil {
@@ -669,47 +643,6 @@ func (s *Store) admitValue(t *tenant, key string, addr uint64, cp []byte, deadli
 		t.keys++
 	}
 	e.val, e.deadline = cp, deadline
-}
-
-// refreshAdmit reprograms t's admission rate from its live miss curve:
-// bypass.Optimal (the paper's Eq. 6) finds the admitted fraction ρ that
-// minimizes misses for a cache of t's byte budget — MaxBytes split
-// pro rata by the allocator's current line allocations, converted to
-// lines via the tenant's mean value size. Before the first epoch (no
-// curve yet) the gate stays open (ρ = 1).
-func (s *Store) refreshAdmit(t *tenant) {
-	c := s.ac.Curve(t.part)
-	if c == nil {
-		return
-	}
-	allocs := s.ac.Allocations()
-	if t.part >= len(allocs) {
-		return
-	}
-	var sum int64
-	for _, a := range allocs {
-		sum += a
-	}
-	if sum <= 0 || allocs[t.part] <= 0 {
-		return
-	}
-	budgetBytes := float64(s.maxBytes) * float64(allocs[t.part]) / float64(sum)
-	t.mu.RLock()
-	keys, bytes := t.keys, t.bytes
-	t.mu.RUnlock()
-	avg := 256.0 // before any residency, assume modest values
-	if keys > 0 && bytes > 0 {
-		avg = float64(bytes) / float64(keys)
-	}
-	budgetLines := budgetBytes / avg
-	if budgetLines <= 0 {
-		return
-	}
-	cfg, err := bypass.Optimal(c, budgetLines)
-	if err != nil {
-		return
-	}
-	t.admit.SetRate(cfg.Rho)
 }
 
 // Delete removes (tenant, key), reporting whether a cached value
@@ -785,7 +718,6 @@ func (s *Store) statsOf(t *tenant, allocs []int64) TenantStats {
 		Expirations: t.expirations.Load(),
 		Evictions:   t.evictions.Load(),
 		AdmitDrops:  t.admitDrops.Load(),
-		AdmitRho:    t.admit.Rate(),
 		BackendGets: t.backendGets.Load(),
 		BackendSets: t.backendSets.Load(),
 	}
@@ -929,8 +861,8 @@ func (s *Store) SetRecorder(r Recorder) error {
 
 // StartRecording begins capturing front-end traffic to a trace file at
 // path (gzip-compressed when gz), with registered tenant names embedded
-// as per-partition metadata. The trace replays through
-// sim.RunAdaptiveTraceFile against a cache built like this store's.
+// as per-partition metadata. The trace replays through the simulator
+// (talus-sim -trace) against a cache built like this store's.
 func (s *Store) StartRecording(path string, gz bool) error {
 	metas := make([]trace.AppMeta, s.ac.NumLogical())
 	for _, t := range s.registered() {

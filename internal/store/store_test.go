@@ -36,7 +36,7 @@ func (r *countingRecorder) Append(p int, addr uint64) error {
 // Talus runtime, control loop, keyed store.
 func buildStore(t *testing.T, capacity int64, shards, partitions int, cfg store.Config) *store.Store {
 	t.Helper()
-	ac, err := sim.BuildAdaptiveCache("vantage", capacity, 16, shards, partitions, "LRU", 0.05,
+	ac, err := adaptive.Build("vantage", capacity, 16, shards, partitions, "LRU", 0.05,
 		adaptive.Config{EpochAccesses: 1 << 14, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
@@ -379,9 +379,17 @@ func TestConcurrentAccessExactness(t *testing.T) {
 // Get/Set/SetTTL/Delete over two tenants — a cyclic scan and a skewed
 // draw — on a 4096-line store with a byte cap, a backend and a logical
 // clock (so expiry fires), and the final books must equal literals
-// recorded before the values moved onto their lines (PR 15). It pins
+// recorded before the values moved onto their lines. It pins
 // no Get hit value: only counts, which the cache access stream,
-// eviction order and admission decisions determine.
+// eviction order and byte-cap refusals determine.
+//
+// Re-based once on purpose when the Eq. 6 admission gate in front of
+// the byte cap was deleted: the scan tenant's ρ had been 0.355, so it
+// now keeps 1512 keys instead of 746 and the zipf tenant 961 instead of
+// 1374 under the same cap (Bytes() 163664 → 163816), and backend reads
+// rose 75187 → 76396 (+1.6 %) — the gate had helped this small replay.
+// Line-level counts that do not depend on admission (allocations,
+// request counts) did not move.
 func TestStoreReplayIdentity(t *testing.T) {
 	const (
 		ops      = 200_000
@@ -430,19 +438,19 @@ func TestStoreReplayIdentity(t *testing.T) {
 
 	want := []store.TenantStats{
 		{Tenant: "scan", Partition: 0, Gets: 39961, Sets: 23322, Deletes: 3384,
-			CacheHits: 34614, CacheMisses: 28669, HitRatio: 0.5469715405401134,
-			Keys: 746, Bytes: 59240, AllocLines: 2204, Expirations: 1388, Evictions: 1998,
-			AdmitDrops: 36412, AdmitRho: 0.35546875, BackendGets: 32294, BackendSets: 23322},
+			CacheHits: 33802, CacheMisses: 29481, HitRatio: 0.5341402904413508,
+			Keys: 1512, Bytes: 103968, AllocLines: 2204, Expirations: 2644, Evictions: 2134,
+			AdmitDrops: 20883, BackendGets: 24804, BackendSets: 23322},
 		{Tenant: "zipf", Partition: 1, Gets: 79919, Sets: 46849, Deletes: 6565,
-			CacheHits: 83377, CacheMisses: 43391, HitRatio: 0.6577133030417771,
-			Keys: 1374, Bytes: 104424, AllocLines: 1482, Expirations: 2292, Evictions: 18236,
-			AdmitDrops: 22443, AdmitRho: 1, BackendGets: 42893, BackendSets: 46849},
+			CacheHits: 84195, CacheMisses: 42573, HitRatio: 0.6641660355925786,
+			Keys: 961, Bytes: 59848, AllocLines: 1482, Expirations: 1653, Evictions: 12487,
+			AdmitDrops: 44148, BackendGets: 51592, BackendSets: 46849},
 	}
 	got := s.StatsAll()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("final stats diverged from the recorded replay:\n got %#v\nwant %#v", got, want)
 	}
-	if got, want := s.Bytes(), int64(163664); got != want {
+	if got, want := s.Bytes(), int64(163816); got != want {
 		t.Errorf("Bytes() = %d, want %d", got, want)
 	}
 }

@@ -10,6 +10,11 @@
 // trace replayed one access per record is bit-for-bit equivalent to the
 // live generator run it captured.
 //
+// This package is only the format, which is also what the serving store
+// records its traffic in. Turning a trace back into workloads (a
+// replaying workload.Pattern, "trace:<path>" app names) lives in
+// internal/sim, so recording links no simulator.
+//
 // # Format
 //
 // All integers are little-endian. Every trace starts with an 8-byte

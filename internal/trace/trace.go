@@ -9,9 +9,6 @@ import (
 	"io"
 	"math"
 	"os"
-
-	"talus/internal/hash"
-	"talus/internal/workload"
 )
 
 // Magic identifies trace files.
@@ -52,7 +49,7 @@ const maxPartitions = 1 << 16
 
 // AppMeta is the per-partition application metadata a version-2 trace
 // can carry: the recorded clone's name and analytic core-model
-// parameters, enough to rebuild a workload.Spec at replay time.
+// parameters, enough to rebuild the app's core model at replay time.
 type AppMeta struct {
 	Name    string
 	APKI    float64
@@ -62,7 +59,7 @@ type AppMeta struct {
 
 // Record is one trace entry: partition P accessed line address Addr.
 // Addresses are recorded in the generator's private space (without the
-// per-app address-space offset the feeders apply — see sim.RecordApps).
+// per-app address-space offset the feeders apply — see adaptive.AppSpace).
 type Record struct {
 	P    int
 	Addr uint64
@@ -468,180 +465,6 @@ func (t *Trace) Meta(p int) (AppMeta, bool) {
 		return AppMeta{}, false
 	}
 	return t.Header.Apps[p], true
-}
-
-// --- Replay: traces as workload patterns --------------------------------
-
-// Replay cycles through a recorded address stream, implementing
-// workload.Pattern so traces slot anywhere a generator does (RunSweep,
-// RunMix, talus-sim app lists). Like Scan, it wraps around when
-// exhausted: replay longer than the recording laps the stream.
-type Replay struct {
-	addrs     []uint64
-	pos       int
-	footprint int64
-}
-
-// NewReplay builds a Replay over addrs (which must be non-empty; the
-// slice is retained, not copied).
-func NewReplay(addrs []uint64) (*Replay, error) {
-	if len(addrs) == 0 {
-		return nil, errors.New("trace: empty replay stream")
-	}
-	distinct := make(map[uint64]struct{}, min(len(addrs), 1<<20))
-	for _, a := range addrs {
-		distinct[a] = struct{}{}
-	}
-	return &Replay{addrs: addrs, footprint: int64(len(distinct))}, nil
-}
-
-// Next implements workload.Pattern.
-func (r *Replay) Next(_ *hash.SplitMix64) uint64 {
-	a := r.addrs[r.pos]
-	r.pos++
-	if r.pos == len(r.addrs) {
-		r.pos = 0
-	}
-	return a
-}
-
-// Footprint implements workload.Pattern: the number of distinct lines in
-// the recording.
-func (r *Replay) Footprint() int64 { return r.footprint }
-
-// Clone implements workload.Pattern (fresh position, shared addresses).
-func (r *Replay) Clone() workload.Pattern {
-	return &Replay{addrs: r.addrs, footprint: r.footprint}
-}
-
-// Len returns the recording's length in accesses.
-func (r *Replay) Len() int { return len(r.addrs) }
-
-// Default core-model parameters for traces recorded without metadata:
-// a moderately memory-intensive app (the analytic model needs some
-// APKI/CPI/MLP to convert misses to IPC; miss counts are unaffected).
-const (
-	DefaultAPKI    = 10.0
-	DefaultCPIBase = 0.5
-	DefaultMLP     = 2.0
-)
-
-// metaSpec builds a pattern-less workload.Spec named name with the
-// default core-model parameters, overridden by meta when carried.
-func metaSpec(name string, meta AppMeta, ok bool) workload.Spec {
-	spec := workload.Spec{Name: name, APKI: DefaultAPKI, CPIBase: DefaultCPIBase, MLP: DefaultMLP}
-	if ok {
-		if meta.Name != "" {
-			spec.Name = meta.Name
-		}
-		if meta.APKI > 0 {
-			spec.APKI = meta.APKI
-		}
-		if meta.CPIBase > 0 {
-			spec.CPIBase = meta.CPIBase
-		}
-		if meta.MLP > 0 {
-			spec.MLP = meta.MLP
-		}
-	}
-	return spec
-}
-
-// HeaderSpecs returns one metadata-only workload.Spec per partition of
-// h: the same names and core-model parameters Trace.Specs would yield,
-// but with no Build function, so no addresses need loading. Streaming
-// replay uses these to label results and scale MPKI while the trace
-// itself carries the traffic; instantiating one with workload.NewApp
-// panics (there is no pattern to build).
-func HeaderSpecs(h Header) []workload.Spec {
-	out := make([]workload.Spec, h.NumPartitions)
-	for p := range out {
-		var meta AppMeta
-		ok := false
-		if h.Apps != nil && p < len(h.Apps) {
-			meta, ok = h.Apps[p], true
-		}
-		out[p] = metaSpec(fmt.Sprintf("trace-p%d", p), meta, ok)
-	}
-	return out
-}
-
-// specOf builds a workload.Spec replaying addrs, using meta when
-// carried.
-func specOf(name string, meta AppMeta, ok bool, addrs []uint64) (workload.Spec, error) {
-	rp, err := NewReplay(addrs)
-	if err != nil {
-		return workload.Spec{}, err
-	}
-	spec := metaSpec(name, meta, ok)
-	spec.Build = func() workload.Pattern { return rp.Clone() }
-	return spec, nil
-}
-
-// AppSpec loads path and returns a workload.Spec replaying its full
-// (partition-interleaved) stream — the resolver behind the
-// "trace:<path>" workload source. Addresses are recorded in
-// per-partition private spaces, so for multi-partition traces each
-// partition's addresses are offset into a disjoint subspace before
-// merging; flattening raw would alias unrelated apps' lines into
-// spurious reuse. The offset lives in bits 56–63 — above the bits
-// 48–55 the feeders OR their own per-app offset into (sim.AppSpace)
-// and the bits 40–47 Mix/Phased use for component indices — because
-// the fields combine by OR: overlapping them would collapse distinct
-// partitions ((2|1)<<48 == (3|1)<<48). That field width caps flattened
-// replay at 255 partitions; wider traces must go through Specs (one
-// app per partition) instead.
-func AppSpec(path string) (workload.Spec, error) {
-	t, err := Load(path)
-	if err != nil {
-		return workload.Spec{}, err
-	}
-	meta, ok := t.Meta(0)
-	addrs := t.Flat()
-	if t.NumPartitions() != 1 {
-		if t.NumPartitions() > 255 {
-			return workload.Spec{}, fmt.Errorf("trace: %s: flattened replay supports at most 255 partitions (have %d); use per-partition specs", path, t.NumPartitions())
-		}
-		ok = false // mixed streams have no single app's parameters
-		addrs = make([]uint64, len(t.Records))
-		for i, r := range t.Records {
-			// The OR only stays collision-free while recorded addresses
-			// leave the tag field clear; an address already using bits
-			// 56–63 (a re-recorded flattened trace, an external full-
-			// 64-bit trace) would alias silently, so reject it.
-			if r.Addr >= 1<<56 {
-				return workload.Spec{}, fmt.Errorf("trace: %s: record %d address %#x uses bits 56-63, which flattened replay needs for partition tags; use per-partition specs", path, i, r.Addr)
-			}
-			addrs[i] = r.Addr | uint64(r.P+1)<<56
-		}
-	}
-	spec, err := specOf("trace:"+path, meta, ok, addrs)
-	if err != nil {
-		return workload.Spec{}, fmt.Errorf("trace: %s: %w", path, err)
-	}
-	return spec, nil
-}
-
-// Specs returns one workload.Spec per partition of t, each replaying
-// that partition's recorded sub-stream — the bridge from a recorded
-// multi-app trace back into RunMix/RunAdaptive as ordinary workloads.
-func (t *Trace) Specs() ([]workload.Spec, error) {
-	streams := t.PartitionStreams()
-	out := make([]workload.Spec, t.NumPartitions())
-	for p := range out {
-		meta, ok := t.Meta(p)
-		name := fmt.Sprintf("trace-p%d", p)
-		spec, err := specOf(name, meta, ok, streams[p])
-		if err != nil {
-			return nil, fmt.Errorf("trace: partition %d: %w", p, err)
-		}
-		out[p] = spec
-	}
-	return out, nil
-}
-
-func init() {
-	workload.RegisterSource("trace", AppSpec)
 }
 
 // Capture collects n addresses from next (a generator's Next method).

@@ -27,7 +27,7 @@ import (
 
 // sources maps a "<prefix>:" scheme to a resolver building a Spec from
 // the text after the colon. Packages that can turn external inputs into
-// workloads register here (internal/trace registers "trace" so
+// workloads register here (internal/sim registers "trace" so
 // "trace:<path>" names a recorded stream anywhere an app name is
 // accepted).
 var (

@@ -12,14 +12,24 @@
 package talus
 
 import (
+	"cmp"
 	"fmt"
 	"net/http"
 	"time"
 
+	"talus/internal/adaptive"
 	"talus/internal/cluster"
 	"talus/internal/serve"
-	"talus/internal/sim"
 	"talus/internal/store"
+)
+
+// The serving defaults: the paper's 8-core CMP shape (Table I) — 1 MB
+// of 32-way LLC, one shard and one partition per core.
+const (
+	defaultCapacityMB = 8
+	defaultShards     = 8
+	defaultPartitions = 8
+	defaultAssoc      = 32
 )
 
 // options accumulates the builder's knobs. Later options win; defaults
@@ -169,12 +179,10 @@ func WithStaticTenants(names ...string) Option {
 func WithMaxValueBytes(n int64) Option { return func(o *options) { o.maxValueBytes = n } }
 
 // WithMaxBytes caps the total value bytes the store holds across all
-// tenants (NewStore only): writes pass a hard reservation check and, in
-// front of it, a Talus-managed admission gate — the paper's optimal
-// bypassing (Eq. 6) applied to value admission, refreshed from each
-// tenant's live miss curve. 0 (the default) sets no byte cap; the line
-// capacity (WithCapacityMB) bounds the store either way, because an
-// evicted line releases its values.
+// tenants (NewStore only): a write that would overdraw the cap is not
+// kept (and counts as an admission drop). 0 (the default) sets no byte
+// cap; the line capacity (WithCapacityMB) bounds the store either way,
+// because an evicted line releases its values.
 func WithMaxBytes(n int64) Option { return func(o *options) { o.maxBytes = n } }
 
 // WithBackend installs the backing tier behind the cache (NewStore
@@ -211,27 +219,27 @@ func WithMaxTenants(n int) Option { return func(o *options) { o.maxTenants = n }
 // build applies opts over the defaults and validates the result.
 func build(opts []Option) (*options, error) {
 	o := &options{
-		capacityLines: int64(MBToLines(sim.CoresMP * sim.LLCPerCoreMB)),
-		scheme:        "vantage",
-		policy:        "LRU",
-		assoc:         sim.DefaultAssoc,
-		shards:        sim.CoresMP,
+		capacityLines: int64(MBToLines(defaultCapacityMB)),
+		assoc:         defaultAssoc,
+		shards:        defaultShards,
 	}
 	for _, opt := range opts {
 		opt(o)
 	}
+	o.scheme = cmp.Or(o.scheme, "vantage")
+	o.policy = cmp.Or(o.policy, "LRU")
 	if o.partitions == 0 {
 		switch {
 		case o.staticTenants:
 			// A closed tenant set needs exactly its own partitions.
 			o.partitions = len(o.tenants)
-		case len(o.tenants) > sim.CoresMP:
+		case len(o.tenants) > defaultPartitions:
 			// Open registration: the default grows to fit the pre-declared
 			// tenants but never shrinks below it, so later tenants can
 			// still register on first use.
 			o.partitions = len(o.tenants)
 		default:
-			o.partitions = sim.CoresMP
+			o.partitions = defaultPartitions
 		}
 	}
 	if !o.marginSet {
@@ -264,7 +272,7 @@ func New(opts ...Option) (*AdaptiveCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sim.BuildAdaptiveCache(o.scheme, o.capacityLines, o.assoc, o.shards, o.partitions,
+	return adaptive.Build(o.scheme, o.capacityLines, o.assoc, o.shards, o.partitions,
 		o.policy, o.margin, o.acfg)
 }
 
@@ -320,7 +328,7 @@ func NewStore(opts ...Option) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	ac, err := sim.BuildAdaptiveCache(o.scheme, o.capacityLines, o.assoc, o.shards, o.partitions,
+	ac, err := adaptive.Build(o.scheme, o.capacityLines, o.assoc, o.shards, o.partitions,
 		o.policy, o.margin, o.acfg)
 	if err != nil {
 		return nil, err

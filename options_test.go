@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"talus/internal/sim"
+	"talus/internal/adaptive"
 )
 
 // feedDeterministic drives an identical two-phase stream into ac:
@@ -56,12 +56,13 @@ func snapshot(t *testing.T, ac *AdaptiveCache) cacheState {
 	return s
 }
 
-// TestNewMatchesBuildAdaptiveCache is the options-threading matrix: for
+// TestNewThreadsOptionsIntoBuild is the options-threading matrix: for
 // every configuration, talus.New with options must build the exact
-// stack sim.BuildAdaptiveCache builds from positional arguments —
-// identical capacities, allocations, epoch counts, shadow sizes, and
-// per-partition Talus configs after an identical deterministic feed.
-func TestNewMatchesBuildAdaptiveCache(t *testing.T) {
+// stack adaptive.Build builds from the positional arguments each option
+// names — identical capacities, allocations, epoch counts, shadow
+// sizes, and per-partition Talus configs after an identical
+// deterministic feed.
+func TestNewThreadsOptionsIntoBuild(t *testing.T) {
 	lookahead, err := AllocatorByName("lookahead")
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestNewMatchesBuildAdaptiveCache(t *testing.T) {
 		name   string
 		opts   []Option
 		rounds int
-		// sim.BuildAdaptiveCache arguments.
+		// adaptive.Build arguments.
 		scheme string
 		lines  int64
 		assoc  int
@@ -119,7 +120,7 @@ func TestNewMatchesBuildAdaptiveCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := sim.BuildAdaptiveCache(c.scheme, c.lines, c.assoc, c.shards, c.parts, c.policy, c.margin, c.acfg)
+			direct, err := adaptive.Build(c.scheme, c.lines, c.assoc, c.shards, c.parts, c.policy, c.margin, c.acfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +128,7 @@ func TestNewMatchesBuildAdaptiveCache(t *testing.T) {
 			feedDeterministic(direct, c.rounds)
 			a, b := snapshot(t, fresh), snapshot(t, direct)
 			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("New state diverges from sim.BuildAdaptiveCache:\n new:    %+v\n direct: %+v", a, b)
+				t.Fatalf("New state diverges from adaptive.Build:\n new:    %+v\n direct: %+v", a, b)
 			}
 			if fresh.Epochs() == 0 {
 				t.Fatal("feed too small: no epochs ran, matrix proves nothing")

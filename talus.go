@@ -4,36 +4,34 @@
 // curve convex by splitting each access stream across two hidden shadow
 // partitions.
 //
-// This root package is the public API. It re-exports the building blocks
-// a downstream user needs:
+// This root package is the serving and Talus-math API:
 //
 //   - miss curves and convex hulls (NewCurve, ConvexHull, Convexify);
 //   - the Talus configuration math (Configure, Config) — Theorems 4 and 6;
 //   - the runtime (NewShadowedCache) that routes sampled accesses into
 //     shadow partitions of a partitioned cache built with BuildCache;
-//   - optimal bypassing (OptimalBypass, BypassCurve) for §V-C comparisons;
-//   - partitioning algorithms (HillClimb, Lookahead, Fair, OptimalDP);
-//   - the SPEC CPU2006 workload clones (Workloads, LookupWorkload) and the
-//     simulation harness (RunSweep, RunMix) that regenerates the paper's
-//     figures;
-//   - the concurrency layer: a sharded, per-shard-locked cache
-//     (ShardedCache, WithShards) that serves concurrent traffic under
-//     the Talus runtime, one Access per reference — and the
-//     parallel experiment engine (SweepConfig.Parallelism, RunMixes)
-//     whose results are byte-identical to sequential runs;
-//   - the online control loop: an epoch-driven runtime that monitors
-//     the live stream with per-partition UMONs, convexifies the
-//     measured curves, runs a pluggable Allocator over the hulls, and
-//     live-reconfigures shadow sizes and sampling rates at one fixed
-//     interval — the paper's end-to-end system (§VI), goroutine-safe
-//     over a sharded inner cache. Construct it with New (functional
-//     options; zero options yield a working stack) and, when configured
-//     with a wall-clock epoch interval, Close it when done;
+//   - capacity allocators (HillClimbAllocator, LookaheadAllocator,
+//     FairAllocator, OptimalDPAllocator) over an AllocRequest;
+//   - the online control loop: an epoch-driven runtime over a sharded,
+//     per-shard-locked cache (ShardedCache, WithShards) that monitors
+//     the live stream with one sampled LRU-stack monitor per partition,
+//     convexifies the measured curves, runs a pluggable Allocator over
+//     the hulls, and live-reconfigures shadow sizes and sampling rates
+//     at one fixed interval — the paper's end-to-end system (§VI),
+//     goroutine-safe. Construct it with New (functional options; zero
+//     options yield a working stack) and, when configured with a
+//     wall-clock epoch interval, Close it when done;
 //   - the keyed serving layer (NewStore): Get/Set/Delete over
 //     (tenant, key) pairs with real value storage, per-tenant Stats,
 //     live measured/hulled miss Curves, and a record hook capturing
 //     front-end traffic as replayable traces — plus the stdlib HTTP
-//     front-end (NewServeHandler, cmd/talus-serve) over it.
+//     front-end (NewServeHandler, cmd/talus-serve) and the
+//     consistent-hash cluster tier (NewCluster, NewRing) over it.
+//
+// The simulator that regenerates the paper's figures (workload clones,
+// size sweeps, multi-programmed mixes, trace replay) is a separate
+// product: cmd/talus-exp, cmd/talus-sim and cmd/talus-trace drive it,
+// and the server does not link it.
 //
 // See README.md for quickstarts, DESIGN.md for the system inventory,
 // and EXPERIMENTS.md for paper-vs-measured results; runnable examples
@@ -43,14 +41,11 @@ package talus
 import (
 	"talus/internal/adaptive"
 	"talus/internal/alloc"
-	"talus/internal/bypass"
 	"talus/internal/cache"
 	"talus/internal/core"
 	"talus/internal/curve"
 	"talus/internal/hull"
-	"talus/internal/sim"
 	"talus/internal/store"
-	"talus/internal/workload"
 )
 
 // Re-exported core types. These are aliases, so values flow freely
@@ -72,18 +67,6 @@ type (
 	ShardedCache = cache.ShardedCache
 	// CacheStats aggregates hit/miss counts over a cache's accesses.
 	CacheStats = cache.Stats
-	// BypassConfig describes an optimal-bypassing operating point.
-	BypassConfig = bypass.Config
-	// WorkloadSpec describes one synthetic application clone.
-	WorkloadSpec = workload.Spec
-	// SweepConfig parameterizes a single-program size sweep.
-	SweepConfig = sim.SweepConfig
-	// MixConfig parameterizes a multi-programmed run.
-	MixConfig = sim.MixConfig
-	// MixResult reports per-app outcomes of a multi-programmed run.
-	MixResult = sim.MixResult
-	// Mode names a multi-program cache-management scheme.
-	Mode = sim.Mode
 	// Allocator is the pluggable capacity-partitioning policy interface.
 	Allocator = alloc.Allocator
 	// AllocRequest is one capacity-allocation problem: per-partition
@@ -106,10 +89,6 @@ type (
 	TenantControl = store.TenantControl
 	// LineBounds is a tenant's [Min, Max] allocation bound in lines.
 	LineBounds = store.LineBounds
-	// AdaptiveRunConfig parameterizes RunAdaptive experiments.
-	AdaptiveRunConfig = sim.AdaptiveConfig
-	// AdaptiveRunResult reports an adaptive run's steady-state outcomes.
-	AdaptiveRunResult = sim.AdaptiveResult
 )
 
 // Shared allocator values (all stateless and goroutine-safe).
@@ -184,112 +163,13 @@ func NewShadowedCache(inner PartitionedCache, numLogical int, margin float64, se
 	return core.NewShadowedCache(inner, numLogical, margin, seed)
 }
 
-// BuildCache constructs a simulated LLC: scheme is one of "none", "way",
-// "set", "vantage", "ideal"; policyName one of "LRU", "SRRIP", "BRRIP",
-// "DRRIP", "TA-DRRIP", "DIP", "PDP", "Random".
+// BuildCache constructs a partitioned cache: scheme is one of "none",
+// "way", "set", "vantage", "futility", "ideal"; policyName one of "LRU",
+// "SRRIP", "BRRIP", "DRRIP", "TA-DRRIP", "DIP", "PDP", "Random".
 //
 // Use New with functional options (WithScheme, WithPolicy, ...) for the
 // full adaptive stack; BuildCache is for callers assembling the layers
 // by hand (e.g. a ShadowedCache over a custom inner cache).
 func BuildCache(scheme string, capacityLines int64, assoc, numPartitions int, policyName string, threads int, seed uint64) (PartitionedCache, error) {
-	return sim.BuildCache(scheme, capacityLines, assoc, numPartitions, policyName, threads, seed)
+	return cache.Build(scheme, capacityLines, assoc, numPartitions, policyName, threads, seed)
 }
-
-// RunAdaptive drives one adaptive-runtime experiment: per-app traffic
-// interleaved into an AdaptiveCache, miss rates measured over the
-// converged tail.
-func RunAdaptive(cfg AdaptiveRunConfig) (*AdaptiveRunResult, error) { return sim.RunAdaptive(cfg) }
-
-// RecordTrace captures the named specs' interleaved access stream — the
-// exact stream RunAdaptive would feed at the same seed — to a binary
-// trace file (internal/trace format) with per-app metadata embedded,
-// returning the record count. gz enables gzip compression.
-func RecordTrace(path string, specs []WorkloadSpec, accessesPerApp int64, seed uint64, gz bool) (int64, error) {
-	return sim.RecordSpecs(path, specs, accessesPerApp, seed, gz)
-}
-
-// RunAdaptiveTraceFile replays a recorded trace through the adaptive
-// runtime: the cache is built for the trace's partition count and fed
-// the recorded stream one Access per record, reproducing the live run
-// exactly at a matching seed. cfg.Apps and cfg.AccessesPerApp are optional —
-// the trace carries the traffic and (when recorded with metadata) the
-// app parameters.
-func RunAdaptiveTraceFile(cfg AdaptiveRunConfig, path string) (*AdaptiveRunResult, error) {
-	return sim.RunAdaptiveTraceFile(cfg, path)
-}
-
-// WorkloadsFromTrace loads a recorded trace and returns one spec per
-// recorded partition, each replaying its sub-stream — trace-backed apps
-// for RunMix, RunSweep, or RunAdaptive. Anywhere an app name is
-// accepted, "trace:<path>" resolves to the trace's flattened stream.
-func WorkloadsFromTrace(path string) ([]WorkloadSpec, error) { return sim.SpecsFromTrace(path) }
-
-// OptimalBypass finds the bypass fraction minimizing misses at size s
-// (Eq. 6); BypassCurve evaluates it across sizes (Fig. 6).
-func OptimalBypass(m *MissCurve, s float64) (BypassConfig, error) { return bypass.Optimal(m, s) }
-
-// BypassCurve evaluates optimal bypassing at each size.
-func BypassCurve(m *MissCurve, sizes []float64) (*MissCurve, error) {
-	return bypass.Curve(m, sizes)
-}
-
-// HillClimb allocates total lines across partitions greedily — optimal on
-// convex curves, stuck on cliffs.
-func HillClimb(curves []*MissCurve, total, granule int64) ([]int64, error) {
-	return alloc.HillClimb(curves, total, granule)
-}
-
-// Lookahead is UCP's quadratic partitioning heuristic.
-func Lookahead(curves []*MissCurve, total, granule int64) ([]int64, error) {
-	return alloc.Lookahead(curves, total, granule)
-}
-
-// Fair returns equal allocations.
-func Fair(n int, total, granule int64) ([]int64, error) { return alloc.Fair(n, total, granule) }
-
-// OptimalDP computes the exact misses-minimizing allocation by dynamic
-// programming (ground truth for tests and ablations).
-func OptimalDP(curves []*MissCurve, total, granule int64) ([]int64, error) {
-	return alloc.OptimalDP(curves, total, granule)
-}
-
-// Workloads returns the names of all SPEC CPU2006 clones.
-func Workloads() []string { return workload.Names() }
-
-// MemoryIntensiveWorkloads returns the 18-app pool used for random mixes.
-func MemoryIntensiveWorkloads() []string { return workload.MemoryIntensive() }
-
-// LookupWorkload returns the named clone's spec.
-func LookupWorkload(name string) (WorkloadSpec, bool) { return workload.Lookup(name) }
-
-// RunSweep measures an app's miss curve over cache sizes.
-func RunSweep(cfg SweepConfig) (*MissCurve, error) { return sim.RunSweep(cfg) }
-
-// RunPoint measures an app's MPKI at one cache size.
-func RunPoint(cfg SweepConfig, sizeLines int64, seed uint64) (float64, error) {
-	return sim.RunPoint(cfg, sizeLines, seed)
-}
-
-// RunMix simulates a multi-programmed mix under a management mode.
-func RunMix(cfg MixConfig) (*MixResult, error) { return sim.RunMix(cfg) }
-
-// RunMixes simulates many mixes concurrently on a bounded worker pool
-// (parallelism 0 → GOMAXPROCS); results are identical to sequential
-// RunMix calls, in input order.
-func RunMixes(cfgs []MixConfig, parallelism int) ([]*MixResult, error) {
-	return sim.RunMixes(cfgs, parallelism)
-}
-
-// IPCOf evaluates the analytic core model for an app at a given MPKI.
-func IPCOf(spec WorkloadSpec, mpki float64) float64 { return sim.IPC(spec, mpki) }
-
-// Multi-program management modes (Figs. 12–13).
-const (
-	ModeLRU          = sim.ModeLRU
-	ModeTADRRIP      = sim.ModeTADRRIP
-	ModeHillLRU      = sim.ModeHillLRU
-	ModeLookaheadLRU = sim.ModeLookaheadLRU
-	ModeFairLRU      = sim.ModeFairLRU
-	ModeTalusHill    = sim.ModeTalusHill
-	ModeTalusFair    = sim.ModeTalusFair
-)

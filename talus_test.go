@@ -76,44 +76,17 @@ func TestPublicAPICacheConstruction(t *testing.T) {
 	}
 }
 
-func TestPublicAPIBypass(t *testing.T) {
-	m := MustCurve([]Point{
-		{Size: 0, MPKI: 24},
-		{Size: MBToLines(5), MPKI: 3},
-		{Size: MBToLines(10), MPKI: 3},
-	})
-	bc, err := OptimalBypass(m, MBToLines(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bc.MPKI < InterpolatedMPKI(m, MBToLines(4))-1e-9 {
-		t.Fatal("bypassing beat the hull: violates Corollary 8")
-	}
-	bcurve, err := BypassCurve(m, []float64{MBToLines(2), MBToLines(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bcurve.NumPoints() != 2 {
-		t.Fatal("bypass curve points")
-	}
-}
-
 func TestPublicAPIAllocators(t *testing.T) {
 	a := MustCurve([]Point{{Size: 0, MPKI: 20}, {Size: 100, MPKI: 10}, {Size: 400, MPKI: 1}})
 	b := MustCurve([]Point{{Size: 0, MPKI: 8}, {Size: 200, MPKI: 2}, {Size: 400, MPKI: 1}})
-	curves := []*MissCurve{a, b}
-	for name, f := range map[string]func() ([]int64, error){
-		"hill":      func() ([]int64, error) { return HillClimb(curves, 400, 10) },
-		"lookahead": func() ([]int64, error) { return Lookahead(curves, 400, 10) },
-		"dp":        func() ([]int64, error) { return OptimalDP(curves, 400, 10) },
-		"fair":      func() ([]int64, error) { return Fair(2, 400, 10) },
-	} {
-		got, err := f()
+	req := NewAllocRequest([]*MissCurve{a, b}, 400, 10)
+	for _, al := range []Allocator{HillClimbAllocator, LookaheadAllocator, OptimalDPAllocator, FairAllocator} {
+		got, err := al.Allocate(req)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", al.Name(), err)
 		}
 		if got[0]+got[1] != 400 {
-			t.Fatalf("%s: allocation %v does not sum to budget", name, got)
+			t.Fatalf("%s: allocation %v does not sum to budget", al.Name(), got)
 		}
 	}
 }
@@ -145,22 +118,6 @@ func TestPublicAPIAdaptive(t *testing.T) {
 	}
 	if err := ac.Err(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPublicAPIWorkloads(t *testing.T) {
-	if len(Workloads()) != 29 {
-		t.Fatalf("Workloads() = %d names, want 29", len(Workloads()))
-	}
-	if len(MemoryIntensiveWorkloads()) != 18 {
-		t.Fatal("memory-intensive pool should have 18 names")
-	}
-	spec, ok := LookupWorkload("libquantum")
-	if !ok {
-		t.Fatal("libquantum missing")
-	}
-	if ipc := IPCOf(spec, 0); ipc <= 0 {
-		t.Fatal("IPC model broken")
 	}
 }
 
