@@ -258,8 +258,8 @@ func BenchmarkShadowedShardedAccess(b *testing.B) {
 // per-partition monitor observation, sampler routing, sharded access,
 // and the epoch reconfigurations the traffic itself triggers.
 func BenchmarkAdaptiveAccess(b *testing.B) {
-	ac, err := adaptive.Build("vantage", 16384, 16, 8, 2, "LRU",
-		core.DefaultMargin, adaptive.Config{EpochAccesses: 1 << 18, Seed: 42})
+	ac, err := adaptive.Build("vantage", 16384, 16, 8, 2, core.DefaultMargin,
+		adaptive.Config{EpochAccesses: 1 << 18, Seed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}

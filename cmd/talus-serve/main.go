@@ -8,8 +8,8 @@
 // Usage:
 //
 //	talus-serve [-addr :8080] [-mb 8] [-shards n] [-partitions n]
-//	            [-tenants a,b,...] [-scheme vantage] [-policy LRU]
-//	            [-alloc hill] [-assoc 32] [-epoch n] [-epoch-interval 1s]
+//	            [-tenants a,b,...] [-scheme vantage]
+//	            [-assoc 32] [-epoch n] [-epoch-interval 1s]
 //	            [-max-value 1048576] [-record-dir dir] [-seed s]
 //	            [-max-bytes n] [-max-tenants n]
 //	            [-backend mem] [-backend-latency 0s]
@@ -41,15 +41,18 @@
 //	PUT  /v1/control/tenants/{tenant}          adjust a tenant's weight (needs -control)
 //	POST /v1/record                            start/stop trace capture (needs -record-dir)
 //
-// -weights assigns per-tenant objective weights (the allocator then
-// minimizes Σ wᵢ·missesᵢ, so a weight-4 tenant's misses count 4×).
-// The loop reconfigures at the one interval -epoch / -epoch-interval
-// set; GET /v1/control reports the measured curve churn beside it.
+// The arrays are LRU and each epoch hill-climbs on the hulls: the
+// monitor is an LRU stack, so its promise holds for LRU arrays only, and
+// on hulls hill climbing is optimal. -weights assigns per-tenant
+// objective weights (the allocator then minimizes Σ wᵢ·missesᵢ, so a
+// weight-4 tenant's misses count 4×). The loop reconfigures at the one
+// interval -epoch / -epoch-interval set; GET /v1/control reports the
+// measured curve churn beside it.
 //
-// A captured trace replays offline through talus-trace replay (or
-// talus-sim -trace), closing the loop between served traffic
-// and the experiment suite. SIGINT/SIGTERM shut down gracefully:
-// in-flight requests drain, recording flushes, the epoch ticker stops.
+// A captured trace replays offline through talus-sim -adaptive -trace,
+// closing the loop between served traffic and the experiment suite.
+// SIGINT/SIGTERM shut down gracefully: in-flight requests drain,
+// recording flushes, the epoch ticker stops.
 package main
 
 import (
@@ -78,8 +81,6 @@ func main() {
 		tenants    = flag.String("tenants", "", "comma-separated tenant names to pre-register (others register on first use)")
 		static     = flag.Bool("static-tenants", false, "serve only the pre-registered -tenants")
 		scheme     = flag.String("scheme", "vantage", "partitioning scheme: none, way, set, vantage, futility, ideal")
-		policy     = flag.String("policy", "LRU", "replacement policy: LRU, SRRIP, BRRIP, DRRIP, TA-DRRIP, DIP, PDP, Random")
-		allocName  = flag.String("alloc", "hill", "epoch allocator: hill, lookahead, fair, optimal")
 		assoc      = flag.Int("assoc", 32, "set associativity")
 		epoch      = flag.Int64("epoch", 0, "reconfiguration interval in accesses (0 = 2^20)")
 		interval   = flag.Duration("epoch-interval", time.Second, "wall-clock reconfiguration interval (0 disables the ticker)")
@@ -102,8 +103,8 @@ func main() {
 	flag.Parse()
 	cfg := serveFlags{
 		addr: *addr, mb: *mb, shards: *shards, partitions: *partitions,
-		tenants: *tenants, static: *static, scheme: *scheme, policy: *policy,
-		allocName: *allocName, assoc: *assoc, epoch: *epoch, interval: *interval,
+		tenants: *tenants, static: *static, scheme: *scheme,
+		assoc: *assoc, epoch: *epoch, interval: *interval,
 		maxValue: *maxValue, recordDir: *recordDir, seed: *seed,
 		maxBytes: *maxBytes, maxTenants: *maxTenants,
 		backend: *backend, backendLat: *backendLat,
@@ -126,8 +127,6 @@ type serveFlags struct {
 	tenants    string
 	static     bool
 	scheme     string
-	policy     string
-	allocName  string
 	assoc      int
 	epoch      int64
 	interval   time.Duration
@@ -149,18 +148,12 @@ type serveFlags struct {
 }
 
 func run(cf serveFlags) error {
-	allocator, err := talus.AllocatorByName(cf.allocName)
-	if err != nil {
-		return err
-	}
 	opts := []talus.Option{
 		talus.WithCapacityMB(cf.mb),
 		talus.WithShards(cf.shards),
 		talus.WithScheme(cf.scheme),
-		talus.WithPolicy(cf.policy),
 		talus.WithAssoc(cf.assoc),
 		talus.WithSeed(cf.seed),
-		talus.WithAllocator(allocator),
 		talus.WithEpochInterval(cf.interval),
 		talus.WithMaxValueBytes(cf.maxValue),
 	}
@@ -193,7 +186,6 @@ func run(cf serveFlags) error {
 		opts = append(opts, talus.WithAdaptive(talus.AdaptiveConfig{
 			EpochAccesses: cf.epoch,
 			EpochInterval: cf.interval,
-			Allocator:     allocator,
 			Seed:          cf.seed,
 		}))
 	}
@@ -246,8 +238,8 @@ func run(cf serveFlags) error {
 		if cl != nil {
 			tiers += fmt.Sprintf(", cluster %s of %d nodes", selfName, len(cl.Ring().Nodes()))
 		}
-		log.Printf("talus-serve: listening on %s (%.1f MB, %d shards, %d partitions, %s/%s, alloc %s, %s)",
-			cf.addr, cf.mb, cf.shards, st.Cache().NumLogical(), cf.scheme, cf.policy, cf.allocName, tiers)
+		log.Printf("talus-serve: listening on %s (%.1f MB, %d shards, %d partitions, %s/LRU, %s)",
+			cf.addr, cf.mb, cf.shards, st.Cache().NumLogical(), cf.scheme, tiers)
 		errc <- srv.ListenAndServe()
 	}()
 

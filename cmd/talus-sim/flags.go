@@ -11,7 +11,7 @@ import (
 
 // adaptiveOnly and mixOnly name the flags only one run kind reads.
 var (
-	adaptiveOnly = []string{"alloc", "epoch", "accesses", "shards", "tail", "weights"}
+	adaptiveOnly = []string{"epoch", "accesses", "shards", "tail", "weights"}
 	mixOnly      = []string{"mode", "work"}
 )
 

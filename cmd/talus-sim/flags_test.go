@@ -16,7 +16,7 @@ func TestSplitList(t *testing.T) {
 }
 
 // TestCheckRunKind: an explicitly set flag the chosen run kind does not
-// read is refused by name — `-weights 4,1 -alloc fair` without -adaptive
+// read is refused by name — `-weights 4,1 -epoch 4096` without -adaptive
 // used to print a RunMix table as if both had applied.
 func TestCheckRunKind(t *testing.T) {
 	cases := []struct {
@@ -26,10 +26,9 @@ func TestCheckRunKind(t *testing.T) {
 		wantErr  []string // substrings of the error; nil = accepted
 	}{
 		{"mix, shared flags only", false, []string{"apps", "mb", "seed", "trace", "parallelism", "mode", "work"}, nil},
-		{"adaptive, its own flags", true, []string{"adaptive", "apps", "mb", "seed", "trace", "alloc", "epoch", "accesses", "shards", "tail", "weights"}, nil},
+		{"adaptive, its own flags", true, []string{"adaptive", "apps", "mb", "seed", "trace", "epoch", "accesses", "shards", "tail", "weights"}, nil},
 		{"nothing set", false, nil, nil},
-		{"mix with -alloc", false, []string{"apps", "alloc"}, []string{"-alloc", "-adaptive runs"}},
-		{"mix with -epoch", false, []string{"epoch"}, []string{"-epoch", "-adaptive runs"}},
+		{"mix with -epoch", false, []string{"apps", "epoch"}, []string{"-epoch", "-adaptive runs"}},
 		{"mix with -accesses", false, []string{"accesses"}, []string{"-accesses"}},
 		{"mix with -shards", false, []string{"shards"}, []string{"-shards"}},
 		{"mix with -tail", false, []string{"tail"}, []string{"-tail"}},

@@ -4,15 +4,16 @@
 //   - the cycle-driven CMP simulation (the default): per-app IPC, MPKI
 //     and speedups over the unpartitioned-LRU baseline, managed by -mode
 //     for -work instructions per app;
-//   - -adaptive: the online control loop (monitor → hull → allocator at
-//     a fixed -epoch) driven purely by the access stream, reporting
-//     per-app miss ratios and converged allocations.
+//   - -adaptive: the online control loop (monitor → hull → hill
+//     climbing at a fixed -epoch, over LRU arrays) driven purely by the
+//     access stream, reporting per-app miss ratios and converged
+//     allocations.
 //
 // Usage:
 //
 //	talus-sim -apps mcf,lbm,omnetpp,xalancbmk -mode talus-hill -mb 4
 //	talus-sim -adaptive -apps mcf,lbm -mb 2 -epoch 131072 -weights 4,1
-//	talus-sim -adaptive -trace mix.trc -mb 8   # exact replay of a recording
+//	talus-sim -adaptive -trace mix.trc -mb 8   # exact replay of a talus-trace recording
 //
 // -apps names registry clones or "trace:<path>" recordings; -trace adds
 // every partition of the listed recordings as a replayed app. A flag
@@ -45,7 +46,6 @@ func main() {
 
 		adaptiveF = flag.Bool("adaptive", false, "run the online adaptive runtime (monitor→hull→allocator control loop) instead of the cycle-driven CPU simulation")
 		epochF    = flag.Int64("epoch", 0, "adaptive reconfiguration interval in accesses (0 = default)")
-		allocF    = flag.String("alloc", "hill", "adaptive allocator: hill, lookahead, fair, optimal")
 		accessesF = flag.Int64("accesses", 4<<20, "adaptive traffic per app (accesses)")
 		shardsF   = flag.Int("shards", 1, "adaptive cache shard count")
 		tailF     = flag.Float64("tail", 0, "adaptive trailing fraction measured for steady-state rates (0 = default 0.5)")
@@ -71,7 +71,6 @@ func main() {
 	acfg := sim.AdaptiveConfig{
 		CapacityLines:  capacity,
 		Shards:         *shardsF,
-		Allocator:      *allocF,
 		EpochAccesses:  *epochF,
 		AccessesPerApp: *accessesF,
 		TailFrac:       *tailF,

@@ -1,4 +1,4 @@
-// Command talus-trace records, replays, and inspects binary address
+// Command talus-trace records, imports, and inspects binary address
 // traces (internal/trace). A recorded mix is byte-identical to the live
 // generator stream and replays one access per record, so on a cache
 // built with the same seed replay results match live runs exactly —
@@ -7,18 +7,17 @@
 // Usage:
 //
 //	talus-trace record -apps mcf,lbm -o mix.trc -n 4194304
-//	talus-trace replay -trace mix.trc -mb 8 -alloc hill
 //	talus-trace stat -trace mix.trc
+//	talus-sim -adaptive -trace mix.trc -mb 8   # the replay
 //
 // record captures the named workloads' interleaved stream (with
 // per-app core-model metadata embedded) to a gzip-compressed trace.
-// replay drives the online adaptive runtime (monitor → hull → Talus →
-// allocator) from the trace and reports per-partition steady-state miss
-// rates and allocations. stat prints the trace's header and
-// per-partition shape without simulating anything. import converts
-// external traces — raw ChampSim instruction traces (decompressed) or
-// plain text `addr[,partition]` lines — into the native format, ready
-// for replay or any trace:<path> workload.
+// stat prints the trace's header and per-partition shape without
+// simulating anything. import converts external traces — raw ChampSim
+// instruction traces (decompressed) or plain text `addr[,partition]`
+// lines — into the native format. Replay is talus-sim's: -trace with a
+// single file drives the online adaptive runtime record by record, and
+// any trace:<path> names a recording as a workload.
 package main
 
 import (
@@ -44,8 +43,6 @@ func main() {
 	switch os.Args[1] {
 	case "record":
 		err = cmdRecord(os.Args[2:])
-	case "replay":
-		err = cmdReplay(os.Args[2:])
 	case "stat":
 		err = cmdStat(os.Args[2:])
 	case "import":
@@ -67,7 +64,6 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   talus-trace record -apps <a,b,...> -o <file> [-n accesses] [-seed s] [-gzip=bool]
-  talus-trace replay -trace <file> [-mb size] [-alloc name] [-epoch n] [-shards n] [-tail frac] [-seed s]
   talus-trace stat   -trace <file>
   talus-trace import -format champsim|text -i <file> -o <file> [-gzip=bool]
 `)
@@ -111,44 +107,6 @@ func cmdRecord(args []string) error {
 	}
 	fmt.Printf("recorded %d accesses (%d apps × %d) to %s: %d bytes, %.2f bytes/access\n",
 		count, len(specs), *n, *out, info.Size(), float64(info.Size())/float64(count))
-	return nil
-}
-
-func cmdReplay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	var (
-		path   = fs.String("trace", "", "trace file to replay")
-		mb     = fs.Float64("mb", 8, "LLC capacity in MB")
-		alloc  = fs.String("alloc", "hill", "allocator: hill, lookahead, fair, optimal")
-		epoch  = fs.Int64("epoch", 0, "reconfiguration interval in accesses (0 = default)")
-		shards = fs.Int("shards", 1, "cache shard count")
-		tail   = fs.Float64("tail", 0.5, "trailing fraction measured for steady-state rates")
-		seed   = fs.Uint64("seed", 42, "cache seed (match the recording for exact replay)")
-	)
-	fs.Parse(args)
-	if *path == "" {
-		return fmt.Errorf("replay needs -trace")
-	}
-	res, err := sim.RunAdaptiveTraceFile(sim.AdaptiveConfig{
-		CapacityLines: int64(curve.MBToLines(*mb)),
-		Shards:        *shards,
-		Allocator:     *alloc,
-		EpochAccesses: *epoch,
-		TailFrac:      *tail,
-		Seed:          *seed,
-	}, *path)
-	if err != nil {
-		return err
-	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "partition\tapp\tMPKI\tmiss-ratio\talloc-lines\talloc-MB")
-	for i := range res.Apps {
-		fmt.Fprintf(tw, "%d\t%s\t%.3f\t%.4f\t%d\t%.3f\n",
-			i, res.Apps[i], res.MPKI[i], res.MissRatio[i],
-			res.Allocs[i], curve.LinesToMB(float64(res.Allocs[i])))
-	}
-	tw.Flush()
-	fmt.Printf("\nepochs: %d (reconfigurations driven by the replayed stream)\n", res.Epochs)
 	return nil
 }
 

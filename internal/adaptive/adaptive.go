@@ -30,10 +30,6 @@ type Config struct {
 	// EpochAccesses is the reconfiguration interval in observed accesses
 	// (all partitions combined); 0 selects DefaultEpochAccesses.
 	EpochAccesses int64
-	// Allocator divides capacity over the hulls each epoch;
-	// nil selects alloc.HillClimbAllocator (optimal on hulls — the
-	// paper's point is that Talus makes hill climbing sufficient).
-	Allocator alloc.Allocator
 	// EpochInterval, when positive, adds a wall-clock epoch trigger: a
 	// background ticker drives the same TryLock epoch step the access
 	// clock does, so lightly loaded caches still reconfigure on time
@@ -61,9 +57,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.EpochAccesses <= 0 {
 		c.EpochAccesses = DefaultEpochAccesses
-	}
-	if c.Allocator == nil {
-		c.Allocator = alloc.HillClimbAllocator
 	}
 }
 
@@ -93,8 +86,6 @@ type ControllerState struct {
 	// EpochInterval is the configured wall-clock trigger interval (0
 	// without a ticker).
 	EpochInterval time.Duration `json:"epoch_interval_ns"`
-	// Allocator names the allocation policy.
-	Allocator string `json:"allocator"`
 	// Allocations is the most recent per-partition allocation in lines.
 	Allocations []int64 `json:"allocations"`
 	// Weights is the per-partition objective weight vector (nil =
@@ -360,7 +351,10 @@ func (a *Cache) epochBody() {
 
 	hulls := core.Convexify(a.lastCurves)
 	granule := max(budget/allocGranules, 1)
-	allocs, err := a.cfg.Allocator.Allocate(alloc.Request{
+	// Hill climbing on the hulls: optimal there for any weights, floors
+	// and caps (alloc.TestWeightedAllocatorsAgreeOnHulls), so no other
+	// allocator would move a line.
+	allocs, err := alloc.WeightedHillClimb(alloc.Request{
 		Curves:   hulls,
 		Total:    budget,
 		Granule:  granule,
@@ -471,7 +465,6 @@ func (a *Cache) Controller() ControllerState {
 		Churn:         a.churn,
 		EpochAccesses: a.cfg.EpochAccesses,
 		EpochInterval: max(a.cfg.EpochInterval, 0),
-		Allocator:     a.cfg.Allocator.Name(),
 		Allocations:   append([]int64(nil), a.lastAllocs...),
 	}
 	if a.weights != nil {
@@ -565,5 +558,6 @@ func (a *Cache) Monitor(p int) *monitor.SlicedEpochMonitor {
 // Shadowed exposes the wrapped Talus runtime (shadow sizes, inner cache).
 func (a *Cache) Shadowed() *core.ShadowedCache { return a.sc }
 
-// Allocator returns the configured allocation policy.
-func (a *Cache) Allocator() alloc.Allocator { return a.cfg.Allocator }
+// Allocator returns the allocation policy every epoch runs:
+// alloc.HillClimbAllocator, always.
+func (a *Cache) Allocator() alloc.Allocator { return alloc.HillClimbAllocator }

@@ -16,7 +16,7 @@ import (
 // callers do: sharded inner cache, Talus runtime, control loop.
 func buildAdaptive(t *testing.T, capacity int64, shards, logical int, cfg adaptive.Config) *adaptive.Cache {
 	t.Helper()
-	ac, err := adaptive.Build("vantage", capacity, 16, shards, logical, "LRU", 0.05, cfg)
+	ac, err := adaptive.Build("vantage", capacity, 16, shards, logical, 0.05, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,15 +5,20 @@ import (
 	"talus/internal/core"
 )
 
-// Build constructs the full adaptive stack from names: a cache striped
-// across numShards (≥ 1) locked shards with 2×numLogical shadow
+// Build constructs the full adaptive stack from names: an LRU cache
+// striped across numShards (≥ 1) locked shards with 2×numLogical shadow
 // partitions (cache.BuildSharded), the Talus runtime over it, and the
 // epoch-driven control loop over that. Every layer is goroutine-safe,
 // so the result serves concurrent traffic end to end, and it
 // reconfigures itself every cfg.EpochAccesses accesses. Every argument
 // is used as given; callers apply their own defaults.
-func Build(scheme string, capacityLines int64, assoc, numShards, numLogical int, policyName string, margin float64, cfg Config) (*Cache, error) {
-	inner, err := cache.BuildSharded(scheme, capacityLines, assoc, numShards, 2*numLogical, policyName, numLogical, cfg.Seed)
+//
+// The arrays are LRU because the loop's monitor is an LRU stack
+// (§VI-C): its curve, and so the Eq. 5 promise, describes LRU arrays
+// only. Another policy would receive exactly the allocations LRU gets
+// (TestLoopIsBlindToArrayPolicy) and miss the promise.
+func Build(scheme string, capacityLines int64, assoc, numShards, numLogical int, margin float64, cfg Config) (*Cache, error) {
+	inner, err := cache.BuildSharded(scheme, capacityLines, assoc, numShards, 2*numLogical, "LRU", numLogical, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

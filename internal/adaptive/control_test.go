@@ -210,9 +210,6 @@ func TestWeightedTenantAttractsCapacity(t *testing.T) {
 	if len(st.Weights) != 2 || st.Weights[0] != 1 || st.Weights[1] != 8 {
 		t.Fatalf("controller weights = %v", st.Weights)
 	}
-	if st.Allocator != "hill" {
-		t.Fatalf("controller allocator = %q", st.Allocator)
-	}
 	// Validation at the API boundary.
 	if err := ac.SetWeight(0, -1); err == nil {
 		t.Fatal("negative weight accepted")
@@ -244,7 +241,7 @@ func randEpoch(ac *adaptive.Cache, rng *hash.SplitMix64) error {
 // — at New and at SetPartitionLines — and a refusal changes nothing.
 func TestInfeasibleFloorsRefused(t *testing.T) {
 	const capacity = 4096
-	if _, err := adaptive.Build("vantage", capacity, 16, 1, 2, "LRU", 0.05, adaptive.Config{
+	if _, err := adaptive.Build("vantage", capacity, 16, 1, 2, 0.05, adaptive.Config{
 		MinLines: []int64{4000, 4000},
 	}); err == nil || !strings.Contains(err.Error(), "floors sum to 8000") {
 		t.Fatalf("New with floors past the capacity: err = %v", err)

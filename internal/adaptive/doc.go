@@ -6,19 +6,21 @@
 // partitioning algorithm reallocates capacity at a fixed interval
 // (10 ms in §VI-C). This package is that loop in software.
 //
-// Cache wraps a core.ShadowedCache and keeps one
-// monitor.SlicedEpochMonitor per logical partition on the pre-sampling
-// access stream (monitors must see the full stream; the Talus sampler
-// splits it afterwards). Every EpochAccesses observed accesses, the
-// crossing goroutine:
+// Build assembles the stack over LRU arrays, the only policy the
+// loop's LRU-stack monitors describe (see Build). Cache wraps a
+// core.ShadowedCache and keeps one monitor.SlicedEpochMonitor per
+// logical partition on the pre-sampling access stream (monitors must
+// see the full stream; the Talus sampler splits it afterwards). Every
+// EpochAccesses observed accesses, the crossing goroutine:
 //
 //  1. extracts each partition's EWMA miss curve from its monitor bank
 //     (misses per kilo-access, all partitions sharing one denominator so
 //     curve magnitudes compare as absolute miss counts);
 //  2. convexifies the curves (core.Convexify — the Talus pre-processing
 //     step);
-//  3. runs the configured alloc.Allocator over the hulls to divide the
-//     partitionable capacity;
+//  3. hill-climbs on the hulls (alloc.WeightedHillClimb) to divide the
+//     partitionable capacity — optimal on convex curves for any
+//     weights, floors and caps, so there is no allocator to choose;
 //  4. live-reconfigures shadow sizes and sampling rates via
 //     core.ShadowedCache.Reconfigure (the raw curves go down too, so
 //     already-convex partitions collapse to a single shadow partition).

@@ -37,7 +37,7 @@ func TestAdaptiveTracksPhaseChange(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := adaptive.Config{EpochAccesses: 1 << 16, Seed: 1}
-		ac, err := adaptive.Build("vantage", lines, 32, 2, 2, "LRU", 0.05, cfg)
+		ac, err := adaptive.Build("vantage", lines, 32, 2, 2, 0.05, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,13 @@
 package alloc
 
 import (
-	"strings"
 	"testing"
 
 	"talus/internal/curve"
 )
 
+// TestAllocatorValuesMatchFunctions: each shared Allocator value is its
+// function on the plain request and spends the whole budget.
 func TestAllocatorValuesMatchFunctions(t *testing.T) {
 	curves := []*curve.Curve{
 		curve.MustNew([]curve.Point{{Size: 0, MPKI: 30}, {Size: 4096, MPKI: 2}}),
@@ -48,29 +49,20 @@ func TestAllocatorValuesMatchFunctions(t *testing.T) {
 	}
 }
 
-func TestAllocatorByName(t *testing.T) {
-	for name, want := range map[string]Allocator{
-		"hill":      HillClimbAllocator,
-		"lookahead": LookaheadAllocator,
-		"fair":      FairAllocator,
-		"optimal":   OptimalDPAllocator,
-	} {
-		got, err := ByName(name)
+// TestAllocatorValuesSpendBudget: every shared value allocates a small
+// two-partition request and spends exactly its budget (moved here with
+// the values when the root package stopped re-exporting them).
+func TestAllocatorValuesSpendBudget(t *testing.T) {
+	a := curve.MustNew([]curve.Point{{Size: 0, MPKI: 20}, {Size: 100, MPKI: 10}, {Size: 400, MPKI: 1}})
+	b := curve.MustNew([]curve.Point{{Size: 0, MPKI: 8}, {Size: 200, MPKI: 2}, {Size: 400, MPKI: 1}})
+	req := NewRequest([]*curve.Curve{a, b}, 400, 10)
+	for _, al := range []Allocator{HillClimbAllocator, LookaheadAllocator, OptimalDPAllocator, FairAllocator} {
+		got, err := al.Allocate(req)
 		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
+			t.Fatalf("%s: %v", al.Name(), err)
 		}
-		if got.Name() != want.Name() {
-			t.Errorf("ByName(%q) = %s, want %s", name, got.Name(), want.Name())
-		}
-	}
-	// The error must teach the vocabulary, not just name the bad input.
-	_, err := ByName("simulated-annealing")
-	if err == nil {
-		t.Fatal("unknown allocator name must error")
-	}
-	for _, want := range []string{"simulated-annealing", "fair", "hill", "lookahead", "optimal"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("ByName error %q does not mention %q", err, want)
+		if got[0]+got[1] != 400 {
+			t.Fatalf("%s: allocation %v does not sum to budget", al.Name(), got)
 		}
 	}
 }

@@ -25,6 +25,10 @@
 // MinLines floors, and MaxLines caps. The Weighted* functions implement
 // each algorithm over a Request; the plain functions (HillClimb, ...)
 // call them with the uniform, unconstrained request. WeightedHillClimb
-// stays optimal on hulls for any weights (TestWeightedHillClimbOptimal
-// checks it against WeightedOptimalDP).
+// stays optimal on hulls for any weights, floors and caps: on convex
+// curves WeightedLookahead and WeightedOptimalDP reach exactly its
+// weighted cost (TestWeightedAllocatorsAgreeOnHulls), which is why the
+// adaptive loop (internal/adaptive) runs hill climbing and nothing else.
+// The other algorithms serve the mix simulator's comparisons on raw
+// curves (Figs. 12–13).
 package alloc

@@ -81,6 +81,69 @@ func TestWeightedHillClimbOptimal(t *testing.T) {
 	}
 }
 
+// TestWeightedAllocatorsAgreeOnHulls is why the adaptive loop offers no
+// allocator choice: on random convex curves under random weights, line
+// floors and caps, Lookahead and the exact DP reach exactly the
+// weighted cost hill climbing reaches, so running either instead would
+// buy nothing.
+func TestWeightedAllocatorsAgreeOnHulls(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const total, granule = 4096, 128
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(4)
+		req := Request{Total: total, Granule: granule,
+			Curves: make([]*curve.Curve, n), Weights: make([]float64, n),
+			MinLines: make([]int64, n), MaxLines: make([]int64, n)}
+		var floors, caps int64
+		capped := 0
+		for i := range req.Curves {
+			req.Curves[i] = randConvexCurve(rng, total, 3+rng.Intn(6))
+			req.Weights[i] = rng.Float64() * 8
+			if rng.Intn(2) == 0 {
+				req.MinLines[i] = granule * rng.Int63n((total-floors)/granule/int64(n)+1)
+				floors += req.MinLines[i]
+			}
+			if rng.Intn(2) == 0 {
+				req.MaxLines[i] = req.MinLines[i] + granule*(1+rng.Int63n(total/granule/2))
+				caps += req.MaxLines[i]
+				capped++
+			}
+		}
+		if capped == n && caps < total {
+			req.MaxLines[n-1] = 0 // every partition capped below the budget is infeasible
+		}
+		cost := func(name string, fn func(Request) ([]int64, error)) float64 {
+			got, err := fn(req)
+			if err != nil {
+				t.Fatalf("trial %d: %s: %v", trial, name, err)
+			}
+			var spent int64
+			var sum float64
+			for i, c := range req.Curves {
+				spent += got[i]
+				if got[i] < req.MinLines[i] || (req.MaxLines[i] > 0 && got[i] > req.MaxLines[i]) {
+					t.Fatalf("trial %d: %s gives partition %d %d lines outside [%d, %d]",
+						trial, name, i, got[i], req.MinLines[i], req.MaxLines[i])
+				}
+				sum += req.Weights[i] * c.Eval(float64(got[i]))
+			}
+			if spent != total {
+				t.Fatalf("trial %d: %s spends %d of %d", trial, name, spent, total)
+			}
+			return sum
+		}
+		hill := cost("hill", WeightedHillClimb)
+		for name, fn := range map[string]func(Request) ([]int64, error){
+			"lookahead": WeightedLookahead, "dp": WeightedOptimalDP,
+		} {
+			if c := cost(name, fn); math.Abs(c-hill) > 1e-9*(1+math.Abs(hill)) {
+				t.Fatalf("trial %d: %s cost %.12g, hill %.12g\nweights %v floors %v caps %v",
+					trial, name, c, hill, req.Weights, req.MinLines, req.MaxLines)
+			}
+		}
+	}
+}
+
 // TestRequestConstraints exercises floors, caps, and their validation.
 func TestRequestConstraints(t *testing.T) {
 	c := func() *curve.Curve {

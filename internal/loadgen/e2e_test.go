@@ -33,7 +33,7 @@ func startNodes(t *testing.T, n int, lines int64) []string {
 				t.Fatal(err)
 			}
 		}
-		ac, err := adaptive.Build("vantage", lines, 16, 1, 2, "LRU", 0.05,
+		ac, err := adaptive.Build("vantage", lines, 16, 1, 2, 0.05,
 			adaptive.Config{EpochAccesses: 1 << 20, Seed: 33})
 		if err != nil {
 			t.Fatal(err)

@@ -217,7 +217,7 @@ func newCluster(t *testing.T, n int, lines int64) *clusterHarness {
 		if h.ring == nil {
 			h.ring = cl.Ring()
 		}
-		ac, err := adaptive.Build("vantage", lines, 16, 1, 2, "LRU", 0.05,
+		ac, err := adaptive.Build("vantage", lines, 16, 1, 2, 0.05,
 			adaptive.Config{EpochAccesses: 1 << 14, Seed: 33})
 		if err != nil {
 			t.Fatal(err)

@@ -15,7 +15,6 @@ type controlPayload struct {
 	Epochs        int     `json:"epochs"`
 	Churn         float64 `json:"churn"`
 	EpochAccesses int64   `json:"epoch_accesses"`
-	Allocator     string  `json:"allocator"`
 	Tenants       []struct {
 		Tenant string  `json:"tenant"`
 		Weight float64 `json:"weight"`
@@ -36,7 +35,7 @@ func TestControlEndpointReadOnlyAlwaysOn(t *testing.T) {
 	if err := json.Unmarshal(body, &cp); err != nil {
 		t.Fatalf("control payload: %v\n%s", err, body)
 	}
-	if cp.Allocator != "hill" || cp.EpochAccesses != 1<<14 {
+	if cp.EpochAccesses != 1<<14 {
 		t.Fatalf("control payload: %+v", cp)
 	}
 	if len(cp.Tenants) != 2 || cp.Tenants[0].Weight != 1 {
@@ -49,14 +48,14 @@ func TestControlEndpointReadOnlyAlwaysOn(t *testing.T) {
 	if err := json.Unmarshal(body, &keys); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"epochs", "churn", "epoch_accesses", "epoch_interval_ns", "allocator", "allocations", "tenants"} {
+	for _, k := range []string{"epochs", "churn", "epoch_accesses", "epoch_interval_ns", "allocations", "tenants"} {
 		if _, ok := keys[k]; !ok {
 			t.Errorf("/v1/control lacks %q: %s", k, body)
 		}
 	}
 	// (Removed keys are spelled in halves so a grep for them finds
-	// nothing live.)
-	for _, k := range []string{"self" + "_tune", "min" + "_epoch", "max" + "_epoch", "retain", "last_error"} {
+	// nothing live. There is one allocator, so nothing names it.)
+	for _, k := range []string{"self" + "_tune", "min" + "_epoch", "max" + "_epoch", "retain", "alloc" + "ator", "last_error"} {
 		if _, ok := keys[k]; ok {
 			t.Errorf("/v1/control carries %q: %s", k, body)
 		}
@@ -104,5 +103,23 @@ func TestControlTenantWeight(t *testing.T) {
 	resp, _ = do(t, http.MethodPut, srv.URL+"/v1/control/tenants/alice", []byte(`{weight`))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad JSON PUT = %d", resp.StatusCode)
+	}
+}
+
+// TestControlBodyIsStrict: a body that does not say "weight" — empty,
+// or with the key misspelled — used to decode as weight 0 and answer
+// 200, silently zeroing the tenant's share of the objective. It is now
+// a 400 that leaves the weight where it was.
+func TestControlBodyIsStrict(t *testing.T) {
+	srv, st := newServerConfig(t, store.Config{Tenants: []string{"alice", "bob"}},
+		serve.Config{Control: true})
+	for _, body := range []string{`{}`, `{"wieght": 4}`, `{"weight": 4, "tenant": "bob"}`, `{"weight": null}`} {
+		resp, got := do(t, http.MethodPut, srv.URL+"/v1/control/tenants/alice", []byte(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("PUT %s = %d %s, want 400", body, resp.StatusCode, got)
+		}
+		if w := st.Cache().Weights(); w != nil {
+			t.Fatalf("PUT %s changed the weights to %v", body, w)
+		}
 	}
 }

@@ -75,8 +75,10 @@
 //	502  store.ErrBackend (the backing tier behind the store failed)
 //	400  store.ErrEmptyTenant/ErrEmptyKey, malformed /v1/record requests,
 //	     store.ErrRecording/ErrNotRecording (start while active / stop while idle),
-//	     malformed or negative /v1/control weight bodies,
-//	     store.ErrBadTTL and malformed X-Talus-TTL headers
+//	     malformed or negative /v1/control weight bodies, or ones with no
+//	     "weight", store.ErrBadTTL and malformed X-Talus-TTL headers; both
+//	     control-plane bodies refuse unknown keys, so a misspelled field
+//	     is a 400, never a default
 //
 // # Residency stats
 //
@@ -99,19 +101,21 @@
 //
 // With a record directory set, "start" requests must name a bare file
 // inside it: path separators, "..", dot-prefixed names, and empty names
-// are rejected with 400. Successful starts answer
-// {"recording":true,"path":...}; successful stops answer
-// {"recording":false,"records":N} with the number of accesses captured.
+// are rejected with 400, as is a body with any key but "action", "path"
+// and "gzip" ({"gzp":true} does not start an uncompressed recording).
+// Successful starts answer {"recording":true,"path":...}; successful
+// stops answer {"recording":false,"records":N} with the number of
+// accesses captured.
 // TestRecordEndpoint and TestHTTPContract pin these bodies.
 //
 // # The control plane
 //
 // GET /v1/control is read-only and always served: the control loop's
 // state (epoch count, measured curve churn, the configured epoch budget
-// and interval, allocator name, per-partition allocations and weights,
-// and "last_error" when the latest epoch step failed and left the
-// allocation standing) plus one row per tenant (weight, line bounds,
-// current allocation). Mutation is gated like
+// and interval, per-partition allocations and weights, and "last_error"
+// when the latest epoch step failed and left the allocation standing)
+// plus one row per tenant (weight, line bounds, current allocation).
+// There is no allocator to name: every epoch hill-climbs on the hulls. Mutation is gated like
 // recording: unless the handler is configured with Config.Control
 // (talus-serve -control), PUT /v1/control/tenants/{tenant} refuses
 // every request with status 403 and the exact body
@@ -120,6 +124,7 @@
 //
 // With the gate open, the PUT body {"weight": w} (w ≥ 0) adjusts the
 // named tenant's objective weight live — the next epoch allocates
-// under the new objective — answering {"tenant":...,"weight":w};
-// unknown tenants are 404 and never minted.
+// under the new objective — answering {"tenant":...,"weight":w}. A body
+// without "weight" ({} included) or with any other key is 400 and
+// changes nothing; unknown tenants are 404 and never minted.
 package serve

@@ -429,8 +429,19 @@ func (h *Handler) controlState(w http.ResponseWriter, r *http.Request) {
 }
 
 // controlTenantRequest is the PUT /v1/control/tenants/{tenant} body.
+// Weight is a pointer so a body without it is told apart from a weight
+// of 0: reweighting a tenant to nothing must be said, not defaulted.
 type controlTenantRequest struct {
-	Weight float64 `json:"weight"`
+	Weight *float64 `json:"weight"`
+}
+
+// decodeBody decodes a control-plane JSON body into v, refusing
+// unknown fields: a misspelled key must be a 400, not a silently
+// dropped setting.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // controlTenant serves PUT /v1/control/tenants/{tenant}: sets a
@@ -443,23 +454,28 @@ func (h *Handler) controlTenant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req controlTenantRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
+	err := decodeBody(w, r, &req)
+	if err == nil && req.Weight == nil {
+		err = errors.New(`body has no "weight"`)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad control request: " + err.Error()})
 		return
 	}
-	if req.Weight < 0 {
+	weight := *req.Weight
+	if weight < 0 {
 		// JSON cannot carry NaN/Inf, so a sign check is the whole of the
 		// value validation the adaptive layer would otherwise reject.
 		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("weight %g must be non-negative", req.Weight)})
+			"error": fmt.Sprintf("weight %g must be non-negative", weight)})
 		return
 	}
 	tenant := r.PathValue("tenant")
-	if err := h.st.SetTenantWeight(tenant, req.Weight); err != nil {
+	if err := h.st.SetTenantWeight(tenant, weight); err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"tenant": tenant, "weight": req.Weight})
+	writeJSON(w, http.StatusOK, map[string]any{"tenant": tenant, "weight": weight})
 }
 
 // recordRequest is the /v1/record body.
@@ -476,7 +492,7 @@ func (h *Handler) record(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req recordRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad record request: " + err.Error()})
 		return
 	}

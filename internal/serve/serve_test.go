@@ -25,7 +25,7 @@ func newServer(t *testing.T, cfg store.Config, maxBody int64) (*httptest.Server,
 
 func newServerConfig(t *testing.T, cfg store.Config, scfg serve.Config) (*httptest.Server, *store.Store) {
 	t.Helper()
-	ac, err := adaptive.Build("vantage", 8192, 16, 2, 2, "LRU", 0.05,
+	ac, err := adaptive.Build("vantage", 8192, 16, 2, 2, 0.05,
 		adaptive.Config{EpochAccesses: 1 << 14, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
@@ -405,5 +405,20 @@ func TestRecordDisabledByDefault(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "recording disabled") {
 		t.Fatalf("403 body %s does not explain itself", body)
+	}
+}
+
+// TestRecordBodyIsStrict: a misspelled option used to be dropped, so
+// {"gzp":true} started an uncompressed recording and answered 200. An
+// unknown key is now a 400 and nothing starts.
+func TestRecordBodyIsStrict(t *testing.T) {
+	srv, st := newServerConfig(t, store.Config{Tenants: []string{"a"}},
+		serve.Config{RecordDir: t.TempDir()})
+	resp, body := do(t, http.MethodPost, srv.URL+"/v1/record", []byte(`{"action":"start","path":"t.trc","gzp":true}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("record start with a misspelled key = %d %s, want 400", resp.StatusCode, body)
+	}
+	if st.Recording() {
+		t.Fatal("a refused start is recording")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"talus/internal/adaptive"
-	"talus/internal/alloc"
 	"talus/internal/curve"
 	"talus/internal/workload"
 )
@@ -23,11 +22,9 @@ type AdaptiveConfig struct {
 	CapacityLines int64
 	Assoc         int    // 0 → DefaultAssoc
 	Scheme        string // "" → "vantage"
-	Policy        string // "" → "LRU"
 	Shards        int    // 0 → 1 (deterministic sequential feed)
 
-	Allocator     string // "hill", "lookahead", "fair", "optimal"; "" → "hill"
-	EpochAccesses int64  // control-loop interval; 0 → adaptive default
+	EpochAccesses int64 // control-loop interval; 0 → adaptive default
 	// Margin is the Talus safety margin: 0 selects the paper's
 	// DefaultMargin (5%); negative disables it.
 	Margin float64
@@ -53,9 +50,7 @@ func (c *AdaptiveConfig) defaults() error {
 	}
 	c.Assoc = cmp.Or(c.Assoc, DefaultAssoc)
 	c.Scheme = cmp.Or(c.Scheme, "vantage")
-	c.Policy = cmp.Or(c.Policy, "LRU")
 	c.Shards = max(c.Shards, 1)
-	c.Allocator = cmp.Or(c.Allocator, "hill")
 	c.Margin = margin(c.Margin)
 	if c.AccessesPerApp <= 0 {
 		c.AccessesPerApp = 4 << 20
@@ -69,19 +64,13 @@ func (c *AdaptiveConfig) defaults() error {
 	return nil
 }
 
-// buildCache resolves a defaulted config's allocator and builds the
-// adaptive cache, one partition per app — the one AdaptiveConfig →
-// adaptive.Config translation the live and the trace-driven runs both
-// use.
+// buildCache builds a defaulted config's adaptive cache, one partition
+// per app — the one AdaptiveConfig → adaptive.Config translation the
+// live and the trace-driven runs both use.
 func (c *AdaptiveConfig) buildCache() (*adaptive.Cache, error) {
-	allocator, err := alloc.ByName(c.Allocator)
-	if err != nil {
-		return nil, err
-	}
 	return adaptive.Build(c.Scheme, c.CapacityLines, c.Assoc, c.Shards, len(c.Apps),
-		c.Policy, c.Margin, adaptive.Config{
+		c.Margin, adaptive.Config{
 			EpochAccesses: c.EpochAccesses,
-			Allocator:     allocator,
 			Seed:          c.Seed,
 			Weights:       c.Weights,
 		})

@@ -112,8 +112,8 @@ func TestAdaptiveTracksOracleAcrossPhases(t *testing.T) {
 	phase1 := []workload.Spec{scanSpec("scanner"), randSpec("rander")}
 	phase2 := []workload.Spec{randSpec("rander"), scanSpec("scanner")} // roles swap
 
-	ac, err := adaptive.Build("vantage", e2eCapacity, e2eAssoc, 1, 2, "LRU",
-		core.DefaultMargin, adaptive.Config{EpochAccesses: e2eEpoch, Seed: seed})
+	ac, err := adaptive.Build("vantage", e2eCapacity, e2eAssoc, 1, 2, core.DefaultMargin,
+		adaptive.Config{EpochAccesses: e2eEpoch, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"talus/internal/adaptive"
 	"talus/internal/cache"
 )
@@ -15,9 +17,13 @@ func BuildShardedCache(scheme string, capacityLines int64, assoc, numShards, num
 	return cache.BuildSharded(scheme, capacityLines, assoc, numShards, numPartitions, policyName, threads, seed)
 }
 
-// BuildAdaptiveCache is adaptive.Build.
+// BuildAdaptiveCache is adaptive.Build. The adaptive stack's arrays are
+// always LRU, so policyName must be "LRU"; any other name is refused.
 func BuildAdaptiveCache(scheme string, capacityLines int64, assoc, numShards, numLogical int, policyName string, margin float64, cfg adaptive.Config) (*adaptive.Cache, error) {
-	return adaptive.Build(scheme, capacityLines, assoc, numShards, numLogical, policyName, margin, cfg)
+	if policyName != "LRU" {
+		return nil, fmt.Errorf("sim: the adaptive stack runs LRU arrays only (its monitor is an LRU stack), not %q", policyName)
+	}
+	return adaptive.Build(scheme, capacityLines, assoc, numShards, numLogical, margin, cfg)
 }
 
 // AppSpace is adaptive.AppSpace.

@@ -176,7 +176,7 @@ func adaptiveTraceCache(cfg AdaptiveConfig, hdr trace.Header) (*adaptive.Cache, 
 		specs = headerSpecs(hdr)
 	}
 	// Borrow the generator-driven config's defaulting for the shared
-	// knobs (stack, allocator, margin, tail fraction) and its capacity and
+	// knobs (stack, margin, tail fraction) and its capacity and
 	// Weights checks — specs has one entry per trace partition, so the
 	// Weights check and the cache's partition count follow the trace.
 	probe := cfg

@@ -10,7 +10,7 @@ import (
 
 func buildControlStore(t *testing.T, cfg store.Config) *store.Store {
 	t.Helper()
-	ac, err := adaptive.Build("vantage", 8192, 16, 1, 4, "LRU", 0.05,
+	ac, err := adaptive.Build("vantage", 8192, 16, 1, 4, 0.05,
 		adaptive.Config{EpochAccesses: 1 << 14, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestControlSnapshot(t *testing.T) {
 	if bronze.MinLines != 256 || bronze.MaxLines != 2048 {
 		t.Fatalf("bronze bounds: %+v", bronze)
 	}
-	if cs.Allocator != "hill" || cs.EpochAccesses != 1<<14 {
+	if cs.EpochAccesses != 1<<14 {
 		t.Fatalf("controller state: %+v", cs.ControllerState)
 	}
 
@@ -82,7 +82,7 @@ func TestControlConfigAppliedOnAutoRegister(t *testing.T) {
 }
 
 func TestControlConfigValidation(t *testing.T) {
-	ac, err := adaptive.Build("vantage", 8192, 16, 1, 2, "LRU", 0.05,
+	ac, err := adaptive.Build("vantage", 8192, 16, 1, 2, 0.05,
 		adaptive.Config{Seed: 52})
 	if err != nil {
 		t.Fatal(err)

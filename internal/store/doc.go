@@ -74,8 +74,8 @@
 //
 // An optional record hook captures every cache access (partition, raw
 // 48-bit address) through a Recorder — trace.Writer satisfies it — so
-// live front-end traffic becomes a replayable trace (talus-sim -trace,
-// talus-trace replay). Recording serializes appends on a mutex;
+// live front-end traffic becomes a replayable trace (talus-sim
+// -adaptive -trace). Recording serializes appends on a mutex;
 // under concurrent traffic the recorded order is one valid
 // interleaving of the live one.
 //

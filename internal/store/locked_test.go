@@ -10,20 +10,17 @@ import (
 	"talus/internal/store"
 )
 
-// TestStoreOverLockedStack serves from stacks the lock-free probe
-// refuses — a policy whose hits move shared state, a scheme whose set
-// index moves — so every access takes its shard lock. Everything the
-// store promises must hold there too: values round-trip, an evicted
-// line releases its value, and concurrent traffic is counted exactly
-// once at both the tenant and the cache layer.
+// TestStoreOverLockedStack serves from the LRU stacks the lock-free
+// probe refuses — ideal partitioning, which has no arrays to probe, and
+// a scheme whose set index moves — so every access takes its shard
+// lock. Everything the store promises must hold there too: values
+// round-trip, an evicted line releases its value, and concurrent traffic
+// is counted exactly once at both the tenant and the cache layer.
 func TestStoreOverLockedStack(t *testing.T) {
 	const capacity = 2048
-	for _, stack := range []struct{ policy, scheme string }{
-		{"SRRIP", "vantage"},
-		{"LRU", "set"},
-	} {
-		t.Run(stack.policy+"/"+stack.scheme, func(t *testing.T) {
-			ac, err := adaptive.Build(stack.scheme, capacity, 16, 2, 2, stack.policy, 0.05,
+	for _, scheme := range []string{"ideal", "set"} {
+		t.Run("LRU/"+scheme, func(t *testing.T) {
+			ac, err := adaptive.Build(scheme, capacity, 16, 2, 2, 0.05,
 				adaptive.Config{EpochAccesses: 1 << 12, Seed: 21})
 			if err != nil {
 				t.Fatal(err)

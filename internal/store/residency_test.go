@@ -15,7 +15,7 @@ import (
 // running books equal a recount over the lines, and every surviving key
 // still reads its own bytes, never a neighbour's.
 func TestCollisionChainBooks(t *testing.T) {
-	ac, err := adaptive.Build("vantage", 4096, 16, 1, 2, "LRU", 0.05, adaptive.Config{Seed: 15})
+	ac, err := adaptive.Build("vantage", 4096, 16, 1, 2, 0.05, adaptive.Config{Seed: 15})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func (r *countingRecorder) Append(p int, addr uint64) error {
 // Talus runtime, control loop, keyed store.
 func buildStore(t *testing.T, capacity int64, shards, partitions int, cfg store.Config) *store.Store {
 	t.Helper()
-	ac, err := adaptive.Build("vantage", capacity, 16, shards, partitions, "LRU", 0.05,
+	ac, err := adaptive.Build("vantage", capacity, 16, shards, partitions, 0.05,
 		adaptive.Config{EpochAccesses: 1 << 14, Seed: 21})
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,10 @@
 // yields a working adaptive sharded cache — the paper's 8-core CMP
 // shape (8 MB LLC, 8 shards, 8 partitions, vantage partitioning over
 // LRU, hill climbing on hulls every 2^20 accesses) — and every option
-// adjusts exactly one knob. NewStore builds the keyed Get/Set layer
-// over the same options.
+// adjusts exactly one knob. The array policy and the allocator are not
+// knobs: the loop's monitor is an LRU stack, so its promise holds for
+// LRU arrays only, and on hulls hill climbing is optimal. NewStore
+// builds the keyed Get/Set layer over the same options.
 package talus
 
 import (
@@ -38,7 +40,6 @@ const (
 type options struct {
 	capacityLines int64
 	scheme        string
-	policy        string
 	assoc         int
 	shards        int
 	partitions    int
@@ -74,10 +75,6 @@ func WithCapacityMB(mb float64) Option {
 // "vantage" (default), "futility", or "ideal".
 func WithScheme(scheme string) Option { return func(o *options) { o.scheme = scheme } }
 
-// WithPolicy selects the replacement policy: "LRU" (default), "SRRIP",
-// "BRRIP", "DRRIP", "TA-DRRIP", "DIP", "PDP", or "Random".
-func WithPolicy(policy string) Option { return func(o *options) { o.policy = policy } }
-
 // WithShards sets how many independently locked shards stripe the
 // cache; concurrency scales with shards, contents stay deterministic
 // for a given configuration.
@@ -104,15 +101,11 @@ func WithMargin(margin float64) Option {
 func WithSeed(seed uint64) Option { return func(o *options) { o.acfg.Seed = seed } }
 
 // WithAdaptive replaces the whole control-loop configuration (epoch
-// length, wall-clock interval, allocator, seed, weights, line bounds).
-// It overrides every earlier control-loop option — WithSeed,
-// WithAllocator, WithEpochInterval and WithWeights — and is overridden
-// field-by-field by later ones.
+// length, wall-clock interval, seed, weights, line bounds). It
+// overrides every earlier control-loop option — WithSeed,
+// WithEpochInterval and WithWeights — and is overridden field-by-field
+// by later ones.
 func WithAdaptive(cfg AdaptiveConfig) Option { return func(o *options) { o.acfg = cfg } }
-
-// WithAllocator sets the epoch allocation policy (default
-// HillClimbAllocator — optimal on hulls, the paper's point).
-func WithAllocator(a Allocator) Option { return func(o *options) { o.acfg.Allocator = a } }
 
 // WithEpochInterval adds a wall-clock epoch trigger alongside the
 // access-count one, so lightly loaded partitions still reconfigure on
@@ -227,7 +220,6 @@ func build(opts []Option) (*options, error) {
 		opt(o)
 	}
 	o.scheme = cmp.Or(o.scheme, "vantage")
-	o.policy = cmp.Or(o.policy, "LRU")
 	if o.partitions == 0 {
 		switch {
 		case o.staticTenants:
@@ -264,16 +256,15 @@ func build(opts []Option) (*options, error) {
 // sharded LLC, the Talus shadow-partition runtime over it, and the
 // epoch-driven monitor → hull → allocator control loop over that. With
 // zero options it is the paper's 8-core CMP shape and works as is; see
-// the With* options for each knob. Scheme and policy names are
-// validated on construction (errors enumerate the valid names). When
+// the With* options for each knob. The scheme name is validated on
+// construction (errors enumerate the valid names). When
 // built with WithEpochInterval, Close the cache to stop its ticker.
 func New(opts ...Option) (*AdaptiveCache, error) {
 	o, err := build(opts)
 	if err != nil {
 		return nil, err
 	}
-	return adaptive.Build(o.scheme, o.capacityLines, o.assoc, o.shards, o.partitions,
-		o.policy, o.margin, o.acfg)
+	return adaptive.Build(o.scheme, o.capacityLines, o.assoc, o.shards, o.partitions, o.margin, o.acfg)
 }
 
 // Store is the keyed serving layer: Get/Set/Delete over (tenant, key)
@@ -328,8 +319,7 @@ func NewStore(opts ...Option) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	ac, err := adaptive.Build(o.scheme, o.capacityLines, o.assoc, o.shards, o.partitions,
-		o.policy, o.margin, o.acfg)
+	ac, err := adaptive.Build(o.scheme, o.capacityLines, o.assoc, o.shards, o.partitions, o.margin, o.acfg)
 	if err != nil {
 		return nil, err
 	}

@@ -63,10 +63,6 @@ func snapshot(t *testing.T, ac *AdaptiveCache) cacheState {
 // sizes, and per-partition Talus configs after an identical
 // deterministic feed.
 func TestNewThreadsOptionsIntoBuild(t *testing.T) {
-	lookahead, err := AllocatorByName("lookahead")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name   string
 		opts   []Option
@@ -77,7 +73,6 @@ func TestNewThreadsOptionsIntoBuild(t *testing.T) {
 		assoc  int
 		shards int
 		parts  int
-		policy string
 		margin float64
 		acfg   AdaptiveConfig
 	}{
@@ -86,31 +81,30 @@ func TestNewThreadsOptionsIntoBuild(t *testing.T) {
 			opts: []Option{WithCapacity(16384), WithShards(1), WithPartitions(2), WithSeed(9),
 				WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 14, Seed: 9})},
 			rounds: 200,
-			scheme: "vantage", lines: 16384, assoc: 32, shards: 1, parts: 2, policy: "LRU",
+			scheme: "vantage", lines: 16384, assoc: 32, shards: 1, parts: 2,
 			margin: DefaultMargin, acfg: AdaptiveConfig{EpochAccesses: 1 << 14, Seed: 9},
 		},
 		{
 			name: "every-knob-turned",
 			opts: []Option{
-				WithCapacityMB(1), WithScheme("set"), WithPolicy("SRRIP"), WithAssoc(16),
+				WithCapacityMB(1), WithScheme("set"), WithAssoc(16),
 				WithShards(4), WithPartitions(3), WithMargin(0.1), WithSeed(77),
-				WithAllocator(lookahead),
-				WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 13, Allocator: lookahead, Seed: 77}),
+				WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 13, Seed: 77}),
 			},
 			rounds: 200,
-			scheme: "set", lines: int64(MBToLines(1)), assoc: 16, shards: 4, parts: 3, policy: "SRRIP",
-			margin: 0.1, acfg: AdaptiveConfig{EpochAccesses: 1 << 13, Allocator: lookahead, Seed: 77},
+			scheme: "set", lines: int64(MBToLines(1)), assoc: 16, shards: 4, parts: 3,
+			margin: 0.1, acfg: AdaptiveConfig{EpochAccesses: 1 << 13, Seed: 77},
 		},
 		{
 			// The all-defaults control loop (EpochAccesses 2^20) needs a
 			// longer feed to cross an epoch boundary.
 			name: "margin-disabled-way-scheme-default-epoch",
 			opts: []Option{
-				WithCapacity(8192), WithScheme("way"), WithPolicy("DRRIP"),
+				WithCapacity(8192), WithScheme("way"),
 				WithShards(2), WithPartitions(2), WithMargin(-1), WithSeed(5),
 			},
 			rounds: 2100,
-			scheme: "way", lines: 8192, assoc: 32, shards: 2, parts: 2, policy: "DRRIP",
+			scheme: "way", lines: 8192, assoc: 32, shards: 2, parts: 2,
 			margin: 0, acfg: AdaptiveConfig{Seed: 5},
 		},
 	}
@@ -120,7 +114,7 @@ func TestNewThreadsOptionsIntoBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := adaptive.Build(c.scheme, c.lines, c.assoc, c.shards, c.parts, c.policy, c.margin, c.acfg)
+			direct, err := adaptive.Build(c.scheme, c.lines, c.assoc, c.shards, c.parts, c.margin, c.acfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +172,6 @@ func TestNewValidation(t *testing.T) {
 		{"bad assoc", []Option{WithAssoc(-4)}, "at least 1 way"},
 		{"tenant overflow", []Option{WithPartitions(1), WithTenants("a", "b")}, "raise WithPartitions"},
 		{"bad scheme", []Option{WithScheme("quantum")}, "valid: none, way, set, vantage"},
-		{"bad policy", []Option{WithPolicy("FIFO")}, "valid: LRU, SRRIP"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -10,14 +10,13 @@
 //   - the Talus configuration math (Configure, Config) — Theorems 4 and 6;
 //   - the runtime (NewShadowedCache) that routes sampled accesses into
 //     shadow partitions of a partitioned cache built with BuildCache;
-//   - capacity allocators (HillClimbAllocator, LookaheadAllocator,
-//     FairAllocator, OptimalDPAllocator) over an AllocRequest;
 //   - the online control loop: an epoch-driven runtime over a sharded,
-//     per-shard-locked cache (ShardedCache, WithShards) that monitors
-//     the live stream with one sampled LRU-stack monitor per partition,
-//     convexifies the measured curves, runs a pluggable Allocator over
-//     the hulls, and live-reconfigures shadow sizes and sampling rates
-//     at one fixed interval — the paper's end-to-end system (§VI),
+//     per-shard-locked LRU cache (ShardedCache, WithShards) that
+//     monitors the live stream with one sampled LRU-stack monitor per
+//     partition, convexifies the measured curves, hill-climbs on the
+//     hulls (optimal there, so there is no allocator to choose), and
+//     live-reconfigures shadow sizes and sampling rates at one fixed
+//     interval — the paper's end-to-end system (§VI),
 //     goroutine-safe. Construct it with New (functional options; zero
 //     options yield a working stack) and, when configured with a
 //     wall-clock epoch interval, Close it when done;
@@ -40,7 +39,6 @@ package talus
 
 import (
 	"talus/internal/adaptive"
-	"talus/internal/alloc"
 	"talus/internal/cache"
 	"talus/internal/core"
 	"talus/internal/curve"
@@ -67,13 +65,6 @@ type (
 	ShardedCache = cache.ShardedCache
 	// CacheStats aggregates hit/miss counts over a cache's accesses.
 	CacheStats = cache.Stats
-	// Allocator is the pluggable capacity-partitioning policy interface.
-	Allocator = alloc.Allocator
-	// AllocRequest is one capacity-allocation problem: per-partition
-	// hulls plus the total/granule budget and optional per-partition
-	// Weights, MinLines floors, and MaxLines caps. Build uniform
-	// requests with NewAllocRequest.
-	AllocRequest = alloc.Request
 	// AdaptiveCache is the online monitor→hull→Talus→allocator loop.
 	AdaptiveCache = adaptive.Cache
 	// AdaptiveConfig parameterizes the adaptive control loop.
@@ -90,28 +81,6 @@ type (
 	// LineBounds is a tenant's [Min, Max] allocation bound in lines.
 	LineBounds = store.LineBounds
 )
-
-// Shared allocator values (all stateless and goroutine-safe).
-var (
-	// HillClimbAllocator is greedy hill climbing — optimal on hulls.
-	HillClimbAllocator = alloc.HillClimbAllocator
-	// LookaheadAllocator is UCP's Lookahead heuristic.
-	LookaheadAllocator = alloc.LookaheadAllocator
-	// FairAllocator returns equal shares.
-	FairAllocator = alloc.FairAllocator
-	// OptimalDPAllocator is the exact dynamic program.
-	OptimalDPAllocator = alloc.OptimalDPAllocator
-)
-
-// AllocatorByName resolves "hill", "lookahead", "fair", or "optimal" to
-// its shared Allocator value.
-func AllocatorByName(name string) (Allocator, error) { return alloc.ByName(name) }
-
-// NewAllocRequest builds the uniform AllocRequest — no weights, floors,
-// or caps — equivalent to the plain (curves, total, granule) call.
-func NewAllocRequest(curves []*MissCurve, total, granule int64) AllocRequest {
-	return alloc.NewRequest(curves, total, granule)
-}
 
 // CurveDistance measures how much two miss curves differ, normalized to
 // [0, 1]: ∫|a−b| over ∫max(a,b) across their union size range. The
@@ -167,9 +136,10 @@ func NewShadowedCache(inner PartitionedCache, numLogical int, margin float64, se
 // "way", "set", "vantage", "futility", "ideal"; policyName one of "LRU",
 // "SRRIP", "BRRIP", "DRRIP", "TA-DRRIP", "DIP", "PDP", "Random".
 //
-// Use New with functional options (WithScheme, WithPolicy, ...) for the
-// full adaptive stack; BuildCache is for callers assembling the layers
-// by hand (e.g. a ShadowedCache over a custom inner cache).
+// Use New with functional options (WithScheme, WithShards, ...) for the
+// full adaptive stack, whose arrays are always LRU; BuildCache is for
+// callers assembling the layers by hand (e.g. a ShadowedCache over a
+// custom inner cache) under any policy.
 func BuildCache(scheme string, capacityLines int64, assoc, numPartitions int, policyName string, threads int, seed uint64) (PartitionedCache, error) {
 	return cache.Build(scheme, capacityLines, assoc, numPartitions, policyName, threads, seed)
 }

@@ -76,29 +76,9 @@ func TestPublicAPICacheConstruction(t *testing.T) {
 	}
 }
 
-func TestPublicAPIAllocators(t *testing.T) {
-	a := MustCurve([]Point{{Size: 0, MPKI: 20}, {Size: 100, MPKI: 10}, {Size: 400, MPKI: 1}})
-	b := MustCurve([]Point{{Size: 0, MPKI: 8}, {Size: 200, MPKI: 2}, {Size: 400, MPKI: 1}})
-	req := NewAllocRequest([]*MissCurve{a, b}, 400, 10)
-	for _, al := range []Allocator{HillClimbAllocator, LookaheadAllocator, OptimalDPAllocator, FairAllocator} {
-		got, err := al.Allocate(req)
-		if err != nil {
-			t.Fatalf("%s: %v", al.Name(), err)
-		}
-		if got[0]+got[1] != 400 {
-			t.Fatalf("%s: allocation %v does not sum to budget", al.Name(), got)
-		}
-	}
-}
-
 func TestPublicAPIAdaptive(t *testing.T) {
-	for _, name := range []string{"hill", "lookahead", "fair", "optimal"} {
-		if _, err := AllocatorByName(name); err != nil {
-			t.Fatalf("AllocatorByName(%q): %v", name, err)
-		}
-	}
 	ac, err := New(WithCapacity(8192), WithAssoc(16), WithShards(2), WithPartitions(2),
-		WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 14, Allocator: HillClimbAllocator, Seed: 1}))
+		WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 14, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
