@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"time"
 )
 
 // ForwardedHeader marks a request as already forwarded once by a peer
@@ -25,20 +24,16 @@ type Config struct {
 	// Seed seeds the ring's hashes; every node (and routing client)
 	// must share it.
 	Seed uint64
-	// Timeout bounds one forwarded request (0 = DefaultTimeout).
-	Timeout time.Duration
-	// Retries bounds connection-error re-sends (negative =
-	// DefaultRetries; 0 disables retrying).
-	Retries int
 }
 
-// Cluster binds a Ring to this node's identity and the node-to-node
-// Client: everything the serving layer's proxy mode needs to decide
-// ownership and forward misses-of-ownership. Safe for concurrent use.
+// Cluster binds a Ring to this node's identity and a keep-alive
+// connection pool per peer: everything the serving layer's proxy mode
+// needs to decide ownership and relay misses-of-ownership. Safe for
+// concurrent use.
 type Cluster struct {
-	ring   *Ring
-	self   string
-	client *Client
+	ring  *Ring
+	self  string
+	peers map[string]*peer // every member but self; read-only after New
 }
 
 // New validates cfg and builds the cluster view. Self must appear in
@@ -51,17 +46,19 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: empty self node name")
 	}
+	c := &Cluster{ring: ring, self: cfg.Self, peers: make(map[string]*peer, len(ring.nodes))}
 	found := false
 	for _, n := range ring.nodes {
 		if n == cfg.Self {
 			found = true
-			break
+		} else {
+			c.peers[n] = newPeer(n)
 		}
 	}
 	if !found {
 		return nil, fmt.Errorf("cluster: self %q is not in the node list %v", cfg.Self, ring.nodes)
 	}
-	return &Cluster{ring: ring, self: cfg.Self, client: NewClient(cfg.Timeout, cfg.Retries)}, nil
+	return c, nil
 }
 
 // Self returns this node's own name.
@@ -76,13 +73,17 @@ func (c *Cluster) Owner(tenant, key string) string { return c.ring.Route(tenant,
 // Owns reports whether this node owns (tenant, key).
 func (c *Cluster) Owns(tenant, key string) bool { return c.ring.Route(tenant, key) == c.self }
 
-// Forward relays one request to node and returns its drained response.
-// The ForwardedHeader is stamped on so the owner serves locally.
-func (c *Cluster) Forward(ctx context.Context, method, node, path string, body []byte, hdr http.Header) (*Response, error) {
-	fwd := make(http.Header, len(hdr)+1)
-	for k, vs := range hdr {
-		fwd[k] = vs
+// Relay forwards one cache request to the peer owner and writes the
+// owner's answer to w: its status, its body and the relayed response
+// headers. method, the escaped path and body are sent as given, stamped
+// with ForwardedHeader so the owner serves locally; of hdr, only the
+// headers the hop relays travel. Any answer the owner gives — a 5xx
+// included — is relayed, not an error. On error nothing has been written
+// to w, so the caller still chooses the status.
+func (c *Cluster) Relay(ctx context.Context, w http.ResponseWriter, method, owner, path string, body []byte, hdr http.Header) error {
+	p := c.peers[owner]
+	if p == nil {
+		return fmt.Errorf("cluster: %q is not a peer of %s", owner, c.self)
 	}
-	fwd.Set(ForwardedHeader, c.self)
-	return c.client.Do(ctx, method, node, path, body, fwd)
+	return p.relay(ctx, w, c.self, method, path, body, hdr)
 }

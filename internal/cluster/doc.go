@@ -1,5 +1,5 @@
 // Package cluster is the distributed serving tier's routing layer: a
-// consistent-hash ring over talus-serve nodes plus the HTTP client the
+// consistent-hash ring over talus-serve nodes plus the peer client the
 // thin proxy mode uses to forward requests to their owners.
 //
 // # Why a cluster tier at all
@@ -34,19 +34,35 @@
 //
 // # The client and proxy mode
 //
-// Client is the node-to-node HTTP client: one keep-alive connection
-// pool shared across requests, a per-request timeout, and a bounded
-// retry that fires only when no HTTP response was received (connection
-// refused, reset, timeout mid-dial). A 5xx from the cache itself is
-// NEVER retried — it is a real answer from the owner (a backend
-// failure maps to 502), and retrying it would double traffic exactly
-// when the fleet is least able to absorb it.
+// The far end of every hop is a talus-serve handler, so the hop speaks
+// only the HTTP/1.1 subset that handler emits, on its own connections
+// rather than through net/http's client. Each peer has a pool of up to
+// DefaultMaxIdlePerHost keep-alive connections with a 4 KiB reader and
+// writer each. Cluster.Relay writes the request itself (method, escaped
+// path, Host, ForwardedHeader, the relayed request headers,
+// Content-Length, body) and parses the status line and the few headers
+// it needs (the relayed ones plus framing). It writes nothing to the
+// caller's ResponseWriter until the whole response is in hand: a body
+// that fits the read buffer is relayed straight from it, a larger one
+// is read once, a chunked one decoded. A failure mid-response is
+// therefore still the caller's clean 502.
 //
-// Cluster binds a Ring to this node's own identity and a Client:
-// serve.Handler asks Owns(tenant, key) on each cache request and
-// forwards misses-of-ownership to Owner(tenant, key), relaying the
-// owner's status, headers, and body verbatim. Forwarded requests carry
-// the ForwardedHeader; a node receiving one serves locally no matter
-// what its own ring says, so disagreeing ring configurations degrade
-// to one extra hop instead of a forwarding loop.
+// Every attempt has a DefaultTimeout deadline and ends early when the
+// caller's context does. A connection is pooled again only after its
+// response was consumed whole without "Connection: close". A request
+// is re-sent, on a fresh dial and at most DefaultRetries times, only
+// when it provably never reached a handler: the dial failed, or a
+// pooled connection the owner had closed while idle ended (EOF or
+// reset) before the first response byte. A timeout after the request
+// was written is an error, never a re-send, since the owner may have
+// applied a write. Any answer the owner gives — a 5xx included — is
+// relayed, not retried.
+//
+// Cluster binds a Ring to this node's own identity and the peer pools:
+// serve.Handler asks Owner(tenant, key) on each cache request and
+// relays misses-of-ownership to that owner, passing on the owner's
+// status, body and X-Talus-Cache / X-Talus-Node / ETag / Content-Type.
+// Forwarded requests carry the ForwardedHeader; a node receiving one
+// serves locally no matter what its own ring says, so disagreeing ring
+// configurations degrade to one extra hop instead of a forwarding loop.
 package cluster

@@ -202,6 +202,13 @@ type clusterHarness struct {
 // exactly how a static fleet config works in deployment.
 func newCluster(t *testing.T, n int, lines int64) *clusterHarness {
 	t.Helper()
+	return newClusterWrapped(t, n, lines, nil)
+}
+
+// newClusterWrapped is newCluster with node i's handler wrapped by
+// wrap(i, handler) when wrap is not nil.
+func newClusterWrapped(t *testing.T, n int, lines int64, wrap func(int, http.Handler) http.Handler) *clusterHarness {
+	t.Helper()
 	servers := make([]*httptest.Server, n)
 	nodes := make([]string, n)
 	for i := range servers {
@@ -227,7 +234,11 @@ func newCluster(t *testing.T, n int, lines int64) *clusterHarness {
 			t.Fatal(err)
 		}
 		h.stores = append(h.stores, st)
-		srv.Config.Handler = serve.NewHandler(st, serve.Config{Cluster: cl})
+		var handler http.Handler = serve.NewHandler(st, serve.Config{Cluster: cl})
+		if wrap != nil {
+			handler = wrap(i, handler)
+		}
+		srv.Config.Handler = handler
 		srv.Start()
 		t.Cleanup(func() {
 			srv.Close()

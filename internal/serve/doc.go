@@ -9,7 +9,10 @@
 // # Routes
 //
 // All routes are method-dispatched; wrong methods get 405 with Allow set,
-// unknown paths 404.
+// unknown paths 404, and unclean paths ("..", "//") a 301 to their clean
+// form. Cache requests on clean paths are dispatched by Handler.ServeHTTP
+// itself, exactly as the mux's pattern would (HEAD is served as GET);
+// the mux decides everything else. TestRoutingTable pins both.
 //
 //	GET    /v1/cache/{tenant}/{key}   → stored bytes; X-Talus-Cache: hit|miss; ETag; 304 on If-None-Match
 //	PUT    /v1/cache/{tenant}/{key}   → store body (204); X-Talus-Cache + ETag set; X-Talus-TTL: secs honored
@@ -56,7 +59,8 @@
 // forwarded there — request headers that matter (If-None-Match,
 // X-Talus-TTL, Content-Type) travel along, the owner's status, body,
 // and response headers are relayed verbatim, and a failed forward is
-// 502. Forwarded requests carry X-Talus-Forwarded and are always
+// 502 (a forward that timed out after reaching the owner is never sent
+// again). Forwarded requests carry X-Talus-Forwarded and are always
 // served locally by the receiver, so membership disagreement costs at
 // most one extra hop, never a loop. GET /v1/cluster reports the ring
 // (membership, vnode count, seed, analytic per-node key share) and is

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"path"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -54,9 +56,22 @@ type Handler struct {
 	recordDir string
 	control   bool
 	cluster   *cluster.Cluster
-	nodeID    string
+	nodeValue []string // the X-Talus-Node value, len == cap
 	mux       *http.ServeMux
 }
+
+// Header values stamped on cache responses, preallocated so a response
+// reuses them instead of allocating a one-element slice per
+// Header().Set. len == cap, so an append by a later writer copies.
+var (
+	hitValue   = []string{"hit"}
+	missValue  = []string{"miss"}
+	octetValue = []string{"application/octet-stream"}
+	jsonValue  = []string{"application/json"}
+)
+
+// cachePrefix starts every cache route: /v1/cache/{tenant}/{key...}.
+const cachePrefix = "/v1/cache/"
 
 // NewHandler builds the route table over st.
 func NewHandler(st *store.Store, cfg Config) *Handler {
@@ -64,10 +79,16 @@ func NewHandler(st *store.Store, cfg Config) *Handler {
 		cfg.MaxValueBytes = DefaultMaxValueBytes
 	}
 	h := &Handler{st: st, maxValue: cfg.MaxValueBytes, recordDir: cfg.RecordDir, control: cfg.Control,
-		cluster: cfg.Cluster, nodeID: st.Node().ID, mux: http.NewServeMux()}
-	h.mux.HandleFunc("GET /v1/cache/{tenant}/{key...}", h.get)
-	h.mux.HandleFunc("PUT /v1/cache/{tenant}/{key...}", h.put)
-	h.mux.HandleFunc("DELETE /v1/cache/{tenant}/{key...}", h.delete)
+		cluster: cfg.Cluster, nodeValue: []string{st.Node().ID}, mux: http.NewServeMux()}
+	// ServeHTTP answers clean cache paths itself; the mux keeps the cache
+	// patterns for what it alone decides: 405 with Allow for other
+	// methods, and the redirects of unclean paths.
+	byPattern := func(w http.ResponseWriter, r *http.Request) {
+		h.cache(w, r, r.PathValue("tenant"), r.PathValue("key"))
+	}
+	h.mux.HandleFunc("GET "+cachePrefix+"{tenant}/{key...}", byPattern)
+	h.mux.HandleFunc("PUT "+cachePrefix+"{tenant}/{key...}", byPattern)
+	h.mux.HandleFunc("DELETE "+cachePrefix+"{tenant}/{key...}", byPattern)
 	h.mux.HandleFunc("GET /v1/stats", h.stats)
 	h.mux.HandleFunc("GET /v1/curves", h.curves)
 	h.mux.HandleFunc("GET /v1/cluster", h.clusterState)
@@ -77,8 +98,65 @@ func NewHandler(st *store.Store, cfg Config) *Handler {
 	return h
 }
 
-// ServeHTTP implements http.Handler.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. A cache request on a clean path is
+// dispatched here, exactly as the mux's pattern would, without paying
+// for its matching; everything else goes through the mux.
+func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.Method {
+	case http.MethodGet, http.MethodHead, http.MethodPut, http.MethodDelete:
+		if tenant, key, ok := cachePath(r.URL.EscapedPath()); ok {
+			h.cache(w, r, tenant, key)
+			return
+		}
+	}
+	h.mux.ServeHTTP(w, r)
+}
+
+// cachePath splits an escaped /v1/cache/{tenant}/{key...} path into its
+// unescaped tenant and key, the way the mux's pattern does: the tenant
+// is one segment, the key the rest, each unescaped on its own (so
+// "a%2Fb" is tenant "a/b"). ok is false for any other path and for a
+// path the mux would redirect to its cleaned form.
+func cachePath(p string) (tenant, key string, ok bool) {
+	rest, ok := strings.CutPrefix(p, cachePrefix)
+	if !ok {
+		return "", "", false
+	}
+	i := strings.IndexByte(rest, '/')
+	if i <= 0 || !isClean(p) {
+		return "", "", false
+	}
+	return unescape(rest[:i]), unescape(rest[i+1:]), true
+}
+
+// isClean reports whether the mux would serve p as is: path.Clean
+// leaves it unchanged but for a trailing slash, which the mux keeps.
+func isClean(p string) bool {
+	np := path.Clean(p)
+	return np == p || (len(p) == len(np)+1 && p[len(p)-1] == '/' && strings.HasPrefix(p, np))
+}
+
+// unescape undoes path escaping, keeping s as is when it is not validly
+// escaped, as the mux does.
+func unescape(s string) string {
+	u, err := url.PathUnescape(s)
+	if err != nil {
+		return s
+	}
+	return u
+}
+
+// cache serves one cache request; HEAD is served as GET.
+func (h *Handler) cache(w http.ResponseWriter, r *http.Request, tenant, key string) {
+	switch r.Method {
+	case http.MethodPut:
+		h.put(w, r, tenant, key)
+	case http.MethodDelete:
+		h.delete(w, r, tenant, key)
+	default:
+		h.get(w, r, tenant, key)
+	}
+}
 
 // statusOf maps store boundary errors onto HTTP status codes.
 func statusOf(err error) int {
@@ -115,7 +193,7 @@ func writeErr(w http.ResponseWriter, err error) {
 
 // writeJSON marshals v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonValue
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
@@ -126,9 +204,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // PUT, that the key's line was already resident.
 func hitHeader(w http.ResponseWriter, hit bool) {
 	if hit {
-		w.Header().Set("X-Talus-Cache", "hit")
+		w.Header()["X-Talus-Cache"] = hitValue
 	} else {
-		w.Header().Set("X-Talus-Cache", "miss")
+		w.Header()["X-Talus-Cache"] = missValue
 	}
 }
 
@@ -172,7 +250,7 @@ func etagMatches(header, etag string) bool {
 // ttlOf parses the X-Talus-TTL request header: a non-negative integer
 // number of seconds. Absent (or 0) defers to the store's DefaultTTL.
 func ttlOf(r *http.Request) (time.Duration, error) {
-	v := r.Header.Get("X-Talus-TTL")
+	v := r.Header.Get("X-Talus-Ttl")
 	if v == "" {
 		return 0, nil
 	}
@@ -183,12 +261,11 @@ func ttlOf(r *http.Request) (time.Duration, error) {
 	return time.Duration(secs) * time.Second, nil
 }
 
-func (h *Handler) get(w http.ResponseWriter, r *http.Request) {
-	tenant, key := r.PathValue("tenant"), r.PathValue("key")
+func (h *Handler) get(w http.ResponseWriter, r *http.Request, tenant, key string) {
 	if h.proxied(w, r, tenant, key, nil) {
 		return
 	}
-	w.Header().Set("X-Talus-Node", h.nodeID)
+	w.Header()["X-Talus-Node"] = h.nodeValue
 	value, hit, err := h.st.Get(tenant, key)
 	hitHeader(w, hit)
 	if err != nil {
@@ -196,7 +273,7 @@ func (h *Handler) get(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	etag := etagOf(value)
-	w.Header().Set("ETag", etag)
+	w.Header()["Etag"] = []string{etag}
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
 		// The client's copy is current: 304 with the tag (and the cache
 		// outcome — the access happened) but no body, which is the whole
@@ -205,21 +282,20 @@ func (h *Handler) get(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header()["Content-Type"] = octetValue
 	w.Write(value)
 }
 
-func (h *Handler) put(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) put(w http.ResponseWriter, r *http.Request, tenant, key string) {
 	body, err := readBody(w, r, h.maxValue)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	tenant, key := r.PathValue("tenant"), r.PathValue("key")
 	if h.proxied(w, r, tenant, key, body) {
 		return
 	}
-	w.Header().Set("X-Talus-Node", h.nodeID)
+	w.Header()["X-Talus-Node"] = h.nodeValue
 	ttl, err := ttlOf(r)
 	if err != nil {
 		writeErr(w, err)
@@ -231,7 +307,7 @@ func (h *Handler) put(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hitHeader(w, hit)
-	w.Header().Set("ETag", etagOf(body))
+	w.Header()["Etag"] = []string{etagOf(body)}
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -252,12 +328,11 @@ func readBody(w http.ResponseWriter, r *http.Request, maxValue int64) ([]byte, e
 	return buf, nil
 }
 
-func (h *Handler) delete(w http.ResponseWriter, r *http.Request) {
-	tenant, key := r.PathValue("tenant"), r.PathValue("key")
+func (h *Handler) delete(w http.ResponseWriter, r *http.Request, tenant, key string) {
 	if h.proxied(w, r, tenant, key, nil) {
 		return
 	}
-	w.Header().Set("X-Talus-Node", h.nodeID)
+	w.Header()["X-Talus-Node"] = h.nodeValue
 	existed, err := h.st.Delete(tenant, key)
 	if err != nil {
 		writeErr(w, err)
@@ -269,13 +344,6 @@ func (h *Handler) delete(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
-
-// forwardedRequestHeaders are the cache-request headers a proxying node
-// relays to the owner; forwardedResponseHeaders come back the other
-// way. Kept to the protocol's own vocabulary — hop-by-hop headers and
-// client connection metadata stay on their own hop.
-var forwardedRequestHeaders = []string{"If-None-Match", "X-Talus-TTL", "Content-Type"}
-var forwardedResponseHeaders = []string{"X-Talus-Cache", "X-Talus-Node", "ETag", "Content-Type"}
 
 // proxied implements thin-proxy mode for one cache request. It returns
 // true when the response has been written — either relayed from the
@@ -291,25 +359,10 @@ func (h *Handler) proxied(w http.ResponseWriter, r *http.Request, tenant, key st
 	if owner == h.cluster.Self() {
 		return false
 	}
-	hdr := make(http.Header, len(forwardedRequestHeaders))
-	for _, k := range forwardedRequestHeaders {
-		if v := r.Header.Get(k); v != "" {
-			hdr.Set(k, v)
-		}
-	}
-	resp, err := h.cluster.Forward(r.Context(), r.Method, owner, r.URL.EscapedPath(), body, hdr)
-	if err != nil {
+	if err := h.cluster.Relay(r.Context(), w, r.Method, owner, r.URL.EscapedPath(), body, r.Header); err != nil {
 		writeJSON(w, http.StatusBadGateway, map[string]string{
 			"error": fmt.Sprintf("forward to owner %s failed: %v", owner, err)})
-		return true
 	}
-	for _, k := range forwardedResponseHeaders {
-		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
-	w.WriteHeader(resp.Status)
-	w.Write(resp.Body)
 	return true
 }
 

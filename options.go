@@ -359,16 +359,17 @@ func NewServeHandler(st *Store, cfg ServeConfig) http.Handler {
 type NodeStats = store.NodeStats
 
 // Cluster is the distributed serving tier's membership view: a
-// deterministic consistent-hash ring plus the node-to-node HTTP client.
-// Pass one to ServeConfig.Cluster to turn a handler into a thin proxy
-// that forwards requests it does not own. See NewCluster.
+// deterministic consistent-hash ring plus a keep-alive connection pool
+// per peer. Pass one to ServeConfig.Cluster to turn a handler into a
+// thin proxy that forwards requests it does not own. See NewCluster.
 type Cluster = cluster.Cluster
 
 // ClusterConfig parameterizes NewCluster: this node's own name, the
-// full membership list, virtual-node count, ring seed, and the
-// forwarding client's timeout/retry bounds. Every node (and any
-// ring-aware client) must share Nodes, VNodes, and Seed — ownership is
-// computed independently on each, with no coordination.
+// full membership list, virtual-node count and ring seed. Every node
+// (and any ring-aware client) must share Nodes, VNodes, and Seed —
+// ownership is computed independently on each, with no coordination.
+// The hop itself has fixed bounds, not settings: 2 s per attempt, and a
+// re-send only when the request provably never reached the owner.
 type ClusterConfig = cluster.Config
 
 // NewCluster validates cfg and builds the cluster view.
