@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check fmt vet examples validate bench bench-ladder bench-check bench-smoke profile-serving cluster-demo cluster-e2e
+.PHONY: all build test race check fmt vet examples validate bench bench-ladder bench-check bench-smoke profile-serving cluster-e2e
 
 all: check test
 
@@ -35,11 +35,12 @@ examples:
 # (monitor vs oracle, analytic vs stack sim, hull/Talus identities,
 # golden curves) in -short mode, the external-trace importer round-trip
 # on the committed ChampSim fixture, and regenerates ORACLE_errors.md —
-# the monitor-vs-oracle error table CI uploads as an artifact.
+# the monitor-vs-oracle error table (talus-exp's oracle artefact) CI
+# uploads as an artifact.
 validate:
 	$(GO) test -short -run 'TestMonitorMatchesOracle|TestAnalyticMatchesStackSim|TestHullIsLowerConvexEnvelope|TestTalusRecombinesToOracle|TestGoldenOracleCurves' -v ./internal/oracle
 	$(GO) test -run 'TestImportChampSim|TestParseText' ./internal/trace
-	$(GO) run ./cmd/talus-oracle -accesses 393216 -o ORACLE_errors.md
+	$(GO) run ./cmd/talus-exp -exp oracle -scale quick > ORACLE_errors.md
 
 # bench runs the repo benchmark (BENCHMARK.json): its four workloads, one
 # after the other, each ending in a one-line JSON result with the host
@@ -90,12 +91,8 @@ profile-serving:
 	@echo "wrote $(PROFILE_DIR)/serving.{cpu,mem}.pprof; inspect with:"
 	@echo "  go tool pprof $(PROFILE_DIR)/serving.test $(PROFILE_DIR)/serving.cpu.pprof"
 
-# cluster-demo runs the 3-node ring + closed-loop load shape in one
-# process (examples/cluster); cluster-e2e runs the acceptance tests —
-# deterministic routing on a live 3-node fleet and the 3-node vs
-# single-node-at-3x hit-ratio comparison — race-clean.
-cluster-demo:
-	$(GO) run ./examples/cluster
-
+# cluster-e2e runs the cluster acceptance tests — deterministic routing
+# on a live 3-node fleet and the 3-node vs single-node-at-3x hit-ratio
+# comparison — race-clean.
 cluster-e2e:
 	$(GO) test -race -run 'TestCluster' ./internal/serve ./internal/loadgen

@@ -36,7 +36,10 @@ import (
 // `-bench . -benchtime 1x -short` suite finishes in under a minute.
 func benchExperiment(b *testing.B, name string) {
 	b.Helper()
-	cfg := experiments.Config{Tiny: true, Short: testing.Short(), Seed: 42, W: io.Discard}
+	cfg := experiments.Config{Scale: experiments.ScaleTiny, Seed: 42, W: io.Discard}
+	if testing.Short() {
+		cfg.Scale = experiments.ScaleShort
+	}
 	for i := 0; i < b.N; i++ {
 		if err := experiments.Run(name, cfg); err != nil {
 			b.Fatal(err)

@@ -1,184 +1,163 @@
-// Command talus-sim runs one multi-programmed mix and reports per-app
-// outcomes. Flags are the one way in; there are two run kinds:
+// Command talus-sim is the simulator's front end. Each run kind is a
+// subcommand with its own flag set, so a flag a run kind does not read
+// is an unknown flag:
 //
-//   - the cycle-driven CMP simulation (the default): per-app IPC, MPKI
-//     and speedups over the unpartitioned-LRU baseline, managed by -mode
-//     for -work instructions per app;
-//   - -adaptive: the online control loop (monitor → hull → hill
-//     climbing at a fixed -epoch, over LRU arrays) driven purely by the
-//     access stream, reporting per-app miss ratios and converged
-//     allocations.
+//	talus-sim mix      -apps mcf,lbm,omnetpp,xalancbmk -mode talus-hill -mb 4
+//	talus-sim adaptive -apps mcf,lbm -mb 2 -epoch 131072 -weights 4,1
+//	talus-sim adaptive -trace mix.trc -mb 8   # exact replay of a recording
+//	talus-sim sweep    -app libquantum -talus -min 1 -max 8 -points 4
+//	talus-sim record   -apps mcf,lbm -o mix.trc -n 4194304
+//	talus-sim stat     -trace mix.trc
+//	talus-sim import   -format champsim -i app.champsim.trace -o app.trc
 //
-// Usage:
+// mix is the cycle-driven CMP simulation: per-app IPC, MPKI and
+// speedups over the unpartitioned-LRU baseline. adaptive is the online
+// control loop (monitor → hull → hill climbing at a fixed -epoch, over
+// LRU arrays) driven purely by the access stream. sweep prints one
+// clone's miss curve under a policy and scheme, optionally with Talus.
+// record, stat and import write and inspect binary address traces
+// (internal/trace); a recording replays through adaptive -trace, or as
+// a "trace:<path>" app anywhere -apps is read.
 //
-//	talus-sim -apps mcf,lbm,omnetpp,xalancbmk -mode talus-hill -mb 4
-//	talus-sim -adaptive -apps mcf,lbm -mb 2 -epoch 131072 -weights 4,1
-//	talus-sim -adaptive -trace mix.trc -mb 8   # exact replay of a talus-trace recording
-//
-// -apps names registry clones or "trace:<path>" recordings; -trace adds
-// every partition of the listed recordings as a replayed app. A flag
-// the chosen run kind does not read (-weights without -adaptive, -mode
-// with it) is refused rather than silently ignored.
+// A flag value out of range exits 2 and names the flag, as a flag the
+// subcommand does not define does.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"text/tabwriter"
-
-	"talus/internal/curve"
-	"talus/internal/sim"
-	"talus/internal/stats"
-	"talus/internal/workload"
+	"strconv"
+	"strings"
 )
 
+// A command is one subcommand: setup declares its flags on fs and
+// returns the run that reads them after parsing.
+type command struct {
+	name, about string
+	setup       func(fs *flag.FlagSet) func(w io.Writer) error
+}
+
+var commands = []command{
+	{"mix", "one multi-programmed mix vs the LRU baseline (cycle-driven)", setupMix},
+	{"adaptive", "the online control loop over live generators or a recorded trace", setupAdaptive},
+	{"sweep", "one clone's miss curve over a range of LLC sizes", setupSweep},
+	{"record", "record workloads' interleaved stream to a trace", setupRecord},
+	{"stat", "print a trace's header and per-partition shape", setupStat},
+	{"import", "convert a ChampSim or text trace to the native format", setupImport},
+}
+
 func main() {
-	var (
-		appsFlag = flag.String("apps", "", "comma-separated app list (registry clones or trace:<path>)")
-		mode     = flag.String("mode", "talus-hill", "management mode ("+sim.ValidModes+")")
-		mb       = flag.Float64("mb", 8, "LLC capacity in MB")
-		work     = flag.Int64("work", 30<<20, "fixed work per app (instructions)")
-		seed     = flag.Uint64("seed", 42, "random seed")
-		par      = flag.Int("parallelism", runtime.GOMAXPROCS(0), "worker pool size for concurrent mix simulation")
-		traceF   = flag.String("trace", "", "comma-separated trace files replayed as apps (exact adaptive replay when it is the only source)")
-
-		adaptiveF = flag.Bool("adaptive", false, "run the online adaptive runtime (monitor→hull→allocator control loop) instead of the cycle-driven CPU simulation")
-		epochF    = flag.Int64("epoch", 0, "adaptive reconfiguration interval in accesses (0 = default)")
-		accessesF = flag.Int64("accesses", 4<<20, "adaptive traffic per app (accesses)")
-		shardsF   = flag.Int("shards", 1, "adaptive cache shard count")
-		tailF     = flag.Float64("tail", 0, "adaptive trailing fraction measured for steady-state rates (0 = default 0.5)")
-		weightsF  = flag.String("weights", "", "adaptive per-app objective weights in app order, e.g. 4,1,1,1 (empty = uniform)")
-	)
-	flag.Parse()
-
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkRunKind(*adaptiveF, set); err != nil {
-		fatal(err)
-	}
-	weights, err := parseWeights(*weightsF)
-	if err != nil {
-		fatal(err)
-	}
-	appNames, traceFiles := splitList(*appsFlag), splitList(*traceF)
-	if len(appNames) == 0 && len(traceFiles) == 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	capacity := int64(curve.MBToLines(*mb))
-	acfg := sim.AdaptiveConfig{
-		CapacityLines:  capacity,
-		Shards:         *shardsF,
-		EpochAccesses:  *epochF,
-		AccessesPerApp: *accessesF,
-		TailFrac:       *tailF,
-		Weights:        weights,
-		Seed:           *seed,
-	}
-
-	// An adaptive run whose only source is one trace file replays the
-	// recorded stream exactly, record by record.
-	if *adaptiveF && len(appNames) == 0 && len(traceFiles) == 1 {
-		printAdaptive(sim.RunAdaptiveTraceFile(acfg, traceFiles[0]))
-		return
-	}
-
-	apps := make([]workload.Spec, 0, len(appNames))
-	for _, name := range appNames {
-		s, err := workload.Resolve(name)
-		if err != nil {
-			fatal(err)
-		}
-		apps = append(apps, s)
-	}
-	for _, path := range traceFiles {
-		traced, err := sim.SpecsFromTrace(path)
-		if err != nil {
-			fatal(fmt.Errorf("trace %s: %w", path, err))
-		}
-		apps = append(apps, traced...)
-	}
-	if len(apps) == 0 {
-		fatal(fmt.Errorf("no apps: give -apps or -trace"))
-	}
-
-	// The online control loop: no CPU model, no offline curves — the
-	// cache measures, convexifies, allocates, and reconfigures itself
-	// from its own traffic.
-	if *adaptiveF {
-		acfg.Apps = apps
-		printAdaptive(sim.RunAdaptive(acfg))
-		return
-	}
-	mixCfg := sim.MixConfig{
-		Apps:          apps,
-		CapacityLines: capacity,
-		Mode:          sim.Mode(*mode),
-		WorkInstr:     *work,
-		Seed:          *seed,
-	}
-
-	// The baseline and the managed run are independent simulations: fan
-	// them across the worker pool.
-	baseCfg := mixCfg
-	baseCfg.Mode = sim.ModeLRU
-	results, err := sim.RunMixes([]sim.MixConfig{baseCfg, mixCfg}, *par)
-	if err != nil {
-		fatal(err)
-	}
-	base, res := results[0], results[1]
-
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "app\tIPC\tMPKI\thit-ratio\tlru-hit-ratio\tspeedup-vs-LRU")
-	for i := range apps {
-		fmt.Fprintf(tw, "%s\t%.4f\t%.3f\t%.4f\t%.4f\t%.3f\n",
-			res.Apps[i], res.IPC[i], res.MPKI[i],
-			hitRatio(res.MPKI[i], apps[i].APKI), hitRatio(base.MPKI[i], apps[i].APKI),
-			res.IPC[i]/base.IPC[i])
-	}
-	tw.Flush()
-	fmt.Printf("\nweighted speedup: %.4f\nharmonic speedup: %.4f\nepochs: %d\n",
-		stats.WeightedSpeedup(res.IPC, base.IPC),
-		stats.HarmonicSpeedup(res.IPC, base.IPC),
-		res.Epochs)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// printAdaptive reports an adaptive run, or exits on its error.
-func printAdaptive(res *sim.AdaptiveResult, err error) {
-	if err != nil {
-		fatal(err)
+// run executes one subcommand and returns the process exit code: 0 on
+// success, 2 for a usage error (unknown subcommand or flag, a value out
+// of range), 1 when the run itself fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "app\tMPKI\tmiss-ratio\talloc-lines\talloc-MB")
-	for i := range res.Apps {
-		fmt.Fprintf(tw, "%s\t%.3f\t%.4f\t%d\t%.3f\n",
-			res.Apps[i], res.MPKI[i], res.MissRatio[i],
-			res.Allocs[i], curve.LinesToMB(float64(res.Allocs[i])))
-	}
-	tw.Flush()
-	fmt.Printf("\nepochs: %d (reconfigurations driven by the access stream)\n", res.Epochs)
-}
-
-// hitRatio converts an app's MPKI to its LLC hit ratio: accesses per
-// kilo-instruction is the spec's APKI, so 1 − MPKI/APKI, clamped to
-// [0, 1] against measurement noise at the extremes.
-func hitRatio(mpki, apki float64) float64 {
-	if apki <= 0 {
+	name := args[0]
+	if name == "-h" || name == "-help" || name == "--help" || name == "help" {
+		usage(stdout)
 		return 0
 	}
-	h := 1 - mpki/apki
-	if h < 0 {
-		return 0
-	}
-	if h > 1 {
+	for _, c := range commands {
+		if c.name != name {
+			continue
+		}
+		fs := flag.NewFlagSet("talus-sim "+name, flag.ContinueOnError)
+		fs.SetOutput(stderr)
+		runFn := c.setup(fs)
+		if err := fs.Parse(args[1:]); err != nil {
+			if errors.Is(err, flag.ErrHelp) {
+				return 0
+			}
+			return 2
+		}
+		if fs.NArg() > 0 {
+			fmt.Fprintf(stderr, "talus-sim %s: unexpected argument %q\n", name, fs.Arg(0))
+			fs.Usage()
+			return 2
+		}
+		err := runFn(stdout)
+		if err == nil {
+			return 0
+		}
+		fmt.Fprintf(stderr, "talus-sim %s: %v\n", name, err)
+		var ue usageError
+		if errors.As(err, &ue) {
+			fs.Usage()
+			return 2
+		}
 		return 1
 	}
-	return h
+	fmt.Fprintf(stderr, "talus-sim: unknown subcommand %q\n\n", name)
+	usage(stderr)
+	return 2
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "talus-sim: %v\n", err)
-	os.Exit(1)
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: talus-sim <subcommand> [flags]   (talus-sim <subcommand> -h lists its flags)")
+	fmt.Fprintln(w)
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-9s %s\n", c.name, c.about)
+	}
+}
+
+// usageError is a flag value the run cannot use: run prints it with the
+// subcommand's usage and exits 2, as the flag package does for a value
+// it cannot parse.
+type usageError struct{ error }
+
+// A rule is one range condition on one flag.
+type rule struct {
+	ok   bool
+	flag string
+	val  any
+	want string
+}
+
+// check is the front end's one range check: the first rule that does
+// not hold becomes a usage error naming its flag and value.
+func check(rules ...rule) error {
+	for _, r := range rules {
+		if !r.ok {
+			return usageError{fmt.Errorf("-%s %v: want %s", r.flag, r.val, r.want)}
+		}
+	}
+	return nil
+}
+
+// parseWeights parses the -weights flag: comma-separated per-app
+// weights in app order ("4,1,1,1"). Empty means uniform.
+func parseWeights(s string) ([]float64, error) {
+	parts := splitList(s)
+	if len(parts) == 0 {
+		return nil, nil
+	}
+	out := make([]float64, len(parts))
+	for i, p := range parts {
+		w, err := strconv.ParseFloat(p, 64)
+		if err != nil || !(w >= 0) {
+			return nil, usageError{fmt.Errorf("-weights entry %q: want a non-negative number", p)}
+		}
+		out[i] = w
+	}
+	return out, nil
+}
+
+// splitList splits a comma-separated flag value, trimming blanks.
+func splitList(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if p := strings.TrimSpace(part); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
 }

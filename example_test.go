@@ -1,14 +1,20 @@
 package talus_test
 
 import (
+	"errors"
 	"fmt"
+	"math/rand/v2"
 
 	"talus"
 )
 
-// ExampleNew builds the full adaptive serving stack with zero options —
-// the paper's 8-core CMP shape — feeds it a scanning stream, and forces
-// one control-loop epoch: monitor → hull → Talus → allocator.
+// ExampleNew builds the full adaptive serving stack — the paper's 8-core
+// CMP shape at 1 MB with two partitions — feeds partition 0 a scan
+// larger than the cache, and forces one control-loop epoch: monitor →
+// hull → Talus → allocator. The scan's miss curve is a cliff at its
+// footprint; the loop gives the scanner the capacity, and Talus splits
+// its partition into two shadow partitions on the cliff's hull instead
+// of leaving it on the LRU plateau.
 func ExampleNew() {
 	ac, err := talus.New(talus.WithCapacityMB(1), talus.WithPartitions(2), talus.WithSeed(1))
 	if err != nil {
@@ -26,10 +32,12 @@ func ExampleNew() {
 	fmt.Println("partitions:", ac.NumLogical())
 	fmt.Println("epochs run:", ac.Epochs())
 	fmt.Println("allocated to scanner:", allocs[0] > allocs[1])
+	fmt.Println("scanner shadow-partitioned:", !ac.Config(0).Degenerate)
 	// Output:
 	// partitions: 2
 	// epochs run: 1
 	// allocated to scanner: true
+	// scanner shadow-partitioned: true
 }
 
 // ExampleNewStore runs the keyed serving layer: tenants map to cache
@@ -94,4 +102,62 @@ func ExampleConvexHull() {
 	// Output:
 	// convex: true
 	// at 250 lines: 5 instead of 10.5
+}
+
+// ExampleStore_SetTenantWeight reweights a tenant on the live control
+// loop. Two identical tenants cycle key sets about 1.5× their fair share
+// of a cache that fits neither; raising gold's objective weight to 4 —
+// what PUT /v1/control/tenants/gold does over HTTP — makes the allocator
+// minimize 4·misses(gold) + misses(bronze), so capacity flows to gold.
+// The epoch budget stays the configured one: a weight steers the
+// allocation, not the loop's speed.
+func ExampleStore_SetTenantWeight() {
+	st, err := talus.NewStore(
+		talus.WithCapacityMB(0.5),
+		talus.WithShards(2),
+		talus.WithStaticTenants("gold", "bronze"),
+		talus.WithAdaptive(talus.AdaptiveConfig{EpochAccesses: 1 << 15, Seed: 11}),
+	)
+	if err != nil {
+		panic(err)
+	}
+	defer st.Close()
+
+	keys := make([]string, 9000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%05d", i)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	drive := func(rounds int) {
+		for i := 0; i < rounds; i++ {
+			for _, tenant := range []string{"gold", "bronze"} {
+				k := keys[rng.IntN(len(keys))]
+				if _, _, err := st.Get(tenant, k); errors.Is(err, talus.ErrNotFound) {
+					if _, err := st.Set(tenant, k, []byte("v")); err != nil {
+						panic(err)
+					}
+				}
+			}
+		}
+	}
+	goldLines := func() int64 {
+		for _, tc := range st.Control().Tenants {
+			if tc.Tenant == "gold" {
+				return tc.AllocLines
+			}
+		}
+		return 0
+	}
+
+	drive(100_000)
+	before, budget := goldLines(), st.Control().EpochAccesses
+	if err := st.SetTenantWeight("gold", 4); err != nil {
+		panic(err)
+	}
+	drive(100_000)
+	fmt.Println("gold's allocation grew:", goldLines() > before)
+	fmt.Println("epoch budget unchanged:", st.Control().EpochAccesses == budget)
+	// Output:
+	// gold's allocation grew: true
+	// epoch budget unchanged: true
 }

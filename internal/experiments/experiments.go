@@ -21,21 +21,44 @@ func (c Config) parallelFor(n int, fn func(i int)) {
 	sim.ParallelFor(n, sim.Workers(c.Parallelism), fn)
 }
 
+// Scale sets how large an experiment's sweeps, mixes and access counts
+// are. The zero value is the default scale; each step down shrinks the
+// run, and numbers below Quick are execution smoke, not results.
+type Scale int
+
+const (
+	// ScaleShort is the CI smoke scale (bench_test.go under -short):
+	// minimum sweep points, two mixes, and a single-lap fixed-work floor
+	// in the fairness study, so `-bench . -benchtime 1x -short` finishes
+	// in well under a minute.
+	ScaleShort Scale = iota - 3
+	// ScaleTiny is the Go-benchmark scale (bench_test.go), where each
+	// figure must regenerate in seconds.
+	ScaleTiny
+	// ScaleQuick shrinks sweeps and access counts ~10× for smoke runs.
+	ScaleQuick
+	// ScaleDefault is the zero value.
+	ScaleDefault
+	// ScaleFull expands to paper-scale sweeps.
+	ScaleFull
+)
+
+var scaleNames = []string{"short", "tiny", "quick", "default", "full"}
+
+// ParseScale maps a scale's name to its value.
+func ParseScale(name string) (Scale, error) {
+	for i, n := range scaleNames {
+		if n == name {
+			return ScaleShort + Scale(i), nil
+		}
+	}
+	return 0, fmt.Errorf("%q: want one of %v", name, scaleNames)
+}
+
 // Config controls experiment scale and output.
 type Config struct {
-	// Quick shrinks sweeps and access counts (~10× faster) for smoke
-	// runs; Tiny shrinks further for Go benchmarks (bench_test.go), where
-	// each figure must regenerate in seconds; Full expands to paper-scale
-	// sweeps. Precedence: Short > Tiny > Quick > Full.
-	Quick bool
-	Tiny  bool
-	Full  bool
-	// Short shrinks below Tiny for CI smoke runs (bench_test.go sets it
-	// from testing.Short()): minimum sweep points, two mixes, and a
-	// single-lap fixed-work floor in the fairness study, so the whole
-	// `-bench . -benchtime 1x -short` suite finishes in well under a
-	// minute. Numbers at this scale are execution smoke, not results.
-	Short bool
+	// Scale sizes the runs; the zero value is ScaleDefault.
+	Scale Scale
 	// OutDir, when non-empty, receives one CSV per experiment.
 	OutDir string
 	// Seed makes runs reproducible; 0 is a valid seed.
@@ -76,6 +99,7 @@ var registry = []experiment{
 	{"fig13", "fairness case studies: 8 copies, exec time + CoV of IPC", runFig13},
 	{"table1", "simulated system configuration (Table I)", runTable1},
 	{"table2", "gmean IPC gains over LRU per policy (§VII-C)", runTable2},
+	{"oracle", "monitor-measured vs exact-LRU miss curves, 8 generators (markdown)", runOracle},
 }
 
 // Names lists experiment ids in run order.
@@ -168,6 +192,12 @@ func (t *table) flush(cfg Config, name string) error {
 	if err := t.tw.Flush(); err != nil {
 		return err
 	}
+	return writeCSV(cfg, name, t.csv)
+}
+
+// writeCSV writes rows to OutDir/name.csv; it does nothing when OutDir
+// is empty.
+func writeCSV(cfg Config, name string, rows [][]string) error {
 	if cfg.OutDir == "" {
 		return nil
 	}
@@ -179,7 +209,7 @@ func (t *table) flush(cfg Config, name string) error {
 		return err
 	}
 	w := csv.NewWriter(f)
-	if err := w.WriteAll(t.csv); err != nil {
+	if err := w.WriteAll(rows); err != nil {
 		f.Close()
 		return err
 	}
@@ -206,14 +236,14 @@ func mbSizes(mbs []float64) []int64 {
 // points, Tiny fewer still, Full many.
 func sweepSizes(cfg Config, lo, hi float64, quickN, defN, fullN int) []float64 {
 	n := defN
-	switch {
-	case cfg.Short:
+	switch cfg.Scale {
+	case ScaleShort:
 		n = 2
-	case cfg.Tiny:
+	case ScaleTiny:
 		n = 3
-	case cfg.Quick:
+	case ScaleQuick:
 		n = quickN
-	case cfg.Full:
+	case ScaleFull:
 		n = fullN
 	}
 	if n < 2 {
@@ -232,17 +262,17 @@ func accessBudget(cfg Config, lines int64) (int64, int64) {
 	warm := 2 * lines
 	meas := 3 * lines
 	floorW, floorM := int64(1<<19), int64(1<<20)
-	switch {
-	case cfg.Short:
+	switch cfg.Scale {
+	case ScaleShort:
 		warm, meas = lines/2, lines
 		floorW, floorM = 1<<16, 1<<17
-	case cfg.Tiny:
+	case ScaleTiny:
 		warm, meas = lines, lines
 		floorW, floorM = 1<<17, 1<<18
-	case cfg.Quick:
+	case ScaleQuick:
 		warm, meas = lines, 2*lines
 		floorW, floorM = 1<<18, 1<<19
-	case cfg.Full:
+	case ScaleFull:
 		warm, meas = 3*lines, 6*lines
 		floorM = 1 << 22
 	}

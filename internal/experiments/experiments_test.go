@@ -11,7 +11,7 @@ import (
 )
 
 func tinyCfg(buf *bytes.Buffer) Config {
-	return Config{Tiny: true, Seed: 7, W: buf}
+	return Config{Scale: ScaleTiny, Seed: 7, W: buf}
 }
 
 func TestRegistryNamesUnique(t *testing.T) {
@@ -65,7 +65,7 @@ func TestAnalyticExperimentsGolden(t *testing.T) {
 func TestFig2RowsConsistent(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	cfg := Config{Tiny: true, Seed: 7, W: &buf, OutDir: dir}
+	cfg := Config{Scale: ScaleTiny, Seed: 7, W: &buf, OutDir: dir}
 	if err := Run("fig2", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSimExperimentsTiny(t *testing.T) {
 	}
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	cfg := Config{Tiny: true, Seed: 7, W: &buf, OutDir: dir}
+	cfg := Config{Scale: ScaleTiny, Seed: 7, W: &buf, OutDir: dir}
 	if err := Run("fig1", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -135,16 +135,16 @@ func readCSV(t *testing.T, path string) [][]string {
 }
 
 func TestSweepSizesScales(t *testing.T) {
-	if n := len(sweepSizes(Config{Tiny: true}, 1, 10, 5, 9, 13)); n != 3 {
+	if n := len(sweepSizes(Config{Scale: ScaleTiny}, 1, 10, 5, 9, 13)); n != 3 {
 		t.Fatalf("tiny sweep has %d points", n)
 	}
-	if n := len(sweepSizes(Config{Quick: true}, 1, 10, 5, 9, 13)); n != 5 {
+	if n := len(sweepSizes(Config{Scale: ScaleQuick}, 1, 10, 5, 9, 13)); n != 5 {
 		t.Fatalf("quick sweep has %d points", n)
 	}
 	if n := len(sweepSizes(Config{}, 1, 10, 5, 9, 13)); n != 9 {
 		t.Fatalf("default sweep has %d points", n)
 	}
-	if n := len(sweepSizes(Config{Full: true}, 1, 10, 5, 9, 13)); n != 13 {
+	if n := len(sweepSizes(Config{Scale: ScaleFull}, 1, 10, 5, 9, 13)); n != 13 {
 		t.Fatalf("full sweep has %d points", n)
 	}
 	sizes := sweepSizes(Config{}, 2, 8, 3, 4, 5)
@@ -154,10 +154,10 @@ func TestSweepSizesScales(t *testing.T) {
 }
 
 func TestAccessBudgetScales(t *testing.T) {
-	wT, mT := accessBudget(Config{Tiny: true}, 1<<20)
-	wQ, mQ := accessBudget(Config{Quick: true}, 1<<20)
+	wT, mT := accessBudget(Config{Scale: ScaleTiny}, 1<<20)
+	wQ, mQ := accessBudget(Config{Scale: ScaleQuick}, 1<<20)
 	wD, mD := accessBudget(Config{}, 1<<20)
-	wF, mF := accessBudget(Config{Full: true}, 1<<20)
+	wF, mF := accessBudget(Config{Scale: ScaleFull}, 1<<20)
 	if !(wT <= wQ && wQ <= wD && wD <= wF) {
 		t.Fatalf("warmups not monotone: %d %d %d %d", wT, wQ, wD, wF)
 	}

@@ -15,14 +15,14 @@ import (
 
 // mixScale returns (mix count, per-app fixed work, epoch cycles) by scale.
 func mixScale(cfg Config) (int, int64, int64) {
-	switch {
-	case cfg.Short:
+	switch cfg.Scale {
+	case ScaleShort:
 		return 2, 3 << 20, 1 << 19
-	case cfg.Tiny:
+	case ScaleTiny:
 		return 4, 6 << 20, 1 << 19
-	case cfg.Quick:
+	case ScaleQuick:
 		return 12, 12 << 20, 1 << 19
-	case cfg.Full:
+	case ScaleFull:
 		return 100, 100 << 20, 2 << 20
 	default:
 		return 30, 30 << 20, 1 << 20
@@ -173,7 +173,7 @@ func runFig13(cfg Config) error {
 		"xalancbmk":  6 << 20,
 	}
 	laps := int64(6)
-	if cfg.Short {
+	if cfg.Scale == ScaleShort {
 		laps = 0
 	}
 

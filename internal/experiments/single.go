@@ -145,9 +145,9 @@ func runFig8(cfg Config) error {
 func runFig9(cfg Config) error {
 	points := 64
 	switch {
-	case cfg.Tiny:
+	case cfg.Scale <= ScaleTiny:
 		points = 8
-	case cfg.Quick:
+	case cfg.Scale == ScaleQuick:
 		points = 16
 	}
 	cases := []struct {
@@ -298,9 +298,9 @@ func ipcComparisonAt(cfg Config, sizeMB float64, apps []string, seed uint64) (ma
 func runFig11(cfg Config) error {
 	apps := workload.Names()
 	switch {
-	case cfg.Tiny:
+	case cfg.Scale <= ScaleTiny:
 		apps = fig10Apps
-	case cfg.Quick:
+	case cfg.Scale == ScaleQuick:
 		apps = workload.MemoryIntensive()
 	}
 	for _, sizeMB := range []float64{1, 8} {
@@ -336,9 +336,9 @@ func runFig11(cfg Config) error {
 func runTable2(cfg Config) error {
 	apps := workload.Names()
 	switch {
-	case cfg.Tiny:
+	case cfg.Scale <= ScaleTiny:
 		apps = fig10Apps
-	case cfg.Quick:
+	case cfg.Scale == ScaleQuick:
 		apps = workload.MemoryIntensive()
 	}
 	t := newTable(cfg, "LLC", "Talus+V/LRU(%)", "PDP(%)", "DRRIP(%)", "SRRIP(%)")

@@ -29,12 +29,12 @@
 //
 // The simulator that regenerates the paper's figures (workload clones,
 // size sweeps, multi-programmed mixes, trace replay) is a separate
-// product: cmd/talus-exp, cmd/talus-sim and cmd/talus-trace drive it,
+// product: the cmd/talus-sim and cmd/talus-exp front ends drive it,
 // and the server does not link it.
 //
 // See README.md for quickstarts, DESIGN.md for the system inventory,
 // and EXPERIMENTS.md for paper-vs-measured results; runnable examples
-// live in example_test.go and under examples/.
+// are the asserted Example functions in example_test.go.
 package talus
 
 import (
