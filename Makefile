@@ -76,8 +76,7 @@ bench-smoke:
 # path at the benchmark's own GOMAXPROCS=2; epoch reconfigurations carry
 # the pprof label talus=epoch-step (see EXPERIMENTS.md "Profiling the
 # serving path"). All four benchmarks time the path served requests take:
-# the lock-free hit probe is how the arrays are built (PR 22), not a
-# mode only the store switched on.
+# one shard lock per cache access, one monitor lock per sampled access.
 # Inspect with: go tool pprof -tagfocus talus=epoch-step profiles/serving.test profiles/serving.cpu.pprof
 PROFILE_DIR ?= profiles
 profile-serving:

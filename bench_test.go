@@ -368,8 +368,8 @@ func BenchmarkStoreSetParallel(b *testing.B) {
 }
 
 // BenchmarkMonitorObserve measures monitor overhead per access on the
-// bank as requests reach it, default-sliced (most accesses fail the
-// sampling filter, as in hardware).
+// bank as requests reach it (most accesses fail the sampling filter, as
+// in hardware).
 func BenchmarkMonitorObserve(b *testing.B) {
 	m, err := monitor.NewSlicedEpochMonitor(131072, 0, 3, 0)
 	if err != nil {

@@ -36,6 +36,8 @@ func TestGuards(t *testing.T) {
 	}{
 		{name: "one-hit-path", dir: ".",
 			pattern: `EnableSharedHits|SharedHitEnabler|\.shared$`},
+		{name: "one-lock-per-access", dir: ".", tests: true,
+			pattern: `AccessShared|SharedProber|ConcurrentHitter|ConcurrentHits|StableSetIndex|probeHits|bumpSeq|DefaultMonitorSlices|SampledSlice`},
 		{name: "one-monitor-bank", dir: ".", tests: true,
 			pattern: `LRUMonitor|NewUMON|(^|\.)UMON$`},
 		{name: "simulator-names-off-the-root-package", dir: ".", tests: true,

@@ -45,13 +45,9 @@ type Config struct {
 	// Request (see alloc.Request.Weights): a weight-4 partition's saved
 	// miss counts four times a weight-1 partition's. nil means uniform —
 	// the legacy minimize-total-misses objective, byte-identical to the
-	// unweighted stack. Adjustable at runtime via SetWeight.
+	// unweighted stack. Each weight must be finite and non-negative, as
+	// SetWeight requires. Adjustable at runtime via SetWeight.
 	Weights []float64
-	// MinLines / MaxLines are per-partition allocation floors and caps
-	// (see alloc.Request); nil means none. Adjustable at runtime via
-	// SetPartitionLines.
-	MinLines []int64
-	MaxLines []int64
 }
 
 func (c *Config) defaults() {
@@ -61,9 +57,8 @@ func (c *Config) defaults() {
 }
 
 // monSlot is one partition's monitor lane, padded so concurrently
-// accessed lanes do not false-share. There is no lane lock: the sliced
-// monitor synchronizes internally per slice, and the epoch access count
-// is an atomic — steady-state accesses touch no lane-wide mutable state.
+// accessed lanes do not false-share. The monitor takes its own lock for
+// sampled accesses, and the epoch access count is an atomic.
 type monSlot struct {
 	mon      *monitor.SlicedEpochMonitor
 	accesses atomic.Int64 // observed this epoch
@@ -153,25 +148,15 @@ func New(sc *core.ShadowedCache, cfg Config) (*Cache, error) {
 		if len(cfg.Weights) != n {
 			return nil, fmt.Errorf("adaptive: %d weights for %d partitions", len(cfg.Weights), n)
 		}
+		for p, w := range cfg.Weights {
+			if err := checkWeight(p, w); err != nil {
+				return nil, err
+			}
+		}
 		a.weights = append([]float64(nil), cfg.Weights...)
 	}
-	if cfg.MinLines != nil {
-		if len(cfg.MinLines) != n {
-			return nil, fmt.Errorf("adaptive: %d line floors for %d partitions", len(cfg.MinLines), n)
-		}
-		a.minLines = append([]int64(nil), cfg.MinLines...)
-		if err := checkFloors(a.minLines, budget); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.MaxLines != nil {
-		if len(cfg.MaxLines) != n {
-			return nil, fmt.Errorf("adaptive: %d line caps for %d partitions", len(cfg.MaxLines), n)
-		}
-		a.maxLines = append([]int64(nil), cfg.MaxLines...)
-	}
 	for p := range a.mons {
-		mon, err := monitor.NewSlicedEpochMonitor(budget, monitor.DefaultRetain, cfg.Seed+uint64(p)*0x9E3779B9, monitor.DefaultMonitorSlices)
+		mon, err := monitor.NewSlicedEpochMonitor(budget, monitor.DefaultRetain, cfg.Seed+uint64(p)*0x9E3779B9, 1)
 		if err != nil {
 			return nil, fmt.Errorf("adaptive: partition %d monitor: %w", p, err)
 		}
@@ -332,8 +317,8 @@ func (a *Cache) epochBody() {
 			}
 			continue
 		}
-		// EpochCurve drains the monitor slices and is serialized by
-		// epochMu; racing observers accrue to this epoch or the next.
+		// EpochCurve is serialized by epochMu; racing observers accrue
+		// to this epoch or the next.
 		c, err := a.mons[p].mon.EpochCurve(units)
 		if err == nil {
 			// Churn: how far this partition's curve moved since its last
@@ -389,8 +374,8 @@ func (a *Cache) epochBody() {
 // legacy objective.
 func (a *Cache) SetWeight(p int, w float64) error {
 	a.checkPartition(p)
-	if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-		return fmt.Errorf("adaptive: weight %g for partition %d (need finite, non-negative)", w, p)
+	if err := checkWeight(p, w); err != nil {
+		return err
 	}
 	a.epochMu.Lock()
 	defer a.epochMu.Unlock()
@@ -401,6 +386,15 @@ func (a *Cache) SetWeight(p int, w float64) error {
 		}
 	}
 	a.weights[p] = w
+	return nil
+}
+
+// checkWeight rejects a weight the allocator would refuse on every epoch,
+// freezing the allocation where it stood.
+func checkWeight(p int, w float64) error {
+	if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+		return fmt.Errorf("adaptive: weight %g for partition %d (need finite, non-negative)", w, p)
+	}
 	return nil
 }
 
@@ -546,14 +540,6 @@ func (a *Cache) Config(p int) core.Config {
 
 // NumLogical returns the number of software-visible partitions.
 func (a *Cache) NumLogical() int { return a.n }
-
-// Monitor exposes partition p's sliced epoch monitor. Identity tests
-// compare its merged histograms against a single-monitor baseline fed
-// the same stream; production callers have no reason to touch it.
-func (a *Cache) Monitor(p int) *monitor.SlicedEpochMonitor {
-	a.checkPartition(p)
-	return a.mons[p].mon
-}
 
 // Shadowed exposes the wrapped Talus runtime (shadow sizes, inner cache).
 func (a *Cache) Shadowed() *core.ShadowedCache { return a.sc }

@@ -115,7 +115,7 @@ func TestAdaptiveRaceHammer(t *testing.T) {
 	forceDone.Add(1)
 	go func() {
 		// Forced epoch reconfigures racing the traffic: the epoch
-		// step drains every monitor slice and reprograms shadow sizes
+		// step closes every monitor's epoch and reprograms shadow sizes
 		// while Access streams through the same monitors and cache.
 		defer forceDone.Done()
 		for {

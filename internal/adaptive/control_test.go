@@ -1,6 +1,8 @@
 package adaptive_test
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -106,10 +108,10 @@ func TestIdlePartitionCurvePreserved(t *testing.T) {
 }
 
 // TestChurnTracksPhaseShift: churn is a reported signal. Stable traffic
-// settles it below 0.05; an injected phase shift (the scan-vs-rand flip
-// of examples/adaptive) reads above 0.30 within two epochs — and the
-// epoch budget stays the configured one throughout, because nothing
-// acts on the signal.
+// settles it below 0.05; an injected phase shift (one partition flips
+// from random reuse to a cyclic scan) reads above 0.30 within two
+// epochs — and the epoch budget stays the configured one throughout,
+// because nothing acts on the signal.
 func TestChurnTracksPhaseShift(t *testing.T) {
 	const capacity = 4096
 	const epoch = 1 << 16
@@ -222,6 +224,26 @@ func TestWeightedTenantAttractsCapacity(t *testing.T) {
 	}
 }
 
+// TestBadWeightsRefused: New used to accept weights SetWeight refuses,
+// and every epoch then failed in the allocator, freezing the initial
+// fair split. Both entry points now refuse the same values.
+func TestBadWeightsRefused(t *testing.T) {
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
+		t.Run(fmt.Sprint(w), func(t *testing.T) {
+			_, err := adaptive.Build("vantage", 4096, 16, 1, 2, 0.05, adaptive.Config{
+				Weights: []float64{w, 1},
+			})
+			if err == nil || !strings.Contains(err.Error(), "need finite, non-negative") {
+				t.Fatalf("Build with weight %g: err = %v", w, err)
+			}
+			ac := buildAdaptive(t, 4096, 1, 2, adaptive.Config{})
+			if err := ac.SetWeight(0, w); err == nil {
+				t.Fatalf("SetWeight(0, %g) accepted", w)
+			}
+		})
+	}
+}
+
 // randEpoch feeds each of a two-partition cache's partitions 4096 draws
 // from its own 1k-line working set, then forces the epoch step.
 func randEpoch(ac *adaptive.Cache, rng *hash.SplitMix64) error {
@@ -237,16 +259,10 @@ func randEpoch(ac *adaptive.Cache, rng *hash.SplitMix64) error {
 
 // TestInfeasibleFloorsRefused: a floor vector the partitionable capacity
 // cannot hold used to be accepted and then fail inside the allocator on
-// every epoch, freezing the allocation silently. It is refused up front
-// — at New and at SetPartitionLines — and a refusal changes nothing.
+// every epoch, freezing the allocation silently. SetPartitionLines
+// refuses it up front, and a refusal changes nothing.
 func TestInfeasibleFloorsRefused(t *testing.T) {
 	const capacity = 4096
-	if _, err := adaptive.Build("vantage", capacity, 16, 1, 2, 0.05, adaptive.Config{
-		MinLines: []int64{4000, 4000},
-	}); err == nil || !strings.Contains(err.Error(), "floors sum to 8000") {
-		t.Fatalf("New with floors past the capacity: err = %v", err)
-	}
-
 	ac := buildAdaptive(t, capacity, 1, 2, adaptive.Config{EpochAccesses: 1 << 40, Seed: 25})
 	budget := ac.Shadowed().Inner().PartitionableCapacity()
 	if err := ac.SetPartitionLines(0, budget/2, 0); err != nil {

@@ -36,24 +36,24 @@
 // costs hit ratio on phased traffic (EXPERIMENTS.md, "A control loop
 // with one speed"). Epochs that observed zero accesses are complete
 // no-ops, and a partition idle for an epoch keeps its previous curve
-// untouched instead of decaying toward zero. SetWeight and SetPartitionLines adjust the allocation
-// Request live; floors that cannot fit the partitionable capacity are
-// refused at New and at the setter. Controller() snapshots the whole
-// state (ControllerState — what serve's GET /v1/control returns),
-// including the last epoch step's error: a failed step leaves the
-// allocation standing, so that is where an operator sees it.
+// untouched instead of decaying toward zero. SetWeight and
+// SetPartitionLines adjust the allocation Request live; a weight the
+// allocator would refuse is refused at New and at SetWeight, and floors
+// that cannot fit the partitionable capacity at SetPartitionLines.
+// Controller() snapshots the whole state (ControllerState — what serve's
+// GET /v1/control returns), including the last epoch step's error: a
+// failed step leaves the allocation standing, so that is where an
+// operator sees it.
 //
 // # Concurrency
 //
 // All methods are safe for concurrent use when the ShadowedCache's inner
-// cache is (wrap it in a cache.ShardedCache). A partition's monitor lane
-// has no lock of its own: the sliced monitor locks only the slice that
-// owns a sampled access's monitor set (monitor.DefaultMonitorSlices of
-// them, a constant; unsampled accesses lock nothing), and the lane's
-// epoch access count is an atomic. The epoch step serializes on a
-// TryLock so at most one goroutine reconfigures — draining the slices
-// into the epoch curve — while the rest keep serving traffic through the
-// immutable-H3 / atomic-limit sampling datapath. Over a single-threaded
-// inner cache the loop still works and is exactly as single-threaded as
-// that cache.
+// cache is (wrap it in a cache.ShardedCache). An access takes exactly
+// one lock in the cache — its shard's — and, when the monitor samples
+// it, one more: its partition monitor's. The lane's epoch access count
+// is an atomic. The epoch step serializes on a TryLock so at most one
+// goroutine reconfigures while the rest keep serving traffic through
+// the immutable-H3 / atomic-limit sampling datapath. Over a
+// single-threaded inner cache the loop still works and is exactly as
+// single-threaded as that cache.
 package adaptive

@@ -3,7 +3,6 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"talus/internal/hash"
 	"talus/internal/partition"
@@ -30,26 +29,17 @@ func (s Stats) plus(o Stats) Stats {
 	return Stats{s.Accesses + o.Accesses, s.Hits + o.Hits, s.Misses + o.Misses, s.Bypasses + o.Bypasses}
 }
 
-// counters is what an array stores per partition. Each field has one
-// kind of writer: hits, misses and bypasses move only inside Access, so
-// they are plain and covered by whatever serializes Access; probeHits is
-// the one counter a lock-free probe moves, so it is atomic. Accesses and
-// the array-wide total are not stored — every access is a hit or a
-// miss, so both are sums computed when read.
+// counters is what an array stores per partition. They move only inside
+// Access, covered by whatever serializes Access. Accesses and the
+// array-wide total are not stored — every access is a hit or a miss, so
+// both are sums computed when read.
 type counters struct {
 	hits, misses, bypasses int64
-	probeHits              atomic.Int64
 }
 
 // stats reads the counters; like Access, it must not run beside Access.
 func (k *counters) stats() Stats {
-	h := k.hits + k.probeHits.Load()
-	return Stats{Accesses: h + k.misses, Hits: h, Misses: k.misses, Bypasses: k.bypasses}
-}
-
-func (k *counters) reset() {
-	k.hits, k.misses, k.bypasses = 0, 0, 0
-	k.probeHits.Store(0)
+	return Stats{Accesses: k.hits + k.misses, Hits: k.hits, Misses: k.misses, Bypasses: k.bypasses}
 }
 
 func sumStats(perPart []counters) Stats {
@@ -87,14 +77,8 @@ type Invalidator interface {
 // with a partitioning scheme restricting victim choice and a replacement
 // policy ranking victims. It implements core.PartitionedCache.
 //
-// Every method but AccessShared needs external serialization — a
-// ShardedCache's shard lock, or a single goroutine. AccessShared does
-// not: every tags/owner write is atomic inside a seqlock bracket (seq is
-// odd while a mutator is rewriting lines) and the one counter a probe
-// moves is atomic, so a probe running beside a mutator either sees a
-// consistent line or detects the race and reports !ok. Whether probes
-// can ever answer is a fact about what the array is, fixed at
-// construction (probeable).
+// Every method needs external serialization — a ShardedCache's shard
+// lock, or a single goroutine.
 type SetAssoc struct {
 	sets  int
 	assoc int
@@ -105,12 +89,6 @@ type SetAssoc struct {
 	scheme partition.Scheme
 	idx    *hash.H3
 	evict  func(part int, addr uint64) // eviction hook, nil when unset
-
-	// probeable: the policy's Hit tolerates running without the lock
-	// (policy.ConcurrentHitter) and the scheme's set index never moves
-	// (partition.Scheme.StableSetIndex).
-	probeable bool
-	seq       atomic.Uint64
 
 	perPart []counters
 
@@ -151,50 +129,10 @@ func NewSetAssoc(capacityLines int64, assoc int, scheme partition.Scheme, factor
 		wayBuf:  make([]int, 0, assoc),
 		lineBuf: make([]int, 0, assoc),
 	}
-	_, concurrent := c.pol.(policy.ConcurrentHitter)
-	c.probeable = concurrent && scheme.StableSetIndex()
 	for i := range c.owner {
 		c.owner[i] = -1
 	}
 	return c, nil
-}
-
-// AccessShared attempts to resolve one access lock-free and reports
-// (hit, ok). ok=false means the probe could not decide — the array is
-// not probeable, a mutation was in flight, or the line was not
-// resident — and the caller must retry under its lock via Access, which
-// then performs the authoritative miss path (fill, eviction hook, byte
-// accounting) exactly as today. On ok=true the access has been fully
-// accounted (stats and recency), byte-identically to the locked path.
-//
-// The window between the seqlock re-check and the recency bump is not
-// closed: a racing eviction can make the bump land on a line that was
-// just replaced. That is a bounded recency approximation (one stamp on
-// one line), never a correctness issue — misses, fills, evictions, and
-// bookkeeping all still happen under the lock.
-func (c *SetAssoc) AccessShared(addr uint64, part int) (hit, ok bool) {
-	if !c.probeable {
-		return false, false
-	}
-	s1 := c.seq.Load()
-	if s1&1 != 0 {
-		return false, false // mutation in flight
-	}
-	h := c.idx.Hash(addr)
-	set := c.scheme.SetIndex(h, part)
-	base := set * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		li := base + w
-		if atomic.LoadUint64(&c.tags[li]) == addr && atomic.LoadInt32(&c.owner[li]) >= 0 {
-			if c.seq.Load() != s1 {
-				return false, false // raced a mutation: retry locked
-			}
-			c.perPart[part].probeHits.Add(1)
-			c.pol.Hit(li, policy.AccessContext{Addr: addr, Set: set, Thread: part})
-			return true, true
-		}
-	}
-	return false, false // not resident here: the locked path decides
 }
 
 // Access performs one access on behalf of partition part and reports
@@ -276,28 +214,16 @@ func (c *SetAssoc) Invalidate(addr uint64, part int) bool {
 		li := base + w
 		if c.owner[li] >= 0 && c.tags[li] == addr {
 			c.scheme.OnEvict(int(c.owner[li]))
-			c.bumpSeq()
-			atomic.StoreInt32(&c.owner[li], -1)
-			c.bumpSeq()
+			c.owner[li] = -1
 			return true
 		}
 	}
 	return false
 }
 
-// bumpSeq opens (odd) or closes (even) a rewrite of tags/owner. An array
-// no probe can read has nobody to tell, so it skips the bump.
-func (c *SetAssoc) bumpSeq() {
-	if c.probeable {
-		c.seq.Add(1)
-	}
-}
-
 func (c *SetAssoc) fill(li int, addr uint64, part int, ctx policy.AccessContext) {
-	c.bumpSeq()
-	atomic.StoreUint64(&c.tags[li], addr)
-	atomic.StoreInt32(&c.owner[li], int32(part))
-	c.bumpSeq()
+	c.tags[li] = addr
+	c.owner[li] = int32(part)
 	c.scheme.OnFill(part)
 	c.pol.Fill(li, ctx)
 }
@@ -337,23 +263,17 @@ func (c *SetAssoc) PartStats(p int) Stats { return c.perPart[p].stats() }
 
 // ResetStats clears counters without disturbing cache contents, so
 // measurement can begin after warmup.
-func (c *SetAssoc) ResetStats() {
-	for i := range c.perPart {
-		c.perPart[i].reset()
-	}
-}
+func (c *SetAssoc) ResetStats() { clear(c.perPart) }
 
 // Flush invalidates all lines and clears policy and occupancy state.
 // The eviction hook, if set, fires for every line that was resident.
 func (c *SetAssoc) Flush() {
-	c.bumpSeq()
 	for i := range c.owner {
 		if c.owner[i] >= 0 && c.evict != nil {
 			c.evict(int(c.owner[i]), c.tags[i])
 		}
-		atomic.StoreInt32(&c.owner[i], -1)
+		c.owner[i] = -1
 	}
-	c.bumpSeq()
 	c.pol.Reset()
 	c.scheme.Reset()
 	c.ResetStats()

@@ -95,11 +95,7 @@ func (c *Ideal) Stats() Stats          { return sumStats(c.perPart) }
 func (c *Ideal) PartStats(p int) Stats { return c.perPart[p].stats() }
 
 // ResetStats clears counters without disturbing contents.
-func (c *Ideal) ResetStats() {
-	for i := range c.perPart {
-		c.perPart[i].reset()
-	}
-}
+func (c *Ideal) ResetStats() { clear(c.perPart) }
 
 // PartitionOccupancy returns partition p's resident line count.
 func (c *Ideal) PartitionOccupancy(p int) int64 { return int64(len(c.parts[p].nodes)) }

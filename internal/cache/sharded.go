@@ -52,24 +52,11 @@ type ShardedCache struct {
 
 // shardSlot pairs one shard with its lock. The pad keeps hot per-shard
 // state on distinct cache lines so shards do not false-share under
-// concurrent traffic. probe is the backing itself when it is a
-// SharedProber (captured once, in NewSharded): Access then tries the
-// lock-free hit path first.
+// concurrent traffic.
 type shardSlot struct {
-	mu    sync.Mutex
-	c     Shard
-	probe SharedProber
-	_     [64]byte
-}
-
-// SharedProber is implemented by shard backings (SetAssoc) that can
-// resolve cache hits without the shard lock. AccessShared reports
-// (hit, ok): ok=false means the probe could not decide (the backing's
-// policy or scheme rules probing out, a mutation is in flight, or the
-// line is not resident) and the caller must fall back to locked Access,
-// which re-runs the access from scratch.
-type SharedProber interface {
-	AccessShared(addr uint64, part int) (hit, ok bool)
+	mu sync.Mutex
+	c  Shard
+	_  [64]byte
 }
 
 // Errors returned by NewSharded.
@@ -117,7 +104,6 @@ func NewSharded(nShards int, totalLines int64, seed uint64, build func(shard int
 			return nil, ErrShardMismatch
 		}
 		s.shards[i].c = c
-		s.shards[i].probe, _ = c.(SharedProber)
 	}
 	return s, nil
 }
@@ -138,15 +124,11 @@ func (s *ShardedCache) NumShards() int { return len(s.shards) }
 // must not touch it while other goroutines are accessing the cache.
 func (s *ShardedCache) Shard(i int) Shard { return s.shards[i].c }
 
-// Access performs one access for the given partition on the owning shard
-// and reports whether it hit. Safe for concurrent use.
+// Access performs one access for the given partition on the owning shard,
+// under that shard's lock, and reports whether it hit. Safe for
+// concurrent use.
 func (s *ShardedCache) Access(addr uint64, part int) bool {
 	sh := &s.shards[s.shardOf(addr)]
-	if sh.probe != nil {
-		if hit, ok := sh.probe.AccessShared(addr, part); ok {
-			return hit
-		}
-	}
 	sh.mu.Lock()
 	hit := sh.c.Access(addr, part)
 	sh.mu.Unlock()
@@ -272,7 +254,7 @@ func (s *ShardedCache) Granule() int64 {
 
 // Stats returns the shards' access counts summed. Safe for concurrent
 // use: each shard is read under its lock, so under traffic the result
-// is a per-shard snapshot of everything but probe hits still landing.
+// is a per-shard snapshot.
 func (s *ShardedCache) Stats() Stats {
 	var total Stats
 	for i := range s.shards {

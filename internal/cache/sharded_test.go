@@ -2,6 +2,7 @@ package cache
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"talus/internal/hash"
@@ -232,5 +233,64 @@ func TestShardedConcurrentResize(t *testing.T) {
 
 	if st := sc.Stats(); st.Hits+st.Misses != st.Accesses {
 		t.Fatalf("conservation violated: %+v", st)
+	}
+}
+
+// sumParts adds up PartStats over every partition.
+func sumParts(n int, part func(int) Stats) Stats {
+	var total Stats
+	for p := 0; p < n; p++ {
+		total = total.plus(part(p))
+	}
+	return total
+}
+
+// TestShardedStatsSumShards hammers a ShardedCache under -race with
+// overlapping hot streams and invalidations. It keeps no counters of
+// its own, so its Stats must equal the sum of ShardStats, every shard's
+// total must equal the sum of its PartStats, and the result must
+// account for every call made and every hit returned to a caller.
+func TestShardedStatsSumShards(t *testing.T) {
+	sc, err := NewSharded(4, 8192, 11, func(i int, capLines int64) (Shard, error) {
+		return NewSetAssoc(capLines, 16, partition.NewVantage(2), policy.LRUFactory, uint64(i)+1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		workers = 8
+		perG    = 30000
+	)
+	var hitsSeen atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := hash.NewSplitMix64(uint64(g)*0x51ED + 7)
+			for i := 0; i < perG; i++ {
+				addr := rng.Next() % 12000 // past capacity share: hits, misses and evictions
+				if sc.Access(addr, int(rng.Next()%2)) {
+					hitsSeen.Add(1)
+				}
+				if i%1009 == 0 {
+					sc.Invalidate(rng.Next()%12000, g%2)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := sc.Stats()
+	if st.Accesses != workers*perG || st.Hits != hitsSeen.Load() || st.Hits+st.Misses != st.Accesses {
+		t.Fatalf("stats %+v, want %d accesses and %d hits", st, workers*perG, hitsSeen.Load())
+	}
+	if sum := sumParts(sc.NumShards(), sc.ShardStats); sum != st {
+		t.Fatalf("Stats() %+v != sum of ShardStats %+v", st, sum)
+	}
+	for i := 0; i < sc.NumShards(); i++ {
+		c := sc.Shard(i).(*SetAssoc)
+		if sum := sumParts(c.NumPartitions(), c.PartStats); sum != c.Stats() {
+			t.Fatalf("shard %d: Stats() %+v != sum of PartStats %+v", i, c.Stats(), sum)
+		}
 	}
 }

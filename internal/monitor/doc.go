@@ -16,9 +16,8 @@
 //     for seeing cliffs beyond the LLC size, applied once upward and once
 //     downward, where a partition's small allocation needs the finer way
 //     granularity. One Observe feeds all three; EpochCurve merges them
-//     into one curve and keeps it an EWMA across epochs. The arrays' sets
-//     are split into slices, one lock each, so concurrent observers rarely
-//     meet.
+//     into one curve and keeps it an EWMA across epochs. One lock guards
+//     the bank; only sampled accesses take it.
 //   - PolicyMonitor / MultiMonitor: for non-stack policies (SRRIP), one
 //     small simulated cache per curve point, each at a different sampling
 //     rate — the paper's admittedly impractical 64-point monitors (Fig. 9)

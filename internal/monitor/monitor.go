@@ -156,9 +156,7 @@ const (
 // pair could make the set-index bits linear functions of the
 // sampling-comparison bits — systematically starving or flooding
 // individual sets with sampled addresses and smearing measured cliffs.
-// Every array reduces this one value to its own power-of-two set count,
-// so array set indices are nested bit prefixes of it — the property the
-// epoch-sliced monitor partitions sets on.
+// Every array reduces this one value to its own power-of-two set count.
 func bankSetValue(addr, setSeed uint64) uint64 {
 	return hash.Mix64(addr ^ setSeed)
 }

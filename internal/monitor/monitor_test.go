@@ -8,8 +8,8 @@ import (
 	"talus/internal/policy"
 )
 
-// newBank builds the LRU-stack bank as requests reach it (default slice
-// count, default retention).
+// newBank builds the LRU-stack bank as requests reach it (default
+// retention).
 func newBank(t *testing.T, llc int64, seed uint64) *SlicedEpochMonitor {
 	t.Helper()
 	m, err := NewSlicedEpochMonitor(llc, 0, seed, 0)

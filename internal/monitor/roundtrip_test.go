@@ -100,7 +100,7 @@ func TestRoundTripUniformRamp(t *testing.T) {
 // TestEpochMonitorMatchesManualEWMA checks EpochCurve's decay against
 // bookkeeping kept by hand. The raw per-epoch counts come from a second
 // bank on the same seed and stream whose epochs are never closed:
-// HistogramSnapshot drains without decaying, so its counters are running
+// HistogramSnapshot does not decay, so its counters are running
 // totals, and since tag state never depends on counters both banks see
 // every access at the same depth. The hand-kept EWMA is then
 // acc ← trunc(acc·retain) + (total_e − total_{e−1}), with the unit

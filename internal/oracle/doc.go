@@ -21,9 +21,9 @@
 // DESIGN.md "Validation oracle"):
 //
 //   - monitor accuracy: CompareMonitor feeds one stream to the monitor
-//     bank that serves requests (monitor.SlicedEpochMonitor, one slice,
-//     one epoch) and a StackSim and bounds curve.Distance between the
-//     two curves for every generator in Scenarios;
+//     bank that serves requests (monitor.SlicedEpochMonitor, one epoch)
+//     and a StackSim and bounds curve.Distance between the two curves
+//     for every generator in Scenarios;
 //   - hull soundness: lower hulls of oracle curves are verified to be
 //     true lower convex envelopes;
 //   - Talus recombination: Theorem 6 configurations computed on oracle

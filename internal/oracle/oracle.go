@@ -73,8 +73,8 @@ type Comparison struct {
 }
 
 // CompareMonitor feeds one identical access stream to the monitor bank
-// that serves requests (a one-slice monitor.SlicedEpochMonitor closing one
-// epoch) and an exact StackSim and reports how far the measured curve is
+// that serves requests (a monitor.SlicedEpochMonitor closing one epoch)
+// and an exact StackSim and reports how far the measured curve is
 // from ground truth, along with both curves (monitor, oracle) in misses
 // per kilo-access on the monitor's size grid.
 func CompareMonitor(sc Scenario, llcLines int64, seed uint64) (Comparison, *curve.Curve, *curve.Curve, error) {

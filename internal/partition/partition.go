@@ -18,13 +18,6 @@ type Scheme interface {
 	Configure(sets, assoc int) error
 	// SetIndex maps an address hash to a set for an access by partition p.
 	SetIndex(hashVal uint64, p int) int
-	// StableSetIndex reports whether SetIndex is a pure function of
-	// (hashVal, p) — independent of targets, occupancy, and any state
-	// SetTargets mutates. Lock-free readers may only compute set indices
-	// on stable schemes: an unstable scheme (set partitioning's movable
-	// ranges) could be mid-repartition, sending an unlocked reader to a
-	// set another partition now owns.
-	StableSetIndex() bool
 	// Candidates appends to buf the way indices (0..assoc-1) eligible to
 	// receive a fill by partition p into set, given each way's current
 	// owner partition (-1 = free), and returns the result. An empty

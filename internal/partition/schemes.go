@@ -22,9 +22,6 @@ func (s *None) Name() string { return "none" }
 // SetIndex implements Scheme: plain hashed indexing.
 func (s *None) SetIndex(hashVal uint64, _ int) int { return hash.Reduce(hashVal, s.sets) }
 
-// StableSetIndex implements Scheme: plain hashed indexing never moves.
-func (s *None) StableSetIndex() bool { return true }
-
 // Candidates implements Scheme: every way is eligible.
 func (s *None) Candidates(_, _ int, _ []int32, buf []int) []int {
 	return allWays(s.assoc, buf)
@@ -73,9 +70,6 @@ func (s *Way) Configure(sets, assoc int) error {
 
 // SetIndex implements Scheme.
 func (s *Way) SetIndex(hashVal uint64, _ int) int { return hash.Reduce(hashVal, s.sets) }
-
-// StableSetIndex implements Scheme: way repartitioning never remaps sets.
-func (s *Way) StableSetIndex() bool { return true }
 
 // Candidates implements Scheme: only the partition's own ways.
 func (s *Way) Candidates(_, p int, _ []int32, buf []int) []int {
@@ -156,10 +150,6 @@ func (s *Set) SetIndex(hashVal uint64, p int) int {
 	}
 	return s.startSet[p] + hash.Reduce(hashVal, count)
 }
-
-// StableSetIndex implements Scheme: set ranges move on SetTargets, so
-// unlocked readers must not compute set indices here.
-func (s *Set) StableSetIndex() bool { return false }
 
 // Candidates implements Scheme: all ways of the (partition-local) set, or
 // none if the partition owns no sets.
@@ -248,10 +238,6 @@ func (s *Vantage) Configure(sets, assoc int) error {
 // SetIndex implements Scheme: global hashed indexing (partitions share all
 // sets).
 func (s *Vantage) SetIndex(hashVal uint64, _ int) int { return hash.Reduce(hashVal, s.sets) }
-
-// StableSetIndex implements Scheme: partitions share all sets under a
-// fixed hash; only victim choice depends on mutable targets.
-func (s *Vantage) StableSetIndex() bool { return true }
 
 // Candidates implements Scheme, enforcing sizes the way Vantage's
 // demotion logic does, in priority order:

@@ -1,10 +1,6 @@
 package policy
 
-import (
-	"sync/atomic"
-
-	"talus/internal/hash"
-)
+import "talus/internal/hash"
 
 // AccessContext carries the side information some policies need: the line
 // address being accessed (for PDP's reuse-distance sampler), the set (for
@@ -35,37 +31,20 @@ type Policy interface {
 // Policies needing randomness derive it deterministically from seed.
 type Factory func(sets, assoc int, seed uint64) Policy
 
-// ConcurrentHitter marks policies whose Hit bookkeeping can safely run
-// without the cache's shard lock, concurrently with other Hits and with
-// Victim/Fill running under the lock. cache.NewSetAssoc reads it once,
-// at construction, to decide whether the array can answer lock-free hit
-// probes. Policies that cannot offer this (e.g. the stack-moving RRIP
-// variants) simply don't implement the interface, and the cache keeps
-// taking the shard lock for their hits.
-type ConcurrentHitter interface {
-	ConcurrentHits()
-}
-
 // --- LRU -------------------------------------------------------------
 
 // LRU is the least-recently-used policy: a global logical clock stamps
 // every touch, and the victim is the candidate with the oldest stamp.
 // Stamps are globally comparable, so LRU ranks victims correctly within
 // any partition's candidate subset.
-//
-// Every clock and stamp operation is atomic, so Hit may run lock-free
-// concurrently with locked Victim/Fill: a racing Victim sees each stamp
-// either before or after its bump — at worst it evicts a line that
-// became MRU during the race, which is a recency approximation, never a
-// correctness issue.
 type LRU struct {
-	clock atomic.Uint64
-	ts    []atomic.Uint64
+	clock uint64
+	ts    []uint64
 }
 
 // NewLRU returns an LRU policy for sets×assoc lines.
 func NewLRU(sets, assoc int, _ uint64) *LRU {
-	return &LRU{ts: make([]atomic.Uint64, sets*assoc)}
+	return &LRU{ts: make([]uint64, sets*assoc)}
 }
 
 // LRUFactory adapts NewLRU to the Factory signature.
@@ -74,21 +53,24 @@ func LRUFactory(sets, assoc int, seed uint64) Policy { return NewLRU(sets, assoc
 // Name implements Policy.
 func (p *LRU) Name() string { return "LRU" }
 
-// ConcurrentHits implements ConcurrentHitter.
-func (p *LRU) ConcurrentHits() {}
-
 // Hit implements Policy: touching a line makes it most-recently used.
-func (p *LRU) Hit(idx int, _ AccessContext) { p.ts[idx].Store(p.clock.Add(1)) }
+func (p *LRU) Hit(idx int, _ AccessContext) { p.touch(idx) }
 
 // Fill implements Policy: new lines are inserted at MRU.
-func (p *LRU) Fill(idx int, _ AccessContext) { p.ts[idx].Store(p.clock.Add(1)) }
+func (p *LRU) Fill(idx int, _ AccessContext) { p.touch(idx) }
+
+// touch stamps line idx with the next clock value.
+func (p *LRU) touch(idx int) {
+	p.clock++
+	p.ts[idx] = p.clock
+}
 
 // Victim implements Policy: evict the least recently used candidate.
 func (p *LRU) Victim(candidates []int, _ AccessContext) int {
 	best := candidates[0]
-	bestTS := p.ts[best].Load()
+	bestTS := p.ts[best]
 	for _, idx := range candidates[1:] {
-		if ts := p.ts[idx].Load(); ts < bestTS {
+		if ts := p.ts[idx]; ts < bestTS {
 			best, bestTS = idx, ts
 		}
 	}
@@ -97,15 +79,13 @@ func (p *LRU) Victim(candidates []int, _ AccessContext) int {
 
 // Reset implements Policy.
 func (p *LRU) Reset() {
-	p.clock.Store(0)
-	for i := range p.ts {
-		p.ts[i].Store(0)
-	}
+	p.clock = 0
+	clear(p.ts)
 }
 
 // Timestamp exposes a line's LRU stamp; the DIP insertion variants and
 // tests use it.
-func (p *LRU) Timestamp(idx int) uint64 { return p.ts[idx].Load() }
+func (p *LRU) Timestamp(idx int) uint64 { return p.ts[idx] }
 
 // --- Random ----------------------------------------------------------
 
@@ -126,10 +106,6 @@ func RandomFactory(sets, assoc int, seed uint64) Policy { return NewRandom(sets,
 
 // Name implements Policy.
 func (p *Random) Name() string { return "Random" }
-
-// ConcurrentHits implements ConcurrentHitter: hits keep no state, so
-// they are trivially safe without the shard lock.
-func (p *Random) ConcurrentHits() {}
 
 // Hit implements Policy (random replacement keeps no per-line state).
 func (p *Random) Hit(int, AccessContext) {}

@@ -228,7 +228,6 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 	for i, spec := range cfg.Apps {
 		apps[i] = workload.NewApp(spec, cfg.Seed+uint64(i)*7919)
 		if managed {
-			// One slice: the mix simulator feeds sequentially.
 			mons[i], err = monitor.NewSlicedEpochMonitor(cfg.CapacityLines, monitor.DefaultRetain, cfg.Seed+uint64(i)*104729, 1)
 			if err != nil {
 				return nil, err

@@ -195,8 +195,8 @@ func ProfileCurve(cfg SweepConfig, llcLines int64, seed uint64) (*curve.Curve, e
 		return mm.Curve(kiloInstr)
 	}
 
-	// The bank that serves requests, as one slice closing one epoch (the
-	// first epoch's curve is read before any decay).
+	// The bank that serves requests, closing one epoch (the first
+	// epoch's curve is read before any decay).
 	mon, err := monitor.NewSlicedEpochMonitor(llcLines, 0, seed^0x33F, 1)
 	if err != nil {
 		return nil, err

@@ -10,12 +10,13 @@ import (
 	"talus/internal/store"
 )
 
-// TestStoreOverLockedStack serves from the LRU stacks the lock-free
-// probe refuses — ideal partitioning, which has no arrays to probe, and
-// a scheme whose set index moves — so every access takes its shard
-// lock. Everything the store promises must hold there too: values
-// round-trip, an evicted line releases its value, and concurrent traffic
-// is counted exactly once at both the tenant and the cache layer.
+// TestStoreOverLockedStack serves from LRU stacks other than the
+// vantage arrays talus.New builds — ideal partitioning, which has no
+// arrays, and a scheme whose set index moves on repartitioning — with
+// two shards under concurrent clients. Everything the store promises
+// must hold there too: values round-trip, an evicted line releases its
+// value, and concurrent traffic is counted exactly once at both the
+// tenant and the cache layer.
 func TestStoreOverLockedStack(t *testing.T) {
 	const capacity = 2048
 	for _, scheme := range []string{"ideal", "set"} {

@@ -217,8 +217,8 @@ type Store struct {
 // the tenant count. Values live and die with their simulated lines, so
 // the cache stack must support eviction notification (every stack
 // adaptive.Build builds does); otherwise New fails with
-// ErrNoEviction. Whether resident Gets skip the shard lock was settled
-// when the arrays were built (cache.SetAssoc); New has nothing to switch.
+// ErrNoEviction. Every Get and Set takes the owning shard's lock once
+// for its cache access.
 func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 	if len(cfg.Tenants) > ac.NumLogical() {
 		return nil, fmt.Errorf("%w: %d tenants for %d partitions", ErrTenantCapacity, len(cfg.Tenants), ac.NumLogical())

@@ -119,8 +119,9 @@ func WithEpochInterval(d time.Duration) Option {
 // Σ wᵢ·missesᵢ instead of raw misses, so a weight-4 partition's misses
 // count 4× and it attracts capacity until its weighted marginal gain
 // drops to its neighbors'. Uniform weights (or none) reproduce the
-// unweighted allocation exactly. For tenant-name weights at the store
-// layer use WithTenantWeight.
+// unweighted allocation exactly. Each weight must be finite and
+// non-negative, or New fails. For tenant-name weights at the store layer
+// use WithTenantWeight.
 func WithWeights(w ...float64) Option { return func(o *options) { o.acfg.Weights = w } }
 
 // WithTenantWeight sets the named tenant's objective weight (NewStore
