@@ -284,7 +284,7 @@ func BenchmarkAdaptiveAccess(b *testing.B) {
 // what the HTTP front-end's store layer costs.
 func benchServingStore(b *testing.B) *Store {
 	b.Helper()
-	st, err := NewStore(WithTenants("bench"), WithSeed(42))
+	st, err := NewStore(WithTenants("bench"), WithAdaptive(AdaptiveConfig{Seed: 42}))
 	if err != nil {
 		b.Fatal(err)
 	}

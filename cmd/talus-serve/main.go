@@ -11,8 +11,7 @@
 //	            [-tenants a,b,...] [-scheme vantage]
 //	            [-assoc 32] [-epoch n] [-epoch-interval 1s]
 //	            [-max-value 1048576] [-record-dir dir] [-seed s]
-//	            [-max-bytes n] [-max-tenants n]
-//	            [-backend mem] [-backend-latency 0s]
+//	            [-max-bytes n] [-backend mem] [-backend-latency 0s]
 //	            [-weights gold=4,bronze=1] [-control]
 //	            [-route host1:p1,host2:p2,...] [-self host:port]
 //	            [-vnodes n] [-ring-seed s] [-node-id id]
@@ -49,13 +48,14 @@
 // interval -epoch / -epoch-interval set; GET /v1/control reports the
 // measured curve churn beside it.
 //
-// A captured trace replays offline through talus-sim -adaptive -trace,
+// A captured trace replays offline through talus-sim adaptive -trace,
 // closing the loop between served traffic and the experiment suite.
 // SIGINT/SIGTERM shut down gracefully: in-flight requests drain,
 // recording flushes, the epoch ticker stops.
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -73,6 +73,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "talus-serve: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses the command line into store options and serves until
+// SIGINT/SIGTERM.
+func run() error {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		mb         = flag.Float64("mb", 8, "LLC capacity in MB")
@@ -88,7 +97,6 @@ func main() {
 		recordDir  = flag.String("record-dir", "", "directory POST /v1/record may write traces into (empty disables the endpoint)")
 		seed       = flag.Uint64("seed", 42, "deterministic seed for hashes, samplers, monitors")
 		maxBytes   = flag.Int64("max-bytes", 0, "cap on total value bytes held; a write that would overdraw it is not kept (0 = none: only the -mb line capacity bounds the cache)")
-		maxTenants = flag.Int("max-tenants", 0, "cap on tenants ever registered (0 = partition count only)")
 		backend    = flag.String("backend", "", "backing tier behind the cache: mem (empty = none)")
 		backendLat = flag.Duration("backend-latency", 0, "modeled latency per backend operation")
 		weights    = flag.String("weights", "", "per-tenant objective weights, e.g. gold=4,bronze=1")
@@ -101,95 +109,34 @@ func main() {
 		defaultTTL = flag.Duration("default-ttl", 0, "lifetime for values written without X-Talus-TTL (0 = keep until evicted)")
 	)
 	flag.Parse()
-	cfg := serveFlags{
-		addr: *addr, mb: *mb, shards: *shards, partitions: *partitions,
-		tenants: *tenants, static: *static, scheme: *scheme,
-		assoc: *assoc, epoch: *epoch, interval: *interval,
-		maxValue: *maxValue, recordDir: *recordDir, seed: *seed,
-		maxBytes: *maxBytes, maxTenants: *maxTenants,
-		backend: *backend, backendLat: *backendLat,
-		weights: *weights, control: *control,
-		route: *route, self: *self, vnodes: *vnodes, ringSeed: *ringSeed,
-		nodeID: *nodeID, defaultTTL: *defaultTTL,
-	}
-	if err := run(cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "talus-serve: %v\n", err)
-		os.Exit(1)
-	}
-}
 
-// serveFlags carries the parsed command line into run.
-type serveFlags struct {
-	addr       string
-	mb         float64
-	shards     int
-	partitions int
-	tenants    string
-	static     bool
-	scheme     string
-	assoc      int
-	epoch      int64
-	interval   time.Duration
-	maxValue   int64
-	recordDir  string
-	seed       uint64
-	maxBytes   int64
-	maxTenants int
-	backend    string
-	backendLat time.Duration
-	weights    string
-	control    bool
-	route      string
-	self       string
-	vnodes     int
-	ringSeed   uint64
-	nodeID     string
-	defaultTTL time.Duration
-}
-
-func run(cf serveFlags) error {
 	opts := []talus.Option{
-		talus.WithCapacityMB(cf.mb),
-		talus.WithShards(cf.shards),
-		talus.WithScheme(cf.scheme),
-		talus.WithAssoc(cf.assoc),
-		talus.WithSeed(cf.seed),
-		talus.WithEpochInterval(cf.interval),
-		talus.WithMaxValueBytes(cf.maxValue),
+		talus.WithCapacityMB(*mb),
+		talus.WithShards(*shards),
+		talus.WithPartitions(*partitions),
+		talus.WithScheme(*scheme),
+		talus.WithAssoc(*assoc),
+		talus.WithAdaptive(talus.AdaptiveConfig{EpochAccesses: *epoch, EpochInterval: *interval, Seed: *seed}),
+		talus.WithMaxBytes(*maxBytes),
+		talus.WithDefaultTTL(*defaultTTL),
 	}
-	if cf.maxBytes > 0 {
-		opts = append(opts, talus.WithMaxBytes(cf.maxBytes))
-	}
-	if cf.maxTenants > 0 {
-		opts = append(opts, talus.WithMaxTenants(cf.maxTenants))
-	}
-	switch cf.backend {
+	switch *backend {
 	case "":
 	case "mem":
-		opts = append(opts, talus.WithBackend(talus.NewMemBackend(cf.backendLat)))
+		opts = append(opts, talus.WithBackend(talus.NewMemBackend(*backendLat)))
 	default:
-		return fmt.Errorf("unknown -backend %q (valid: mem)", cf.backend)
+		return fmt.Errorf("unknown -backend %q (valid: mem)", *backend)
 	}
-	if cf.partitions > 0 {
-		opts = append(opts, talus.WithPartitions(cf.partitions))
-	}
-	if names := splitTenants(cf.tenants); len(names) > 0 {
-		if cf.static {
+	if names := splitTenants(*tenants); len(names) > 0 {
+		if *static {
 			opts = append(opts, talus.WithStaticTenants(names...))
 		} else {
 			opts = append(opts, talus.WithTenants(names...))
 		}
-	} else if cf.static {
+	} else if *static {
 		return errors.New("-static-tenants needs -tenants")
 	}
-	if cf.epoch > 0 {
-		opts = append(opts, talus.WithAdaptive(talus.AdaptiveConfig{
-			EpochAccesses: cf.epoch,
-			EpochInterval: cf.interval,
-			Seed:          cf.seed,
-		}))
-	}
-	tenantWeights, err := parseWeights(cf.weights)
+	tenantWeights, err := parseWeights(*weights)
 	if err != nil {
 		return err
 	}
@@ -201,26 +148,23 @@ func run(cf serveFlags) error {
 	// name defaults to its listen address (host-completed, since peers
 	// cannot dial ":8080").
 	var cl *talus.Cluster
-	selfName := cf.self
-	if cf.route != "" {
+	selfName := *self
+	if *route != "" {
 		if selfName == "" {
-			selfName = cf.addr
+			selfName = *addr
 			if strings.HasPrefix(selfName, ":") {
 				selfName = "127.0.0.1" + selfName
 			}
 		}
 		cl, err = talus.NewCluster(talus.ClusterConfig{
-			Self: selfName, Nodes: splitTenants(cf.route), VNodes: cf.vnodes, Seed: cf.ringSeed,
+			Self: selfName, Nodes: splitTenants(*route), VNodes: *vnodes, Seed: *ringSeed,
 		})
 		if err != nil {
 			return err
 		}
 	}
-	nodeID := cf.nodeID
-	if nodeID == "" {
-		nodeID = selfName // empty outside cluster mode: the store derives hostname-pid
-	}
-	opts = append(opts, talus.WithNodeID(nodeID), talus.WithDefaultTTL(cf.defaultTTL))
+	// Empty outside cluster mode: the store derives hostname-pid.
+	opts = append(opts, talus.WithNodeID(cmp.Or(*nodeID, selfName)))
 
 	st, err := talus.NewStore(opts...)
 	if err != nil {
@@ -228,18 +172,18 @@ func run(cf serveFlags) error {
 	}
 	defer st.Close()
 
-	srv := newServer(cf.addr, talus.NewServeHandler(st, talus.ServeConfig{MaxValueBytes: cf.maxValue, RecordDir: cf.recordDir, Control: cf.control, Cluster: cl}))
+	srv := newServer(*addr, talus.NewServeHandler(st, talus.ServeConfig{MaxValueBytes: *maxValue, RecordDir: *recordDir, Control: *control, Cluster: cl}))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
 	go func() {
-		tiers := fmt.Sprintf("max-bytes %d, backend %q", cf.maxBytes, cf.backend)
+		tiers := fmt.Sprintf("max-bytes %d, backend %q", *maxBytes, *backend)
 		if cl != nil {
 			tiers += fmt.Sprintf(", cluster %s of %d nodes", selfName, len(cl.Ring().Nodes()))
 		}
 		log.Printf("talus-serve: listening on %s (%.1f MB, %d shards, %d partitions, %s/LRU, %s)",
-			cf.addr, cf.mb, cf.shards, st.Cache().NumLogical(), cf.scheme, tiers)
+			*addr, *mb, *shards, st.Cache().NumLogical(), *scheme, tiers)
 		errc <- srv.ListenAndServe()
 	}()
 

@@ -16,7 +16,7 @@ import (
 // its partition into two shadow partitions on the cliff's hull instead
 // of leaving it on the LRU plateau.
 func ExampleNew() {
-	ac, err := talus.New(talus.WithCapacityMB(1), talus.WithPartitions(2), talus.WithSeed(1))
+	ac, err := talus.New(talus.WithCapacityMB(1), talus.WithPartitions(2), talus.WithAdaptive(talus.AdaptiveConfig{Seed: 1}))
 	if err != nil {
 		panic(err)
 	}
@@ -44,7 +44,7 @@ func ExampleNew() {
 // partitions, keys hash to line addresses, and every request drives the
 // adaptive control loop while real bytes are stored exactly.
 func ExampleNewStore() {
-	st, err := talus.NewStore(talus.WithTenants("web"), talus.WithSeed(7))
+	st, err := talus.NewStore(talus.WithTenants("web"), talus.WithAdaptive(talus.AdaptiveConfig{Seed: 7}))
 	if err != nil {
 		panic(err)
 	}

@@ -44,10 +44,12 @@ func TestGuards(t *testing.T) {
 			pattern: `^talus\.(RunMix|RunSweep|RunPoint|RunAdaptive|LookupWorkload|OptimalBypass|IPCOf)|AdmitRho`},
 		{name: "one-allocator-one-array-policy", dir: ".", tests: true,
 			pattern: `WithAllocator|WithPolicy|AllocatorByName|alloc\.ByName`},
+		{name: "one-knob-per-setting", dir: ".", tests: true,
+			pattern: `WithSeed|WithEpochInterval|WithWeights|WithMargin|WithMaxTenants|WithMaxValueBytes`},
 		{name: "no-net-http-client-in-the-hop", dir: "internal/cluster",
 			pattern: `^http\.(Client|Transport|NewRequest)`},
 		{name: "talus-serve-removed-flags", cmd: "cmd/talus-serve",
-			removed: []string{"self-tune", "min-epoch", "batch", "alloc", "policy"}},
+			removed: []string{"self-tune", "min-epoch", "batch", "alloc", "policy", "max-tenants"}},
 		{name: "talus-sim-removed-flags", cmd: "cmd/talus-sim",
 			removed: []string{"self-tune", "spec", "batch", "alloc", "adaptive"}},
 		{name: "talus-exp-removed-flags", cmd: "cmd/talus-exp",

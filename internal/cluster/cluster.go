@@ -70,9 +70,6 @@ func (c *Cluster) Ring() *Ring { return c.ring }
 // Owner returns the node owning (tenant, key).
 func (c *Cluster) Owner(tenant, key string) string { return c.ring.Route(tenant, key) }
 
-// Owns reports whether this node owns (tenant, key).
-func (c *Cluster) Owns(tenant, key string) bool { return c.ring.Route(tenant, key) == c.self }
-
 // Relay forwards one cache request to the peer owner and writes the
 // owner's answer to w: its status, its body and the relayed response
 // headers. method, the escaped path and body are sent as given, stamped

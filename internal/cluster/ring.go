@@ -66,7 +66,7 @@ func NewRing(nodes []string, vnodes int, seed uint64) (*Ring, error) {
 	r := &Ring{nodes: sorted, vnodes: vnodes, seed: seed}
 	r.points = make([]point, 0, len(sorted)*vnodes)
 	for i, n := range sorted {
-		base := fnv64a(n)
+		base := hash.FNV64a(n)
 		for v := 0; v < vnodes; v++ {
 			// Mix64 breaks FNV's avalanche-free tail: without it,
 			// consecutive vnode indices land on near-consecutive hashes
@@ -86,24 +86,12 @@ func NewRing(nodes []string, vnodes int, seed uint64) (*Ring, error) {
 	return r, nil
 }
 
-// fnv64a is FNV-1a over s: the same stable, platform-independent hash
-// family the store uses for key→line addresses.
-func fnv64a(s string) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
 // keyHash places (tenant, key) on the circle. Tenant and key are
 // hashed separately before mixing, so no (tenant, key) concatenation
 // ambiguity exists, and Mix64 destroys FNV's GF(2)-linear structure
 // before the ring lookup.
 func (r *Ring) keyHash(tenant, key string) uint64 {
-	return hash.Mix64(fnv64a(tenant) ^ hash.Mix64(fnv64a(key)^r.seed))
+	return hash.Mix64(hash.FNV64a(tenant) ^ hash.Mix64(hash.FNV64a(key)^r.seed))
 }
 
 // Route returns the node owning (tenant, key): the first ring point at

@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"talus/internal/hash"
 )
 
 // sampleKeys returns k deterministic (tenant, key) pairs spread over a
@@ -108,16 +111,15 @@ func TestRingDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := uint64(14695981039346656037)
+	var table strings.Builder
 	for _, tk := range sampleKeys(1000) {
 		o1, o2 := r1.Route(tk[0], tk[1]), r2.Route(tk[0], tk[1])
 		if o1 != o2 {
 			t.Fatalf("route(%v) differs across construction orders: %q vs %q", tk, o1, o2)
 		}
-		for i := 0; i < len(o1); i++ {
-			fp = (fp ^ uint64(o1[i])) * 1099511628211
-		}
+		table.WriteString(o1)
 	}
+	fp := hash.FNV64a(table.String())
 	// The golden fingerprint of the full routing table. If this changes,
 	// ring placement changed: every deployed node must be upgraded in
 	// lock-step, since mixed fleets would disagree about ownership.

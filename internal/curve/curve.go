@@ -31,8 +31,8 @@ type Point struct {
 // Curve is an immutable miss curve: a piecewise-linear function through a
 // set of points sorted by strictly increasing size. Between points the
 // curve interpolates linearly; beyond its extremes it extrapolates flat
-// (miss rates saturate at both ends). Construct curves with New or
-// FromFunc; the zero value is an empty curve that evaluates to 0.
+// (miss rates saturate at both ends). Construct curves with New; the
+// zero value is an empty curve that evaluates to 0.
 type Curve struct {
 	pts []Point
 }
@@ -73,16 +73,6 @@ func MustNew(points []Point) *Curve {
 		panic(err)
 	}
 	return c
-}
-
-// FromFunc samples f at the given sizes (which must be strictly
-// increasing) and builds a curve.
-func FromFunc(f func(size float64) float64, sizes []float64) (*Curve, error) {
-	pts := make([]Point, len(sizes))
-	for i, s := range sizes {
-		pts[i] = Point{Size: s, MPKI: f(s)}
-	}
-	return New(pts)
 }
 
 // Points returns a copy of the curve's points.

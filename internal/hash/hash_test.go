@@ -247,3 +247,23 @@ func TestReduceSequentialWindowUniform(t *testing.T) {
 		}
 	}
 }
+
+// TestFNV64aVectors checks the published FNV-1a 64-bit test vectors and
+// that a string and its bytes hash alike.
+func TestFNV64aVectors(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want uint64
+	}{
+		{"", 0xcbf29ce484222325},
+		{"a", 0xaf63dc4c8601ec8c},
+		{"foobar", 0x85944171f73967e8},
+	} {
+		if got := FNV64a(c.in); got != c.want {
+			t.Errorf("FNV64a(%q) = %#x, want %#x", c.in, got, c.want)
+		}
+		if got := FNV64a([]byte(c.in)); got != c.want {
+			t.Errorf("FNV64a([]byte(%q)) = %#x, want %#x", c.in, got, c.want)
+		}
+	}
+}

@@ -73,9 +73,10 @@
 //
 //	404  store.ErrNotFound, store.ErrUnknownTenant (a GET on an unknown
 //	     tenant never registers it — registration is a write privilege)
-//	413  store.ErrValueTooLarge; request bodies over the PUT limit
-//	429  store.ErrTenantCapacity (every partition — or the -max-tenants
-//	     cap — already has a tenant; retry against an existing one)
+//	413  store.ErrValueTooLarge: request bodies over the PUT limit
+//	     (Config.MaxValueBytes, the one value-size cap)
+//	429  store.ErrTenantCapacity (every partition already has a tenant;
+//	     retry against an existing one)
 //	502  store.ErrBackend (the backing tier behind the store failed)
 //	400  store.ErrEmptyTenant/ErrEmptyKey, malformed /v1/record requests,
 //	     store.ErrRecording/ErrNotRecording (start while active / stop while idle),

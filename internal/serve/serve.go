@@ -15,6 +15,7 @@ import (
 
 	"talus/internal/cluster"
 	"talus/internal/curve"
+	"talus/internal/hash"
 	"talus/internal/store"
 )
 
@@ -216,12 +217,7 @@ func hitHeader(w http.ResponseWriter, hit bool) {
 // what lets cluster clients and the router revalidate with
 // If-None-Match instead of re-downloading values.
 func etagOf(value []byte) string {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, b := range value {
-		h ^= uint64(b)
-		h *= prime64
-	}
+	h := hash.FNV64a(value)
 	var buf [18]byte
 	buf[0] = '"'
 	const hexdigits = "0123456789abcdef"

@@ -158,27 +158,6 @@ func TestRouteErrors(t *testing.T) {
 	}
 }
 
-// TestMaxTenantsCap pins the WithMaxTenants satellite: with the cap
-// below the partition count, the HTTP surface refuses to mint tenants
-// past it — 429, not a 5xx — and pure lookups cannot mint them at all.
-func TestMaxTenantsCap(t *testing.T) {
-	srv, _ := newServer(t, store.Config{MaxTenants: 1}, 0)
-	if resp, _ := do(t, http.MethodPut, srv.URL+"/v1/cache/first/k", []byte("v")); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("first tenant = %d", resp.StatusCode)
-	}
-	if resp, _ := do(t, http.MethodPut, srv.URL+"/v1/cache/second/k", []byte("v")); resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("capped tenant = %d, want 429", resp.StatusCode)
-	}
-	// GET-side minting must be just as impossible: still a 404 and still
-	// no second tenant afterwards.
-	if resp, _ := do(t, http.MethodGet, srv.URL+"/v1/cache/second/k", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET capped tenant = %d, want 404", resp.StatusCode)
-	}
-	if resp, _ := do(t, http.MethodPut, srv.URL+"/v1/cache/first/k2", []byte("v")); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("existing tenant after cap = %d", resp.StatusCode)
-	}
-}
-
 // TestInfeasibleFloorIs409: a walk-in tenant whose configured floor does
 // not fit beside the floors already claimed is a conflict with the
 // node's state — it used to fall through statusOf to a 500.

@@ -38,8 +38,6 @@ type MemBackend struct {
 
 	mu   sync.RWMutex
 	vals map[string]map[string][]byte // tenant → key → value
-
-	gets, sets, deletes int64 // under mu
 }
 
 // NewMemBackend builds an empty in-memory backend that sleeps latency
@@ -60,10 +58,9 @@ func (b *MemBackend) delay() {
 // Get returns a copy of the stored value, or ErrNotFound.
 func (b *MemBackend) Get(tenant, key string) ([]byte, error) {
 	b.delay()
-	b.mu.Lock()
-	b.gets++
+	b.mu.RLock()
 	v, ok := b.vals[tenant][key]
-	b.mu.Unlock()
+	b.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
@@ -78,7 +75,6 @@ func (b *MemBackend) Set(tenant, key string, value []byte) error {
 	copy(cp, value)
 	b.delay()
 	b.mu.Lock()
-	b.sets++
 	m := b.vals[tenant]
 	if m == nil {
 		m = make(map[string][]byte)
@@ -93,7 +89,6 @@ func (b *MemBackend) Set(tenant, key string, value []byte) error {
 func (b *MemBackend) Delete(tenant, key string) error {
 	b.delay()
 	b.mu.Lock()
-	b.deletes++
 	delete(b.vals[tenant], key)
 	b.mu.Unlock()
 	return nil
@@ -104,11 +99,4 @@ func (b *MemBackend) Len(tenant string) int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return len(b.vals[tenant])
-}
-
-// Ops returns the operation counts (gets, sets, deletes) served so far.
-func (b *MemBackend) Ops() (gets, sets, deletes int64) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.gets, b.sets, b.deletes
 }

@@ -339,27 +339,6 @@ func TestCloseRecorderRace(t *testing.T) {
 	}
 }
 
-// TestBoundedMaxTenants pins the registration cap below the partition
-// count, including the no-mint-on-Get rule.
-func TestBoundedMaxTenants(t *testing.T) {
-	s := buildStore(t, 4096, 1, 4, store.Config{MaxTenants: 2})
-	if _, err := s.Set("a", "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Set("b", "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Set("c", "k", []byte("v")); !errors.Is(err, store.ErrTenantCapacity) {
-		t.Fatalf("third tenant past cap: %v, want ErrTenantCapacity", err)
-	}
-	if _, _, err := s.Get("d", "k"); !errors.Is(err, store.ErrUnknownTenant) {
-		t.Fatalf("get must not mint: %v, want ErrUnknownTenant", err)
-	}
-	if names := s.Tenants(); len(names) != 2 {
-		t.Fatalf("roster grew past the cap: %v", names)
-	}
-}
-
 // TestRegisterUnderEvictionAndEpochs is the lock-order watchdog for
 // tenant registration. Registering a tenant with
 // configured Weights/LineBounds holds the store's tenant lock while it

@@ -13,19 +13,18 @@
 // to 48 bits — the feeders' per-partition offset (adaptive.AppSpace,
 // bits 48–55) and the trace flattener's tags (bits 56–63) stay clear, so
 // a stream recorded from the store replays through the simulator
-// (talus-sim -trace) unchanged. Distinct keys may collide on a
+// (talus-sim adaptive -trace) unchanged. Distinct keys may collide on a
 // line (two keys in ~2^48 lines); a collision only nudges the simulated
 // hit ratio, never the stored values: colliding entries chain off the
 // line and are told apart by their full key.
 //
 // Tenants bind to logical partitions in arrival order: the first Set
 // naming a new tenant claims the next free partition (Config.Static
-// disables this and admits only pre-declared tenants; Config.MaxTenants
-// caps the roster below the partition count). Registration is a
-// write-path privilege — a Get on an unknown tenant returns
+// disables this and admits only pre-declared tenants). Registration is
+// a write-path privilege — a Get on an unknown tenant returns
 // ErrUnknownTenant without minting anything, so anonymous lookups
 // cannot exhaust partitions. The partition count is fixed at cache
-// construction, so once every partition (or the MaxTenants cap) is
+// construction and is the roster's one cap: once every partition is
 // claimed, further new tenants are refused with ErrTenantCapacity.
 //
 // # Residency: one index, one way out
@@ -43,9 +42,10 @@
 // provide one): when the replacement policy evicts a line, the hook
 // releases every entry on it, so the footprint tracks the simulated
 // contents and the line capacity bounds the key count whatever else is
-// configured. TTL expiry and Delete release the entry and invalidate
-// its line (statelessly — no stats, no hook), so a dead key cannot keep
-// "hitting"; a byte-cap refusal releases any stale copy.
+// configured. Delete releases the entry and invalidates its line
+// (statelessly — no stats, no hook), and so does TTL expiry unless a
+// read-through re-admits the key onto that line, so a dead key cannot
+// keep "hitting"; a byte-cap refusal releases any stale copy.
 //
 // Config.MaxBytes and Config.Backend are independent parameters on
 // that one path. With MaxBytes > 0 a hard reservation check refuses any
@@ -75,7 +75,7 @@
 // An optional record hook captures every cache access (partition, raw
 // 48-bit address) through a Recorder — trace.Writer satisfies it — so
 // live front-end traffic becomes a replayable trace (talus-sim
-// -adaptive -trace). Recording serializes appends on a mutex;
+// adaptive -trace). Recording serializes appends on a mutex;
 // under concurrent traffic the recorded order is one valid
 // interleaving of the live one.
 //
@@ -84,10 +84,12 @@
 // SetTTL gives one entry a lifetime (Config.DefaultTTL gives every
 // plain Set one); a later Set refreshes or clears it. Expiry is lazy —
 // no sweeper, no per-key timer: a Get past the deadline releases the
-// value's bytes, invalidates its simulated line (outside the tenant
-// lock, same ordering discipline as Delete), counts one expiration in
-// TenantStats, and proceeds as a real miss, including read-through
-// re-admission when a backend is configured. Node() reports the
+// value's bytes, counts one expiration in TenantStats, and proceeds as
+// a real miss, including read-through re-admission when a backend is
+// configured. When nothing is re-admitted it then invalidates the
+// key's simulated line (outside the tenant lock, same ordering
+// discipline as Delete); a re-admitted copy keeps the line this Get
+// made resident, so eviction can still release it. Node() reports the
 // serving instance's identity (Config.NodeID or "<hostname>-<pid>",
 // pid, start time, GOMAXPROCS) for /v1/stats and cluster attribution;
 // SetNow is the test seam for the TTL clock.

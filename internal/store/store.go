@@ -13,6 +13,7 @@ import (
 	"talus/internal/adaptive"
 	"talus/internal/cache"
 	"talus/internal/curve"
+	"talus/internal/hash"
 	"talus/internal/hull"
 	"talus/internal/trace"
 )
@@ -33,7 +34,8 @@ var (
 	ErrTenantCapacity = errors.New("store: all partitions have tenants")
 	// ErrNotFound reports a key with no stored value.
 	ErrNotFound = errors.New("store: key not found")
-	// ErrValueTooLarge rejects values over Config.MaxValueBytes.
+	// ErrValueTooLarge rejects a value over the front-end's size limit
+	// (the HTTP body cap, serve.Config.MaxValueBytes).
 	ErrValueTooLarge = errors.New("store: value too large")
 	// ErrNotRecording reports StopRecording without StartRecording.
 	ErrNotRecording = errors.New("store: not recording")
@@ -74,8 +76,6 @@ type Config struct {
 	// tenants are served, and requests naming others fail with
 	// ErrUnknownTenant.
 	Static bool
-	// MaxValueBytes caps Set value sizes; 0 means unlimited.
-	MaxValueBytes int64
 	// MaxBytes bounds the total value bytes held across all tenants
 	// (0 = no byte cap; the line capacity still bounds the key count).
 	// Under a cap, a value that would overdraw it is not kept.
@@ -85,9 +85,6 @@ type Config struct {
 	// admitted) reads through and re-admits. Without one such a value
 	// is lost.
 	Backend Backend
-	// MaxTenants caps how many tenants may ever register (pre-declared
-	// plus auto-registered); 0 bounds them only by the partition count.
-	MaxTenants int
 	// Weights gives tenants objective weights in the allocator's Request
 	// (see alloc.Request.Weights): a weight-4 tenant's saved miss counts
 	// four times a weight-1 tenant's. Applied when the named tenant
@@ -186,11 +183,6 @@ type Store struct {
 	ac  *adaptive.Cache
 	cfg Config
 
-	maxBytes   int64   // global value-byte bound; 0 = none
-	backend    Backend // backing tier; nil = none
-	maxTenants int     // registration cap; 0 = partition count only
-	defaultTTL time.Duration
-
 	node NodeStats        // this instance's identity (cluster attribution)
 	now  func() time.Time // clock; replaceable for TTL tests (SetNow)
 
@@ -214,28 +206,22 @@ type Store struct {
 
 // New builds a Store over an adaptive cache, registering cfg.Tenants
 // onto the first partitions. The cache's logical partition count bounds
-// the tenant count. Values live and die with their simulated lines, so
-// the cache stack must support eviction notification (every stack
-// adaptive.Build builds does); otherwise New fails with
-// ErrNoEviction. Every Get and Set takes the owning shard's lock once
+// the tenant count: once every partition has a tenant, registering
+// another fails with ErrTenantCapacity. Values live and die with their
+// simulated lines, so the cache stack must support eviction
+// notification (every stack adaptive.Build builds does); otherwise New
+// fails with ErrNoEviction. Every Get and Set takes the owning shard's lock once
 // for its cache access.
 func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 	if len(cfg.Tenants) > ac.NumLogical() {
 		return nil, fmt.Errorf("%w: %d tenants for %d partitions", ErrTenantCapacity, len(cfg.Tenants), ac.NumLogical())
 	}
-	if cfg.MaxTenants > 0 && len(cfg.Tenants) > cfg.MaxTenants {
-		return nil, fmt.Errorf("%w: %d tenants pre-declared with MaxTenants %d", ErrTenantCapacity, len(cfg.Tenants), cfg.MaxTenants)
-	}
 	s := &Store{
-		ac:         ac,
-		cfg:        cfg,
-		maxBytes:   cfg.MaxBytes,
-		backend:    cfg.Backend,
-		maxTenants: cfg.MaxTenants,
-		defaultTTL: cfg.DefaultTTL,
-		now:        time.Now,
-		tenants:    make(map[string]*tenant, ac.NumLogical()),
-		byPart:     make([]atomic.Pointer[tenant], ac.NumLogical()),
+		ac:      ac,
+		cfg:     cfg,
+		now:     time.Now,
+		tenants: make(map[string]*tenant, ac.NumLogical()),
+		byPart:  make([]atomic.Pointer[tenant], ac.NumLogical()),
 	}
 	if cfg.DefaultTTL < 0 {
 		return nil, fmt.Errorf("%w: default ttl %s", ErrBadTTL, cfg.DefaultTTL)
@@ -279,14 +265,14 @@ func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 }
 
 // MaxBytes returns the configured global value-byte bound (0 = none).
-func (s *Store) MaxBytes() int64 { return s.maxBytes }
+func (s *Store) MaxBytes() int64 { return s.cfg.MaxBytes }
 
 // Bytes returns the value bytes currently held across all tenants. It
 // never exceeds MaxBytes (when one is set).
 func (s *Store) Bytes() int64 { return s.bytesTotal.Load() }
 
 // Backend returns the configured backing tier (nil when none).
-func (s *Store) Backend() Backend { return s.backend }
+func (s *Store) Backend() Backend { return s.cfg.Backend }
 
 // Node returns this instance's identity block: the id, start time, and
 // GOMAXPROCS that /v1/stats serves and cluster clients use to
@@ -360,15 +346,7 @@ func (s *Store) release(t *tenant, addr uint64, key string) bool {
 // hashKey maps a key to its 48-bit line address by FNV-1a: stable
 // across processes and platforms, so traces recorded here replay
 // anywhere. Bits 48–63 stay clear for the feeders' partition offsets.
-func hashKey(key string) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h & (1<<48 - 1)
-}
+func hashKey(key string) uint64 { return hash.FNV64a(key) & addrMask }
 
 // register claims the next free partition for name. Caller must NOT
 // hold s.mu.
@@ -380,9 +358,6 @@ func (s *Store) register(name string) (*tenant, error) {
 	defer s.mu.Unlock()
 	if t, ok := s.tenants[name]; ok {
 		return t, nil // raced with another registration of the same name
-	}
-	if s.maxTenants > 0 && len(s.tenants) >= s.maxTenants {
-		return nil, fmt.Errorf("%w: tenant cap %d reached", ErrTenantCapacity, s.maxTenants)
 	}
 	part := -1
 	for p := range s.byPart {
@@ -469,12 +444,13 @@ func (s *Store) resolve(name string, autoRegister bool) (*tenant, error) {
 // a line is resident without this key's value.) A pure lookup never
 // registers a tenant: naming an unknown one fails with ErrUnknownTenant
 // (tenants are minted by Set). A value whose TTL has passed is expired
-// lazily here: its bytes are released, its simulated line invalidated
-// (a dead key must not linger as phantom residency), and the Get
-// proceeds as a miss. With a Backend, a miss (evicted, expired, or
-// refused by the byte cap) reads through the Backend and re-admits
-// under the same cap. The returned slice is shared — callers must not
-// modify it.
+// lazily here: its bytes are released and the Get proceeds as a miss.
+// With a Backend, a miss (evicted, expired, or refused by the byte cap)
+// reads through the Backend and re-admits under the same cap. An
+// expired key's simulated line is invalidated when nothing is
+// re-admitted onto it (a dead key must not linger as phantom
+// residency). The returned slice is shared — callers must not modify
+// it.
 func (s *Store) Get(tenantName, key string) (value []byte, hit bool, err error) {
 	if key == "" {
 		return nil, false, ErrEmptyKey
@@ -487,8 +463,9 @@ func (s *Store) Get(tenantName, key string) (value []byte, hit bool, err error) 
 	addr := hashKey(key)
 	s.access(t, addr)
 	value, ok, expired := s.lookup(t, addr, key)
+	released := false
 	if expired {
-		s.expireValue(t, key, addr)
+		released = s.expireValue(t, key, addr)
 		// Re-read: a Set racing the expiry may have landed a fresh value
 		// (with a fresh deadline) that must be served, not swallowed.
 		value, ok, _ = s.lookup(t, addr, key)
@@ -496,24 +473,38 @@ func (s *Store) Get(tenantName, key string) (value []byte, hit bool, err error) 
 	if ok {
 		return value, true, nil
 	}
-	if s.backend == nil {
-		return nil, false, fmt.Errorf("%w: %q", ErrNotFound, key)
+	value, err = s.readThrough(t, key, addr)
+	if err != nil && released {
+		// Nothing was re-admitted, so the expired key's line goes. Not
+		// before the read-through: a re-admitted value hangs off this
+		// Get's line, and off an invalidated one no eviction could ever
+		// release it. Invalidation takes a shard lock, so t.mu is not
+		// held here (the eviction hook takes t.mu under one).
+		s.ac.Invalidate(addr|t.space, t.part)
 	}
-	// Read through: the value is gone locally (evicted, expired, refused
-	// by the byte cap, or never written here) — fetch it from the backing
-	// tier and re-admit it, paying the modeled backend cost this miss
-	// represents. The re-admitted copy starts a fresh DefaultTTL (the
-	// backend does not remember per-entry TTLs).
+	return value, false, err
+}
+
+// readThrough serves a Get whose value is gone locally (evicted,
+// expired, refused by the byte cap, or never written here): it fetches
+// the value from the Backend and re-admits it, paying the modeled
+// backend cost this miss represents. The re-admitted copy starts a
+// fresh DefaultTTL (the backend does not remember per-entry TTLs).
+// Without a Backend, or when it lacks the key, the Get is ErrNotFound.
+func (s *Store) readThrough(t *tenant, key string, addr uint64) ([]byte, error) {
+	if s.cfg.Backend == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+	}
 	t.backendGets.Add(1)
-	v, berr := s.backend.Get(t.name, key)
-	if berr != nil {
-		if errors.Is(berr, ErrNotFound) {
-			return nil, false, fmt.Errorf("%w: %q", ErrNotFound, key)
+	v, err := s.cfg.Backend.Get(t.name, key)
+	if err != nil {
+		if errors.Is(err, ErrNotFound) {
+			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 		}
-		return nil, false, fmt.Errorf("%w: %v", ErrBackend, berr)
+		return nil, fmt.Errorf("%w: %v", ErrBackend, err)
 	}
 	s.admitValue(t, key, addr, v, s.deadlineFor(0))
-	return v, false, nil
+	return v, nil
 }
 
 // lookup reads key's resident value off line addr, reporting whether
@@ -533,7 +524,7 @@ func (s *Store) lookup(t *tenant, addr uint64, key string) (value []byte, ok, ex
 // zero result means "never expires".
 func (s *Store) deadlineFor(ttl time.Duration) int64 {
 	if ttl == 0 {
-		ttl = s.defaultTTL
+		ttl = s.cfg.DefaultTTL
 	}
 	if ttl <= 0 {
 		return 0
@@ -541,24 +532,22 @@ func (s *Store) deadlineFor(ttl time.Duration) int64 {
 	return s.now().Add(ttl).UnixNano()
 }
 
-// expireValue releases (t, key)'s value after its TTL passed: bytes
-// freed, expiry counted, and the simulated line invalidated (after
-// t.mu is released — invalidation takes a shard lock, and the eviction
-// hook takes t.mu while holding one, so the orders must never
-// interleave). The deadline is re-checked under the lock: a racing Set
-// may have refreshed the entry, in which case nothing is expired.
-func (s *Store) expireValue(t *tenant, key string, addr uint64) {
+// expireValue releases (t, key)'s value after its TTL passed, bytes
+// freed and expiry counted, and reports whether it did. The deadline is
+// re-checked under the lock: a racing Set may have refreshed the entry,
+// in which case nothing is expired. The line is the caller's to
+// invalidate (see Get).
+func (s *Store) expireValue(t *tenant, key string, addr uint64) bool {
 	now := s.now().UnixNano()
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	e := t.find(addr, key)
 	if e == nil || e.deadline == 0 || e.deadline > now {
-		t.mu.Unlock()
-		return
+		return false
 	}
 	s.release(t, addr, key)
 	t.expirations.Add(1)
-	t.mu.Unlock()
-	s.ac.Invalidate(addr|t.space, t.part)
+	return true
 }
 
 // Set stores value under (tenant, key), warming the key's cache line,
@@ -585,15 +574,12 @@ func (s *Store) SetTTL(tenantName, key string, value []byte, ttl time.Duration) 
 	if ttl < 0 {
 		return false, fmt.Errorf("%w: %s", ErrBadTTL, ttl)
 	}
-	if s.cfg.MaxValueBytes > 0 && int64(len(value)) > s.cfg.MaxValueBytes {
-		return false, fmt.Errorf("%w: %d bytes (limit %d)", ErrValueTooLarge, len(value), s.cfg.MaxValueBytes)
-	}
 	t, err := s.resolve(tenantName, true)
 	if err != nil {
 		return false, err
 	}
-	if s.backend != nil {
-		if berr := s.backend.Set(tenantName, key, value); berr != nil {
+	if s.cfg.Backend != nil {
+		if berr := s.cfg.Backend.Set(tenantName, key, value); berr != nil {
 			return false, fmt.Errorf("%w: %v", ErrBackend, berr)
 		}
 		t.backendSets.Add(1)
@@ -624,10 +610,10 @@ func (s *Store) admitValue(t *tenant, key string, addr uint64, cp []byte, deadli
 	if e != nil {
 		delta -= int64(len(e.val))
 	}
-	if s.maxBytes > 0 && delta > 0 {
+	if s.cfg.MaxBytes > 0 && delta > 0 {
 		// Reserve-then-check keeps the bound exact under concurrency:
 		// the Add is the reservation, rolled back when it overdraws.
-		if s.bytesTotal.Add(delta) > s.maxBytes {
+		if s.bytesTotal.Add(delta) > s.cfg.MaxBytes {
 			s.bytesTotal.Add(-delta)
 			t.admitDrops.Add(1)
 			s.release(t, addr, key)
@@ -660,8 +646,8 @@ func (s *Store) Delete(tenantName, key string) (existed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	if s.backend != nil {
-		if berr := s.backend.Delete(tenantName, key); berr != nil {
+	if s.cfg.Backend != nil {
+		if berr := s.cfg.Backend.Delete(tenantName, key); berr != nil {
 			return false, fmt.Errorf("%w: %v", ErrBackend, berr)
 		}
 	}
@@ -862,7 +848,7 @@ func (s *Store) SetRecorder(r Recorder) error {
 // StartRecording begins capturing front-end traffic to a trace file at
 // path (gzip-compressed when gz), with registered tenant names embedded
 // as per-partition metadata. The trace replays through the simulator
-// (talus-sim -trace) against a cache built like this store's.
+// (talus-sim adaptive -trace) against a cache built like this store's.
 func (s *Store) StartRecording(path string, gz bool) error {
 	metas := make([]trace.AppMeta, s.ac.NumLogical())
 	for _, t := range s.registered() {

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -160,5 +161,37 @@ func TestNodeStats(t *testing.T) {
 	named := buildStore(t, 8192, 1, 2, store.Config{NodeID: "node-a"})
 	if got := named.Node().ID; got != "node-a" {
 		t.Fatalf("NodeID = %q, want node-a", got)
+	}
+}
+
+// TestExpiredReadThroughStaysEvictable: a Get that found an expired
+// value and read it back through the Backend used to invalidate the
+// key's line after its own access, then re-admit the backend copy onto
+// that line — which was no longer resident, so no eviction could ever
+// release the value. 200 000 Sets of other keys later, the key still
+// hit. The re-admitted copy must live on a resident line and die with
+// it, exactly as it does without the TTL.
+func TestExpiredReadThroughStaysEvictable(t *testing.T) {
+	s := buildStore(t, 4096, 1, 2, store.Config{Backend: store.NewMemBackend(0)})
+	clock := newFakeClock()
+	s.SetNow(clock.Now)
+
+	if _, err := s.SetTTL("alice", "k", []byte("v"), time.Second); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(2 * time.Second)
+	if v, hit, err := s.Get("alice", "k"); err != nil || hit || string(v) != "v" {
+		t.Fatalf("expired Get = %q, hit %v, %v; want a read-through miss", v, hit, err)
+	}
+	for i := 0; i < 200_000; i++ {
+		if _, err := s.Set("alice", fmt.Sprintf("other-%d", i), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, _ := s.Stats("alice"); st.Evictions < 100_000 {
+		t.Fatalf("%d evictions: the churn did not cycle the cache", st.Evictions)
+	}
+	if _, hit, err := s.Get("alice", "k"); err != nil || hit {
+		t.Fatalf("after the churn: Get = hit %v, %v; the re-admitted value outlived every eviction", hit, err)
 	}
 }

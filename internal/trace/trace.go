@@ -176,16 +176,6 @@ func (w *Writer) Append(p int, addr uint64) error {
 	return nil
 }
 
-// AppendBatch writes one record per address, all on partition p.
-func (w *Writer) AppendBatch(p int, addrs []uint64) error {
-	for _, a := range addrs {
-		if err := w.Append(p, a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Count returns how many records have been appended.
 func (w *Writer) Count() int64 { return w.count }
 

@@ -24,7 +24,7 @@ var legacyV1 = []byte{
 }
 
 // flatV2 encodes addrs as a one-partition trace, the shape
-// misscurve -trace-to writes.
+// talus-sim record writes.
 func flatV2(t *testing.T, addrs []uint64) []byte {
 	t.Helper()
 	recs := make([]Record, len(addrs))

@@ -7,9 +7,10 @@
 // yields a working adaptive sharded cache — the paper's 8-core CMP
 // shape (8 MB LLC, 8 shards, 8 partitions, vantage partitioning over
 // LRU, hill climbing on hulls every 2^20 accesses) — and every option
-// adjusts exactly one knob. The array policy and the allocator are not
-// knobs: the loop's monitor is an LRU stack, so its promise holds for
-// LRU arrays only, and on hulls hill climbing is optimal. NewStore
+// adjusts exactly one knob. The array policy, the allocator and the
+// Talus margin are not knobs: the loop's monitor is an LRU stack, so
+// its promise holds for LRU arrays only, on hulls hill climbing is
+// optimal, and the margin is the paper's fixed 5% (§VI-B). NewStore
 // builds the keyed Get/Set layer over the same options.
 package talus
 
@@ -43,21 +44,8 @@ type options struct {
 	assoc         int
 	shards        int
 	partitions    int
-	margin        float64
-	marginSet     bool
 	acfg          AdaptiveConfig
-
-	// Store-only knobs (ignored by New).
-	tenants       []string
-	weights       map[string]float64
-	lineBounds    map[string]store.LineBounds
-	staticTenants bool
-	maxValueBytes int64
-	maxBytes      int64
-	backend       store.Backend
-	maxTenants    int
-	defaultTTL    time.Duration
-	nodeID        string
+	store         store.Config // store-only knobs (ignored by New)
 }
 
 // Option configures New and NewStore.
@@ -87,54 +75,27 @@ func WithPartitions(n int) Option { return func(o *options) { o.partitions = n }
 // WithAssoc sets the set-associativity of each shard's array.
 func WithAssoc(ways int) Option { return func(o *options) { o.assoc = ways } }
 
-// WithMargin sets the Talus sampling-rate safety margin (the paper's
-// §VI-B δ; default DefaultMargin = 5%). Negative disables it.
-func WithMargin(margin float64) Option {
-	return func(o *options) {
-		o.marginSet = true
-		o.margin = max(margin, 0)
-	}
-}
-
-// WithSeed seeds the whole stack (shard hashes, samplers, monitors)
-// deterministically.
-func WithSeed(seed uint64) Option { return func(o *options) { o.acfg.Seed = seed } }
-
-// WithAdaptive replaces the whole control-loop configuration (epoch
-// length, wall-clock interval, seed, weights, line bounds). It
-// overrides every earlier control-loop option — WithSeed,
-// WithEpochInterval and WithWeights — and is overridden field-by-field
-// by later ones.
+// WithAdaptive sets the whole control-loop configuration: epoch length,
+// wall-clock epoch interval (caches built with one must be Closed to
+// stop the ticker), the seed of every shard hash, sampler and monitor,
+// and per-partition objective weights. Fields left zero take their
+// defaults.
 func WithAdaptive(cfg AdaptiveConfig) Option { return func(o *options) { o.acfg = cfg } }
 
-// WithEpochInterval adds a wall-clock epoch trigger alongside the
-// access-count one, so lightly loaded partitions still reconfigure on
-// time. Caches built with it must be Closed to stop the ticker.
-func WithEpochInterval(d time.Duration) Option {
-	return func(o *options) { o.acfg.EpochInterval = d }
-}
-
-// WithWeights sets per-partition objective weights for the allocator
-// (one per partition, in partition order): each epoch minimizes
-// Σ wᵢ·missesᵢ instead of raw misses, so a weight-4 partition's misses
-// count 4× and it attracts capacity until its weighted marginal gain
-// drops to its neighbors'. Uniform weights (or none) reproduce the
-// unweighted allocation exactly. Each weight must be finite and
-// non-negative, or New fails. For tenant-name weights at the store layer
-// use WithTenantWeight.
-func WithWeights(w ...float64) Option { return func(o *options) { o.acfg.Weights = w } }
-
 // WithTenantWeight sets the named tenant's objective weight (NewStore
-// only; see WithWeights for semantics). The weight attaches when the
-// tenant claims its partition — at build for pre-declared tenants, at
-// first request for auto-registered ones — and can be adjusted at run
-// time with Store.SetTenantWeight or PUT /v1/control/tenants/{tenant}.
+// only): each epoch minimizes Σ wᵢ·missesᵢ instead of raw misses, so a
+// weight-4 tenant's misses count 4× and it attracts capacity until its
+// weighted marginal gain drops to its neighbors'. The weight attaches
+// when the tenant claims its partition — at build for pre-declared
+// tenants, at first request for auto-registered ones — and can be
+// adjusted at run time with Store.SetTenantWeight or
+// PUT /v1/control/tenants/{tenant}.
 func WithTenantWeight(tenant string, w float64) Option {
 	return func(o *options) {
-		if o.weights == nil {
-			o.weights = make(map[string]float64)
+		if o.store.Weights == nil {
+			o.store.Weights = make(map[string]float64)
 		}
-		o.weights[tenant] = w
+		o.store.Weights[tenant] = w
 	}
 }
 
@@ -143,10 +104,10 @@ func WithTenantWeight(tenant string, w float64) Option {
 // cap a ceiling no amount of demand exceeds. max 0 means uncapped.
 func WithTenantLines(tenant string, min, max int64) Option {
 	return func(o *options) {
-		if o.lineBounds == nil {
-			o.lineBounds = make(map[string]store.LineBounds)
+		if o.store.LineBounds == nil {
+			o.store.LineBounds = make(map[string]store.LineBounds)
 		}
-		o.lineBounds[tenant] = store.LineBounds{Min: min, Max: max}
+		o.store.LineBounds[tenant] = store.LineBounds{Min: min, Max: max}
 	}
 }
 
@@ -154,7 +115,7 @@ func WithTenantLines(tenant string, min, max int64) Option {
 // (NewStore only). Without WithPartitions, the default partition count
 // grows to fit them but never shrinks below it — unnamed tenants can
 // still register on first use.
-func WithTenants(names ...string) Option { return func(o *options) { o.tenants = names } }
+func WithTenants(names ...string) Option { return func(o *options) { o.store.Tenants = names } }
 
 // WithStaticTenants pre-registers names and disables auto-registration:
 // requests naming any other tenant are refused, and (without
@@ -162,22 +123,17 @@ func WithTenants(names ...string) Option { return func(o *options) { o.tenants =
 // (NewStore only).
 func WithStaticTenants(names ...string) Option {
 	return func(o *options) {
-		o.tenants = names
-		o.staticTenants = true
+		o.store.Tenants = names
+		o.store.Static = true
 	}
 }
-
-// WithMaxValueBytes caps stored value sizes (NewStore only; 0 means
-// unlimited at the store layer — the HTTP front-end still enforces its
-// own body limit).
-func WithMaxValueBytes(n int64) Option { return func(o *options) { o.maxValueBytes = n } }
 
 // WithMaxBytes caps the total value bytes the store holds across all
 // tenants (NewStore only): a write that would overdraw the cap is not
 // kept (and counts as an admission drop). 0 (the default) sets no byte
 // cap; the line capacity (WithCapacityMB) bounds the store either way,
 // because an evicted line releases its values.
-func WithMaxBytes(n int64) Option { return func(o *options) { o.maxBytes = n } }
+func WithMaxBytes(n int64) Option { return func(o *options) { o.store.MaxBytes = n } }
 
 // WithBackend installs the backing tier behind the cache (NewStore
 // only): Sets write through to it and a Get whose value was evicted or
@@ -187,28 +143,21 @@ func WithMaxBytes(n int64) Option { return func(o *options) { o.maxBytes = n } }
 // ever lost passes WithBackend(NewMemBackend(0)), the in-memory
 // reference tier (its argument is a modeled latency), or brings any
 // Backend implementation.
-func WithBackend(b Backend) Option { return func(o *options) { o.backend = b } }
+func WithBackend(b Backend) Option { return func(o *options) { o.store.Backend = b } }
 
 // WithDefaultTTL gives every value written without an explicit TTL a
 // store-wide lifetime (NewStore only): Gets past the deadline behave
 // as real misses and release the value's bytes. Per-entry TTLs
 // (Store.SetTTL, or the HTTP X-Talus-TTL header) override it in either
 // direction. 0 (the default) keeps values until evicted or deleted.
-func WithDefaultTTL(d time.Duration) Option { return func(o *options) { o.defaultTTL = d } }
+func WithDefaultTTL(d time.Duration) Option { return func(o *options) { o.store.DefaultTTL = d } }
 
 // WithNodeID names this serving instance (NewStore only): the ID
 // surfaces in /v1/stats' node block, in the X-Talus-Node response
 // header, and in load reports' per-node attribution. In a cluster it
 // should be the node's ring name (host:port). Empty derives
 // "<hostname>-<pid>".
-func WithNodeID(id string) Option { return func(o *options) { o.nodeID = id } }
-
-// WithMaxTenants caps how many tenants may ever register — pre-declared
-// plus auto-registered — so an open HTTP front-end cannot be made to
-// mint a tenant per request (NewStore only). Exceeding the cap returns
-// ErrTenantCapacity. 0 (the default) bounds tenants only by the
-// partition count.
-func WithMaxTenants(n int) Option { return func(o *options) { o.maxTenants = n } }
+func WithNodeID(id string) Option { return func(o *options) { o.store.NodeID = id } }
 
 // build applies opts over the defaults and validates the result.
 func build(opts []Option) (*options, error) {
@@ -223,20 +172,17 @@ func build(opts []Option) (*options, error) {
 	o.scheme = cmp.Or(o.scheme, "vantage")
 	if o.partitions == 0 {
 		switch {
-		case o.staticTenants:
+		case o.store.Static:
 			// A closed tenant set needs exactly its own partitions.
-			o.partitions = len(o.tenants)
-		case len(o.tenants) > defaultPartitions:
+			o.partitions = len(o.store.Tenants)
+		case len(o.store.Tenants) > defaultPartitions:
 			// Open registration: the default grows to fit the pre-declared
 			// tenants but never shrinks below it, so later tenants can
 			// still register on first use.
-			o.partitions = len(o.tenants)
+			o.partitions = len(o.store.Tenants)
 		default:
 			o.partitions = defaultPartitions
 		}
-	}
-	if !o.marginSet {
-		o.margin = DefaultMargin
 	}
 	switch {
 	case o.capacityLines <= 0:
@@ -247,8 +193,8 @@ func build(opts []Option) (*options, error) {
 		return nil, fmt.Errorf("talus: %d partitions; WithPartitions needs at least 1", o.partitions)
 	case o.assoc < 1:
 		return nil, fmt.Errorf("talus: associativity %d; WithAssoc needs at least 1 way", o.assoc)
-	case len(o.tenants) > o.partitions:
-		return nil, fmt.Errorf("talus: %d tenants for %d partitions; raise WithPartitions", len(o.tenants), o.partitions)
+	case len(o.store.Tenants) > o.partitions:
+		return nil, fmt.Errorf("talus: %d tenants for %d partitions; raise WithPartitions", len(o.store.Tenants), o.partitions)
 	}
 	return o, nil
 }
@@ -258,14 +204,14 @@ func build(opts []Option) (*options, error) {
 // epoch-driven monitor → hull → allocator control loop over that. With
 // zero options it is the paper's 8-core CMP shape and works as is; see
 // the With* options for each knob. The scheme name is validated on
-// construction (errors enumerate the valid names). When
-// built with WithEpochInterval, Close the cache to stop its ticker.
+// construction (errors enumerate the valid names). When built with an
+// EpochInterval, Close the cache to stop its ticker.
 func New(opts ...Option) (*AdaptiveCache, error) {
 	o, err := build(opts)
 	if err != nil {
 		return nil, err
 	}
-	return adaptive.Build(o.scheme, o.capacityLines, o.assoc, o.shards, o.partitions, o.margin, o.acfg)
+	return adaptive.Build(o.scheme, o.capacityLines, o.assoc, o.shards, o.partitions, DefaultMargin, o.acfg)
 }
 
 // Store is the keyed serving layer: Get/Set/Delete over (tenant, key)
@@ -308,8 +254,8 @@ var (
 
 // NewStore constructs the keyed store over a cache built from the same
 // options New takes, plus the store-specific ones (WithTenants,
-// WithStaticTenants, WithMaxValueBytes, WithMaxBytes, WithBackend,
-// WithMaxTenants). Tenants map to logical partitions (first come,
+// WithStaticTenants, WithTenantWeight, WithTenantLines, WithMaxBytes,
+// WithBackend, WithDefaultTTL, WithNodeID). Tenants map to logical partitions (first come,
 // first served unless static); keys hash to line addresses; every
 // request drives the adaptive control loop. The store is a cache
 // bounded by its line capacity: a value dies with its evicted line
@@ -320,22 +266,11 @@ func NewStore(opts ...Option) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	ac, err := adaptive.Build(o.scheme, o.capacityLines, o.assoc, o.shards, o.partitions, o.margin, o.acfg)
+	ac, err := adaptive.Build(o.scheme, o.capacityLines, o.assoc, o.shards, o.partitions, DefaultMargin, o.acfg)
 	if err != nil {
 		return nil, err
 	}
-	return store.New(ac, store.Config{
-		Tenants:       o.tenants,
-		Weights:       o.weights,
-		LineBounds:    o.lineBounds,
-		Static:        o.staticTenants,
-		MaxValueBytes: o.maxValueBytes,
-		MaxBytes:      o.maxBytes,
-		Backend:       o.backend,
-		MaxTenants:    o.maxTenants,
-		DefaultTTL:    o.defaultTTL,
-		NodeID:        o.nodeID,
-	})
+	return store.New(ac, o.store)
 }
 
 // ServeConfig parameterizes the HTTP front-end handler: the PUT body

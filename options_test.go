@@ -59,9 +59,9 @@ func snapshot(t *testing.T, ac *AdaptiveCache) cacheState {
 // TestNewThreadsOptionsIntoBuild is the options-threading matrix: for
 // every configuration, talus.New with options must build the exact
 // stack adaptive.Build builds from the positional arguments each option
-// names — identical capacities, allocations, epoch counts, shadow
-// sizes, and per-partition Talus configs after an identical
-// deterministic feed.
+// names, at the paper's fixed DefaultMargin — identical capacities,
+// allocations, epoch counts, shadow sizes, and per-partition Talus
+// configs after an identical deterministic feed.
 func TestNewThreadsOptionsIntoBuild(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -73,39 +73,38 @@ func TestNewThreadsOptionsIntoBuild(t *testing.T) {
 		assoc  int
 		shards int
 		parts  int
-		margin float64
 		acfg   AdaptiveConfig
 	}{
 		{
 			name: "defaults-made-explicit",
-			opts: []Option{WithCapacity(16384), WithShards(1), WithPartitions(2), WithSeed(9),
+			opts: []Option{WithCapacity(16384), WithShards(1), WithPartitions(2),
 				WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 14, Seed: 9})},
 			rounds: 200,
 			scheme: "vantage", lines: 16384, assoc: 32, shards: 1, parts: 2,
-			margin: DefaultMargin, acfg: AdaptiveConfig{EpochAccesses: 1 << 14, Seed: 9},
+			acfg: AdaptiveConfig{EpochAccesses: 1 << 14, Seed: 9},
 		},
 		{
 			name: "every-knob-turned",
 			opts: []Option{
 				WithCapacityMB(1), WithScheme("set"), WithAssoc(16),
-				WithShards(4), WithPartitions(3), WithMargin(0.1), WithSeed(77),
+				WithShards(4), WithPartitions(3),
 				WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 13, Seed: 77}),
 			},
 			rounds: 200,
 			scheme: "set", lines: int64(MBToLines(1)), assoc: 16, shards: 4, parts: 3,
-			margin: 0.1, acfg: AdaptiveConfig{EpochAccesses: 1 << 13, Seed: 77},
+			acfg: AdaptiveConfig{EpochAccesses: 1 << 13, Seed: 77},
 		},
 		{
 			// The all-defaults control loop (EpochAccesses 2^20) needs a
 			// longer feed to cross an epoch boundary.
-			name: "margin-disabled-way-scheme-default-epoch",
+			name: "way-scheme-default-epoch",
 			opts: []Option{
 				WithCapacity(8192), WithScheme("way"),
-				WithShards(2), WithPartitions(2), WithMargin(-1), WithSeed(5),
+				WithShards(2), WithPartitions(2), WithAdaptive(AdaptiveConfig{Seed: 5}),
 			},
 			rounds: 2100,
 			scheme: "way", lines: 8192, assoc: 32, shards: 2, parts: 2,
-			margin: 0, acfg: AdaptiveConfig{Seed: 5},
+			acfg: AdaptiveConfig{Seed: 5},
 		},
 	}
 	for _, c := range cases {
@@ -114,7 +113,7 @@ func TestNewThreadsOptionsIntoBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := adaptive.Build(c.scheme, c.lines, c.assoc, c.shards, c.parts, c.margin, c.acfg)
+			direct, err := adaptive.Build(c.scheme, c.lines, c.assoc, c.shards, c.parts, DefaultMargin, c.acfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,15 +182,14 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestNewStoreOptions exercises the store-only options through the
-// public builder: tenant pre-registration sizes the partition count,
-// static mode closes the door, and the value cap is enforced.
+// public builder: tenant pre-registration sizes the partition count and
+// static mode closes the door.
 func TestNewStoreOptions(t *testing.T) {
 	st, err := NewStore(
 		WithCapacity(16384),
 		WithShards(2),
 		WithStaticTenants("a", "b", "c"),
-		WithMaxValueBytes(4),
-		WithSeed(3),
+		WithAdaptive(AdaptiveConfig{Seed: 3}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -219,9 +217,6 @@ func TestNewStoreOptions(t *testing.T) {
 	v, _, err := st.Get("a", "k")
 	if err != nil || string(v) != "ok" {
 		t.Fatalf("round trip = %q, %v", v, err)
-	}
-	if _, err := st.Set("a", "k", []byte("too big")); !errors.Is(err, ErrValueTooLarge) {
-		t.Fatalf("value cap: %v", err)
 	}
 	if _, err := st.Set("d", "k", nil); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("static tenants: %v", err)
