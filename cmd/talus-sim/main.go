@@ -3,6 +3,7 @@
 // is an unknown flag:
 //
 //	talus-sim mix      -apps mcf,lbm,omnetpp,xalancbmk -mode talus-hill -mb 4
+//	talus-sim mix      -trace mix.trc -mb 8   # each recorded partition an app
 //	talus-sim adaptive -apps mcf,lbm -mb 2 -epoch 131072 -weights 4,1
 //	talus-sim adaptive -trace mix.trc -mb 8   # exact replay of a recording
 //	talus-sim sweep    -app libquantum -talus -min 1 -max 8 -points 4
@@ -16,8 +17,10 @@
 // LRU arrays) driven purely by the access stream. sweep prints one
 // clone's miss curve under a policy and scheme, optionally with Talus.
 // record, stat and import write and inspect binary address traces
-// (internal/trace); a recording replays through adaptive -trace, or as
-// a "trace:<path>" app anywhere -apps is read.
+// (internal/trace). A recording is named only by -trace: adaptive
+// -trace replays one file exactly, record by record, and refuses -apps
+// and -accesses beside it; mix -trace makes each recorded partition an
+// app.
 //
 // A flag value out of range exits 2 and names the flag, as a flag the
 // subcommand does not define does.
@@ -149,6 +152,13 @@ func parseWeights(s string) ([]float64, error) {
 		out[i] = w
 	}
 	return out, nil
+}
+
+// isSet reports whether the command line set the flag name on fs.
+func isSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 // splitList splits a comma-separated flag value, trimming blanks.

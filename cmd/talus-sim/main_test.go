@@ -23,6 +23,11 @@ func TestUsageErrors(t *testing.T) {
 		{"adaptive -apps mcf -shards 0", "-shards 0", "talus-sim -adaptive -apps mcf -shards 0: 1 shard"},
 		{"adaptive -apps mcf -mb -1", "-mb -1", "talus-sim -adaptive -apps mcf -mb -1: exit 1"},
 		{"adaptive -apps mcf,lbm -weights 4,x", "-weights entry", "talus-sim -adaptive -apps mcf,lbm -weights 4,x: exit 1"},
+		// -trace replays one recording exactly; what would change what runs
+		// beside it is refused, not silently honoured or dropped.
+		{"adaptive -trace t.trc -apps mcf", "-apps mcf", "talus-sim adaptive -trace t.trc -apps mcf: exit 0, each partition and mcf looped as generators for -accesses"},
+		{"adaptive -trace a.trc,b.trc", "-trace a.trc,b.trc", "talus-sim adaptive -trace a.trc,b.trc: exit 0, each partition of both looped as a generator for -accesses"},
+		{"adaptive -trace t.trc -accesses 5", "-accesses 5", "talus-sim adaptive -trace t.trc -accesses 5: exit 0, -accesses ignored"},
 		{"record -apps mcf", "-o", "talus-trace record -apps mcf: exit 1"},
 		{"stat", "-trace", "talus-trace stat: exit 1"},
 		{"import -format elf -i a -o b", `-format "elf"`, "talus-trace import -format elf -i a -o b: exit 1"},

@@ -22,10 +22,12 @@ type appFlags struct {
 	seed        *uint64
 }
 
-func declareApps(fs *flag.FlagSet) appFlags {
+// declareApps declares the shared flags; traceUsage says what -trace
+// means to the run kind.
+func declareApps(fs *flag.FlagSet, traceUsage string) appFlags {
 	return appFlags{
-		apps:  fs.String("apps", "", "comma-separated app list (registry clones or trace:<path>)"),
-		trace: fs.String("trace", "", "comma-separated trace files, every partition replayed as an app"),
+		apps:  fs.String("apps", "", "comma-separated app list (registry clones, generators or gen:<generator>,k=v...)"),
+		trace: fs.String("trace", "", traceUsage),
 		mb:    fs.Float64("mb", 8, "LLC capacity in MB"),
 		seed:  fs.Uint64("seed", 42, "random seed"),
 	}
@@ -61,7 +63,7 @@ func (a appFlags) resolve() ([]workload.Spec, error) {
 }
 
 func setupMix(fs *flag.FlagSet) func(io.Writer) error {
-	a := declareApps(fs)
+	a := declareApps(fs, "comma-separated trace files, every partition replayed as an app after -apps")
 	mode := fs.String("mode", "talus-hill", "management mode ("+sim.ValidModes+")")
 	work := fs.Int64("work", 30<<20, "fixed work per app (instructions)")
 	par := fs.Int("parallelism", runtime.GOMAXPROCS(0), "worker pool size for the baseline and managed runs (0 = GOMAXPROCS)")
@@ -111,14 +113,21 @@ func setupMix(fs *flag.FlagSet) func(io.Writer) error {
 }
 
 func setupAdaptive(fs *flag.FlagSet) func(io.Writer) error {
-	a := declareApps(fs)
+	a := declareApps(fs, "one trace file to replay exactly, instead of -apps")
 	epoch := fs.Int64("epoch", 0, "reconfiguration interval in accesses (0 = default)")
 	accesses := fs.Int64("accesses", 4<<20, "traffic per app (accesses)")
 	shards := fs.Int("shards", 1, "cache shard count")
 	tail := fs.Float64("tail", 0, "trailing fraction of each app's accesses measured for steady-state rates (0 = default 0.5)")
 	weightsF := fs.String("weights", "", "per-app objective weights in app order, e.g. 4,1,1,1 (empty = uniform)")
 	return func(w io.Writer) error {
+		// -trace replays one recording exactly: the recording names its
+		// apps and sets its length, so -apps and -accesses are refused
+		// beside it rather than silently changing what runs.
+		replay := *a.trace != ""
 		if err := check(append(a.rules(),
+			rule{!replay || len(splitList(*a.trace)) == 1, "trace", *a.trace, "one trace file"},
+			rule{!replay || *a.apps == "", "apps", *a.apps, "no apps beside -trace (the recording names its own)"},
+			rule{!replay || !isSet(fs, "accesses"), "accesses", *accesses, "no access count beside -trace (the recording sets its own)"},
 			rule{*epoch >= 0, "epoch", *epoch, "an access count, or 0 for the default"},
 			rule{*accesses > 0, "accesses", *accesses, "a positive access count"},
 			rule{*shards >= 1, "shards", *shards, "at least 1 shard"},
@@ -140,10 +149,8 @@ func setupAdaptive(fs *flag.FlagSet) func(io.Writer) error {
 			Seed:           *a.seed,
 		}
 		var res *sim.AdaptiveResult
-		if traces := splitList(*a.trace); len(splitList(*a.apps)) == 0 && len(traces) == 1 {
-			// One trace file and nothing else replays the recorded
-			// stream exactly, record by record.
-			res, err = sim.RunAdaptiveTraceFile(cfg, traces[0])
+		if replay {
+			res, err = sim.RunAdaptiveTraceFile(cfg, splitList(*a.trace)[0])
 		} else {
 			// The online control loop: no CPU model, no offline curves —
 			// the cache measures, convexifies, allocates, and

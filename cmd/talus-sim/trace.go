@@ -21,7 +21,7 @@ import (
 )
 
 func setupRecord(fs *flag.FlagSet) func(io.Writer) error {
-	appsFlag := fs.String("apps", "", "comma-separated workload names (registry clones or trace:<path>)")
+	appsFlag := fs.String("apps", "", "comma-separated workload names (registry clones, generators or gen:<generator>,k=v...)")
 	out := fs.String("o", "", "output trace file")
 	n := fs.Int64("n", 4<<20, "accesses per app")
 	seed := fs.Uint64("seed", 42, "random seed (replays match live runs at the same seed)")
@@ -85,43 +85,38 @@ func importTrace(w io.Writer, format, in, out string, gz bool) error {
 		defer f.Close()
 		src = f
 	}
-	dst, err := os.Create(out)
-	if err != nil {
-		return err
-	}
 	var opts []trace.WriterOption
 	if gz {
 		opts = append(opts, trace.WithGzip())
 	}
-	var records int64
-	var parts int
-	switch format {
-	case "champsim":
-		parts = 1
-		tw, err := trace.NewWriter(dst, 1, opts...)
-		if err == nil {
-			records, err = trace.ImportChampSim(src, tw)
-		}
-		if err == nil {
-			err = tw.Close()
-		}
-		if err != nil {
-			dst.Close()
-			return err
-		}
-	case "text":
-		recs, np, err := trace.ParseText(src)
-		if err == nil {
-			parts = np
-			records = int64(len(recs))
-			err = trace.WriteRecords(dst, np, recs, opts...)
-		}
-		if err != nil {
-			dst.Close()
+	var recs []trace.Record
+	parts := 1
+	if format == "text" {
+		var err error
+		if recs, parts, err = trace.ParseText(src); err != nil {
 			return err
 		}
 	}
-	if err := dst.Close(); err != nil {
+	tw, err := trace.Create(out, parts, opts...)
+	if err != nil {
+		return err
+	}
+	var records int64
+	switch format {
+	case "champsim":
+		records, err = trace.ImportChampSim(src, tw.Writer)
+	case "text":
+		for _, r := range recs {
+			if err = tw.Append(r.P, r.Addr); err != nil {
+				break
+			}
+		}
+		records = int64(len(recs))
+	}
+	if cerr := tw.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	info, err := os.Stat(out)
@@ -160,11 +155,7 @@ func statTrace(w io.Writer, path string) error {
 		distinct[p] = make(map[uint64]struct{})
 	}
 	var records int64
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
+	for rec, err := range r.All() {
 		if err != nil {
 			return err
 		}

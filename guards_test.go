@@ -46,6 +46,8 @@ func TestGuards(t *testing.T) {
 			pattern: `WithAllocator|WithPolicy|AllocatorByName|alloc\.ByName`},
 		{name: "one-knob-per-setting", dir: ".", tests: true,
 			pattern: `WithSeed|WithEpochInterval|WithWeights|WithMargin|WithMaxTenants|WithMaxValueBytes`},
+		{name: "one-trace-path", dir: ".", tests: true,
+			pattern: `RegisterSource|FeedAdaptiveTraceReader|traceAppSpec|adaptiveTraceCache|RecordApps|trace\.(Load|Capture|WriteRecords)`},
 		{name: "no-net-http-client-in-the-hop", dir: "internal/cluster",
 			pattern: `^http\.(Client|Transport|NewRequest)`},
 		{name: "talus-serve-removed-flags", cmd: "cmd/talus-serve",

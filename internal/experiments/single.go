@@ -33,35 +33,20 @@ func sweepOne(cfg Config, app workload.Spec, sizesMB []float64, scheme, policy s
 // 32 MB scan) would under-report hits at every size.
 func sweepOneCurve(cfg Config, app workload.Spec, sizesMB []float64, scheme, policy string, talus bool, monitorPoints int, oracle *curve.Curve, seed uint64) (*curve.Curve, error) {
 	sizes := mbSizes(sizesMB)
-	maxLines := sizes[len(sizes)-1]
-	warm, meas := accessBudget(cfg, maxLines)
-	pts := make([]curve.Point, len(sizes))
-	errs := make([]error, len(sizes))
-	cfg.parallelFor(len(sizes), func(i int) {
-		sc := sim.SweepConfig{
-			App:             app,
-			Scheme:          scheme,
-			Policy:          policy,
-			Talus:           talus,
-			MonitorPoints:   monitorPoints,
-			CurveOverride:   oracle,
-			WarmupAccesses:  warm,
-			MeasureAccesses: meas,
-			Seed:            seed,
-		}
-		mpki, err := sim.RunPoint(sc, sizes[i], seed+uint64(i)*1_000_003)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		pts[i] = curve.Point{Size: float64(sizes[i]), MPKI: mpki}
+	warm, meas := accessBudget(cfg, sizes[len(sizes)-1])
+	return sim.RunSweep(sim.SweepConfig{
+		App:             app,
+		SizesLines:      sizes,
+		Scheme:          scheme,
+		Policy:          policy,
+		Talus:           talus,
+		MonitorPoints:   monitorPoints,
+		CurveOverride:   oracle,
+		WarmupAccesses:  warm,
+		MeasureAccesses: meas,
+		Seed:            seed,
+		Parallelism:     cfg.Parallelism,
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return curve.New(pts)
 }
 
 // runFig1 regenerates Fig. 1: libquantum's miss curve under LRU (a 32 MB

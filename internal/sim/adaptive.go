@@ -10,9 +10,11 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"iter"
 
 	"talus/internal/adaptive"
 	"talus/internal/curve"
+	"talus/internal/trace"
 	"talus/internal/workload"
 )
 
@@ -65,8 +67,7 @@ func (c *AdaptiveConfig) defaults() error {
 }
 
 // buildCache builds a defaulted config's adaptive cache, one partition
-// per app — the one AdaptiveConfig → adaptive.Config translation the
-// live and the trace-driven runs both use.
+// per app: the one AdaptiveConfig → adaptive.Config translation.
 func (c *AdaptiveConfig) buildCache() (*adaptive.Cache, error) {
 	return adaptive.Build(c.Scheme, c.CapacityLines, c.Assoc, c.Shards, len(c.Apps),
 		c.Margin, adaptive.Config{
@@ -86,29 +87,6 @@ type AdaptiveResult struct {
 	Epochs    int
 }
 
-// adaptiveResult assembles the per-partition report from a fed cache and
-// the measured tail counts.
-func adaptiveResult(ac *adaptive.Cache, specs []workload.Spec, misses, accs []int64) *AdaptiveResult {
-	n := len(specs)
-	res := &AdaptiveResult{
-		Apps:      make([]string, n),
-		MPKI:      make([]float64, n),
-		MissRatio: make([]float64, n),
-		Allocs:    ac.Allocations(),
-		Curves:    make([]*curve.Curve, n),
-		Epochs:    ac.Epochs(),
-	}
-	for p, spec := range specs {
-		res.Apps[p] = spec.Name
-		res.Curves[p] = ac.Curve(p)
-		if accs[p] > 0 {
-			res.MissRatio[p] = float64(misses[p]) / float64(accs[p])
-			res.MPKI[p] = mpkiOf(misses[p], accs[p], spec.APKI)
-		}
-	}
-	return res
-}
-
 // RunAdaptive drives one adaptive run: each app's stream is fed to its
 // own logical partition in interleaved runs, the control loop adapts as
 // it goes, and miss rates are measured over each app's trailing TailFrac
@@ -117,68 +95,118 @@ func RunAdaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
+	apps := make([]*workload.App, len(cfg.Apps))
+	totals := make([]int64, len(cfg.Apps))
+	for i, spec := range cfg.Apps {
+		apps[i] = workload.NewApp(spec, cfg.Seed+uint64(i)*7919)
+		totals[i] = cfg.AccessesPerApp
+	}
+	return run(cfg, live(apps, cfg.AccessesPerApp), totals)
+}
+
+// run is the body RunAdaptive and RunAdaptiveTraceFile share: build a
+// defaulted config's cache, feed it recs — totals[p] records for
+// partition p — and report each partition over its trailing TailFrac.
+func run(cfg AdaptiveConfig, recs iter.Seq2[trace.Record, error], totals []int64) (*AdaptiveResult, error) {
 	ac, err := cfg.buildCache()
 	if err != nil {
 		return nil, err
 	}
-	apps := make([]*workload.App, len(cfg.Apps))
-	for i, spec := range cfg.Apps {
-		apps[i] = workload.NewApp(spec, cfg.Seed+uint64(i)*7919)
+	misses, accs, err := feed(ac, recs, tailStarts(totals, cfg.TailFrac))
+	if err != nil {
+		return nil, err
 	}
-	misses, accs := FeedAdaptive(ac, apps, cfg.AccessesPerApp, cfg.TailFrac)
-	return adaptiveResult(ac, cfg.Apps, misses, accs), nil
+	n := len(cfg.Apps)
+	res := &AdaptiveResult{
+		Apps:      make([]string, n),
+		MPKI:      make([]float64, n),
+		MissRatio: make([]float64, n),
+		Allocs:    ac.Allocations(),
+		Curves:    make([]*curve.Curve, n),
+		Epochs:    ac.Epochs(),
+	}
+	for p, spec := range cfg.Apps {
+		res.Apps[p] = spec.Name
+		res.Curves[p] = ac.Curve(p)
+		if accs[p] > 0 {
+			res.MissRatio[p] = float64(misses[p]) / float64(accs[p])
+			res.MPKI[p] = mpkiOf(misses[p], accs[p], spec.APKI)
+		}
+	}
+	return res, nil
 }
 
-// Accessor is the slice of cache functionality the traffic feeders need;
+// Accessor is the slice of cache functionality the feed loop needs;
 // adaptive.Cache and core.ShadowedCache both provide it.
 type Accessor interface {
 	Access(addr uint64, p int) bool
 }
 
-// feedRunLen is the live feeders' traffic shape: apps take turns, each
+// feedRunLen is the live stream's traffic shape: apps take turns, each
 // contributing this many consecutive accesses per turn.
 const feedRunLen = 2048
 
-// roundRobin walks the live feeders' traffic shape: apps take turns,
-// each contributing up to feedRunLen consecutive accesses per turn,
-// until every app has made perApp. visit gets the app and how many
-// accesses it made before this one.
-func roundRobin(apps int, perApp int64, visit func(app int, fed int64)) {
-	fed := make([]int64, apps)
-	for done := false; !done; {
-		done = true
-		for i := range fed {
-			k := min(feedRunLen, perApp-fed[i])
-			if k <= 0 {
-				continue
+// live is the one definition of the live stream: apps take turns, each
+// making up to feedRunLen consecutive accesses per turn, until every
+// app has made perApp. Record P is the app's index and Addr is in the
+// app's private space; feed applies the AppSpace offset. RecordSpecs
+// writes this sequence and RunAdaptive feeds it, so a recording replays
+// exactly as the live run. It never yields an error.
+func live(apps []*workload.App, perApp int64) iter.Seq2[trace.Record, error] {
+	return func(yield func(trace.Record, error) bool) {
+		fed := make([]int64, len(apps))
+		for done := false; !done; {
+			done = true
+			for i, app := range apps {
+				k := min(feedRunLen, perApp-fed[i])
+				if k <= 0 {
+					continue
+				}
+				done = false
+				for range k {
+					if !yield(trace.Record{P: i, Addr: app.Next()}, nil) {
+						return
+					}
+				}
+				fed[i] += k
 			}
-			done = false
-			for j := int64(0); j < k; j++ {
-				visit(i, fed[i]+j)
-			}
-			fed[i] += k
 		}
 	}
 }
 
-// FeedAdaptive interleaves accessesPerApp accesses from each app into
-// its partition of ac, round-robin in runs of feedRunLen, and returns
-// per-app miss and access counts over each app's trailing tailFrac of
-// the stream. Also used by tests to drive phase-by-phase traffic at a
-// cache that persists across calls — adaptive, or a statically
-// configured ShadowedCache serving as the oracle baseline.
-func FeedAdaptive(ac Accessor, apps []*workload.App, accessesPerApp int64, tailFrac float64) (misses, accs []int64) {
-	misses = make([]int64, len(apps))
-	accs = make([]int64, len(apps))
-	tailStart := accessesPerApp - int64(tailFrac*float64(accessesPerApp))
-	roundRobin(len(apps), accessesPerApp, func(i int, fed int64) {
-		hit := ac.Access(apps[i].Next()|adaptive.AppSpace(i), i)
-		if fed >= tailStart {
-			accs[i]++
+// feed is the one replay loop, for live and recorded streams alike: one
+// Access per record, in record order, at the record's address offset
+// into its partition's AppSpace. It returns per-partition miss and
+// access counts from record tailStart[p] of partition p on, and stops
+// at the stream's first error. Memory use is constant in the stream's
+// length.
+func feed(ac Accessor, recs iter.Seq2[trace.Record, error], tailStart []int64) (misses, accs []int64, err error) {
+	misses = make([]int64, len(tailStart))
+	accs = make([]int64, len(tailStart))
+	fed := make([]int64, len(tailStart))
+	for rec, err := range recs {
+		if err != nil {
+			return nil, nil, err
+		}
+		hit := ac.Access(rec.Addr|adaptive.AppSpace(rec.P), rec.P)
+		if fed[rec.P] >= tailStart[rec.P] {
+			accs[rec.P]++
 			if !hit {
-				misses[i]++
+				misses[rec.P]++
 			}
 		}
-	})
-	return misses, accs
+		fed[rec.P]++
+	}
+	return misses, accs, nil
+}
+
+// tailStarts converts per-partition record totals and a tail fraction
+// into the record index within each partition where steady-state
+// measurement begins.
+func tailStarts(totals []int64, frac float64) []int64 {
+	out := make([]int64, len(totals))
+	for p, total := range totals {
+		out[p] = total - int64(frac*float64(total))
+	}
+	return out
 }

@@ -94,8 +94,21 @@ func oracleMissRatio(t *testing.T, specs []workload.Spec, seed uint64) float64 {
 	for i, spec := range specs {
 		apps[i] = workload.NewApp(spec, seed+uint64(i)*7919)
 	}
-	misses, accs := FeedAdaptive(sc, apps, e2ePerApp, e2eTail)
+	misses, accs := feedLive(sc, apps, e2ePerApp, e2eTail)
 	return ratioOf(misses, accs)
+}
+
+// feedLive feeds perApp accesses of each app's live stream into ac and
+// returns per-app miss and access counts over each app's trailing
+// tailFrac — traffic phase by phase at a cache that persists across
+// calls, adaptive or a statically configured oracle baseline.
+func feedLive(ac Accessor, apps []*workload.App, perApp int64, tailFrac float64) (misses, accs []int64) {
+	totals := make([]int64, len(apps))
+	for i := range totals {
+		totals[i] = perApp
+	}
+	misses, accs, _ = feed(ac, live(apps, perApp), tailStarts(totals, tailFrac)) // live never errs
+	return misses, accs
 }
 
 func ratioOf(misses, accs []int64) float64 {
@@ -123,7 +136,7 @@ func TestAdaptiveTracksOracleAcrossPhases(t *testing.T) {
 		for i, spec := range specs {
 			apps[i] = workload.NewApp(spec, seed+uint64(i)*7919)
 		}
-		misses, accs := FeedAdaptive(ac, apps, e2ePerApp, e2eTail)
+		misses, accs := feedLive(ac, apps, e2ePerApp, e2eTail)
 		return ratioOf(misses, accs)
 	}
 

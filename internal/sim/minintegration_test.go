@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"talus/internal/policy"
-	"talus/internal/trace"
 	"talus/internal/workload"
 )
 
@@ -20,7 +19,10 @@ func TestMINConvexOnCloneTrace(t *testing.T) {
 		t.Fatal("omnetpp missing")
 	}
 	app := workload.NewApp(spec, 99)
-	tr := trace.Capture(app.Next, 1<<18)
+	tr := make([]uint64, 1<<18)
+	for i := range tr {
+		tr[i] = app.Next()
+	}
 
 	// Capacities around the clone's working sets, coarse steps.
 	caps := []int{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"talus/internal/adaptive"
@@ -43,9 +42,9 @@ func (c *captureCache) Access(addr uint64, p int) bool {
 }
 
 // TestRecordReplayByteIdentical asserts the acceptance criterion
-// directly: the accesses FeedAdaptiveTraceReader feeds from a recording
-// are byte-identical — same order, same partitions, same addresses — to
-// the ones FeedAdaptive feeds live at the same seed.
+// directly: the accesses feed drives from a recording are
+// byte-identical — same order, same partitions, same addresses — to the
+// ones it drives from the live stream at the same seed.
 func TestRecordReplayByteIdentical(t *testing.T) {
 	const (
 		perApp = 1 << 14
@@ -61,16 +60,18 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 		return apps
 	}
 
-	live := &captureCache{}
-	FeedAdaptive(live, newApps(), perApp, 0.5)
+	direct := &captureCache{}
+	feedLive(direct, newApps(), perApp, 0.5)
 
 	var buf bytes.Buffer
 	w, err := trace.NewWriter(&buf, len(specs), trace.WithGzip())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RecordApps(w, newApps(), perApp); err != nil {
-		t.Fatal(err)
+	for rec := range live(newApps(), perApp) {
+		if err := w.Append(rec.P, rec.Addr); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -79,9 +80,8 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay := &captureCache{}
-	tailStart := traceTailStarts([]int64{perApp, perApp}, 0.5)
-	misses, accs, err := FeedAdaptiveTraceReader(replay, r, tailStart)
+	replayed := &captureCache{}
+	misses, accs, err := feed(replayed, r.All(), tailStarts([]int64{perApp, perApp}, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +94,13 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 		}
 	}
 
-	if len(replay.addrs) != len(live.addrs) {
-		t.Fatalf("replay fed %d accesses, live fed %d", len(replay.addrs), len(live.addrs))
+	if len(replayed.addrs) != len(direct.addrs) {
+		t.Fatalf("replay fed %d accesses, live fed %d", len(replayed.addrs), len(direct.addrs))
 	}
-	for i := range live.addrs {
-		if replay.parts[i] != live.parts[i] || replay.addrs[i] != live.addrs[i] {
+	for i := range direct.addrs {
+		if replayed.parts[i] != direct.parts[i] || replayed.addrs[i] != direct.addrs[i] {
 			t.Fatalf("access %d = (%d, %#x), want (%d, %#x)",
-				i, replay.parts[i], replay.addrs[i], live.parts[i], live.addrs[i])
+				i, replayed.parts[i], replayed.addrs[i], direct.parts[i], direct.addrs[i])
 		}
 	}
 }
@@ -180,6 +180,11 @@ func TestReplayDeterminism(t *testing.T) {
 	if _, err := RunAdaptiveTraceFile(bad, path); err == nil {
 		t.Fatal("3 weights accepted for a 2-partition trace")
 	}
+	// The recording names its own apps: a config naming others is
+	// refused, not silently overridden.
+	if _, err := RunAdaptiveTraceFile(base, path); err == nil {
+		t.Fatal("cfg.Apps accepted beside a trace")
+	}
 }
 
 // TestReplayRaggedRunsMatchDirectAccess pins "the trace determines the
@@ -228,18 +233,21 @@ func TestReplayRaggedRunsMatchDirectAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := AdaptiveConfig{CapacityLines: 8192, EpochAccesses: 5003, Seed: 9}
+	cfg := AdaptiveConfig{Apps: headerSpecs(r.Header()), CapacityLines: 8192, EpochAccesses: 5003, Seed: 9}
+	if err := cfg.defaults(); err != nil {
+		t.Fatal(err)
+	}
 	build := func() *adaptive.Cache {
-		ac, _, err := adaptiveTraceCache(cfg, r.Header())
+		ac, err := cfg.buildCache()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ac
 	}
-	tailStart := traceTailStarts(totals, 0.5)
+	tailStart := tailStarts(totals, 0.5)
 
 	replayed := build()
-	misses, accs, err := FeedAdaptiveTraceReader(replayed, r, tailStart)
+	misses, accs, err := feed(replayed, r.All(), tailStart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,14 +334,6 @@ func TestSpecsFromTraceDrivesRunMix(t *testing.T) {
 			t.Fatalf("app %d IPC = %v", i, ipc)
 		}
 	}
-	// Resolve must accept the trace:<path> form end to end.
-	spec, err := workload.Resolve("trace:" + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Build().Footprint() < 1 {
-		t.Fatal("resolved trace spec has no footprint")
-	}
 }
 
 func TestReplayPattern(t *testing.T) {
@@ -364,31 +364,25 @@ func TestReplayPattern(t *testing.T) {
 	}
 }
 
+// TestSpecsAndAppSpec: each partition of a trace becomes one app, named
+// and parameterized by its metadata, replaying its own sub-stream.
 func TestSpecsAndAppSpec(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "mix.trc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := trace.NewWriter(f, 2, trace.WithApps([]trace.AppMeta{
+	path := filepath.Join(t.TempDir(), "mix.trc")
+	w, err := trace.Create(path, 2, trace.WithApps([]trace.AppMeta{
 		{Name: "alpha", APKI: 11, CPIBase: 0.6, MLP: 2.5},
 		{Name: "beta"},
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Partition 1 reuses partition 0's address 1: private spaces, so the
-	// two must NOT alias when the trace is flattened into one app.
+	// Partition 1 reuses partition 0's address 1: private spaces, so
+	// each app replays only its own partition's records.
 	for _, r := range []trace.Record{{P: 0, Addr: 1}, {P: 1, Addr: 1}, {P: 0, Addr: 2}, {P: 1, Addr: 1}} {
 		if err := w.Append(r.P, r.Addr); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -407,109 +401,7 @@ func TestSpecsAndAppSpec(t *testing.T) {
 	if p.Next(nil) != 1 || p.Next(nil) != 1 || p.Footprint() != 1 {
 		t.Fatal("partition replay wrong")
 	}
-
-	// traceAppSpec flattens a multi-partition trace, offsetting each
-	// partition into a disjoint subspace (addresses were recorded in
-	// private per-partition spaces) and ignoring its meta.
-	spec, err := traceAppSpec(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.APKI != traceAPKI {
-		t.Fatalf("flattened spec kept single-app meta: %+v", spec)
-	}
-	flat := spec.Build()
-	want := []uint64{1 | 1<<56, 1 | 2<<56, 2 | 1<<56, 1 | 2<<56}
-	for i, a := range want {
-		if got := flat.Next(nil); got != a {
-			t.Fatalf("flat replay %d = %#x, want %#x", i, got, a)
-		}
-	}
-	// Partition 0's line 1 and partition 1's line 1 are different lines:
-	// footprint counts 3 distinct addresses, not 2 aliased ones.
-	if flat.Footprint() != 3 {
-		t.Fatalf("flattened footprint = %d, want 3 (partition spaces aliased?)", flat.Footprint())
-	}
-	// The partition offsets must survive the feeders' own per-app OR
-	// offset (bits 48–55): distinct (partition, addr) pairs stay
-	// distinct after | space, for any plausible app slot.
-	for slot := uint64(1); slot <= 8; slot++ {
-		seen := map[uint64]struct{}{}
-		for _, a := range []uint64{1 | 1<<56, 1 | 2<<56, 2 | 1<<56} {
-			seen[a|slot<<48] = struct{}{}
-		}
-		if len(seen) != 3 {
-			t.Fatalf("slot %d: partition spaces alias under the feeder offset", slot)
-		}
-	}
-	// Resolve goes through the registered "trace" source.
-	rspec, err := workload.Resolve("trace:" + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rspec.Build().Next(nil) != 1|1<<56 {
-		t.Fatal("resolved trace spec replay wrong")
-	}
-
-	// A single-partition trace flattens raw (no offset) and keeps meta.
-	single := filepath.Join(dir, "single.trc")
-	sf, err := os.Create(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := trace.NewWriter(sf, 1, trace.WithApps([]trace.AppMeta{{Name: "solo", APKI: 3, CPIBase: 0.4, MLP: 1.5}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Append(0, 42); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sspec, err := traceAppSpec(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sspec.Name != "solo" || sspec.APKI != 3 || sspec.Build().Next(nil) != 42 {
-		t.Fatalf("single-partition spec = %+v", sspec)
-	}
-}
-
-// TestAppSpecRejectsHighBitAddresses: flattened multi-partition replay
-// tags partitions in bits 56–63 by OR, which only stays collision-free
-// while recorded addresses leave those bits clear — e.g. a re-recorded
-// flattened trace would alias silently, so it must be rejected.
-func TestAppSpecRejectsHighBitAddresses(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hi.trc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := trace.NewWriter(f, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(0, 1|1<<56); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := traceAppSpec(path); err == nil || !strings.Contains(err.Error(), "bits 56-63") {
-		t.Fatalf("traceAppSpec = %v, want high-bit rejection", err)
-	}
-	// Per-partition specs still work on the same trace.
-	if _, err := SpecsFromTrace(path); err != nil {
-		t.Fatal(err)
+	if p := specs[0].Build(); p.Next(nil) != 1 || p.Next(nil) != 2 || p.Footprint() != 2 {
+		t.Fatal("partition 0 replay wrong")
 	}
 }

@@ -198,8 +198,7 @@ type Store struct {
 	recording atomic.Bool // fast-path gate; truth lives under recMu
 	recMu     sync.Mutex
 	rec       Recorder
-	recW      *trace.Writer // non-nil only for file-backed recording
-	recF      *os.File
+	recW      *trace.FileWriter // non-nil only for file-backed recording
 	recErr    error
 	closed    bool // Close ran; recorder installation is refused
 }
@@ -863,21 +862,15 @@ func (s *Store) StartRecording(path string, gz bool) error {
 	if s.rec != nil {
 		return ErrRecording
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
 	opts := []trace.WriterOption{trace.WithApps(metas)}
 	if gz {
 		opts = append(opts, trace.WithGzip())
 	}
-	w, err := trace.NewWriter(f, s.ac.NumLogical(), opts...)
+	w, err := trace.Create(path, s.ac.NumLogical(), opts...)
 	if err != nil {
-		f.Close()
-		os.Remove(path)
 		return err
 	}
-	s.rec, s.recW, s.recF, s.recErr = w, w, f, nil
+	s.rec, s.recW, s.recErr = w, w, nil
 	s.recording.Store(true)
 	return nil
 }
@@ -892,7 +885,7 @@ func (s *Store) StopRecording() (int64, error) {
 
 // stopRecordingLocked is StopRecording's body; caller holds recMu. A
 // single teardown point shared with Close, so concurrent Close and
-// StopRecording calls can never double-close the writer or the file.
+// StopRecording calls can never double-close the trace file.
 func (s *Store) stopRecordingLocked() (int64, error) {
 	if s.recW == nil {
 		return 0, ErrNotRecording
@@ -902,10 +895,7 @@ func (s *Store) stopRecordingLocked() (int64, error) {
 	if cerr := s.recW.Close(); err == nil {
 		err = cerr
 	}
-	if cerr := s.recF.Close(); err == nil {
-		err = cerr
-	}
-	s.rec, s.recW, s.recF, s.recErr = nil, nil, nil, nil
+	s.rec, s.recW, s.recErr = nil, nil, nil
 	s.recording.Store(false)
 	return count, err
 }

@@ -1,19 +1,22 @@
 // Package trace records and replays LLC access streams in a compact
-// binary format. Traces serve four purposes: feeding the offline MIN
-// simulator (which needs two passes over the same stream), snapshotting
-// workload generators for reproducibility, exchanging streams with
-// external tools, and — the main one — driving the adaptive runtime
-// (sim.RunAdaptiveTraceFile) and the multi-programmed simulator from
-// recorded rather than synthetic streams. Because Talus is blind to
-// individual lines and driven only by the miss curve (paper §III), any
-// recorded stream realizing a curve exercises Talus faithfully, and a
-// trace replayed one access per record is bit-for-bit equivalent to the
-// live generator run it captured.
+// binary format. A trace is one record sequence — (partition, line
+// address) in stream order — and it serves three purposes: driving the
+// simulator from recorded rather than synthetic streams (talus-sim
+// adaptive -trace replays one exactly, talus-sim mix -trace makes each
+// partition an app), capturing the serving store's live traffic, and
+// exchanging streams with external tools (ImportChampSim, ParseText).
+// Because Talus is blind to individual lines and driven only by the
+// miss curve (paper §III), any recorded stream realizing a curve
+// exercises Talus faithfully, and a trace replayed one access per
+// record is bit-for-bit equivalent to the live generator run it
+// captured.
 //
-// This package is only the format, which is also what the serving store
-// records its traffic in. Turning a trace back into workloads (a
-// replaying workload.Pattern, "trace:<path>" app names) lives in
-// internal/sim, so recording links no simulator.
+// A trace file is written one way, Create → Append → Close, and read
+// one way, OpenFile → All → Close; NewWriter and NewReader are the same
+// codec over any io.Writer or io.Reader. This package is only the
+// format, which is also what the serving store records its traffic in.
+// Turning a trace back into workloads lives in internal/sim, so
+// recording links no simulator.
 //
 // # Format
 //

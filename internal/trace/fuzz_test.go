@@ -20,15 +20,14 @@ func FuzzTraceRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, np uint8, gz bool) {
 		// Arm 1: decoder robustness on arbitrary bytes.
-		if tr, err := ReadAll(bytes.NewReader(data)); err == nil {
+		if hdr, parsed, err := readAll(bytes.NewReader(data)); err == nil {
 			// Whatever parsed must re-encode and re-parse identically.
 			var buf bytes.Buffer
-			n := tr.NumPartitions()
-			w, werr := NewWriter(&buf, n)
+			w, werr := NewWriter(&buf, hdr.NumPartitions)
 			if werr != nil {
 				t.Fatalf("re-encode writer: %v", werr)
 			}
-			for _, r := range tr.Records {
+			for _, r := range parsed {
 				if err := w.Append(r.P, r.Addr); err != nil {
 					t.Fatalf("re-encode append: %v", err)
 				}
@@ -36,16 +35,16 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			if err := w.Close(); err != nil {
 				t.Fatalf("re-encode close: %v", err)
 			}
-			tr2, err := ReadAll(&buf)
+			_, again, err := readAll(&buf)
 			if err != nil {
 				t.Fatalf("re-decode: %v", err)
 			}
-			if len(tr2.Records) != len(tr.Records) {
-				t.Fatalf("re-decode records %d, want %d", len(tr2.Records), len(tr.Records))
+			if len(again) != len(parsed) {
+				t.Fatalf("re-decode records %d, want %d", len(again), len(parsed))
 			}
-			for i := range tr.Records {
-				if tr.Records[i] != tr2.Records[i] {
-					t.Fatalf("re-decode record %d = %+v, want %+v", i, tr2.Records[i], tr.Records[i])
+			for i := range parsed {
+				if parsed[i] != again[i] {
+					t.Fatalf("re-decode record %d = %+v, want %+v", i, again[i], parsed[i])
 				}
 			}
 		}
@@ -76,19 +75,19 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		tr, err := ReadAll(bytes.NewReader(buf.Bytes()))
+		hdr, got, err := readAll(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("decode own encoding: %v", err)
 		}
-		if tr.NumPartitions() != numPartitions {
-			t.Fatalf("partitions %d, want %d", tr.NumPartitions(), numPartitions)
+		if hdr.NumPartitions != numPartitions {
+			t.Fatalf("partitions %d, want %d", hdr.NumPartitions, numPartitions)
 		}
-		if len(tr.Records) != len(recs) {
-			t.Fatalf("records %d, want %d", len(tr.Records), len(recs))
+		if len(got) != len(recs) {
+			t.Fatalf("records %d, want %d", len(got), len(recs))
 		}
 		for i := range recs {
-			if tr.Records[i] != recs[i] {
-				t.Fatalf("record %d = %+v, want %+v", i, tr.Records[i], recs[i])
+			if got[i] != recs[i] {
+				t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
 			}
 		}
 
@@ -96,7 +95,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		// meaningful when at least one record is present to chop).
 		if len(recs) > 0 {
 			raw := buf.Bytes()
-			if short, err := ReadAll(bytes.NewReader(raw[:len(raw)-1])); err == nil && len(short.Records) >= len(recs) {
+			if _, short, err := readAll(bytes.NewReader(raw[:len(raw)-1])); err == nil && len(short) >= len(recs) {
 				t.Fatal("truncated trace parsed all records")
 			}
 		}

@@ -12,7 +12,7 @@ import (
 // External trace import: converters from two widely used interchange
 // formats into this package's version-2 trace format, so recorded
 // streams from other simulators can drive the same monitor → hull →
-// Talus pipeline as the built-in generators ("trace:<path>" workloads).
+// Talus pipeline as the built-in generators (talus-sim mix -trace).
 
 // champSimRecordSize is the fixed size of one ChampSim instruction
 // record (trace_instr_format_t): ip, branch flags, register lists, two
@@ -79,8 +79,8 @@ func ImportChampSim(r io.Reader, w *Writer) (int64, error) {
 // line, `addr[,partition]`, where addr is a line address in decimal or
 // 0x-prefixed hex and partition defaults to 0. Blank lines and
 // #-comments are skipped. Returns the records and the partition count
-// (highest partition seen + 1, at least 1) — ready to hand to
-// WriteRecords, which needs the count before the first record.
+// (highest partition seen + 1, at least 1) — ready to hand to Create,
+// which needs the count before the first record.
 func ParseText(r io.Reader) ([]Record, int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -114,20 +114,4 @@ func ParseText(r io.Reader) ([]Record, int, error) {
 		return nil, 0, err
 	}
 	return recs, parts, nil
-}
-
-// WriteRecords writes a complete version-2 trace of numPartitions
-// partitions holding recs, in order, to w — the one-shot counterpart of
-// NewWriter/Append/Close for imports that know their records up front.
-func WriteRecords(w io.Writer, numPartitions int, recs []Record, opts ...WriterOption) error {
-	tw, err := NewWriter(w, numPartitions, opts...)
-	if err != nil {
-		return err
-	}
-	for _, r := range recs {
-		if err := tw.Append(r.P, r.Addr); err != nil {
-			return err
-		}
-	}
-	return tw.Close()
 }

@@ -61,14 +61,14 @@ func TestImportChampSim(t *testing.T) {
 	if n != int64(len(want)) {
 		t.Fatalf("imported %d records, reference extraction says %d", n, len(want))
 	}
-	got, err := ReadAll(bytes.NewReader(out.Bytes()))
+	hdr, recs, err := readAll(bytes.NewReader(out.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumPartitions() != 1 {
-		t.Fatalf("champsim import produced %d partitions, want 1", got.NumPartitions())
+	if hdr.NumPartitions != 1 {
+		t.Fatalf("champsim import produced %d partitions, want 1", hdr.NumPartitions)
 	}
-	flat := got.Flat()
+	flat := addrsOf(recs)
 	if len(flat) != len(want) {
 		t.Fatalf("trace has %d records, want %d", len(flat), len(want))
 	}
@@ -82,7 +82,7 @@ func TestImportChampSim(t *testing.T) {
 // TestImportChampSimByteIdentical is the acceptance criterion: importing
 // the committed fixture is deterministic (two imports produce identical
 // bytes), and the produced trace re-encodes byte-identically through a
-// read → WriteRecords round trip.
+// read → write round trip.
 func TestImportChampSimByteIdentical(t *testing.T) {
 	raw, err := os.ReadFile(champSimFixture)
 	if err != nil {
@@ -106,16 +106,12 @@ func TestImportChampSimByteIdentical(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("two imports of the same fixture produced different bytes")
 	}
-	loaded, err := ReadAll(bytes.NewReader(a))
+	hdr, recs, err := readAll(bytes.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var re bytes.Buffer
-	if err := WriteRecords(&re, loaded.NumPartitions(), loaded.Records); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, re.Bytes()) {
-		t.Fatalf("re-encode is not byte-identical: %d vs %d bytes", len(a), re.Len())
+	if re := writeV2(t, recs, hdr.NumPartitions); !bytes.Equal(a, re) {
+		t.Fatalf("re-encode is not byte-identical: %d vs %d bytes", len(a), len(re))
 	}
 }
 
@@ -161,15 +157,11 @@ func TestParseText(t *testing.T) {
 	}
 
 	// The parsed records must round-trip through the v2 format.
-	var out bytes.Buffer
-	if err := WriteRecords(&out, parts, recs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadAll(bytes.NewReader(out.Bytes()))
+	_, back, err := readAll(bytes.NewReader(writeV2(t, recs, parts)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range back.Records {
+	for i, r := range back {
 		if r != want[i] {
 			t.Fatalf("round-tripped record %d: got %+v, want %+v", i, r, want[i])
 		}
@@ -214,12 +206,12 @@ func FuzzImportChampSim(f *testing.F) {
 		// Whatever was imported must read back as a valid trace with
 		// exactly the appended record count and no zero line addresses
 		// from zero operands.
-		got, err := ReadAll(bytes.NewReader(out.Bytes()))
+		_, got, err := readAll(bytes.NewReader(out.Bytes()))
 		if err != nil {
 			t.Fatalf("imported trace does not read back: %v", err)
 		}
-		if int64(len(got.Records)) != n {
-			t.Fatalf("trace has %d records, importer reported %d", len(got.Records), n)
+		if int64(len(got)) != n {
+			t.Fatalf("trace has %d records, importer reported %d", len(got), n)
 		}
 		want := 0
 		for off := 0; off+champSimRecordSize <= len(data); off += champSimRecordSize {
@@ -253,20 +245,16 @@ func FuzzParseText(f *testing.F) {
 			}
 		}
 		// Accepted input must be writable and round-trip exactly.
-		var out bytes.Buffer
-		if err := WriteRecords(&out, parts, recs); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadAll(bytes.NewReader(out.Bytes()))
+		_, back, err := readAll(bytes.NewReader(writeV2(t, recs, parts)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(back.Records) != len(recs) {
-			t.Fatalf("round trip: %d records, want %d", len(back.Records), len(recs))
+		if len(back) != len(recs) {
+			t.Fatalf("round trip: %d records, want %d", len(back), len(recs))
 		}
 		for i := range recs {
-			if back.Records[i] != recs[i] {
-				t.Fatalf("round trip record %d: %+v != %+v", i, back.Records[i], recs[i])
+			if back[i] != recs[i] {
+				t.Fatalf("round trip record %d: %+v != %+v", i, back[i], recs[i])
 			}
 		}
 	})

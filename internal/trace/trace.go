@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"os"
 )
@@ -304,6 +305,27 @@ func errCorrupt(err error) error {
 // Header returns the parsed trace header.
 func (r *Reader) Header() Header { return r.hdr }
 
+// All yields the remaining records in stream order until the trace is
+// exhausted. A read error is yielded once, with a zero Record, and ends
+// the sequence: a truncated trace never reads as a short-but-valid one.
+func (r *Reader) All() iter.Seq2[Record, error] {
+	return func(yield func(Record, error) bool) {
+		for {
+			rec, err := r.Next()
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				yield(Record{}, err)
+				return
+			}
+			if !yield(rec, nil) {
+				return
+			}
+		}
+	}
+}
+
 // Next returns the next record, or io.EOF when the trace is exhausted.
 func (r *Reader) Next() (Record, error) {
 	if r.hdr.Version == Version1 {
@@ -336,9 +358,9 @@ func (r *Reader) Next() (Record, error) {
 	return Record{P: int(p), Addr: r.last[p]}, nil
 }
 
-// FileReader is a Reader that owns its file handle: the streaming
-// counterpart of Load, for traces larger than memory. Read records with
-// Next; Close when done.
+// FileReader is a Reader that owns its file handle, so traces larger
+// than memory stream from disk. Read records with All or Next; Close
+// when done.
 type FileReader struct {
 	*Reader
 	f *os.File
@@ -362,106 +384,38 @@ func OpenFile(path string) (*FileReader, error) {
 // Close releases the underlying file.
 func (r *FileReader) Close() error { return r.f.Close() }
 
-// --- Loaded traces ------------------------------------------------------
-
-// Trace is a fully loaded trace: header plus all records in stream
-// order.
-type Trace struct {
-	Header  Header
-	Records []Record
+// FileWriter is a Writer that owns its file: the one way a trace file
+// is written, and the mirror of FileReader. Append records; Close
+// flushes the trace and closes the file.
+type FileWriter struct {
+	*Writer
+	f *os.File
 }
 
-// Load reads an entire trace file into memory.
-func Load(path string) (*Trace, error) {
-	f, err := os.Open(path)
+// Create creates path and writes a version-2 header for numPartitions
+// partitions to it, returning a FileWriter positioned for the first
+// record. If the header is refused or cannot be written, Create leaves
+// no file behind.
+func Create(path string, numPartitions int, opts ...WriterOption) (*FileWriter, error) {
+	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadAll(f)
-}
-
-// ReadAll drains a Reader over r into a Trace.
-func ReadAll(r io.Reader) (*Trace, error) {
-	tr, err := NewReader(r)
+	w, err := NewWriter(f, numPartitions, opts...)
 	if err != nil {
+		f.Close()
+		os.Remove(path)
 		return nil, err
 	}
-	t := &Trace{Header: tr.Header()}
-	for {
-		rec, err := tr.Next()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, rec)
-	}
+	return &FileWriter{Writer: w, f: f}, nil
 }
 
-// NumPartitions returns the trace's partition count.
-func (t *Trace) NumPartitions() int { return t.Header.NumPartitions }
-
-// Counts returns per-partition record counts.
-func (t *Trace) Counts() []int64 {
-	out := make([]int64, t.Header.NumPartitions)
-	for _, r := range t.Records {
-		out[r.P]++
+// Close flushes the trace and closes the file. It reports the first
+// error of any Append, the flush, or the close.
+func (w *FileWriter) Close() error {
+	err := w.Writer.Close()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	return out
-}
-
-// PartitionStream returns partition p's addresses in stream order.
-func (t *Trace) PartitionStream(p int) []uint64 {
-	var out []uint64
-	for _, r := range t.Records {
-		if r.P == p {
-			out = append(out, r.Addr)
-		}
-	}
-	return out
-}
-
-// PartitionStreams buckets every partition's addresses in one pass over
-// the records (PartitionStream per partition would rescan the whole
-// trace NumPartitions times).
-func (t *Trace) PartitionStreams() [][]uint64 {
-	counts := t.Counts()
-	out := make([][]uint64, t.Header.NumPartitions)
-	for p, c := range counts {
-		out[p] = make([]uint64, 0, c)
-	}
-	for _, r := range t.Records {
-		out[r.P] = append(out[r.P], r.Addr)
-	}
-	return out
-}
-
-// Flat returns every address in stream order, partitions interleaved as
-// recorded.
-func (t *Trace) Flat() []uint64 {
-	out := make([]uint64, len(t.Records))
-	for i, r := range t.Records {
-		out[i] = r.Addr
-	}
-	return out
-}
-
-// Meta returns partition p's app metadata and whether the trace carries
-// any.
-func (t *Trace) Meta(p int) (AppMeta, bool) {
-	if t.Header.Apps == nil || p < 0 || p >= len(t.Header.Apps) {
-		return AppMeta{}, false
-	}
-	return t.Header.Apps[p], true
-}
-
-// Capture collects n addresses from next (a generator's Next method).
-func Capture(next func() uint64, n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = next()
-	}
-	return out
+	return err
 }

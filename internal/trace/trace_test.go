@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,13 +35,35 @@ func flatV2(t *testing.T, addrs []uint64) []byte {
 	return writeV2(t, recs, 1)
 }
 
+// readAll drains a trace from r: its header and every record.
+func readAll(r io.Reader) (Header, []Record, error) {
+	tr, err := NewReader(r)
+	if err != nil {
+		return Header{}, nil, err
+	}
+	var recs []Record
+	for rec, err := range tr.All() {
+		if err != nil {
+			return Header{}, nil, err
+		}
+		recs = append(recs, rec)
+	}
+	return tr.Header(), recs, nil
+}
+
+// addrsOf returns recs' addresses in stream order.
+func addrsOf(recs []Record) []uint64 {
+	out := make([]uint64, len(recs))
+	for i, r := range recs {
+		out[i] = r.Addr
+	}
+	return out
+}
+
 // readFlat decodes raw and returns its addresses in stream order.
 func readFlat(raw []byte) ([]uint64, error) {
-	tr, err := ReadAll(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	return tr.Flat(), nil
+	_, recs, err := readAll(bytes.NewReader(raw))
+	return addrsOf(recs), err
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -93,29 +116,26 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, flatV2(t, addrs), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Load(path)
+	r, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Flat(); !slices.Equal(got, addrs) {
+	defer r.Close()
+	var got []uint64
+	for rec, err := range r.All() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, rec.Addr)
+	}
+	if !slices.Equal(got, addrs) {
 		t.Fatalf("got %v", got)
 	}
 }
 
 func TestReadFileMissing(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "absent")); err == nil {
+	if _, err := OpenFile(filepath.Join(t.TempDir(), "absent")); err == nil {
 		t.Fatal("missing file must fail")
-	}
-}
-
-func TestCapture(t *testing.T) {
-	i := uint64(0)
-	next := func() uint64 { i++; return i }
-	got := Capture(next, 5)
-	for j, v := range got {
-		if v != uint64(j+1) {
-			t.Fatalf("Capture = %v", got)
-		}
 	}
 }
 
@@ -163,20 +183,15 @@ func TestV2RoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			recs := sampleRecords()
 			raw := writeV2(t, recs, 3, tc.opts...)
-			tr, err := ReadAll(bytes.NewReader(raw))
+			hdr, got, err := readAll(bytes.NewReader(raw))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tr.NumPartitions() != 3 {
-				t.Fatalf("partitions = %d, want 3", tr.NumPartitions())
+			if hdr.NumPartitions != 3 {
+				t.Fatalf("partitions = %d, want 3", hdr.NumPartitions)
 			}
-			if len(tr.Records) != len(recs) {
-				t.Fatalf("records = %d, want %d", len(tr.Records), len(recs))
-			}
-			for i := range recs {
-				if tr.Records[i] != recs[i] {
-					t.Fatalf("record %d = %+v, want %+v", i, tr.Records[i], recs[i])
-				}
+			if !slices.Equal(got, recs) {
+				t.Fatalf("records = %+v, want %+v", got, recs)
 			}
 		})
 	}
@@ -185,22 +200,19 @@ func TestV2RoundTrip(t *testing.T) {
 func TestV2Meta(t *testing.T) {
 	apps := []AppMeta{{Name: "mcf", APKI: 25, CPIBase: 0.8, MLP: 1.3}, {Name: "lbm", APKI: 34, CPIBase: 0.5, MLP: 3.5}}
 	raw := writeV2(t, []Record{{0, 1}, {1, 2}}, 2, WithApps(apps))
-	tr, err := ReadAll(bytes.NewReader(raw))
+	hdr, _, err := readAll(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p, want := range apps {
-		got, ok := tr.Meta(p)
-		if !ok || got != want {
-			t.Fatalf("meta %d = %+v (ok=%v), want %+v", p, got, ok, want)
-		}
+	if !slices.Equal(hdr.Apps, apps) {
+		t.Fatalf("meta = %+v, want %+v", hdr.Apps, apps)
 	}
 	// A meta-less trace reports none.
-	tr2, err := ReadAll(bytes.NewReader(writeV2(t, []Record{{0, 1}}, 1)))
+	hdr2, _, err := readAll(bytes.NewReader(writeV2(t, []Record{{0, 1}}, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tr2.Meta(0); ok {
+	if hdr2.Apps != nil {
 		t.Fatal("meta reported on a meta-less trace")
 	}
 }
@@ -225,11 +237,11 @@ func TestV2GzipCompresses(t *testing.T) {
 func TestV2Truncated(t *testing.T) {
 	raw := writeV2(t, sampleRecords(), 3)
 	// Chopping mid-record must error, not silently shorten the trace...
-	if _, err := ReadAll(bytes.NewReader(raw[:len(raw)-1])); err == nil {
+	if _, _, err := readAll(bytes.NewReader(raw[:len(raw)-1])); err == nil {
 		t.Fatal("truncated v2 trace must fail")
 	}
 	// ...and chopping the header must error too.
-	if _, err := ReadAll(bytes.NewReader(raw[:13])); err == nil {
+	if _, _, err := readAll(bytes.NewReader(raw[:13])); err == nil {
 		t.Fatal("truncated v2 header must fail")
 	}
 }
@@ -237,7 +249,7 @@ func TestV2Truncated(t *testing.T) {
 func TestV2BadFlags(t *testing.T) {
 	raw := writeV2(t, []Record{{0, 1}}, 1)
 	raw[12] |= 0x80 // set an unknown flag bit
-	if _, err := ReadAll(bytes.NewReader(raw)); !errors.Is(err, ErrBadFlags) {
+	if _, _, err := readAll(bytes.NewReader(raw)); !errors.Is(err, ErrBadFlags) {
 		t.Fatalf("err = %v, want ErrBadFlags", err)
 	}
 }
@@ -260,61 +272,106 @@ func TestV2BadPartition(t *testing.T) {
 }
 
 func TestReadLegacyThroughReader(t *testing.T) {
-	tr, err := ReadAll(bytes.NewReader(legacyV1))
+	hdr, recs, err := readAll(bytes.NewReader(legacyV1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Header.Version != Version1 || tr.NumPartitions() != 1 || len(tr.Records) != 3 {
-		t.Fatalf("header = %+v, %d records", tr.Header, len(tr.Records))
+	if hdr.Version != Version1 || hdr.NumPartitions != 1 || len(recs) != 3 {
+		t.Fatalf("header = %+v, %d records", hdr, len(recs))
 	}
-	for i, r := range tr.Records {
+	for i, r := range recs {
 		if r.P != 0 || r.Addr != uint64(7+i) {
 			t.Fatalf("record %d = %+v", i, r)
 		}
 	}
 }
 
-func TestTraceHelpers(t *testing.T) {
-	raw := writeV2(t, sampleRecords(), 3)
-	tr, err := ReadAll(bytes.NewReader(raw))
+// TestAllStopsAtError: a read error is yielded once, with a zero
+// record, after every record before it, and ends the sequence.
+func TestAllStopsAtError(t *testing.T) {
+	recs := sampleRecords()
+	raw := writeV2(t, recs, 3)
+	r, err := NewReader(bytes.NewReader(raw[:len(raw)-1]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := tr.Counts()
-	if counts[0] != 4 || counts[1] != 2 || counts[2] != 3 {
-		t.Fatalf("counts = %v", counts)
-	}
-	p0 := tr.PartitionStream(0)
-	want := []uint64{100, 101, 99, 102}
-	if len(p0) != len(want) {
-		t.Fatalf("p0 = %v", p0)
-	}
-	for i := range want {
-		if p0[i] != want[i] {
-			t.Fatalf("p0 = %v, want %v", p0, want)
+	var got []Record
+	errs := 0
+	for rec, err := range r.All() {
+		if err != nil {
+			errs++
+			if !errors.Is(err, ErrCorrupt) || rec != (Record{}) {
+				t.Fatalf("error yield = %+v, %v; want a zero record and ErrCorrupt", rec, err)
+			}
+			continue
 		}
+		if errs > 0 {
+			t.Fatal("record yielded after the error")
+		}
+		got = append(got, rec)
 	}
-	if len(tr.Flat()) != len(tr.Records) {
-		t.Fatalf("flat length %d", len(tr.Flat()))
+	if errs != 1 || !slices.Equal(got, recs[:len(recs)-1]) {
+		t.Fatalf("%d errors after %+v; want 1 after %+v", errs, got, recs[:len(recs)-1])
 	}
 }
 
-func TestPartitionStreams(t *testing.T) {
-	raw := writeV2(t, sampleRecords(), 3)
-	tr, err := ReadAll(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams := tr.PartitionStreams()
-	for p := range streams {
-		want := tr.PartitionStream(p)
-		if len(streams[p]) != len(want) {
-			t.Fatalf("partition %d: %v vs %v", p, streams[p], want)
+// TestCreate: a trace written through Create round-trips through
+// OpenFile and All, gzip on and off, and a header Create refuses leaves
+// no file behind.
+func TestCreate(t *testing.T) {
+	dir := t.TempDir()
+	recs := sampleRecords()
+	apps := []AppMeta{{Name: "a", APKI: 1}, {Name: "b"}, {}}
+	for _, gz := range []bool{false, true} {
+		path := filepath.Join(dir, fmt.Sprintf("gzip-%v.trc", gz))
+		opts := []WriterOption{WithApps(apps)}
+		if gz {
+			opts = append(opts, WithGzip())
 		}
-		for i := range want {
-			if streams[p][i] != want[i] {
-				t.Fatalf("partition %d: %v vs %v", p, streams[p], want)
+		w, err := Create(path, 3, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := w.Append(r.P, r.Addr); err != nil {
+				t.Fatal(err)
 			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Record
+		for rec, err := range r.All() {
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, rec)
+		}
+		r.Close()
+		hdr := r.Header()
+		if (hdr.Flags&FlagGzip != 0) != gz || !slices.Equal(hdr.Apps, apps) || !slices.Equal(got, recs) {
+			t.Fatalf("gzip %v: header %+v, records %+v; want %+v", gz, hdr, got, recs)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		n    int
+		opts []WriterOption
+	}{
+		{"0 partitions", 0, nil},
+		{"meta mismatch", 2, []WriterOption{WithApps(apps)}},
+	} {
+		path := filepath.Join(dir, "refused.trc")
+		if _, err := Create(path, tc.n, tc.opts...); err == nil {
+			t.Fatalf("%s: Create accepted", tc.name)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: refused Create left %s behind (stat: %v)", tc.name, path, err)
 		}
 	}
 }

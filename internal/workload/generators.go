@@ -424,7 +424,3 @@ func (p *genParams) lines(linesKey, mbKey string, def int64) int64 {
 	}
 	return out
 }
-
-func init() {
-	RegisterSource("gen", genSpec)
-}

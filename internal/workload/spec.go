@@ -20,48 +20,21 @@ package workload
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"talus/internal/curve"
 )
 
-// sources maps a "<prefix>:" scheme to a resolver building a Spec from
-// the text after the colon. Packages that can turn external inputs into
-// workloads register here (internal/sim registers "trace" so
-// "trace:<path>" names a recorded stream anywhere an app name is
-// accepted).
-var (
-	sourcesMu sync.RWMutex
-	sources   = map[string]func(arg string) (Spec, error){}
-)
-
-// RegisterSource installs a resolver for "<prefix>:<arg>" workload
-// names. Registration happens at init time; re-registering a prefix
-// panics.
-func RegisterSource(prefix string, fn func(arg string) (Spec, error)) {
-	sourcesMu.Lock()
-	defer sourcesMu.Unlock()
-	if _, dup := sources[prefix]; dup {
-		panic(fmt.Sprintf("workload: source %q registered twice", prefix))
-	}
-	sources[prefix] = fn
-}
-
 // Resolve returns the Spec a workload name denotes: a registry clone
-// name ("mcf"), or a registered source reference ("trace:run.trc").
+// or generator name ("mcf", "scan"), or a parameterized generator
+// ("gen:cliffseeker,mb=4"; see genSpec).
 func Resolve(name string) (Spec, error) {
 	if s, ok := Lookup(name); ok {
 		return s, nil
 	}
-	if prefix, arg, ok := strings.Cut(name, ":"); ok {
-		sourcesMu.RLock()
-		fn := sources[prefix]
-		sourcesMu.RUnlock()
-		if fn != nil {
-			return fn(arg)
-		}
+	if arg, ok := strings.CutPrefix(name, "gen:"); ok {
+		return genSpec(arg)
 	}
-	return Spec{}, fmt.Errorf("workload: unknown app %q (not a registry clone or registered source)", name)
+	return Spec{}, fmt.Errorf("workload: unknown app %q (not a registry clone or gen: generator)", name)
 }
 
 // hugeLines is the footprint of the "never fits" background stream
