@@ -85,9 +85,13 @@ func run(nodes, tenant string, keys int64, valueBytes int, patternName string, z
 			targets = append(targets, n)
 		}
 	}
-	pattern, err := buildPattern(patternName, keys, zipfS)
-	if err != nil {
+	// Build once to check -pattern; each worker then builds its own.
+	if _, err := buildPattern(patternName, keys, zipfS); err != nil {
 		return err
+	}
+	pattern := func() workload.Pattern {
+		p, _ := buildPattern(patternName, keys, zipfS)
+		return p
 	}
 	runner, err := loadgen.New(loadgen.Config{
 		Nodes:       targets,

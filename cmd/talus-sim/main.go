@@ -161,6 +161,25 @@ func isSet(fs *flag.FlagSet, name string) bool {
 	return set
 }
 
+// splitApps splits an -apps value into workload names. A gen: name
+// carries comma-separated k=v parameters, and no app name contains
+// "=", so an item with "=" continues the gen: name before it:
+// "gen:strided,mb=4,lbm" is two apps.
+func splitApps(s string) ([]string, error) {
+	var out []string
+	for _, item := range splitList(s) {
+		if !strings.Contains(item, "=") {
+			out = append(out, item)
+			continue
+		}
+		if len(out) == 0 || !strings.HasPrefix(out[len(out)-1], "gen:") {
+			return nil, usageError{fmt.Errorf("-apps %s: parameter %q follows no gen:<generator>", s, item)}
+		}
+		out[len(out)-1] += "," + item
+	}
+	return out, nil
+}
+
 // splitList splits a comma-separated flag value, trimming blanks.
 func splitList(s string) []string {
 	var out []string

@@ -32,6 +32,11 @@ func TestUsageErrors(t *testing.T) {
 		{"stat", "-trace", "talus-trace stat: exit 1"},
 		{"import -format elf -i a -o b", `-format "elf"`, "talus-trace import -format elf -i a -o b: exit 1"},
 		{"sweep -app nope", "libquantum", `misscurve -app nope: exit 2, "try -list"`},
+		// A k=v item in -apps continues a gen: name; with none before it
+		// there is nothing to continue.
+		{"mix -apps mb=4,lbm", "-apps mb=4,lbm", `talus-sim mix -apps mb=4,lbm: exit 1, unknown app "mb=4"`},
+		{"adaptive -apps lbm,mb=4", "-apps lbm,mb=4", `talus-sim adaptive -apps lbm,mb=4: exit 1, unknown app "mb=4"`},
+		{"record -apps mb=4 -o t.trc", "-apps mb=4", `talus-sim record -apps mb=4 -o t.trc: exit 1, unknown app "mb=4"`},
 		// A flag the run kind does not read is not defined on its flag set.
 		{"mix -apps mcf -weights 4", "not defined: -weights", "talus-sim -apps mcf -weights 4: exit 1 (checkRunKind)"},
 		{"mix -apps mcf -epoch 4096", "not defined: -epoch", "talus-sim -apps mcf -epoch 4096: exit 1 (checkRunKind)"},
@@ -120,6 +125,26 @@ func TestImportAndStat(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "2 partitions, 3 records") {
 		t.Fatalf("stat printed %q", &stdout)
+	}
+}
+
+// TestAppsCarryGenParameters: every subcommand that takes -apps keeps a
+// gen: app's k=v parameters with it, as the -apps help promises.
+func TestAppsCarryGenParameters(t *testing.T) {
+	trc := filepath.Join(t.TempDir(), "t.trc")
+	for _, tc := range []struct{ args, want, parent string }{
+		{"mix -apps gen:strided,mb=4,lbm -mb 1 -work 100000 -parallelism 1", "\ngen:strided,mb=4 ", `exit 1, unknown app "mb=4"`},
+		{"adaptive -apps gen:strided,mb=4,lbm -mb 1 -accesses 20000", "\ngen:strided,mb=4 ", `exit 1, unknown app "mb=4"`},
+		{"record -apps gen:strided,mb=4,lbm -n 1000 -o " + trc, "(2 apps × 1000)", `exit 1, unknown app "mb=4"`},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(tc.args), &stdout, &stderr); code != 0 {
+			t.Errorf("talus-sim %s: exit %d, want 0 (parent: %s)\nstderr: %s", tc.args, code, tc.parent, &stderr)
+			continue
+		}
+		if !strings.Contains(stdout.String(), tc.want) {
+			t.Errorf("talus-sim %s: stdout lacks %q:\n%s", tc.args, tc.want, &stdout)
+		}
 	}
 }
 

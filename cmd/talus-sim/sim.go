@@ -44,8 +44,12 @@ func (a appFlags) rules() []rule {
 // resolve names the apps: -apps in order, then every partition of each
 // -trace recording.
 func (a appFlags) resolve() ([]workload.Spec, error) {
+	names, err := splitApps(*a.apps)
+	if err != nil {
+		return nil, err
+	}
 	var apps []workload.Spec
-	for _, name := range splitList(*a.apps) {
+	for _, name := range names {
 		s, err := workload.Resolve(name)
 		if err != nil {
 			return nil, err

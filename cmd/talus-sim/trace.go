@@ -34,8 +34,12 @@ func setupRecord(fs *flag.FlagSet) func(io.Writer) error {
 		); err != nil {
 			return err
 		}
+		names, err := splitApps(*appsFlag)
+		if err != nil {
+			return err
+		}
 		var specs []workload.Spec
-		for _, name := range splitList(*appsFlag) {
+		for _, name := range names {
 			spec, err := workload.Resolve(name)
 			if err != nil {
 				return err

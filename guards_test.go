@@ -48,6 +48,12 @@ func TestGuards(t *testing.T) {
 			pattern: `WithSeed|WithEpochInterval|WithWeights|WithMargin|WithMaxTenants|WithMaxValueBytes`},
 		{name: "one-trace-path", dir: ".", tests: true,
 			pattern: `RegisterSource|FeedAdaptiveTraceReader|traceAppSpec|adaptiveTraceCache|RecordApps|trace\.(Load|Capture|WriteRecords)`},
+		{name: "one-stream-recipe", dir: ".", tests: true,
+			pattern: `generatorList|GeneratorNames|mustSpec|InstrPerAccess|ConfidenceInterval95|HarmonicMean|^alloc\.(HillClimb|Lookahead|OptimalDP)$|^workload\.Registry$|OptimalDPAllocator`},
+		// Spec.Build is the one way to a fresh pattern (internal/trace's
+		// tests call slices.Clone, so tests are not scanned).
+		{name: "no-pattern-clone", dir: "internal",
+			pattern: `^Clone$`},
 		{name: "no-net-http-client-in-the-hop", dir: "internal/cluster",
 			pattern: `^http\.(Client|Transport|NewRequest)`},
 		{name: "talus-serve-removed-flags", cmd: "cmd/talus-serve",

@@ -43,7 +43,8 @@ func TestAdaptiveTracksPhaseChange(t *testing.T) {
 		}
 		var apps [2]*workload.App
 		for i, p := range []workload.Pattern{phased, &workload.Rand{Lines: 4096}} {
-			apps[i] = workload.NewApp(workload.Spec{Name: "t", APKI: 1, Build: p.Clone}, cfg.Seed+uint64(i)*7919)
+			build := func() workload.Pattern { return p } // NewApp builds once
+			apps[i] = workload.NewApp(workload.Spec{Name: "t", APKI: 1, Build: build}, cfg.Seed+uint64(i)*7919)
 		}
 		var hits, n int64
 		var stageEnd [2][]int64 // phased partition's allocation as each stage ends

@@ -37,16 +37,16 @@ func sum(xs []int64) int64 {
 
 func TestValidation(t *testing.T) {
 	c := convexCurve(1)
-	if _, err := HillClimb(nil, 100, 10); err == nil {
+	if _, err := WeightedHillClimb(NewRequest(nil, 100, 10)); err == nil {
 		t.Fatal("no curves must fail")
 	}
-	if _, err := HillClimb([]*curve.Curve{c}, -1, 10); err == nil {
+	if _, err := WeightedHillClimb(NewRequest([]*curve.Curve{c}, -1, 10)); err == nil {
 		t.Fatal("negative total must fail")
 	}
-	if _, err := HillClimb([]*curve.Curve{c}, 100, 0); err == nil {
+	if _, err := WeightedHillClimb(NewRequest([]*curve.Curve{c}, 100, 0)); err == nil {
 		t.Fatal("zero granule must fail")
 	}
-	if _, err := Lookahead([]*curve.Curve{nil}, 100, 10); err == nil {
+	if _, err := WeightedLookahead(NewRequest([]*curve.Curve{nil}, 100, 10)); err == nil {
 		t.Fatal("nil curve must fail")
 	}
 	if _, err := Fair(0, 100, 10); err == nil {
@@ -59,9 +59,9 @@ func TestBudgetConservation(t *testing.T) {
 	for _, total := range []int64{0, 10, 100, 999, 1600} {
 		for _, granule := range []int64{1, 7, 10, 100} {
 			for name, f := range map[string]func() ([]int64, error){
-				"hill":      func() ([]int64, error) { return HillClimb(curves, total, granule) },
-				"lookahead": func() ([]int64, error) { return Lookahead(curves, total, granule) },
-				"dp":        func() ([]int64, error) { return OptimalDP(curves, total, granule) },
+				"hill":      func() ([]int64, error) { return WeightedHillClimb(NewRequest(curves, total, granule)) },
+				"lookahead": func() ([]int64, error) { return WeightedLookahead(NewRequest(curves, total, granule)) },
+				"dp":        func() ([]int64, error) { return WeightedOptimalDP(NewRequest(curves, total, granule)) },
 				"fair":      func() ([]int64, error) { return Fair(3, total, granule) },
 			} {
 				got, err := f()
@@ -86,11 +86,11 @@ func TestHillClimbOptimalOnConvex(t *testing.T) {
 	// paper's core argument for why Talus makes partitioning simple.
 	curves := []*curve.Curve{convexCurve(1), convexCurve(3), convexCurve(0.5)}
 	const total, granule = 800, 10
-	hillAlloc, err := HillClimb(curves, total, granule)
+	hillAlloc, err := WeightedHillClimb(NewRequest(curves, total, granule))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpAlloc, err := OptimalDP(curves, total, granule)
+	dpAlloc, err := WeightedOptimalDP(NewRequest(curves, total, granule))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestHillClimbStuckOnCliff(t *testing.T) {
 	// too-tight budget even Lookahead legitimately abandons the cliff.)
 	curves := []*curve.Curve{cliffCurve(), convexCurve(1)}
 	const total, granule = 1000, 10
-	hillAlloc, err := HillClimb(curves, total, granule)
+	hillAlloc, err := WeightedHillClimb(NewRequest(curves, total, granule))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpAlloc, err := OptimalDP(curves, total, granule)
+	dpAlloc, err := WeightedOptimalDP(NewRequest(curves, total, granule))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestHillClimbStuckOnCliff(t *testing.T) {
 		t.Fatal("hill climbing should be stuck on this cliff; test workload too easy")
 	}
 	// Lookahead must cross the plateau and give the cliff app its 500.
-	laAlloc, err := Lookahead(curves, total, granule)
+	laAlloc, err := WeightedLookahead(NewRequest(curves, total, granule))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +138,11 @@ func TestHillClimbOnHullsMatchesLookahead(t *testing.T) {
 	raw := []*curve.Curve{cliffCurve(), convexCurve(1)}
 	hulls := []*curve.Curve{hull.Lower(raw[0]), hull.Lower(raw[1])}
 	const total, granule = 600, 10
-	hillOnHulls, err := HillClimb(hulls, total, granule)
+	hillOnHulls, err := WeightedHillClimb(NewRequest(hulls, total, granule))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpOnHulls, err := OptimalDP(hulls, total, granule)
+	dpOnHulls, err := WeightedOptimalDP(NewRequest(hulls, total, granule))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +196,9 @@ func TestQuickDPDominates(t *testing.T) {
 		}
 		total := int64(totRaw)*8 + 16
 		const granule = 8
-		hillA, err1 := HillClimb(curves, total, granule)
-		laA, err2 := Lookahead(curves, total, granule)
-		dpA, err3 := OptimalDP(curves, total, granule)
+		hillA, err1 := WeightedHillClimb(NewRequest(curves, total, granule))
+		laA, err2 := WeightedLookahead(NewRequest(curves, total, granule))
+		dpA, err3 := WeightedOptimalDP(NewRequest(curves, total, granule))
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}

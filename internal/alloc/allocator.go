@@ -10,7 +10,7 @@ package alloc
 // reconfiguration epochs.
 type Allocator interface {
 	// Name returns the allocator's short name ("hill", "lookahead",
-	// "fair", "optimal").
+	// "fair").
 	Name() string
 	// Allocate returns per-partition line counts summing to req.Total,
 	// allocated in multiples of req.Granule (plus sub-granule residue),
@@ -42,6 +42,4 @@ var (
 	// FairAllocator ignores the curves and splits proportionally to the
 	// request's weights (equal shares when uniform).
 	FairAllocator Allocator = allocatorFunc{"fair", WeightedFair}
-	// OptimalDPAllocator is the exact dynamic program (tests, ablations).
-	OptimalDPAllocator Allocator = allocatorFunc{"optimal", WeightedOptimalDP}
 )

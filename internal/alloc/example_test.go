@@ -8,9 +8,9 @@ import (
 	"talus/internal/curve"
 )
 
-// ExampleHillClimb shows why convexity matters: on hulls, trivial hill
-// climbing matches the exact DP optimum.
-func ExampleHillClimb() {
+// ExampleWeightedHillClimb shows why convexity matters: on hulls,
+// trivial hill climbing matches the exact DP optimum.
+func ExampleWeightedHillClimb() {
 	cliff := curve.MustNew([]curve.Point{
 		{Size: 0, MPKI: 20}, {Size: 490, MPKI: 20}, {Size: 500, MPKI: 1}, {Size: 800, MPKI: 1},
 	})
@@ -22,8 +22,8 @@ func ExampleHillClimb() {
 	// On the raw curves, hill climbing sees zero marginal gain anywhere
 	// on the cliff app's plateau and starves it; on the hulls it walks
 	// straight to the cliff's foot.
-	onRaw, _ := alloc.HillClimb(raw, 800, 10)
-	onHulls, _ := alloc.HillClimb(core.Convexify(raw), 800, 10)
+	onRaw, _ := alloc.WeightedHillClimb(alloc.NewRequest(raw, 800, 10))
+	onHulls, _ := alloc.WeightedHillClimb(alloc.NewRequest(core.Convexify(raw), 800, 10))
 	fmt.Println("hill on raw curves: ", onRaw)
 	fmt.Println("hill on Talus hulls:", onHulls)
 	// Output:

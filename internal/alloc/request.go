@@ -1,12 +1,10 @@
 // Request: the objective-aware allocation seam, and the one
-// implementation of each algorithm. The plain functions in alloc.go
-// answer "minimize total misses over these curves"; Request generalizes
-// the question — per-partition weights price one partition's miss
-// reduction above another's (QoS), and per-partition line floors and
-// caps carve out guaranteed or bounded shares. The plain functions are
-// the Weighted* ones on a Request carrying only curves, total, and
-// granule: the weight factor is an exact ×1.0 and no constraint branch
-// is taken.
+// implementation of each algorithm. NewRequest asks the plain question,
+// "minimize total misses over these curves": the weight factor is an
+// exact ×1.0 and no constraint branch is taken. Request generalizes it
+// — per-partition weights price one partition's miss reduction above
+// another's (QoS), and per-partition line floors and caps carve out
+// guaranteed or bounded shares.
 
 package alloc
 
@@ -179,13 +177,15 @@ func (r *Request) spreadLeftover(out []int64, remaining int64) {
 	}
 }
 
-// WeightedHillClimb is HillClimb under the full Request: after granting
-// the floors, it repeatedly gives one granule to the partition whose
-// weighted miss reduction is largest, skipping partitions at their
-// caps. On convex curves this greedy rule is optimal for the objective
-// Σ wᵢ·missesᵢ (each partition's weighted marginal utility is
-// non-increasing, so the globally best granule is always a locally best
-// one — verified against WeightedOptimalDP by the property tests).
+// WeightedHillClimb is the paper's "trivial linear-time for-loop" under
+// the full Request: after granting the floors, it repeatedly gives one
+// granule to the partition whose weighted miss reduction is largest,
+// skipping partitions at their caps. On convex curves this greedy rule
+// is optimal for the objective Σ wᵢ·missesᵢ (each partition's weighted
+// marginal utility is non-increasing, so the globally best granule is
+// always a locally best one — verified against WeightedOptimalDP by the
+// property tests); on cliffs it is demonstrably poor, seeing zero
+// marginal utility across a plateau and never crossing it.
 func WeightedHillClimb(req Request) ([]int64, error) {
 	n, err := req.validate()
 	if err != nil {
@@ -219,7 +219,10 @@ func WeightedHillClimb(req Request) ([]int64, error) {
 
 // WeightedLookahead is UCP Lookahead under the full Request: every
 // partition proposes the extension maximizing its weighted marginal
-// utility per granule (bounded by its cap); the best proposal wins.
+// utility per granule (bounded by its cap); the best proposal wins its
+// whole extension. This leaps across plateaus to reach cliffs — at
+// quadratic cost, and with the all-or-nothing allocations that hurt
+// fairness (§VII-D).
 func WeightedLookahead(req Request) ([]int64, error) {
 	n, err := req.validate()
 	if err != nil {

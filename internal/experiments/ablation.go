@@ -19,6 +19,7 @@ import (
 
 	"talus/internal/curve"
 	"talus/internal/sim"
+	"talus/internal/workload"
 )
 
 func init() {
@@ -34,7 +35,7 @@ func init() {
 // slightly too small for what it emulates; very large margins overshoot
 // α/β and give back some of the interpolation gain.
 func runAblationMargin(cfg Config) error {
-	spec, err := mustSpec("libquantum")
+	spec, err := workload.Resolve("libquantum")
 	if err != nil {
 		return err
 	}
@@ -70,7 +71,7 @@ func runAblationMargin(cfg Config) error {
 // at the LLC size — demonstrating why §VI-C adds the second monitor for
 // "benchmarks with cliffs beyond the LLC size (e.g., libquantum)".
 func runAblationCoverage(cfg Config) error {
-	spec, err := mustSpec("libquantum")
+	spec, err := workload.Resolve("libquantum")
 	if err != nil {
 		return err
 	}
@@ -126,7 +127,7 @@ func runAblationCoverage(cfg Config) error {
 // (fine-grained, 100% partitionable), Vantage (fine-grained, 90%), and
 // way partitioning (coarse granules, recomputed ρ).
 func runAblationScheme(cfg Config) error {
-	spec, err := mustSpec("libquantum")
+	spec, err := workload.Resolve("libquantum")
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"text/tabwriter"
 
 	"talus/internal/curve"
@@ -173,18 +174,7 @@ func (t *table) row(cells ...any) {
 		}
 	}
 	t.csv = append(t.csv, strs)
-	fmt.Fprintln(t.tw, join(strs, "\t"))
-}
-
-func join(ss []string, sep string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += sep
-		}
-		out += s
-	}
-	return out
+	fmt.Fprintln(t.tw, strings.Join(strs, "\t"))
 }
 
 // flush renders the table and, when OutDir is set, writes name.csv.

@@ -178,7 +178,7 @@ func runFig13(cfg Config) error {
 	}
 
 	for _, appName := range apps13 {
-		spec, err := mustSpec(appName)
+		spec, err := workload.Resolve(appName)
 		if err != nil {
 			return err
 		}

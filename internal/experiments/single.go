@@ -12,15 +12,6 @@ import (
 	"talus/internal/workload"
 )
 
-// mustSpec resolves a clone by name.
-func mustSpec(name string) (workload.Spec, error) {
-	spec, ok := workload.Lookup(name)
-	if !ok {
-		return workload.Spec{}, fmt.Errorf("experiments: unknown workload %q", name)
-	}
-	return spec, nil
-}
-
 // sweepOne measures one app under one configuration across sizes.
 func sweepOne(cfg Config, app workload.Spec, sizesMB []float64, scheme, policy string, talus bool, monitorPoints int, seed uint64) (*curve.Curve, error) {
 	return sweepOneCurve(cfg, app, sizesMB, scheme, policy, talus, monitorPoints, nil, seed)
@@ -55,7 +46,7 @@ func sweepOneCurve(cfg Config, app workload.Spec, sizesMB []float64, scheme, pol
 // across the whole sweep range); Fig. 8 repeats the experiment with the
 // honest per-LLC-size monitors.
 func runFig1(cfg Config) error {
-	spec, err := mustSpec("libquantum")
+	spec, err := workload.Resolve("libquantum")
 	if err != nil {
 		return err
 	}
@@ -84,44 +75,56 @@ func runFig1(cfg Config) error {
 	return t.flush(cfg, "fig1")
 }
 
+// column is one curve of a single-program sweep figure: a cache
+// configuration and the offset from Config.Seed its sweep runs under.
+type column struct {
+	label, scheme, policy string
+	talus                 bool
+	seed                  uint64
+}
+
+// sweepTable sweeps app under each column across sizesMB (points
+// monitors per size for Talus columns; 0 = default) and prints and
+// writes one table, name_app: the size, then one MPKI column each.
+func sweepTable(cfg Config, name, app string, sizesMB []float64, points int, cols []column) error {
+	spec, err := workload.Resolve(app)
+	if err != nil {
+		return err
+	}
+	headers := []string{"size(MB)"}
+	curves := make([]*curve.Curve, len(cols))
+	for i, c := range cols {
+		curves[i], err = sweepOne(cfg, spec, sizesMB, c.scheme, c.policy, c.talus, points, cfg.Seed+c.seed)
+		if err != nil {
+			return fmt.Errorf("%s/%s: %w", app, c.label, err)
+		}
+		headers = append(headers, c.label)
+	}
+	t := newTable(cfg, headers...)
+	for i, s := range sizesMB {
+		row := []any{s}
+		for _, c := range curves {
+			row = append(row, c.PointAt(i).MPKI)
+		}
+		t.row(row...)
+	}
+	fmt.Fprintf(cfg.out(), "--- %s ---\n", app)
+	return t.flush(cfg, name+"_"+app)
+}
+
 // runFig8 regenerates Fig. 8: Talus on LRU under Vantage, way, and ideal
 // partitioning, on libquantum and gobmk. All three must trace LRU's hull.
 func runFig8(cfg Config) error {
-	cases := []struct {
-		app     string
-		sizesMB []float64
-	}{
-		{"libquantum", sweepSizes(cfg, 2, 40, 6, 10, 16)},
-		{"gobmk", sweepSizes(cfg, 0.5, 8, 6, 10, 16)},
+	cols := []column{
+		{"LRU", "none", "LRU", false, 11},
+		{"Talus+V/LRU", "vantage", "LRU", true, 12},
+		{"Talus+W/LRU", "way", "LRU", true, 13},
+		{"Talus+I/LRU", "ideal", "LRU", true, 14},
 	}
-	for _, c := range cases {
-		spec, err := mustSpec(c.app)
-		if err != nil {
-			return err
-		}
-		lru, err := sweepOne(cfg, spec, c.sizesMB, "none", "LRU", false, 0, cfg.Seed+11)
-		if err != nil {
-			return err
-		}
-		schemes := []string{"vantage", "way", "ideal"}
-		curves := make([]*curve.Curve, len(schemes))
-		for i, scheme := range schemes {
-			curves[i], err = sweepOne(cfg, spec, c.sizesMB, scheme, "LRU", true, 0, cfg.Seed+12+uint64(i))
-			if err != nil {
-				return err
-			}
-		}
-		t := newTable(cfg, "size(MB)", "LRU", "Talus+V/LRU", "Talus+W/LRU", "Talus+I/LRU")
-		for i, s := range c.sizesMB {
-			t.row(s, lru.PointAt(i).MPKI,
-				curves[0].PointAt(i).MPKI, curves[1].PointAt(i).MPKI, curves[2].PointAt(i).MPKI)
-		}
-		fmt.Fprintf(cfg.out(), "--- %s ---\n", c.app)
-		if err := t.flush(cfg, "fig8_"+c.app); err != nil {
-			return err
-		}
+	if err := sweepTable(cfg, "fig8", "libquantum", sweepSizes(cfg, 2, 40, 6, 10, 16), 0, cols); err != nil {
+		return err
 	}
-	return nil
+	return sweepTable(cfg, "fig8", "gobmk", sweepSizes(cfg, 0.5, 8, 6, 10, 16), 0, cols)
 }
 
 // runFig9 regenerates Fig. 9: SRRIP vs Talus+W/SRRIP using the
@@ -135,53 +138,27 @@ func runFig9(cfg Config) error {
 	case cfg.Scale == ScaleQuick:
 		points = 16
 	}
-	cases := []struct {
-		app     string
-		sizesMB []float64
-	}{
-		{"libquantum", sweepSizes(cfg, 2, 40, 5, 8, 14)},
-		{"mcf", sweepSizes(cfg, 1, 16, 5, 8, 14)},
+	cols := []column{
+		{"SRRIP", "none", "SRRIP", false, 21},
+		{"Talus+W/SRRIP", "way", "SRRIP", true, 22},
 	}
-	for _, c := range cases {
-		spec, err := mustSpec(c.app)
-		if err != nil {
-			return err
-		}
-		srrip, err := sweepOne(cfg, spec, c.sizesMB, "none", "SRRIP", false, 0, cfg.Seed+21)
-		if err != nil {
-			return err
-		}
-		talus, err := sweepOne(cfg, spec, c.sizesMB, "way", "SRRIP", true, points, cfg.Seed+22)
-		if err != nil {
-			return err
-		}
-		t := newTable(cfg, "size(MB)", "SRRIP", "Talus+W/SRRIP")
-		for i, s := range c.sizesMB {
-			t.row(s, srrip.PointAt(i).MPKI, talus.PointAt(i).MPKI)
-		}
-		fmt.Fprintf(cfg.out(), "--- %s ---\n", c.app)
-		if err := t.flush(cfg, "fig9_"+c.app); err != nil {
-			return err
-		}
+	if err := sweepTable(cfg, "fig9", "libquantum", sweepSizes(cfg, 2, 40, 5, 8, 14), points, cols); err != nil {
+		return err
 	}
-	return nil
+	return sweepTable(cfg, "fig9", "mcf", sweepSizes(cfg, 1, 16, 5, 8, 14), points, cols)
 }
 
 // fig10Apps are the six representative benchmarks of Fig. 10.
 var fig10Apps = []string{"perlbench", "mcf", "cactusADM", "libquantum", "lbm", "xalancbmk"}
 
-// fig10Policies maps column names to (scheme, policy, talus) triples.
-var fig10Policies = []struct {
-	label  string
-	scheme string
-	policy string
-	talus  bool
-}{
-	{"Talus+V/LRU", "vantage", "LRU", true},
-	{"PDP", "none", "PDP", false},
-	{"DRRIP", "none", "DRRIP", false},
-	{"SRRIP", "none", "SRRIP", false},
-	{"LRU", "none", "LRU", false},
+// fig10Columns are Fig. 10's policies; the first four are also the
+// IPC comparisons of Fig. 11 and Table 2, against the fifth.
+var fig10Columns = []column{
+	{"Talus+V/LRU", "vantage", "LRU", true, 31},
+	{"PDP", "none", "PDP", false, 32},
+	{"DRRIP", "none", "DRRIP", false, 33},
+	{"SRRIP", "none", "SRRIP", false, 34},
+	{"LRU", "none", "LRU", false, 35},
 }
 
 // runFig10 regenerates Fig. 10: MPKI from 128 KB to 16 MB for six apps
@@ -189,51 +166,30 @@ var fig10Policies = []struct {
 func runFig10(cfg Config) error {
 	sizesMB := sweepSizes(cfg, 0.125, 16, 5, 9, 13)
 	for _, app := range fig10Apps {
-		spec, err := mustSpec(app)
-		if err != nil {
-			return err
-		}
-		curves := make([]*curve.Curve, len(fig10Policies))
-		for i, p := range fig10Policies {
-			curves[i], err = sweepOne(cfg, spec, sizesMB, p.scheme, p.policy, p.talus, 0, cfg.Seed+31+uint64(i))
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", app, p.label, err)
-			}
-		}
-		headers := []string{"size(MB)"}
-		for _, p := range fig10Policies {
-			headers = append(headers, p.label)
-		}
-		t := newTable(cfg, headers...)
-		for i, s := range sizesMB {
-			row := []any{s}
-			for _, c := range curves {
-				row = append(row, c.PointAt(i).MPKI)
-			}
-			t.row(row...)
-		}
-		fmt.Fprintf(cfg.out(), "--- %s ---\n", app)
-		if err := t.flush(cfg, "fig10_"+app); err != nil {
+		if err := sweepTable(cfg, "fig10", app, sizesMB, 0, fig10Columns); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// ipcApps is the app list Fig. 11 and Table 2 average over: the Fig. 10
+// apps at tiny scale, the memory-intensive pool at quick scale, and
+// every clone otherwise.
+func ipcApps(cfg Config) []string {
+	switch {
+	case cfg.Scale <= ScaleTiny:
+		return fig10Apps
+	case cfg.Scale == ScaleQuick:
+		return workload.MemoryIntensive()
+	}
+	return workload.Names()
+}
+
 // ipcComparisonAt measures IPC-over-LRU for every app at one LLC size,
 // returning per-app percentages per policy plus gmeans.
 func ipcComparisonAt(cfg Config, sizeMB float64, apps []string, seed uint64) (map[string][]float64, []string, error) {
-	policies := []struct {
-		label  string
-		scheme string
-		policy string
-		talus  bool
-	}{
-		{"Talus+V/LRU", "vantage", "LRU", true},
-		{"PDP", "none", "PDP", false},
-		{"DRRIP", "none", "DRRIP", false},
-		{"SRRIP", "none", "SRRIP", false},
-	}
+	policies := fig10Columns[:4]
 	size := int64(curve.MBToLines(sizeMB))
 	// Budget by the largest clone footprint (libquantum's 32 MB scan),
 	// not the LLC size, so every app completes several reuse periods.
@@ -246,7 +202,7 @@ func ipcComparisonAt(cfg Config, sizeMB float64, apps []string, seed uint64) (ma
 	}
 	errs := make([]error, len(apps))
 	cfg.parallelFor(len(apps), func(ai int) {
-		spec, err := mustSpec(apps[ai])
+		spec, err := workload.Resolve(apps[ai])
 		if err != nil {
 			errs[ai] = err
 			return
@@ -281,13 +237,7 @@ func ipcComparisonAt(cfg Config, sizeMB float64, apps []string, seed uint64) (ma
 // runFig11 regenerates Fig. 11: per-app IPC over LRU at 1 MB and 8 MB
 // (apps changed ≥1% shown in the paper; we print all), plus gmeans.
 func runFig11(cfg Config) error {
-	apps := workload.Names()
-	switch {
-	case cfg.Scale <= ScaleTiny:
-		apps = fig10Apps
-	case cfg.Scale == ScaleQuick:
-		apps = workload.MemoryIntensive()
-	}
+	apps := ipcApps(cfg)
 	for _, sizeMB := range []float64{1, 8} {
 		results, labels, err := ipcComparisonAt(cfg, sizeMB, apps, cfg.Seed+41)
 		if err != nil {
@@ -319,13 +269,7 @@ func runFig11(cfg Config) error {
 // numbers (paper: 1MB: Talus 1.9/PDP 2.4/SRRIP 2.2/DRRIP 3.8;
 // 8MB: 1.0/0.69/-0.03/0.39).
 func runTable2(cfg Config) error {
-	apps := workload.Names()
-	switch {
-	case cfg.Scale <= ScaleTiny:
-		apps = fig10Apps
-	case cfg.Scale == ScaleQuick:
-		apps = workload.MemoryIntensive()
-	}
+	apps := ipcApps(cfg)
 	t := newTable(cfg, "LLC", "Talus+V/LRU(%)", "PDP(%)", "DRRIP(%)", "SRRIP(%)")
 	for _, sizeMB := range []float64{1, 8} {
 		results, _, err := ipcComparisonAt(cfg, sizeMB, apps, cfg.Seed+47)

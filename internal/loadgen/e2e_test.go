@@ -61,7 +61,7 @@ func drive(t *testing.T, nodes []string) *loadgen.Report {
 		Tenant:      "bench",
 		Keys:        6000,
 		ValueBytes:  64,
-		Pattern:     workload.NewZipf(6000, 0.9),
+		Pattern:     func() workload.Pattern { return workload.NewZipf(6000, 0.9) },
 		Workers:     4,
 		MaxRequests: 6000,
 		SetFraction: 0.25,

@@ -49,9 +49,10 @@ type Config struct {
 	Keys int64
 	// ValueBytes sizes PUT bodies.
 	ValueBytes int
-	// Pattern draws key popularity (nil = uniform over Keys). Each
-	// worker runs an independent Clone with its own RNG.
-	Pattern workload.Pattern
+	// Pattern builds the key-popularity source (nil = uniform over
+	// Keys). Each worker builds its own pattern and draws from it with
+	// its own RNG.
+	Pattern func() workload.Pattern
 	// Workers is the closed-loop concurrency (0 = DefaultWorkers).
 	Workers int
 	// Duration bounds the run in wall time (0 = until MaxRequests).
@@ -148,7 +149,8 @@ func New(cfg Config) (*Runner, error) {
 		cfg.ValueBytes = 64
 	}
 	if cfg.Pattern == nil {
-		cfg.Pattern = &workload.Rand{Lines: cfg.Keys}
+		keys := cfg.Keys
+		cfg.Pattern = func() workload.Pattern { return &workload.Rand{Lines: keys} }
 	}
 	client := cfg.Client
 	if client == nil {
@@ -194,7 +196,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		go func(id int) {
 			defer wg.Done()
 			rng := hash.NewSplitMix64(cfg.Seed + uint64(id)*0x9E3779B97F4A7C15 + 1)
-			pattern := cfg.Pattern.Clone()
+			pattern := cfg.Pattern()
 			for seq := 0; ; seq++ {
 				if ctx.Err() != nil {
 					return

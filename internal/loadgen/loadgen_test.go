@@ -62,7 +62,7 @@ func TestClosedLoopRun(t *testing.T) {
 		Tenant:      "bench",
 		Keys:        50,
 		ValueBytes:  128,
-		Pattern:     workload.NewZipf(50, 0.9),
+		Pattern:     func() workload.Pattern { return workload.NewZipf(50, 0.9) },
 		Workers:     4,
 		MaxRequests: 400,
 		SetFraction: 0.3,

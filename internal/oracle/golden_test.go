@@ -29,7 +29,7 @@ func TestGoldenOracleCurves(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			s := FromPattern(sc.Pattern, sc.Accesses, 0x601D)
+			s := FromPattern(sc.Build(), sc.Accesses, 0x601D)
 			c, err := s.Curve(Grid(4*validationLLC, 64), float64(sc.Accesses)/1000)
 			if err != nil {
 				t.Fatal(err)

@@ -9,11 +9,12 @@ import (
 	"talus/internal/workload"
 )
 
-// Scenario is one validation workload: a named pattern plus the stream
-// length its oracle and monitor runs use.
+// Scenario is one validation workload: a named pattern builder plus the
+// stream length its oracle and monitor runs use. Each run builds its
+// own pattern, so runs never share position state.
 type Scenario struct {
 	Name     string
-	Pattern  workload.Pattern
+	Build    func() workload.Pattern
 	Accesses int64
 }
 
@@ -24,28 +25,32 @@ type Scenario struct {
 // each scenario's stream length (scaled so laps and phases fit).
 func Scenarios(llcLines, accesses int64) []Scenario {
 	l := llcLines
-	pc := workload.NewPointerChase(l/2, 0xC11FF)
-	diurnal, err := workload.NewDiurnal(l, 0.9, accesses/16, l/8)
-	if err != nil {
-		panic(err)
-	}
-	seeker, err := workload.NewCliffSeeker(l)
-	if err != nil {
-		panic(err)
-	}
+	type P = workload.Pattern
 	return []Scenario{
-		{"scan", &workload.Scan{Lines: 3 * l / 2}, accesses},
-		{"rand", &workload.Rand{Lines: 2 * l}, accesses},
-		{"zipf", workload.NewZipf(4*l, 0.9), accesses},
-		{"strided", &workload.Strided{Lines: 4 * l, Stride: 4}, accesses},
-		{"pointerchase", pc, accesses},
-		{"diurnal", diurnal, accesses},
-		{"cliffseeker", seeker, accesses},
-		{"scanmix", workload.MustMix(
-			workload.Component{Pattern: &workload.Rand{Lines: l / 4}, Weight: 0.4},
-			workload.Component{Pattern: &workload.Scan{Lines: l}, Weight: 0.6},
-		), accesses},
+		{"scan", func() P { return &workload.Scan{Lines: 3 * l / 2} }, accesses},
+		{"rand", func() P { return &workload.Rand{Lines: 2 * l} }, accesses},
+		{"zipf", func() P { return workload.NewZipf(4*l, 0.9) }, accesses},
+		{"strided", func() P { return &workload.Strided{Lines: 4 * l, Stride: 4} }, accesses},
+		{"pointerchase", func() P { return workload.NewPointerChase(l/2, 0xC11FF) }, accesses},
+		{"diurnal", func() P { return must(workload.NewDiurnal(l, 0.9, accesses/16, l/8)) }, accesses},
+		{"cliffseeker", func() P { return must(workload.NewCliffSeeker(l)) }, accesses},
+		{"scanmix", func() P {
+			return workload.MustMix(
+				workload.Component{Pattern: &workload.Rand{Lines: l / 4}, Weight: 0.4},
+				workload.Component{Pattern: &workload.Scan{Lines: l}, Weight: 0.6},
+			)
+		}, accesses},
 	}
+}
+
+// must unwraps a generator constructor whose arguments Scenarios
+// derives from the LLC size and stream length: an error there means
+// the caller passed a degenerate size.
+func must[T workload.Pattern](p T, err error) workload.Pattern {
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // Comparison is one scenario's monitor-vs-oracle accuracy result.
@@ -84,7 +89,7 @@ func CompareMonitor(sc Scenario, llcLines int64, seed uint64) (Comparison, *curv
 		return cmp, nil, nil, err
 	}
 	sim := NewStackSim()
-	p := sc.Pattern.Clone()
+	p := sc.Build()
 	rng := hash.NewSplitMix64(seed)
 	for i := int64(0); i < sc.Accesses; i++ {
 		a := p.Next(rng)

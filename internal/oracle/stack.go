@@ -197,15 +197,14 @@ func (s *StackSim) SteadyCurve(sizes []int64, kiloUnits float64) (*curve.Curve, 
 	return curve.New(pts)
 }
 
-// FromPattern runs n accesses of p (cloned, so the caller's pattern
-// state is untouched) through a fresh simulator with a deterministic
-// RNG.
+// FromPattern runs n accesses of p through a fresh simulator with a
+// deterministic RNG. It consumes p: pass a freshly built pattern to
+// measure a stream from its start.
 func FromPattern(p workload.Pattern, n int64, seed uint64) *StackSim {
 	s := NewStackSim()
 	rng := hash.NewSplitMix64(seed)
-	q := p.Clone()
 	for i := int64(0); i < n; i++ {
-		s.Access(q.Next(rng))
+		s.Access(p.Next(rng))
 	}
 	return s
 }

@@ -83,7 +83,7 @@ func TestHullIsLowerConvexEnvelope(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			s := FromPattern(sc.Pattern, sc.Accesses, 0x41C)
+			s := FromPattern(sc.Build(), sc.Accesses, 0x41C)
 			c, err := s.Curve(Grid(4*validationLLC, 128), float64(sc.Accesses)/1000)
 			if err != nil {
 				t.Fatal(err)
@@ -127,7 +127,7 @@ func TestTalusRecombinesToOracle(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			s := FromPattern(sc.Pattern, sc.Accesses, 0x7A15)
+			s := FromPattern(sc.Build(), sc.Accesses, 0x7A15)
 			m, err := s.Curve(Grid(4*validationLLC, 128), float64(sc.Accesses)/1000)
 			if err != nil {
 				t.Fatal(err)
@@ -203,7 +203,7 @@ func TestTalusRemovesOracleCliff(t *testing.T) {
 	}
 	spec := workload.Spec{
 		Name: "cliffseeker-oracle", APKI: 25, CPIBase: 0.55, MLP: 2,
-		Build: func() workload.Pattern { return seeker.Clone() },
+		Build: func() workload.Pattern { return must(workload.NewCliffSeeker(llc)) },
 	}
 	const accesses = 1 << 21
 	s := FromPattern(seeker, accesses, 0xFACE)

@@ -116,7 +116,7 @@ func SpecsFromTrace(path string) ([]workload.Spec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: partition %d: %w", p, err)
 		}
-		specs[p].Build = func() workload.Pattern { return rp.Clone() }
+		specs[p].Build = func() workload.Pattern { return &replay{addrs: rp.addrs, footprint: rp.footprint} }
 	}
 	return specs, nil
 }
@@ -157,11 +157,6 @@ func (r *replay) Next(_ *hash.SplitMix64) uint64 {
 // Footprint implements workload.Pattern: the number of distinct lines in
 // the recording.
 func (r *replay) Footprint() int64 { return r.footprint }
-
-// Clone implements workload.Pattern (fresh position, shared addresses).
-func (r *replay) Clone() workload.Pattern {
-	return &replay{addrs: r.addrs, footprint: r.footprint}
-}
 
 // Core-model parameters for traces recorded without metadata: a
 // moderately memory-intensive app (the analytic model needs some

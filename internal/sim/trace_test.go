@@ -354,11 +354,6 @@ func TestReplayPattern(t *testing.T) {
 			t.Fatalf("replay = %v, want %v", got, want)
 		}
 	}
-	// Clone restarts; the original keeps its position.
-	c := r.Clone()
-	if c.(*replay).Next(nil) != 5 || r.Next(nil) != 5 {
-		t.Fatal("clone position not independent")
-	}
 	if _, err := newReplay(nil); err == nil {
 		t.Fatal("empty replay must fail")
 	}

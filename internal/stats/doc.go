@@ -1,7 +1,7 @@
 // Package stats provides small, dependency-free statistical helpers used
 // throughout the simulator and the experiment harness: means (arithmetic,
-// geometric, harmonic), dispersion (variance, coefficient of variation),
-// quantiles, and confidence intervals.
+// geometric), dispersion (variance, coefficient of variation), quantiles,
+// and the paper's weighted and harmonic speedups.
 //
 // All functions operate on float64 slices, ignore nothing, and treat empty
 // input as an error-free zero result unless documented otherwise. They are

@@ -31,19 +31,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(logSum / float64(len(xs)))
 }
 
-// HarmonicMean returns the harmonic mean of xs, or 0 if xs is empty.
-// Elements must be non-zero.
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	invSum := 0.0
-	for _, x := range xs {
-		invSum += 1 / x
-	}
-	return float64(len(xs)) / invSum
-}
-
 // Variance returns the population variance of xs (not the sample variance),
 // or 0 for fewer than two elements.
 func Variance(xs []float64) float64 {
@@ -107,25 +94,6 @@ func Quantiles(xs []float64) []float64 {
 	copy(sorted, xs)
 	sort.Float64s(sorted)
 	return sorted
-}
-
-// ConfidenceInterval95 returns the half-width of the 95% confidence
-// interval of the mean of xs, using the normal approximation (z = 1.96).
-// The paper repeats runs until 95% CIs are ≤ 1%; the harness uses this to
-// report CI alongside means.
-func ConfidenceInterval95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	// Sample standard deviation (n−1 denominator) for the CI.
-	mu := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - mu
-		ss += d * d
-	}
-	sd := math.Sqrt(ss / float64(len(xs)-1))
-	return 1.96 * sd / math.Sqrt(float64(len(xs)))
 }
 
 // WeightedSpeedup computes the paper's throughput metric:

@@ -15,6 +15,12 @@
 // the miss curve (§III), any stream realizing a given curve exercises
 // Talus identically.
 //
+// A Pattern carries position state, so a stream is started by building
+// a fresh one: Spec.Build is the only way to get one, each App builds
+// its own, and patterns are never copied. The named generators
+// (strided, pointerchase, ...) are gen: parameter strings under a bare
+// name, so each stream is defined once.
+//
 // Streams are generated directly at LLC granularity: the paper's L1/L2
 // hierarchy filters temporal locality, so the clones' APKI (LLC accesses
 // per kilo-instruction) are post-L2 rates.

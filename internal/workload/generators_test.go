@@ -47,11 +47,6 @@ func TestStridedCycle(t *testing.T) {
 		if a := s.Next(rng); a != first {
 			t.Fatalf("Strided{%d,%d} cycle restarted at %d, want %d", c.lines, c.stride, a, first)
 		}
-		// Clone starts fresh.
-		cl := s.Clone().(*Strided)
-		if a := cl.Next(rng); a != 0 {
-			t.Fatalf("Strided clone restarted at %d, want 0", a)
-		}
 	}
 }
 
@@ -82,14 +77,11 @@ func TestPointerChaseSingleCycle(t *testing.T) {
 			t.Fatalf("lap 2 access %d = %d, want %d", i, a, lap1[i])
 		}
 	}
-	// Clones share the ring (same successor structure) but start fresh
-	// and deterministically.
-	c1 := p.Clone().(*PointerChase)
-	c2 := p.Clone().(*PointerChase)
-	for i := 0; i < lines; i++ {
-		a1, a2 := c1.Next(rng), c2.Next(rng)
-		if a1 != a2 {
-			t.Fatalf("clone divergence at access %d: %d vs %d", i, a1, a2)
+	// A fresh chase of the same seed replays the same lap.
+	c := NewPointerChase(lines, 42)
+	for i := range lap1 {
+		if a := c.Next(rng); a != lap1[i] {
+			t.Fatalf("fresh chase access %d = %d, want %d", i, a, lap1[i])
 		}
 	}
 	// Different seeds give different rings.
@@ -191,7 +183,8 @@ func TestCliffSeekerPlacesKnee(t *testing.T) {
 func TestGeneratorRegistry(t *testing.T) {
 	// Generators resolve by bare name without polluting the SPEC suite
 	// enumeration.
-	for _, name := range GeneratorNames() {
+	for _, g := range generators {
+		name := g.name
 		spec, err := Resolve(name)
 		if err != nil {
 			t.Fatalf("Resolve(%q): %v", name, err)
@@ -340,8 +333,8 @@ func TestZipfGoodnessOfFit(t *testing.T) {
 // FuzzPattern drives random generator specs through the Pattern
 // contract: Validate-accepted patterns must Next without panicking,
 // stay within a plausible address range, honor Footprint (never more
-// distinct addresses than claimed), and Clone into an equivalent
-// independent stream.
+// distinct addresses than claimed), and build deterministically: two
+// builds replay the same stream under the same RNG.
 func FuzzPattern(f *testing.F) {
 	f.Add(int64(64), int64(3), uint8(0), uint64(1))
 	f.Add(int64(1), int64(0), uint8(1), uint64(2))
@@ -353,32 +346,33 @@ func FuzzPattern(f *testing.F) {
 		if lines < 1 || lines > 1<<20 {
 			t.Skip()
 		}
-		var p Pattern
-		switch kind % 6 {
-		case 0:
-			p = &Scan{Lines: lines}
-		case 1:
-			p = &Rand{Lines: lines}
-		case 2:
-			s := 0.1 + float64(param%30)/10 // 0.1..3.0
-			if s < 0 {
-				s = -s
-			}
-			p = NewZipf(lines, s)
-		case 3:
-			p = &Strided{Lines: lines, Stride: param}
-		case 4:
-			p = NewPointerChase(lines, seed)
-		case 5:
-			if lines < 16 {
-				t.Skip()
+		if kind%6 == 5 && lines < 16 {
+			t.Skip()
+		}
+		build := func() Pattern {
+			switch kind % 6 {
+			case 0:
+				return &Scan{Lines: lines}
+			case 1:
+				return &Rand{Lines: lines}
+			case 2:
+				s := 0.1 + float64(param%30)/10 // 0.1..3.0
+				if s < 0 {
+					s = -s
+				}
+				return NewZipf(lines, s)
+			case 3:
+				return &Strided{Lines: lines, Stride: param}
+			case 4:
+				return NewPointerChase(lines, seed)
 			}
 			c, err := NewCliffSeeker(lines)
 			if err != nil {
 				t.Fatalf("NewCliffSeeker(%d): %v", lines, err)
 			}
-			p = c
+			return c
 		}
+		p := build()
 		if err := Validate(p); err != nil {
 			t.Fatalf("Validate rejected a well-formed %T: %v", p, err)
 		}
@@ -387,7 +381,7 @@ func FuzzPattern(f *testing.F) {
 			t.Fatalf("%T footprint %d < 1", p, fp)
 		}
 		rng := hash.NewSplitMix64(seed)
-		clone := p.Clone()
+		again := build()
 		crng := hash.NewSplitMix64(seed)
 		distinct := map[uint64]bool{}
 		steps := 512
@@ -397,10 +391,10 @@ func FuzzPattern(f *testing.F) {
 		for i := 0; i < steps; i++ {
 			a := p.Next(rng)
 			distinct[a] = true
-			// Clones replay the same stream under the same RNG (all
+			// Builds replay the same stream under the same RNG (all
 			// generator state is position, not randomness history).
-			if b := clone.Next(crng); a != b {
-				t.Fatalf("%T clone diverged at access %d: %d vs %d", p, i, a, b)
+			if b := again.Next(crng); a != b {
+				t.Fatalf("%T second build diverged at access %d: %d vs %d", p, i, a, b)
 			}
 		}
 		if int64(len(distinct)) > fp {

@@ -55,16 +55,6 @@ func scanLinesFor(cliffMB, wScan, wHuge, smallMB float64) int64 {
 // mb converts megabytes to lines.
 func mb(x float64) int64 { return int64(x * curve.LinesPerMB) }
 
-// Registry returns the full SPEC CPU2006 clone set (29 apps), keyed by
-// name, in a deterministic order via Names.
-func Registry() map[string]Spec {
-	specs := make(map[string]Spec, len(registryList))
-	for _, s := range registryList {
-		specs[s.Name] = s
-	}
-	return specs
-}
-
 // Names returns the registry's app names in canonical (suite) order.
 func Names() []string {
 	out := make([]string, len(registryList))
@@ -75,18 +65,21 @@ func Names() []string {
 }
 
 // Lookup returns the Spec for name, with ok reporting success. Both the
-// SPEC clone registry and the synthetic-generator registry
-// (generators.go) are consulted; Names/Registry deliberately stay
-// clone-only so suite enumerations remain the paper's 29 apps.
+// SPEC clone registry and the named generators (generators.go) are
+// consulted; a named generator is its gen: spelling under its bare
+// name. Names deliberately stays clone-only so suite enumerations
+// remain the paper's 29 apps.
 func Lookup(name string) (Spec, bool) {
 	for _, s := range registryList {
 		if s.Name == name {
 			return s, true
 		}
 	}
-	for _, s := range generatorList {
-		if s.Name == name {
-			return s, true
+	for _, g := range generators {
+		if g.name == name {
+			s, err := genSpec(name + "," + g.args)
+			s.Name = name
+			return s, err == nil
 		}
 	}
 	return Spec{}, false

@@ -14,8 +14,6 @@ type Pattern interface {
 	Next(rng *hash.SplitMix64) uint64
 	// Footprint returns the number of distinct lines the pattern touches.
 	Footprint() int64
-	// Clone returns an independent copy with fresh position state.
-	Clone() Pattern
 }
 
 // Validate checks that a pattern (recursively, for composites) touches
@@ -80,9 +78,6 @@ func (s *Scan) Next(_ *hash.SplitMix64) uint64 {
 // Footprint implements Pattern.
 func (s *Scan) Footprint() int64 { return s.Lines }
 
-// Clone implements Pattern.
-func (s *Scan) Clone() Pattern { return &Scan{Lines: s.Lines} }
-
 // Rand draws uniformly from Lines addresses: a smooth working set whose
 // LRU miss curve falls roughly linearly until the footprint fits.
 type Rand struct {
@@ -94,9 +89,6 @@ func (r *Rand) Next(rng *hash.SplitMix64) uint64 { return rng.Uint64n(uint64(r.L
 
 // Footprint implements Pattern.
 func (r *Rand) Footprint() int64 { return r.Lines }
-
-// Clone implements Pattern.
-func (r *Rand) Clone() Pattern { return &Rand{Lines: r.Lines} }
 
 // Zipf draws from Lines addresses with Zipfian popularity (exponent S>1),
 // giving a convex miss curve with a long tail — typical of pointer-heavy
@@ -193,9 +185,6 @@ func (z *Zipf) Next(rng *hash.SplitMix64) uint64 {
 // Footprint implements Pattern.
 func (z *Zipf) Footprint() int64 { return z.Lines }
 
-// Clone implements Pattern.
-func (z *Zipf) Clone() Pattern { return NewZipf(z.Lines, z.S) }
-
 // RankPMF returns the sampler's effective rank distribution: bucket end
 // ranks (inclusive) and each bucket's total probability. Ranks within a
 // bucket are drawn uniformly, so rank k in bucket i (ends[i-1] < k ≤
@@ -280,15 +269,6 @@ func (m *Mix) Footprint() int64 {
 	return total
 }
 
-// Clone implements Pattern.
-func (m *Mix) Clone() Pattern {
-	comps := make([]Component, len(m.comps))
-	for i, c := range m.comps {
-		comps[i] = Component{Pattern: c.Pattern.Clone(), Weight: c.Weight}
-	}
-	return MustMix(comps...)
-}
-
 // NewPhased validates stages (at least one, each with a valid pattern
 // and positive length) and builds a Phased pattern.
 func NewPhased(stages ...Stage) (*Phased, error) {
@@ -335,15 +315,6 @@ func (p *Phased) Footprint() int64 {
 	return max
 }
 
-// Clone implements Pattern.
-func (p *Phased) Clone() Pattern {
-	stages := make([]Stage, len(p.Stages))
-	for i, s := range p.Stages {
-		stages[i] = Stage{Pattern: s.Pattern.Clone(), Length: s.Length}
-	}
-	return &Phased{Stages: stages}
-}
-
 // --- App: a runnable workload -------------------------------------------
 
 // Spec describes one application clone: its access pattern plus the
@@ -386,7 +357,3 @@ func NewApp(spec Spec, seed uint64) *App {
 
 // Next returns the next line address.
 func (a *App) Next() uint64 { return a.pattern.Next(a.rng) }
-
-// InstrPerAccess returns 1000/APKI: how many instructions each LLC access
-// represents.
-func (a *App) InstrPerAccess() float64 { return 1000 / a.APKI }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -20,11 +22,6 @@ func TestScanCycles(t *testing.T) {
 	}
 	if s.Footprint() != 4 {
 		t.Fatal("footprint")
-	}
-	// Clone starts fresh.
-	c := s.Clone().(*Scan)
-	if got := c.Next(rng); got != 0 {
-		t.Fatalf("clone should restart at 0, got %d", got)
 	}
 }
 
@@ -177,15 +174,14 @@ func TestRegistryComplete(t *testing.T) {
 		t.Fatalf("registry has %d apps, want 29 (SPEC CPU2006)", len(names))
 	}
 	seen := map[string]bool{}
-	reg := Registry()
 	for _, n := range names {
 		if seen[n] {
 			t.Fatalf("duplicate app %s", n)
 		}
 		seen[n] = true
-		spec, ok := reg[n]
+		spec, ok := Lookup(n)
 		if !ok {
-			t.Fatalf("Registry missing %s", n)
+			t.Fatalf("Lookup misses %s", n)
 		}
 		if spec.APKI <= 0 || spec.CPIBase <= 0 || spec.MLP <= 0 || spec.Build == nil {
 			t.Fatalf("%s has invalid parameters: %+v", n, spec)
@@ -239,14 +235,6 @@ func TestScanLinesForPlacement(t *testing.T) {
 	// Degenerate inputs fall back to a positive footprint.
 	if got := scanLinesFor(1, 0.5, 0.5, 2); got <= 0 {
 		t.Fatalf("fallback footprint = %d", got)
-	}
-}
-
-func TestInstrPerAccess(t *testing.T) {
-	spec := Spec{Name: "x", APKI: 20, CPIBase: 1, MLP: 1, Build: func() Pattern { return &Scan{Lines: 1} }}
-	app := NewApp(spec, 1)
-	if got := app.InstrPerAccess(); got != 50 {
-		t.Fatalf("InstrPerAccess = %g, want 50", got)
 	}
 }
 
@@ -357,4 +345,97 @@ func TestEmptyMixRejected(t *testing.T) {
 	}()
 	NewApp(Spec{Name: "empty", APKI: 1, CPIBase: 1, MLP: 1,
 		Build: func() Pattern { return &Mix{} }}, 1)
+}
+
+// TestStreamFingerprints pins the stream behind every name Resolve
+// knows: the 29 clones, the named generators, and one gen: spelling per
+// generator family. Each row is FNV-1a over the first 4096 addresses
+// (little-endian) an App draws at seed 1, so a change to how patterns
+// are built or named that moves any stream fails here.
+func TestStreamFingerprints(t *testing.T) {
+	cases := []struct {
+		name string
+		fnv  uint64
+	}{
+		{"perlbench", 0x1ba59a10e9894aca},
+		{"bzip2", 0x604182cd3942a0c8},
+		{"gcc", 0x63dab86b5a21ad43},
+		{"mcf", 0x5a16bb0508df53f0},
+		{"gobmk", 0x3201d545e73c0e0a},
+		{"hmmer", 0x09ee58dd96d178de},
+		{"sjeng", 0x9f4371d93efb22ce},
+		{"libquantum", 0x9735be2ba5613bcc},
+		{"h264ref", 0x819198173e999ac1},
+		{"omnetpp", 0x3ba15fd5621337df},
+		{"astar", 0x25f76ba72ec72bd2},
+		{"xalancbmk", 0x68c222afc51702c5},
+		{"bwaves", 0xda3a06ef1be8ac09},
+		{"gamess", 0xee11e23ce8bcc8f5},
+		{"milc", 0xef3f15552eb6db13},
+		{"zeusmp", 0xbf4a18ce40a314a9},
+		{"gromacs", 0x4f4e5f3e18ca6001},
+		{"cactusADM", 0x6a61e600dfa9fbcf},
+		{"leslie3d", 0x93c37bd518cdf593},
+		{"namd", 0x83c4c50a61571463},
+		{"dealII", 0x65d108e048e215b7},
+		{"soplex", 0x6ae76af9cdc2287a},
+		{"povray", 0xee11e23ce8bcc8f5}, // gamess's mixture exactly
+		{"calculix", 0xfb8f6439a4b99d41},
+		{"GemsFDTD", 0xc44f5dd4d68517db},
+		{"tonto", 0xae22609bb74281f7},
+		{"lbm", 0xf4d2f3ffea4c3dac},
+		{"wrf", 0x4bfff5dc0bcf1307},
+		{"sphinx3", 0x354d549989c997d2},
+		{"strided", 0xefeb4d09faea4125},
+		{"pointerchase", 0xc191dc6ee58abe76},
+		{"diurnal", 0x2ef06010c9c6731b},
+		{"cliffseeker", 0x23bbe1f2c69211bb},
+		{"gen:scan,mb=4", 0x34815615f489cb25},
+		{"gen:rand,lines=4096", 0x78dc63e82e8a9a85},
+		{"gen:zipf,mb=8,s=1.1", 0x63d87d83fdce1826},
+		{"gen:strided,mb=32,stride=4", 0xefeb4d09faea4125},
+		{"gen:pointerchase,lines=65536,seed=7", 0x908dfbc12ad56e6a},
+		{"gen:diurnal,mb=8,s=0.9,period=262144,shift=8192", 0x2ef06010c9c6731b},
+		{"gen:cliffseeker,mb=4", 0x3570f9a7c7a6eb71},
+	}
+	fingerprint := func(spec Spec) uint64 {
+		app := NewApp(spec, 1)
+		h := fnv.New64a()
+		var b [8]byte
+		for i := 0; i < 4096; i++ {
+			binary.LittleEndian.PutUint64(b[:], app.Next())
+			h.Write(b[:])
+		}
+		return h.Sum64()
+	}
+	pinned := map[string]bool{}
+	for _, c := range cases {
+		pinned[c.name] = true
+		spec, err := Resolve(c.name)
+		if err != nil {
+			t.Fatalf("Resolve(%q): %v", c.name, err)
+		}
+		if got := fingerprint(spec); got != c.fnv {
+			t.Errorf("%s: stream fingerprint %#016x, want %#016x", c.name, got, c.fnv)
+		}
+	}
+	for _, n := range Names() {
+		if !pinned[n] {
+			t.Errorf("clone %s has no fingerprint row", n)
+		}
+	}
+	// A named generator is its gen: spelling: same stream, same core
+	// model.
+	named, err := Resolve("strided")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := Resolve("gen:strided,mb=32,stride=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fingerprint(named) != fingerprint(gen) ||
+		named.APKI != gen.APKI || named.CPIBase != gen.CPIBase || named.MLP != gen.MLP {
+		t.Errorf("strided %+v and its gen: spelling %+v differ", named, gen)
+	}
 }
