@@ -3,11 +3,13 @@
 // partitioning — the machinery behind Figs. 12 and 13.
 //
 // Each epoch simulates a fixed number of cycles. Every core issues LLC
-// accesses at its current rate (APKI/1000 ÷ CPI accesses per cycle),
-// finely interleaved. At epoch end, per-core UMONs yield miss curves, the
-// partitioning algorithm computes new allocations (on convex hulls when
-// Talus is enabled), and partition sizes are reprogrammed — the paper's
-// 10 ms reconfiguration interval. Runs follow the fixed-work methodology
+// accesses at the rate its last epoch's CPI gives (APKI/1000 ÷ CPI
+// accesses per cycle; the first epoch starts from CPIBase), finely
+// interleaved, and is credited the instructions the epoch's cycles buy
+// at the CPI its own misses produce. At epoch end, per-core UMONs yield
+// miss curves, the partitioning algorithm computes new allocations (on
+// convex hulls when Talus is enabled), and partition sizes are
+// reprogrammed — the paper's 10 ms reconfiguration interval. Runs follow the fixed-work methodology
 // (§VII-A): every app executes WorkInstr instructions; all apps keep
 // running until the last finishes; metrics cover each app's first
 // WorkInstr instructions only.
@@ -236,14 +238,14 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 	}
 
 	// Per-app progress state.
-	cpi := make([]float64, n)       // current CPI estimate
-	instrDone := make([]float64, n) // completed instructions (counted to WorkInstr)
-	missesWork := make([]int64, n)  // misses within the fixed work window
-	accWork := make([]int64, n)     // accesses within the fixed work window
-	doneAt := make([]float64, n)    // completion time in cycles (-1 = running)
-	credit := make([]float64, n)    // fractional access credit for interleaving
+	cpi := make([]float64, n)        // current CPI estimate
+	instrDone := make([]float64, n)  // completed instructions (counted to WorkInstr)
+	missesWork := make([]float64, n) // misses within the fixed work window
+	accWork := make([]float64, n)    // accesses within the fixed work window
+	doneAt := make([]float64, n)     // completion time in cycles (-1 = running)
+	credit := make([]float64, n)     // fractional access credit for interleaving
 	for i := range cpi {
-		cpi[i] = cfg.Apps[i].CPIBase // optimistic start; refined per epoch
+		cpi[i] = cfg.Apps[i].CPIBase // first epoch's issue rate; measured after
 		doneAt[i] = -1
 	}
 
@@ -293,30 +295,30 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 			}
 		}
 
-		// Account instructions, misses, CPI, and completion.
+		// Account CPI, instructions, misses, and completion. The epoch's
+		// accesses were issued at the previous epoch's CPI, but its time
+		// runs at the CPI this epoch's misses produce: the epoch credits
+		// EpochCycles / CPI instructions.
 		for i, spec := range cfg.Apps {
 			if epochAcc[i] == 0 {
 				continue
 			}
-			instr := float64(epochAcc[i]) * 1000 / spec.APKI
-			mpki := float64(epochMisses[i]) / (instr / 1000)
-			newCPI := CPI(spec, mpki)
+			mpki := mpkiOf(epochMisses[i], epochAcc[i], spec.APKI)
+			cpi[i] = CPI(spec, mpki)
 			if doneAt[i] < 0 {
 				// Attribute this epoch's work to the fixed-work window,
 				// possibly completing it mid-epoch.
+				instr := float64(cfg.EpochCycles) / cpi[i]
 				prev := instrDone[i]
 				instrDone[i] += instr
+				frac := 1.0
 				if instrDone[i] >= float64(cfg.WorkInstr) {
-					frac := (float64(cfg.WorkInstr) - prev) / instr
+					frac = (float64(cfg.WorkInstr) - prev) / instr
 					doneAt[i] = cycles + frac*float64(cfg.EpochCycles)
-					missesWork[i] += int64(frac * float64(epochMisses[i]))
-					accWork[i] += int64(frac * float64(epochAcc[i]))
-				} else {
-					missesWork[i] += epochMisses[i]
-					accWork[i] += epochAcc[i]
 				}
+				missesWork[i] += frac * float64(epochMisses[i])
+				accWork[i] += frac * float64(epochAcc[i])
 			}
-			cpi[i] = newCPI
 		}
 		cycles += float64(cfg.EpochCycles)
 
@@ -375,7 +377,7 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 			res.IPC[i] = math.Min(float64(cfg.WorkInstr), instrDone[i]) / t
 		}
 		if accWork[i] > 0 {
-			res.MPKI[i] = mpkiOf(missesWork[i], accWork[i], spec.APKI)
+			res.MPKI[i] = missesWork[i] / accWork[i] * spec.APKI
 		}
 	}
 	return res, nil

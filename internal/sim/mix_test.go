@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -173,6 +174,54 @@ func TestMixTalusFairness(t *testing.T) {
 	}
 	if ws := stats.WeightedSpeedup(talusFair.IPC, base.IPC); ws < 1.03 {
 		t.Errorf("fair Talus WS = %g, want clear gain", ws)
+	}
+}
+
+// TestMixFirstEpochIPCIsHonest: a one-app mix whose fixed work ends
+// inside the first epoch runs at the CPI its own misses produce. Crediting
+// that epoch at CPIBase reported perfect-LLC speed whatever it missed.
+func TestMixFirstEpochIPCIsHonest(t *testing.T) {
+	spec, _ := workload.Lookup("mcf")
+	res, err := RunMix(MixConfig{
+		Apps: []workload.Spec{spec}, CapacityLines: 4096, Assoc: 32, Mode: ModeLRU,
+		EpochCycles: 1 << 20, WorkInstr: 1 << 17, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Epochs != 1 {
+		t.Fatalf("work ended after %d epochs, want inside the first", res.Epochs)
+	}
+	if want := IPC(spec, res.MPKI[0]); math.Abs(res.IPC[0]-want) > 1e-9 {
+		t.Fatalf("IPC %.12f at MPKI %.4f, want 1/CPI = %.12f", res.IPC[0], res.MPKI[0], want)
+	}
+}
+
+// TestMixIPCFallsAsMPKIRises: over an LLC-size sweep of one app, a size
+// with more misses per instruction runs strictly slower than one with
+// fewer. The work spans the first epoch, which an optimistic first-epoch
+// CPI made equally fast at every size.
+func TestMixIPCFallsAsMPKIRises(t *testing.T) {
+	spec, _ := workload.Lookup("mcf")
+	type point struct{ lines, ipc, mpki float64 }
+	var pts []point
+	for _, lines := range []int64{2048, 4096, 8192, 16384, 32768} {
+		res, err := RunMix(MixConfig{
+			Apps: []workload.Spec{spec}, CapacityLines: lines, Assoc: 32, Mode: ModeLRU,
+			EpochCycles: 1 << 20, WorkInstr: 1 << 20, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, point{float64(lines), res.IPC[0], res.MPKI[0]})
+	}
+	for i, a := range pts {
+		for _, b := range pts[i+1:] {
+			if (b.mpki > a.mpki && !(b.ipc < a.ipc)) || (b.mpki < a.mpki && !(b.ipc > a.ipc)) {
+				t.Errorf("%g lines: IPC %.4f at MPKI %.3f; %g lines: IPC %.4f at MPKI %.3f",
+					a.lines, a.ipc, a.mpki, b.lines, b.ipc, b.mpki)
+			}
+		}
 	}
 }
 
