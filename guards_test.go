@@ -50,6 +50,9 @@ func TestGuards(t *testing.T) {
 			pattern: `RegisterSource|FeedAdaptiveTraceReader|traceAppSpec|adaptiveTraceCache|RecordApps|trace\.(Load|Capture|WriteRecords)`},
 		{name: "one-stream-recipe", dir: ".", tests: true,
 			pattern: `generatorList|GeneratorNames|mustSpec|InstrPerAccess|ConfidenceInterval95|HarmonicMean|^alloc\.(HillClimb|Lookahead|OptimalDP)$|^workload\.Registry$|OptimalDPAllocator`},
+		// RunMix runs the serving loop's epoch step (adaptive.Loop).
+		{name: "one-epoch-step", dir: "internal/sim", tests: true,
+			pattern: `mixCache|plainMix|talusMix|buildMixCache|allocatorFor|closeEpoch`},
 		// Spec.Build is the one way to a fresh pattern (internal/trace's
 		// tests call slices.Clone, so tests are not scanned).
 		{name: "no-pattern-clone", dir: "internal",

@@ -12,7 +12,6 @@ import (
 	"talus/internal/alloc"
 	"talus/internal/core"
 	"talus/internal/curve"
-	"talus/internal/monitor"
 )
 
 // DefaultEpochAccesses is the default epoch length: one reconfiguration
@@ -20,10 +19,6 @@ import (
 // hardware interval (a few accesses per thousand instructions at GHz
 // rates lands within an order of magnitude of this).
 const DefaultEpochAccesses = 1 << 20
-
-// allocGranules is the allocator grid resolution: capacity/allocGranules
-// lines per step (the mix simulator's grid).
-const allocGranules = 64
 
 // Config parameterizes the control loop.
 type Config struct {
@@ -54,15 +49,6 @@ func (c *Config) defaults() {
 	if c.EpochAccesses <= 0 {
 		c.EpochAccesses = DefaultEpochAccesses
 	}
-}
-
-// monSlot is one partition's monitor lane, padded so concurrently
-// accessed lanes do not false-share. The monitor takes its own lock for
-// sampled accesses, and the epoch access count is an atomic.
-type monSlot struct {
-	mon      *monitor.SlicedEpochMonitor
-	accesses atomic.Int64 // observed this epoch
-	_        [64]byte
 }
 
 // ControllerState is a snapshot of the control loop's tunables and its
@@ -101,18 +87,15 @@ type Cache struct {
 	cfg Config
 	n   int
 
-	mons []monSlot
+	loop *Loop
 
 	accTotal  atomic.Int64 // accesses observed since construction
 	nextEpoch atomic.Int64 // accTotal threshold triggering the next epoch
 
-	epochMu    sync.Mutex // serializes the epoch step and guards the fields below
+	epochMu    sync.Mutex // serializes the epoch step and guards loop's curves and the fields below
 	epochs     int
 	lastAllocs []int64
-	lastCurves []*curve.Curve
 	lastErr    error
-	churn      float64 // last measuring epoch's churn
-	partAcc    []int64 // scratch: per-partition accesses drained this epoch
 
 	// Allocation constraints threaded into each epoch's Request. nil
 	// slices stay nil until a setter materializes them, so the uniform
@@ -135,14 +118,16 @@ func New(sc *core.ShadowedCache, cfg Config) (*Cache, error) {
 	cfg.defaults()
 	n := sc.NumLogical()
 	budget := sc.Inner().PartitionableCapacity()
+	loop, err := NewLoop(n, budget, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
 	a := &Cache{
 		sc:         sc,
 		cfg:        cfg,
 		n:          n,
-		mons:       make([]monSlot, n),
+		loop:       loop,
 		lastAllocs: make([]int64, n),
-		lastCurves: make([]*curve.Curve, n),
-		partAcc:    make([]int64, n),
 	}
 	if cfg.Weights != nil {
 		if len(cfg.Weights) != n {
@@ -154,13 +139,6 @@ func New(sc *core.ShadowedCache, cfg Config) (*Cache, error) {
 			}
 		}
 		a.weights = append([]float64(nil), cfg.Weights...)
-	}
-	for p := range a.mons {
-		mon, err := monitor.NewSlicedEpochMonitor(budget, monitor.DefaultRetain, cfg.Seed+uint64(p)*0x9E3779B9, 1)
-		if err != nil {
-			return nil, fmt.Errorf("adaptive: partition %d monitor: %w", p, err)
-		}
-		a.mons[p].mon = mon
 	}
 	fair, err := alloc.Fair(n, budget, max(budget/allocGranules, 1))
 	if err != nil {
@@ -233,9 +211,7 @@ func (a *Cache) checkPartition(p int) {
 // [0, NumLogical()); anything else panics with a descriptive message.
 func (a *Cache) Access(addr uint64, p int) bool {
 	a.checkPartition(p)
-	s := &a.mons[p]
-	s.mon.Observe(addr)
-	s.accesses.Add(1)
+	a.loop.Observe(addr, p)
 	hit := a.sc.Access(addr, p)
 	a.afterAccesses(1)
 	return hit
@@ -279,91 +255,32 @@ func (a *Cache) runEpochLocked() {
 	})
 }
 
-// epochBody does the actual epoch work. Caller holds epochMu.
+// epochBody is one Loop step, hill climbing on the hulls (optimal there
+// for any weights, floors and caps: alloc.TestWeightedAllocatorsAgreeOnHulls),
+// then the Talus reconfiguration. An idle epoch counts nothing, so Err
+// keeps reporting the last real epoch's outcome. Caller holds epochMu.
 func (a *Cache) epochBody() {
-	// Drain each lane's epoch access count. A cache-wide idle epoch is
-	// skipped outright — no curve extraction, no EWMA decay, no epoch
-	// counted: a wall-clock tick on an idle cache must not erode the
-	// measured curves toward empty (the counters hold until traffic
-	// returns, and Err keeps reporting the last real epoch's outcome).
-	var epochAcc int64
-	for p := range a.mons {
-		a.partAcc[p] = a.mons[p].accesses.Swap(0)
-		epochAcc += a.partAcc[p]
-	}
-	if epochAcc == 0 {
-		return
-	}
-	// Extract each measured partition's EWMA curve. The denominator is
-	// shared across partitions — every curve is normalized per
-	// kilo-access of the whole cache's epoch stream — so curve heights
-	// compare as absolute miss counts and the allocator minimizes
-	// (weighted) total misses, the analogue of the CPU simulator's
-	// aggregate-MPKI objective. Partitions idle *this epoch* are skipped
-	// the same way idle epochs are: their monitors keep accumulating and
-	// their last curve stands, so a tenant that pauses does not decay
-	// toward zero utility and lose its allocation.
-	units := float64(epochAcc)
-	budget := a.sc.Inner().PartitionableCapacity()
-	var churn float64
-	for p := range a.mons {
-		if a.partAcc[p] == 0 {
-			if a.lastCurves[p] == nil {
-				// Never-seen partition: a flat zero curve claims no utility,
-				// so the allocator gives it only leftover capacity.
-				a.lastCurves[p] = curve.MustNew([]curve.Point{
-					{Size: 0, MPKI: 0}, {Size: float64(budget), MPKI: 0},
-				})
-			}
-			continue
-		}
-		// EpochCurve is serialized by epochMu; racing observers accrue
-		// to this epoch or the next.
-		c, err := a.mons[p].mon.EpochCurve(units)
-		if err == nil {
-			// Churn: how far this partition's curve moved since its last
-			// measurement, weighted by its share of the epoch's traffic
-			// (a first measurement is maximal churn: Distance vs nil = 1).
-			churn += float64(a.partAcc[p]) / units * curve.Distance(a.lastCurves[p], c)
-			a.lastCurves[p] = c
-		} else if a.lastCurves[p] == nil {
-			a.lastCurves[p] = curve.MustNew([]curve.Point{
-				{Size: 0, MPKI: 0}, {Size: float64(budget), MPKI: 0},
-			})
-		}
-	}
-	a.churn = churn
-
-	hulls := core.Convexify(a.lastCurves)
-	granule := max(budget/allocGranules, 1)
-	// Hill climbing on the hulls: optimal there for any weights, floors
-	// and caps (alloc.TestWeightedAllocatorsAgreeOnHulls), so no other
-	// allocator would move a line.
-	allocs, err := alloc.WeightedHillClimb(alloc.Request{
-		Curves:   hulls,
-		Total:    budget,
-		Granule:  granule,
+	allocs, curves, ok, err := a.loop.Step(alloc.HillClimbAllocator, true, alloc.Request{
+		Total:    a.sc.Inner().PartitionableCapacity(),
 		Weights:  a.weights,
 		MinLines: a.minLines,
 		MaxLines: a.maxLines,
 	})
-	if err != nil {
-		a.lastErr = fmt.Errorf("adaptive: epoch %d allocate: %w", a.epochs, err)
-		a.epochs++
+	if !ok {
 		return
 	}
 	// Reconfigure from the raw curves, not the hulls: Configure's
 	// flat-gain check needs the raw curve to collapse already-convex
 	// partitions to a single shadow partition (interpolating there pays
-	// sampling noise for nothing). The hulls above feed the allocator,
-	// which is what reusing them buys.
-	if err := a.sc.Reconfigure(allocs, a.lastCurves); err != nil {
-		a.lastErr = fmt.Errorf("adaptive: epoch %d reconfigure: %w", a.epochs, err)
-		a.epochs++
-		return
+	// sampling noise for nothing).
+	if err != nil {
+		err = fmt.Errorf("adaptive: epoch %d allocate: %w", a.epochs, err)
+	} else if err = a.sc.Reconfigure(allocs, curves); err != nil {
+		err = fmt.Errorf("adaptive: epoch %d reconfigure: %w", a.epochs, err)
+	} else {
+		copy(a.lastAllocs, allocs)
 	}
-	copy(a.lastAllocs, allocs)
-	a.lastErr = nil
+	a.lastErr = err
 	a.epochs++
 }
 
@@ -456,7 +373,7 @@ func (a *Cache) Controller() ControllerState {
 	defer a.epochMu.Unlock()
 	st := ControllerState{
 		Epochs:        a.epochs,
-		Churn:         a.churn,
+		Churn:         a.loop.Churn(),
 		EpochAccesses: a.cfg.EpochAccesses,
 		EpochInterval: max(a.cfg.EpochInterval, 0),
 		Allocations:   append([]int64(nil), a.lastAllocs...),
@@ -521,7 +438,7 @@ func (a *Cache) Curve(p int) *curve.Curve {
 	a.checkPartition(p)
 	a.epochMu.Lock()
 	defer a.epochMu.Unlock()
-	return a.lastCurves[p]
+	return a.loop.Curve(p)
 }
 
 // Err returns the most recent epoch step's error (nil when it succeeded).

@@ -8,22 +8,26 @@
 //
 // Build assembles the stack over LRU arrays, the only policy the
 // loop's LRU-stack monitors describe (see Build). Cache wraps a
-// core.ShadowedCache and keeps one monitor.SlicedEpochMonitor per
-// logical partition on the pre-sampling access stream (monitors must
-// see the full stream; the Talus sampler splits it afterwards). Every
-// EpochAccesses observed accesses, the crossing goroutine:
+// core.ShadowedCache and a Loop, which keeps one
+// monitor.SlicedEpochMonitor per logical partition on the pre-sampling
+// access stream (monitors must see the full stream; the Talus sampler
+// splits it afterwards). Every EpochAccesses observed accesses, the
+// crossing goroutine runs one Loop.Step, which:
 //
 //  1. extracts each partition's EWMA miss curve from its monitor bank
 //     (misses per kilo-access, all partitions sharing one denominator so
 //     curve magnitudes compare as absolute miss counts);
 //  2. convexifies the curves (core.Convexify — the Talus pre-processing
 //     step);
-//  3. hill-climbs on the hulls (alloc.WeightedHillClimb) to divide the
+//  3. hill-climbs on the hulls (alloc.HillClimbAllocator) to divide the
 //     partitionable capacity — optimal on convex curves for any
 //     weights, floors and caps, so there is no allocator to choose;
-//  4. live-reconfigures shadow sizes and sampling rates via
-//     core.ShadowedCache.Reconfigure (the raw curves go down too, so
-//     already-convex partitions collapse to a single shadow partition).
+//
+// and then live-reconfigures shadow sizes and sampling rates via
+// core.ShadowedCache.Reconfigure (the raw curves go down too, so
+// already-convex partitions collapse to a single shadow partition). The
+// multi-program simulator (sim.RunMix) runs the same Step, varying only
+// the allocator, the hull flag and the objective weights.
 //
 // # One speed, and the control plane
 //

@@ -1,6 +1,6 @@
 // Allocator: the common interface over the partitioning algorithms, so
-// the mix simulator holds one value per management mode instead of
-// switching on mode names at every reconfiguration.
+// the epoch step (adaptive.Loop.Step) takes the algorithm as an argument
+// and the mix simulator's mode table holds one value per mode.
 
 package alloc
 

@@ -3,11 +3,22 @@
 // and the matching denominator — the effective number of kilo-units
 // observed — decays in lockstep, so the extracted curve is always a
 // consistent EWMA of the recent stream. "Units" are whatever the caller
-// normalizes miss rates by: the CPU simulator passes instructions
-// (curves in MPKI); the adaptive cache runtime passes accesses (curves
-// in misses per kilo-access). The curve's shape — and therefore every
-// Talus and allocator decision — is identical either way; only the
-// y-axis scale differs.
+// normalizes miss rates by. The epoch step (adaptive.Loop, run by the
+// serving cache and the multi-program simulator alike) passes the whole
+// cache's epoch accesses, so every partition's curve is in misses per
+// kilo-access of the combined stream; the single-app sweeps pass
+// instructions (curves in MPKI). The unit scales the y-axis only, but
+// decisions still depend on it in two ways:
+//
+//   - An allocation across partitions compares the curves' heights, so
+//     it depends on their relative scale: per-app instruction units and
+//     a shared access unit allocate differently unless objective weights
+//     convert one into the other (the simulator weights each app by the
+//     mix's accesses over the app's instructions).
+//   - core.Configure's flat-gain test, raw−predicted ≤ 0.02·raw + 0.01,
+//     has an absolute 0.01 term in the curve's unit, so a unit that
+//     shrinks the curves collapses more partitions to one shadow
+//     partition.
 //
 // The bank has one lock. A sampled Observe takes it once, walks the
 // three arrays' sets and adds raw counts straight into the accumulators;

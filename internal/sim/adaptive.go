@@ -1,7 +1,8 @@
 // Adaptive-runtime experiments: the serving-side counterpart of RunMix.
-// Where RunMix simulates CPU epochs in cycles and reconfigures between
-// them, RunAdaptive drives the online control loop (internal/adaptive,
-// built by adaptive.Build) purely from the access stream — the
+// Where RunMix simulates CPU epochs in cycles and runs the loop's epoch
+// step (adaptive.Loop) between them, RunAdaptive drives the whole online
+// control loop (internal/adaptive, built by adaptive.Build) purely from
+// the access stream — the
 // configuration a production cache service would run, and the harness
 // behind the adaptive-vs-oracle convergence experiment in EXPERIMENTS.md.
 

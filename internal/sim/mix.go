@@ -20,13 +20,14 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"talus/internal/adaptive"
 	"talus/internal/alloc"
 	"talus/internal/cache"
 	"talus/internal/core"
 	"talus/internal/curve"
-	"talus/internal/monitor"
 	"talus/internal/workload"
 )
 
@@ -84,95 +85,57 @@ func (c *MixConfig) defaults() error {
 	return nil
 }
 
-// mixCache abstracts the two datapaths (plain partitioned cache vs Talus
-// shadowed cache) behind one access/reconfigure interface. Unmanaged
-// modes run a plainMix that is never reconfigured.
-type mixCache interface {
-	Access(addr uint64, app int) bool
-	Reconfigure(allocs []int64, curves []*curve.Curve) error
-	Budget() int64 // partitionable capacity to allocate
+// mode is one management scheme's recipe: the arrays RunMix builds and
+// the epoch step it runs over them.
+type mode struct {
+	name   Mode
+	scheme string // partitioning scheme of the arrays ("none": shared)
+	policy string // the arrays' replacement policy
+	talus  bool   // Talus shadow partitions over the arrays
+	alloc  alloc.Allocator
+	hull   bool // alloc sees convex hulls (Fair ignores the curves)
 }
 
-type plainMix struct {
-	c core.PartitionedCache
+// modes is the management vocabulary. A mode with no allocator is
+// never reconfigured.
+var modes = []mode{
+	{ModeLRU, "none", "LRU", false, nil, false},
+	{ModeTADRRIP, "none", "TA-DRRIP", false, nil, false},
+	{ModeHillLRU, "vantage", "LRU", false, alloc.HillClimbAllocator, false},
+	{ModeLookaheadLRU, "vantage", "LRU", false, alloc.LookaheadAllocator, false},
+	{ModeFairLRU, "vantage", "LRU", false, alloc.FairAllocator, false},
+	{ModeTalusHill, "vantage", "LRU", true, alloc.HillClimbAllocator, true},
+	{ModeTalusFair, "vantage", "LRU", true, alloc.FairAllocator, false},
+	{ModeTalusLookahead, "vantage", "LRU", true, alloc.LookaheadAllocator, true},
 }
 
-func (p *plainMix) Access(addr uint64, app int) bool { return p.c.Access(addr, app) }
-func (p *plainMix) Budget() int64                    { return p.c.PartitionableCapacity() }
-func (p *plainMix) Reconfigure(allocs []int64, _ []*curve.Curve) error {
-	return p.c.SetPartitionSizes(allocs)
-}
+// ValidModes enumerates every management scheme, for error messages and
+// flag help that teach the caller the vocabulary.
+var ValidModes = func() string {
+	names := make([]string, len(modes))
+	for i, m := range modes {
+		names[i] = string(m.name)
+	}
+	return strings.Join(names, ", ")
+}()
 
-type talusMix struct {
-	t *core.ShadowedCache
-}
-
-func (t *talusMix) Access(addr uint64, app int) bool { return t.t.Access(addr, app) }
-func (t *talusMix) Budget() int64                    { return t.t.Inner().PartitionableCapacity() }
-func (t *talusMix) Reconfigure(allocs []int64, curves []*curve.Curve) error {
-	return t.t.Reconfigure(allocs, curves)
-}
-
-// buildMixCache constructs the datapath for a mode.
-func buildMixCache(cfg *MixConfig) (mixCache, bool, error) {
-	n := len(cfg.Apps)
-	switch cfg.Mode {
-	case ModeLRU:
-		c, err := cache.Build("none", cfg.CapacityLines, cfg.Assoc, n, "LRU", n, cfg.Seed)
-		return &plainMix{c}, false, err
-	case ModeTADRRIP:
-		c, err := cache.Build("none", cfg.CapacityLines, cfg.Assoc, n, "TA-DRRIP", n, cfg.Seed)
-		return &plainMix{c}, false, err
-	case ModeHillLRU, ModeLookaheadLRU, ModeFairLRU:
-		c, err := cache.Build("vantage", cfg.CapacityLines, cfg.Assoc, n, "LRU", n, cfg.Seed)
-		return &plainMix{c}, true, err
-	case ModeTalusHill, ModeTalusFair, ModeTalusLookahead:
-		inner, err := cache.Build("vantage", cfg.CapacityLines, cfg.Assoc, 2*n, "LRU", n, cfg.Seed)
-		if err != nil {
-			return nil, false, err
+// mpkiWeights makes the epoch step's objective the sum of the apps'
+// MPKI. The step's curves are misses per kilo-access of the whole mix;
+// weighting app i by the mix's epoch accesses over app i's epoch
+// instructions turns its curve back into its MPKI curve. An app that
+// issued nothing this epoch weighs 0.
+func mpkiWeights(apps []workload.Spec, acc []int64) []float64 {
+	var total int64
+	for _, a := range acc {
+		total += a
+	}
+	w := make([]float64, len(apps))
+	for i, spec := range apps {
+		if acc[i] > 0 {
+			w[i] = float64(total) / (float64(acc[i]) * 1000 / spec.APKI)
 		}
-		tc, err := core.NewShadowedCache(inner, n, cfg.Margin, cfg.Seed^0x7A105)
-		return &talusMix{tc}, true, err
 	}
-	return nil, false, fmt.Errorf("sim: unknown mode %q (valid: %s)", cfg.Mode, ValidModes)
-}
-
-// ValidModes enumerates every management scheme buildMixCache accepts,
-// for error messages and flag help that teach the caller the vocabulary.
-const ValidModes = "lru, tadrrip, hill-lru, lookahead-lru, fair-lru, talus-hill, talus-fair, talus-lookahead"
-
-// allocatorFor maps a management mode to its allocation policy and
-// whether curves are convexified (the Talus pre-processing step) before
-// allocation. Callers hold the alloc.Allocator value instead of
-// re-switching on mode names each epoch.
-func allocatorFor(mode Mode) (a alloc.Allocator, convexify bool, err error) {
-	switch mode {
-	case ModeFairLRU, ModeTalusFair:
-		// Fair ignores the curves, so even under Talus there is nothing
-		// to convexify here (Reconfigure hulls the curves itself).
-		return alloc.FairAllocator, false, nil
-	case ModeHillLRU:
-		return alloc.HillClimbAllocator, false, nil
-	case ModeLookaheadLRU:
-		return alloc.LookaheadAllocator, false, nil
-	case ModeTalusHill:
-		return alloc.HillClimbAllocator, true, nil
-	case ModeTalusLookahead:
-		return alloc.LookaheadAllocator, true, nil
-	}
-	return nil, false, fmt.Errorf("sim: mode %q does not allocate (allocating modes: hill-lru, lookahead-lru, fair-lru, talus-hill, talus-fair, talus-lookahead)", mode)
-}
-
-// allocate runs the mode's allocation algorithm.
-func allocate(mode Mode, curves []*curve.Curve, budget, granule int64) ([]int64, error) {
-	a, convexify, err := allocatorFor(mode)
-	if err != nil {
-		return nil, err
-	}
-	if convexify {
-		curves = core.Convexify(curves)
-	}
-	return a.Allocate(alloc.NewRequest(curves, budget, granule))
+	return w
 }
 
 // RunMixes simulates many mixes concurrently on a worker pool bounded by
@@ -195,46 +158,45 @@ func RunMixes(cfgs []MixConfig, parallelism int) ([]*MixResult, error) {
 	return results, nil
 }
 
-// closeEpoch closes every monitor's epoch with units[i] as monitor i's
-// denominator, stores the extracted curves, and reports whether every
-// monitor produced one. All epochs are closed even when an earlier
-// monitor has no sampled access yet: a monitor left open would keep
-// undecayed counters against an unadvanced denominator, and its next
-// curve would come out over-scaled.
-func closeEpoch(mons []*monitor.SlicedEpochMonitor, units []float64, curves []*curve.Curve) bool {
-	ok := true
-	for i, m := range mons {
-		c, err := m.EpochCurve(units[i])
-		if err != nil {
-			ok = false
-			continue
-		}
-		curves[i] = c
-	}
-	return ok
-}
-
 // RunMix simulates one multi-programmed mix and returns per-app results.
 func RunMix(cfg MixConfig) (*MixResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
+	mi := slices.IndexFunc(modes, func(m mode) bool { return m.name == cfg.Mode })
+	if mi < 0 {
+		return nil, fmt.Errorf("sim: unknown mode %q (valid: %s)", cfg.Mode, ValidModes)
+	}
+	m := modes[mi]
 	n := len(cfg.Apps)
-	mc, managed, err := buildMixCache(&cfg)
+	parts := n
+	if m.talus {
+		parts = 2 * n
+	}
+	arrays, err := cache.Build(m.scheme, cfg.CapacityLines, cfg.Assoc, parts, m.policy, n, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	access, reconfigure := arrays.Access, func(allocs []int64, _ []*curve.Curve) error {
+		return arrays.SetPartitionSizes(allocs)
+	}
+	if m.talus {
+		talus, err := core.NewShadowedCache(arrays, n, cfg.Margin, cfg.Seed^0x7A105)
+		if err != nil {
+			return nil, err
+		}
+		access, reconfigure = talus.Access, talus.Reconfigure
+	}
+	var loop *adaptive.Loop
+	if m.alloc != nil {
+		if loop, err = adaptive.NewLoop(n, cfg.CapacityLines, cfg.Seed); err != nil {
+			return nil, err
+		}
+	}
 
 	apps := make([]*workload.App, n)
-	mons := make([]*monitor.SlicedEpochMonitor, n)
 	for i, spec := range cfg.Apps {
 		apps[i] = workload.NewApp(spec, cfg.Seed+uint64(i)*7919)
-		if managed {
-			mons[i], err = monitor.NewSlicedEpochMonitor(cfg.CapacityLines, monitor.DefaultRetain, cfg.Seed+uint64(i)*104729, 1)
-			if err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	// Per-app progress state.
@@ -249,46 +211,33 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 		doneAt[i] = -1
 	}
 
-	curves := make([]*curve.Curve, n)
-	allocs := make([]int64, n)
 	var cycles float64
 	epoch := 0
 
 	for ; epoch < cfg.MaxEpochs; epoch++ {
 		// How many accesses each app issues this epoch.
-		rates := make([]float64, n) // accesses per cycle
 		epochAcc := make([]int64, n)
-		var totalAcc int64
 		for i, spec := range cfg.Apps {
-			rates[i] = spec.APKI / 1000 / cpi[i]
-			credit[i] += rates[i] * float64(cfg.EpochCycles)
+			credit[i] += spec.APKI / 1000 / cpi[i] * float64(cfg.EpochCycles)
 			epochAcc[i] = int64(credit[i])
 			credit[i] -= float64(epochAcc[i])
-			totalAcc += epochAcc[i]
 		}
 
 		// Interleave in fine rounds so cores contend realistically.
 		const rounds = 512
 		epochMisses := make([]int64, n)
-		remaining := make([]int64, n)
-		copy(remaining, epochAcc)
 		for r := 0; r < rounds; r++ {
 			for i := range apps {
 				quota := epochAcc[i] / rounds
 				if r < int(epochAcc[i]%rounds) {
 					quota++
 				}
-				if quota > remaining[i] {
-					quota = remaining[i]
-				}
-				remaining[i] -= quota
-				space := adaptive.AppSpace(i)
 				for k := int64(0); k < quota; k++ {
-					addr := apps[i].Next() | space
-					if managed {
-						mons[i].Observe(addr)
+					addr := apps[i].Next() | adaptive.AppSpace(i)
+					if loop != nil {
+						loop.Observe(addr, i)
 					}
-					if !mc.Access(addr, i) {
+					if !access(addr, i) {
 						epochMisses[i]++
 					}
 				}
@@ -322,40 +271,29 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 		}
 		cycles += float64(cfg.EpochCycles)
 
-		allDone := true
-		for i := range doneAt {
-			if doneAt[i] < 0 {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
+		if !slices.Contains(doneAt, -1) {
 			epoch++
 			break
 		}
 
-		// Reconfigure for the next epoch. The epoch monitors decay rather
-		// than reset, so curves integrate history with a one-epoch
-		// half-life.
-		if managed {
-			instr := make([]float64, n)
-			for i, spec := range cfg.Apps {
-				instr[i] = float64(epochAcc[i]) * 1000 / spec.APKI
-			}
-			if closeEpoch(mons, instr, curves) {
-				budget := mc.Budget()
-				granule := budget / 64
-				if granule < 1 {
-					granule = 1
-				}
-				allocs, err = allocate(cfg.Mode, curves, budget, granule)
-				if err != nil {
-					return nil, err
-				}
-				if err := mc.Reconfigure(allocs, curves); err != nil {
-					return nil, err
-				}
-			}
+		// Reconfigure for the next epoch through the serving loop's step.
+		// The monitors decay rather than reset, so curves integrate
+		// history with a one-epoch half-life.
+		if loop == nil {
+			continue
+		}
+		var weights []float64
+		if m.alloc.Name() != "fair" { // Fair reads weights as shares
+			weights = mpkiWeights(cfg.Apps, epochAcc)
+		}
+		allocs, curves, ok, err := loop.Step(m.alloc, m.hull, alloc.Request{
+			Total: arrays.PartitionableCapacity(), Weights: weights,
+		})
+		if err == nil && ok {
+			err = reconfigure(allocs, curves)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 

@@ -2,12 +2,12 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"talus/internal/alloc"
 	"talus/internal/curve"
-	"talus/internal/hash"
-	"talus/internal/monitor"
 	"talus/internal/stats"
 	"talus/internal/workload"
 )
@@ -242,51 +242,49 @@ func TestMixDeterminism(t *testing.T) {
 	}
 }
 
-// TestCloseEpochClosesEveryMonitor is the regression test for RunMix's
-// epoch-close step stopping at the first monitor with no sampled access:
-// a monitor that is still empty in the first epoch, ahead of a busy one,
-// must not change the busy one's second-epoch curve (left open, it kept
-// undecayed counters against an unadvanced denominator and read
-// over-scaled).
-func TestCloseEpochClosesEveryMonitor(t *testing.T) {
-	const llc, perEpoch = 4096, 100_000
-	newMon := func() *monitor.SlicedEpochMonitor {
-		m, err := monitor.NewSlicedEpochMonitor(llc, monitor.DefaultRetain, 17, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+// TestMPKIWeightsRecoverPerAppObjective: the epoch step's curves are
+// misses per kilo-access of the whole mix. Weighted by mpkiWeights, hill
+// climbing on them allocates exactly as hill climbing on each app's own
+// MPKI curve, the objective RunMix had when every monitor counted its
+// own app's instructions. Without the weights the allocation differs.
+func TestMPKIWeightsRecoverPerAppObjective(t *testing.T) {
+	apps := []workload.Spec{{APKI: 10}, {APKI: 40}, {APKI: 5}}
+	acc := []int64{1000, 4000, 2000} // 100 000, 100 000 and 400 000 instructions
+	mpki := []*curve.Curve{
+		curve.MustNew([]curve.Point{{Size: 0, MPKI: 20}, {Size: 512, MPKI: 10}, {Size: 1024, MPKI: 5}, {Size: 2048, MPKI: 4}}),
+		curve.MustNew([]curve.Point{{Size: 0, MPKI: 30}, {Size: 1024, MPKI: 8}, {Size: 2048, MPKI: 6}}),
+		curve.MustNew([]curve.Point{{Size: 0, MPKI: 8}, {Size: 2048, MPKI: 2}}),
 	}
-	late, behind, alone := newMon(), newMon(), newMon()
-	pair := []*monitor.SlicedEpochMonitor{late, behind}
-	solo := []*monitor.SlicedEpochMonitor{alone}
-	pairCurves := make([]*curve.Curve, 2)
-	soloCurves := make([]*curve.Curve, 1)
-
-	rng := hash.NewSplitMix64(3)
-	for epoch := 0; epoch < 2; epoch++ {
-		for i := 0; i < perEpoch; i++ {
-			addr := rng.Uint64n(2048)
-			behind.Observe(addr)
-			alone.Observe(addr)
-			if epoch > 0 {
-				late.Observe(addr)
-			}
-		}
-		if got, want := closeEpoch(pair, []float64{perEpoch, perEpoch}, pairCurves), epoch > 0; got != want {
-			t.Fatalf("epoch %d: closeEpoch = %v with the late monitor empty = %v", epoch, got, !want)
-		}
-		if !closeEpoch(solo, []float64{perEpoch}, soloCurves) {
-			t.Fatalf("epoch %d: busy monitor produced no curve", epoch)
-		}
+	var total float64
+	for _, a := range acc {
+		total += float64(a)
 	}
-	got, want := pairCurves[1].Points(), soloCurves[0].Points()
-	if len(got) != len(want) {
-		t.Fatalf("second-epoch curve has %d points behind a late monitor, %d alone", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("second-epoch point %d: %+v behind a late monitor, %+v alone", i, got[i], want[i])
+	whole := make([]*curve.Curve, len(mpki))
+	for i, c := range mpki {
+		instr := float64(acc[i]) * 1000 / apps[i].APKI
+		pts := c.Points()
+		for j := range pts {
+			pts[j].MPKI *= instr / total // misses per kilo-access of the mix
 		}
+		whole[i] = curve.MustNew(pts)
+	}
+	const budget, granule = 2048, 64
+	want, err := alloc.WeightedHillClimb(alloc.NewRequest(mpki, budget, granule))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := alloc.WeightedHillClimb(alloc.Request{Curves: whole, Total: budget, Granule: granule, Weights: mpkiWeights(apps, acc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("weighted whole-mix curves allocate %v, per-app MPKI curves %v", got, want)
+	}
+	unweighted, err := alloc.WeightedHillClimb(alloc.NewRequest(whole, budget, granule))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(unweighted, want) {
+		t.Fatalf("unweighted whole-mix curves also allocate %v: the case does not tell the objectives apart", want)
 	}
 }
