@@ -59,8 +59,9 @@ type ControllerState struct {
 	Epochs int `json:"epochs"`
 	// Churn is the last measuring epoch's access-share-weighted
 	// normalized L1 distance between successive per-partition curves
-	// (see curve.Distance); 0 before the second measuring epoch. A
-	// reported signal: nothing in the loop acts on it.
+	// (see curve.Distance); the first measuring epoch reads up to 1,
+	// since a first curve moved by 1. A reported signal: nothing in the
+	// loop acts on it.
 	Churn float64 `json:"churn"`
 	// EpochAccesses is the configured epoch budget in accesses.
 	EpochAccesses int64 `json:"epoch_accesses"`

@@ -1,7 +1,6 @@
 package adaptive
 
 import (
-	"cmp"
 	"fmt"
 	"sync/atomic"
 
@@ -61,8 +60,8 @@ func (l *Loop) Observe(addr uint64, p int) {
 // busy partition's monitor closes with the whole epoch's accesses as the
 // unit, so curve heights compare as miss counts. A partition idle this
 // epoch, or with no sample yet, keeps its last curve or a flat zero one.
-// a runs on req with the curves (hulled when hull is set) and Granule
-// defaulting to Total/64. curves are the raw curves, owned by the Loop.
+// a runs on req with the curves (hulled when hull is set) and a Granule
+// of Total/64. curves are the raw curves, owned by the Loop.
 func (l *Loop) Step(a alloc.Allocator, hull bool, req alloc.Request) (allocs []int64, curves []*curve.Curve, ok bool, err error) {
 	var epochAcc int64
 	for p := range l.lanes {
@@ -91,7 +90,7 @@ func (l *Loop) Step(a alloc.Allocator, hull bool, req alloc.Request) (allocs []i
 	if hull {
 		req.Curves = core.Convexify(l.curves)
 	}
-	req.Granule = cmp.Or(req.Granule, max(req.Total/allocGranules, 1))
+	req.Granule = max(req.Total/allocGranules, 1)
 	allocs, err = a.Allocate(req)
 	return allocs, l.curves, true, err
 }

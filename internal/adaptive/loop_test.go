@@ -79,41 +79,3 @@ func TestStepClosesEveryMonitor(t *testing.T) {
 		}
 	}
 }
-
-// TestStepAllocatesOnHulls: two scans, each with its cliff at 3/4 of
-// the cache, share it; the first issues twice the second's accesses. On
-// raw curves hill climbing sees no gain short of either cliff and
-// spreads the cache evenly, leaving both on their plateaus. On the hulls
-// it sees each cliff as a slope and gives the heavier scan its cliff.
-func TestStepAllocatesOnHulls(t *testing.T) {
-	const llc = 1 << 14
-	step := func(hull bool) []int64 {
-		l, err := adaptive.NewLoop(2, llc, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var allocs []int64
-		for epoch := 0; epoch < 4; epoch++ {
-			for i := 0; i < 1<<17; i++ {
-				l.Observe(uint64(i%(3*llc/4))|adaptive.AppSpace(0), 0)
-				if i%2 == 0 {
-					l.Observe(uint64(i/2%(3*llc/4))|adaptive.AppSpace(1), 1)
-				}
-			}
-			var ok bool
-			allocs, _, ok, err = l.Step(alloc.HillClimbAllocator, hull, alloc.Request{Total: llc})
-			if !ok || err != nil {
-				t.Fatalf("Step = %v, %v", ok, err)
-			}
-		}
-		return allocs
-	}
-	raw, hulls := step(false), step(true)
-	t.Logf("raw %v, hulls %v", raw, hulls)
-	if hulls[0] < 3*llc/4 {
-		t.Errorf("hull step gave the heavier cliff app %d of %d lines, want its cliff (%d)", hulls[0], llc, 3*llc/4)
-	}
-	if slices.Equal(raw, hulls) {
-		t.Errorf("raw and hull steps both allocate %v", raw)
-	}
-}

@@ -14,7 +14,8 @@
 //     it depends on their relative scale: per-app instruction units and
 //     a shared access unit allocate differently unless objective weights
 //     convert one into the other (the simulator weights each app by the
-//     mix's accesses over the app's instructions).
+//     mix's accesses over the app's instructions, both decayed like the
+//     unit).
 //   - core.Configure's flat-gain test, raw−predicted ≤ 0.02·raw + 0.01,
 //     has an absolute 0.01 term in the curve's unit, so a unit that
 //     shrinks the curves collapses more partitions to one shadow

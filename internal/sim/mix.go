@@ -28,6 +28,7 @@ import (
 	"talus/internal/cache"
 	"talus/internal/core"
 	"talus/internal/curve"
+	"talus/internal/monitor"
 	"talus/internal/workload"
 )
 
@@ -119,22 +120,34 @@ var ValidModes = func() string {
 	return strings.Join(names, ", ")
 }()
 
-// mpkiWeights makes the epoch step's objective the sum of the apps'
-// MPKI. The step's curves are misses per kilo-access of the whole mix;
-// weighting app i by the mix's epoch accesses over app i's epoch
-// instructions turns its curve back into its MPKI curve. An app that
-// issued nothing this epoch weighs 0.
-func mpkiWeights(apps []workload.Spec, acc []int64) []float64 {
-	var total int64
-	for _, a := range acc {
-		total += a
+// mpkiObjective makes the epoch step's objective the sum of the apps'
+// MPKI. Step's curves are misses per kilo-access of the whole mix, over
+// EWMA'd counts. Weighting app i by the mix's accesses over app i's
+// instructions, both decayed as the monitors decay their unit, turns its
+// curve into exactly the MPKI curve a monitor counting app i's own
+// instructions would read. Weights from the epoch's counts alone would
+// lag the curves and damp a fast app's weight.
+type mpkiObjective struct {
+	apps  []workload.Spec
+	acc   float64
+	instr []float64
+}
+
+// weights accounts one epoch's accesses per app and returns the weights.
+// An app with no instructions yet weighs 0.
+func (o *mpkiObjective) weights(epochAcc []int64) []float64 {
+	w := make([]float64, len(o.apps))
+	for i, spec := range o.apps {
+		o.acc += float64(epochAcc[i])
+		o.instr[i] += float64(epochAcc[i]) * 1000 / spec.APKI
 	}
-	w := make([]float64, len(apps))
-	for i, spec := range apps {
-		if acc[i] > 0 {
-			w[i] = float64(total) / (float64(acc[i]) * 1000 / spec.APKI)
+	for i := range w {
+		if o.instr[i] > 0 {
+			w[i] = o.acc / o.instr[i]
 		}
+		o.instr[i] *= monitor.DefaultRetain
 	}
+	o.acc *= monitor.DefaultRetain
 	return w
 }
 
@@ -213,6 +226,7 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 
 	var cycles float64
 	epoch := 0
+	objective := mpkiObjective{apps: cfg.Apps, instr: make([]float64, n)}
 
 	for ; epoch < cfg.MaxEpochs; epoch++ {
 		// How many accesses each app issues this epoch.
@@ -284,7 +298,7 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 		}
 		var weights []float64
 		if m.alloc.Name() != "fair" { // Fair reads weights as shares
-			weights = mpkiWeights(cfg.Apps, epochAcc)
+			weights = objective.weights(epochAcc)
 		}
 		allocs, curves, ok, err := loop.Step(m.alloc, m.hull, alloc.Request{
 			Total: arrays.PartitionableCapacity(), Weights: weights,

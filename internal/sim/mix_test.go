@@ -8,6 +8,8 @@ import (
 
 	"talus/internal/alloc"
 	"talus/internal/curve"
+	"talus/internal/hash"
+	"talus/internal/monitor"
 	"talus/internal/stats"
 	"talus/internal/workload"
 )
@@ -242,11 +244,57 @@ func TestMixDeterminism(t *testing.T) {
 	}
 }
 
-// TestMPKIWeightsRecoverPerAppObjective: the epoch step's curves are
-// misses per kilo-access of the whole mix. Weighted by mpkiWeights, hill
-// climbing on them allocates exactly as hill climbing on each app's own
-// MPKI curve, the objective RunMix had when every monitor counted its
-// own app's instructions. Without the weights the allocation differs.
+// TestMPKIObjectiveRecoversPerAppCurves: the epoch step's curves are
+// misses per kilo-access of the whole mix. Weighted by mpkiObjective,
+// each equals the MPKI curve a monitor counting its own app's
+// instructions reads, epoch after epoch, while the apps' shares of the
+// accesses change.
+func TestMPKIObjectiveRecoversPerAppCurves(t *testing.T) {
+	const llc = 4096
+	apps := []workload.Spec{{APKI: 10}, {APKI: 40}}
+	obj := mpkiObjective{apps: apps, instr: make([]float64, len(apps))}
+	newMon := func(i int) *monitor.SlicedEpochMonitor {
+		m, err := monitor.NewSlicedEpochMonitor(llc, monitor.DefaultRetain, uint64(i), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	own, whole := []*monitor.SlicedEpochMonitor{newMon(0), newMon(1)}, []*monitor.SlicedEpochMonitor{newMon(0), newMon(1)}
+	rng := hash.NewSplitMix64(9)
+	for epoch, acc := range [][]int64{{30000, 10000}, {10000, 40000}, {20000, 20000}} {
+		for i := range apps {
+			for k := int64(0); k < acc[i]; k++ {
+				addr := rng.Uint64n(3000)
+				own[i].Observe(addr)
+				whole[i].Observe(addr)
+			}
+		}
+		w := obj.weights(acc)
+		for i, spec := range apps {
+			mine, err := own[i].EpochCurve(float64(acc[i]) * 1000 / spec.APKI)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mixed, err := whole[i].EpochCurve(float64(acc[0] + acc[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := mine.Points(), mixed.Points()
+			for j := range want {
+				if d := got[j].MPKI*w[i] - want[j].MPKI; math.Abs(d) > 1e-9*want[j].MPKI {
+					t.Fatalf("epoch %d app %d point %d: weighted %g, own-unit %g", epoch, i, j, got[j].MPKI*w[i], want[j].MPKI)
+				}
+			}
+		}
+	}
+}
+
+// TestMPKIWeightsRecoverPerAppObjective: on constructed curves, hill
+// climbing on whole-mix curves weighted by mpkiObjective allocates
+// exactly as hill climbing on each app's own MPKI curve, the objective
+// RunMix had when every monitor counted its own app's instructions.
+// Without the weights the allocation differs.
 func TestMPKIWeightsRecoverPerAppObjective(t *testing.T) {
 	apps := []workload.Spec{{APKI: 10}, {APKI: 40}, {APKI: 5}}
 	acc := []int64{1000, 4000, 2000} // 100 000, 100 000 and 400 000 instructions
@@ -268,12 +316,13 @@ func TestMPKIWeightsRecoverPerAppObjective(t *testing.T) {
 		}
 		whole[i] = curve.MustNew(pts)
 	}
+	obj := mpkiObjective{apps: apps, instr: make([]float64, len(apps))}
 	const budget, granule = 2048, 64
 	want, err := alloc.WeightedHillClimb(alloc.NewRequest(mpki, budget, granule))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := alloc.WeightedHillClimb(alloc.Request{Curves: whole, Total: budget, Granule: granule, Weights: mpkiWeights(apps, acc)})
+	got, err := alloc.WeightedHillClimb(alloc.Request{Curves: whole, Total: budget, Granule: granule, Weights: obj.weights(acc)})
 	if err != nil {
 		t.Fatal(err)
 	}
