@@ -9,10 +9,10 @@
 // at the CPI its own misses produce. At epoch end, per-core UMONs yield
 // miss curves, the partitioning algorithm computes new allocations (on
 // convex hulls when Talus is enabled), and partition sizes are
-// reprogrammed — the paper's 10 ms reconfiguration interval. Runs follow the fixed-work methodology
-// (§VII-A): every app executes WorkInstr instructions; all apps keep
-// running until the last finishes; metrics cover each app's first
-// WorkInstr instructions only.
+// reprogrammed — the paper's 10 ms reconfiguration interval. Runs
+// follow the fixed-work methodology (§VII-A): every app executes
+// WorkInstr instructions; all apps keep running until the last
+// finishes; metrics cover each app's first WorkInstr instructions only.
 
 package sim
 
