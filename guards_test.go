@@ -53,6 +53,9 @@ func TestGuards(t *testing.T) {
 		// RunMix runs the serving loop's epoch step (adaptive.Loop).
 		{name: "one-epoch-step", dir: "internal/sim", tests: true,
 			pattern: `mixCache|plainMix|talusMix|buildMixCache|allocatorFor|closeEpoch`},
+		// RunMix keeps time with one clock per core, which always finishes.
+		{name: "one-clock-per-core", dir: ".", tests: true,
+			pattern: `MaxEpochs|ProfileAccesses`},
 		// Spec.Build is the one way to a fresh pattern (internal/trace's
 		// tests call slices.Clone, so tests are not scanned).
 		{name: "no-pattern-clone", dir: "internal",

@@ -77,8 +77,8 @@ func runFig12(cfg Config) error {
 		apps := mixes[mi]
 		runCfg := func(mode sim.Mode) (*sim.MixResult, error) {
 			return sim.RunMix(sim.MixConfig{
-				Apps: apps, CapacityLines: capacity, Assoc: sim.DefaultAssoc,
-				Mode: mode, EpochCycles: epoch, WorkInstr: work,
+				Apps: apps, CapacityLines: capacity, Mode: mode,
+				EpochCycles: epoch, WorkInstr: work,
 				Seed: cfg.Seed + 53 + uint64(mi)*997,
 			})
 		}
@@ -215,8 +215,7 @@ func runFig13(cfg Config) error {
 			if k == len(sizes)*len(modes) {
 				ref, err := sim.RunMix(sim.MixConfig{
 					Apps: apps, CapacityLines: int64(curve.MBToLines(sizes[0])),
-					Assoc: sim.DefaultAssoc, Mode: sim.ModeLRU,
-					EpochCycles: epoch, WorkInstr: appWork,
+					Mode: sim.ModeLRU, EpochCycles: epoch, WorkInstr: appWork,
 					Seed: cfg.Seed + 61,
 				})
 				if err != nil {
@@ -233,8 +232,7 @@ func runFig13(cfg Config) error {
 			si, mi := k/len(modes), k%len(modes)
 			res, err := sim.RunMix(sim.MixConfig{
 				Apps: apps, CapacityLines: int64(curve.MBToLines(sizes[si])),
-				Assoc: sim.DefaultAssoc, Mode: modes[mi].mode,
-				EpochCycles: epoch, WorkInstr: appWork,
+				Mode: modes[mi].mode, EpochCycles: epoch, WorkInstr: appWork,
 				Seed: cfg.Seed + 61 + uint64(si)*131,
 			})
 			if err != nil {

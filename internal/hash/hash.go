@@ -1,6 +1,9 @@
 package hash
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // H3 is a single member of the H3 universal hash family over 64-bit keys,
 // producing values of up to 64 bits. The zero value is not useful; create
@@ -67,7 +70,7 @@ func (h *H3) Hash(key uint64) uint64 {
 // span a small input window whose GF(2) submatrix into those bits is
 // rank-deficient — Reduce mixes all 64 output bits into the index.
 func Reduce(hashVal uint64, n int) int {
-	hi, _ := mul64(hashVal, uint64(n))
+	hi, _ := bits.Mul64(hashVal, uint64(n))
 	return int(hi)
 }
 
@@ -157,7 +160,7 @@ func (s *SplitMix64) Uint64n(n uint64) uint64 {
 	}
 	// Multiply-shift rejection-free reduction (Lemire). The tiny modulo
 	// bias is irrelevant at the simulator's n << 2^64 ranges.
-	hi, _ := mul64(s.Next(), n)
+	hi, _ := bits.Mul64(s.Next(), n)
 	return hi
 }
 
@@ -185,19 +188,4 @@ func (s *SplitMix64) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }

@@ -14,6 +14,7 @@ import (
 	"iter"
 
 	"talus/internal/adaptive"
+	"talus/internal/core"
 	"talus/internal/curve"
 	"talus/internal/trace"
 	"talus/internal/workload"
@@ -28,9 +29,6 @@ type AdaptiveConfig struct {
 	Shards        int    // 0 → 1 (deterministic sequential feed)
 
 	EpochAccesses int64 // control-loop interval; 0 → adaptive default
-	// Margin is the Talus safety margin: 0 selects the paper's
-	// DefaultMargin (5%); negative disables it.
-	Margin float64
 	// Weights gives each app's partition an objective weight (see
 	// alloc.Request.Weights); nil means uniform. Length must match Apps.
 	Weights []float64
@@ -54,7 +52,6 @@ func (c *AdaptiveConfig) defaults() error {
 	c.Assoc = cmp.Or(c.Assoc, DefaultAssoc)
 	c.Scheme = cmp.Or(c.Scheme, "vantage")
 	c.Shards = max(c.Shards, 1)
-	c.Margin = margin(c.Margin)
 	if c.AccessesPerApp <= 0 {
 		c.AccessesPerApp = 4 << 20
 	}
@@ -71,7 +68,7 @@ func (c *AdaptiveConfig) defaults() error {
 // per app: the one AdaptiveConfig → adaptive.Config translation.
 func (c *AdaptiveConfig) buildCache() (*adaptive.Cache, error) {
 	return adaptive.Build(c.Scheme, c.CapacityLines, c.Assoc, c.Shards, len(c.Apps),
-		c.Margin, adaptive.Config{
+		core.DefaultMargin, adaptive.Config{
 			EpochAccesses: c.EpochAccesses,
 			Seed:          c.Seed,
 			Weights:       c.Weights,

@@ -2,17 +2,19 @@
 // epoch-based monitoring, allocation, and (optionally) Talus shadow
 // partitioning — the machinery behind Figs. 12 and 13.
 //
-// Each epoch simulates a fixed number of cycles. Every core issues LLC
-// accesses at the rate its last epoch's CPI gives (APKI/1000 ÷ CPI
-// accesses per cycle; the first epoch starts from CPIBase), finely
-// interleaved, and is credited the instructions the epoch's cycles buy
-// at the CPI its own misses produce. At epoch end, per-core UMONs yield
-// miss curves, the partitioning algorithm computes new allocations (on
-// convex hulls when Talus is enabled), and partition sizes are
-// reprogrammed — the paper's 10 ms reconfiguration interval. Runs
-// follow the fixed-work methodology (§VII-A): every app executes
-// WorkInstr instructions; all apps keep running until the last
-// finishes; metrics cover each app's first WorkInstr instructions only.
+// Each core keeps a clock in cycles and charges every LLC access its own
+// cost: 1000/APKI · CPIBase cycles for the instructions between
+// accesses, plus MemLatency/MLP if it misses — the analytic core model
+// (CPI), one access at a time. Each epoch is a fixed number of cycles cut
+// into fine time slices; in each slice every core issues accesses until
+// its clock passes the slice's end, so cores contend at the rates their
+// own misses allow. At epoch end, per-core UMONs yield miss curves, the
+// partitioning algorithm computes new allocations (on convex hulls when
+// Talus is enabled), and partition sizes are reprogrammed — the paper's
+// 10 ms reconfiguration interval. Runs follow the fixed-work methodology
+// (§VII-A): every app executes WorkInstr instructions; all apps keep
+// running until the last finishes; metrics cover each app's first
+// WorkInstr instructions only.
 
 package sim
 
@@ -51,22 +53,19 @@ const (
 type MixConfig struct {
 	Apps          []workload.Spec
 	CapacityLines int64
-	Assoc         int  // 0 → DefaultAssoc
 	Mode          Mode // management scheme
-	Margin        float64
 
 	EpochCycles int64 // simulated cycles per epoch; 0 → 2M
 	WorkInstr   int64 // fixed work per app; 0 → 50M instructions
-	MaxEpochs   int   // safety bound; 0 → 10000
 	Seed        uint64
 }
 
 // MixResult reports per-app outcomes of one run.
 type MixResult struct {
 	Apps             []string
-	IPC              []float64 // WorkInstr / completion cycles
+	IPC              []float64 // fixed work's instructions / completion cycles
 	MPKI             []float64 // misses per kilo-instruction over the fixed work
-	CompletionCycles []float64
+	CompletionCycles []float64 // clock reading at the fixed work's last access
 	Epochs           int
 }
 
@@ -77,12 +76,17 @@ func (c *MixConfig) defaults() error {
 	if c.CapacityLines <= 0 {
 		return fmt.Errorf("sim: mix needs capacity")
 	}
-	c.Assoc = cmp.Or(c.Assoc, DefaultAssoc)
+	for _, spec := range c.Apps {
+		for _, v := range []float64{spec.APKI, spec.CPIBase, spec.MLP} {
+			if !(v > 0 && !math.IsInf(v, 1)) {
+				return fmt.Errorf("sim: app %q: APKI %g, CPIBase %g, MLP %g; a core's clock needs all three finite and positive",
+					spec.Name, spec.APKI, spec.CPIBase, spec.MLP)
+			}
+		}
+	}
 	c.Mode = cmp.Or(c.Mode, ModeLRU)
-	c.Margin = margin(c.Margin)
 	c.EpochCycles = cmp.Or(c.EpochCycles, 2<<20)
 	c.WorkInstr = cmp.Or(c.WorkInstr, 50<<20)
-	c.MaxEpochs = cmp.Or(c.MaxEpochs, 10000)
 	return nil
 }
 
@@ -186,7 +190,7 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 	if m.talus {
 		parts = 2 * n
 	}
-	arrays, err := cache.Build(m.scheme, cfg.CapacityLines, cfg.Assoc, parts, m.policy, n, cfg.Seed)
+	arrays, err := cache.Build(m.scheme, cfg.CapacityLines, DefaultAssoc, parts, m.policy, n, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +198,7 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 		return arrays.SetPartitionSizes(allocs)
 	}
 	if m.talus {
-		talus, err := core.NewShadowedCache(arrays, n, cfg.Margin, cfg.Seed^0x7A105)
+		talus, err := core.NewShadowedCache(arrays, n, core.DefaultMargin, cfg.Seed^0x7A105)
 		if err != nil {
 			return nil, err
 		}
@@ -207,93 +211,56 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 		}
 	}
 
+	// Each core's clock, its per-access and per-miss cycles, and its
+	// fixed work: WorkInstr rounded to whole accesses, at least one.
 	apps := make([]*workload.App, n)
+	clock := make([]float64, n)
+	cost, penalty := make([]float64, n), make([]float64, n)
+	work := make([]int64, n)
+	issued, misses := make([]int64, n), make([]int64, n)
+	missesWork := make([]int64, n) // misses within the fixed work
+	doneAt := make([]float64, n)   // clock at the fixed work's last access; 0 = running
 	for i, spec := range cfg.Apps {
 		apps[i] = workload.NewApp(spec, cfg.Seed+uint64(i)*7919)
+		cost[i] = 1000 / spec.APKI * spec.CPIBase
+		penalty[i] = MemLatency / spec.MLP
+		work[i] = max(1, int64(math.Round(float64(cfg.WorkInstr)*spec.APKI/1000)))
 	}
 
-	// Per-app progress state.
-	cpi := make([]float64, n)        // current CPI estimate
-	instrDone := make([]float64, n)  // completed instructions (counted to WorkInstr)
-	missesWork := make([]float64, n) // misses within the fixed work window
-	accWork := make([]float64, n)    // accesses within the fixed work window
-	doneAt := make([]float64, n)     // completion time in cycles (-1 = running)
-	credit := make([]float64, n)     // fractional access credit for interleaving
-	for i := range cpi {
-		cpi[i] = cfg.Apps[i].CPIBase // first epoch's issue rate; measured after
-		doneAt[i] = -1
-	}
-
-	var cycles float64
 	epoch := 0
 	objective := mpkiObjective{apps: cfg.Apps, instr: make([]float64, n)}
-
-	for ; epoch < cfg.MaxEpochs; epoch++ {
-		// How many accesses each app issues this epoch.
-		epochAcc := make([]int64, n)
-		for i, spec := range cfg.Apps {
-			credit[i] += spec.APKI / 1000 / cpi[i] * float64(cfg.EpochCycles)
-			epochAcc[i] = int64(credit[i])
-			credit[i] -= float64(epochAcc[i])
-		}
-
-		// Interleave in fine rounds so cores contend realistically.
-		const rounds = 512
-		epochMisses := make([]int64, n)
-		for r := 0; r < rounds; r++ {
+	for ; slices.Contains(doneAt, 0); epoch++ {
+		// Interleave in fine time slices so cores contend realistically.
+		const nSlices = 512
+		start := append([]int64(nil), issued...)
+		for r := 1; r <= nSlices; r++ {
+			end := float64(cfg.EpochCycles) * (float64(epoch) + float64(r)/nSlices)
 			for i := range apps {
-				quota := epochAcc[i] / rounds
-				if r < int(epochAcc[i]%rounds) {
-					quota++
-				}
-				for k := int64(0); k < quota; k++ {
+				for clock[i] < end {
 					addr := apps[i].Next() | adaptive.AppSpace(i)
 					if loop != nil {
 						loop.Observe(addr, i)
 					}
+					clock[i] += cost[i]
 					if !access(addr, i) {
-						epochMisses[i]++
+						clock[i] += penalty[i]
+						misses[i]++
+					}
+					if issued[i]++; issued[i] == work[i] {
+						doneAt[i], missesWork[i] = clock[i], misses[i]
 					}
 				}
 			}
 		}
-
-		// Account CPI, instructions, misses, and completion. The epoch's
-		// accesses were issued at the previous epoch's CPI, but its time
-		// runs at the CPI this epoch's misses produce: the epoch credits
-		// EpochCycles / CPI instructions.
-		for i, spec := range cfg.Apps {
-			if epochAcc[i] == 0 {
-				continue
-			}
-			mpki := mpkiOf(epochMisses[i], epochAcc[i], spec.APKI)
-			cpi[i] = CPI(spec, mpki)
-			if doneAt[i] < 0 {
-				// Attribute this epoch's work to the fixed-work window,
-				// possibly completing it mid-epoch.
-				instr := float64(cfg.EpochCycles) / cpi[i]
-				prev := instrDone[i]
-				instrDone[i] += instr
-				frac := 1.0
-				if instrDone[i] >= float64(cfg.WorkInstr) {
-					frac = (float64(cfg.WorkInstr) - prev) / instr
-					doneAt[i] = cycles + frac*float64(cfg.EpochCycles)
-				}
-				missesWork[i] += frac * float64(epochMisses[i])
-				accWork[i] += frac * float64(epochAcc[i])
-			}
-		}
-		cycles += float64(cfg.EpochCycles)
-
-		if !slices.Contains(doneAt, -1) {
-			epoch++
-			break
+		epochAcc := make([]int64, n) // the epoch's per-core issue counts
+		for i := range epochAcc {
+			epochAcc[i] = issued[i] - start[i]
 		}
 
 		// Reconfigure for the next epoch through the serving loop's step.
 		// The monitors decay rather than reset, so curves integrate
 		// history with a one-epoch half-life.
-		if loop == nil {
+		if loop == nil || !slices.Contains(doneAt, 0) {
 			continue
 		}
 		var weights []float64
@@ -315,22 +282,13 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 		Apps:             make([]string, n),
 		IPC:              make([]float64, n),
 		MPKI:             make([]float64, n),
-		CompletionCycles: make([]float64, n),
+		CompletionCycles: doneAt,
 		Epochs:           epoch,
 	}
 	for i, spec := range cfg.Apps {
 		res.Apps[i] = spec.Name
-		t := doneAt[i]
-		if t < 0 {
-			t = cycles // did not finish within MaxEpochs: report progress so far
-		}
-		res.CompletionCycles[i] = t
-		if t > 0 {
-			res.IPC[i] = math.Min(float64(cfg.WorkInstr), instrDone[i]) / t
-		}
-		if accWork[i] > 0 {
-			res.MPKI[i] = missesWork[i] / accWork[i] * spec.APKI
-		}
+		res.IPC[i] = float64(work[i]) * 1000 / spec.APKI / doneAt[i]
+		res.MPKI[i] = mpkiOf(missesWork[i], work[i], spec.APKI)
 	}
 	return res, nil
 }

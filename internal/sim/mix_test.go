@@ -34,11 +34,9 @@ func fastMix(apps []workload.Spec, mode Mode, seed uint64) MixConfig {
 	return MixConfig{
 		Apps:          apps,
 		CapacityLines: 16384,
-		Assoc:         32,
 		Mode:          mode,
 		EpochCycles:   1 << 18,
 		WorkInstr:     6 << 20,
-		MaxEpochs:     400,
 		Seed:          seed,
 	}
 }
@@ -185,7 +183,7 @@ func TestMixTalusFairness(t *testing.T) {
 func TestMixFirstEpochIPCIsHonest(t *testing.T) {
 	spec, _ := workload.Lookup("mcf")
 	res, err := RunMix(MixConfig{
-		Apps: []workload.Spec{spec}, CapacityLines: 4096, Assoc: 32, Mode: ModeLRU,
+		Apps: []workload.Spec{spec}, CapacityLines: 4096, Mode: ModeLRU,
 		EpochCycles: 1 << 20, WorkInstr: 1 << 17, Seed: 1,
 	})
 	if err != nil {
@@ -209,7 +207,7 @@ func TestMixIPCFallsAsMPKIRises(t *testing.T) {
 	var pts []point
 	for _, lines := range []int64{2048, 4096, 8192, 16384, 32768} {
 		res, err := RunMix(MixConfig{
-			Apps: []workload.Spec{spec}, CapacityLines: lines, Assoc: 32, Mode: ModeLRU,
+			Apps: []workload.Spec{spec}, CapacityLines: lines, Mode: ModeLRU,
 			EpochCycles: 1 << 20, WorkInstr: 1 << 20, Seed: 1,
 		})
 		if err != nil {
@@ -335,5 +333,61 @@ func TestMPKIWeightsRecoverPerAppObjective(t *testing.T) {
 	}
 	if slices.Equal(unweighted, want) {
 		t.Fatalf("unweighted whole-mix curves also allocate %v: the case does not tell the objectives apart", want)
+	}
+}
+
+// TestMixIPCIsTheCoreModelOfItsOwnMisses: in a four-app mix, managed or
+// not, every app's IPC is the core model applied to the MPKI it reports,
+// to rounding. Each core's clock charges every access its own cycles, so
+// no epoch-level CPI estimate stands between an app's misses and its time.
+func TestMixIPCIsTheCoreModelOfItsOwnMisses(t *testing.T) {
+	var apps []workload.Spec
+	for _, name := range []string{"mcf", "lbm", "omnetpp", "xalancbmk"} {
+		spec, ok := workload.Lookup(name)
+		if !ok {
+			t.Fatalf("no app %q", name)
+		}
+		apps = append(apps, spec)
+	}
+	for _, mode := range []Mode{ModeLRU, ModeTalusHill} {
+		res, err := RunMix(MixConfig{
+			Apps: apps, CapacityLines: 32768, Mode: mode,
+			EpochCycles: 1 << 19, WorkInstr: 4 << 20, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, spec := range apps {
+			if want := IPC(spec, res.MPKI[i]); math.Abs(res.IPC[i]-want) > 1e-9 {
+				t.Errorf("%s %s: IPC %.12f at MPKI %.4f, want 1/CPI = %.12f (off by %.2g)",
+					mode, spec.Name, res.IPC[i], res.MPKI[i], want, res.IPC[i]-want)
+			}
+		}
+	}
+}
+
+// TestRunMixRefusesAppsTheClockCannotRun: an app whose APKI, CPIBase or
+// MLP is not finite and positive has no per-access cost a clock can
+// charge. RunMix refuses it by name instead of reporting an IPC.
+func TestRunMixRefusesAppsTheClockCannotRun(t *testing.T) {
+	for _, bad := range []float64{0, -1, math.Inf(1), math.NaN()} {
+		for field, set := range map[string]func(*workload.Spec){
+			"APKI":    func(s *workload.Spec) { s.APKI = bad },
+			"CPIBase": func(s *workload.Spec) { s.CPIBase = bad },
+			"MLP":     func(s *workload.Spec) { s.MLP = bad },
+		} {
+			broken := smallConvex("broken")
+			set(&broken)
+			cfg := fastMix([]workload.Spec{smallCliff("fine"), broken}, ModeLRU, 1)
+			cfg.WorkInstr = 1 << 16
+			res, err := RunMix(cfg)
+			if err == nil {
+				t.Errorf("%s %g: IPC %v, want an error", field, bad, res.IPC)
+				continue
+			}
+			if !strings.Contains(err.Error(), `"broken"`) {
+				t.Errorf("%s %g: error %q does not name the app", field, bad, err)
+			}
+		}
 	}
 }

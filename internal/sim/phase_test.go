@@ -31,11 +31,9 @@ func TestMixAdaptsToPhaseChange(t *testing.T) {
 		res, err := RunMix(MixConfig{
 			Apps:          apps,
 			CapacityLines: 16384,
-			Assoc:         32,
 			Mode:          mode,
 			EpochCycles:   1 << 18,
 			WorkInstr:     16 << 20,
-			MaxEpochs:     600,
 			Seed:          99,
 		})
 		if err != nil {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"talus/internal/core"
-	"talus/internal/workload"
-)
+import "talus/internal/workload"
 
 // Table I parameters used by the analytic model and default experiment
 // configurations.
@@ -20,15 +17,6 @@ func IPC(spec workload.Spec, mpki float64) float64 { return 1 / CPI(spec, mpki) 
 // CPI evaluates the analytic core model's cycles-per-instruction.
 func CPI(spec workload.Spec, mpki float64) float64 {
 	return spec.CPIBase + mpki/1000*MemLatency/spec.MLP
-}
-
-// margin resolves a configured Talus safety margin: 0 selects the
-// paper's DefaultMargin (5%), a negative value disables the margin.
-func margin(m float64) float64 {
-	if m == 0 {
-		return core.DefaultMargin
-	}
-	return max(m, 0)
 }
 
 // defaultMonitorPoints is the paper's per-size monitor count for

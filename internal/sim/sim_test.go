@@ -246,7 +246,7 @@ func TestTalusNonStackPolicyDefaultsToMultiMonitor(t *testing.T) {
 }
 
 func TestProfileCurveShape(t *testing.T) {
-	cfg := SweepConfig{App: cliffSpec, ProfileAccesses: 1 << 20, Seed: 61}
+	cfg := SweepConfig{App: cliffSpec, Seed: 61}
 	cfg.defaults()
 	c, err := ProfileCurve(cfg, 8192, 3)
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 type SweepConfig struct {
 	App        workload.Spec
 	SizesLines []int64
-	Assoc      int    // 0 → DefaultAssoc
 	Scheme     string // "none", "way", "set", "vantage", "ideal"
 	Policy     string // "LRU", "SRRIP", "DRRIP", "DIP", "PDP", "Random"
 	Talus      bool
@@ -43,7 +42,6 @@ type SweepConfig struct {
 
 	WarmupAccesses  int64 // per point; 0 → 2× the size in lines
 	MeasureAccesses int64 // per point; 0 → max(4× size, 1M)
-	ProfileAccesses int64 // Talus profiling run; 0 → same as measure
 	Seed            uint64
 
 	// Parallelism bounds the worker pool RunSweep fans points across:
@@ -55,7 +53,6 @@ type SweepConfig struct {
 }
 
 func (c *SweepConfig) defaults() {
-	c.Assoc = cmp.Or(c.Assoc, DefaultAssoc)
 	if c.Scheme == "" {
 		c.Scheme = "none"
 		if c.Talus {
@@ -63,7 +60,10 @@ func (c *SweepConfig) defaults() {
 		}
 	}
 	c.Policy = cmp.Or(c.Policy, "LRU")
-	c.Margin = margin(c.Margin)
+	if c.Margin == 0 {
+		c.Margin = core.DefaultMargin
+	}
+	c.Margin = max(c.Margin, 0)
 }
 
 // accessCounts returns warmup and measure access counts for a sweep point.
@@ -111,7 +111,7 @@ func RunPoint(cfg SweepConfig, size int64, seed uint64) (float64, error) {
 }
 
 func runPlainPoint(cfg SweepConfig, size int64, seed uint64) (float64, error) {
-	c, err := cache.Build(cfg.Scheme, size, cfg.Assoc, 1, cfg.Policy, 1, seed)
+	c, err := cache.Build(cfg.Scheme, size, DefaultAssoc, 1, cfg.Policy, 1, seed)
 	if err != nil {
 		return 0, err
 	}
@@ -149,7 +149,7 @@ func runTalusPoint(cfg SweepConfig, size int64, seed uint64) (float64, error) {
 
 	// Phase 2: build the shadow-partitioned cache, configure it from the
 	// curve, and measure.
-	inner, err := cache.Build(cfg.Scheme, size, cfg.Assoc, 2, cfg.Policy, 1, seed^0x7A1)
+	inner, err := cache.Build(cfg.Scheme, size, DefaultAssoc, 2, cfg.Policy, 1, seed^0x7A1)
 	if err != nil {
 		return 0, err
 	}
@@ -168,10 +168,7 @@ func runTalusPoint(cfg SweepConfig, size int64, seed uint64) (float64, error) {
 // returns the measured miss curve — the pre-processing input (Fig. 7a).
 func ProfileCurve(cfg SweepConfig, llcLines int64, seed uint64) (*curve.Curve, error) {
 	cfg.defaults()
-	profAccesses := cfg.ProfileAccesses
-	if profAccesses == 0 {
-		_, profAccesses = cfg.accessCounts(llcLines)
-	}
+	_, profAccesses := cfg.accessCounts(llcLines)
 	app := workload.NewApp(cfg.App, seed^0xF10F)
 	kiloInstr := float64(profAccesses) / cfg.App.APKI
 
