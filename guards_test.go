@@ -53,7 +53,8 @@ func TestGuards(t *testing.T) {
 		// RunMix runs the serving loop's epoch step (adaptive.Loop).
 		{name: "one-epoch-step", dir: "internal/sim", tests: true,
 			pattern: `mixCache|plainMix|talusMix|buildMixCache|allocatorFor|closeEpoch`},
-		// RunMix keeps time with one clock per core, which always finishes.
+		// RunMix keeps time with one clock per core, which always finishes
+		// (no epoch cap); a sweep profiles for its measure count.
 		{name: "one-clock-per-core", dir: ".", tests: true,
 			pattern: `MaxEpochs|ProfileAccesses`},
 		// Spec.Build is the one way to a fresh pattern (internal/trace's
