@@ -84,6 +84,8 @@
 //	     "weight", store.ErrBadTTL and malformed X-Talus-TTL headers; both
 //	     control-plane bodies refuse unknown keys, so a misspelled field
 //	     is a 400, never a default
+//	500  anything else, such as a PUT body that ended or timed out before
+//	     its Content-Length
 //
 // # Residency stats
 //
