@@ -241,7 +241,7 @@ func newClusterWrapped(t *testing.T, n int, lines int64, wrap func(int, http.Han
 		srv.Config.Handler = handler
 		srv.Start()
 		t.Cleanup(func() {
-			srv.Close()
+			closeServer(srv)
 			st.Close()
 		})
 	}
@@ -411,7 +411,7 @@ func TestClusterForwardError(t *testing.T) {
 	}
 
 	// Kill the owner: the proxy must answer 502, not hang.
-	h.servers[1].Close()
+	closeServer(h.servers[1])
 	resp, body = do(t, http.MethodGet, h.url(0, "alice", key), nil)
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("GET with dead owner = %d %s, want 502", resp.StatusCode, body)

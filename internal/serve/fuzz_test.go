@@ -171,7 +171,10 @@ func requestMethods(in []byte) []string {
 // framed as the answer to a methods[i] request. It returns how many
 // replies parsed, and the first thing wrong: a reply that does not
 // parse or frame, a status outside replyStatuses, or a server still
-// holding the connection open at the deadline.
+// holding the connection open at the deadline. A reset ends the
+// exchange cleanly wherever it comes: a server that closes with input
+// unread resets the connection, which may drop reply bytes already
+// sent.
 func exchange(addr string, req []byte, methods []string) (int, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -197,27 +200,36 @@ func exchange(addr string, req []byte, methods []string) (int, error) {
 		}
 		resp, err := http.ReadResponse(br, &http.Request{Method: method})
 		if err != nil {
-			return replies, err
+			return replies, reset(err)
 		}
 		if !replyStatuses[resp.StatusCode] {
 			return replies, errors.New("undocumented status " + resp.Status)
 		}
 		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return replies, err
+			return replies, reset(err)
 		}
 		replies++
 		if resp.StatusCode >= 200 {
 			final++
 		}
 		if resp.Close {
-			// The server hangs up after this reply: nothing but the end
-			// of the stream may follow it.
-			if rest, err := io.ReadAll(br); (err != nil && !hungUp(err)) || len(rest) > 0 {
-				return replies, errors.New("bytes after a closing reply")
+			// The server hangs up after this reply. Its own error replies
+			// carry a body even to a HEAD, so whatever follows is read
+			// up to the end of the stream, which must come.
+			if _, err := io.Copy(io.Discard, br); err != nil && !hungUp(err) {
+				return replies, err
 			}
 			return replies, nil
 		}
 	}
+}
+
+// reset drops err when it is a reset.
+func reset(err error) error {
+	if errors.Is(err, syscall.ECONNRESET) {
+		return nil
+	}
+	return err
 }
 
 // hungUp reports whether err is the server ending the connection: an

@@ -38,35 +38,40 @@ var relayedResponseHeaders = []string{"X-Talus-Cache", "X-Talus-Node", "ETag", "
 
 // TestRelayConformance: a GET through the non-owner returns the owner's
 // exact status, bytes and relayed headers at every value size, across
-// both framings the owner answers in (Content-Length up to 2 KiB,
-// chunked above).
+// both framings an owner answers in: Content-Length at every size on a
+// connection its handler owns, and, through net/http's server behind a
+// wrapper, Content-Length up to 2 KiB and chunked above.
 func TestRelayConformance(t *testing.T) {
-	h := newCluster(t, 2, 4096)
-	for _, size := range []int{0, 1, 2047, 2048, 4096, 65536, 1 << 20} {
-		key := h.keyOwnedBy(1, fmt.Sprintf("size%d", size))
-		value := make([]byte, size)
-		for i := range value {
-			value[i] = byte(i*7 + size)
-		}
-		if resp, body := do(t, http.MethodPut, h.url(0, "alice", key), value); resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("%d B: PUT via non-owner = %d %s", size, resp.StatusCode, body)
-		}
-		relayed, relayedBody := do(t, http.MethodGet, h.url(0, "alice", key), nil)
-		direct, directBody := do(t, http.MethodGet, h.url(1, "alice", key), nil)
-		if relayed.StatusCode != http.StatusOK || direct.StatusCode != http.StatusOK {
-			t.Fatalf("%d B: relayed GET %d, owner GET %d", size, relayed.StatusCode, direct.StatusCode)
-		}
-		if !bytes.Equal(relayedBody, value) || !bytes.Equal(directBody, value) {
-			t.Fatalf("%d B: relayed %d B, owner %d B, not the stored bytes", size, len(relayedBody), len(directBody))
-		}
-		for _, k := range relayedResponseHeaders {
-			if got, want := relayed.Header.Get(k), direct.Header.Get(k); got != want || want == "" {
-				t.Fatalf("%d B: relayed %s = %q, owner's = %q", size, k, got, want)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			h := newClusterWrapped(t, 2, 4096, func(_ int, h http.Handler) http.Handler { return tr.handler(h) })
+			for _, size := range []int{0, 1, 2047, 2048, 4096, 65536, 1 << 20} {
+				key := h.keyOwnedBy(1, fmt.Sprintf("size%d", size))
+				value := make([]byte, size)
+				for i := range value {
+					value[i] = byte(i*7 + size)
+				}
+				if resp, body := do(t, http.MethodPut, h.url(0, "alice", key), value); resp.StatusCode != http.StatusNoContent {
+					t.Fatalf("%d B: PUT via non-owner = %d %s", size, resp.StatusCode, body)
+				}
+				relayed, relayedBody := do(t, http.MethodGet, h.url(0, "alice", key), nil)
+				direct, directBody := do(t, http.MethodGet, h.url(1, "alice", key), nil)
+				if relayed.StatusCode != http.StatusOK || direct.StatusCode != http.StatusOK {
+					t.Fatalf("%d B: relayed GET %d, owner GET %d", size, relayed.StatusCode, direct.StatusCode)
+				}
+				if !bytes.Equal(relayedBody, value) || !bytes.Equal(directBody, value) {
+					t.Fatalf("%d B: relayed %d B, owner %d B, not the stored bytes", size, len(relayedBody), len(directBody))
+				}
+				for _, k := range relayedResponseHeaders {
+					if got, want := relayed.Header.Get(k), direct.Header.Get(k); got != want || want == "" {
+						t.Fatalf("%d B: relayed %s = %q, owner's = %q", size, k, got, want)
+					}
+				}
+				if chunked := len(direct.TransferEncoding) > 0; chunked != (tr.wrap != nil && size > 2048) {
+					t.Fatalf("%d B: owner framing chunked=%v, the sizes no longer cover both framings", size, chunked)
+				}
 			}
-		}
-		if chunked := len(direct.TransferEncoding) > 0; chunked != (size > 2048) {
-			t.Fatalf("%d B: owner framing chunked=%v, the sizes no longer cover both framings", size, chunked)
-		}
+		})
 	}
 }
 
@@ -245,7 +250,7 @@ func newEntry(t *testing.T, peer string) *clusterHarness {
 	srv.Config.Handler = serve.NewHandler(st, serve.Config{Cluster: cl})
 	srv.Start()
 	t.Cleanup(func() {
-		srv.Close()
+		closeServer(srv)
 		st.Close()
 	})
 	return &clusterHarness{nodes: nodes, stores: []*store.Store{st}, servers: []*httptest.Server{srv}, ring: cl.Ring()}

@@ -13,13 +13,14 @@ import (
 // TestRoutingTable pins what each (method, raw path) is answered with —
 // status, Allow, Location and body — so the cache routes' dispatch
 // outside the mux cannot drift from what the mux decided. Rows run in
-// order against one server; a body ending in "…" is a prefix.
+// order against one server; a body ending in "…" is a prefix. The rows
+// run on each transport, and both must see the same replies, header for
+// header and byte for byte.
 func TestRoutingTable(t *testing.T) {
-	srv, st := newServerConfig(t, store.Config{Tenants: []string{"a"}}, serve.Config{})
 	const notAllowed, notFound = "Method Not Allowed\n", "404 page not found\n"
 	moved := func(to string) string { return `<a href="` + to + `">Moved Permanently</a>.` + "\n\n" }
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
-	for _, c := range []struct {
+	rows := []struct {
 		method, path, in string
 		status           int
 		allow, location  string
@@ -68,38 +69,50 @@ func TestRoutingTable(t *testing.T) {
 		{"GET", "/", "", 404, "", "", notFound},
 		{"GET", "/v1/cache", "", 404, "", "", notFound},
 		{"GET", "/v1/cache/", "", 404, "", "", notFound},
-	} {
-		var in io.Reader
-		if c.in != "" {
-			in = strings.NewReader(c.in)
-		}
-		req, err := http.NewRequest(c.method, srv.URL+c.path, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, prefix := strings.CutSuffix(c.body, "…")
-		bodyOK := string(b) == body || (prefix && strings.HasPrefix(string(b), body))
-		if resp.StatusCode != c.status || resp.Header.Get("Allow") != c.allow ||
-			resp.Header.Get("Location") != c.location || !bodyOK {
-			t.Errorf("%s %s = %d Allow %q Location %q body %q; want %d %q %q %q", c.method, c.path,
-				resp.StatusCode, resp.Header.Get("Allow"), resp.Header.Get("Location"), b,
-				c.status, c.allow, c.location, c.body)
-		}
 	}
-	// An escaped slash is part of its segment: tenant "a/b", key "k/x/y".
-	if v, _, err := st.Get("a/b", "k"); err != nil || string(v) != "tenant a/b" {
-		t.Errorf(`store Get("a/b", "k") = %q, %v`, v, err)
+	var replies [][]reply
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			srv, st, hijacks := newServerVia(t, tr, store.Config{Tenants: []string{"a"}}, serve.Config{})
+			var seen []reply
+			for _, c := range rows {
+				var in io.Reader
+				if c.in != "" {
+					in = strings.NewReader(c.in)
+				}
+				req, err := http.NewRequest(c.method, srv.URL+c.path, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := client.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen = append(seen, newReply(resp, b))
+				body, prefix := strings.CutSuffix(c.body, "…")
+				bodyOK := string(b) == body || (prefix && strings.HasPrefix(string(b), body))
+				if resp.StatusCode != c.status || resp.Header.Get("Allow") != c.allow ||
+					resp.Header.Get("Location") != c.location || !bodyOK {
+					t.Errorf("%s %s = %d Allow %q Location %q body %q; want %d %q %q %q", c.method, c.path,
+						resp.StatusCode, resp.Header.Get("Allow"), resp.Header.Get("Location"), b,
+						c.status, c.allow, c.location, c.body)
+				}
+			}
+			// An escaped slash is part of its segment: tenant "a/b", key "k/x/y".
+			if v, _, err := st.Get("a/b", "k"); err != nil || string(v) != "tenant a/b" {
+				t.Errorf(`store Get("a/b", "k") = %q, %v`, v, err)
+			}
+			if v, _, err := st.Get("a", "k/x/y"); err != nil || string(v) != "key k/x/y" {
+				t.Errorf(`store Get("a", "k/x/y") = %q, %v`, v, err)
+			}
+			tr.checkHijacks(t, hijacks)
+			replies = append(replies, seen)
+		})
 	}
-	if v, _, err := st.Get("a", "k/x/y"); err != nil || string(v) != "key k/x/y" {
-		t.Errorf(`store Get("a", "k/x/y") = %q, %v`, v, err)
-	}
+	sameReplies(t, replies)
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"talus/internal/cluster"
@@ -59,6 +60,9 @@ type Handler struct {
 	cluster   *cluster.Cluster
 	nodeValue []string // the X-Talus-Node value, len == cap
 	mux       *http.ServeMux
+
+	ownMu  sync.Mutex
+	owners map[*http.Server]*owner // the connections served in wire.go, per server
 }
 
 // Header values stamped on cache responses, preallocated so a response
@@ -101,12 +105,17 @@ func NewHandler(st *store.Store, cfg Config) *Handler {
 
 // ServeHTTP implements http.Handler. A cache request on a clean path is
 // dispatched here, exactly as the mux's pattern would, without paying
-// for its matching; everything else goes through the mux.
+// for its matching; everything else goes through the mux. When h is
+// its server's own Handler, a clean bodyless cache request also hands
+// its connection to h, which serves the cache requests that follow on
+// it itself (wire.go).
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet, http.MethodHead, http.MethodPut, http.MethodDelete:
 		if tenant, key, ok := cachePath(r.URL.EscapedPath()); ok {
-			h.cache(w, r, tenant, key)
+			if !h.own(w, r, tenant, key) {
+				h.cache(w, r, tenant, key)
+			}
 			return
 		}
 	}

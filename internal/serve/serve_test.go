@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"talus/internal/adaptive"
 	"talus/internal/serve"
 	"talus/internal/sim"
 	"talus/internal/store"
@@ -25,20 +24,7 @@ func newServer(t *testing.T, cfg store.Config, maxBody int64) (*httptest.Server,
 
 func newServerConfig(t *testing.T, cfg store.Config, scfg serve.Config) (*httptest.Server, *store.Store) {
 	t.Helper()
-	ac, err := adaptive.Build("vantage", 8192, 16, 2, 2, 0.05,
-		adaptive.Config{EpochAccesses: 1 << 14, Seed: 33})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.New(ac, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(serve.NewHandler(st, scfg))
-	t.Cleanup(func() {
-		srv.Close()
-		st.Close()
-	})
+	srv, st, _ := newServerVia(t, transports[0], cfg, scfg)
 	return srv, st
 }
 
@@ -308,69 +294,87 @@ func TestRecordEndpoint(t *testing.T) {
 // TestHTTPContract pins the surface the package documentation promises
 // (doc.go): the X-Talus-Cache header on cache routes, the JSON error
 // body shape, and the exact /v1/record 403 body. If this test needs
-// changing, doc.go needs changing in the same commit.
+// changing, doc.go needs changing in the same commit. The checks run on
+// each transport, and both must see the same replies, header for header
+// and byte for byte.
 func TestHTTPContract(t *testing.T) {
-	srv, _ := newServerConfig(t, store.Config{Tenants: []string{"a"}},
-		serve.Config{MaxValueBytes: 32})
-	url := srv.URL + "/v1/cache/a/contract"
+	var replies [][]reply
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			srv, _, hijacks := newServerVia(t, tr, store.Config{Tenants: []string{"a"}},
+				serve.Config{MaxValueBytes: 32})
+			var seen []reply
+			// do records each reply; the do it calls is the package's.
+			do := func(t *testing.T, method, url string, body []byte) (*http.Response, []byte) {
+				t.Helper()
+				resp, b := do(t, method, url, body)
+				seen = append(seen, newReply(resp, b))
+				return resp, b
+			}
+			url := srv.URL + "/v1/cache/a/contract"
 
-	// Successful PUT: 204 with X-Talus-Cache set (cold line: miss).
-	resp, _ := do(t, http.MethodPut, url, []byte("v"))
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PUT = %d", resp.StatusCode)
-	}
-	if h := resp.Header.Get("X-Talus-Cache"); h != "hit" && h != "miss" {
-		t.Fatalf("PUT X-Talus-Cache = %q, want hit|miss", h)
-	}
+			// Successful PUT: 204 with X-Talus-Cache set (cold line: miss).
+			resp, _ := do(t, http.MethodPut, url, []byte("v"))
+			if resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("PUT = %d", resp.StatusCode)
+			}
+			if h := resp.Header.Get("X-Talus-Cache"); h != "hit" && h != "miss" {
+				t.Fatalf("PUT X-Talus-Cache = %q, want hit|miss", h)
+			}
 
-	// GET of a never-stored key: 404, but the header is still present
-	// (the access happened and shaped the miss curve) and the body is
-	// the documented JSON error shape naming the typed error. A 404 is
-	// never a hit — not even the second time, when the first lookup has
-	// left the key's line resident.
-	var body []byte
-	for i := 0; i < 2; i++ {
-		resp, body = do(t, http.MethodGet, srv.URL+"/v1/cache/a/absent", nil)
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET absent = %d", resp.StatusCode)
-		}
-		if h := resp.Header.Get("X-Talus-Cache"); h != "miss" {
-			t.Fatalf("404 GET %d: X-Talus-Cache = %q, want miss", i, h)
-		}
-	}
-	var e404 struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(body, &e404); err != nil || !strings.Contains(e404.Error, "key not found") {
-		t.Fatalf("404 body = %s (err %v), want {\"error\": ...key not found...}", body, err)
-	}
+			// GET of a never-stored key: 404, but the header is still present
+			// (the access happened and shaped the miss curve) and the body is
+			// the documented JSON error shape naming the typed error. A 404 is
+			// never a hit — not even the second time, when the first lookup has
+			// left the key's line resident.
+			var body []byte
+			for i := 0; i < 2; i++ {
+				resp, body = do(t, http.MethodGet, srv.URL+"/v1/cache/a/absent", nil)
+				if resp.StatusCode != http.StatusNotFound {
+					t.Fatalf("GET absent = %d", resp.StatusCode)
+				}
+				if h := resp.Header.Get("X-Talus-Cache"); h != "miss" {
+					t.Fatalf("404 GET %d: X-Talus-Cache = %q, want miss", i, h)
+				}
+			}
+			var e404 struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(body, &e404); err != nil || !strings.Contains(e404.Error, "key not found") {
+				t.Fatalf("404 body = %s (err %v), want {\"error\": ...key not found...}", body, err)
+			}
 
-	// Oversized PUT: 413, documented error shape, and no cache header —
-	// the request was rejected before any access happened.
-	resp, body = do(t, http.MethodPut, url, bytes.Repeat([]byte("x"), 33))
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized PUT = %d", resp.StatusCode)
-	}
-	if h := resp.Header.Get("X-Talus-Cache"); h != "" {
-		t.Fatalf("413 PUT X-Talus-Cache = %q, want unset", h)
-	}
-	var e413 struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(body, &e413); err != nil || !strings.Contains(e413.Error, "value too large") {
-		t.Fatalf("413 body = %s (err %v)", body, err)
-	}
+			// Oversized PUT: 413, documented error shape, and no cache header —
+			// the request was rejected before any access happened.
+			resp, body = do(t, http.MethodPut, url, bytes.Repeat([]byte("x"), 33))
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("oversized PUT = %d", resp.StatusCode)
+			}
+			if h := resp.Header.Get("X-Talus-Cache"); h != "" {
+				t.Fatalf("413 PUT X-Talus-Cache = %q, want unset", h)
+			}
+			var e413 struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(body, &e413); err != nil || !strings.Contains(e413.Error, "value too large") {
+				t.Fatalf("413 body = %s (err %v)", body, err)
+			}
 
-	// Record endpoint without a record dir: 403 with the exact body the
-	// package doc quotes.
-	resp, body = do(t, http.MethodPost, srv.URL+"/v1/record", []byte(`{"action":"start","path":"x.trc"}`))
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("record without dir = %d", resp.StatusCode)
+			// Record endpoint without a record dir: 403 with the exact body the
+			// package doc quotes.
+			resp, body = do(t, http.MethodPost, srv.URL+"/v1/record", []byte(`{"action":"start","path":"x.trc"}`))
+			if resp.StatusCode != http.StatusForbidden {
+				t.Fatalf("record without dir = %d", resp.StatusCode)
+			}
+			const want403 = `{"error":"recording disabled: the server was started without a record directory"}`
+			if got := strings.TrimSpace(string(body)); got != want403 {
+				t.Fatalf("403 body = %s, want exactly %s", got, want403)
+			}
+			tr.checkHijacks(t, hijacks)
+			replies = append(replies, seen)
+		})
 	}
-	const want403 = `{"error":"recording disabled: the server was started without a record directory"}`
-	if got := strings.TrimSpace(string(body)); got != want403 {
-		t.Fatalf("403 body = %s, want exactly %s", got, want403)
-	}
+	sameReplies(t, replies)
 }
 
 // TestRecordDisabledByDefault: without an explicit record dir the
