@@ -75,8 +75,11 @@ bench-smoke:
 # profile-serving captures cpu and alloc profiles of the serving hot
 # path at the benchmark's own GOMAXPROCS=2; epoch reconfigurations carry
 # the pprof label talus=epoch-step (see EXPERIMENTS.md "Profiling the
-# serving path"). All four benchmarks time the path served requests take:
-# one shard lock per cache access, one monitor lock per sampled access.
+# serving path"). The four store-side benchmarks time the path served
+# requests take: one shard lock per cache access, one monitor lock per
+# sampled access. BenchmarkServeGet (internal/serve) times a loopback GET
+# on a connection the handler owns and through net/http's server; a
+# profile covers one package, so it writes its own serving-http files.
 # Inspect with: go tool pprof -tagfocus talus=epoch-step profiles/serving.test profiles/serving.cpu.pprof
 PROFILE_DIR ?= profiles
 profile-serving:
@@ -87,7 +90,13 @@ profile-serving:
 		-cpuprofile $(PROFILE_DIR)/serving.cpu.pprof \
 		-memprofile $(PROFILE_DIR)/serving.mem.pprof \
 		-o $(PROFILE_DIR)/serving.test .
-	@echo "wrote $(PROFILE_DIR)/serving.{cpu,mem}.pprof; inspect with:"
+	GOMAXPROCS=2 $(GO) test -run '^$$' \
+		-bench 'ServeGet' \
+		-benchtime 2s -benchmem \
+		-cpuprofile $(PROFILE_DIR)/serving-http.cpu.pprof \
+		-memprofile $(PROFILE_DIR)/serving-http.mem.pprof \
+		-o $(PROFILE_DIR)/serving-http.test ./internal/serve
+	@echo "wrote $(PROFILE_DIR)/serving{,-http}.{cpu,mem}.pprof; inspect with:"
 	@echo "  go tool pprof $(PROFILE_DIR)/serving.test $(PROFILE_DIR)/serving.cpu.pprof"
 
 # cluster-e2e runs the cluster acceptance tests — deterministic routing

@@ -46,6 +46,7 @@ func startNodes(t *testing.T, n int, lines int64) []string {
 		srv.Start()
 		t.Cleanup(func() {
 			srv.Close()
+			srv.Config.Close() // the connections the handler took over
 			st.Close()
 		})
 	}

@@ -31,6 +31,7 @@ func newNode(t *testing.T) string {
 	srv := httptest.NewServer(serve.NewHandler(st, serve.Config{}))
 	t.Cleanup(func() {
 		srv.Close()
+		srv.Config.Close() // the connections the handler took over
 		st.Close()
 	})
 	return strings.TrimPrefix(srv.URL, "http://")

@@ -26,6 +26,38 @@
 //
 // Keys may contain slashes ({key...} pattern).
 //
+// # Connections
+//
+// When a Handler is its http.Server's own Handler, it serves the
+// keep-alive connections of cache clients itself. The first clean
+// HTTP/1.1 GET, HEAD or DELETE on a /v1/cache/ path with no body and no
+// Connection, Expect, Transfer-Encoding, Upgrade or Trailer header
+// hijacks its connection (plain TCP only). From then on the Handler
+// parses each request on that connection and answers GET, HEAD, PUT and
+// DELETE on clean cache paths through the same code as before, framing
+// every reply by Content-Length; the bytes are the ones net/http's
+// server writes, Date value aside, except that a body over 2 KiB is not
+// chunked. Any other request — another method or path, an unclean path,
+// a head not received in one piece, one of the headers above, a body on
+// a GET, HEAD or DELETE — is handed back, with no byte consumed, to the
+// same server, which serves the connection from then on as one of its
+// own until a later request hijacks it again. So every mux route,
+// redirect, 405, 431 and malformed-request reply stays net/http's.
+//
+// Wrapping the Handler (middleware, http.TimeoutHandler, a tracing
+// wrapper) opts out: a wrapped Handler never hijacks, and net/http's
+// server sees every request.
+//
+// The server's IdleTimeout (or ReadTimeout when it is 0) bounds the
+// wait for the next request, ReadTimeout a PUT body from its head on,
+// and WriteTimeout a reply from its request's head on, as net/http
+// applies them. The server's Close and Shutdown close every owned
+// connection waiting for a request at once; one serving a request
+// closes after its reply, which says Connection: close. A body not read
+// to its end and a 413 also close the connection. ConnState reports an
+// owned connection as hijacked, and SetKeepAlivesEnabled does not reach
+// it.
+//
 // # The X-Talus-Cache header
 //
 // Every GET and successful PUT on /v1/cache carries X-Talus-Cache with

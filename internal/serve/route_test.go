@@ -93,7 +93,7 @@ func TestRoutingTable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				seen = append(seen, newReply(resp, b))
+				seen = append(seen, newReply(resp, b, st))
 				body, prefix := strings.CutSuffix(c.body, "…")
 				bodyOK := string(b) == body || (prefix && strings.HasPrefix(string(b), body))
 				if resp.StatusCode != c.status || resp.Header.Get("Allow") != c.allow ||

@@ -301,14 +301,14 @@ func TestHTTPContract(t *testing.T) {
 	var replies [][]reply
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
-			srv, _, hijacks := newServerVia(t, tr, store.Config{Tenants: []string{"a"}},
+			srv, st, hijacks := newServerVia(t, tr, store.Config{Tenants: []string{"a"}},
 				serve.Config{MaxValueBytes: 32})
 			var seen []reply
 			// do records each reply; the do it calls is the package's.
 			do := func(t *testing.T, method, url string, body []byte) (*http.Response, []byte) {
 				t.Helper()
 				resp, b := do(t, method, url, body)
-				seen = append(seen, newReply(resp, b))
+				seen = append(seen, newReply(resp, b, st))
 				return resp, b
 			}
 			url := srv.URL + "/v1/cache/a/contract"

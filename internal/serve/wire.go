@@ -50,8 +50,7 @@ var connectionHeaders = [...]string{"Connection", "Expect", "Transfer-Encoding",
 
 // own hijacks r's connection and serves it until it ends, answering r
 // first; false leaves r to the caller. It declines when h is not the
-// server's own Handler, when r is not ownable, and when the server is
-// closing.
+// server's own Handler and when r is not ownable.
 func (h *Handler) own(w http.ResponseWriter, r *http.Request, tenant, key string) bool {
 	srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
 	if srv == nil || srv.Handler != http.Handler(h) || !ownable(r) {
@@ -63,9 +62,7 @@ func (h *Handler) own(w http.ResponseWriter, r *http.Request, tenant, key string
 	}
 	c := &wireConn{h: h, srv: srv}
 	c.state.Store(connActive)
-	if !h.adopt(srv, c) {
-		return false
-	}
+	h.adopt(srv, c)
 	nc, rw, err := hj.Hijack()
 	if err != nil {
 		h.release(c)
@@ -95,35 +92,27 @@ type owner struct {
 }
 
 // adopt adds c to the connections h owns under srv. The first one
-// registers an owner whose closeSignal srv serves, so that srv's Close
-// and Shutdown, which close every listener srv serves, reach the owned
-// connections too. false means srv is already closing.
-func (h *Handler) adopt(srv *http.Server, c *wireConn) bool {
+// registers an owner whose closeSignal srv serves: srv's Close and
+// Shutdown close every listener srv serves, and a server already closing
+// refuses it at once, either way ending Serve and closing the owned
+// connections.
+func (h *Handler) adopt(srv *http.Server, c *wireConn) {
 	h.ownMu.Lock()
 	defer h.ownMu.Unlock()
 	o := h.owners[srv]
 	if o == nil {
-		o = &owner{srv: srv, conns: make(map[*wireConn]struct{})}
-		o.signal.init()
-		served := make(chan struct{})
-		go func() {
-			srv.Serve(&o.signal)
-			close(served)
-			h.closeOwned(o)
-		}()
-		select {
-		case <-o.signal.accepting:
-		case <-served:
-			return false
-		}
+		o = &owner{srv: srv, signal: closeSignal{closed: make(chan struct{})}, conns: make(map[*wireConn]struct{})}
 		if h.owners == nil {
 			h.owners = make(map[*http.Server]*owner)
 		}
 		h.owners[srv] = o
+		go func() {
+			srv.Serve(&o.signal)
+			h.closeOwned(o)
+		}()
 	}
 	c.o = o
 	o.conns[c] = struct{}{}
-	return true
 }
 
 // release forgets c. The last connection out unregisters the owner and
@@ -139,9 +128,10 @@ func (h *Handler) release(c *wireConn) {
 	}
 }
 
-// closeOwned runs once o's signal is closed: by its server closing or
-// shutting down, or by release. It closes every idle connection; an
-// active one closes after its reply.
+// closeOwned runs once srv stops serving o's signal: srv closing or
+// shutting down, srv closed before it began, or release closing the
+// signal. It closes every idle connection; an active one closes after
+// its reply.
 func (h *Handler) closeOwned(o *owner) {
 	h.ownMu.Lock()
 	defer h.ownMu.Unlock()
@@ -160,19 +150,11 @@ func (h *Handler) closeOwned(o *owner) {
 // on an http.Server is how the Handler learns the server is closing:
 // Close and Shutdown close it along with the server's real listeners.
 type closeSignal struct {
-	accepting  chan struct{} // closed at the first Accept: the server tracks the listener
-	closed     chan struct{}
-	acceptOnce sync.Once
-	closeOnce  sync.Once
-}
-
-func (l *closeSignal) init() {
-	l.accepting = make(chan struct{})
-	l.closed = make(chan struct{})
+	closed    chan struct{}
+	closeOnce sync.Once
 }
 
 func (l *closeSignal) Accept() (net.Conn, error) {
-	l.acceptOnce.Do(func() { close(l.accepting) })
 	<-l.closed
 	return nil, net.ErrClosed
 }

@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -98,22 +98,30 @@ func closeServer(srv *httptest.Server) {
 }
 
 // reply is what a client sees of one response: status, headers with the
-// Date value masked, and the body with the node's start time masked
-// (each store has its own).
+// Date value masked, and the body.
 type reply struct {
 	status int
 	header http.Header
 	body   string
 }
 
-var startTime = regexp.MustCompile(`"start_time":"[^"]*"`)
-
-func newReply(resp *http.Response, body []byte) reply {
+// newReply records resp, read from a server over st. The node's start
+// time in a /v1/stats or /v1/cluster 200 is st's own wall clock, so it
+// is masked in the body, and the bytes it adds are taken out of the
+// Content-Length, a HEAD's included.
+func newReply(resp *http.Response, body []byte, st *store.Store) reply {
 	h := resp.Header.Clone()
 	if _, ok := h["Date"]; ok {
 		h["Date"] = []string{"(date)"}
 	}
-	return reply{resp.StatusCode, h, startTime.ReplaceAllString(string(body), `"start_time":"(start)"`)}
+	if p := resp.Request.URL.Path; resp.StatusCode == http.StatusOK && (p == "/v1/stats" || p == "/v1/cluster") {
+		stamp, _ := json.Marshal(st.Node().StartTime)
+		if n, err := strconv.Atoi(h.Get("Content-Length")); err == nil {
+			h["Content-Length"] = []string{strconv.Itoa(n-len(stamp)) + " + start time"}
+		}
+		body = bytes.Replace(body, stamp, []byte("(start)"), 1)
+	}
+	return reply{resp.StatusCode, h, string(body)}
 }
 
 // sameReplies fails t where the transports saw different replies to the
@@ -211,9 +219,9 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 		})
 		nodes = append(nodes, node{addr, cl.Ring(), hijacks})
 	}
-	// keyOn returns a key every node's ring assigns to the node itself,
-	// or to the peer.
-	keyOn := func(self bool) string {
+	// keyOn returns a key of tenant every node's ring assigns to the
+	// node itself, or to the peer.
+	keyOn := func(tenant string, self bool) string {
 		for k := 0; ; k++ {
 			key := "k" + strconv.Itoa(k)
 			ok := true
@@ -222,14 +230,14 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 				if self {
 					owner = n.addr
 				}
-				ok = ok && n.ring.Route("a", key) == owner
+				ok = ok && n.ring.Route(tenant, key) == owner
 			}
 			if ok {
 				return key
 			}
 		}
 	}
-	local, remote := keyOn(true), keyOn(false)
+	local, remote := keyOn("a", true), keyOn("a", false)
 	path := "/v1/cache/a/" + local
 	get := func(target, extra string) string {
 		return "GET " + target + " HTTP/1.1\r\nHost: x\r\n" + extra + "\r\n"
@@ -247,7 +255,7 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 		{"DELETE", "DELETE " + path + " HTTP/1.1\r\nHost: x\r\n\r\n"},
 		{"HEAD", "HEAD " + path + " HTTP/1.1\r\nHost: x\r\n\r\n"},
 		{"GET", get("/v1/stats/", "")},
-		{"GET", get("/v1/cache/a%2Fb/k", "")},
+		{"GET", get("/v1/cache/a%2Fb/"+keyOn("a/b", true), "")},
 		{"PUT", "PUT " + path + " HTTP/1.1\r\nHost: x\r\nContent-Length: 17\r\n\r\n" + strings.Repeat("v", 17)},
 	}
 	var seen [2][]string
