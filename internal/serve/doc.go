@@ -56,7 +56,9 @@
 // closes after its reply, which says Connection: close. A body not read
 // to its end and a 413 also close the connection. ConnState reports an
 // owned connection as hijacked, and SetKeepAlivesEnabled does not reach
-// it.
+// it. Every request on an owned connection carries the context of the
+// one that hijacked it, which a client hanging up does not cancel: a
+// forward in flight then runs to its own timeout.
 //
 // # The X-Talus-Cache header
 //

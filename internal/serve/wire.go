@@ -60,7 +60,7 @@ func (h *Handler) own(w http.ResponseWriter, r *http.Request, tenant, key string
 	if !ok {
 		return false
 	}
-	c := &wireConn{h: h, srv: srv}
+	c := &wireConn{h: h}
 	c.state.Store(connActive)
 	h.adopt(srv, c)
 	nc, rw, err := hj.Hijack()
@@ -174,7 +174,6 @@ func (ownedAddr) String() string  { return "owned connections" }
 // wireConn is one connection the Handler serves itself.
 type wireConn struct {
 	h     *Handler
-	srv   *http.Server
 	o     *owner
 	state atomic.Int32
 	nc    net.Conn
@@ -202,7 +201,8 @@ type headerLine struct {
 
 func (c *wireConn) init(nc net.Conn, rw *bufio.ReadWriter, first *http.Request) {
 	c.nc, c.br = nc, rw.Reader // the hijack's writer goes unused: replies are written whole
-	c.idleTimeout, c.readTimeout, c.writeTimeout = c.srv.IdleTimeout, c.srv.ReadTimeout, c.srv.WriteTimeout
+	srv := c.o.srv
+	c.idleTimeout, c.readTimeout, c.writeTimeout = srv.IdleTimeout, srv.ReadTimeout, srv.WriteTimeout
 	if c.idleTimeout == 0 {
 		c.idleTimeout = c.readTimeout
 	}
@@ -259,9 +259,10 @@ func (c *wireConn) respond(r *http.Request, tenant, key string) bool {
 	c.w.req = r
 	c.h.cache(&c.w, r, tenant, key)
 	// A body not read to its end leaves the stream mid-request, and a
-	// 413 is the handler refusing to read it: like net/http, hang up.
+	// 413 is the handler refusing to read it: like net/http, hang up,
+	// and say so unless the client itself ended the body early.
 	keep := c.body.n == 0 && c.w.status != http.StatusRequestEntityTooLarge && !c.o.closing.Load()
-	err := c.w.finish(keep)
+	err := c.w.finish(!keep && !c.body.eof)
 	c.state.Store(connIdle)
 	return err == nil && keep && !c.o.closing.Load()
 }
@@ -313,7 +314,8 @@ func (c *wireConn) parse() (tenant, key string, ok bool) {
 				return "", "", false
 			}
 			length = int64(n)
-		case "Connection", "Expect", "Transfer-Encoding", "Upgrade", "Trailer":
+		}
+		if slices.Contains(connectionHeaders[:], hl.key) {
 			return "", "", false
 		}
 		if vs, dup := req.Header[hl.key]; dup {
@@ -346,7 +348,7 @@ func (c *wireConn) parse() (tenant, key string, ok bool) {
 	u.ForceQuery = hasQuery && query == ""
 	u.RawQuery = query
 	req.ContentLength = length
-	c.body.n = length
+	c.body.n, c.body.eof = length, false
 	if length == 0 {
 		req.Body = http.NoBody
 		return tenant, key, true
@@ -427,44 +429,46 @@ func (c *wireConn) headerLine(i int, line []byte) (*headerLine, bool) {
 // validHost accepts the Host values parse serves: a name or address
 // with an optional port. Anything else goes to net/http, which decides.
 func validHost(h string) bool {
-	if h == "" {
-		return false
-	}
 	for i := 0; i < len(h); i++ {
-		if b := h[i]; !isAlnum(b) && strings.IndexByte("-.:[]_", b) < 0 {
+		if !hostByte[h[i]] {
 			return false
 		}
 	}
-	return true
+	return h != ""
 }
 
 // needsEscape reports whether p has a byte that url's path escaping
 // would write differently, so that the unescaped path must be computed.
 func needsEscape(p string) bool {
 	for i := 0; i < len(p); i++ {
-		if b := p[i]; !isAlnum(b) && strings.IndexByte("-_.~$&+,/:;=@", b) < 0 {
+		if !plainPathByte[p[i]] {
 			return true
 		}
 	}
 	return false
 }
 
-func isAlnum(b byte) bool {
-	return 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z' || '0' <= b && b <= '9'
-}
-
 func isHex(b byte) bool { return '0' <= b && b <= '9' || 'a' <= b && b <= 'f' || 'A' <= b && b <= 'F' }
 
-// pathByte marks the target bytes net/http keeps as sent in an escaped
-// path (RFC 3986 pchar, '/', and the brackets url leaves alone);
-// tokenByte the bytes of a header name (RFC 9110 token).
-var pathByte, tokenByte [256]bool
+// Byte classes: pathByte, the target bytes net/http keeps as sent in an
+// escaped path (RFC 3986 pchar, '/', and the brackets url leaves alone);
+// plainPathByte, those url's path escaping writes as they are;
+// tokenByte, the bytes of a header name (RFC 9110 token); hostByte, the
+// bytes of a Host value parse serves.
+var (
+	pathByte      = byteSet("-._~!$&'()*+,;=:@[]/%")
+	plainPathByte = byteSet("-_.~$&+,/:;=@")
+	tokenByte     = byteSet("!#$%&'*+-.^_`|~")
+	hostByte      = byteSet("-.:[]_")
+)
 
-func init() {
-	for b := 0; b < 256; b++ {
-		pathByte[b] = isAlnum(byte(b)) || strings.IndexByte("-._~!$&'()*+,;=:@[]/%", byte(b)) >= 0
-		tokenByte[b] = isAlnum(byte(b)) || strings.IndexByte("!#$%&'*+-.^_`|~", byte(b)) >= 0
+// byteSet marks the ASCII letters and digits and the bytes of extra.
+func byteSet(extra string) (set [256]bool) {
+	for b := range set {
+		c := byte(b)
+		set[b] = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte(extra, c) >= 0
 	}
+	return set
 }
 
 // handBack gives the connection, with every byte read but not consumed,
@@ -474,7 +478,7 @@ func (c *wireConn) handBack() {
 	buffered, _ := c.br.Peek(c.br.Buffered())
 	c.nc.SetDeadline(time.Time{})
 	l := &oneConn{conn: &replayConn{Conn: c.nc, buf: buffered}}
-	c.srv.Serve(l)
+	c.o.srv.Serve(l)
 	if l.conn != nil {
 		c.nc.Close()
 	}
@@ -521,10 +525,12 @@ func (c *replayConn) CloseWrite() error {
 	return nil
 }
 
-// wireBody is a request body of n more bytes on the connection.
+// wireBody is a request body of n more bytes on the connection; eof
+// records that the client ended the connection before them.
 type wireBody struct {
-	br *bufio.Reader
-	n  int64
+	br  *bufio.Reader
+	n   int64
+	eof bool
 }
 
 func (b *wireBody) Read(p []byte) (int, error) {
@@ -537,7 +543,7 @@ func (b *wireBody) Read(p []byte) (int, error) {
 	n, err := b.br.Read(p)
 	b.n -= int64(n)
 	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
+		b.eof, err = true, io.ErrUnexpectedEOF
 	}
 	return n, err
 }
@@ -559,16 +565,13 @@ const (
 // handler calls: the status line, the handler's headers in sorted order,
 // then Date, Content-Length and a sniffed Content-Type as net/http adds
 // them, and the body unless the request is HEAD or the status has none.
-// Framing is the writer's alone: a Content-Length, Transfer-Encoding or
-// Connection header the handler sets is not sent. An informational
-// (1xx) status is not sent either.
+// The handlers it serves set no framing header and no Date of their own.
 type wireWriter struct {
 	nc      net.Conn
 	hdr     http.Header
 	req     *http.Request
 	status  int
 	head    []byte // status line and the handler's headers, as of WriteHeader
-	hasDate bool
 	hasType bool
 	body    []byte
 	keys    []string
@@ -578,11 +581,11 @@ type wireWriter struct {
 
 func (w *wireWriter) Header() http.Header { return w.hdr }
 
+// closeValue is the Connection header of a 413.
+var closeValue = []string{"close"}
+
 func (w *wireWriter) WriteHeader(code int) {
-	if code < 100 || code > 999 {
-		panic(fmt.Sprintf("invalid WriteHeader code %v", code))
-	}
-	if w.status != 0 || code < 200 {
+	if w.status != 0 {
 		return
 	}
 	w.status = code
@@ -593,35 +596,26 @@ func (w *wireWriter) WriteHeader(code int) {
 	} else {
 		w.head = fmt.Appendf(w.head[:0], "HTTP/1.1 %03d status code %d\r\n", code, code)
 	}
-	// A 413 is the handler refusing a body it did not read to its end,
-	// and net/http's server, noticing that, marks the handler's headers
-	// Connection: close before they are written.
-	tooLarge := code == http.StatusRequestEntityTooLarge
 	w.keys = w.keys[:0]
 	for k := range w.hdr {
 		w.keys = append(w.keys, k)
 	}
-	if _, set := w.hdr["Connection"]; tooLarge && !set {
+	// A 413 is the handler refusing a body it did not read to its end,
+	// and net/http's server, noticing that, marks the handler's headers
+	// Connection: close before they are written.
+	if code == http.StatusRequestEntityTooLarge {
 		w.keys = append(w.keys, "Connection")
 	}
 	slices.Sort(w.keys)
-	_, w.hasDate = w.hdr["Date"]
 	_, w.hasType = w.hdr["Content-Type"]
 	for _, k := range w.keys {
-		switch {
-		case k == "Connection" && tooLarge:
-			w.head = append(w.head, "Connection: close\r\n"...)
-			continue
-		case k == "Content-Length", k == "Transfer-Encoding", k == "Connection",
-			k == "Content-Type" && code == http.StatusNotModified:
-			continue
+		vs := w.hdr[k]
+		if k == "Connection" {
+			vs = closeValue
 		}
-		if !validName(k) {
-			continue
-		}
-		for _, v := range w.hdr[k] {
+		for _, v := range vs {
 			if strings.ContainsAny(v, "\r\n") {
-				v = newlineToSpace.Replace(v)
+				v = newlineToSpace.Replace(v) // as net/http does: no header injection
 			}
 			w.head = append(append(append(w.head, k...), ": "...), textproto.TrimString(v)...)
 			w.head = append(w.head, "\r\n"...)
@@ -630,15 +624,6 @@ func (w *wireWriter) WriteHeader(code int) {
 }
 
 var newlineToSpace = strings.NewReplacer("\n", " ", "\r", " ")
-
-func validName(k string) bool {
-	for i := 0; i < len(k); i++ {
-		if !tokenByte[k[i]] {
-			return false
-		}
-	}
-	return k != ""
-}
 
 // bodyAllowed reports whether a reply with status may carry a body.
 func bodyAllowed(status int) bool {
@@ -659,36 +644,32 @@ func (w *wireWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// finish writes the reply and readies w for the next one; keep false
-// adds Connection: close, which a 413 already has.
-func (w *wireWriter) finish(keep bool) error {
+// finish writes the reply and readies w for the next one; closing adds
+// Connection: close, which a 413 already has.
+func (w *wireWriter) finish(closing bool) error {
 	if w.status == 0 {
 		w.WriteHeader(http.StatusOK)
 	}
-	out := w.head
-	if !w.hasDate {
-		now := time.Now()
-		if sec := now.Unix(); sec != w.dateSec || w.date == nil {
-			w.date = now.UTC().AppendFormat(w.date[:0], http.TimeFormat)
-			w.dateSec = sec
-		}
-		out = append(append(append(out, "Date: "...), w.date...), "\r\n"...)
+	if now := time.Now(); now.Unix() != w.dateSec {
+		w.date = now.UTC().AppendFormat(w.date[:0], http.TimeFormat)
+		w.dateSec = now.Unix()
 	}
-	head := w.req.Method == http.MethodHead
+	out := append(append(append(w.head, "Date: "...), w.date...), "\r\n"...)
+	isHead := w.req.Method == http.MethodHead
 	allowed := bodyAllowed(w.status)
-	if allowed && (!head || len(w.body) > 0) {
+	if allowed && (!isHead || len(w.body) > 0) {
 		out = strconv.AppendInt(append(out, "Content-Length: "...), int64(len(w.body)), 10)
 		out = append(out, "\r\n"...)
 	}
 	if allowed && !w.hasType && len(w.body) > 0 {
 		out = append(append(append(out, "Content-Type: "...), http.DetectContentType(w.body)...), "\r\n"...)
 	}
-	if !keep && w.status != http.StatusRequestEntityTooLarge {
+	if closing && w.status != http.StatusRequestEntityTooLarge {
 		out = append(out, "Connection: close\r\n"...)
 	}
 	out = append(out, "\r\n"...)
 	body := w.body
-	if !allowed || head {
+	if !allowed || isHead {
 		body = nil
 	}
 	if len(body) <= inlineBody {

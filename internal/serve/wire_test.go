@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -185,7 +186,8 @@ func readRaw(br *bufio.Reader, method string) (string, error) {
 // bytes net/http's server writes for the same handler calls, Date value
 // aside — status line, header order, Date, Content-Length (also on
 // HEAD), no body on 204 and 304, a sniffed Content-Type on a relayed
-// body without one, and Connection: close after a refused body.
+// body without one, Connection: close after a refused body, and none
+// after a body the client cut short.
 func TestWireMatchesNetHTTP(t *testing.T) {
 	peer := startFakeOwner(t, func(_ int64, c net.Conn) bool {
 		io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello")
@@ -257,28 +259,42 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 		{"GET", get("/v1/stats/", "")},
 		{"GET", get("/v1/cache/a%2Fb/"+keyOn("a/b", true), "")},
 		{"PUT", "PUT " + path + " HTTP/1.1\r\nHost: x\r\nContent-Length: 17\r\n\r\n" + strings.Repeat("v", 17)},
+		// A second connection, whose client sends half a body and hangs up.
+		{"GET", get(path, "")},
+		{"PUT", "PUT " + path + " HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\nshort"},
 	}
+	const secondConn = 14 // the first exchange on the second connection
 	var seen [2][]string
 	for i, n := range nodes {
-		c, err := net.Dial("tcp", n.addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		c.SetDeadline(time.Now().Add(10 * time.Second))
-		br := bufio.NewReader(c)
-		for _, x := range exchanges {
+		var c net.Conn
+		var br *bufio.Reader
+		for j, x := range exchanges {
+			if j == 0 || j == secondConn {
+				if c != nil {
+					if _, err := br.ReadByte(); err != io.EOF {
+						t.Errorf("%s: connection open after a 413: %v", transports[i].name, err)
+					}
+					c.Close()
+				}
+				var err error
+				if c, err = net.Dial("tcp", n.addr); err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				c.SetDeadline(time.Now().Add(10 * time.Second))
+				br = bufio.NewReader(c)
+			}
 			if _, err := io.WriteString(c, x.req); err != nil {
 				t.Fatal(err)
+			}
+			if j == len(exchanges)-1 {
+				c.(*net.TCPConn).CloseWrite()
 			}
 			raw, err := readRaw(br, x.method)
 			if err != nil {
 				t.Fatalf("%s: %q: %v", transports[i].name, x.req, err)
 			}
 			seen[i] = append(seen[i], raw)
-		}
-		if _, err := br.ReadByte(); err != io.EOF {
-			t.Errorf("%s: connection open after a 413: %v", transports[i].name, err)
 		}
 		transports[i].checkHijacks(t, n.hijacks)
 	}
@@ -399,6 +415,9 @@ func TestShutdownDrainsOwnedConnections(t *testing.T) {
 		io.WriteString(c, "HTTP/1.1 204 No Content\r\n\r\n")
 		return false
 	})
+	var freed sync.Once
+	free := func() { freed.Do(func() { close(release) }) }
+	t.Cleanup(free) // before the peer's own cleanup, which waits for it
 	h := newEntry(t, peer.addr)
 	srv := h.servers[0]
 	local, remote := h.keyOwnedBy(0, "local"), h.keyOwnedBy(1, "remote")
@@ -413,7 +432,7 @@ func TestShutdownDrainsOwnedConnections(t *testing.T) {
 	if _, err := idle.ReadByte(); err != io.EOF {
 		t.Fatalf("idle owned connection after Shutdown: %v, want EOF", err)
 	}
-	close(release)
+	free()
 	raw, err := readRaw(busyReader, http.MethodGet)
 	if err != nil || !strings.HasPrefix(raw, "HTTP/1.1 204 ") || !strings.Contains(raw, "Connection: close\r\n") {
 		t.Fatalf("in-flight request during Shutdown = %q, %v; want the peer's 204 with Connection: close", raw, err)
