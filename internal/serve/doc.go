@@ -29,8 +29,8 @@
 // # Connections
 //
 // When a Handler is its http.Server's own Handler, it serves the
-// keep-alive connections of cache clients itself. The first clean
-// HTTP/1.1 GET, HEAD or DELETE on a /v1/cache/ path with no body and no
+// keep-alive connections of cache clients itself. The first HTTP/1.1
+// cache request on a clean /v1/cache/ path with no body and no
 // Connection, Expect, Transfer-Encoding, Upgrade or Trailer header
 // hijacks its connection (plain TCP only). From then on the Handler
 // parses each request on that connection and answers GET, HEAD, PUT and

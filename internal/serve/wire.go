@@ -30,9 +30,8 @@ import (
 // connection: HTTP/1.1 over plain TCP, no body, and none of the headers
 // that change how net/http's server treats the connection.
 func ownable(r *http.Request) bool {
-	if r.ProtoMajor != 1 || r.ProtoMinor != 1 || r.TLS != nil || r.Close ||
-		r.Method == http.MethodPut || r.ContentLength != 0 || len(r.TransferEncoding) > 0 {
-		return false
+	if r.ProtoMajor != 1 || r.ProtoMinor != 1 || r.TLS != nil || r.ContentLength != 0 {
+		return false // a chunked body reads as ContentLength -1
 	}
 	for _, k := range connectionHeaders {
 		if _, ok := r.Header[k]; ok {
