@@ -339,6 +339,7 @@ func (c *wireConn) parse() (tenant, key string, ok bool) {
 	if needsEscape(path) {
 		// What url.ParseRequestURI keeps: the unescaped path, and the
 		// path as sent when escaping the former does not give it back.
+		// requestLine checked every escape, so unescaping cannot fail.
 		u.Path, _ = url.PathUnescape(path)
 		if (&url.URL{Path: u.Path}).EscapedPath() != path {
 			u.RawPath = path
