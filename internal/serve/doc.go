@@ -53,7 +53,10 @@
 // and WriteTimeout a reply from its request's head on, as net/http
 // applies them. The server's Close and Shutdown close every owned
 // connection waiting for a request at once; one serving a request
-// closes after its reply, which says Connection: close. A body not read
+// closes after its reply, which says Connection: close, and both return
+// only once it has. Those timeouts bound that wait: Shutdown's context
+// does not cut it, and Close lets the request finish where it cuts
+// net/http's own. A body not read
 // to its end and a 413 also close the connection. ConnState reports an
 // owned connection as hijacked, and SetKeepAlivesEnabled does not reach
 // it. Every request on an owned connection carries the context of the

@@ -59,7 +59,7 @@ func (h *Handler) own(w http.ResponseWriter, r *http.Request, tenant, key string
 	if !ok {
 		return false
 	}
-	c := &wireConn{h: h}
+	c := new(wireConn)
 	c.state.Store(connActive)
 	h.adopt(srv, c)
 	nc, rw, err := hj.Hijack()
@@ -82,31 +82,37 @@ const (
 )
 
 // owner is the set of connections a Handler serves itself under one
-// http.Server, and the listener that tells it the server is closing.
+// http.Server. It is also a listener the server serves, which never
+// yields a connection: srv's Close and Shutdown close every listener srv
+// serves and wait for each Serve call to return, so closing it is how
+// the Handler learns the server is closing, and Accept holding the Serve
+// call until the owned connections end is how they wait for them.
 type owner struct {
-	srv     *http.Server
-	signal  closeSignal
-	closing atomic.Bool
-	conns   map[*wireConn]struct{} // guarded by Handler.ownMu
+	h         *Handler
+	srv       *http.Server
+	closing   atomic.Bool
+	conns     map[*wireConn]struct{} // guarded by Handler.ownMu
+	closed    chan struct{}          // closed by Close
+	closeOnce sync.Once
+	empty     chan struct{} // closed when the last connection is released
 }
 
 // adopt adds c to the connections h owns under srv. The first one
-// registers an owner whose closeSignal srv serves: srv's Close and
-// Shutdown close every listener srv serves, and a server already closing
-// refuses it at once, either way ending Serve and closing the owned
-// connections.
+// registers an owner that srv serves; a server already closing refuses
+// it at once, and the owned connections close after their replies.
 func (h *Handler) adopt(srv *http.Server, c *wireConn) {
 	h.ownMu.Lock()
 	defer h.ownMu.Unlock()
 	o := h.owners[srv]
 	if o == nil {
-		o = &owner{srv: srv, signal: closeSignal{closed: make(chan struct{})}, conns: make(map[*wireConn]struct{})}
+		o = &owner{h: h, srv: srv, conns: make(map[*wireConn]struct{}),
+			closed: make(chan struct{}), empty: make(chan struct{})}
 		if h.owners == nil {
 			h.owners = make(map[*http.Server]*owner)
 		}
 		h.owners[srv] = o
 		go func() {
-			srv.Serve(&o.signal)
+			srv.Serve(o)
 			h.closeOwned(o)
 		}()
 	}
@@ -115,22 +121,24 @@ func (h *Handler) adopt(srv *http.Server, c *wireConn) {
 }
 
 // release forgets c. The last connection out unregisters the owner and
-// closes its signal, so no goroutine outlives the connections.
+// closes it, so no goroutine outlives the connections. An owner that has
+// lost its last connection takes no new one: adopt registers another.
 func (h *Handler) release(c *wireConn) {
 	h.ownMu.Lock()
 	defer h.ownMu.Unlock()
 	o := c.o
 	delete(o.conns, c)
-	if len(o.conns) == 0 && h.owners[o.srv] == o {
-		delete(h.owners, o.srv)
-		o.signal.Close()
+	if len(o.conns) == 0 {
+		if h.owners[o.srv] == o {
+			delete(h.owners, o.srv)
+		}
+		close(o.empty)
+		o.Close()
 	}
 }
 
-// closeOwned runs once srv stops serving o's signal: srv closing or
-// shutting down, srv closed before it began, or release closing the
-// signal. It closes every idle connection; an active one closes after
-// its reply.
+// closeOwned runs once srv closes o, or refuses to serve it: it closes
+// every idle connection; an active one closes after its reply.
 func (h *Handler) closeOwned(o *owner) {
 	h.ownMu.Lock()
 	defer h.ownMu.Unlock()
@@ -145,25 +153,23 @@ func (h *Handler) closeOwned(o *owner) {
 	}
 }
 
-// closeSignal is a listener that never yields a connection. Serving it
-// on an http.Server is how the Handler learns the server is closing:
-// Close and Shutdown close it along with the server's real listeners.
-type closeSignal struct {
-	closed    chan struct{}
-	closeOnce sync.Once
-}
-
-func (l *closeSignal) Accept() (net.Conn, error) {
-	<-l.closed
+// Accept waits for Close, then closes the idle connections and returns
+// once every active one has written its reply and closed. The server's
+// ReadTimeout and WriteTimeout bound that wait; Shutdown's context does
+// not, as net/http cannot see these connections.
+func (o *owner) Accept() (net.Conn, error) {
+	<-o.closed
+	o.h.closeOwned(o)
+	<-o.empty
 	return nil, net.ErrClosed
 }
 
-func (l *closeSignal) Close() error {
-	l.closeOnce.Do(func() { close(l.closed) })
+func (o *owner) Close() error {
+	o.closeOnce.Do(func() { close(o.closed) })
 	return nil
 }
 
-func (l *closeSignal) Addr() net.Addr { return ownedAddr{} }
+func (o *owner) Addr() net.Addr { return ownedAddr{} }
 
 type ownedAddr struct{}
 
@@ -172,7 +178,6 @@ func (ownedAddr) String() string  { return "owned connections" }
 
 // wireConn is one connection the Handler serves itself.
 type wireConn struct {
-	h     *Handler
 	o     *owner
 	state atomic.Int32
 	nc    net.Conn
@@ -222,7 +227,7 @@ func (c *wireConn) serve(first *http.Request, tenant, key string) {
 		if !handedBack {
 			c.nc.Close()
 		}
-		c.h.release(c)
+		c.o.h.release(c)
 	}()
 	ok := c.respond(first, tenant, key)
 	for ok && c.await() {
@@ -256,7 +261,7 @@ func (c *wireConn) respond(r *http.Request, tenant, key string) bool {
 		c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout))
 	}
 	c.w.req = r
-	c.h.cache(&c.w, r, tenant, key)
+	c.o.h.cache(&c.w, r, tenant, key)
 	// A body not read to its end leaves the stream mid-request, and a
 	// 413 is the handler refusing to read it: like net/http, hang up,
 	// and say so unless the client itself ended the body early.
@@ -477,7 +482,18 @@ func byteSet(extra string) (set [256]bool) {
 func (c *wireConn) handBack() {
 	buffered, _ := c.br.Peek(c.br.Buffered())
 	c.nc.SetDeadline(time.Time{})
-	l := &oneConn{conn: &replayConn{Conn: c.nc, buf: buffered}}
+	// A connection handed back before is a replayConn already, whose
+	// unread bytes come after the reader's: load it again rather than
+	// wrap it, so that every read stays one layer deep. The bytes are
+	// copied, as the hijacked reader goes with this wireConn.
+	rc, ok := c.nc.(*replayConn)
+	if !ok {
+		rc = &replayConn{Conn: c.nc}
+	}
+	if len(buffered) > 0 {
+		rc.buf = append(append([]byte(nil), buffered...), rc.buf...)
+	}
+	l := &oneConn{conn: rc}
 	c.o.srv.Serve(l)
 	if l.conn != nil {
 		c.nc.Close()
@@ -510,7 +526,9 @@ type replayConn struct {
 func (c *replayConn) Read(p []byte) (int, error) {
 	if len(c.buf) > 0 {
 		n := copy(p, c.buf)
-		c.buf = c.buf[n:]
+		if c.buf = c.buf[n:]; len(c.buf) == 0 {
+			c.buf = nil
+		}
 		return n, nil
 	}
 	return c.Conn.Read(p)

@@ -372,7 +372,7 @@ func waitGoroutines(t *testing.T, fn string, n int) {
 
 const (
 	connGoroutine   = "serve.(*wireConn).serve"
-	signalGoroutine = "serve.(*closeSignal).Accept"
+	signalGoroutine = "serve.(*owner).Accept"
 )
 
 // TestCloseEndsOwnedConnections: http.Server.Close closes every
@@ -405,8 +405,9 @@ func TestCloseEndsOwnedConnections(t *testing.T) {
 }
 
 // TestShutdownDrainsOwnedConnections: http.Server.Shutdown closes an
-// idle owned connection at once and lets an in-flight request — here a
-// GET forwarded to a peer that holds it — finish with Connection: close.
+// idle owned connection at once, lets an in-flight request — here a GET
+// forwarded to a peer that holds it — finish with Connection: close, and
+// does not return before it has.
 func TestShutdownDrainsOwnedConnections(t *testing.T) {
 	received, release := make(chan struct{}), make(chan struct{})
 	peer := startFakeOwner(t, func(_ int64, c net.Conn) bool {
@@ -431,6 +432,11 @@ func TestShutdownDrainsOwnedConnections(t *testing.T) {
 	go func() { shut <- srv.Config.Shutdown(context.Background()) }()
 	if _, err := idle.ReadByte(); err != io.EOF {
 		t.Fatalf("idle owned connection after Shutdown: %v, want EOF", err)
+	}
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned %v with a request in flight", err)
+	case <-time.After(200 * time.Millisecond):
 	}
 	free()
 	raw, err := readRaw(busyReader, http.MethodGet)
