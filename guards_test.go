@@ -57,6 +57,11 @@ func TestGuards(t *testing.T) {
 		// (no epoch cap); a sweep profiles for its measure count.
 		{name: "one-clock-per-core", dir: ".", tests: true,
 			pattern: `MaxEpochs|ProfileAccesses`},
+		// An allocation Request carries curves, budget, granule and
+		// weights; no per-tenant line floor or cap rides along. The
+		// anchors keep monitor's and oracle's lowercase maxLines legal.
+		{name: "one-allocation-objective", dir: ".", tests: true,
+			pattern: `^(WithTenantLines|LineBounds|SetPartitionLines|MinLines|MaxLines|ErrInfeasibleBounds|grantFloors|checkFloors)$`},
 		// Spec.Build is the one way to a fresh pattern (internal/trace's
 		// tests call slices.Clone, so tests are not scanned).
 		{name: "no-pattern-clone", dir: "internal",

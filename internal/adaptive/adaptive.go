@@ -71,10 +71,8 @@ type ControllerState struct {
 	// Allocations is the most recent per-partition allocation in lines.
 	Allocations []int64 `json:"allocations"`
 	// Weights is the per-partition objective weight vector (nil =
-	// uniform). MinLines/MaxLines likewise (nil = unconstrained).
-	Weights  []float64 `json:"weights,omitempty"`
-	MinLines []int64   `json:"min_lines,omitempty"`
-	MaxLines []int64   `json:"max_lines,omitempty"`
+	// uniform).
+	Weights []float64 `json:"weights,omitempty"`
 	// LastError is the most recent epoch step's allocate or reconfigure
 	// failure (the allocation then stands unchanged); empty after a good
 	// step.
@@ -98,12 +96,10 @@ type Cache struct {
 	lastAllocs []int64
 	lastErr    error
 
-	// Allocation constraints threaded into each epoch's Request. nil
-	// slices stay nil until a setter materializes them, so the uniform
-	// configuration builds the exact plain Request of the legacy path.
-	weights  []float64
-	minLines []int64
-	maxLines []int64
+	// weights is threaded into each epoch's Request. It stays nil until
+	// SetWeight materializes it, so the uniform configuration builds the
+	// exact plain Request of the legacy path.
+	weights []float64
 
 	ticker    *time.Ticker  // non-nil iff EpochInterval > 0
 	tickStop  chan struct{} // nil without EpochInterval
@@ -257,15 +253,13 @@ func (a *Cache) runEpochLocked() {
 }
 
 // epochBody is one Loop step, hill climbing on the hulls (optimal there
-// for any weights, floors and caps: alloc.TestWeightedAllocatorsAgreeOnHulls),
-// then the Talus reconfiguration. An idle epoch counts nothing, so Err
-// keeps reporting the last real epoch's outcome. Caller holds epochMu.
+// for any weights: alloc.TestWeightedAllocatorsAgreeOnHulls), then the
+// Talus reconfiguration. An idle epoch counts nothing, so Err keeps
+// reporting the last real epoch's outcome. Caller holds epochMu.
 func (a *Cache) epochBody() {
 	allocs, curves, ok, err := a.loop.Step(alloc.HillClimbAllocator, true, alloc.Request{
-		Total:    a.sc.Inner().PartitionableCapacity(),
-		Weights:  a.weights,
-		MinLines: a.minLines,
-		MaxLines: a.maxLines,
+		Total:   a.sc.Inner().PartitionableCapacity(),
+		Weights: a.weights,
 	})
 	if !ok {
 		return
@@ -316,46 +310,6 @@ func checkWeight(p int, w float64) error {
 	return nil
 }
 
-// checkFloors rejects a floor vector the budget cannot hold: every epoch
-// would fail in the allocator and freeze the allocation where it stood.
-func checkFloors(minLines []int64, budget int64) error {
-	var sum int64
-	for _, m := range minLines {
-		sum += m
-	}
-	if sum > budget {
-		return fmt.Errorf("adaptive: line floors sum to %d, partitionable capacity %d", sum, budget)
-	}
-	return nil
-}
-
-// SetPartitionLines sets partition p's allocation floor and cap in
-// lines for subsequent epochs (see alloc.Request); maxLines 0 means
-// unbounded. A floor that would push the floors' sum past the
-// partitionable capacity is refused and nothing changes; any other
-// infeasible combination (caps summing below the budget) is the
-// allocator's to report, through Err and ControllerState.LastError.
-func (a *Cache) SetPartitionLines(p int, minLines, maxLines int64) error {
-	a.checkPartition(p)
-	if minLines < 0 || maxLines < 0 || (maxLines > 0 && maxLines < minLines) {
-		return fmt.Errorf("adaptive: bad line bounds [%d, %d] for partition %d", minLines, maxLines, p)
-	}
-	a.epochMu.Lock()
-	defer a.epochMu.Unlock()
-	floors := make([]int64, a.n)
-	copy(floors, a.minLines)
-	floors[p] = minLines
-	if err := checkFloors(floors, a.sc.Inner().PartitionableCapacity()); err != nil {
-		return err
-	}
-	a.minLines = floors
-	if a.maxLines == nil {
-		a.maxLines = make([]int64, a.n)
-	}
-	a.maxLines[p] = maxLines
-	return nil
-}
-
 // Weights returns a copy of the per-partition weight vector, or nil
 // while the objective is uniform.
 func (a *Cache) Weights() []float64 {
@@ -381,12 +335,6 @@ func (a *Cache) Controller() ControllerState {
 	}
 	if a.weights != nil {
 		st.Weights = append([]float64(nil), a.weights...)
-	}
-	if a.minLines != nil {
-		st.MinLines = append([]int64(nil), a.minLines...)
-	}
-	if a.maxLines != nil {
-		st.MaxLines = append([]int64(nil), a.maxLines...)
 	}
 	if a.lastErr != nil {
 		st.LastError = a.lastErr.Error()

@@ -1,6 +1,7 @@
 package adaptive_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"talus/internal/adaptive"
+	"talus/internal/cache"
+	"talus/internal/core"
 	"talus/internal/hash"
 )
 
@@ -216,12 +219,6 @@ func TestWeightedTenantAttractsCapacity(t *testing.T) {
 	if err := ac.SetWeight(0, -1); err == nil {
 		t.Fatal("negative weight accepted")
 	}
-	if err := ac.SetPartitionLines(0, 100, 50); err == nil {
-		t.Fatal("cap below floor accepted")
-	}
-	if err := ac.SetPartitionLines(1, 512, 0); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestBadWeightsRefused: New used to accept weights SetWeight refuses,
@@ -244,60 +241,54 @@ func TestBadWeightsRefused(t *testing.T) {
 	}
 }
 
-// randEpoch feeds each of a two-partition cache's partitions 4096 draws
-// from its own 1k-line working set, then forces the epoch step.
-func randEpoch(ac *adaptive.Cache, rng *hash.SplitMix64) error {
-	buf := make([]uint64, 4096)
-	for p := 0; p < 2; p++ {
-		for i := range buf {
-			buf[i] = rng.Uint64n(1024) | uint64(p+1)<<48
-		}
-		feed(ac, buf, p)
-	}
-	return ac.ForceEpoch()
+// flakyArray is a partitioned array whose SetPartitionSizes fails
+// while fail is set, so an epoch step can fail in Reconfigure.
+type flakyArray struct {
+	core.PartitionedCache
+	fail bool
 }
 
-// TestInfeasibleFloorsRefused: a floor vector the partitionable capacity
-// cannot hold used to be accepted and then fail inside the allocator on
-// every epoch, freezing the allocation silently. SetPartitionLines
-// refuses it up front, and a refusal changes nothing.
-func TestInfeasibleFloorsRefused(t *testing.T) {
-	const capacity = 4096
-	ac := buildAdaptive(t, capacity, 1, 2, adaptive.Config{EpochAccesses: 1 << 40, Seed: 25})
-	budget := ac.Shadowed().Inner().PartitionableCapacity()
-	if err := ac.SetPartitionLines(0, budget/2, 0); err != nil {
-		t.Fatal(err)
+var errArrayRefused = errors.New("array refused the sizes")
+
+func (f *flakyArray) SetPartitionSizes(sizes []int64) error {
+	if f.fail {
+		return errArrayRefused
 	}
-	before := ac.Allocations()
-	if err := ac.SetPartitionLines(1, budget/2+64, 0); err == nil {
-		t.Fatal("floors summing past the partitionable capacity accepted")
-	}
-	st := ac.Controller()
-	if st.MinLines[0] != budget/2 || st.MinLines[1] != 0 || st.MaxLines[1] != 0 {
-		t.Fatalf("refused bounds leaked into the controller: %+v", st)
-	}
-	if got := ac.Allocations(); !slices.Equal(got, before) {
-		t.Fatalf("refusal moved the allocation: %v -> %v", before, got)
-	}
-	// The next epoch runs clean on the bounds that were accepted.
-	if err := randEpoch(ac, hash.NewSplitMix64(13)); err != nil {
-		t.Fatalf("epoch after a refused floor: %v", err)
-	}
-	if got := ac.Allocations()[0]; got < budget/2 {
-		t.Fatalf("accepted floor %d not honoured: partition 0 has %d lines", budget/2, got)
-	}
+	return f.PartitionedCache.SetPartitionSizes(sizes)
 }
 
 // TestEpochErrorIsVisible: a failing epoch step leaves the allocation
 // where it stood, so the failure must show where an operator looks —
 // Controller().LastError, served at /v1/control — and clear again on the
-// next good step. Caps that cannot absorb the budget are the allocator's
-// own check, which no setter pre-empts.
+// next good step.
 func TestEpochErrorIsVisible(t *testing.T) {
-	ac := buildAdaptive(t, 4096, 1, 2, adaptive.Config{EpochAccesses: 1 << 40, Seed: 26})
+	arr, err := cache.Build("vantage", 4096, 16, 4, "LRU", 1, 26)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky := &flakyArray{PartitionedCache: arr}
+	sc, err := core.NewShadowedCache(flaky, 2, 0.05, 26)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac, err := adaptive.New(sc, adaptive.Config{EpochAccesses: 1 << 40, Seed: 26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// step feeds partition p 4096 draws from a ws[p]-line working set,
+	// then forces the epoch step.
 	rng := hash.NewSplitMix64(15)
-	step := func() error { return randEpoch(ac, rng) }
-	if err := step(); err != nil {
+	buf := make([]uint64, 4096)
+	step := func(ws ...uint64) error {
+		for p := range ws {
+			for i := range buf {
+				buf[i] = rng.Uint64n(ws[p]) | adaptive.AppSpace(p)
+			}
+			feed(ac, buf, p)
+		}
+		return ac.ForceEpoch()
+	}
+	if err := step(512, 3072); err != nil {
 		t.Fatal(err)
 	}
 	if got := ac.Controller().LastError; got != "" {
@@ -305,29 +296,28 @@ func TestEpochErrorIsVisible(t *testing.T) {
 	}
 	good := ac.Allocations()
 
-	for p := 0; p < 2; p++ {
-		if err := ac.SetPartitionLines(p, 0, 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := step(); err == nil {
-		t.Fatal("caps summing to 200 lines absorbed the whole budget")
+	// The working sets swap, so a good step would move capacity.
+	flaky.fail = true
+	if err := step(3072, 512); !errors.Is(err, errArrayRefused) {
+		t.Fatalf("epoch over a refusing array: err = %v", err)
 	}
 	st := ac.Controller()
-	if !strings.Contains(st.LastError, "caps sum to 200") {
-		t.Fatalf("last_error = %q, want the allocator's caps refusal", st.LastError)
+	if !strings.Contains(st.LastError, "reconfigure: "+errArrayRefused.Error()) {
+		t.Fatalf("last_error = %q, want the reconfigure failure", st.LastError)
 	}
 	if !slices.Equal(st.Allocations, good) {
 		t.Fatalf("failed epoch moved the allocation: %v -> %v", good, st.Allocations)
 	}
 
-	if err := ac.SetPartitionLines(1, 0, 0); err != nil {
+	flaky.fail = false
+	if err := step(3072, 512); err != nil {
 		t.Fatal(err)
 	}
-	if err := step(); err != nil {
-		t.Fatal(err)
+	st = ac.Controller()
+	if st.LastError != "" {
+		t.Fatalf("last_error %q survived a good epoch", st.LastError)
 	}
-	if got := ac.Controller().LastError; got != "" {
-		t.Fatalf("last_error %q survived a good epoch", got)
+	if slices.Equal(st.Allocations, good) {
+		t.Fatalf("swapped working sets never moved the allocation from %v", good)
 	}
 }

@@ -21,7 +21,7 @@
 //     step);
 //  3. hill-climbs on the hulls (alloc.HillClimbAllocator) to divide the
 //     partitionable capacity — optimal on convex curves for any
-//     weights, floors and caps, so there is no allocator to choose;
+//     weights, so there is no allocator to choose;
 //
 // and then live-reconfigures shadow sizes and sampling rates via
 // core.ShadowedCache.Reconfigure (the raw curves go down too, so
@@ -40,14 +40,12 @@
 // costs hit ratio on phased traffic (EXPERIMENTS.md, "A control loop
 // with one speed"). Epochs that observed zero accesses are complete
 // no-ops, and a partition idle for an epoch keeps its previous curve
-// untouched instead of decaying toward zero. SetWeight and
-// SetPartitionLines adjust the allocation Request live; a weight the
-// allocator would refuse is refused at New and at SetWeight, and floors
-// that cannot fit the partitionable capacity at SetPartitionLines.
-// Controller() snapshots the whole state (ControllerState — what serve's
-// GET /v1/control returns), including the last epoch step's error: a
-// failed step leaves the allocation standing, so that is where an
-// operator sees it.
+// untouched instead of decaying toward zero. SetWeight adjusts the
+// allocation Request live; a weight the allocator would refuse is
+// refused at New and at SetWeight. Controller() snapshots the whole
+// state (ControllerState — what serve's GET /v1/control returns),
+// including the last epoch step's error: a failed step leaves the
+// allocation standing, so that is where an operator sees it.
 //
 // # Concurrency
 //

@@ -14,7 +14,7 @@ type Allocator interface {
 	Name() string
 	// Allocate returns per-partition line counts summing to req.Total,
 	// allocated in multiples of req.Granule (plus sub-granule residue),
-	// honoring the request's weights, floors, and caps.
+	// weighing partitions by the request's weights.
 	Allocate(req Request) ([]int64, error)
 }
 

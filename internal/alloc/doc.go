@@ -19,17 +19,16 @@
 // multiples of a granule, and return per-partition line counts summing to
 // the budget.
 //
-// # Requests, weights, and bounds
+// # Requests and weights
 //
-// Allocators consume a Request: the curves and budget plus optional
-// per-partition objective Weights (the allocator minimizes
-// Σ wᵢ·missesᵢ — §VII-D's point that hulls make any objective easy),
-// MinLines floors, and MaxLines caps. The Weighted* functions implement
-// each algorithm over a Request; NewRequest builds the uniform,
-// unconstrained one. WeightedHillClimb
-// stays optimal on hulls for any weights, floors and caps: on convex
-// curves WeightedLookahead and WeightedOptimalDP reach exactly its
-// weighted cost (TestWeightedAllocatorsAgreeOnHulls), which is why the
+// Allocators consume a Request: the curves, budget and granule plus
+// optional per-partition objective Weights (the allocator minimizes
+// Σ wᵢ·missesᵢ — §VII-D's point that hulls make any objective easy).
+// The Weighted* functions implement each algorithm over a Request;
+// NewRequest builds the uniform one. WeightedHillClimb stays optimal on
+// hulls for any weights: on convex curves WeightedLookahead and
+// WeightedOptimalDP reach exactly its weighted cost
+// (TestWeightedAllocatorsAgreeOnHulls), which is why the
 // adaptive loop (internal/adaptive) runs hill climbing and nothing else.
 // The other algorithms serve the mix simulator's comparisons on raw
 // curves (Figs. 12–13).

@@ -82,35 +82,19 @@ func TestWeightedHillClimbOptimal(t *testing.T) {
 }
 
 // TestWeightedAllocatorsAgreeOnHulls is why the adaptive loop offers no
-// allocator choice: on random convex curves under random weights, line
-// floors and caps, Lookahead and the exact DP reach exactly the
-// weighted cost hill climbing reaches, so running either instead would
-// buy nothing.
+// allocator choice: on random convex curves under random weights,
+// Lookahead and the exact DP reach exactly the weighted cost hill
+// climbing reaches, so running either instead would buy nothing.
 func TestWeightedAllocatorsAgreeOnHulls(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const total, granule = 4096, 128
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + rng.Intn(4)
 		req := Request{Total: total, Granule: granule,
-			Curves: make([]*curve.Curve, n), Weights: make([]float64, n),
-			MinLines: make([]int64, n), MaxLines: make([]int64, n)}
-		var floors, caps int64
-		capped := 0
+			Curves: make([]*curve.Curve, n), Weights: make([]float64, n)}
 		for i := range req.Curves {
 			req.Curves[i] = randConvexCurve(rng, total, 3+rng.Intn(6))
 			req.Weights[i] = rng.Float64() * 8
-			if rng.Intn(2) == 0 {
-				req.MinLines[i] = granule * rng.Int63n((total-floors)/granule/int64(n)+1)
-				floors += req.MinLines[i]
-			}
-			if rng.Intn(2) == 0 {
-				req.MaxLines[i] = req.MinLines[i] + granule*(1+rng.Int63n(total/granule/2))
-				caps += req.MaxLines[i]
-				capped++
-			}
-		}
-		if capped == n && caps < total {
-			req.MaxLines[n-1] = 0 // every partition capped below the budget is infeasible
 		}
 		cost := func(name string, fn func(Request) ([]int64, error)) float64 {
 			got, err := fn(req)
@@ -121,10 +105,6 @@ func TestWeightedAllocatorsAgreeOnHulls(t *testing.T) {
 			var sum float64
 			for i, c := range req.Curves {
 				spent += got[i]
-				if got[i] < req.MinLines[i] || (req.MaxLines[i] > 0 && got[i] > req.MaxLines[i]) {
-					t.Fatalf("trial %d: %s gives partition %d %d lines outside [%d, %d]",
-						trial, name, i, got[i], req.MinLines[i], req.MaxLines[i])
-				}
 				sum += req.Weights[i] * c.Eval(float64(got[i]))
 			}
 			if spent != total {
@@ -137,52 +117,20 @@ func TestWeightedAllocatorsAgreeOnHulls(t *testing.T) {
 			"lookahead": WeightedLookahead, "dp": WeightedOptimalDP,
 		} {
 			if c := cost(name, fn); math.Abs(c-hill) > 1e-9*(1+math.Abs(hill)) {
-				t.Fatalf("trial %d: %s cost %.12g, hill %.12g\nweights %v floors %v caps %v",
-					trial, name, c, hill, req.Weights, req.MinLines, req.MaxLines)
+				t.Fatalf("trial %d: %s cost %.12g, hill %.12g\nweights %v",
+					trial, name, c, hill, req.Weights)
 			}
 		}
 	}
 }
 
-// TestRequestConstraints exercises floors, caps, and their validation.
+// TestRequestConstraints exercises weights and their validation.
 func TestRequestConstraints(t *testing.T) {
 	c := func() *curve.Curve {
 		return curve.MustNew([]curve.Point{{Size: 0, MPKI: 20}, {Size: 4096, MPKI: 1}})
 	}
 	base := Request{Curves: []*curve.Curve{c(), c()}, Total: 4096, Granule: 128}
 
-	t.Run("floor honored", func(t *testing.T) {
-		req := base
-		req.MinLines = []int64{0, 1024}
-		out, err := WeightedHillClimb(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[1] < 1024 {
-			t.Fatalf("floor violated: %v", out)
-		}
-		if out[0]+out[1] != req.Total {
-			t.Fatalf("budget not spent: %v", out)
-		}
-	})
-	t.Run("cap honored", func(t *testing.T) {
-		req := base
-		req.MaxLines = []int64{512, 0}
-		for name, fn := range map[string]func(Request) ([]int64, error){
-			"hill": WeightedHillClimb, "lookahead": WeightedLookahead, "dp": WeightedOptimalDP,
-		} {
-			out, err := fn(req)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if out[0] > 512 {
-				t.Fatalf("%s: cap violated: %v", name, out)
-			}
-			if out[0]+out[1] != req.Total {
-				t.Fatalf("%s: budget not spent: %v", name, out)
-			}
-		}
-	})
 	t.Run("weight pulls capacity", func(t *testing.T) {
 		// Identical curves: uniform weights split evenly-ish; weighting
 		// partition 1 by 8 must shift lines toward it.
@@ -205,9 +153,6 @@ func TestRequestConstraints(t *testing.T) {
 			{Curves: base.Curves, Total: 4096, Granule: 128, Weights: []float64{1}},
 			{Curves: base.Curves, Total: 4096, Granule: 128, Weights: []float64{1, -2}},
 			{Curves: base.Curves, Total: 4096, Granule: 128, Weights: []float64{1, math.NaN()}},
-			{Curves: base.Curves, Total: 4096, Granule: 128, MinLines: []int64{4000, 4000}},
-			{Curves: base.Curves, Total: 4096, Granule: 128, MaxLines: []int64{100, 100}},
-			{Curves: base.Curves, Total: 4096, Granule: 128, MinLines: []int64{0, 600}, MaxLines: []int64{4096, 500}},
 		}
 		for i, req := range bad {
 			if _, err := WeightedHillClimb(req); err == nil {

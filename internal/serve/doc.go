@@ -120,9 +120,11 @@
 //	     malformed or negative /v1/control weight bodies, or ones with no
 //	     "weight", store.ErrBadTTL and malformed X-Talus-TTL headers; both
 //	     control-plane bodies refuse unknown keys, so a misspelled field
-//	     is a 400, never a default
-//	500  anything else, such as a PUT body that ended or timed out before
-//	     its Content-Length
+//	     is a 400, never a default; a PUT body that ended before its
+//	     Content-Length
+//	408  a PUT body still short of its Content-Length when the server's
+//	     ReadTimeout ran out
+//	500  anything else
 //
 // # Residency stats
 //

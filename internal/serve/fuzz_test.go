@@ -27,7 +27,7 @@ import (
 // coding, 505 for an unsupported protocol version).
 var replyStatuses = map[int]bool{
 	200: true, 204: true, 301: true, 304: true, 400: true, 403: true, 404: true,
-	405: true, 409: true, 413: true, 429: true, 500: true, 502: true,
+	405: true, 408: true, 413: true, 429: true, 500: true, 502: true,
 	100: true, 417: true, 431: true, 501: true, 505: true,
 }
 

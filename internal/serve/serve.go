@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"os"
 	"path"
 	"path/filepath"
 	"strconv"
@@ -181,17 +182,14 @@ func statusOf(err error) int {
 		// "stop asking", keeps unauthenticated clients from reading a
 		// 5xx as a server bug to retry against.
 		return http.StatusTooManyRequests
-	case errors.Is(err, store.ErrInfeasibleBounds):
-		// The operator promised this tenant a floor the node cannot
-		// hold beside the tenants already here: a conflict with current
-		// state, not a server fault, and retrying will not change it.
-		return http.StatusConflict
 	case errors.Is(err, store.ErrBackend):
 		return http.StatusBadGateway
 	case errors.Is(err, store.ErrEmptyTenant), errors.Is(err, store.ErrEmptyKey),
-		errors.Is(err, store.ErrBadTTL),
+		errors.Is(err, store.ErrBadTTL), errors.Is(err, errBodyCut),
 		errors.Is(err, store.ErrRecording), errors.Is(err, store.ErrNotRecording):
 		return http.StatusBadRequest
+	case errors.Is(err, errBodyTimeout):
+		return http.StatusRequestTimeout
 	}
 	return http.StatusInternalServerError
 }
@@ -316,21 +314,33 @@ func (h *Handler) put(w http.ResponseWriter, r *http.Request, tenant, key string
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// The client's faults in sending a PUT body, which statusOf answers
+// with a 4xx.
+var (
+	errBodyCut     = errors.New("request body ended before its Content-Length")
+	errBodyTimeout = errors.New("request body timed out before its Content-Length")
+)
+
 // readBody drains at most maxValue bytes of request body, translating
-// the over-limit error into the store's typed ErrValueTooLarge so the
-// handler's status mapping stays in one place.
+// its read errors into typed ones (the store's ErrValueTooLarge over the
+// limit) so the handler's status mapping stays in one place.
 func readBody(w http.ResponseWriter, r *http.Request, maxValue int64) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, maxValue)
 	defer body.Close()
 	buf, err := io.ReadAll(body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, fmt.Errorf("%w: body over %d bytes", store.ErrValueTooLarge, tooBig.Limit)
-		}
-		return nil, err
+	if err == nil {
+		return buf, nil
 	}
-	return buf, nil
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return nil, fmt.Errorf("%w: body over %d bytes", store.ErrValueTooLarge, tooBig.Limit)
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return nil, errBodyCut
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return nil, errBodyTimeout
+	}
+	return nil, err
 }
 
 func (h *Handler) delete(w http.ResponseWriter, r *http.Request, tenant, key string) {

@@ -313,6 +313,70 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 	}
 }
 
+// TestBodyFaultIsClientError: a PUT body that ends before its
+// Content-Length is the client's fault, a 400, and one still short of it
+// when the server's ReadTimeout runs out is a 408, in the same bytes on
+// both transports. Each PUT follows a GET, so that an owned connection
+// serves it itself.
+func TestBodyFaultIsClientError(t *testing.T) {
+	faults := []struct {
+		name   string
+		hangUp bool
+		status string
+	}{
+		{"cut", true, "HTTP/1.1 400 Bad Request\r\n"},
+		{"stalled", false, "HTTP/1.1 408 Request Timeout\r\n"},
+	}
+	var seen [2][]string
+	for i, tr := range transports {
+		st := newStore(t, store.Config{Tenants: []string{"a"}, NodeID: "node"})
+		srv := httptest.NewUnstartedServer(tr.handler(serve.NewHandler(st, serve.Config{})))
+		srv.Config.ReadTimeout = 200 * time.Millisecond
+		hijacks := new(atomic.Int64)
+		srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateHijacked {
+				hijacks.Add(1)
+			}
+		}
+		srv.Start()
+		t.Cleanup(func() {
+			closeServer(srv)
+			st.Close()
+		})
+		for _, f := range faults {
+			c, err := net.Dial("tcp", srv.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetDeadline(time.Now().Add(10 * time.Second))
+			br := bufio.NewReader(c)
+			io.WriteString(c, "GET /v1/cache/a/k HTTP/1.1\r\nHost: x\r\n\r\n")
+			if _, err := readRaw(br, http.MethodGet); err != nil {
+				t.Fatalf("%s: GET: %v", tr.name, err)
+			}
+			io.WriteString(c, "PUT /v1/cache/a/k HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\nshort")
+			if f.hangUp {
+				c.(*net.TCPConn).CloseWrite()
+			}
+			raw, err := readRaw(br, http.MethodPut)
+			c.Close()
+			if err != nil {
+				t.Fatalf("%s: %s body: %v", tr.name, f.name, err)
+			}
+			if !strings.HasPrefix(raw, f.status) {
+				t.Errorf("%s: %s body read %q, want %q", tr.name, f.name, raw, f.status)
+			}
+			seen[i] = append(seen[i], raw)
+		}
+		tr.checkHijacks(t, hijacks)
+	}
+	for j, f := range faults {
+		if seen[0][j] != seen[1][j] {
+			t.Errorf("%s body:\n%s:\n%s\n%s:\n%s", f.name, transports[0].name, seen[0][j], transports[1].name, seen[1][j])
+		}
+	}
+}
+
 // ownedServer serves h from a plain http.Server on loopback and returns
 // the server and its address.
 func ownedServer(t *testing.T, h http.Handler) (*http.Server, string) {

@@ -340,11 +340,10 @@ func TestCloseRecorderRace(t *testing.T) {
 }
 
 // TestRegisterUnderEvictionAndEpochs is the lock-order watchdog for
-// tenant registration. Registering a tenant with
-// configured Weights/LineBounds holds the store's tenant lock while it
-// takes the adaptive cache's epoch lock; an epoch step holds the epoch
-// lock while it takes shard locks; the eviction hook runs under a shard
-// lock. If the hook also took the tenant lock the three would form a
+// tenant registration. Registering a tenant with a configured weight
+// holds the store's tenant lock while SetWeight takes the adaptive
+// cache's epoch lock; an epoch step holds the epoch lock while it takes
+// shard locks; the eviction hook runs under a shard lock. If the hook also took the tenant lock the three would form a
 // cycle and this test would wedge: weighted tenants auto-register while
 // two setters force evictions and a third goroutine forces epochs.
 func TestRegisterUnderEvictionAndEpochs(t *testing.T) {
@@ -353,17 +352,14 @@ func TestRegisterUnderEvictionAndEpochs(t *testing.T) {
 		weighed = 7
 	)
 	weights := make(map[string]float64, weighed)
-	bounds := make(map[string]store.LineBounds, weighed)
 	for i := 0; i < weighed; i++ {
 		weights[fmt.Sprintf("t%d", i)] = float64(i + 2)
-		bounds[fmt.Sprintf("t%d", i)] = store.LineBounds{Min: 16}
 	}
 	for round := 0; round < rounds; round++ {
 		s := buildStore(t, 2048, 2, weighed+1, store.Config{
-			Tenants:    []string{"a"},
-			MaxBytes:   64 << 10,
-			Weights:    weights,
-			LineBounds: bounds,
+			Tenants:  []string{"a"},
+			MaxBytes: 64 << 10,
+			Weights:  weights,
 		})
 		done := make(chan struct{})
 		go func() {

@@ -27,9 +27,6 @@ func TestControlSnapshot(t *testing.T) {
 	st := buildControlStore(t, store.Config{
 		Tenants: []string{"gold", "bronze"},
 		Weights: map[string]float64{"gold": 4},
-		LineBounds: map[string]store.LineBounds{
-			"bronze": {Min: 256, Max: 2048},
-		},
 	})
 	cs := st.Control()
 	if len(cs.Tenants) != 2 {
@@ -42,9 +39,6 @@ func TestControlSnapshot(t *testing.T) {
 	}
 	if gold.Weight != 4 || bronze.Weight != 1 {
 		t.Fatalf("weights: gold %g bronze %g", gold.Weight, bronze.Weight)
-	}
-	if bronze.MinLines != 256 || bronze.MaxLines != 2048 {
-		t.Fatalf("bronze bounds: %+v", bronze)
 	}
 	if cs.EpochAccesses != 1<<14 {
 		t.Fatalf("controller state: %+v", cs.ControllerState)
@@ -90,8 +84,6 @@ func TestControlConfigValidation(t *testing.T) {
 	for name, cfg := range map[string]store.Config{
 		"negative weight": {Weights: map[string]float64{"a": -1}},
 		"empty name":      {Weights: map[string]float64{"": 1}},
-		"cap below floor": {LineBounds: map[string]store.LineBounds{"a": {Min: 100, Max: 50}}},
-		"negative floor":  {LineBounds: map[string]store.LineBounds{"a": {Min: -1}}},
 	} {
 		if _, err := store.New(ac, cfg); err == nil {
 			t.Errorf("%s accepted", name)

@@ -49,11 +49,6 @@ var (
 	ErrNoEviction = errors.New("store: cache stack does not support eviction notification")
 	// ErrBadTTL rejects a negative per-entry TTL.
 	ErrBadTTL = errors.New("store: negative ttl")
-	// ErrInfeasibleBounds refuses a registration whose configured line
-	// floor does not fit beside the floors already claimed; it wraps the
-	// adaptive layer's reason. The tenant is not registered and its
-	// partition stays free and unconfigured.
-	ErrInfeasibleBounds = errors.New("store: tenant line bounds do not fit")
 )
 
 // addrMask keeps the 48 address bits hashKey produces; bits 48+ carry
@@ -92,11 +87,6 @@ type Config struct {
 	// auto-registered ones); tenants not named weigh 1. Adjustable at
 	// runtime via SetTenantWeight.
 	Weights map[string]float64
-	// LineBounds gives tenants per-partition allocation floors and caps
-	// in cache lines (see alloc.Request.MinLines/MaxLines), applied like
-	// Weights when the named tenant registers. A zero Max means
-	// unbounded.
-	LineBounds map[string]LineBounds
 	// DefaultTTL is the expiry applied to Sets that do not carry their
 	// own TTL (see SetTTL); 0 means values never expire by time. Expiry
 	// is lazy: an expired value is released on the Get that discovers
@@ -115,12 +105,6 @@ type NodeStats struct {
 	PID        int       `json:"pid"`
 	StartTime  time.Time `json:"start_time"`
 	GoMaxProcs int       `json:"gomaxprocs"`
-}
-
-// LineBounds is one tenant's allocation floor and cap in cache lines.
-type LineBounds struct {
-	Min int64 `json:"min"`
-	Max int64 `json:"max"` // 0 = unbounded
 }
 
 // TenantStats reports one tenant's serving counters. CacheHits and
@@ -244,14 +228,6 @@ func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("store: weight %g for tenant %q (need finite, non-negative)", w, name)
 		}
 	}
-	for name, b := range cfg.LineBounds {
-		if name == "" {
-			return nil, fmt.Errorf("%w: line bounds for empty tenant name", ErrEmptyTenant)
-		}
-		if b.Min < 0 || b.Max < 0 || (b.Max > 0 && b.Max < b.Min) {
-			return nil, fmt.Errorf("store: bad line bounds [%d, %d] for tenant %q", b.Min, b.Max, name)
-		}
-	}
 	if !ac.SetEvictHook(s.onEvict) {
 		return nil, ErrNoEviction
 	}
@@ -372,17 +348,9 @@ func (s *Store) register(name string) (*tenant, error) {
 		name: name, part: part, space: adaptive.AppSpace(part),
 		lines: make(map[uint64]*entry),
 	}
-	// Thread the tenant's configured control settings into the claimed
-	// partition; a tenant without entries leaves the allocator's Request
-	// untouched (uniform objective). Bounds go first: the floor check is
-	// the one step that can refuse at this point (it depends on who
-	// registered before), and a refusal must leave the free partition as
-	// it was for the next tenant. Weights were validated at New.
-	if b, ok := s.cfg.LineBounds[name]; ok {
-		if err := s.ac.SetPartitionLines(part, b.Min, b.Max); err != nil {
-			return nil, fmt.Errorf("%w: tenant %q: %w", ErrInfeasibleBounds, name, err)
-		}
-	}
+	// Thread the tenant's configured weight into the claimed partition;
+	// a tenant without one leaves the allocator's Request untouched
+	// (uniform objective). Weights were validated at New.
 	if w, ok := s.cfg.Weights[name]; ok {
 		if err := s.ac.SetWeight(part, w); err != nil {
 			return nil, err
@@ -766,19 +734,16 @@ func (s *Store) SetTenantWeight(tenantName string, w float64) error {
 }
 
 // TenantControl is one tenant's row in the control-plane snapshot: its
-// partition, live objective weight, configured line bounds, and current
-// allocation.
+// partition, live objective weight, and current allocation.
 type TenantControl struct {
 	Tenant     string  `json:"tenant"`
 	Partition  int     `json:"partition"`
 	Weight     float64 `json:"weight"`
-	MinLines   int64   `json:"min_lines,omitempty"`
-	MaxLines   int64   `json:"max_lines,omitempty"`
 	AllocLines int64   `json:"alloc_lines"`
 }
 
 // ControlState is the store's control-plane snapshot: the adaptive
-// loop's controller state plus per-tenant weight/bounds/allocation rows
+// loop's controller state plus per-tenant weight/allocation rows
 // (sorted by tenant name for stable output). Served at /v1/control.
 type ControlState struct {
 	adaptive.ControllerState
@@ -796,12 +761,6 @@ func (s *Store) Control() ControlState {
 		row := TenantControl{Tenant: t.name, Partition: t.part, Weight: 1}
 		if cs.Weights != nil && t.part < len(cs.Weights) {
 			row.Weight = cs.Weights[t.part]
-		}
-		if cs.MinLines != nil && t.part < len(cs.MinLines) {
-			row.MinLines = cs.MinLines[t.part]
-		}
-		if cs.MaxLines != nil && t.part < len(cs.MaxLines) {
-			row.MaxLines = cs.MaxLines[t.part]
 		}
 		if t.part < len(cs.Allocations) {
 			row.AllocLines = cs.Allocations[t.part]

@@ -99,18 +99,6 @@ func WithTenantWeight(tenant string, w float64) Option {
 	}
 }
 
-// WithTenantLines bounds the named tenant's allocation to [min, max]
-// cache lines (NewStore only): the floor is a capacity guarantee, the
-// cap a ceiling no amount of demand exceeds. max 0 means uncapped.
-func WithTenantLines(tenant string, min, max int64) Option {
-	return func(o *options) {
-		if o.store.LineBounds == nil {
-			o.store.LineBounds = make(map[string]store.LineBounds)
-		}
-		o.store.LineBounds[tenant] = store.LineBounds{Min: min, Max: max}
-	}
-}
-
 // WithTenants pre-registers tenant names onto the first partitions
 // (NewStore only). Without WithPartitions, the default partition count
 // grows to fit them but never shrinks below it — unnamed tenants can
@@ -240,23 +228,22 @@ func NewMemBackend(latency time.Duration) *MemBackend {
 
 // Store boundary errors (see the internal/store package docs).
 var (
-	ErrEmptyTenant      = store.ErrEmptyTenant
-	ErrEmptyKey         = store.ErrEmptyKey
-	ErrUnknownTenant    = store.ErrUnknownTenant
-	ErrTenantCapacity   = store.ErrTenantCapacity
-	ErrNotFound         = store.ErrNotFound
-	ErrValueTooLarge    = store.ErrValueTooLarge
-	ErrBackend          = store.ErrBackend
-	ErrClosed           = store.ErrClosed
-	ErrBadTTL           = store.ErrBadTTL
-	ErrInfeasibleBounds = store.ErrInfeasibleBounds
+	ErrEmptyTenant    = store.ErrEmptyTenant
+	ErrEmptyKey       = store.ErrEmptyKey
+	ErrUnknownTenant  = store.ErrUnknownTenant
+	ErrTenantCapacity = store.ErrTenantCapacity
+	ErrNotFound       = store.ErrNotFound
+	ErrValueTooLarge  = store.ErrValueTooLarge
+	ErrBackend        = store.ErrBackend
+	ErrClosed         = store.ErrClosed
+	ErrBadTTL         = store.ErrBadTTL
 )
 
 // NewStore constructs the keyed store over a cache built from the same
 // options New takes, plus the store-specific ones (WithTenants,
-// WithStaticTenants, WithTenantWeight, WithTenantLines, WithMaxBytes,
-// WithBackend, WithDefaultTTL, WithNodeID). Tenants map to logical partitions (first come,
-// first served unless static); keys hash to line addresses; every
+// WithStaticTenants, WithTenantWeight, WithMaxBytes, WithBackend,
+// WithDefaultTTL, WithNodeID). Tenants map to logical partitions (first
+// come, first served unless static); keys hash to line addresses; every
 // request drives the adaptive control loop. The store is a cache
 // bounded by its line capacity: a value dies with its evicted line
 // (and is refetched through the Backend when there is one). Close the

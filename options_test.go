@@ -2,7 +2,6 @@ package talus
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -220,74 +219,5 @@ func TestNewStoreOptions(t *testing.T) {
 	}
 	if _, err := st.Set("d", "k", nil); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("static tenants: %v", err)
-	}
-}
-
-// TestNewStoreRefusesInfeasibleFloors: tenant floors summing past the
-// partitionable capacity used to build a store whose every epoch failed
-// in the allocator — the allocation frozen at the initial fair split,
-// the error visible nowhere a store or HTTP caller looks. Pre-declared
-// tenants now fail construction; a walk-in tenant whose floor no longer
-// fits fails its registering Set and leaves the allocation alone.
-func TestNewStoreRefusesInfeasibleFloors(t *testing.T) {
-	_, err := NewStore(WithCapacity(4096), WithShards(1), WithStaticTenants("a", "b"),
-		WithTenantLines("a", 4000, 0), WithTenantLines("b", 4000, 0),
-		WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 12, Seed: 1}))
-	if err == nil || !strings.Contains(err.Error(), "line floors sum to") {
-		t.Fatalf("NewStore with 8000 lines of floors on 4096 = %v", err)
-	}
-
-	st, err := NewStore(WithCapacity(4096), WithShards(1), WithPartitions(2), WithTenants("a"),
-		WithTenantLines("a", 3000, 0), WithTenantLines("walk-in", 3000, 0),
-		WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 12, Seed: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	before := st.Cache().Allocations()
-	if _, err := st.Set("walk-in", "k", []byte("v")); err == nil || !strings.Contains(err.Error(), "floors sum to 6000") {
-		t.Fatalf("walk-in tenant with an unfittable floor: Set = %v", err)
-	}
-	if got := st.Cache().Allocations(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("refused registration moved the allocation: %v -> %v", before, got)
-	}
-	for i := 0; i < 1<<13; i++ {
-		if _, err := st.Set("a", fmt.Sprintf("k%d", i%2048), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cs := st.Control()
-	if cs.Epochs == 0 || cs.LastError != "" {
-		t.Fatalf("after the refusal: %d epochs, last_error %q", cs.Epochs, cs.LastError)
-	}
-}
-
-// TestRefusedRegistrationLeaksNothing: register used to apply a tenant's
-// weight to the free partition before the floor check could refuse the
-// tenant, so the partition kept the weight and handed it to whoever
-// claimed it next — "gold" is refused, "bronze" walks in at weight 4.
-func TestRefusedRegistrationLeaksNothing(t *testing.T) {
-	st, err := NewStore(WithCapacity(4096), WithShards(1), WithPartitions(3), WithTenants("a"),
-		WithTenantLines("a", 3000, 0),
-		WithTenantWeight("gold", 4), WithTenantLines("gold", 3000, 0),
-		WithAdaptive(AdaptiveConfig{EpochAccesses: 1 << 12, Seed: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	_, err = st.Set("gold", "k", []byte("v"))
-	if !errors.Is(err, ErrInfeasibleBounds) || !strings.Contains(err.Error(), "line floors sum to 6000, partitionable capacity 3686") {
-		t.Fatalf("gold's unfittable floor: Set = %v", err)
-	}
-	if _, err := st.Set("bronze", "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range st.Control().Tenants {
-		if row.Tenant == "gold" {
-			t.Fatalf("refused tenant is registered: %+v", row)
-		}
-		if row.Tenant == "bronze" && (row.Partition != 1 || row.Weight != 1 || row.MinLines != 0) {
-			t.Fatalf("bronze inherited the refused tenant's settings: %+v", row)
-		}
 	}
 }

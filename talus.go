@@ -74,12 +74,10 @@ type (
 	// current allocations/weights, and the last epoch step's error.
 	ControllerState = adaptive.ControllerState
 	// ControlState is the store-level control snapshot: ControllerState
-	// plus per-tenant weight/bounds/allocation rows (GET /v1/control).
+	// plus per-tenant weight/allocation rows (GET /v1/control).
 	ControlState = store.ControlState
 	// TenantControl is one tenant's row in a ControlState.
 	TenantControl = store.TenantControl
-	// LineBounds is a tenant's [Min, Max] allocation bound in lines.
-	LineBounds = store.LineBounds
 )
 
 // CurveDistance measures how much two miss curves differ, normalized to
