@@ -78,8 +78,10 @@ bench-smoke:
 # serving path"). The four store-side benchmarks time the path served
 # requests take: one shard lock per cache access, one monitor lock per
 # sampled access. BenchmarkServeGet (internal/serve) times a loopback GET
-# on a connection the handler owns and through net/http's server; a
-# profile covers one package, so it writes its own serving-http files.
+# on a connection the handler owns and through net/http's server, and
+# BenchmarkServeForwardGet the same GET forwarded across a 2-node fleet;
+# a profile covers one package, so they write their own serving-http
+# files.
 # Inspect with: go tool pprof -tagfocus talus=epoch-step profiles/serving.test profiles/serving.cpu.pprof
 PROFILE_DIR ?= profiles
 profile-serving:
@@ -91,7 +93,7 @@ profile-serving:
 		-memprofile $(PROFILE_DIR)/serving.mem.pprof \
 		-o $(PROFILE_DIR)/serving.test .
 	GOMAXPROCS=2 $(GO) test -run '^$$' \
-		-bench 'ServeGet' \
+		-bench 'Serve(Forward)?Get' \
 		-benchtime 2s -benchmem \
 		-cpuprofile $(PROFILE_DIR)/serving-http.cpu.pprof \
 		-memprofile $(PROFILE_DIR)/serving-http.mem.pprof \

@@ -36,14 +36,23 @@ const (
 const connBufferSize = 4 << 10
 
 // forwardedRequestHeaders are the cache-request headers the hop relays
-// to the owner; forwardedResponseHeaders come back the other way. Both
-// are in canonical form, so they index an http.Header directly. Kept to
-// the protocol's own vocabulary: hop-by-hop headers and client
-// connection metadata stay on their own hop.
+// to the owner; forwardedResponseHeaders, and the ETag, come back the
+// other way. Both are in canonical form, so they index an http.Header
+// directly. Kept to the protocol's own vocabulary: hop-by-hop headers
+// and client connection metadata stay on their own hop.
 var (
 	forwardedRequestHeaders  = [...]string{"If-None-Match", "X-Talus-Ttl", "Content-Type"}
-	forwardedResponseHeaders = [...]string{"X-Talus-Cache", "X-Talus-Node", "Etag", "Content-Type"}
+	forwardedResponseHeaders = [...]string{"X-Talus-Cache", "X-Talus-Node", "Content-Type"}
 )
+
+// ETagWriter is an http.ResponseWriter that takes a reply's ETag as
+// bytes in place of an "Etag" header-map value. Relay hands such a
+// writer the owner's tag, which SetETag copies, before WriteHeader, and
+// so makes no string of it; any other writer gets the map value.
+type ETagWriter interface {
+	http.ResponseWriter
+	SetETag(tag []byte)
+}
 
 // relayValues are the response header values a talus-serve owner sends
 // on almost every response, preallocated so relaying one reuses its
@@ -72,6 +81,7 @@ type conn struct {
 	nc    net.Conn
 	br    *bufio.Reader
 	bw    *bufio.Writer
+	etag  []byte // the ETag of the response being read, reused
 	abort func() // ends the attempt in progress: the caller's context ended
 }
 
@@ -210,16 +220,17 @@ func (p *peer) roundTrip(ctx context.Context, c *conn, w http.ResponseWriter, fr
 	if _, err = c.br.Peek(1); err != nil {
 		return endedEarly(err), false, err
 	}
-	reuse, err = p.readResponse(c.br, w, method == http.MethodHead)
+	reuse, err = p.readResponse(c, w, method == http.MethodHead)
 	return false, reuse, err
 }
 
-// readResponse parses one response from br and, once its body is in
+// readResponse parses one response from c and, once its body is in
 // hand, writes status, relayed headers and body to w. A body that fits
 // the read buffer is relayed from it without a copy; a larger one is
 // read once, a chunked one decoded. keep reports that the response ended
 // cleanly on a connection the owner keeps open.
-func (p *peer) readResponse(br *bufio.Reader, w http.ResponseWriter, head bool) (keep bool, err error) {
+func (p *peer) readResponse(c *conn, w http.ResponseWriter, head bool) (keep bool, err error) {
+	br := c.br
 	// "HTTP/1.1 200 OK\r\n"
 	line, err := br.ReadSlice('\n')
 	if err != nil {
@@ -233,7 +244,7 @@ func (p *peer) readResponse(br *bufio.Reader, w http.ResponseWriter, head bool) 
 		return false, fmt.Errorf("malformed status line %q", line)
 	}
 	closing := line[7] == '0' // HTTP/1.0 closes unless told otherwise
-	length, chunked := -1, false
+	length, chunked, hasETag := -1, false, false
 	var vals [len(forwardedResponseHeaders)][]string
 	for {
 		if line, err = br.ReadSlice('\n'); err != nil {
@@ -260,6 +271,10 @@ func (p *peer) readResponse(br *bufio.Reader, w http.ResponseWriter, head bool) 
 			chunked = true
 		case bytes.EqualFold(name, []byte("Connection")):
 			closing = bytes.EqualFold(val, []byte("close"))
+		case bytes.EqualFold(name, []byte("Etag")):
+			if !hasETag {
+				c.etag, hasETag = append(c.etag[:0], val...), true
+			}
 		default:
 			for i, k := range forwardedResponseHeaders {
 				if vals[i] == nil && bytes.EqualFold(name, []byte(k)) {
@@ -306,6 +321,13 @@ func (p *peer) readResponse(br *bufio.Reader, w http.ResponseWriter, head bool) 
 	for i, k := range forwardedResponseHeaders {
 		if vals[i] != nil {
 			h[k] = vals[i]
+		}
+	}
+	if hasETag {
+		if ew, ok := w.(ETagWriter); ok {
+			ew.SetETag(c.etag)
+		} else {
+			h["Etag"] = []string{string(c.etag)}
 		}
 	}
 	w.WriteHeader(status)

@@ -62,6 +62,13 @@
 // serve.Handler asks Owner(tenant, key) on each cache request and
 // relays misses-of-ownership to that owner, passing on the owner's
 // status, body and X-Talus-Cache / X-Talus-Node / ETag / Content-Type.
+// The relay makes no string of those values on the common path: the
+// peer's own name and the values a talus-serve owner sends ("hit",
+// "miss", the two content types) map to preallocated header values, and
+// the ETag goes to a writer that implements ETagWriter as bytes, which
+// it copies; only another writer gets a new string in the header map.
+// A caller whose context has no Done channel, as an owned connection's
+// request has not, pays for no context.AfterFunc on the attempt.
 // Forwarded requests carry the ForwardedHeader; a node receiving one
 // serves locally no matter what its own ring says, so disagreeing ring
 // configurations degrade to one extra hop instead of a forwarding loop.

@@ -6,8 +6,12 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"testing"
+
+	"talus/internal/serve"
+	"talus/internal/store"
 )
 
 // rawConn is a keep-alive HTTP/1.1 client that allocates nothing per
@@ -58,10 +62,28 @@ func (rc *rawConn) roundTrip(req []byte) (int, []byte, error) {
 // TestAllocationBudget bounds what one request allocates across the
 // whole process — client, entry node and, when forwarded, the hop and
 // the owner — on a live 2-node fleet whose handlers serve their
-// connections themselves. Each budget is the count measured when it was
-// set plus one malloc of slack: a local GET 2.00 (the ETag and its
-// value slice), a forwarded GET 6.00, a local PUT of 128 B 5.00. The
-// budgets hold under -race too.
+// connections themselves. Each row repeats its requests in turn on one
+// keep-alive connection, and each budget is the count measured when it
+// was set, with a quarter malloc of slack for the epoch steps the
+// requests trigger. The budgets hold under -race too.
+//
+// Re-based on purpose, from 2 / 6 / 5 mallocs per local GET /
+// forwarded GET / local PUT of 128 B:
+//   - local GET 2 → 0: the ETag is written from an [18]byte, not a
+//     string in a one-element []string;
+//   - forwarded GET 6 → 0: the owner's ETag as above (2); the hop
+//     relays the owner's ETag bytes through cluster.ETagWriter instead
+//     of a string in a []string (2); an owned request's context cannot
+//     be cancelled, so the hop arms no context.AfterFunc (2);
+//   - local PUT 5 → 3: the ETag (2). What is left is the body:
+//     http.MaxBytesReader, io.ReadAll's buffer, and the store's entry.
+//
+// New rows, with their counts before the re-base: a 304 revalidation,
+// 3 → 0 (the ETag, and strings.Split in If-None-Match's comparison,
+// which is now on bytes); a GET of a different resident key each
+// request, 3 → 1 (the request-target string, which the store may keep
+// as the key it admits); a forwarded PUT of 128 B, 11 → 5 (the ETag on
+// the owner and on the hop, and the AfterFunc).
 func TestAllocationBudget(t *testing.T) {
 	const warm, n = 1000, 10_000
 	h := newCluster(t, 2, 4096)
@@ -72,45 +94,156 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	defer c.Close()
 	rc := &rawConn{c: c, br: bufio.NewReaderSize(c, 4096)}
+	// put stores value under key through node 0 and returns its ETag.
+	put := func(key string) string {
+		t.Helper()
+		if resp, _ := do(t, "PUT", h.url(0, "alice", key), value); resp.StatusCode != 204 {
+			t.Fatalf("PUT %s = %d", key, resp.StatusCode)
+		}
+		return getETag(t, h.url(0, "alice", key))
+	}
+	get := func(key, extra string) []byte {
+		return []byte("GET /v1/cache/alice/" + key + " HTTP/1.1\r\nHost: " + h.nodes[0] + "\r\n" + extra + "\r\n")
+	}
+	putReq := func(key string) []byte {
+		head := "PUT /v1/cache/alice/" + key + " HTTP/1.1\r\nHost: " + h.nodes[0] + "\r\nContent-Length: " + strconv.Itoa(len(value)) + "\r\n\r\n"
+		return append([]byte(head), value...)
+	}
+	local, remote := h.keyOwnedBy(0, "budget"), h.keyOwnedBy(1, "budget")
+	tag := put(local)
+	put(remote)
+	var rotating [][]byte
+	for i := 0; i < 8; i++ {
+		key := h.keyOwnedBy(0, "rotate"+strconv.Itoa(i))
+		put(key)
+		rotating = append(rotating, get(key, ""))
+	}
 	// The first request on the connection is a GET, which hands it to
 	// the handler; the rows run in order on it.
 	for _, tc := range []struct {
 		name   string
-		method string
-		owner  int
+		reqs   [][]byte // sent in turn
+		status int
 		budget float64
 	}{
-		{"local GET", "GET", 0, 3},
-		{"forwarded GET", "GET", 1, 7},
-		{"local PUT", "PUT", 0, 6},
+		{"local GET", [][]byte{get(local, "")}, 200, 0},
+		{"local GET, 304", [][]byte{get(local, "If-None-Match: "+tag+"\r\n")}, 304, 0},
+		{"local GET, a new resident key each request", rotating, 200, 1},
+		{"forwarded GET", [][]byte{get(remote, "")}, 200, 0},
+		{"local PUT", [][]byte{putReq(local)}, 204, 3},
+		{"forwarded PUT", [][]byte{putReq(remote)}, 204, 5},
 	} {
-		key := h.keyOwnedBy(tc.owner, "budget")
-		if resp, _ := do(t, "PUT", h.url(0, "alice", key), value); resp.StatusCode != 204 {
-			t.Fatalf("%s: PUT = %d", tc.name, resp.StatusCode)
-		}
-		req := []byte(tc.method + " /v1/cache/alice/" + key + " HTTP/1.1\r\nHost: " + h.nodes[0] + "\r\n")
-		wantStatus, wantBody := 200, value
-		if tc.method == "PUT" {
-			req = append(append(req, "Content-Length: "+strconv.Itoa(len(value))+"\r\n\r\n"...), value...)
-			wantStatus, wantBody = 204, nil
-		} else {
-			req = append(req, "\r\n"...)
+		var wantBody []byte
+		if tc.status == 200 {
+			wantBody = value
 		}
 		var ms0, ms1 runtime.MemStats
 		for i := 0; i < warm+n; i++ {
 			if i == warm {
 				runtime.ReadMemStats(&ms0)
 			}
-			status, body, err := rc.roundTrip(req)
-			if err != nil || status != wantStatus || !bytes.Equal(body, wantBody) {
+			status, body, err := rc.roundTrip(tc.reqs[i%len(tc.reqs)])
+			if err != nil || status != tc.status || !bytes.Equal(body, wantBody) {
 				t.Fatalf("%s %d: status %d, %d B, %v", tc.name, i, status, len(body), err)
 			}
 		}
 		runtime.ReadMemStats(&ms1)
 		per := float64(ms1.Mallocs-ms0.Mallocs) / n
 		t.Logf("%s: %s mallocs/op over %d requests", tc.name, strconv.FormatFloat(per, 'f', 2, 64), n)
-		if per > tc.budget {
+		if per > tc.budget+0.25 {
 			t.Errorf("%s: %.2f mallocs/op, budget %.0f", tc.name, per, tc.budget)
 		}
 	}
+}
+
+// getETag GETs url and returns its ETag, failing t unless it is a 200.
+func getETag(t *testing.T, url string) string {
+	t.Helper()
+	resp, _ := do(t, "GET", url, nil)
+	if resp.StatusCode != 200 {
+		t.Fatalf("GET %s = %d", url, resp.StatusCode)
+	}
+	return resp.Header.Get("Etag")
+}
+
+// TestIdleConnectionMemory bounds the heap and goroutine stack that one
+// idle keep-alive connection holds after two GETs, client and server in
+// one process, on each transport. The owned budget is the measured
+// value with about 1 KB of slack. While the handler served an owned
+// connection on net/http's goroutine, it read 18.1–18.3 KB per owned
+// connection against 19.2–19.6 KB through net/http: net/http's
+// connection, its 4 KiB buffers and the first request stayed beside the
+// handler's own state. Served from a goroutine of its own, it reads
+// 12.2–12.8 KB, most of it that goroutine's stack and its 4 KiB
+// reader. The race detector changes both, so the test is skipped under
+// -race.
+func TestIdleConnectionMemory(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's shadow memory is not the connection's")
+	}
+	const budget = 13_500
+	var per [2]float64
+	for i, tr := range transports {
+		per[i] = idleConnectionBytes(t, tr)
+		t.Logf("%s: %.0f B of heap and stack per idle connection", tr.name, per[i])
+	}
+	if per[0] > budget {
+		t.Errorf("%s: %.0f B per idle connection, budget %d", transports[0].name, per[0], budget)
+	}
+}
+
+// idleConnectionBytes opens connections to a server on tr, sends two
+// GETs on each, and returns the heap plus stack in use per connection
+// while they sit idle.
+func idleConnectionBytes(t *testing.T, tr transport) float64 {
+	const conns = 200
+	srv, st, _ := newServerVia(t, tr, store.Config{Tenants: []string{"a"}}, serve.Config{})
+	if _, err := st.Set("a", "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	req := []byte("GET /v1/cache/a/k HTTP/1.1\r\nHost: x\r\n\r\n")
+	dial := func() *rawConn {
+		c, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		rc := &rawConn{c: c, br: bufio.NewReaderSize(c, 256)}
+		for range 2 {
+			if status, _, err := rc.roundTrip(req); err != nil || status != 200 {
+				t.Fatalf("GET = %d, %v", status, err)
+			}
+		}
+		return rc
+	}
+	inUse := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc + ms.StackInuse
+	}
+	dial() // what the first connection sets up for all of them
+	before := inUse()
+	clients := make([]*rawConn, conns)
+	for i := range clients {
+		clients[i] = dial()
+	}
+	after := inUse()
+	runtime.KeepAlive(clients)
+	return (float64(after) - float64(before)) / conns
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

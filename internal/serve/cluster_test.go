@@ -200,14 +200,14 @@ type clusterHarness struct {
 // newCluster starts n proxying nodes. Listeners are created unstarted
 // first so the full address list exists before any ring is built —
 // exactly how a static fleet config works in deployment.
-func newCluster(t *testing.T, n int, lines int64) *clusterHarness {
+func newCluster(t testing.TB, n int, lines int64) *clusterHarness {
 	t.Helper()
 	return newClusterWrapped(t, n, lines, nil)
 }
 
 // newClusterWrapped is newCluster with node i's handler wrapped by
 // wrap(i, handler) when wrap is not nil.
-func newClusterWrapped(t *testing.T, n int, lines int64, wrap func(int, http.Handler) http.Handler) *clusterHarness {
+func newClusterWrapped(t testing.TB, n int, lines int64, wrap func(int, http.Handler) http.Handler) *clusterHarness {
 	t.Helper()
 	servers := make([]*httptest.Server, n)
 	nodes := make([]string, n)

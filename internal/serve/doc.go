@@ -17,7 +17,7 @@
 //	GET    /v1/cache/{tenant}/{key}   → stored bytes; X-Talus-Cache: hit|miss; ETag; 304 on If-None-Match
 //	PUT    /v1/cache/{tenant}/{key}   → store body (204); X-Talus-Cache + ETag set; X-Talus-TTL: secs honored
 //	DELETE /v1/cache/{tenant}/{key}   → remove value (204; 404 if absent)
-//	GET    /v1/stats                  → per-tenant counters + cache totals + node identity
+//	GET    /v1/stats                  → per-tenant counters + cache totals + node identity + owned-connection counts
 //	GET    /v1/curves                 → per-tenant measured + hulled curves
 //	GET    /v1/cluster                → ring membership, vnodes, seed, per-node key share
 //	GET    /v1/control                → control-loop state: churn, epoch budget, weights, bounds
@@ -32,8 +32,10 @@
 // keep-alive connections of cache clients itself. The first HTTP/1.1
 // cache request on a clean /v1/cache/ path with no body and no
 // Connection, Expect, Transfer-Encoding, Upgrade or Trailer header
-// hijacks its connection (plain TCP only). From then on the Handler
-// parses each request on that connection and answers GET, HEAD, PUT and
+// hijacks its connection (plain TCP only), and one goroutine per
+// connection serves it from then on: net/http's handler returns, and
+// its per-connection state and buffers go. That goroutine parses each
+// request on the connection and answers GET, HEAD, PUT and
 // DELETE on clean cache paths through the same code as before, framing
 // every reply by Content-Length; the bytes are the ones net/http's
 // server writes, Date value aside, except that a body over 2 KiB is not
@@ -59,9 +61,22 @@
 // net/http's own. A body not read
 // to its end and a 413 also close the connection. ConnState reports an
 // owned connection as hijacked, and SetKeepAlivesEnabled does not reach
-// it. Every request on an owned connection carries the context of the
-// one that hijacked it, which a client hanging up does not cancel: a
-// forward in flight then runs to its own timeout.
+// it. A handler panic on an owned connection closes it and is logged
+// as net/http logs one.
+//
+// Every request on an owned connection carries the context of the one
+// that hijacked it without its cancellation: net/http cancels that
+// context when the hijacking handler returns, which is at once, and
+// after a hijack nothing watches for the client hanging up. A forward
+// in flight when a client hangs up therefore runs to its own timeout.
+// In exchange, an owned request allocates nothing it can avoid: a
+// repeated GET, local or forwarded, and a 304 allocate nothing across
+// the process; a GET of a different key each request allocates the
+// request-target string, which the store may keep as its key; a PUT
+// allocates its body. /v1/stats reports under "owned" the connections
+// the Handler took over, the requests it answered on them and the
+// requests it handed back; each connection counts its own requests and
+// adds them to the total when it ends.
 //
 // # The X-Talus-Cache header
 //

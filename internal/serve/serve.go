@@ -64,6 +64,7 @@ type Handler struct {
 
 	ownMu  sync.Mutex
 	owners map[*http.Server]*owner // the connections served in wire.go, per server
+	wire   wireCounts              // Requests only of the connections released
 }
 
 // Header values stamped on cache responses, preallocated so a response
@@ -223,27 +224,38 @@ func hitHeader(w http.ResponseWriter, hit bool) {
 // the identical tag — across requests, processes, and nodes — which is
 // what lets cluster clients and the router revalidate with
 // If-None-Match instead of re-downloading values.
-func etagOf(value []byte) string {
+func etagOf(value []byte) (tag [18]byte) {
 	h := hash.FNV64a(value)
-	var buf [18]byte
-	buf[0] = '"'
+	tag[0] = '"'
 	const hexdigits = "0123456789abcdef"
 	for i := 0; i < 16; i++ {
-		buf[1+i] = hexdigits[h>>(60-4*uint(i))&0xF]
+		tag[1+i] = hexdigits[h>>(60-4*uint(i))&0xF]
 	}
-	buf[17] = '"'
-	return string(buf[:])
+	tag[17] = '"'
+	return tag
+}
+
+// setETag sets the reply's ETag to tag: as bytes on an owned
+// connection's writer, which writes it in place, and as a header-map
+// value on any other.
+func setETag(w http.ResponseWriter, tag []byte) {
+	if ww, ok := w.(*wireWriter); ok {
+		ww.SetETag(tag)
+		return
+	}
+	w.Header()["Etag"] = []string{string(tag)}
 }
 
 // etagMatches reports whether an If-None-Match header value matches
-// etag: "*" matches any current entity, otherwise any listed tag must
+// tag: "*" matches any current entity, otherwise any listed tag must
 // equal it byte for byte (weak "W/" prefixes are ignored for the
 // comparison, as RFC 9110 prescribes for If-None-Match).
-func etagMatches(header, etag string) bool {
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		part = strings.TrimPrefix(part, "W/")
-		if part == "*" || part == etag {
+func etagMatches(header string, tag []byte) bool {
+	for header != "" {
+		var part string
+		part, header, _ = strings.Cut(header, ",")
+		part = strings.TrimPrefix(strings.TrimSpace(part), "W/")
+		if part == "*" || part == string(tag) {
 			return true
 		}
 	}
@@ -275,9 +287,9 @@ func (h *Handler) get(w http.ResponseWriter, r *http.Request, tenant, key string
 		writeErr(w, err)
 		return
 	}
-	etag := etagOf(value)
-	w.Header()["Etag"] = []string{etag}
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
+	tag := etagOf(value)
+	setETag(w, tag[:])
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, tag[:]) {
 		// The client's copy is current: 304 with the tag (and the cache
 		// outcome — the access happened) but no body, which is the whole
 		// point: a router revalidating hot values moves ~60 bytes of
@@ -310,7 +322,8 @@ func (h *Handler) put(w http.ResponseWriter, r *http.Request, tenant, key string
 		return
 	}
 	hitHeader(w, hit)
-	w.Header()["Etag"] = []string{etagOf(body)}
+	tag := etagOf(body)
+	setETag(w, tag[:])
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -427,6 +440,7 @@ type statsResponse struct {
 	MaxBytes      int64               `json:"maxBytes,omitempty"` // configured byte cap (absent without one)
 	Backend       bool                `json:"backend"`            // a backing tier is configured
 	Node          store.NodeStats     `json:"node"`               // serving-instance identity
+	Owned         wireCounts          `json:"owned"`              // what the connections the handler served itself did
 }
 
 type cacheStats struct {
@@ -447,6 +461,7 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 		MaxBytes:      h.st.MaxBytes(),
 		Backend:       h.st.Backend() != nil,
 		Node:          h.st.Node(),
+		Owned:         h.ownedCounts(),
 	}
 	if cs, ok := h.st.CacheStats(); ok {
 		resp.Cache = &cacheStats{Accesses: cs.Accesses, Hits: cs.Hits, Misses: cs.Misses, HitRate: cs.HitRate()}

@@ -3,12 +3,15 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/textproto"
 	"net/url"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -19,10 +22,12 @@ import (
 
 // A Handler that is its http.Server's own Handler serves the keep-alive
 // connections of cache clients itself. The first clean bodyless cache
-// request on a connection hijacks it; from then on wireConn parses each
-// request from the hijacked reader and answers it through h.cache, the
-// one implementation of the cache semantics, with a reused *http.Request
-// and a Content-Length-framing http.ResponseWriter. A request it does not
+// request on a connection hijacks it, and a goroutine of the
+// connection's own takes it over, so that net/http's handler returns and
+// its per-connection state goes. From then on wireConn parses each
+// request from its own reader and answers it through h.cache, the one
+// implementation of the cache semantics, with a reused *http.Request and
+// a Content-Length-framing http.ResponseWriter. A request it does not
 // serve itself is handed back, with no byte consumed, to the same server.
 // A wrapped handler never hijacks, so middleware sees every request.
 
@@ -47,9 +52,15 @@ func ownable(r *http.Request) bool {
 // one is always net/http's.
 var connectionHeaders = [...]string{"Connection", "Expect", "Transfer-Encoding", "Upgrade", "Trailer"}
 
-// own hijacks r's connection and serves it until it ends, answering r
-// first; false leaves r to the caller. It declines when h is not the
-// server's own Handler and when r is not ownable.
+// own hijacks r's connection and serves it from a goroutine of its own
+// until it ends, answering r first; false leaves r to the caller. It
+// declines when h is not the server's own Handler and when r is not
+// ownable.
+//
+// net/http cancels r's context once ServeHTTP returns, which is at once,
+// so every owned request carries r's context without its cancellation.
+// Nothing else could cancel it: a hijack ends net/http's watch for the
+// client hanging up.
 func (h *Handler) own(w http.ResponseWriter, r *http.Request, tenant, key string) bool {
 	srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
 	if srv == nil || srv.Handler != http.Handler(h) || !ownable(r) {
@@ -67,8 +78,12 @@ func (h *Handler) own(w http.ResponseWriter, r *http.Request, tenant, key string
 		h.release(c)
 		return false
 	}
-	c.init(nc, rw, r)
-	c.serve(r, tenant, key)
+	// The hijack's reader holds net/http's connection: keep only the
+	// bytes it read ahead.
+	buffered, _ := rw.Reader.Peek(rw.Reader.Buffered())
+	first := r.WithContext(context.WithoutCancel(r.Context()))
+	c.init(replay(nc, buffered), first)
+	go c.serve(first, tenant, key)
 	return true
 }
 
@@ -80,6 +95,29 @@ const (
 	connActive
 	connClosed
 )
+
+// wireCounts is what the owned connections of a Handler did: the
+// connections it took over, the requests it answered on them, and the
+// requests it handed back to net/http. /v1/stats reports them.
+type wireCounts struct {
+	Connections int64 `json:"connections"`
+	Requests    int64 `json:"requests"`
+	HandBacks   int64 `json:"handBacks"`
+}
+
+// ownedCounts sums the counts of the connections h has released with
+// those of the ones it serves now.
+func (h *Handler) ownedCounts() wireCounts {
+	h.ownMu.Lock()
+	defer h.ownMu.Unlock()
+	n := h.wire
+	for _, o := range h.owners {
+		for c := range o.conns {
+			n.Requests += c.requests.Load()
+		}
+	}
+	return n
+}
 
 // owner is the set of connections a Handler serves itself under one
 // http.Server. It is also a listener the server serves, which never
@@ -118,14 +156,17 @@ func (h *Handler) adopt(srv *http.Server, c *wireConn) {
 	}
 	c.o = o
 	o.conns[c] = struct{}{}
+	h.wire.Connections++
 }
 
-// release forgets c. The last connection out unregisters the owner and
-// closes it, so no goroutine outlives the connections. An owner that has
-// lost its last connection takes no new one: adopt registers another.
+// release forgets c, keeping its count of requests. The last connection
+// out unregisters the owner and closes it, so no goroutine outlives the
+// connections. An owner that has lost its last connection takes no new
+// one: adopt registers another.
 func (h *Handler) release(c *wireConn) {
 	h.ownMu.Lock()
 	defer h.ownMu.Unlock()
+	h.wire.Requests += c.requests.Load()
 	o := c.o
 	delete(o.conns, c)
 	if len(o.conns) == 0 {
@@ -153,6 +194,13 @@ func (h *Handler) closeOwned(o *owner) {
 	}
 }
 
+// countHandBack counts a request handed back to net/http.
+func (h *Handler) countHandBack() {
+	h.ownMu.Lock()
+	h.wire.HandBacks++
+	h.ownMu.Unlock()
+}
+
 // Accept waits for Close, then closes the idle connections and returns
 // once every active one has written its reply and closed. The server's
 // ReadTimeout and WriteTimeout bound that wait; Shutdown's context does
@@ -178,10 +226,11 @@ func (ownedAddr) String() string  { return "owned connections" }
 
 // wireConn is one connection the Handler serves itself.
 type wireConn struct {
-	o     *owner
-	state atomic.Int32
-	nc    net.Conn
-	br    *bufio.Reader // the hijacked reader: bytes net/http read but did not consume
+	o        *owner
+	state    atomic.Int32
+	requests atomic.Int64 // answered here; only the connection's goroutine adds
+	nc       net.Conn
+	br       *bufio.Reader
 	// Timeouts, from the server, as net/http applies them: idle between
 	// requests, read from a request's head to the end of its body, write
 	// from the head to the end of the reply.
@@ -203,8 +252,12 @@ type headerLine struct {
 	vals []string
 }
 
-func (c *wireConn) init(nc net.Conn, rw *bufio.ReadWriter, first *http.Request) {
-	c.nc, c.br = nc, rw.Reader // the hijack's writer goes unused: replies are written whole
+// connBufferSize sizes an owned connection's reader, as net/http sizes
+// its own.
+const connBufferSize = 4 << 10
+
+func (c *wireConn) init(nc net.Conn, first *http.Request) {
+	c.nc, c.br = nc, bufio.NewReaderSize(nc, connBufferSize)
 	srv := c.o.srv
 	c.idleTimeout, c.readTimeout, c.writeTimeout = srv.IdleTimeout, srv.ReadTimeout, srv.WriteTimeout
 	if c.idleTimeout == 0 {
@@ -220,10 +273,21 @@ func (c *wireConn) init(nc net.Conn, rw *bufio.ReadWriter, first *http.Request) 
 }
 
 // serve answers first, then every request that follows on the
-// connection, until it ends or hands a request back.
+// connection, until it ends or hands a request back. A handler that
+// panics ends the connection and is logged, as under net/http, whose
+// recover no longer covers this goroutine.
 func (c *wireConn) serve(first *http.Request, tenant, key string) {
 	handedBack := false
 	defer func() {
+		if err := recover(); err != nil && err != http.ErrAbortHandler {
+			buf := make([]byte, 64<<10)
+			buf = buf[:runtime.Stack(buf, false)]
+			logf := log.Printf
+			if c.o.srv.ErrorLog != nil {
+				logf = c.o.srv.ErrorLog.Printf
+			}
+			logf("http: panic serving %v: %v\n%s", c.req.RemoteAddr, err, buf)
+		}
 		if !handedBack {
 			c.nc.Close()
 		}
@@ -233,6 +297,7 @@ func (c *wireConn) serve(first *http.Request, tenant, key string) {
 	for ok && c.await() {
 		if tenant, key, ok = c.parse(); !ok {
 			handedBack = true
+			c.o.h.countHandBack()
 			c.handBack()
 			return
 		}
@@ -261,6 +326,7 @@ func (c *wireConn) respond(r *http.Request, tenant, key string) bool {
 		c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout))
 	}
 	c.w.req = r
+	c.requests.Add(1)
 	c.o.h.cache(&c.w, r, tenant, key)
 	// A body not read to its end leaves the stream mid-request, and a
 	// 413 is the handler refusing to read it: like net/http, hang up,
@@ -482,22 +548,28 @@ func byteSet(extra string) (set [256]bool) {
 func (c *wireConn) handBack() {
 	buffered, _ := c.br.Peek(c.br.Buffered())
 	c.nc.SetDeadline(time.Time{})
-	// A connection handed back before is a replayConn already, whose
-	// unread bytes come after the reader's: load it again rather than
-	// wrap it, so that every read stays one layer deep. The bytes are
-	// copied, as the hijacked reader goes with this wireConn.
-	rc, ok := c.nc.(*replayConn)
-	if !ok {
-		rc = &replayConn{Conn: c.nc}
-	}
-	if len(buffered) > 0 {
-		rc.buf = append(append([]byte(nil), buffered...), rc.buf...)
-	}
-	l := &oneConn{conn: rc}
+	l := &oneConn{conn: replay(c.nc, buffered)}
 	c.o.srv.Serve(l)
 	if l.conn != nil {
 		c.nc.Close()
 	}
+}
+
+// replay returns nc reading a copy of buffered first: bytes read off the
+// wire by a reader that nc's next one replaces. A replayConn, a
+// connection handed back before, is loaded again rather than wrapped,
+// so that every read stays one layer deep; its unread bytes come after
+// buffered.
+func replay(nc net.Conn, buffered []byte) net.Conn {
+	if len(buffered) == 0 {
+		return nc
+	}
+	rc, ok := nc.(*replayConn)
+	if !ok {
+		rc = &replayConn{Conn: nc}
+	}
+	rc.buf = append(append([]byte(nil), buffered...), rc.buf...)
+	return rc
 }
 
 // oneConn is a listener that yields one connection and then reports
@@ -584,6 +656,8 @@ const (
 // then Date, Content-Length and a sniffed Content-Type as net/http adds
 // them, and the body unless the request is HEAD or the status has none.
 // The handlers it serves set no framing header and no Date of their own.
+// An ETag set as bytes (SetETag) takes the place of a header-map value,
+// at the same place in the sorted order.
 type wireWriter struct {
 	nc      net.Conn
 	hdr     http.Header
@@ -591,6 +665,8 @@ type wireWriter struct {
 	status  int
 	head    []byte // status line and the handler's headers, as of WriteHeader
 	hasType bool
+	etag    []byte // the ETag value, when hasETag
+	hasETag bool
 	body    []byte
 	keys    []string
 	date    []byte
@@ -598,6 +674,19 @@ type wireWriter struct {
 }
 
 func (w *wireWriter) Header() http.Header { return w.hdr }
+
+// SetETag sets the reply's ETag to a copy of tag, cleaned as net/http
+// cleans a header value: newlines made spaces, ends trimmed. It
+// implements cluster.ETagWriter, so that a relayed tag stays bytes.
+func (w *wireWriter) SetETag(tag []byte) {
+	w.etag = append(w.etag[:0], textproto.TrimBytes(tag)...)
+	for i, b := range w.etag {
+		if b == '\r' || b == '\n' {
+			w.etag[i] = ' '
+		}
+	}
+	w.hasETag = true
+}
 
 // closeValue is the Connection header of a 413.
 var closeValue = []string{"close"}
@@ -618,6 +707,9 @@ func (w *wireWriter) WriteHeader(code int) {
 	for k := range w.hdr {
 		w.keys = append(w.keys, k)
 	}
+	if _, ok := w.hdr["Etag"]; w.hasETag && !ok {
+		w.keys = append(w.keys, "Etag")
+	}
 	// A 413 is the handler refusing a body it did not read to its end,
 	// and net/http's server, noticing that, marks the handler's headers
 	// Connection: close before they are written.
@@ -627,6 +719,10 @@ func (w *wireWriter) WriteHeader(code int) {
 	slices.Sort(w.keys)
 	_, w.hasType = w.hdr["Content-Type"]
 	for _, k := range w.keys {
+		if k == "Etag" && w.hasETag {
+			w.head = append(append(append(append(w.head, k...), ": "...), w.etag...), "\r\n"...)
+			continue
+		}
 		vs := w.hdr[k]
 		if k == "Connection" {
 			vs = closeValue
@@ -699,6 +795,7 @@ func (w *wireWriter) finish(closing bool) error {
 	}
 	w.head = out[:0]
 	clear(w.hdr)
+	w.hasETag = false
 	w.status = 0
 	w.body = w.body[:0]
 	if cap(w.body) > maxKeptBody {

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -109,7 +110,9 @@ type reply struct {
 // newReply records resp, read from a server over st. The node's start
 // time in a /v1/stats or /v1/cluster 200 is st's own wall clock, so it
 // is masked in the body, and the bytes it adds are taken out of the
-// Content-Length, a HEAD's included.
+// Content-Length, a HEAD's included. The owned-connection counts in a
+// /v1/stats 200 are the transport's own, so they are masked, and with
+// them the Content-Length, which counts their digits.
 func newReply(resp *http.Response, body []byte, st *store.Store) reply {
 	h := resp.Header.Clone()
 	if _, ok := h["Date"]; ok {
@@ -121,9 +124,16 @@ func newReply(resp *http.Response, body []byte, st *store.Store) reply {
 			h["Content-Length"] = []string{strconv.Itoa(n-len(stamp)) + " + start time"}
 		}
 		body = bytes.Replace(body, stamp, []byte("(start)"), 1)
+		if p == "/v1/stats" {
+			body = ownedBlock.ReplaceAll(body, []byte(`"owned":(counts)`))
+			h["Content-Length"] = []string{"(owned counts)"}
+		}
 	}
 	return reply{resp.StatusCode, h, string(body)}
 }
+
+// ownedBlock matches the owned-connection counts of a /v1/stats body.
+var ownedBlock = regexp.MustCompile(`"owned":\{[^}]*\}`)
 
 // sameReplies fails t where the transports saw different replies to the
 // same requests.
@@ -377,6 +387,119 @@ func TestBodyFaultIsClientError(t *testing.T) {
 	}
 }
 
+// ownedCounts is the "owned" block of a /v1/stats reply.
+type ownedCounts struct{ Connections, Requests, HandBacks int64 }
+
+// TestOwnedCountsInStats: /v1/stats counts the connections the handler
+// took over, the requests it answered on them, and the requests it
+// handed back to net/http, here on one keep-alive connection that
+// changes hands twice; through a wrapper all three stay 0.
+func TestOwnedCountsInStats(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			srv, st, _ := newServerVia(t, tr, store.Config{Tenants: []string{"a"}}, serve.Config{})
+			if _, err := st.Set("a", "k", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			c, err := net.Dial("tcp", srv.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetDeadline(time.Now().Add(10 * time.Second))
+			br := bufio.NewReader(c)
+			var seen []ownedCounts
+			for _, path := range []string{"/v1/cache/a/k", "/v1/cache/a/k", "/v1/stats", "/v1/cache/a/k", "/v1/stats"} {
+				if _, err := io.WriteString(c, "GET "+path+" HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.ReadResponse(br, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, err := io.ReadAll(resp.Body)
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
+				}
+				if path == "/v1/stats" {
+					var stats struct{ Owned ownedCounts }
+					if err := json.Unmarshal(body, &stats); err != nil {
+						t.Fatal(err)
+					}
+					seen = append(seen, stats.Owned)
+				}
+			}
+			want := []ownedCounts{{1, 2, 1}, {2, 3, 2}}
+			if tr.wrap != nil {
+				want = []ownedCounts{{}, {}}
+			}
+			if !reflect.DeepEqual(seen, want) {
+				t.Fatalf("owned counts %+v, want %+v", seen, want)
+			}
+		})
+	}
+}
+
+// TestOwnedCountsAddUp: /v1/stats, read while owned connections serve
+// requests and as they end, counts every request once and never goes
+// back: each connection's own count while it is open, folded into the
+// total when it ends. Run it under -race.
+func TestOwnedCountsAddUp(t *testing.T) {
+	const clients, gets = 4, 200
+	srv, st, _ := newServerVia(t, transports[0], store.Config{Tenants: []string{"a"}}, serve.Config{})
+	if _, err := st.Set("a", "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Listener.Addr().String()
+	stats := func() ownedCounts {
+		t.Helper()
+		resp, body := do(t, http.MethodGet, "http://"+addr+"/v1/stats", nil)
+		var payload struct{ Owned ownedCounts }
+		if err := json.Unmarshal(body, &payload); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("stats = %d %s: %v", resp.StatusCode, body, err)
+		}
+		return payload.Owned
+	}
+	var wg sync.WaitGroup
+	for range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			rc := &rawConn{c: c, br: bufio.NewReader(c)}
+			for range gets {
+				if status, _, err := rc.roundTrip([]byte("GET /v1/cache/a/k HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil || status != http.StatusOK {
+					t.Errorf("GET = %d, %v", status, err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for last := int64(0); ; {
+		select {
+		case <-done:
+			// A request is counted before its reply is written.
+			if got, want := stats(), (ownedCounts{clients, clients * gets, 0}); got != want {
+				t.Fatalf("owned counts %+v, want %+v", got, want)
+			}
+			return
+		default:
+		}
+		n := stats().Requests
+		if n < last {
+			t.Fatalf("owned requests went %d → %d", last, n)
+		}
+		last = n
+	}
+}
+
 // ownedServer serves h from a plain http.Server on loopback and returns
 // the server and its address.
 func ownedServer(t *testing.T, h http.Handler) (*http.Server, string) {
@@ -532,6 +655,37 @@ func BenchmarkServeGet(b *testing.B) {
 			defer c.Close()
 			rc := &rawConn{c: c, br: bufio.NewReaderSize(c, 4096)}
 			req := []byte("GET /v1/cache/a/k HTTP/1.1\r\nHost: bench\r\n\r\n")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if status, body, err := rc.roundTrip(req); err != nil || status != 200 || len(body) != len(value) {
+					b.Fatalf("GET = %d, %d B, %v", status, len(body), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServeForwardGet times one 128-B GET forwarded by one node of
+// a 2-node fleet to the other, over a loopback keep-alive connection,
+// everything in one process, with both nodes on each transport.
+// Allocations count the whole process; the client allocates nothing.
+func BenchmarkServeForwardGet(b *testing.B) {
+	value := bytes.Repeat([]byte("v"), 128)
+	for _, tr := range transports {
+		b.Run(tr.name, func(b *testing.B) {
+			h := newClusterWrapped(b, 2, 4096, func(_ int, h http.Handler) http.Handler { return tr.handler(h) })
+			key := h.keyOwnedBy(1, "bench")
+			if _, err := h.stores[1].Set("alice", key, value); err != nil {
+				b.Fatal(err)
+			}
+			c, err := net.Dial("tcp", h.nodes[0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			rc := &rawConn{c: c, br: bufio.NewReaderSize(c, 4096)}
+			req := []byte("GET /v1/cache/alice/" + key + " HTTP/1.1\r\nHost: bench\r\n\r\n")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -185,6 +186,49 @@ func TestBackendReadThrough(t *testing.T) {
 	if _, _, err := s.Get("a", "never-written"); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("backend miss: %v, want ErrNotFound", err)
 	}
+}
+
+// TestBackendMissKeepsItsError: a Get of a deleted key misses in the
+// backend too, and the store returns the backend's ErrNotFound as it
+// is, text and all, rather than wrapping it again. The backend's error
+// is the miss's only cost: 3 mallocs (MemBackend's fmt.Errorf), where
+// wrapping it again cost 3 more. The count is not checked under -race,
+// whose sync.Pool drops fmt's printers at random.
+func TestBackendMissKeepsItsError(t *testing.T) {
+	s := buildStore(t, 2048, 1, 2, store.Config{Tenants: []string{"a"}, Backend: store.NewMemBackend(0)})
+	if _, err := s.Set("a", "gone", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if existed, err := s.Delete("a", "gone"); !existed || err != nil {
+		t.Fatalf("Delete = %v, %v", existed, err)
+	}
+	_, _, err := s.Get("a", "gone")
+	if want := `store: key not found: "gone"`; !errors.Is(err, store.ErrNotFound) || err.Error() != want {
+		t.Fatalf("Get of a deleted key: %v, want %s", err, want)
+	}
+	if raceEnabled() {
+		return
+	}
+	const budget = 3
+	allocs := testing.AllocsPerRun(1000, func() { s.Get("a", "gone") })
+	t.Logf("Get of a deleted key: %.2f mallocs", allocs)
+	if allocs > budget {
+		t.Errorf("Get of a deleted key: %.2f mallocs, budget %d", allocs, budget)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // TestBoundedZipfSoak is the acceptance soak: a write-heavy Zipf

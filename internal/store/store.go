@@ -457,7 +457,8 @@ func (s *Store) Get(tenantName, key string) (value []byte, hit bool, err error) 
 // the value from the Backend and re-admits it, paying the modeled
 // backend cost this miss represents. The re-admitted copy starts a
 // fresh DefaultTTL (the backend does not remember per-entry TTLs).
-// Without a Backend, or when it lacks the key, the Get is ErrNotFound.
+// Without a Backend the Get is ErrNotFound; when the Backend lacks the
+// key, it is the Backend's own ErrNotFound, as it is.
 func (s *Store) readThrough(t *tenant, key string, addr uint64) ([]byte, error) {
 	if s.cfg.Backend == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
@@ -466,7 +467,7 @@ func (s *Store) readThrough(t *tenant, key string, addr uint64) ([]byte, error) 
 	v, err := s.cfg.Backend.Get(t.name, key)
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+			return nil, err
 		}
 		return nil, fmt.Errorf("%w: %v", ErrBackend, err)
 	}
