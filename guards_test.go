@@ -62,6 +62,12 @@ func TestGuards(t *testing.T) {
 		// anchors keep monitor's and oracle's lowercase maxLines legal.
 		{name: "one-allocation-objective", dir: ".", tests: true,
 			pattern: `^(WithTenantLines|LineBounds|SetPartitionLines|MinLines|MaxLines|ErrInfeasibleBounds|grantFloors|checkFloors)$`},
+		// A store line holds one value, and every cache array keeps the
+		// eviction hook and invalidation as part of cache.Shard, so the
+		// cache layer probes nothing for them (core keeps its optional
+		// pair: core.PartitionedCache is frozen).
+		{name: "one-value-per-line", dir: "internal/cache", tests: true,
+			pattern: `(^|\.)(EvictNotifier|Invalidator)$`},
 		// Spec.Build is the one way to a fresh pattern (internal/trace's
 		// tests call slices.Clone, so tests are not scanned).
 		{name: "no-pattern-clone", dir: "internal",

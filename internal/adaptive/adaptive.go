@@ -35,14 +35,6 @@ type Config struct {
 	EpochInterval time.Duration
 	// Seed derives the monitors' hash functions.
 	Seed uint64
-
-	// Weights gives each partition's objective weight in the allocation
-	// Request (see alloc.Request.Weights): a weight-4 partition's saved
-	// miss counts four times a weight-1 partition's. nil means uniform —
-	// the legacy minimize-total-misses objective, byte-identical to the
-	// unweighted stack. Each weight must be finite and non-negative, as
-	// SetWeight requires. Adjustable at runtime via SetWeight.
-	Weights []float64
 }
 
 func (c *Config) defaults() {
@@ -125,17 +117,6 @@ func New(sc *core.ShadowedCache, cfg Config) (*Cache, error) {
 		n:          n,
 		loop:       loop,
 		lastAllocs: make([]int64, n),
-	}
-	if cfg.Weights != nil {
-		if len(cfg.Weights) != n {
-			return nil, fmt.Errorf("adaptive: %d weights for %d partitions", len(cfg.Weights), n)
-		}
-		for p, w := range cfg.Weights {
-			if err := checkWeight(p, w); err != nil {
-				return nil, err
-			}
-		}
-		a.weights = append([]float64(nil), cfg.Weights...)
 	}
 	fair, err := alloc.Fair(n, budget, max(budget/allocGranules, 1))
 	if err != nil {

@@ -221,21 +221,19 @@ func TestWeightedTenantAttractsCapacity(t *testing.T) {
 	}
 }
 
-// TestBadWeightsRefused: New used to accept weights SetWeight refuses,
-// and every epoch then failed in the allocator, freezing the initial
-// fair split. Both entry points now refuse the same values.
+// TestBadWeightsRefused: a weight the allocator would refuse on every
+// epoch, freezing the initial fair split, is refused where it is set.
+// SetWeight is the one way a weight gets in.
 func TestBadWeightsRefused(t *testing.T) {
 	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
 		t.Run(fmt.Sprint(w), func(t *testing.T) {
-			_, err := adaptive.Build("vantage", 4096, 16, 1, 2, 0.05, adaptive.Config{
-				Weights: []float64{w, 1},
-			})
-			if err == nil || !strings.Contains(err.Error(), "need finite, non-negative") {
-				t.Fatalf("Build with weight %g: err = %v", w, err)
-			}
 			ac := buildAdaptive(t, 4096, 1, 2, adaptive.Config{})
-			if err := ac.SetWeight(0, w); err == nil {
-				t.Fatalf("SetWeight(0, %g) accepted", w)
+			err := ac.SetWeight(0, w)
+			if err == nil || !strings.Contains(err.Error(), "need finite, non-negative") {
+				t.Fatalf("SetWeight(0, %g): err = %v", w, err)
+			}
+			if got := ac.Weights(); got != nil {
+				t.Fatalf("refused weight left weights %v", got)
 			}
 		})
 	}

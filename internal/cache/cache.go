@@ -50,29 +50,6 @@ func sumStats(perPart []counters) Stats {
 	return total
 }
 
-// EvictNotifier is the optional eviction-reporting extension of the
-// cache contract: implementations call the installed hook once per line
-// evicted by replacement (and once per resident line on Flush), passing
-// the evicted line's owning partition and address. The hook runs on the
-// accessing goroutine with whatever lock guards the cache held, so it
-// must not re-enter the cache. SetAssoc, Ideal, and ShardedCache all
-// implement it; the serving store uses it to release a value's bytes
-// when its simulated line dies.
-type EvictNotifier interface {
-	SetEvictHook(fn func(part int, addr uint64)) bool
-}
-
-// Invalidator is the optional invalidation extension: Invalidate drops
-// the line holding addr for partition part, if resident, and reports
-// whether a line was dropped. An invalidation is not an access — no
-// stats move, no policy state is touched, and the eviction hook does NOT
-// fire (the caller decided the line should die and owns the
-// consequences). The serving store uses it on Delete so a deleted key's
-// line does not linger as phantom residency skewing hit ratios.
-type Invalidator interface {
-	Invalidate(addr uint64, part int) bool
-}
-
 // SetAssoc is a hash-indexed, set-associative, write-allocate cache array
 // with a partitioning scheme restricting victim choice and a replacement
 // policy ranking victims. It implements core.PartitionedCache.
@@ -194,18 +171,14 @@ func (c *SetAssoc) Access(addr uint64, part int) bool {
 
 // SetEvictHook installs fn to be called once per line evicted by
 // replacement (and per resident line on Flush) with the dying line's
-// owning partition and address. Pass nil to clear. Implements
-// EvictNotifier; always reports true.
-func (c *SetAssoc) SetEvictHook(fn func(part int, addr uint64)) bool {
-	c.evict = fn
-	return true
-}
+// owning partition and address. Pass nil to clear.
+func (c *SetAssoc) SetEvictHook(fn func(part int, addr uint64)) { c.evict = fn }
 
 // Invalidate drops the line holding addr for partition part, if
 // resident, and reports whether one was dropped. No stats move and the
 // eviction hook does not fire. The set is derived with part's own index
 // mapping, so under set partitioning a line must be invalidated by its
-// owning partition. Implements Invalidator.
+// owning partition.
 func (c *SetAssoc) Invalidate(addr uint64, part int) bool {
 	h := c.idx.Hash(addr)
 	set := c.scheme.SetIndex(h, part)

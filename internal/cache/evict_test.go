@@ -25,9 +25,7 @@ func (l *evictLog) hook(part int, addr uint64) {
 func TestSetAssocEvictHook(t *testing.T) {
 	c := newLRUCache(t, 16, 4, partition.NewNone(1)) // 4 sets × 4 ways
 	var log evictLog
-	if !c.SetEvictHook(log.hook) {
-		t.Fatal("SetAssoc must support the eviction hook")
-	}
+	c.SetEvictHook(log.hook)
 
 	seen := make(map[uint64]bool)
 	const n = 512
@@ -108,9 +106,7 @@ func TestIdealEvictHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log evictLog
-	if !c.SetEvictHook(log.hook) {
-		t.Fatal("Ideal must support the eviction hook")
-	}
+	c.SetEvictHook(log.hook)
 	for a := uint64(0); a < 6; a++ {
 		c.Access(a, 1)
 	}
@@ -156,9 +152,7 @@ func TestShardedEvictHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log evictLog
-	if !sc.SetEvictHook(log.hook) {
-		t.Fatal("sharded over SetAssoc must support the eviction hook")
-	}
+	sc.SetEvictHook(log.hook)
 	const n = 1024
 	for a := uint64(0); a < n; a++ {
 		sc.Access(a, 0)

@@ -102,9 +102,8 @@ func (c *Ideal) PartitionOccupancy(p int) int64 { return int64(len(c.parts[p].no
 
 // SetEvictHook installs fn to be called once per line evicted by
 // capacity pressure — on access overflow or a shrinking resize — with
-// the line's partition and address. Pass nil to clear. Implements
-// EvictNotifier; always reports true.
-func (c *Ideal) SetEvictHook(fn func(part int, addr uint64)) bool {
+// the line's partition and address. Pass nil to clear.
+func (c *Ideal) SetEvictHook(fn func(part int, addr uint64)) {
 	c.evict = fn
 	for p, f := range c.parts {
 		if fn == nil {
@@ -114,12 +113,11 @@ func (c *Ideal) SetEvictHook(fn func(part int, addr uint64)) bool {
 		p := p
 		f.evict = func(addr uint64) { fn(p, addr) }
 	}
-	return true
 }
 
 // Invalidate drops partition part's line for addr, if resident, and
 // reports whether one was dropped. No stats move and the eviction hook
-// does not fire. Implements Invalidator.
+// does not fire.
 func (c *Ideal) Invalidate(addr uint64, part int) bool {
 	f := c.parts[part]
 	n, ok := f.nodes[addr]

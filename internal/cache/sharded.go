@@ -10,8 +10,8 @@
 // ratios track the unsharded cache, and per-shard order is all that
 // matters for correctness, because distinct shards never share lines.
 //
-// The shard backing is anything implementing Shard (SetAssoc, Ideal, or
-// any core.PartitionedCache — the interfaces are structurally identical).
+// The shard backing is anything implementing Shard (SetAssoc or Ideal:
+// core.PartitionedCache plus stats, the eviction hook and invalidation).
 // Each shard is guarded by its own mutex.
 
 package cache
@@ -25,11 +25,23 @@ import (
 	"talus/internal/hash"
 )
 
-// Shard is the per-shard cache contract: structurally identical to
-// core.PartitionedCache, restated here so the cache package does not
-// depend on core, plus the Stats every backing keeps (the sharded cache
-// counts nothing itself). Implementations need not be goroutine-safe;
-// the ShardedCache serializes all calls into a shard behind its lock.
+// Shard is the per-shard cache contract: core.PartitionedCache, restated
+// here so the cache package does not depend on core, plus what every
+// backing (SetAssoc, Ideal) keeps: the Stats the sharded cache reports
+// (it counts nothing itself), an eviction hook and invalidation.
+// Implementations need not be goroutine-safe; the ShardedCache
+// serializes all calls into a shard behind its lock.
+//
+// SetEvictHook installs a hook called once per line evicted by
+// replacement, with the line's owning partition and address; it runs
+// with the shard's lock held, so it must not re-enter the cache. The
+// serving store uses it to release a value's bytes when its simulated
+// line dies. Invalidate drops the line holding addr for partition
+// part, if resident, and reports whether one was dropped. It is not an
+// access: no stats move, no policy state is touched, and the eviction
+// hook does not fire (the caller decided the line should die). The
+// store uses it on Delete so a deleted key's line does not linger as
+// phantom residency skewing hit ratios.
 type Shard interface {
 	Access(addr uint64, part int) bool
 	Stats() Stats
@@ -38,6 +50,8 @@ type Shard interface {
 	Capacity() int64
 	PartitionableCapacity() int64
 	Granule() int64
+	SetEvictHook(fn func(part int, addr uint64))
+	Invalidate(addr uint64, part int) bool
 }
 
 // ShardedCache stripes a partitioned cache across N shards keyed by an H3
@@ -263,43 +277,29 @@ func (s *ShardedCache) Stats() Stats {
 	return total
 }
 
-// SetEvictHook forwards fn to every shard that implements EvictNotifier,
-// under each shard's lock, and reports whether all shards accepted it —
-// partial coverage would silently leak values, so a false return means
-// the hook is not installed usably (callers should treat it as
-// unsupported). The hook fires on the accessing goroutine with the
-// owning shard's lock held; it must not re-enter the cache. Implements
-// EvictNotifier.
+// SetEvictHook installs fn on every shard, under each shard's lock. The
+// hook fires on the accessing goroutine with the owning shard's lock
+// held; it must not re-enter the cache. It always reports true: the
+// result is core.EvictNotifier's, which the Talus layer above probes
+// its inner cache for.
 func (s *ShardedCache) SetEvictHook(fn func(part int, addr uint64)) bool {
-	ok := true
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n, supported := sh.c.(EvictNotifier)
-		if supported {
-			supported = n.SetEvictHook(fn)
-		}
+		sh.c.SetEvictHook(fn)
 		sh.mu.Unlock()
-		if !supported {
-			ok = false
-		}
 	}
-	return ok
+	return true
 }
 
 // Invalidate routes the invalidation to addr's owning shard under its
-// lock and reports whether a resident line was dropped. Shards not
-// implementing Invalidator report false. Safe for concurrent use.
-// Implements Invalidator.
+// lock and reports whether a resident line was dropped. Safe for
+// concurrent use.
 func (s *ShardedCache) Invalidate(addr uint64, part int) bool {
 	sh := &s.shards[s.shardOf(addr)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	inv, ok := sh.c.(Invalidator)
-	if !ok {
-		return false
-	}
-	return inv.Invalidate(addr, part)
+	return sh.c.Invalidate(addr, part)
 }
 
 // ShardStats returns shard i's access counts.

@@ -73,35 +73,32 @@ func Configure(m *curve.Curve, s float64, margin float64) (Config, error) {
 	if !cfg.Degenerate {
 		raw := m.Eval(s)
 		if raw-cfg.PredictedMPKI <= 0.02*raw+0.01 {
-			cfg = Config{
-				TargetSize: s,
-				Alpha:      s, Beta: s,
-				RhoIdeal: 1, Rho: 1,
-				S1: s, S2: 0,
-				MAlpha: raw, MBeta: raw,
-				PredictedMPKI: raw,
-				Degenerate:    true,
-			}
+			cfg = degenerate(s, raw)
 		}
 	}
 	return cfg, nil
 }
 
+// degenerate is the configuration that needs no interpolation: one
+// partition of size s, all accesses sampled into it (ρ = 1), missing at
+// mpki.
+func degenerate(s, mpki float64) Config {
+	return Config{
+		TargetSize: s,
+		Alpha:      s, Beta: s,
+		RhoIdeal: 1, Rho: 1,
+		S1: s, S2: 0,
+		MAlpha: mpki, MBeta: mpki,
+		PredictedMPKI: mpki,
+		Degenerate:    true,
+	}
+}
+
 func configureOnHull(h *curve.Curve, s, margin float64) Config {
 	alpha, beta, ok := hull.Neighbors(h, s)
 	if !ok {
-		// On a hull vertex or outside the measured range: single
-		// partition, all accesses sampled into it.
-		mpki := h.Eval(s)
-		return Config{
-			TargetSize: s,
-			Alpha:      s, Beta: s,
-			RhoIdeal: 1, Rho: 1,
-			S1: s, S2: 0,
-			MAlpha: mpki, MBeta: mpki,
-			PredictedMPKI: mpki,
-			Degenerate:    true,
-		}
+		// On a hull vertex or outside the measured range.
+		return degenerate(s, h.Eval(s))
 	}
 	rho := (beta.Size - s) / (beta.Size - alpha.Size) // Eq. 4
 	s1 := rho * alpha.Size                            // Eq. 3
@@ -296,8 +293,8 @@ func (t *ShadowedCache) Access(addr uint64, logical int) bool {
 }
 
 // EvictNotifier is the optional eviction-reporting extension of
-// PartitionedCache (structurally cache.EvictNotifier — restated so core
-// keeps no dependency on the cache package): SetEvictHook installs a
+// PartitionedCache (cache.ShardedCache implements it; core keeps no
+// dependency on the cache package): SetEvictHook installs a
 // callback fired once per evicted line with its partition and address,
 // and reports whether the cache supports it end to end.
 type EvictNotifier interface {
@@ -305,7 +302,7 @@ type EvictNotifier interface {
 }
 
 // Invalidator is the optional invalidation extension of
-// PartitionedCache (structurally cache.Invalidator): Invalidate drops
+// PartitionedCache (cache.ShardedCache implements it): Invalidate drops
 // the line holding addr for the given partition, if resident, without
 // counting an access or firing the eviction hook.
 type Invalidator interface {
@@ -386,8 +383,7 @@ func (t *ShadowedCache) Reconfigure(allocations []int64, curves []*curve.Curve) 
 		if err != nil {
 			// No usable curve: fall back to a single partition of the
 			// allocated size, which is plain (Talus-less) behaviour.
-			cfg = Config{TargetSize: alloc, Alpha: alloc, Beta: alloc,
-				RhoIdeal: 1, Rho: 1, S1: alloc, Degenerate: true}
+			cfg = degenerate(alloc, 0)
 		}
 		cfg = cfg.CoarsenToGranule(granule)
 		configs[p] = cfg

@@ -65,14 +65,20 @@ func (c *AdaptiveConfig) defaults() error {
 }
 
 // buildCache builds a defaulted config's adaptive cache, one partition
-// per app: the one AdaptiveConfig → adaptive.Config translation.
+// per app, and sets each app's weight: the one AdaptiveConfig →
+// adaptive.Cache translation.
 func (c *AdaptiveConfig) buildCache() (*adaptive.Cache, error) {
-	return adaptive.Build(c.Scheme, c.CapacityLines, c.Assoc, c.Shards, len(c.Apps),
-		core.DefaultMargin, adaptive.Config{
-			EpochAccesses: c.EpochAccesses,
-			Seed:          c.Seed,
-			Weights:       c.Weights,
-		})
+	ac, err := adaptive.Build(c.Scheme, c.CapacityLines, c.Assoc, c.Shards, len(c.Apps),
+		core.DefaultMargin, adaptive.Config{EpochAccesses: c.EpochAccesses, Seed: c.Seed})
+	if err != nil {
+		return nil, err
+	}
+	for p, w := range c.Weights {
+		if err := ac.SetWeight(p, w); err != nil {
+			return nil, err
+		}
+	}
+	return ac, nil
 }
 
 // AdaptiveResult reports an adaptive run's steady-state outcomes.

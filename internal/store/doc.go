@@ -13,10 +13,11 @@
 // to 48 bits — the feeders' per-partition offset (adaptive.AppSpace,
 // bits 48–55) and the trace flattener's tags (bits 56–63) stay clear, so
 // a stream recorded from the store replays through the simulator
-// (talus-sim adaptive -trace) unchanged. Distinct keys may collide on a
-// line (two keys in ~2^48 lines); a collision only nudges the simulated
-// hit ratio, never the stored values: colliding entries chain off the
-// line and are told apart by their full key.
+// (talus-sim adaptive -trace) unchanged. A line holds one value, as a
+// line in the array does: a key whose line holds another key's value
+// (two keys on one of ~2^48 lines) replaces it, and the replacement
+// counts as an eviction. Every read compares the full key, so one key's
+// bytes are never served for another's.
 //
 // Tenants bind to logical partitions in arrival order: the first Set
 // naming a new tenant claims the next free partition (Config.Static
@@ -30,7 +31,7 @@
 // # Residency: one index, one way out
 //
 // A value lives exactly as long as its simulated line does. Each tenant
-// keeps one index, line address → the entries admitted on that line
+// keeps one index, line address → the one entry resident on that line
 // (key, bytes, expiry deadline), and a Get is a hit exactly when it is
 // served from that entry — never for ErrNotFound, never for a backend
 // read. A Get whose key holds no value still accesses the cache (miss
@@ -40,7 +41,7 @@
 // Every value leaves through one release path. The store installs an
 // eviction hook down the cache stack (ErrNoEviction if the stack cannot
 // provide one): when the replacement policy evicts a line, the hook
-// releases every entry on it, so the footprint tracks the simulated
+// releases the entry on it, so the footprint tracks the simulated
 // contents and the line capacity bounds the key count whatever else is
 // configured. Delete releases the entry and invalidates its line
 // (statelessly — no stats, no hook), and so does TTL expiry unless a

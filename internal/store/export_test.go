@@ -10,10 +10,8 @@ func Recount(s *Store, tenant string) (keys, bytes int64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, e := range t.lines {
-		for ; e != nil; e = e.next {
-			keys++
-			bytes += int64(len(e.val))
-		}
+		keys++
+		bytes += int64(len(e.val))
 	}
 	return keys, bytes
 }

@@ -20,17 +20,15 @@ const ghostCeiling = 4505
 func ghosts(s *Store) (values, ghosts int64) {
 	for _, t := range s.registered() {
 		t.mu.RLock()
-		chains := make(map[uint64]int64, len(t.lines))
-		for addr, e := range t.lines {
-			for ; e != nil; e = e.next {
-				chains[addr]++
-			}
+		addrs := make([]uint64, 0, len(t.lines))
+		for addr := range t.lines {
+			addrs = append(addrs, addr)
 		}
 		t.mu.RUnlock()
-		for addr, n := range chains {
-			values += n
+		values += int64(len(addrs))
+		for _, addr := range addrs {
 			if !s.ac.Invalidate(addr|t.space, t.part) {
-				ghosts += n
+				ghosts++
 			}
 		}
 	}

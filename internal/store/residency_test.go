@@ -1,43 +1,50 @@
 package store
 
 import (
-	"fmt"
+	"errors"
 	"testing"
 
 	"talus/internal/adaptive"
 )
 
-// TestCollisionChainBooks drives the same-line collision chain — which
-// real keys reach with odds 2^-48 a pair — by admitting keys onto a
-// chosen address directly: three keys share each line, one is
-// overwritten, then the head, the middle or the tail of the chain is
-// released, and finally the line is evicted. After every step the
-// running books equal a recount over the lines, and every surviving key
-// still reads its own bytes, never a neighbour's.
-func TestCollisionChainBooks(t *testing.T) {
+// TestLineHoldsOneValue drives the line conflict real keys almost never
+// reach (two keys on one 48-bit line) by admitting a second key onto
+// the line the first hashes to: the second replaces the first and counts
+// an eviction, as a conflict does in the array, and a Get of the first
+// never reads the second's bytes. After every step — an overwrite, a
+// byte-cap refusal that leaves the resident value in place, a Delete of
+// each key, a Set that takes the line back and an eviction — the running
+// books equal a recount over the lines.
+func TestLineHoldsOneValue(t *testing.T) {
 	ac, err := adaptive.Build("vantage", 4096, 16, 1, 2, 0.05, adaptive.Config{Seed: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(ac, Config{Tenants: []string{"a"}})
+	s, err := New(ac, Config{Tenants: []string{"a"}, MaxBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	tn := s.tenants["a"]
+	line := hashKey("k1")
 
-	want := map[uint64]map[string]string{} // line → key → value
-	check := func(step string) {
+	// resident is the model: the one key on line and its value ("" = none).
+	var resident, val string
+	check := func(step string, evictions, drops int64) {
 		t.Helper()
-		var keys, bytes int64
-		for addr, m := range want {
-			for k, v := range m {
-				keys++
-				bytes += int64(len(v))
-				if got, ok, _ := s.lookup(tn, addr, k); !ok || string(got) != v {
-					t.Fatalf("%s: %s on line %#x reads %q (present %v), want %q", step, k, addr, got, ok, v)
-				}
+		var bytes int64
+		for _, k := range []string{"k1", "k2"} {
+			got, ok, _ := s.lookup(tn, line, k)
+			switch {
+			case k == resident && (!ok || string(got) != val):
+				t.Fatalf("%s: %s reads %q (present %v), want %q", step, k, got, ok, val)
+			case k != resident && ok:
+				t.Fatalf("%s: %s reads %q, want absent (%s holds the line)", step, k, got, resident)
 			}
+		}
+		var keys int64
+		if resident != "" {
+			keys, bytes = 1, int64(len(val))
 		}
 		rk, rb := Recount(s, "a")
 		st, err := s.Stats("a")
@@ -48,44 +55,56 @@ func TestCollisionChainBooks(t *testing.T) {
 			t.Fatalf("%s: model %d keys/%d bytes, recount %d/%d, stats %d/%d, Store.Bytes %d",
 				step, keys, bytes, rk, rb, st.Keys, st.Bytes, s.Bytes())
 		}
-	}
-	admit := func(addr uint64, key, val string) {
-		s.admitValue(tn, key, addr, []byte(val), 0)
-		if want[addr] == nil {
-			want[addr] = map[string]string{}
+		if st.Evictions != evictions || st.AdmitDrops != drops {
+			t.Fatalf("%s: Evictions %d, AdmitDrops %d; want %d, %d", step, st.Evictions, st.AdmitDrops, evictions, drops)
 		}
-		want[addr][key] = val
+	}
+	admit := func(key, v string) {
+		s.admitValue(tn, key, line, []byte(v), 0)
+		resident, val = key, v
 	}
 
-	// Entries push onto the head, so on each line the chain reads
-	// k2 → k1 → k0: victim 2 is the head, 1 the middle, 0 the tail.
-	for victim := 0; victim < 3; victim++ {
-		addr := uint64(0xC0111DE0 + victim)
-		for i := 0; i < 3; i++ {
-			admit(addr, fmt.Sprintf("k%d", i), fmt.Sprintf("line %d value %d", victim, i))
-		}
-		check(fmt.Sprintf("line %d admitted", victim))
-		admit(addr, "k1", "overwritten with a longer value")
-		check(fmt.Sprintf("line %d overwrite", victim))
+	admit("k1", "first")
+	check("k1 admitted", 0, 0)
+	admit("k2", "second")
+	check("k2 admitted onto k1's line", 1, 0)
+	if v, hit, err := s.Get("a", "k1"); !errors.Is(err, ErrNotFound) || hit {
+		t.Fatalf("Get k1 with k2 on its line = %q, hit %v, %v; want ErrNotFound", v, hit, err)
+	}
+	admit("k2", "second, overwritten longer")
+	check("k2 overwritten", 1, 0)
 
-		key := fmt.Sprintf("k%d", victim)
-		tn.mu.Lock()
-		released := s.release(tn, addr, key)
-		again := s.release(tn, addr, key)
-		tn.mu.Unlock()
-		if !released || again {
-			t.Fatalf("line %d: release(%s) = %v, then %v; want true, then false", victim, key, released, again)
-		}
-		delete(want[addr], key)
-		check(fmt.Sprintf("line %d release %s", victim, key))
-	}
+	s.admitValue(tn, "k1", line, make([]byte, 65), 0)
+	check("k1 refused by the byte cap", 1, 1)
 
-	for addr := range want {
-		s.onEvict(tn.part, addr|tn.space)
-		delete(want, addr)
-		check(fmt.Sprintf("line %#x evicted", addr))
+	if existed, err := s.Delete("a", "k1"); existed || err != nil {
+		t.Fatalf("Delete k1 while k2 holds its line = %v, %v; want false", existed, err)
 	}
-	if st, _ := s.Stats("a"); st.Evictions != 6 || len(tn.lines) != 0 {
-		t.Fatalf("3 lines × 2 survivors evicted: Evictions = %d, %d lines left", st.Evictions, len(tn.lines))
+	check("k1 deleted while absent", 1, 1)
+	// k2 hashes to a line of its own, which its Delete clears; the value
+	// it was admitted with elsewhere stays.
+	if existed, err := s.Delete("a", "k2"); existed || err != nil {
+		t.Fatalf("Delete k2 = %v, %v; want false", existed, err)
 	}
+	check("k2 deleted from its own line", 1, 1)
+
+	if _, err := s.Set("a", "k1", []byte("back")); err != nil {
+		t.Fatal(err)
+	}
+	resident, val = "k1", "back"
+	check("k1 Set back onto its line", 2, 1)
+	if v, hit, err := s.Get("a", "k1"); string(v) != "back" || !hit || err != nil {
+		t.Fatalf("Get k1 = %q, hit %v, %v; want back", v, hit, err)
+	}
+	if existed, err := s.Delete("a", "k1"); !existed || err != nil {
+		t.Fatalf("Delete k1 = %v, %v; want true", existed, err)
+	}
+	resident, val = "", ""
+	check("k1 deleted", 2, 1)
+
+	admit("k2", "evict me")
+	check("k2 admitted onto the empty line", 2, 1)
+	s.onEvict(tn.part, line|tn.space)
+	resident, val = "", ""
+	check("line evicted", 3, 1)
 }

@@ -133,13 +133,12 @@ type TenantStats struct {
 	BackendSets int64 `json:"backendSets"` // write-through stores performed
 }
 
-// entry is one resident value, hanging off the simulated line that
-// admitted it. Fields are read and written under the tenant's mu.
+// entry is the one value resident on a simulated line. Fields are read
+// and written under the tenant's mu.
 type entry struct {
 	key      string
 	val      []byte
-	deadline int64  // expiry, unix nanos; 0 = never
-	next     *entry // another key hashed to the same 48-bit line (odds 2^-48 a pair)
+	deadline int64 // expiry, unix nanos; 0 = never
 }
 
 // tenant is one registered tenant: a logical partition, the values
@@ -150,8 +149,7 @@ type tenant struct {
 	space uint64 // adaptive.AppSpace(part), OR-ed onto every address
 
 	mu    sync.RWMutex
-	lines map[uint64]*entry // 48-bit line addr → the values on that line
-	keys  int64             // entries across all lines
+	lines map[uint64]*entry // 48-bit line addr → the value on that line
 	bytes int64             // their value bytes
 
 	gets, sets, deletes atomic.Int64
@@ -259,8 +257,8 @@ func (s *Store) Node() NodeStats { return s.node }
 func (s *Store) SetNow(now func() time.Time) { s.now = now }
 
 // onEvict is the cache stack's eviction hook: line (part, addr) was
-// evicted, so every value stored on that line dies with it — the next
-// Get for those keys is a true miss (served through the Backend when
+// evicted, so the value stored on that line dies with it — the next
+// Get for its key is a true miss (served through the Backend when
 // one is configured). Runs on the accessing goroutine with a shard
 // lock held, so it only touches store/tenant state, never the cache —
 // and never s.mu: register holds s.mu while it takes the adaptive
@@ -276,43 +274,32 @@ func (s *Store) onEvict(part int, addr uint64) {
 	}
 	line := addr & addrMask // strip the feeder's partition-space bits
 	t.mu.Lock()
-	for e := t.lines[line]; e != nil; e = e.next {
+	if e := t.lines[line]; e != nil {
 		s.release(t, line, e.key)
 		t.evictions.Add(1)
 	}
 	t.mu.Unlock()
 }
 
-// find returns key's entry on line addr, or nil. Caller holds t.mu.
+// find returns key's entry on line addr, or nil when the line holds no
+// value or another key's. Caller holds t.mu.
 func (t *tenant) find(addr uint64, key string) *entry {
-	e := t.lines[addr]
-	for e != nil && e.key != key {
-		e = e.next
+	if e := t.lines[addr]; e != nil && e.key == key {
+		return e
 	}
-	return e
+	return nil
 }
 
-// release unlinks key's entry from line addr and returns its bytes to
-// the books: the one way a value leaves the store, whatever ended its
+// release takes key's entry off line addr and returns its bytes to the
+// books: the one way a value leaves the store, whatever ended its
 // residency (eviction, expiry, Delete, a byte-cap refusal). Reports
 // whether there was one. Caller holds t.mu.
 func (s *Store) release(t *tenant, addr uint64, key string) bool {
-	var prev *entry
-	e := t.lines[addr]
-	for e != nil && e.key != key {
-		prev, e = e, e.next
-	}
-	switch {
-	case e == nil:
+	e := t.find(addr, key)
+	if e == nil {
 		return false
-	case prev != nil:
-		prev.next = e.next
-	case e.next != nil:
-		t.lines[addr] = e.next
-	default:
-		delete(t.lines, addr)
 	}
-	t.keys--
+	delete(t.lines, addr)
 	t.bytes -= int64(len(e.val))
 	s.bytesTotal.Add(-int64(len(e.val)))
 	return true
@@ -561,19 +548,21 @@ func (s *Store) SetTTL(tenantName, key string, value []byte, ttl time.Duration) 
 	return hit, nil
 }
 
-// admitValue hangs cp off line addr as (t, key)'s resident value with
-// the given expiry deadline (unix nanos; 0 = never — a fresh Set
-// without a TTL does not inherit a stale one), unless under MaxBytes it
-// would overdraw the global byte bound. On that refusal any stale
-// resident copy is released (a newer backend value must never be
-// shadowed by an older cached one) and the drop is counted. Which lines
-// are worth their capacity is Talus's decision, made on the lines
-// themselves; the store only keeps the byte bound. Caller must not hold
-// t.mu.
+// admitValue makes cp (t, key)'s value on line addr with the given
+// expiry deadline (unix nanos; 0 = never — a fresh Set without a TTL
+// does not inherit a stale one), unless under MaxBytes it would
+// overdraw the global byte bound. A line holds one value: another
+// key's value there is replaced and counted as an eviction, as a
+// conflict is in the array. On a refusal any stale copy of key is
+// released (a newer backend value must never be shadowed by an older
+// cached one), another key's value stays, and the drop is counted.
+// Which lines are worth their capacity is Talus's decision, made on the
+// lines themselves; the store only keeps the byte bound. Caller must
+// not hold t.mu.
 func (s *Store) admitValue(t *tenant, key string, addr uint64, cp []byte, deadline int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := t.find(addr, key)
+	e := t.lines[addr]
 	delta := int64(len(cp))
 	if e != nil {
 		delta -= int64(len(e.val))
@@ -591,10 +580,14 @@ func (s *Store) admitValue(t *tenant, key string, addr uint64, cp []byte, deadli
 		s.bytesTotal.Add(delta)
 	}
 	t.bytes += delta
+	// An overwrite keeps the key string the entry holds: a caller's key
+	// may be cut from a longer request string the entry would then pin.
 	if e == nil {
-		e = &entry{key: key, next: t.lines[addr]}
+		e = &entry{key: key}
 		t.lines[addr] = e
-		t.keys++
+	} else if e.key != key {
+		e.key = key
+		t.evictions.Add(1)
 	}
 	e.val, e.deadline = cp, deadline
 }
@@ -657,7 +650,7 @@ func (s *Store) Tenants() []string {
 // statsOf snapshots one tenant's counters.
 func (s *Store) statsOf(t *tenant, allocs []int64) TenantStats {
 	t.mu.RLock()
-	keys, bytes := t.keys, t.bytes
+	keys, bytes := int64(len(t.lines)), t.bytes
 	t.mu.RUnlock()
 	st := TenantStats{
 		Tenant:      t.name,
