@@ -232,7 +232,8 @@ func newServer(addr string, h http.Handler) *http.Server {
 }
 
 // parseWeights parses the -weights list ("gold=4,bronze=1") into a
-// tenant → weight map.
+// tenant → weight map. It checks the syntax only: the store refuses a
+// weight the allocator cannot take.
 func parseWeights(s string) (map[string]float64, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -248,7 +249,7 @@ func parseWeights(s string) (map[string]float64, error) {
 			return nil, fmt.Errorf("-weights entry %q: want tenant=weight", pair)
 		}
 		w, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || w < 0 {
+		if err != nil {
 			return nil, fmt.Errorf("-weights entry %q: bad weight", pair)
 		}
 		out[name] = w

@@ -93,9 +93,16 @@ func setupMix(fs *flag.FlagSet) func(io.Writer) error {
 		// fan them across the worker pool.
 		baseCfg := mixCfg
 		baseCfg.Mode = sim.ModeLRU
-		results, err := sim.RunMixes([]sim.MixConfig{baseCfg, mixCfg}, *par)
-		if err != nil {
-			return err
+		cfgs := [2]sim.MixConfig{baseCfg, mixCfg}
+		var results [2]*sim.MixResult
+		var errs [2]error
+		sim.ParallelFor(2, sim.Workers(*par), func(i int) {
+			results[i], errs[i] = sim.RunMix(cfgs[i])
+		})
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
 		}
 		base, res := results[0], results[1]
 

@@ -64,10 +64,15 @@ func TestGuards(t *testing.T) {
 			pattern: `^(WithTenantLines|LineBounds|SetPartitionLines|MinLines|MaxLines|ErrInfeasibleBounds|grantFloors|checkFloors)$`},
 		// A store line holds one value, and every cache array keeps the
 		// eviction hook and invalidation as part of cache.Shard, so the
-		// cache layer probes nothing for them (core keeps its optional
-		// pair: core.PartitionedCache is frozen).
-		{name: "one-value-per-line", dir: "internal/cache", tests: true,
+		// cache layer probes nothing for them. Core probes its inner
+		// cache once, for both (core.Evictor: core.PartitionedCache is
+		// frozen).
+		{name: "one-value-per-line", dir: ".", tests: true,
 			pattern: `(^|\.)(EvictNotifier|Invalidator)$`},
+		// The store states each fact once: one read expires a value, and
+		// talus-sim mix fans its two runs out with sim.ParallelFor.
+		{name: "each-fact-once", dir: ".", tests: true,
+			pattern: `^(expireValue|RunMixes|EvictNotifier|Invalidator)$`},
 		// Spec.Build is the one way to a fresh pattern (internal/trace's
 		// tests call slices.Clone, so tests are not scanned).
 		{name: "no-pattern-clone", dir: "internal",

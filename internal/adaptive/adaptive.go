@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime/pprof"
@@ -235,8 +236,9 @@ func (a *Cache) runEpochLocked() {
 
 // epochBody is one Loop step, hill climbing on the hulls (optimal there
 // for any weights: alloc.TestWeightedAllocatorsAgreeOnHulls), then the
-// Talus reconfiguration. An idle epoch counts nothing, so Err keeps
-// reporting the last real epoch's outcome. Caller holds epochMu.
+// Talus reconfiguration. An idle epoch counts nothing, so
+// ControllerState.LastError keeps reporting the last real epoch's
+// outcome. Caller holds epochMu.
 func (a *Cache) epochBody() {
 	allocs, curves, ok, err := a.loop.Step(alloc.HillClimbAllocator, true, alloc.Request{
 		Total:   a.sc.Inner().PartitionableCapacity(),
@@ -261,13 +263,12 @@ func (a *Cache) epochBody() {
 }
 
 // SetWeight sets partition p's objective weight for subsequent epochs
-// (see alloc.Request.Weights). The weight must be finite and
-// non-negative. The first call materializes the weight vector (uniform
-// 1s); until then the epoch Request carries nil weights — the exact
-// legacy objective.
+// (see alloc.Request.Weights); CheckWeight refuses a bad one. The
+// first call materializes the weight vector (uniform 1s); until then
+// the epoch Request carries nil weights — the exact legacy objective.
 func (a *Cache) SetWeight(p int, w float64) error {
 	a.checkPartition(p)
-	if err := checkWeight(p, w); err != nil {
+	if err := CheckWeight(w); err != nil {
 		return err
 	}
 	a.epochMu.Lock()
@@ -282,24 +283,17 @@ func (a *Cache) SetWeight(p int, w float64) error {
 	return nil
 }
 
-// checkWeight rejects a weight the allocator would refuse on every epoch,
-// freezing the allocation where it stood.
-func checkWeight(p int, w float64) error {
+// ErrBadWeight reports an objective weight the allocator would refuse
+// on every epoch, freezing the allocation where it stood.
+var ErrBadWeight = errors.New("adaptive: bad weight")
+
+// CheckWeight refuses a weight that is negative, NaN or infinite with
+// ErrBadWeight: the one check every way a weight gets in runs.
+func CheckWeight(w float64) error {
 	if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-		return fmt.Errorf("adaptive: weight %g for partition %d (need finite, non-negative)", w, p)
+		return fmt.Errorf("%w %g (need finite, non-negative)", ErrBadWeight, w)
 	}
 	return nil
-}
-
-// Weights returns a copy of the per-partition weight vector, or nil
-// while the objective is uniform.
-func (a *Cache) Weights() []float64 {
-	a.epochMu.Lock()
-	defer a.epochMu.Unlock()
-	if a.weights == nil {
-		return nil
-	}
-	return append([]float64(nil), a.weights...)
 }
 
 // Controller returns a snapshot of the control loop's tunables and its
@@ -369,13 +363,6 @@ func (a *Cache) Curve(p int) *curve.Curve {
 	a.epochMu.Lock()
 	defer a.epochMu.Unlock()
 	return a.loop.Curve(p)
-}
-
-// Err returns the most recent epoch step's error (nil when it succeeded).
-func (a *Cache) Err() error {
-	a.epochMu.Lock()
-	defer a.epochMu.Unlock()
-	return a.lastErr
 }
 
 // Config returns partition p's current Talus configuration. p must be

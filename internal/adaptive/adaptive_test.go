@@ -72,7 +72,7 @@ func TestAdaptiveConvergesOnCliff(t *testing.T) {
 	if ac.Epochs() < 10 {
 		t.Fatalf("only %d epochs ran", ac.Epochs())
 	}
-	if err := ac.Err(); err != nil {
+	if err := ac.Controller().LastError; err != "" {
 		t.Fatalf("control loop error: %v", err)
 	}
 	allocs := ac.Allocations()
@@ -172,7 +172,7 @@ func TestAdaptiveRaceHammer(t *testing.T) {
 	if ac.Epochs() == 0 {
 		t.Fatal("no epochs ran under concurrent traffic")
 	}
-	if err := ac.Err(); err != nil {
+	if err := ac.Controller().LastError; err != "" {
 		t.Fatalf("control loop error: %v", err)
 	}
 	// The loop must still be live after the hammer: force one more epoch.

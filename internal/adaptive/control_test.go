@@ -144,7 +144,7 @@ func TestChurnTracksPhaseShift(t *testing.T) {
 	if st.Churn >= 0.05 {
 		t.Fatalf("stable workload still reads churn %.3f after %d epochs", st.Churn, st.Epochs)
 	}
-	if err := ac.Err(); err != nil {
+	if err := ac.Controller().LastError; err != "" {
 		t.Fatal(err)
 	}
 
@@ -187,7 +187,7 @@ func TestWeightedTenantAttractsCapacity(t *testing.T) {
 		EpochAccesses: 1 << 40,
 		Seed:          24,
 	})
-	if got := ac.Weights(); got != nil {
+	if got := ac.Controller().Weights; got != nil {
 		t.Fatalf("fresh cache has weights %v", got)
 	}
 	if err := ac.SetWeight(1, 8); err != nil {
@@ -232,7 +232,7 @@ func TestBadWeightsRefused(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "need finite, non-negative") {
 				t.Fatalf("SetWeight(0, %g): err = %v", w, err)
 			}
-			if got := ac.Weights(); got != nil {
+			if got := ac.Controller().Weights; got != nil {
 				t.Fatalf("refused weight left weights %v", got)
 			}
 		})

@@ -36,7 +36,7 @@ func TestEpochIntervalTicker(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := ac.Err(); err != nil {
+	if err := ac.Controller().LastError; err != "" {
 		t.Fatalf("ticker epoch error: %v", err)
 	}
 	if ac.Epochs() == 0 {

@@ -65,7 +65,7 @@ func TestAdaptiveTracksPhaseChange(t *testing.T) {
 				}
 			}
 		}
-		if err := ac.Err(); err != nil {
+		if err := ac.Controller().LastError; err != "" {
 			t.Fatalf("phase %d: control loop error: %v", tc.phase, err)
 		}
 		ratio := float64(hits) / float64(n)

@@ -39,7 +39,7 @@ var (
 	// LookaheadAllocator is WeightedLookahead: quadratic UCP Lookahead,
 	// copes with cliffs.
 	LookaheadAllocator Allocator = allocatorFunc{"lookahead", WeightedLookahead}
-	// FairAllocator ignores the curves and splits proportionally to the
-	// request's weights (equal shares when uniform).
+	// FairAllocator ignores the curves and the weights and splits the
+	// budget equally.
 	FairAllocator Allocator = allocatorFunc{"fair", WeightedFair}
 )

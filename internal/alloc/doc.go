@@ -7,8 +7,8 @@
 //   - WeightedLookahead: Qureshi & Patt's UCP Lookahead, the quadratic
 //     heuristic that copes with non-convexity by considering
 //     all-or-nothing extensions;
-//   - Fair and WeightedFair: equal (or weight-proportional) allocations,
-//     the paper's fairness baseline (Fig. 13);
+//   - Fair and WeightedFair: equal allocations, the paper's fairness
+//     baseline (Fig. 13);
 //   - WeightedOptimalDP: exact dynamic programming over the granule grid,
 //     used to validate the others (optimal partitioning is NP-complete
 //     only in problem size encodings; on a fixed grid DP is exact and

@@ -160,57 +160,15 @@ func WeightedLookahead(req Request) ([]int64, error) {
 	return out, nil
 }
 
-// WeightedFair splits the budget in proportion to the weights (equal
-// shares when uniform), ignoring curves — the fairness policy
-// generalized to priced tenants. Whole granules go by
-// largest fractional remainder (ties to the lowest index), so uniform
-// weights reproduce Fair byte-for-byte; the sub-granule residue goes to
-// partition 0 as in Fair.
+// WeightedFair is Fair over a Request: equal shares, whatever the
+// curves and the weights say. The fairness baseline prices no tenant
+// above another, so weights do not move it.
 func WeightedFair(req Request) ([]int64, error) {
 	n, err := req.validate()
 	if err != nil {
 		return nil, err
 	}
-	if req.Weights == nil {
-		return Fair(n, req.Total, req.Granule)
-	}
-	var sumW float64
-	for i := 0; i < n; i++ {
-		sumW += req.weight(i)
-	}
-	if sumW <= 0 {
-		return Fair(n, req.Total, req.Granule)
-	}
-	granules := req.Total / req.Granule
-	out := make([]int64, n)
-	type frac struct {
-		i int
-		f float64
-	}
-	rem := make([]frac, n)
-	var assigned int64
-	for i := 0; i < n; i++ {
-		exact := float64(granules) * req.weight(i) / sumW
-		whole := int64(math.Floor(exact))
-		out[i] = whole * req.Granule
-		assigned += whole
-		rem[i] = frac{i, exact - float64(whole)}
-	}
-	// Largest remainder first; ties break to the lowest index so the
-	// uniform case reproduces Fair's "first total%n partitions get one
-	// extra" rule exactly.
-	for g := granules - assigned; g > 0; g-- {
-		best := -1
-		for j := range rem {
-			if best < 0 || rem[j].f > rem[best].f {
-				best = j
-			}
-		}
-		out[rem[best].i] += req.Granule
-		rem[best].f = -1
-	}
-	out[0] += req.Total - granules*req.Granule
-	return out, nil
+	return Fair(n, req.Total, req.Granule)
 }
 
 // WeightedOptimalDP computes the exact Σ wᵢ·missesᵢ-minimizing

@@ -279,17 +279,14 @@ func (s *ShardedCache) Stats() Stats {
 
 // SetEvictHook installs fn on every shard, under each shard's lock. The
 // hook fires on the accessing goroutine with the owning shard's lock
-// held; it must not re-enter the cache. It always reports true: the
-// result is core.EvictNotifier's, which the Talus layer above probes
-// its inner cache for.
-func (s *ShardedCache) SetEvictHook(fn func(part int, addr uint64)) bool {
+// held; it must not re-enter the cache.
+func (s *ShardedCache) SetEvictHook(fn func(part int, addr uint64)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.c.SetEvictHook(fn)
 		sh.mu.Unlock()
 	}
-	return true
 }
 
 // Invalidate routes the invalidation to addr's owning shard under its

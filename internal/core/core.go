@@ -292,47 +292,47 @@ func (t *ShadowedCache) Access(addr uint64, logical int) bool {
 	return t.inner.Access(addr, shadow)
 }
 
-// EvictNotifier is the optional eviction-reporting extension of
-// PartitionedCache (cache.ShardedCache implements it; core keeps no
-// dependency on the cache package): SetEvictHook installs a
-// callback fired once per evicted line with its partition and address,
-// and reports whether the cache supports it end to end.
-type EvictNotifier interface {
-	SetEvictHook(fn func(part int, addr uint64)) bool
-}
-
-// Invalidator is the optional invalidation extension of
-// PartitionedCache (cache.ShardedCache implements it): Invalidate drops
-// the line holding addr for the given partition, if resident, without
-// counting an access or firing the eviction hook.
-type Invalidator interface {
+// Evictor is the optional eviction extension of PartitionedCache
+// (cache.ShardedCache implements it; core keeps no dependency on the
+// cache package). SetEvictHook installs a callback fired once per
+// evicted line with its partition and address. Invalidate drops the
+// line holding addr for the given partition, if resident, without
+// counting an access or firing the eviction hook, and reports whether
+// one was dropped. A cache that reports its evictions must also take
+// invalidations: a line dropped on request would otherwise outlive
+// what hangs off it.
+type Evictor interface {
+	SetEvictHook(fn func(part int, addr uint64))
 	Invalidate(addr uint64, part int) bool
 }
 
 // SetEvictHook installs fn over the inner cache, translating the inner
 // cache's shadow partition ids back to logical ones (shadow 2p and 2p+1
-// are both logical p), and reports whether the inner cache supports
-// eviction notification. The hook inherits the inner cache's calling
-// context — typically under a shard lock on the accessing goroutine —
-// and must not re-enter the cache. Implements EvictNotifier.
+// are both logical p), and reports whether the inner cache is an
+// Evictor. The hook inherits the inner cache's calling context —
+// typically under a shard lock on the accessing goroutine — and must
+// not re-enter the cache.
 func (t *ShadowedCache) SetEvictHook(fn func(part int, addr uint64)) bool {
-	n, ok := t.inner.(EvictNotifier)
+	ev, ok := t.inner.(Evictor)
 	if !ok {
 		return false
 	}
 	if fn == nil {
-		return n.SetEvictHook(nil)
+		ev.SetEvictHook(nil)
+	} else {
+		ev.SetEvictHook(func(shadow int, addr uint64) { fn(shadow/2, addr) })
 	}
-	return n.SetEvictHook(func(shadow int, addr uint64) { fn(shadow/2, addr) })
+	return true
 }
 
 // Invalidate drops logical partition p's line for addr, if resident,
 // and reports whether one was dropped. The line may sit in either
 // shadow partition: the sampler steering addr today need not be the one
 // that filled it (rates move across reconfigurations), so both α (2p)
-// and β (2p+1) are tried. Implements Invalidator.
+// and β (2p+1) are tried. An inner cache that is not an Evictor drops
+// nothing.
 func (t *ShadowedCache) Invalidate(addr uint64, p int) bool {
-	inv, ok := t.inner.(Invalidator)
+	inv, ok := t.inner.(Evictor)
 	if !ok {
 		return false
 	}

@@ -118,7 +118,7 @@ func TestControlBodyIsStrict(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("PUT %s = %d %s, want 400", body, resp.StatusCode, got)
 		}
-		if w := st.Cache().Weights(); w != nil {
+		if w := st.Cache().Controller().Weights; w != nil {
 			t.Fatalf("PUT %s changed the weights to %v", body, w)
 		}
 	}

@@ -132,8 +132,9 @@
 //	502  store.ErrBackend (the backing tier behind the store failed)
 //	400  store.ErrEmptyTenant/ErrEmptyKey, malformed /v1/record requests,
 //	     store.ErrRecording/ErrNotRecording (start while active / stop while idle),
-//	     malformed or negative /v1/control weight bodies, or ones with no
-//	     "weight", store.ErrBadTTL and malformed X-Talus-TTL headers; both
+//	     malformed /v1/control weight bodies or ones with no "weight",
+//	     adaptive.ErrBadWeight (a negative weight: JSON carries no NaN
+//	     or Inf), store.ErrBadTTL and malformed X-Talus-TTL headers; both
 //	     control-plane bodies refuse unknown keys, so a misspelled field
 //	     is a 400, never a default; a PUT body that ended before its
 //	     Content-Length
@@ -149,7 +150,10 @@
 // expirations, admitDrops when the byte cap refuses a value) and
 // the backend traffic that paid for it (backendGets, backendSets);
 // cacheHits/cacheMisses/hitRatio count line outcomes over Gets and
-// Sets — the control loop's input — not X-Talus-Cache values.
+// Sets — the control loop's input — not X-Talus-Cache values. The
+// top-level "cache" block (accesses, hits, misses, hitRate) sums those
+// rows: every access the cache serves is one tenant's Get or Set, so
+// it reads what the cache layer counts, without asking it.
 //
 // # The POST /v1/record contract
 //
@@ -175,7 +179,7 @@
 // state (epoch count, measured curve churn, the configured epoch budget
 // and interval, per-partition allocations and weights, and "last_error"
 // when the latest epoch step failed and left the allocation standing)
-// plus one row per tenant (weight, line bounds, current allocation).
+// plus one row per tenant (weight, current allocation).
 // There is no allocator to name: every epoch hill-climbs on the hulls. Mutation is gated like
 // recording: unless the handler is configured with Config.Control
 // (talus-serve -control), PUT /v1/control/tenants/{tenant} refuses

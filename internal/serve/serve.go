@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"talus/internal/adaptive"
 	"talus/internal/cluster"
 	"talus/internal/curve"
 	"talus/internal/hash"
@@ -186,7 +187,8 @@ func statusOf(err error) int {
 	case errors.Is(err, store.ErrBackend):
 		return http.StatusBadGateway
 	case errors.Is(err, store.ErrEmptyTenant), errors.Is(err, store.ErrEmptyKey),
-		errors.Is(err, store.ErrBadTTL), errors.Is(err, errBodyCut),
+		errors.Is(err, store.ErrBadTTL), errors.Is(err, adaptive.ErrBadWeight),
+		errors.Is(err, errBodyCut),
 		errors.Is(err, store.ErrRecording), errors.Is(err, store.ErrNotRecording):
 		return http.StatusBadRequest
 	case errors.Is(err, errBodyTimeout):
@@ -434,7 +436,7 @@ type statsResponse struct {
 	Tenants       []store.TenantStats `json:"tenants"`
 	Epochs        int                 `json:"epochs"`
 	CapacityLines int64               `json:"capacityLines"`
-	Cache         *cacheStats         `json:"cache,omitempty"`
+	Cache         cacheStats          `json:"cache"`
 	Recording     bool                `json:"recording"`
 	Bytes         int64               `json:"bytes"`              // value bytes held across all tenants
 	MaxBytes      int64               `json:"maxBytes,omitempty"` // configured byte cap (absent without one)
@@ -443,6 +445,8 @@ type statsResponse struct {
 	Owned         wireCounts          `json:"owned"`              // what the connections the handler served itself did
 }
 
+// cacheStats sums the tenants' cache outcomes: every access the cache
+// serves is one tenant's Get or Set.
 type cacheStats struct {
 	Accesses int64   `json:"accesses"`
 	Hits     int64   `json:"hits"`
@@ -463,8 +467,13 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 		Node:          h.st.Node(),
 		Owned:         h.ownedCounts(),
 	}
-	if cs, ok := h.st.CacheStats(); ok {
-		resp.Cache = &cacheStats{Accesses: cs.Accesses, Hits: cs.Hits, Misses: cs.Misses, HitRate: cs.HitRate()}
+	c := &resp.Cache
+	for _, t := range resp.Tenants {
+		c.Hits += t.CacheHits
+		c.Misses += t.CacheMisses
+	}
+	if c.Accesses = c.Hits + c.Misses; c.Accesses > 0 {
+		c.HitRate = float64(c.Hits) / float64(c.Accesses)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -546,13 +555,6 @@ func (h *Handler) controlTenant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	weight := *req.Weight
-	if weight < 0 {
-		// JSON cannot carry NaN/Inf, so a sign check is the whole of the
-		// value validation the adaptive layer would otherwise reject.
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("weight %g must be non-negative", weight)})
-		return
-	}
 	tenant := r.PathValue("tenant")
 	if err := h.st.SetTenantWeight(tenant, weight); err != nil {
 		writeErr(w, err)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"talus/internal/cache"
 	"talus/internal/serve"
 	"talus/internal/sim"
 	"talus/internal/store"
@@ -172,6 +173,8 @@ func TestStatsAndCurves(t *testing.T) {
 		Epochs  int                 `json:"epochs"`
 		Cache   *struct {
 			Accesses int64 `json:"accesses"`
+			Hits     int64 `json:"hits"`
+			Misses   int64 `json:"misses"`
 		} `json:"cache"`
 		CapacityLines int64 `json:"capacityLines"`
 	}
@@ -183,6 +186,11 @@ func TestStatsAndCurves(t *testing.T) {
 	}
 	if stats.Epochs == 0 || stats.Cache == nil || stats.Cache.Accesses != 2048+256 || stats.CapacityLines == 0 {
 		t.Fatalf("stats payload = %+v", stats)
+	}
+	// The block sums the tenants' outcomes; the cache layer counts the same.
+	if cs := st.Cache().Shadowed().Inner().(*cache.ShardedCache).Stats(); cs.Accesses != stats.Cache.Accesses ||
+		cs.Hits != stats.Cache.Hits || cs.Misses != stats.Cache.Misses {
+		t.Fatalf("cache block %+v, cache layer %+v", *stats.Cache, cs)
 	}
 
 	resp, body = do(t, http.MethodGet, srv.URL+"/v1/curves", nil)

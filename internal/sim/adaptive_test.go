@@ -145,7 +145,7 @@ func TestAdaptiveTracksOracleAcrossPhases(t *testing.T) {
 	oracle1 := oracleMissRatio(t, phase1, seed)
 	oracle2 := oracleMissRatio(t, phase2, seed)
 
-	if err := ac.Err(); err != nil {
+	if err := ac.Controller().LastError; err != "" {
 		t.Fatalf("control loop error: %v", err)
 	}
 	if ep := ac.Epochs(); ep < 20 {

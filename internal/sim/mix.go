@@ -94,24 +94,23 @@ func (c *MixConfig) defaults() error {
 // the epoch step it runs over them.
 type mode struct {
 	name   Mode
-	scheme string // partitioning scheme of the arrays ("none": shared)
-	policy string // the arrays' replacement policy
-	talus  bool   // Talus shadow partitions over the arrays
-	alloc  alloc.Allocator
-	hull   bool // alloc sees convex hulls (Fair ignores the curves)
+	scheme string          // partitioning scheme of the arrays ("none": shared)
+	policy string          // the arrays' replacement policy
+	talus  bool            // Talus shadow partitions over the arrays
+	alloc  alloc.Allocator // under Talus it sees convex hulls
 }
 
 // modes is the management vocabulary. A mode with no allocator is
 // never reconfigured.
 var modes = []mode{
-	{ModeLRU, "none", "LRU", false, nil, false},
-	{ModeTADRRIP, "none", "TA-DRRIP", false, nil, false},
-	{ModeHillLRU, "vantage", "LRU", false, alloc.HillClimbAllocator, false},
-	{ModeLookaheadLRU, "vantage", "LRU", false, alloc.LookaheadAllocator, false},
-	{ModeFairLRU, "vantage", "LRU", false, alloc.FairAllocator, false},
-	{ModeTalusHill, "vantage", "LRU", true, alloc.HillClimbAllocator, true},
-	{ModeTalusFair, "vantage", "LRU", true, alloc.FairAllocator, false},
-	{ModeTalusLookahead, "vantage", "LRU", true, alloc.LookaheadAllocator, true},
+	{ModeLRU, "none", "LRU", false, nil},
+	{ModeTADRRIP, "none", "TA-DRRIP", false, nil},
+	{ModeHillLRU, "vantage", "LRU", false, alloc.HillClimbAllocator},
+	{ModeLookaheadLRU, "vantage", "LRU", false, alloc.LookaheadAllocator},
+	{ModeFairLRU, "vantage", "LRU", false, alloc.FairAllocator},
+	{ModeTalusHill, "vantage", "LRU", true, alloc.HillClimbAllocator},
+	{ModeTalusFair, "vantage", "LRU", true, alloc.FairAllocator},
+	{ModeTalusLookahead, "vantage", "LRU", true, alloc.LookaheadAllocator},
 }
 
 // ValidModes enumerates every management scheme, for error messages and
@@ -153,26 +152,6 @@ func (o *mpkiObjective) weights(epochAcc []int64) []float64 {
 	}
 	o.acc *= monitor.DefaultRetain
 	return w
-}
-
-// RunMixes simulates many mixes concurrently on a worker pool bounded by
-// parallelism (0 → GOMAXPROCS) and returns their results in input order.
-// Each mix is an independent simulation seeded from its own config, so
-// results are identical to running every mix through RunMix sequentially;
-// the first error (by input order) aborts the return but not the other
-// mixes already in flight.
-func RunMixes(cfgs []MixConfig, parallelism int) ([]*MixResult, error) {
-	results := make([]*MixResult, len(cfgs))
-	errs := make([]error, len(cfgs))
-	ParallelFor(len(cfgs), Workers(parallelism), func(i int) {
-		results[i], errs[i] = RunMix(cfgs[i])
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sim: mix %d: %w", i, err)
-		}
-	}
-	return results, nil
 }
 
 // RunMix simulates one multi-programmed mix and returns per-app results.
@@ -263,12 +242,8 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 		if loop == nil || !slices.Contains(doneAt, 0) {
 			continue
 		}
-		var weights []float64
-		if m.alloc.Name() != "fair" { // Fair reads weights as shares
-			weights = objective.weights(epochAcc)
-		}
-		allocs, curves, ok, err := loop.Step(m.alloc, m.hull, alloc.Request{
-			Total: arrays.PartitionableCapacity(), Weights: weights,
+		allocs, curves, ok, err := loop.Step(m.alloc, m.talus, alloc.Request{
+			Total: arrays.PartitionableCapacity(), Weights: objective.weights(epochAcc),
 		})
 		if err == nil && ok {
 			err = reconfigure(allocs, curves)

@@ -10,7 +10,6 @@ import (
 
 	"talus/internal/cache"
 	"talus/internal/hash"
-	"talus/internal/workload"
 )
 
 // TestRunSweepParallelDeterministic runs the same sweep sequentially and
@@ -42,43 +41,6 @@ func TestRunSweepParallelDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestRunMixesMatchesRunMix runs a batch of mixes through the pool and
-// compares every result field against individual sequential RunMix calls.
-func TestRunMixesMatchesRunMix(t *testing.T) {
-	mk := func(mode Mode, seed uint64) MixConfig {
-		return MixConfig{
-			Apps:          append(apps2(), apps2()...),
-			CapacityLines: 8192,
-			Mode:          mode,
-			EpochCycles:   1 << 18,
-			WorkInstr:     1 << 21,
-			Seed:          seed,
-		}
-	}
-	cfgs := []MixConfig{
-		mk(ModeLRU, 5),
-		mk(ModeTalusHill, 5),
-		mk(ModeFairLRU, 11),
-	}
-	batch, err := RunMixes(cfgs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		want, err := RunMix(cfg)
-		if err != nil {
-			t.Fatalf("mix %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(batch[i], want) {
-			t.Fatalf("mix %d (%s): parallel result diverges\n  par %+v\n  seq %+v",
-				i, cfg.Mode, batch[i], want)
-		}
-	}
-}
-
-// apps2 returns a fresh two-app slice for mix configs.
-func apps2() []workload.Spec { return []workload.Spec{cliffSpec, mixedCliffSpec} }
 
 // TestParallelForCoversAllIndices checks the pool visits every index
 // exactly once at any worker count.

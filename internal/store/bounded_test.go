@@ -385,11 +385,13 @@ func TestCloseRecorderRace(t *testing.T) {
 
 // TestRegisterUnderEvictionAndEpochs is the lock-order watchdog for
 // tenant registration. Registering a tenant with a configured weight
-// holds the store's tenant lock while SetWeight takes the adaptive
-// cache's epoch lock; an epoch step holds the epoch lock while it takes
-// shard locks; the eviction hook runs under a shard lock. If the hook also took the tenant lock the three would form a
-// cycle and this test would wedge: weighted tenants auto-register while
-// two setters force evictions and a third goroutine forces epochs.
+// holds the store's registration mutex while SetWeight takes the
+// adaptive cache's epoch lock; an epoch step holds the epoch lock while
+// it takes shard locks; the eviction hook runs under a shard lock and
+// reads the published roster, taking no store-wide lock. Were the hook
+// to wait on registration, the three would form a cycle and this test
+// would wedge: weighted tenants auto-register while two setters force
+// evictions and a third goroutine forces epochs.
 func TestRegisterUnderEvictionAndEpochs(t *testing.T) {
 	const (
 		rounds  = 12

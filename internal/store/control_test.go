@@ -81,12 +81,15 @@ func TestControlConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, cfg := range map[string]store.Config{
-		"negative weight": {Weights: map[string]float64{"a": -1}},
-		"empty name":      {Weights: map[string]float64{"": 1}},
+	for name, tc := range map[string]struct {
+		cfg  store.Config
+		want error
+	}{
+		"negative weight": {store.Config{Weights: map[string]float64{"a": -1}}, adaptive.ErrBadWeight},
+		"empty name":      {store.Config{Weights: map[string]float64{"": 1}}, store.ErrEmptyTenant},
 	} {
-		if _, err := store.New(ac, cfg); err == nil {
-			t.Errorf("%s accepted", name)
+		if _, err := store.New(ac, tc.cfg); !errors.Is(err, tc.want) {
+			t.Errorf("%s: New = %v, want %v", name, err, tc.want)
 		}
 	}
 }

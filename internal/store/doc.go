@@ -26,7 +26,11 @@
 // ErrUnknownTenant without minting anything, so anonymous lookups
 // cannot exhaust partitions. The partition count is fixed at cache
 // construction and is the roster's one cap: once every partition is
-// claimed, further new tenants are refused with ErrTenantCapacity.
+// claimed, further new tenants are refused with ErrTenantCapacity. The
+// roster is one immutable snapshot (name → tenant, partition → tenant)
+// that registration replaces under its own mutex; requests and the
+// eviction hook read it without a lock, so no request takes a
+// store-wide lock.
 //
 // # Residency: one index, one way out
 //
@@ -40,13 +44,16 @@
 //
 // Every value leaves through one release path. The store installs an
 // eviction hook down the cache stack (ErrNoEviction if the stack cannot
-// provide one): when the replacement policy evicts a line, the hook
-// releases the entry on it, so the footprint tracks the simulated
-// contents and the line capacity bounds the key count whatever else is
-// configured. Delete releases the entry and invalidates its line
-// (statelessly — no stats, no hook), and so does TTL expiry unless a
-// read-through re-admits the key onto that line, so a dead key cannot
-// keep "hitting"; a byte-cap refusal releases any stale copy.
+// both report evictions and invalidate lines): when the replacement
+// policy evicts a line, the hook releases the entry on it, so the
+// footprint tracks the simulated contents and the line capacity bounds
+// the key count whatever else is configured. Delete invalidates the
+// key's line (statelessly — no stats, no hook) and releases the entry
+// on it the same way: the key's own, or a value another key left on a
+// shared line, which counts as an eviction. TTL expiry releases the
+// entry and invalidates its line unless a read-through re-admits the
+// key onto it, so a dead key cannot keep "hitting"; a byte-cap refusal
+// releases any stale copy.
 //
 // Config.MaxBytes and Config.Backend are independent parameters on
 // that one path. With MaxBytes > 0 a hard reservation check refuses any

@@ -4,9 +4,7 @@ package store
 // their value bytes from scratch: the ground truth the running books
 // (TenantStats.Keys/Bytes, Store.Bytes) are checked against in tests.
 func Recount(s *Store, tenant string) (keys, bytes int64) {
-	s.mu.RLock()
-	t := s.tenants[tenant]
-	s.mu.RUnlock()
+	t := s.roster.Load().byName[tenant]
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, e := range t.lines {

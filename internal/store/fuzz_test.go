@@ -41,7 +41,7 @@ func FuzzStoreBooks(f *testing.F) {
 			op, sel, arg := ops[i]%7, ops[i+1], ops[i+2]
 			tenant := []string{"a", "b"}[sel&1]
 			key := fmt.Sprintf("k%d", (sel>>1)%16)
-			t0 := s.tenants[tenant]
+			t0 := s.roster.Load().byName[tenant]
 			// Every value written under (tenant, key) starts with prefix.
 			prefix := tenant + "/" + key + ":"
 			value := append([]byte(prefix), bytes.Repeat([]byte{'v'}, int(arg%64))...)

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"talus/internal/adaptive"
+	"talus/internal/cache"
+	"talus/internal/core"
 	"talus/internal/store"
 )
 
@@ -102,9 +104,52 @@ func TestStoreOverLockedStack(t *testing.T) {
 			for _, st := range s.StatsAll() {
 				total += st.CacheHits + st.CacheMisses
 			}
-			if cs, ok := s.CacheStats(); !ok || cs.Accesses != total || cs.Hits+cs.Misses != total {
+			if cs := s.Cache().Shadowed().Inner().(*cache.ShardedCache).Stats(); cs.Accesses != total || cs.Hits+cs.Misses != total {
 				t.Fatalf("cache layer counted %+v, tenants counted %d", cs, total)
 			}
 		})
+	}
+}
+
+// hookOnly reports its evictions but cannot invalidate a line.
+type hookOnly struct{ core.PartitionedCache }
+
+func (h hookOnly) SetEvictHook(func(part int, addr uint64)) {}
+
+// TestStackMustInvalidate: a Delete or an expiry drops the key's line,
+// so a stack that reports evictions but cannot drop a line on request
+// would leave deleted keys resident. New refuses it, as it refuses a
+// stack without the hook.
+func TestStackMustInvalidate(t *testing.T) {
+	inner, err := cache.BuildSharded("vantage", 2048, 16, 1, 4, "LRU", 2, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, stack := range map[string]core.PartitionedCache{
+		"no hook":          struct{ core.PartitionedCache }{inner},
+		"hook, no dropper": hookOnly{inner},
+	} {
+		sc, err := core.NewShadowedCache(stack, 2, 0.05, 31)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ac, err := adaptive.New(sc, adaptive.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.New(ac, store.Config{}); !errors.Is(err, store.ErrNoEviction) {
+			t.Errorf("%s: New = %v, want ErrNoEviction", name, err)
+		}
+	}
+	sc, err := core.NewShadowedCache(inner, 2, 0.05, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac, err := adaptive.New(sc, adaptive.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.New(ac, store.Config{}); err != nil {
+		t.Fatalf("sharded stack: %v", err)
 	}
 }

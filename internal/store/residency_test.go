@@ -11,10 +11,11 @@ import (
 // reach (two keys on one 48-bit line) by admitting a second key onto
 // the line the first hashes to: the second replaces the first and counts
 // an eviction, as a conflict does in the array, and a Get of the first
-// never reads the second's bytes. After every step — an overwrite, a
-// byte-cap refusal that leaves the resident value in place, a Delete of
-// each key, a Set that takes the line back and an eviction — the running
-// books equal a recount over the lines.
+// never reads the second's bytes. A Delete of the first drops its line,
+// and the second's value goes with it as an eviction. After every step
+// — an overwrite, a byte-cap refusal that leaves the resident value in
+// place, a Delete of each key, a Set onto the emptied line and an
+// eviction — the running books equal a recount over the lines.
 func TestLineHoldsOneValue(t *testing.T) {
 	ac, err := adaptive.Build("vantage", 4096, 16, 1, 2, 0.05, adaptive.Config{Seed: 15})
 	if err != nil {
@@ -25,7 +26,7 @@ func TestLineHoldsOneValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	tn := s.tenants["a"]
+	tn := s.roster.Load().byName["a"]
 	line := hashKey("k1")
 
 	// resident is the model: the one key on line and its value ("" = none).
@@ -34,7 +35,7 @@ func TestLineHoldsOneValue(t *testing.T) {
 		t.Helper()
 		var bytes int64
 		for _, k := range []string{"k1", "k2"} {
-			got, ok, _ := s.lookup(tn, line, k)
+			got, ok, _ := s.read(tn, line, k)
 			switch {
 			case k == resident && (!ok || string(got) != val):
 				t.Fatalf("%s: %s reads %q (present %v), want %q", step, k, got, ok, val)
@@ -80,13 +81,13 @@ func TestLineHoldsOneValue(t *testing.T) {
 	if existed, err := s.Delete("a", "k1"); existed || err != nil {
 		t.Fatalf("Delete k1 while k2 holds its line = %v, %v; want false", existed, err)
 	}
-	check("k1 deleted while absent", 1, 1)
-	// k2 hashes to a line of its own, which its Delete clears; the value
-	// it was admitted with elsewhere stays.
+	resident, val = "", ""
+	check("k1 deleted while absent", 2, 1)
+	// k2 hashes to a line of its own, which holds nothing to delete.
 	if existed, err := s.Delete("a", "k2"); existed || err != nil {
 		t.Fatalf("Delete k2 = %v, %v; want false", existed, err)
 	}
-	check("k2 deleted from its own line", 1, 1)
+	check("k2 deleted from its own line", 2, 1)
 
 	if _, err := s.Set("a", "k1", []byte("back")); err != nil {
 		t.Fatal(err)

@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"talus/internal/adaptive"
-	"talus/internal/cache"
 	"talus/internal/curve"
 	"talus/internal/hash"
 	"talus/internal/hull"
@@ -43,10 +43,10 @@ var (
 	ErrRecording = errors.New("store: already recording")
 	// ErrClosed reports SetRecorder/StartRecording after Close.
 	ErrClosed = errors.New("store: closed")
-	// ErrNoEviction reports a cache stack that cannot deliver eviction
-	// notifications: without them evicted lines would strand the values
-	// hanging off them.
-	ErrNoEviction = errors.New("store: cache stack does not support eviction notification")
+	// ErrNoEviction reports a cache stack that is no core.Evictor: one
+	// that cannot report its evictions or drop a line on request would
+	// strand the values hanging off its lines.
+	ErrNoEviction = errors.New("store: cache stack does not report evictions and invalidate lines")
 	// ErrBadTTL rejects a negative per-entry TTL.
 	ErrBadTTL = errors.New("store: negative ttl")
 )
@@ -159,6 +159,14 @@ type tenant struct {
 	expirations                                     atomic.Int64
 }
 
+// registry is the tenant roster. A published registry is never
+// written: registration publishes a copy, so requests and the eviction
+// hook read the roster without a lock.
+type registry struct {
+	byName map[string]*tenant
+	byPart []*tenant // partition → tenant (nil while unclaimed)
+}
+
 // Store is the keyed serving layer. Construct with New (or the public
 // builder talus.NewStore).
 type Store struct {
@@ -170,12 +178,8 @@ type Store struct {
 
 	bytesTotal atomic.Int64 // value bytes across all tenants
 
-	mu      sync.RWMutex
-	tenants map[string]*tenant
-	// byPart maps partition index → tenant (nil while unclaimed). Fixed
-	// length; written under mu, but read without it by the eviction hook
-	// (see onEvict), hence the atomic slots.
-	byPart []atomic.Pointer[tenant]
+	roster atomic.Pointer[registry]
+	regMu  sync.Mutex // serializes registrations, which alone write the roster
 
 	recording atomic.Bool // fast-path gate; truth lives under recMu
 	recMu     sync.Mutex
@@ -189,21 +193,16 @@ type Store struct {
 // onto the first partitions. The cache's logical partition count bounds
 // the tenant count: once every partition has a tenant, registering
 // another fails with ErrTenantCapacity. Values live and die with their
-// simulated lines, so the cache stack must support eviction
-// notification (every stack adaptive.Build builds does); otherwise New
-// fails with ErrNoEviction. Every Get and Set takes the owning shard's lock once
-// for its cache access.
+// simulated lines, so the cache stack must report its evictions and
+// invalidate lines on request (every stack adaptive.Build builds does);
+// otherwise New fails with ErrNoEviction. Every Get and Set takes the
+// owning shard's lock once for its cache access.
 func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 	if len(cfg.Tenants) > ac.NumLogical() {
 		return nil, fmt.Errorf("%w: %d tenants for %d partitions", ErrTenantCapacity, len(cfg.Tenants), ac.NumLogical())
 	}
-	s := &Store{
-		ac:      ac,
-		cfg:     cfg,
-		now:     time.Now,
-		tenants: make(map[string]*tenant, ac.NumLogical()),
-		byPart:  make([]atomic.Pointer[tenant], ac.NumLogical()),
-	}
+	s := &Store{ac: ac, cfg: cfg, now: time.Now}
+	s.roster.Store(&registry{byPart: make([]*tenant, ac.NumLogical())})
 	if cfg.DefaultTTL < 0 {
 		return nil, fmt.Errorf("%w: default ttl %s", ErrBadTTL, cfg.DefaultTTL)
 	}
@@ -222,8 +221,8 @@ func New(ac *adaptive.Cache, cfg Config) (*Store, error) {
 		if name == "" {
 			return nil, fmt.Errorf("%w: weight for empty tenant name", ErrEmptyTenant)
 		}
-		if w < 0 || w != w || w-w != 0 { // negative, NaN, or ±Inf
-			return nil, fmt.Errorf("store: weight %g for tenant %q (need finite, non-negative)", w, name)
+		if err := adaptive.CheckWeight(w); err != nil {
+			return nil, fmt.Errorf("store: tenant %q: %w", name, err)
 		}
 	}
 	if !ac.SetEvictHook(s.onEvict) {
@@ -260,24 +259,15 @@ func (s *Store) SetNow(now func() time.Time) { s.now = now }
 // evicted, so the value stored on that line dies with it — the next
 // Get for its key is a true miss (served through the Backend when
 // one is configured). Runs on the accessing goroutine with a shard
-// lock held, so it only touches store/tenant state, never the cache —
-// and never s.mu: register holds s.mu while it takes the adaptive
-// cache's epoch lock, and the epoch step takes shard locks under that,
-// so s.mu below a shard lock would close a three-way cycle.
+// lock held, so it only touches tenant state, never the cache.
 func (s *Store) onEvict(part int, addr uint64) {
-	if part < 0 || part >= len(s.byPart) {
+	r := s.roster.Load()
+	if part < 0 || part >= len(r.byPart) || r.byPart[part] == nil {
 		return
 	}
-	t := s.byPart[part].Load()
-	if t == nil {
-		return
-	}
-	line := addr & addrMask // strip the feeder's partition-space bits
+	t := r.byPart[part]
 	t.mu.Lock()
-	if e := t.lines[line]; e != nil {
-		s.release(t, line, e.key)
-		t.evictions.Add(1)
-	}
+	s.drop(t, addr&addrMask, "") // strip the feeder's partition-space bits
 	t.mu.Unlock()
 }
 
@@ -290,18 +280,25 @@ func (t *tenant) find(addr uint64, key string) *entry {
 	return nil
 }
 
-// release takes key's entry off line addr and returns its bytes to the
+// drop takes the value off line addr and returns its bytes to the
 // books: the one way a value leaves the store, whatever ended its
-// residency (eviction, expiry, Delete, a byte-cap refusal). Reports
-// whether there was one. Caller holds t.mu.
-func (s *Store) release(t *tenant, addr uint64, key string) bool {
-	e := t.find(addr, key)
+// residency (eviction, expiry, Delete, a byte-cap refusal). The value
+// may be key's or, on a line two keys share, the other key's; the other
+// key's counts as an eviction, since its line is gone (the eviction
+// hook passes key "", so any value it drops is one). Reports whether
+// key's own value was dropped. Caller holds t.mu.
+func (s *Store) drop(t *tenant, addr uint64, key string) bool {
+	e := t.lines[addr]
 	if e == nil {
 		return false
 	}
 	delete(t.lines, addr)
 	t.bytes -= int64(len(e.val))
 	s.bytesTotal.Add(-int64(len(e.val)))
+	if e.key != key {
+		t.evictions.Add(1)
+		return false
+	}
 	return true
 }
 
@@ -310,26 +307,21 @@ func (s *Store) release(t *tenant, addr uint64, key string) bool {
 // anywhere. Bits 48–63 stay clear for the feeders' partition offsets.
 func hashKey(key string) uint64 { return hash.FNV64a(key) & addrMask }
 
-// register claims the next free partition for name. Caller must NOT
-// hold s.mu.
+// register claims the next free partition for name and publishes the
+// roster with it.
 func (s *Store) register(name string) (*tenant, error) {
 	if name == "" {
 		return nil, ErrEmptyTenant
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.tenants[name]; ok {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	r := s.roster.Load()
+	if t, ok := r.byName[name]; ok {
 		return t, nil // raced with another registration of the same name
 	}
-	part := -1
-	for p := range s.byPart {
-		if s.byPart[p].Load() == nil {
-			part = p
-			break
-		}
-	}
+	part := slices.Index(r.byPart, nil)
 	if part < 0 {
-		return nil, fmt.Errorf("%w (%d)", ErrTenantCapacity, len(s.byPart))
+		return nil, fmt.Errorf("%w (%d)", ErrTenantCapacity, len(r.byPart))
 	}
 	t := &tenant{
 		name: name, part: part, space: adaptive.AppSpace(part),
@@ -343,8 +335,15 @@ func (s *Store) register(name string) (*tenant, error) {
 			return nil, err
 		}
 	}
-	s.tenants[name] = t
-	s.byPart[part].Store(t)
+	next := &registry{
+		byName: make(map[string]*tenant, len(r.byName)+1),
+		byPart: append([]*tenant(nil), r.byPart...),
+	}
+	for n, rt := range r.byName {
+		next.byName[n] = rt
+	}
+	next.byName[name], next.byPart[part] = t, t
+	s.roster.Store(next)
 	return t, nil
 }
 
@@ -376,10 +375,7 @@ func (s *Store) resolve(name string, autoRegister bool) (*tenant, error) {
 	if name == "" {
 		return nil, ErrEmptyTenant
 	}
-	s.mu.RLock()
-	t := s.tenants[name]
-	s.mu.RUnlock()
-	if t != nil {
+	if t := s.roster.Load().byName[name]; t != nil {
 		return t, nil
 	}
 	if !autoRegister || s.cfg.Static {
@@ -416,19 +412,12 @@ func (s *Store) Get(tenantName, key string) (value []byte, hit bool, err error) 
 	t.gets.Add(1)
 	addr := hashKey(key)
 	s.access(t, addr)
-	value, ok, expired := s.lookup(t, addr, key)
-	released := false
-	if expired {
-		released = s.expireValue(t, key, addr)
-		// Re-read: a Set racing the expiry may have landed a fresh value
-		// (with a fresh deadline) that must be served, not swallowed.
-		value, ok, _ = s.lookup(t, addr, key)
-	}
+	value, ok, expired := s.read(t, addr, key)
 	if ok {
 		return value, true, nil
 	}
 	value, err = s.readThrough(t, key, addr)
-	if err != nil && released {
+	if err != nil && expired {
 		// Nothing was re-admitted, so the expired key's line goes. Not
 		// before the read-through: a re-admitted value hangs off this
 		// Get's line, and off an invalidated one no eviction could ever
@@ -462,16 +451,38 @@ func (s *Store) readThrough(t *tenant, key string, addr uint64) ([]byte, error) 
 	return v, nil
 }
 
-// lookup reads key's resident value off line addr, reporting whether
-// its TTL has passed.
-func (s *Store) lookup(t *tenant, addr uint64, key string) (value []byte, ok, expired bool) {
+// read returns key's live value off line addr. A value whose TTL has
+// passed is released, its expiry counted, and reported as expired; the
+// line is the caller's to invalidate (see Get). Expiry is re-checked
+// under the write lock, where a Set racing it may have landed a fresh
+// value that must be served, not swallowed.
+func (s *Store) read(t *tenant, addr uint64, key string) (value []byte, ok, expired bool) {
 	t.mu.RLock()
-	if e := t.find(addr, key); e != nil {
+	e := t.find(addr, key)
+	if e != nil && !s.past(e.deadline) {
 		value, ok = e.val, true
-		expired = e.deadline != 0 && e.deadline <= s.now().UnixNano()
 	}
 	t.mu.RUnlock()
-	return value, ok, expired
+	if e == nil || ok {
+		return value, ok, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e = t.find(addr, key); e == nil {
+		return nil, false, false
+	}
+	if !s.past(e.deadline) {
+		return e.val, true, false
+	}
+	s.drop(t, addr, key)
+	t.expirations.Add(1)
+	return nil, false, true
+}
+
+// past reports whether an expiry deadline (unix nanos; 0 = never) has
+// passed. Only a value with a deadline reads the clock.
+func (s *Store) past(deadline int64) bool {
+	return deadline != 0 && deadline <= s.now().UnixNano()
 }
 
 // deadlineFor converts a per-entry TTL into an absolute expiry
@@ -485,24 +496,6 @@ func (s *Store) deadlineFor(ttl time.Duration) int64 {
 		return 0
 	}
 	return s.now().Add(ttl).UnixNano()
-}
-
-// expireValue releases (t, key)'s value after its TTL passed, bytes
-// freed and expiry counted, and reports whether it did. The deadline is
-// re-checked under the lock: a racing Set may have refreshed the entry,
-// in which case nothing is expired. The line is the caller's to
-// invalidate (see Get).
-func (s *Store) expireValue(t *tenant, key string, addr uint64) bool {
-	now := s.now().UnixNano()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e := t.find(addr, key)
-	if e == nil || e.deadline == 0 || e.deadline > now {
-		return false
-	}
-	s.release(t, addr, key)
-	t.expirations.Add(1)
-	return true
 }
 
 // Set stores value under (tenant, key), warming the key's cache line,
@@ -573,7 +566,9 @@ func (s *Store) admitValue(t *tenant, key string, addr uint64, cp []byte, deadli
 		if s.bytesTotal.Add(delta) > s.cfg.MaxBytes {
 			s.bytesTotal.Add(-delta)
 			t.admitDrops.Add(1)
-			s.release(t, addr, key)
+			if e != nil && e.key == key {
+				s.drop(t, addr, key)
+			}
 			return
 		}
 	} else {
@@ -595,7 +590,9 @@ func (s *Store) admitValue(t *tenant, key string, addr uint64, cp []byte, deadli
 // Delete removes (tenant, key), reporting whether a cached value
 // existed, and invalidates the key's simulated line so a dead key does
 // not linger as phantom residency skewing hit ratios and miss curves.
-// It generates no cache traffic (a delete is not a reuse) and never
+// The value on that line goes with it, as with an eviction: key's own,
+// or another key's that shares the line (counted as an eviction). It
+// generates no cache traffic (a delete is not a reuse) and never
 // auto-registers tenants. With a Backend the delete goes through to it
 // first; existed still reports the cached copy only (an evicted value
 // deletes as existed=false even though the backend held it).
@@ -619,30 +616,19 @@ func (s *Store) Delete(tenantName, key string) (existed bool, err error) {
 	// in the opposite order here would deadlock.
 	s.ac.Invalidate(addr|t.space, t.part)
 	t.mu.Lock()
-	existed = s.release(t, addr, key)
+	existed = s.drop(t, addr, key)
 	t.mu.Unlock()
 	return existed, nil
 }
 
 // registered snapshots the registered tenants in partition order.
 func (s *Store) registered() []*tenant {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]*tenant, 0, len(s.tenants))
-	for p := range s.byPart {
-		if t := s.byPart[p].Load(); t != nil {
+	r := s.roster.Load()
+	out := make([]*tenant, 0, len(r.byName))
+	for _, t := range r.byPart {
+		if t != nil {
 			out = append(out, t)
 		}
-	}
-	return out
-}
-
-// Tenants returns the registered tenant names in partition order.
-func (s *Store) Tenants() []string {
-	ts := s.registered()
-	out := make([]string, len(ts))
-	for i, t := range ts {
-		out[i] = t.name
 	}
 	return out
 }
@@ -768,15 +754,6 @@ func (s *Store) Control() ControlState {
 // Cache exposes the underlying adaptive runtime (allocations, epochs,
 // per-partition Talus configs).
 func (s *Store) Cache() *adaptive.Cache { return s.ac }
-
-// CacheStats returns the inner cache's access counts when it reports
-// them (sharded caches sum their shards'); ok reports availability.
-func (s *Store) CacheStats() (st cache.Stats, ok bool) {
-	if c, has := s.ac.Shadowed().Inner().(interface{ Stats() cache.Stats }); has {
-		return c.Stats(), true
-	}
-	return cache.Stats{}, false
-}
 
 // SetRecorder installs (or, with nil, removes) the record hook: every
 // subsequent Get/Set access is appended as (partition, raw address).

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"talus/internal/adaptive"
+	"talus/internal/cache"
 	"talus/internal/hash"
 	"talus/internal/sim"
 	"talus/internal/store"
@@ -161,11 +162,9 @@ func TestStoreStatsAndCurves(t *testing.T) {
 	if st.CacheHits == 0 {
 		t.Fatal("a 512-key working set in an 8192-line cache never hit")
 	}
-	if got := len(s.StatsAll()); got != 2 {
-		t.Fatalf("StatsAll returned %d tenants", got)
-	}
-	if names := s.Tenants(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("tenants = %v", names)
+	if all := s.StatsAll(); len(all) != 2 || all[0].Tenant != "a" || all[0].Partition != 0 ||
+		all[1].Tenant != "b" || all[1].Partition != 1 {
+		t.Fatalf("StatsAll = %+v", all)
 	}
 
 	// Before any epoch: no curves. After forcing one: measured + hull.
@@ -308,9 +307,8 @@ func TestStoreConcurrentHammer(t *testing.T) {
 	if accesses != gets+sets {
 		t.Fatalf("cache accesses %d, want %d", accesses, gets+sets)
 	}
-	cs, ok := s.CacheStats()
-	if !ok || cs.Accesses != accesses {
-		t.Fatalf("sharded stats %v (ok=%v), want %d accesses", cs, ok, accesses)
+	if cs := s.Cache().Shadowed().Inner().(*cache.ShardedCache).Stats(); cs.Accesses != accesses {
+		t.Fatalf("sharded stats %+v, want %d accesses", cs, accesses)
 	}
 }
 

@@ -69,6 +69,36 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
+// TestOnlyDeadlinesReadTheClock: a Get of a value without a TTL is
+// served without reading the clock; one with a TTL reads it.
+func TestOnlyDeadlinesReadTheClock(t *testing.T) {
+	s := buildStore(t, 8192, 1, 2, store.Config{})
+	clock := newFakeClock()
+	var reads int
+	s.SetNow(func() time.Time { reads++; return clock.Now() })
+	if _, err := s.Set("alice", "plain", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SetTTL("alice", "timed", []byte("v"), time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	reads = 0
+	for i := 0; i < 4; i++ {
+		if _, hit, err := s.Get("alice", "plain"); !hit || err != nil {
+			t.Fatalf("Get plain: hit %v, %v", hit, err)
+		}
+	}
+	if reads != 0 {
+		t.Fatalf("4 Gets of a value without a TTL read the clock %d times", reads)
+	}
+	if _, hit, err := s.Get("alice", "timed"); !hit || err != nil {
+		t.Fatalf("Get timed: hit %v, %v", hit, err)
+	}
+	if reads == 0 {
+		t.Fatal("a Get of a value with a TTL never read the clock")
+	}
+}
+
 func TestDefaultTTL(t *testing.T) {
 	s := buildStore(t, 8192, 1, 2, store.Config{DefaultTTL: time.Minute})
 	clock := newFakeClock()

@@ -38,7 +38,7 @@ type cacheState struct {
 
 func snapshot(t *testing.T, ac *AdaptiveCache) cacheState {
 	t.Helper()
-	if err := ac.Err(); err != nil {
+	if err := ac.Controller().LastError; err != "" {
 		t.Fatal(err)
 	}
 	s := cacheState{

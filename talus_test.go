@@ -96,7 +96,7 @@ func TestPublicAPIAdaptive(t *testing.T) {
 	if len(allocs) != 2 || allocs[0]+allocs[1] <= 0 {
 		t.Fatalf("bad allocations %v", allocs)
 	}
-	if err := ac.Err(); err != nil {
+	if err := ac.Controller().LastError; err != "" {
 		t.Fatal(err)
 	}
 }
