@@ -77,6 +77,12 @@ func TestGuards(t *testing.T) {
 		// tests call slices.Clone, so tests are not scanned).
 		{name: "no-pattern-clone", dir: "internal",
 			pattern: `^Clone$`},
+		// The cache path speaks one request and one reply
+		// (cluster.Request, cluster.Reply): the owned wire imitates no
+		// net/http type, and no side door wins back what an imitation
+		// costs. /v1/stats reads one counter per owned-connection fact.
+		{name: "one-request-one-reply", dir: "internal", tests: true,
+			pattern: `ETagWriter|wireWriter|SetETag|setETag|headerLine|needsEscape|plainPathByte|relayValues|hitValue|missValue|octetValue|jsonValue|countHandBack|ownedCounts`},
 		{name: "no-net-http-client-in-the-hop", dir: "internal/cluster",
 			pattern: `^http\.(Client|Transport|NewRequest)`},
 		{name: "talus-serve-removed-flags", cmd: "cmd/talus-serve",

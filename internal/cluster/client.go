@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httputil"
+	"net/textproto"
 	"strconv"
 	"strings"
 	"syscall"
@@ -35,44 +36,41 @@ const (
 // 4 KiB net/http's own transport gives each of its connections.
 const connBufferSize = 4 << 10
 
-// forwardedRequestHeaders are the cache-request headers the hop relays
-// to the owner; forwardedResponseHeaders, and the ETag, come back the
-// other way. Both are in canonical form, so they index an http.Header
-// directly. Kept to the protocol's own vocabulary: hop-by-hop headers
-// and client connection metadata stay on their own hop.
-var (
-	forwardedRequestHeaders  = [...]string{"If-None-Match", "X-Talus-Ttl", "Content-Type"}
-	forwardedResponseHeaders = [...]string{"X-Talus-Cache", "X-Talus-Node", "Content-Type"}
-)
+// relayedHeaders name the response headers that come back into a Reply,
+// in canonical form.
+var relayedHeaders = [...]string{"Content-Type", "Etag", "X-Talus-Cache", "X-Talus-Node"}
 
-// ETagWriter is an http.ResponseWriter that takes a reply's ETag as
-// bytes in place of an "Etag" header-map value. Relay hands such a
-// writer the owner's tag, which SetETag copies, before WriteHeader, and
-// so makes no string of it; any other writer gets the map value.
-type ETagWriter interface {
-	http.ResponseWriter
-	SetETag(tag []byte)
-}
+// maxPrealloc bounds the storage ReadFull gives a body ahead of its
+// bytes: a declared length alone must not size an allocation.
+const maxPrealloc = 64 << 10
 
-// relayValues are the response header values a talus-serve owner sends
-// on almost every response, preallocated so relaying one reuses its
-// slice instead of allocating one. len == cap: an append copies.
-var relayValues = map[string][]string{
-	"hit":                      {"hit"},
-	"miss":                     {"miss"},
-	"application/octet-stream": {"application/octet-stream"},
-	"application/json":         {"application/json"},
+// ReadFull reads n bytes from r into buf's storage, which it grows as
+// the bytes arrive: never ahead of them by more than 64 KiB or the bytes
+// already read, whichever is more. A body of up to 64 KiB is read into
+// one buffer of its size. On error it returns the bytes read.
+func ReadFull(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for have := 0; have < n; have = len(buf) {
+		want := min(n, have+max(have, maxPrealloc))
+		if cap(buf) < want {
+			buf = append(make([]byte, 0, want), buf...)
+		}
+		m, err := io.ReadFull(r, buf[have:want])
+		if buf = buf[:have+m]; err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // peer is one member's pool of idle keep-alive connections.
 type peer struct {
 	addr string
-	node []string   // addr as a relayed X-Talus-Node value
 	idle chan *conn // the idle pool: its capacity, DefaultMaxIdlePerHost, bounds it
 }
 
 func newPeer(addr string) *peer {
-	return &peer{addr: addr, node: []string{addr}, idle: make(chan *conn, DefaultMaxIdlePerHost)}
+	return &peer{addr: addr, idle: make(chan *conn, DefaultMaxIdlePerHost)}
 }
 
 // conn is one HTTP/1.1 connection to a peer, used by one request at a
@@ -115,19 +113,7 @@ func (p *peer) put(c *conn) {
 	}
 }
 
-// value returns v as a header value, reusing a preallocated slice for
-// the peer's own name and the common values.
-func (p *peer) value(v []byte) []string {
-	if string(v) == p.addr {
-		return p.node
-	}
-	if vs, ok := relayValues[string(v)]; ok {
-		return vs
-	}
-	return []string{string(v)}
-}
-
-// relay sends one request to p and writes the owner's response to w.
+// relay sends req to p and fills rep from the owner's response.
 //
 // The request is re-sent only when it provably never reached a handler:
 // the dial failed, or a pooled connection — which the owner may have
@@ -136,7 +122,7 @@ func (p *peer) value(v []byte) []string {
 // timeout after the request was written, is returned and never re-sent:
 // the owner may have applied the request, and a write must not be
 // applied twice.
-func (p *peer) relay(ctx context.Context, w http.ResponseWriter, from, method, path string, body []byte, hdr http.Header) error {
+func (p *peer) relay(ctx context.Context, from string, req *Request, rep *Reply) error {
 	var err error
 	attempts := 0
 	for attempts <= DefaultRetries {
@@ -155,7 +141,7 @@ func (p *peer) relay(ctx context.Context, w http.ResponseWriter, from, method, p
 			}
 		}
 		var unsent, reuse bool
-		unsent, reuse, err = p.roundTrip(ctx, c, w, from, method, path, body, hdr)
+		unsent, reuse, err = p.roundTrip(ctx, c, from, req, rep)
 		if reuse {
 			p.put(c)
 		} else {
@@ -174,12 +160,12 @@ func (p *peer) relay(ctx context.Context, w http.ResponseWriter, from, method, p
 	return fmt.Errorf("cluster: forward to %s failed after %d attempt(s): %w", p.addr, attempts, err)
 }
 
-// roundTrip writes one request on c and relays its response to w.
-// Nothing reaches w until the whole response is in hand, so a failure
-// anywhere leaves w to the caller's 502. unsent reports that the peer
+// roundTrip writes req on c and fills rep from its response. Nothing
+// reaches rep until the whole response is in hand, so a failure anywhere
+// leaves rep to the caller's 502. unsent reports that the peer
 // ended the connection before the first response byte; reuse, that the
 // response was consumed whole and c may carry another request.
-func (p *peer) roundTrip(ctx context.Context, c *conn, w http.ResponseWriter, from, method, path string, body []byte, hdr http.Header) (unsent, reuse bool, err error) {
+func (p *peer) roundTrip(ctx context.Context, c *conn, from string, req *Request, rep *Reply) (unsent, reuse bool, err error) {
 	c.nc.SetDeadline(time.Now().Add(DefaultTimeout))
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, c.abort)
@@ -191,45 +177,45 @@ func (p *peer) roundTrip(ctx context.Context, c *conn, w http.ResponseWriter, fr
 	}
 
 	bw := c.bw
-	bw.WriteString(method)
+	bw.WriteString(req.Method)
 	bw.WriteByte(' ')
-	bw.WriteString(path)
+	bw.WriteString(req.Path)
 	bw.WriteString(" HTTP/1.1\r\nHost: ")
 	bw.WriteString(p.addr)
 	bw.WriteString("\r\n" + ForwardedHeader + ": ")
 	bw.WriteString(from)
 	bw.WriteString("\r\n")
-	for _, k := range forwardedRequestHeaders {
-		if vs := hdr[k]; len(vs) > 0 && vs[0] != "" {
-			bw.WriteString(k)
+	for i, v := range req.Header {
+		if len(v) > 0 {
+			bw.WriteString(RequestHeaders[i])
 			bw.WriteString(": ")
-			bw.WriteString(vs[0])
+			bw.Write(v)
 			bw.WriteString("\r\n")
 		}
 	}
-	if len(body) > 0 || method == http.MethodPut {
+	if len(req.Body) > 0 || req.Method == http.MethodPut {
 		bw.WriteString("Content-Length: ")
-		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(len(body)), 10))
+		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(len(req.Body)), 10))
 		bw.WriteString("\r\n")
 	}
 	bw.WriteString("\r\n")
-	bw.Write(body)
+	bw.Write(req.Body)
 	if err = bw.Flush(); err != nil {
 		return endedEarly(err), false, err
 	}
 	if _, err = c.br.Peek(1); err != nil {
 		return endedEarly(err), false, err
 	}
-	reuse, err = p.readResponse(c, w, method == http.MethodHead)
+	reuse, err = p.readResponse(c, rep, req.Method == http.MethodHead)
 	return false, reuse, err
 }
 
 // readResponse parses one response from c and, once its body is in
-// hand, writes status, relayed headers and body to w. A body that fits
-// the read buffer is relayed from it without a copy; a larger one is
-// read once, a chunked one decoded. keep reports that the response ended
-// cleanly on a connection the owner keeps open.
-func (p *peer) readResponse(c *conn, w http.ResponseWriter, head bool) (keep bool, err error) {
+// hand, fills rep with status, relayed headers and body. The body is
+// copied into rep's own storage: read once, a chunked one decoded. keep
+// reports that the response ended cleanly on a connection the owner
+// keeps open.
+func (p *peer) readResponse(c *conn, rep *Reply, head bool) (keep bool, err error) {
 	br := c.br
 	// "HTTP/1.1 200 OK\r\n"
 	line, err := br.ReadSlice('\n')
@@ -244,8 +230,10 @@ func (p *peer) readResponse(c *conn, w http.ResponseWriter, head bool) (keep boo
 		return false, fmt.Errorf("malformed status line %q", line)
 	}
 	closing := line[7] == '0' // HTTP/1.0 closes unless told otherwise
-	length, chunked, hasETag := -1, false, false
-	var vals [len(forwardedResponseHeaders)][]string
+	length, chunked := -1, false
+	c.etag = c.etag[:0]
+	var vals [len(relayedHeaders)]string // the ETag's goes to c.etag
+	var seen [len(relayedHeaders)]bool
 	for {
 		if line, err = br.ReadSlice('\n'); err != nil {
 			return false, err
@@ -271,25 +259,27 @@ func (p *peer) readResponse(c *conn, w http.ResponseWriter, head bool) (keep boo
 			chunked = true
 		case bytes.EqualFold(name, []byte("Connection")):
 			closing = bytes.EqualFold(val, []byte("close"))
-		case bytes.EqualFold(name, []byte("Etag")):
-			if !hasETag {
-				c.etag, hasETag = append(c.etag[:0], val...), true
-			}
 		default:
-			for i, k := range forwardedResponseHeaders {
-				if vals[i] == nil && bytes.EqualFold(name, []byte(k)) {
-					vals[i] = p.value(val)
+			// The first occurrence wins, as with Header.Get. The line's
+			// bytes go at the next read, so each value is kept now.
+			for i, k := range relayedHeaders {
+				if !seen[i] && bytes.EqualFold(name, []byte(k)) {
+					seen[i] = true
+					if val = Clean(val); k == "Etag" {
+						c.etag = append(c.etag[:0], val...)
+					} else {
+						vals[i] = p.text(val)
+					}
 				}
 			}
 		}
 	}
 
-	var body []byte
-	buffered := 0 // body bytes still sitting in br
+	own := rep.own[:0]
 	switch {
 	case head || status == http.StatusNoContent || status == http.StatusNotModified:
 	case chunked:
-		if body, err = io.ReadAll(httputil.NewChunkedReader(br)); err != nil {
+		if own, err = io.ReadAll(httputil.NewChunkedReader(br)); err != nil {
 			return false, err
 		}
 		for { // the trailer, up to its blank line
@@ -301,41 +291,43 @@ func (p *peer) readResponse(c *conn, w http.ResponseWriter, head bool) (keep boo
 			}
 		}
 	case length < 0: // delimited by the owner closing the connection
-		if body, err = io.ReadAll(br); err != nil {
+		if own, err = io.ReadAll(br); err != nil {
 			return false, err
 		}
 		closing = true
-	case length <= br.Size():
-		if body, err = br.Peek(length); err != nil {
-			return false, err
-		}
-		buffered = length
 	default:
-		body = make([]byte, length)
-		if _, err = io.ReadFull(br, body); err != nil {
+		if own, err = ReadFull(br, own, length); err != nil {
 			return false, err
 		}
 	}
 
-	h := w.Header()
-	for i, k := range forwardedResponseHeaders {
-		if vals[i] != nil {
-			h[k] = vals[i]
-		}
-	}
-	if hasETag {
-		if ew, ok := w.(ETagWriter); ok {
-			ew.SetETag(c.etag)
-		} else {
-			h["Etag"] = []string{string(c.etag)}
-		}
-	}
-	w.WriteHeader(status)
-	if len(body) > 0 {
-		w.Write(body)
-	}
-	br.Discard(buffered)
+	rep.Status, rep.ContentType, rep.Cache, rep.Node = status, vals[0], vals[2], vals[3]
+	rep.ETag = append(rep.ETag[:0], c.etag...)
+	rep.own, rep.Body = own, own
 	return !closing, nil
+}
+
+// Clean makes v a header value as net/http writes one, in place: CR and
+// LF made spaces, then its ends trimmed.
+func Clean(v []byte) []byte {
+	for i, b := range v {
+		if b == '\r' || b == '\n' {
+			v[i] = ' '
+		}
+	}
+	return textproto.TrimBytes(v)
+}
+
+// text returns v as a string, without a new one for the values a
+// talus-serve owner sends: its own name, the cache outcomes and the two
+// content types.
+func (p *peer) text(v []byte) string {
+	for _, s := range [...]string{p.addr, "hit", "miss", "application/octet-stream", "application/json"} {
+		if string(v) == s {
+			return s
+		}
+	}
+	return string(v)
 }
 
 // endedEarly reports whether err is the peer ending the connection — an

@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -119,24 +119,23 @@ func newTestCluster(t *testing.T, peer string) *Cluster {
 	return c
 }
 
-// writeRecorder records every call a relay makes on its ResponseWriter.
-type writeRecorder struct {
-	*httptest.ResponseRecorder
-	calls int
-}
+// get is a bodyless GET of path.
+func get(path string) *Request { return &Request{Method: http.MethodGet, Path: path} }
 
-func (w *writeRecorder) WriteHeader(status int) {
-	w.calls++
-	w.ResponseRecorder.WriteHeader(status)
-}
-
-func (w *writeRecorder) Write(p []byte) (int, error) {
-	w.calls++
-	return w.ResponseRecorder.Write(p)
-}
-
-func newWriteRecorder() *writeRecorder {
-	return &writeRecorder{ResponseRecorder: httptest.NewRecorder()}
+// header returns rep's value of the response header k, "" for one a
+// Reply does not carry.
+func header(rep *Reply, k string) string {
+	switch http.CanonicalHeaderKey(k) {
+	case "Content-Type":
+		return rep.ContentType
+	case "Etag":
+		return string(rep.ETag)
+	case "X-Talus-Cache":
+		return rep.Cache
+	case "X-Talus-Node":
+		return rep.Node
+	}
+	return ""
 }
 
 // TestRelayWireFormat pins the request the hop writes: method, escaped
@@ -145,20 +144,15 @@ func newWriteRecorder() *writeRecorder {
 func TestRelayWireFormat(t *testing.T) {
 	f := startFakePeer(t, func(int, string) (string, bool) { return "HTTP/1.1 204 No Content\r\n\r\n", false })
 	c := newTestCluster(t, f.addr)
-	hdr := http.Header{}
-	hdr.Set("If-None-Match", `"t"`)
-	hdr.Set("X-Talus-TTL", "5")
-	hdr.Set("Content-Type", "text/plain")
-	hdr.Set("Cookie", "session=1")
-	hdr.Set("Connection", "close")
-	if err := c.Relay(context.Background(), newWriteRecorder(), http.MethodPut, f.addr, "/v1/cache/a/k%2Fx", []byte("hello"), hdr); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Relay(context.Background(), newWriteRecorder(), http.MethodPut, f.addr, "/v1/cache/a/empty", []byte{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Relay(context.Background(), newWriteRecorder(), http.MethodGet, f.addr, "/v1/cache/a/k", nil, nil); err != nil {
-		t.Fatal(err)
+	for _, req := range []*Request{
+		{Method: http.MethodPut, Path: "/v1/cache/a/k%2Fx", Header: [...][]byte{IfNoneMatch: []byte(`"t"`), TTL: []byte("5"),
+			ContentType: []byte("text/plain")}, Body: []byte("hello")},
+		{Method: http.MethodPut, Path: "/v1/cache/a/empty", Body: []byte{}},
+		get("/v1/cache/a/k"),
+	} {
+		if err := c.Relay(context.Background(), f.addr, req, new(Reply)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := []string{
 		"PUT /v1/cache/a/k%2Fx HTTP/1.1\r\nHost: " + f.addr + "\r\nX-Talus-Forwarded: self:1\r\n" +
@@ -178,32 +172,38 @@ func TestRelayWireFormat(t *testing.T) {
 	}
 }
 
+// framings are the responses TestRelayFraming relays, one per framing
+// the hop accepts, with what each relays. NODE stands for the peer's
+// address.
+var framings = []struct {
+	name, method, resp string
+	status             int
+	hdr                map[string]string
+	body               string
+	pooled             bool
+}{
+	{"content-length", "GET", "HTTP/1.1 200 OK\r\nX-Talus-Cache: hit\r\nX-Talus-Node: NODE\r\nEtag: \"e\"\r\n" +
+		"Content-Type: application/octet-stream\r\nDate: now\r\nContent-Length: 5\r\n\r\nhello",
+		200, map[string]string{"X-Talus-Cache": "hit", "X-Talus-Node": "NODE", "Etag": `"e"`,
+			"Content-Type": "application/octet-stream", "Date": ""}, "hello", true},
+	{"beyond the buffer", "GET", "HTTP/1.1 200 OK\r\nContent-Length: 10000\r\n\r\n" + big, 200, nil, big, true},
+	{"chunked with trailer", "GET", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nx-talus-cache: miss\r\n\r\n" +
+		"5\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: t\r\n\r\n", 200, map[string]string{"X-Talus-Cache": "miss"}, "hello world", true},
+	{"connection close", "GET", "HTTP/1.1 404 Not Found\r\nConnection: close\r\nContent-Type: application/json\r\n" +
+		"Content-Length: 2\r\n\r\n{}", 404, map[string]string{"Content-Type": "application/json"}, "{}", false},
+	{"close-delimited", "GET", "HTTP/1.1 200 OK\r\n\r\nuntil EOF", 200, nil, "until EOF", false},
+	{"not modified", "GET", "HTTP/1.1 304 Not Modified\r\nEtag: \"e\"\r\n\r\n", 304, map[string]string{"Etag": `"e"`}, "", true},
+	{"head", "HEAD", "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n", 200, nil, "", true},
+	{"relayed 5xx", "GET", "HTTP/1.1 502 Bad Gateway\r\nContent-Length: 3\r\n\r\nbad", 502, nil, "bad", true},
+}
+
+var big = strings.Repeat("0123456789", 1000) // past the 4 KiB read buffer
+
 // TestRelayFraming: each framing the hop accepts relays the same status,
 // headers and body, and only a response consumed whole on a connection
 // the owner keeps open leaves the connection pooled.
 func TestRelayFraming(t *testing.T) {
-	big := strings.Repeat("0123456789", 1000) // past the 4 KiB read buffer
-	for _, c := range []struct {
-		name, method, resp string
-		status             int
-		hdr                map[string]string
-		body               string
-		pooled             bool
-	}{
-		{"content-length", "GET", "HTTP/1.1 200 OK\r\nX-Talus-Cache: hit\r\nX-Talus-Node: NODE\r\nEtag: \"e\"\r\n" +
-			"Content-Type: application/octet-stream\r\nDate: now\r\nContent-Length: 5\r\n\r\nhello",
-			200, map[string]string{"X-Talus-Cache": "hit", "X-Talus-Node": "NODE", "Etag": `"e"`,
-				"Content-Type": "application/octet-stream", "Date": ""}, "hello", true},
-		{"beyond the buffer", "GET", "HTTP/1.1 200 OK\r\nContent-Length: 10000\r\n\r\n" + big, 200, nil, big, true},
-		{"chunked with trailer", "GET", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nx-talus-cache: miss\r\n\r\n" +
-			"5\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: t\r\n\r\n", 200, map[string]string{"X-Talus-Cache": "miss"}, "hello world", true},
-		{"connection close", "GET", "HTTP/1.1 404 Not Found\r\nConnection: close\r\nContent-Type: application/json\r\n" +
-			"Content-Length: 2\r\n\r\n{}", 404, map[string]string{"Content-Type": "application/json"}, "{}", false},
-		{"close-delimited", "GET", "HTTP/1.1 200 OK\r\n\r\nuntil EOF", 200, nil, "until EOF", false},
-		{"not modified", "GET", "HTTP/1.1 304 Not Modified\r\nEtag: \"e\"\r\n\r\n", 304, map[string]string{"Etag": `"e"`}, "", true},
-		{"head", "HEAD", "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n", 200, nil, "", true},
-		{"relayed 5xx", "GET", "HTTP/1.1 502 Bad Gateway\r\nContent-Length: 3\r\n\r\nbad", 502, nil, "bad", true},
-	} {
+	for _, c := range framings {
 		t.Run(c.name, func(t *testing.T) {
 			var f *fakePeer
 			f = startFakePeer(t, func(i int, _ string) (string, bool) {
@@ -213,19 +213,19 @@ func TestRelayFraming(t *testing.T) {
 				return "HTTP/1.1 204 No Content\r\n\r\n", false
 			})
 			cl := newTestCluster(t, f.addr)
-			w := newWriteRecorder()
-			if err := cl.Relay(context.Background(), w, c.method, f.addr, "/v1/cache/a/k", nil, nil); err != nil {
+			rep := new(Reply)
+			if err := cl.Relay(context.Background(), f.addr, &Request{Method: c.method, Path: "/v1/cache/a/k"}, rep); err != nil {
 				t.Fatal(err)
 			}
-			if w.Code != c.status || w.Body.String() != c.body {
-				t.Fatalf("relayed %d %q, want %d %q", w.Code, w.Body.String(), c.status, c.body)
+			if rep.Status != c.status || string(rep.Body) != c.body {
+				t.Fatalf("relayed %d %q, want %d %q", rep.Status, rep.Body, c.status, c.body)
 			}
 			for k, v := range c.hdr {
-				if got := w.Header().Get(k); got != strings.ReplaceAll(v, "NODE", f.addr) {
+				if got := header(rep, k); got != strings.ReplaceAll(v, "NODE", f.addr) {
 					t.Fatalf("relayed %s = %q, want %q", k, got, v)
 				}
 			}
-			if err := cl.Relay(context.Background(), newWriteRecorder(), http.MethodGet, f.addr, "/v1/cache/a/k", nil, nil); err != nil {
+			if err := cl.Relay(context.Background(), f.addr, get("/v1/cache/a/k"), new(Reply)); err != nil {
 				t.Fatal(err)
 			}
 			if _, conns := f.counts(); (conns == 1) != c.pooled {
@@ -235,36 +235,70 @@ func TestRelayFraming(t *testing.T) {
 	}
 }
 
+// TestReadFullGrowsAsBytesArrive: a body of up to 64 KiB is read into one
+// buffer of its size, whatever storage came in; a longer one, or one
+// whose bytes stop short, is given storage as its bytes arrive, never
+// from its declared length alone.
+func TestReadFullGrowsAsBytesArrive(t *testing.T) {
+	// A 10 000-B body fills one 10 240-B size class.
+	body := []byte(strings.Repeat("0123456789", 1000))
+	for _, keep := range []int{0, 4 << 10} {
+		got, err := ReadFull(bytes.NewReader(body), make([]byte, 0, keep), len(body))
+		if err != nil || !bytes.Equal(got, body) || cap(got) > 10<<10 {
+			t.Errorf("a %d-B body into %d B of storage: cap %d, equal %v, %v", len(body), keep, cap(got), bytes.Equal(got, body), err)
+		}
+	}
+	for _, c := range []struct{ sent, declared int }{{5, 1 << 40}, {200 << 10, 200 << 10}, {200 << 10, 1 << 30}} {
+		sent := bytes.Repeat([]byte("x"), c.sent)
+		got, err := ReadFull(bytes.NewReader(sent), nil, c.declared)
+		if short := c.sent < c.declared; (err != nil) != short || !bytes.Equal(got, sent) || cap(got) > 2*c.sent+64<<10 {
+			t.Errorf("%d B sent of %d declared: %d B read into cap %d, %v", c.sent, c.declared, len(got), cap(got), err)
+		}
+	}
+}
+
+// malformed are owner responses outside the subset the hop accepts, or
+// cut short.
+var malformed = []string{
+	"HTTP/1.1 OK\r\n\r\n",
+	"HTTP/1.1 2000 OK\r\n\r\n",
+	"HTTP/1.1 100 Continue\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nno colon\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nabc",
+	"HTTP/1.1 200 OK\r\nContent-Length: 10000\r\n\r\nabc",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhel",
+	"HTTP/1.1 200 OK\r\nContent-Le",
+	"",
+}
+
 // TestRelayMalformedIsAnErrorBeforeAnyWrite: a response outside the
-// subset, or one cut short, leaves w untouched for the caller's 502, and
-// the request — which reached the owner — is not sent again.
+// subset, or one cut short, leaves the reply untouched, with no status,
+// for the caller's 502, and the request — which reached the owner — is
+// not sent again.
 func TestRelayMalformedIsAnErrorBeforeAnyWrite(t *testing.T) {
-	for _, resp := range []string{
-		"HTTP/1.1 OK\r\n\r\n",
-		"HTTP/1.1 2000 OK\r\n\r\n",
-		"HTTP/1.1 100 Continue\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nno colon\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nabc",
-		"HTTP/1.1 200 OK\r\nContent-Length: 10000\r\n\r\nabc",
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhel",
-		"HTTP/1.1 200 OK\r\nContent-Le",
-		"",
-	} {
+	for _, resp := range malformed {
 		f := startFakePeer(t, func(int, string) (string, bool) { return resp, true })
 		c := newTestCluster(t, f.addr)
-		w := newWriteRecorder()
-		if err := c.Relay(context.Background(), w, http.MethodPut, f.addr, "/v1/cache/a/k", []byte("v"), nil); err == nil {
+		rep := new(Reply)
+		if err := c.Relay(context.Background(), f.addr, &Request{Method: http.MethodPut, Path: "/v1/cache/a/k", Body: []byte("v")}, rep); err == nil {
 			t.Errorf("%q: relayed without error", resp)
 		}
-		if w.calls != 0 || len(w.Header()) != 0 {
-			t.Errorf("%q: %d writes and headers %v before the error", resp, w.calls, w.Header())
+		if !untouched(rep) {
+			t.Errorf("%q: reply %d %q, ETag %q, cache %q, node %q, type %q before the error",
+				resp, rep.Status, rep.Body, rep.ETag, rep.Cache, rep.Node, rep.ContentType)
 		}
 		if reqs, _ := f.counts(); reqs != 1 {
 			t.Errorf("%q: owner received %d requests, want 1", resp, reqs)
 		}
 	}
+}
+
+// untouched reports whether rep carries nothing: no status, header or
+// body.
+func untouched(rep *Reply) bool {
+	return rep.Status == 0 && rep.ContentType == "" && len(rep.ETag) == 0 && rep.Cache == "" && rep.Node == "" && len(rep.Body) == 0
 }
 
 // TestRelayResendsOnlyUnsent: a pooled connection the owner closed while
@@ -278,8 +312,9 @@ func TestRelayResendsOnlyUnsent(t *testing.T) {
 		return "HTTP/1.1 204 No Content\r\n\r\n", i == 0
 	})
 	c := newTestCluster(t, f.addr)
+	del := &Request{Method: http.MethodDelete, Path: "/v1/cache/a/k"}
 	for i := 0; i < 2; i++ {
-		if err := c.Relay(context.Background(), newWriteRecorder(), http.MethodDelete, f.addr, "/v1/cache/a/k", nil, nil); err != nil {
+		if err := c.Relay(context.Background(), f.addr, del, new(Reply)); err != nil {
 			t.Fatalf("relay %d over a stale pooled connection: %v", i, err)
 		}
 	}
@@ -289,7 +324,7 @@ func TestRelayResendsOnlyUnsent(t *testing.T) {
 
 	silent := startFakePeer(t, func(int, string) (string, bool) { return "", true })
 	c = newTestCluster(t, silent.addr)
-	if err := c.Relay(context.Background(), newWriteRecorder(), http.MethodDelete, silent.addr, "/v1/cache/a/k", nil, nil); err == nil {
+	if err := c.Relay(context.Background(), silent.addr, del, new(Reply)); err == nil {
 		t.Fatal("a fresh connection closed unanswered relayed without error")
 	}
 	if reqs, _ := silent.counts(); reqs != 1 {
@@ -305,10 +340,10 @@ func TestRelayResendsOnlyUnsent(t *testing.T) {
 		return "HTTP/1.1 20", true
 	})
 	c = newTestCluster(t, half.addr)
-	if err := c.Relay(context.Background(), newWriteRecorder(), http.MethodDelete, half.addr, "/v1/cache/a/k", nil, nil); err != nil {
+	if err := c.Relay(context.Background(), half.addr, del, new(Reply)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Relay(context.Background(), newWriteRecorder(), http.MethodDelete, half.addr, "/v1/cache/a/k", nil, nil); err == nil {
+	if err := c.Relay(context.Background(), half.addr, del, new(Reply)); err == nil {
 		t.Fatal("a pooled connection cut mid-status-line relayed without error")
 	}
 	if reqs, _ := half.counts(); reqs != 2 {
@@ -329,7 +364,7 @@ func TestRelayHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := c.Relay(ctx, newWriteRecorder(), http.MethodGet, f.addr, "/v1/cache/a/k", nil, nil)
+	err := c.Relay(ctx, f.addr, get("/v1/cache/a/k"), new(Reply))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("relay with an expiring context = %v", err)
 	}
@@ -358,9 +393,9 @@ func TestRelayConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				path := "/v1/cache/a/" + strconv.Itoa(g) + "-" + strconv.Itoa(i)
-				w := newWriteRecorder()
-				if err := c.Relay(context.Background(), w, http.MethodGet, f.addr, path, nil, nil); err != nil || w.Body.String() != path {
-					t.Errorf("relay %s = %q, %v", path, w.Body.String(), err)
+				rep := new(Reply)
+				if err := c.Relay(context.Background(), f.addr, get(path), rep); err != nil || string(rep.Body) != path {
+					t.Errorf("relay %s = %q, %v", path, rep.Body, err)
 					return
 				}
 			}
@@ -375,7 +410,7 @@ func TestRelayConcurrent(t *testing.T) {
 func TestRelayRefusesNonPeers(t *testing.T) {
 	c := newTestCluster(t, "peer:1")
 	for _, owner := range []string{"self:1", "stranger:1"} {
-		if err := c.Relay(context.Background(), newWriteRecorder(), http.MethodGet, owner, "/", nil, nil); err == nil {
+		if err := c.Relay(context.Background(), owner, get("/"), new(Reply)); err == nil {
 			t.Errorf("relay to %q succeeded", owner)
 		}
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net/http"
 )
 
 // ForwardedHeader marks a request as already forwarded once by a peer
@@ -70,17 +69,66 @@ func (c *Cluster) Ring() *Ring { return c.ring }
 // Owner returns the node owning (tenant, key).
 func (c *Cluster) Owner(tenant, key string) string { return c.ring.Route(tenant, key) }
 
-// Relay forwards one cache request to the peer owner and writes the
-// owner's answer to w: its status, its body and the relayed response
-// headers. method, the escaped path and body are sent as given, stamped
-// with ForwardedHeader so the owner serves locally; of hdr, only the
-// headers the hop relays travel. Any answer the owner gives — a 5xx
-// included — is relayed, not an error. On error nothing has been written
-// to w, so the caller still chooses the status.
-func (c *Cluster) Relay(ctx context.Context, w http.ResponseWriter, method, owner, path string, body []byte, hdr http.Header) error {
+// Request is the part of a cache request the hop relays to its owner:
+// the method, the escaped path, the request headers that keep their
+// meaning across the hop, and the body.
+type Request struct {
+	Method, Path string
+	Header       [len(RequestHeaders)][]byte // the values of RequestHeaders; empty: not sent
+	Body         []byte
+}
+
+// The relayed request headers, as indexes into RequestHeaders and
+// Request.Header.
+const (
+	IfNoneMatch = iota
+	TTL
+	ContentType
+)
+
+// RequestHeaders name the request headers the hop relays, in canonical
+// form and in the order it writes them. Kept to the protocol's own
+// vocabulary: hop-by-hop headers and client connection metadata stay on
+// their own hop.
+var RequestHeaders = [...]string{IfNoneMatch: "If-None-Match", TTL: "X-Talus-Ttl", ContentType: "Content-Type"}
+
+// Reply is a cache response: its status, the four response headers a
+// cache reply carries, and its body. An empty value is a header not
+// sent. Body may be a store's value or the reply's own storage, so it is
+// never written into.
+type Reply struct {
+	Status      int
+	ContentType string
+	ETag        []byte
+	Cache, Node string // X-Talus-Cache, X-Talus-Node
+	Body        []byte
+
+	own []byte // storage a relayed body is read into
+}
+
+// maxKeptBody caps the body storage a Reply keeps across Reset.
+const maxKeptBody = 4 << 10
+
+// Reset empties r for the next reply, keeping its ETag storage and, up
+// to maxKeptBody, its body storage.
+func (r *Reply) Reset() {
+	own := r.own[:0]
+	if cap(own) > maxKeptBody {
+		own = nil
+	}
+	*r = Reply{ETag: r.ETag[:0], own: own}
+}
+
+// Relay forwards req to the peer owner and fills rep from the owner's
+// answer: its status, its body and the relayed response headers. req is
+// sent as given, stamped with ForwardedHeader so the owner serves
+// locally. Any answer the owner gives — a 5xx included — is relayed, not
+// an error. On error rep is left as it was, so a reset reply still has
+// Status 0 and the caller chooses the status.
+func (c *Cluster) Relay(ctx context.Context, owner string, req *Request, rep *Reply) error {
 	p := c.peers[owner]
 	if p == nil {
 		return fmt.Errorf("cluster: %q is not a peer of %s", owner, c.self)
 	}
-	return p.relay(ctx, w, c.self, method, path, body, hdr)
+	return p.relay(ctx, c.self, req, rep)
 }

@@ -41,11 +41,10 @@
 // writer each. Cluster.Relay writes the request itself (method, escaped
 // path, Host, ForwardedHeader, the relayed request headers,
 // Content-Length, body) and parses the status line and the few headers
-// it needs (the relayed ones plus framing). It writes nothing to the
-// caller's ResponseWriter until the whole response is in hand: a body
-// that fits the read buffer is relayed straight from it, a larger one
-// is read once, a chunked one decoded. A failure mid-response is
-// therefore still the caller's clean 502.
+// it needs (the relayed ones plus framing). It fills nothing of the
+// caller's Reply until the whole response is in hand, the body read
+// once into the Reply's own storage, a chunked one decoded. A failure
+// mid-response is therefore still the caller's clean 502.
 //
 // Every attempt has a DefaultTimeout deadline and ends early when the
 // caller's context does. A connection is pooled again only after its
@@ -60,15 +59,18 @@
 //
 // Cluster binds a Ring to this node's own identity and the peer pools:
 // serve.Handler asks Owner(tenant, key) on each cache request and
-// relays misses-of-ownership to that owner, passing on the owner's
-// status, body and X-Talus-Cache / X-Talus-Node / ETag / Content-Type.
-// The relay makes no string of those values on the common path: the
-// peer's own name and the values a talus-serve owner sends ("hit",
-// "miss", the two content types) map to preallocated header values, and
-// the ETag goes to a writer that implements ETagWriter as bytes, which
-// it copies; only another writer gets a new string in the header map.
-// A caller whose context has no Done channel, as an owned connection's
-// request has not, pays for no context.AfterFunc on the attempt.
+// relays misses-of-ownership to that owner: it sends a Request as it
+// is and fills a Reply with the owner's status, body and X-Talus-Cache /
+// X-Talus-Node / ETag / Content-Type, the first occurrence of each,
+// cleaned by Clean as net/http cleans a value it writes (CR and LF made
+// spaces, ends trimmed). RequestHeaders and Clean are the one list of
+// relayed request headers and the one cleaning rule, serve's too. A
+// reused Reply costs the relay no allocation on the common path: the
+// ETag and body are copied into its storage, and the values a
+// talus-serve owner sends need no new string. ReadFull reads a body of
+// known length, never more than 64 KiB ahead of its bytes. A caller
+// whose context has no Done channel, as an owned connection's request
+// has not, pays for no context.AfterFunc on the attempt.
 // Forwarded requests carry the ForwardedHeader; a node receiving one
 // serves locally no matter what its own ring says, so disagreeing ring
 // configurations degrade to one extra hop instead of a forwarding loop.

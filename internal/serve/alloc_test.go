@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"net/http"
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"talus/internal/serve"
 	"talus/internal/store"
@@ -72,11 +75,10 @@ func (rc *rawConn) roundTrip(req []byte) (int, []byte, error) {
 //   - local GET 2 → 0: the ETag is written from an [18]byte, not a
 //     string in a one-element []string;
 //   - forwarded GET 6 → 0: the owner's ETag as above (2); the hop
-//     relays the owner's ETag bytes through cluster.ETagWriter instead
-//     of a string in a []string (2); an owned request's context cannot
-//     be cancelled, so the hop arms no context.AfterFunc (2);
-//   - local PUT 5 → 3: the ETag (2). What is left is the body:
-//     http.MaxBytesReader, io.ReadAll's buffer, and the store's entry.
+//     relays the owner's ETag as bytes instead of a string in a
+//     []string (2); an owned request's context cannot be cancelled, so
+//     the hop arms no context.AfterFunc (2);
+//   - local PUT 5 → 3: the ETag (2).
 //
 // New rows, with their counts before the re-base: a 304 revalidation,
 // 3 → 0 (the ETag, and strings.Split in If-None-Match's comparison,
@@ -84,6 +86,12 @@ func (rc *rawConn) roundTrip(req []byte) (int, []byte, error) {
 // request, 3 → 1 (the request-target string, which the store may keep
 // as the key it admits); a forwarded PUT of 128 B, 11 → 5 (the ETag on
 // the owner and on the hop, and the AfterFunc).
+//
+// Re-based on purpose again when a PUT body came to be read once, into
+// one buffer of its Content-Length: local PUT 3 → 2 and forwarded PUT
+// 5 → 3. Each node that reads the body drops http.MaxBytesReader and
+// io.ReadAll's growing buffer for that one buffer, so what is left is
+// the body on each node that reads it and the store's entry.
 func TestAllocationBudget(t *testing.T) {
 	const warm, n = 1000, 10_000
 	h := newCluster(t, 2, 4096)
@@ -130,8 +138,8 @@ func TestAllocationBudget(t *testing.T) {
 		{"local GET, 304", [][]byte{get(local, "If-None-Match: "+tag+"\r\n")}, 304, 0},
 		{"local GET, a new resident key each request", rotating, 200, 1},
 		{"forwarded GET", [][]byte{get(remote, "")}, 200, 0},
-		{"local PUT", [][]byte{putReq(local)}, 204, 3},
-		{"forwarded PUT", [][]byte{putReq(remote)}, 204, 5},
+		{"local PUT", [][]byte{putReq(local)}, 204, 2},
+		{"forwarded PUT", [][]byte{putReq(remote)}, 204, 3},
 	} {
 		var wantBody []byte
 		if tc.status == 200 {
@@ -232,6 +240,55 @@ func idleConnectionBytes(t *testing.T, tr transport) float64 {
 	after := inUse()
 	runtime.KeepAlive(clients)
 	return (float64(after) - float64(before)) / conns
+}
+
+// TestDeclaredLengthSizesNoBuffer: a PUT that declares the largest body
+// the server takes and then sends one byte must not make the server hold
+// storage for the rest, on either transport. While the body stalls, the
+// heap is sampled and must not grow by more than an eighth of what was
+// declared; then the client hangs up and the PUT reads 400.
+func TestDeclaredLengthSizesNoBuffer(t *testing.T) {
+	const declared = 32 << 20
+	for _, tr := range transports {
+		srv, _, _ := newServerVia(t, tr, store.Config{Tenants: []string{"a"}}, serve.Config{MaxValueBytes: declared})
+		c, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetDeadline(time.Now().Add(10 * time.Second))
+		br := bufio.NewReader(c)
+		io.WriteString(c, "GET /v1/cache/a/k HTTP/1.1\r\nHost: x\r\n\r\n") // an owned connection serves the PUT itself
+		if _, err := readRaw(br, http.MethodGet); err != nil {
+			t.Fatalf("%s: GET: %v", tr.name, err)
+		}
+		before := heapInUse()
+		io.WriteString(c, "PUT /v1/cache/a/k HTTP/1.1\r\nHost: x\r\nContent-Length: "+strconv.Itoa(declared)+"\r\n\r\nx")
+		var grew uint64
+		for range 10 {
+			time.Sleep(20 * time.Millisecond)
+			if now := heapInUse(); now > before {
+				grew = max(grew, now-before)
+			}
+		}
+		c.(*net.TCPConn).CloseWrite()
+		raw, err := readRaw(br, http.MethodPut)
+		c.Close()
+		if err != nil || !strings.HasPrefix(raw, "HTTP/1.1 400 ") {
+			t.Fatalf("%s: the cut PUT read %q, %v; want a 400", tr.name, raw, err)
+		}
+		t.Logf("%s: the heap grew %d B while a %d-B body stalled", tr.name, grew, declared)
+		if grew > declared/8 {
+			t.Errorf("%s: the heap grew %d B while a %d-B body stalled after 1 B", tr.name, grew, declared)
+		}
+	}
+}
+
+// heapInUse returns the live heap after a collection.
+func heapInUse() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // raceEnabled reports whether the test binary was built with -race.

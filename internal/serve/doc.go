@@ -35,16 +35,17 @@
 // hijacks its connection (plain TCP only), and one goroutine per
 // connection serves it from then on: net/http's handler returns, and
 // its per-connection state and buffers go. That goroutine parses each
-// request on the connection and answers GET, HEAD, PUT and
-// DELETE on clean cache paths through the same code as before, framing
-// every reply by Content-Length; the bytes are the ones net/http's
-// server writes, Date value aside, except that a body over 2 KiB is not
-// chunked. Any other request — another method or path, an unclean path,
-// a head not received in one piece, one of the headers above, a body on
-// a GET, HEAD or DELETE — is handed back, with no byte consumed, to the
-// same server, which serves the connection from then on as one of its
-// own until a later request hijacks it again. So every mux route,
-// redirect, 405, 431 and malformed-request reply stays net/http's.
+// request head straight into the one request value the cache path
+// takes on either transport, answers GET, HEAD, PUT and DELETE on clean
+// cache paths into its one reply value, and writes that framed by
+// Content-Length: the bytes net/http's server writes, Date value aside,
+// except that a body over 2 KiB is not chunked. Any other request —
+// another method or path, an unclean path, a head not received in one
+// piece, one of the headers above, a body on a GET, HEAD or DELETE — is
+// handed back, with no byte consumed, to the same server, which serves
+// the connection from then on as one of its own until a later request
+// hijacks it again. So every mux route, redirect, 405, 431 and
+// malformed-request reply stays net/http's.
 //
 // Wrapping the Handler (middleware, http.TimeoutHandler, a tracing
 // wrapper) opts out: a wrapped Handler never hijacks, and net/http's
@@ -73,10 +74,14 @@
 // repeated GET, local or forwarded, and a 304 allocate nothing across
 // the process; a GET of a different key each request allocates the
 // request-target string, which the store may keep as its key; a PUT
-// allocates its body. /v1/stats reports under "owned" the connections
-// the Handler took over, the requests it answered on them and the
-// requests it handed back; each connection counts its own requests and
-// adds them to the total when it ends.
+// allocates its body once on each node that reads it, and the store's
+// entry. A PUT body is read once, on either transport: a known length by
+// cluster.ReadFull, into one buffer of its size up to 64 KiB and past
+// that into storage that grows as the bytes arrive; a length over the
+// cap is a 413 with no byte read; a chunked body (net/http's alone) up
+// to one byte past the cap. /v1/stats reports under "owned" the
+// connections the Handler took over, the requests it answered on them
+// and the requests it handed back, one counter each.
 //
 // # The X-Talus-Cache header
 //

@@ -172,14 +172,14 @@ func TestRelayAfterOwnerClosesIdle(t *testing.T) {
 
 // fakeOwner is a ring member that speaks raw TCP: it reads each request
 // (headers and Content-Length body), counts it, and lets answer write
-// whatever it likes for the i-th request it received; the connection
-// closes when answer returns false.
+// whatever it likes for the i-th request it received, given its request
+// line; the connection closes when answer returns false.
 type fakeOwner struct {
 	addr     string
 	requests atomic.Int64
 }
 
-func startFakeOwner(t *testing.T, answer func(i int64, c net.Conn) (keep bool)) *fakeOwner {
+func startFakeOwner(t *testing.T, answer func(i int64, line string, c net.Conn) (keep bool)) *fakeOwner {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -199,7 +199,7 @@ func startFakeOwner(t *testing.T, answer func(i int64, c net.Conn) (keep bool)) 
 				defer c.Close()
 				br := bufio.NewReader(c)
 				for {
-					length := 0
+					length, first := 0, ""
 					for {
 						line, err := br.ReadString('\n')
 						if err != nil {
@@ -208,6 +208,9 @@ func startFakeOwner(t *testing.T, answer func(i int64, c net.Conn) (keep bool)) 
 						if line == "\r\n" {
 							break
 						}
+						if first == "" {
+							first = line
+						}
 						if name, val, ok := strings.Cut(line, ":"); ok && http.CanonicalHeaderKey(name) == "Content-Length" {
 							length, _ = strconv.Atoi(strings.TrimSpace(val))
 						}
@@ -215,7 +218,7 @@ func startFakeOwner(t *testing.T, answer func(i int64, c net.Conn) (keep bool)) 
 					if _, err := br.Discard(length); err != nil {
 						return
 					}
-					if !answer(f.requests.Add(1)-1, c) {
+					if !answer(f.requests.Add(1)-1, first, c) {
 						return
 					}
 				}
@@ -260,7 +263,7 @@ func newEntry(t *testing.T, peer string) *clusterHarness {
 // hangs up has received the request, so the hop is a 502 and the
 // request is not sent again.
 func TestRelayHalfStatusLine(t *testing.T) {
-	owner := startFakeOwner(t, func(_ int64, c net.Conn) bool {
+	owner := startFakeOwner(t, func(_ int64, _ string, c net.Conn) bool {
 		io.WriteString(c, "HTTP/1.1 20")
 		return false
 	})
@@ -279,7 +282,7 @@ func TestRelayHalfStatusLine(t *testing.T) {
 // never re-sent — a slow owner must not see one DELETE three times. The
 // DELETE rides a pooled connection, the one kind a re-send may follow.
 func TestForwardTimeoutIsNotResent(t *testing.T) {
-	owner := startFakeOwner(t, func(i int64, c net.Conn) bool {
+	owner := startFakeOwner(t, func(i int64, _ string, c net.Conn) bool {
 		if i == 0 {
 			io.WriteString(c, "HTTP/1.1 204 No Content\r\n\r\n")
 			return true

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"talus/internal/adaptive"
@@ -60,23 +63,15 @@ type Handler struct {
 	recordDir string
 	control   bool
 	cluster   *cluster.Cluster
-	nodeValue []string // the X-Talus-Node value, len == cap
+	node      string // the X-Talus-Node value, cleaned as net/http cleans one
 	mux       *http.ServeMux
 
 	ownMu  sync.Mutex
 	owners map[*http.Server]*owner // the connections served in wire.go, per server
-	wire   wireCounts              // Requests only of the connections released
+	// What the owned connections did, for /v1/stats: the connections
+	// taken over, the requests answered on them, the requests handed back.
+	conns, requests, handBacks atomic.Int64
 }
-
-// Header values stamped on cache responses, preallocated so a response
-// reuses them instead of allocating a one-element slice per
-// Header().Set. len == cap, so an append by a later writer copies.
-var (
-	hitValue   = []string{"hit"}
-	missValue  = []string{"miss"}
-	octetValue = []string{"application/octet-stream"}
-	jsonValue  = []string{"application/json"}
-)
 
 // cachePrefix starts every cache route: /v1/cache/{tenant}/{key...}.
 const cachePrefix = "/v1/cache/"
@@ -86,13 +81,14 @@ func NewHandler(st *store.Store, cfg Config) *Handler {
 	if cfg.MaxValueBytes <= 0 {
 		cfg.MaxValueBytes = DefaultMaxValueBytes
 	}
+	node := string(cluster.Clean([]byte(st.Node().ID)))
 	h := &Handler{st: st, maxValue: cfg.MaxValueBytes, recordDir: cfg.RecordDir, control: cfg.Control,
-		cluster: cfg.Cluster, nodeValue: []string{st.Node().ID}, mux: http.NewServeMux()}
+		cluster: cfg.Cluster, node: node, mux: http.NewServeMux()}
 	// ServeHTTP answers clean cache paths itself; the mux keeps the cache
 	// patterns for what it alone decides: 405 with Allow for other
 	// methods, and the redirects of unclean paths.
 	byPattern := func(w http.ResponseWriter, r *http.Request) {
-		h.cache(w, r, r.PathValue("tenant"), r.PathValue("key"))
+		h.serveCache(w, r, r.PathValue("tenant"), r.PathValue("key"))
 	}
 	h.mux.HandleFunc("GET "+cachePrefix+"{tenant}/{key...}", byPattern)
 	h.mux.HandleFunc("PUT "+cachePrefix+"{tenant}/{key...}", byPattern)
@@ -117,7 +113,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet, http.MethodHead, http.MethodPut, http.MethodDelete:
 		if tenant, key, ok := cachePath(r.URL.EscapedPath()); ok {
 			if !h.own(w, r, tenant, key) {
-				h.cache(w, r, tenant, key)
+				h.serveCache(w, r, tenant, key)
 			}
 			return
 		}
@@ -159,15 +155,91 @@ func unescape(s string) string {
 	return u
 }
 
-// cache serves one cache request; HEAD is served as GET.
-func (h *Handler) cache(w http.ResponseWriter, r *http.Request, tenant, key string) {
-	switch r.Method {
+// request is one cache request, as either transport hands it to the
+// cache path.
+type request struct {
+	cluster.Request // what the hop relays; Body is read by put
+	tenant, key     string
+	forwarded       bool // X-Talus-Forwarded has a value: the request took its hop
+	ctx             context.Context
+	body            io.Reader // a PUT's body
+	length          int64     // the body's length; -1 when it is chunked
+}
+
+// newRequest reads the cache request net/http's server parsed. Of each
+// header, the first value counts, as with Header.Get.
+func newRequest(r *http.Request, tenant, key string) request {
+	req := request{
+		Request: cluster.Request{Method: r.Method, Path: r.URL.EscapedPath()},
+		tenant:  tenant, key: key, forwarded: r.Header.Get(cluster.ForwardedHeader) != "",
+		ctx: r.Context(), body: r.Body, length: r.ContentLength,
+	}
+	for i, k := range cluster.RequestHeaders {
+		req.Header[i] = []byte(r.Header.Get(k))
+	}
+	return req
+}
+
+// replies holds the replies serveCache fills, so that their ETag and
+// body storage is reused, as an owned connection reuses its one reply's.
+var replies = sync.Pool{New: func() any { return new(cluster.Reply) }}
+
+// serveCache answers a cache request net/http's server parsed, through w.
+func (h *Handler) serveCache(w http.ResponseWriter, r *http.Request, tenant, key string) {
+	req := newRequest(r, tenant, key)
+	rep := replies.Get().(*cluster.Reply)
+	h.cache(&req, rep)
+	writeReply(w, rep)
+	rep.Reset()
+	replies.Put(rep)
+}
+
+// writeReply copies rep into w, its header values in one allocation, each
+// a one-element slice of it. A 413 is the handler refusing a body it did
+// not read to its end, and says Connection: close.
+func writeReply(w http.ResponseWriter, rep *cluster.Reply) {
+	hdr := w.Header()
+	fields := [...]struct{ k, v string }{
+		{"Content-Type", rep.ContentType}, {"Etag", string(rep.ETag)}, {"X-Talus-Cache", rep.Cache}, {"X-Talus-Node", rep.Node}}
+	vals := make([]string, len(fields))
+	for i, f := range fields {
+		if f.v != "" {
+			vals[i] = f.v
+			hdr[f.k] = vals[i : i+1 : i+1]
+		}
+	}
+	if rep.Status == http.StatusRequestEntityTooLarge {
+		hdr["Connection"] = []string{"close"}
+	}
+	w.WriteHeader(rep.Status)
+	if len(rep.Body) > 0 {
+		w.Write(rep.Body)
+	}
+}
+
+// cache answers one cache request into rep, relayed from the key's owner
+// or served locally; HEAD is served as GET. A PUT's body is read first,
+// so that a relayed PUT carries it.
+func (h *Handler) cache(req *request, rep *cluster.Reply) {
+	if req.Method == http.MethodPut {
+		body, err := readBody(req.body, req.length, h.maxValue)
+		if err != nil {
+			replyErr(rep, err)
+			return
+		}
+		req.Body = body
+	}
+	if h.proxied(req, rep) {
+		return
+	}
+	rep.Node = h.node
+	switch req.Method {
 	case http.MethodPut:
-		h.put(w, r, tenant, key)
+		h.put(req, rep)
 	case http.MethodDelete:
-		h.delete(w, r, tenant, key)
+		h.delete(req, rep)
 	default:
-		h.get(w, r, tenant, key)
+		h.get(req, rep)
 	}
 }
 
@@ -204,21 +276,34 @@ func writeErr(w http.ResponseWriter, err error) {
 
 // writeJSON marshals v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header()["Content-Type"] = jsonValue
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	var rep cluster.Reply
+	replyJSON(&rep, status, v)
+	writeReply(w, &rep)
 }
 
-// hitHeader reports the store's hit flag without disturbing the
-// response body: on a GET, "hit" means the body was served from the
-// value resident in the cache (never a 404, never a backend read); on a
-// PUT, that the key's line was already resident.
-func hitHeader(w http.ResponseWriter, hit bool) {
-	if hit {
-		w.Header()["X-Talus-Cache"] = hitValue
-	} else {
-		w.Header()["X-Talus-Cache"] = missValue
+// replyErr makes rep a JSON error body with the mapped status.
+func replyErr(rep *cluster.Reply, err error) {
+	replyJSON(rep, statusOf(err), map[string]string{"error": err.Error()})
+}
+
+// replyJSON makes rep v marshalled, with the given status.
+func replyJSON(rep *cluster.Reply, status int, v any) {
+	body, err := json.Marshal(v)
+	if err == nil {
+		body = append(body, '\n')
 	}
+	rep.Status, rep.ContentType, rep.Body = status, "application/json", body
+}
+
+// outcome is the X-Talus-Cache value of the store's hit flag: on a GET,
+// "hit" means the body was served from the value resident in the cache
+// (never a 404, never a backend read); on a PUT, that the key's line was
+// already resident.
+func outcome(hit bool) string {
+	if hit {
+		return "hit"
+	}
+	return "miss"
 }
 
 // etagOf derives a value's entity tag from its bytes: a strong,
@@ -237,96 +322,71 @@ func etagOf(value []byte) (tag [18]byte) {
 	return tag
 }
 
-// setETag sets the reply's ETag to tag: as bytes on an owned
-// connection's writer, which writes it in place, and as a header-map
-// value on any other.
-func setETag(w http.ResponseWriter, tag []byte) {
-	if ww, ok := w.(*wireWriter); ok {
-		ww.SetETag(tag)
-		return
-	}
-	w.Header()["Etag"] = []string{string(tag)}
-}
-
 // etagMatches reports whether an If-None-Match header value matches
 // tag: "*" matches any current entity, otherwise any listed tag must
 // equal it byte for byte (weak "W/" prefixes are ignored for the
 // comparison, as RFC 9110 prescribes for If-None-Match).
-func etagMatches(header string, tag []byte) bool {
-	for header != "" {
-		var part string
-		part, header, _ = strings.Cut(header, ",")
-		part = strings.TrimPrefix(strings.TrimSpace(part), "W/")
-		if part == "*" || part == string(tag) {
+func etagMatches(header, tag []byte) bool {
+	for len(header) > 0 {
+		var part []byte
+		part, header, _ = bytes.Cut(header, []byte(","))
+		part = bytes.TrimPrefix(bytes.TrimSpace(part), []byte("W/"))
+		if string(part) == "*" || bytes.Equal(part, tag) {
 			return true
 		}
 	}
 	return false
 }
 
-// ttlOf parses the X-Talus-TTL request header: a non-negative integer
-// number of seconds. Absent (or 0) defers to the store's DefaultTTL.
-func ttlOf(r *http.Request) (time.Duration, error) {
-	v := r.Header.Get("X-Talus-Ttl")
-	if v == "" {
+// ttlOf parses an X-Talus-TTL request header value: a non-negative
+// integer number of seconds. Absent (or 0) defers to the store's
+// DefaultTTL.
+func ttlOf(v []byte) (time.Duration, error) {
+	if len(v) == 0 {
 		return 0, nil
 	}
-	secs, err := strconv.ParseInt(v, 10, 32)
+	secs, err := strconv.ParseInt(string(v), 10, 32)
 	if err != nil || secs < 0 {
 		return 0, fmt.Errorf("%w: X-Talus-TTL %q (want non-negative integer seconds)", store.ErrBadTTL, v)
 	}
 	return time.Duration(secs) * time.Second, nil
 }
 
-func (h *Handler) get(w http.ResponseWriter, r *http.Request, tenant, key string) {
-	if h.proxied(w, r, tenant, key, nil) {
-		return
-	}
-	w.Header()["X-Talus-Node"] = h.nodeValue
-	value, hit, err := h.st.Get(tenant, key)
-	hitHeader(w, hit)
+func (h *Handler) get(req *request, rep *cluster.Reply) {
+	value, hit, err := h.st.Get(req.tenant, req.key)
+	rep.Cache = outcome(hit)
 	if err != nil {
-		writeErr(w, err)
+		replyErr(rep, err)
 		return
 	}
 	tag := etagOf(value)
-	setETag(w, tag[:])
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, tag[:]) {
+	rep.ETag = append(rep.ETag[:0], tag[:]...)
+	if inm := req.Header[cluster.IfNoneMatch]; len(inm) > 0 && etagMatches(inm, tag[:]) {
 		// The client's copy is current: 304 with the tag (and the cache
 		// outcome — the access happened) but no body, which is the whole
 		// point: a router revalidating hot values moves ~60 bytes of
 		// headers instead of the value.
-		w.WriteHeader(http.StatusNotModified)
+		rep.Status = http.StatusNotModified
 		return
 	}
-	w.Header()["Content-Type"] = octetValue
-	w.Write(value)
+	rep.Status, rep.ContentType, rep.Body = http.StatusOK, "application/octet-stream", value
 }
 
-func (h *Handler) put(w http.ResponseWriter, r *http.Request, tenant, key string) {
-	body, err := readBody(w, r, h.maxValue)
+func (h *Handler) put(req *request, rep *cluster.Reply) {
+	ttl, err := ttlOf(req.Header[cluster.TTL])
 	if err != nil {
-		writeErr(w, err)
+		replyErr(rep, err)
 		return
 	}
-	if h.proxied(w, r, tenant, key, body) {
-		return
-	}
-	w.Header()["X-Talus-Node"] = h.nodeValue
-	ttl, err := ttlOf(r)
+	hit, err := h.st.SetTTL(req.tenant, req.key, req.Body, ttl)
 	if err != nil {
-		writeErr(w, err)
+		replyErr(rep, err)
 		return
 	}
-	hit, err := h.st.SetTTL(tenant, key, body, ttl)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	hitHeader(w, hit)
-	tag := etagOf(body)
-	setETag(w, tag[:])
-	w.WriteHeader(http.StatusNoContent)
+	rep.Cache = outcome(hit)
+	tag := etagOf(req.Body)
+	rep.ETag = append(rep.ETag[:0], tag[:]...)
+	rep.Status = http.StatusNoContent
 }
 
 // The client's faults in sending a PUT body, which statusOf answers
@@ -336,21 +396,28 @@ var (
 	errBodyTimeout = errors.New("request body timed out before its Content-Length")
 )
 
-// readBody drains at most maxValue bytes of request body, translating
-// its read errors into typed ones (the store's ErrValueTooLarge over the
-// limit) so the handler's status mapping stays in one place.
-func readBody(w http.ResponseWriter, r *http.Request, maxValue int64) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, maxValue)
-	defer body.Close()
-	buf, err := io.ReadAll(body)
-	if err == nil {
-		return buf, nil
-	}
-	var tooBig *http.MaxBytesError
+// readBody reads a PUT body of length bytes, -1 when unknown, translating
+// its read errors into typed ones so the handler's status mapping stays
+// in one place. A length over maxValue is the store's ErrValueTooLarge
+// without a byte read; a known one is read by cluster.ReadFull, into
+// storage that grows as the bytes arrive, and a body of unknown length
+// up to one byte past maxValue.
+func readBody(r io.Reader, length, maxValue int64) ([]byte, error) {
+	var buf []byte
+	var err error
 	switch {
-	case errors.As(err, &tooBig):
-		return nil, fmt.Errorf("%w: body over %d bytes", store.ErrValueTooLarge, tooBig.Limit)
-	case errors.Is(err, io.ErrUnexpectedEOF):
+	case length > maxValue:
+	case length < 0:
+		buf, err = io.ReadAll(io.LimitReader(r, maxValue+1))
+	default:
+		buf, err = cluster.ReadFull(r, nil, int(length))
+	}
+	switch {
+	case length > maxValue || int64(len(buf)) > maxValue:
+		return nil, fmt.Errorf("%w: body over %d bytes", store.ErrValueTooLarge, maxValue)
+	case err == nil:
+		return buf, nil
+	case errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, io.EOF):
 		return nil, errBodyCut
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		return nil, errBodyTimeout
@@ -358,39 +425,33 @@ func readBody(w http.ResponseWriter, r *http.Request, maxValue int64) ([]byte, e
 	return nil, err
 }
 
-func (h *Handler) delete(w http.ResponseWriter, r *http.Request, tenant, key string) {
-	if h.proxied(w, r, tenant, key, nil) {
-		return
+func (h *Handler) delete(req *request, rep *cluster.Reply) {
+	existed, err := h.st.Delete(req.tenant, req.key)
+	if err == nil && !existed {
+		err = fmt.Errorf("%w: %q", store.ErrNotFound, req.key)
 	}
-	w.Header()["X-Talus-Node"] = h.nodeValue
-	existed, err := h.st.Delete(tenant, key)
 	if err != nil {
-		writeErr(w, err)
+		replyErr(rep, err)
 		return
 	}
-	if !existed {
-		writeErr(w, fmt.Errorf("%w: %q", store.ErrNotFound, key))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	rep.Status = http.StatusNoContent
 }
 
 // proxied implements thin-proxy mode for one cache request. It returns
-// true when the response has been written — either relayed from the
-// owning peer or a 502 after the forward failed — and false when this
-// node should serve locally: no cluster is configured, the request
-// already took its one forwarding hop (ForwardedHeader), or the ring
-// says this node owns the key.
-func (h *Handler) proxied(w http.ResponseWriter, r *http.Request, tenant, key string, body []byte) bool {
-	if h.cluster == nil || r.Header.Get(cluster.ForwardedHeader) != "" {
+// true when rep is filled — relayed from the owning peer or a 502 after
+// the forward failed — and false when this node should serve locally:
+// no cluster is configured, the request already took its one forwarding
+// hop (ForwardedHeader), or the ring says this node owns the key.
+func (h *Handler) proxied(req *request, rep *cluster.Reply) bool {
+	if h.cluster == nil || req.forwarded {
 		return false
 	}
-	owner := h.cluster.Owner(tenant, key)
+	owner := h.cluster.Owner(req.tenant, req.key)
 	if owner == h.cluster.Self() {
 		return false
 	}
-	if err := h.cluster.Relay(r.Context(), w, r.Method, owner, r.URL.EscapedPath(), body, r.Header); err != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]string{
+	if err := h.cluster.Relay(req.ctx, owner, &req.Request, rep); err != nil {
+		replyJSON(rep, http.StatusBadGateway, map[string]string{
 			"error": fmt.Sprintf("forward to owner %s failed: %v", owner, err)})
 	}
 	return true
@@ -465,7 +526,7 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 		MaxBytes:      h.st.MaxBytes(),
 		Backend:       h.st.Backend() != nil,
 		Node:          h.st.Node(),
-		Owned:         h.ownedCounts(),
+		Owned:         wireCounts{h.conns.Load(), h.requests.Load(), h.handBacks.Load()},
 	}
 	c := &resp.Cache
 	for _, t := range resp.Tenants {

@@ -9,15 +9,14 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/textproto"
-	"net/url"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"talus/internal/cluster"
 )
 
 // A Handler that is its http.Server's own Handler serves the keep-alive
@@ -25,11 +24,12 @@ import (
 // request on a connection hijacks it, and a goroutine of the
 // connection's own takes it over, so that net/http's handler returns and
 // its per-connection state goes. From then on wireConn parses each
-// request from its own reader and answers it through h.cache, the one
-// implementation of the cache semantics, with a reused *http.Request and
-// a Content-Length-framing http.ResponseWriter. A request it does not
-// serve itself is handed back, with no byte consumed, to the same server.
-// A wrapped handler never hijacks, so middleware sees every request.
+// request from its own reader into a reused request and answers it
+// through h.cache, the one implementation of the cache semantics, into a
+// reused cluster.Reply, which it writes framed by Content-Length. A
+// request it does not serve itself is handed back, with no byte
+// consumed, to the same server. A wrapped handler never hijacks, so
+// middleware sees every request.
 
 // ownable reports whether a request net/http parsed may start an owned
 // connection: HTTP/1.1 over plain TCP, no body, and none of the headers
@@ -81,9 +81,8 @@ func (h *Handler) own(w http.ResponseWriter, r *http.Request, tenant, key string
 	// The hijack's reader holds net/http's connection: keep only the
 	// bytes it read ahead.
 	buffered, _ := rw.Reader.Peek(rw.Reader.Buffered())
-	first := r.WithContext(context.WithoutCancel(r.Context()))
-	c.init(replay(nc, buffered), first)
-	go c.serve(first, tenant, key)
+	c.init(replay(nc, buffered), r, tenant, key)
+	go c.serve()
 	return true
 }
 
@@ -96,27 +95,13 @@ const (
 	connClosed
 )
 
-// wireCounts is what the owned connections of a Handler did: the
-// connections it took over, the requests it answered on them, and the
-// requests it handed back to net/http. /v1/stats reports them.
+// wireCounts is what the owned connections of a Handler did, as
+// /v1/stats reports it: the connections it took over, the requests it
+// answered on them, and the requests it handed back to net/http.
 type wireCounts struct {
 	Connections int64 `json:"connections"`
 	Requests    int64 `json:"requests"`
 	HandBacks   int64 `json:"handBacks"`
-}
-
-// ownedCounts sums the counts of the connections h has released with
-// those of the ones it serves now.
-func (h *Handler) ownedCounts() wireCounts {
-	h.ownMu.Lock()
-	defer h.ownMu.Unlock()
-	n := h.wire
-	for _, o := range h.owners {
-		for c := range o.conns {
-			n.Requests += c.requests.Load()
-		}
-	}
-	return n
 }
 
 // owner is the set of connections a Handler serves itself under one
@@ -156,17 +141,16 @@ func (h *Handler) adopt(srv *http.Server, c *wireConn) {
 	}
 	c.o = o
 	o.conns[c] = struct{}{}
-	h.wire.Connections++
+	h.conns.Add(1)
 }
 
-// release forgets c, keeping its count of requests. The last connection
+// release forgets c. The last connection
 // out unregisters the owner and closes it, so no goroutine outlives the
 // connections. An owner that has lost its last connection takes no new
 // one: adopt registers another.
 func (h *Handler) release(c *wireConn) {
 	h.ownMu.Lock()
 	defer h.ownMu.Unlock()
-	h.wire.Requests += c.requests.Load()
 	o := c.o
 	delete(o.conns, c)
 	if len(o.conns) == 0 {
@@ -194,13 +178,6 @@ func (h *Handler) closeOwned(o *owner) {
 	}
 }
 
-// countHandBack counts a request handed back to net/http.
-func (h *Handler) countHandBack() {
-	h.ownMu.Lock()
-	h.wire.HandBacks++
-	h.ownMu.Unlock()
-}
-
 // Accept waits for Close, then closes the idle connections and returns
 // once every active one has written its reply and closed. The server's
 // ReadTimeout and WriteTimeout bound that wait; Shutdown's context does
@@ -226,57 +203,51 @@ func (ownedAddr) String() string  { return "owned connections" }
 
 // wireConn is one connection the Handler serves itself.
 type wireConn struct {
-	o        *owner
-	state    atomic.Int32
-	requests atomic.Int64 // answered here; only the connection's goroutine adds
-	nc       net.Conn
-	br       *bufio.Reader
+	o     *owner
+	state atomic.Int32
+	nc    net.Conn
+	br    *bufio.Reader
 	// Timeouts, from the server, as net/http applies them: idle between
 	// requests, read from a request's head to the end of its body, write
 	// from the head to the end of the reply.
 	idleTimeout, readTimeout, writeTimeout time.Duration
 
-	req    *http.Request // every request parsed here, reused
-	body   wireBody
-	w      wireWriter
-	target string       // the previous request target, reused when repeated
-	lines  []headerLine // the previous head's header lines, reused when repeated
-}
-
-// headerLine is one header line as sent, with its canonical key and
-// value slice, so that a line repeated at the same place in the next
-// request costs no allocation.
-type headerLine struct {
-	raw  []byte
-	key  string
-	vals []string
+	ctx        context.Context // every request's: the first's, without its cancellation
+	remoteAddr string
+	req        request       // every request parsed here, reused
+	rep        cluster.Reply // every reply, reused
+	body       wireBody
+	target     string // the previous request target, reused when repeated
+	head       []byte // the request head being served, copied out of the reader
+	out        []byte // the reply's bytes
+	date       []byte
+	dateAt     int64 // the second date was formatted for
 }
 
 // connBufferSize sizes an owned connection's reader, as net/http sizes
 // its own.
 const connBufferSize = 4 << 10
 
-func (c *wireConn) init(nc net.Conn, first *http.Request) {
+// init readies c to serve nc, answering first, for tenant and key,
+// before anything read from nc.
+func (c *wireConn) init(nc net.Conn, first *http.Request, tenant, key string) {
 	c.nc, c.br = nc, bufio.NewReaderSize(nc, connBufferSize)
 	srv := c.o.srv
 	c.idleTimeout, c.readTimeout, c.writeTimeout = srv.IdleTimeout, srv.ReadTimeout, srv.WriteTimeout
 	if c.idleTimeout == 0 {
 		c.idleTimeout = c.readTimeout
 	}
-	c.req = (&http.Request{
-		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		URL: new(url.URL), Header: make(http.Header), RemoteAddr: first.RemoteAddr,
-	}).WithContext(first.Context())
+	c.ctx, c.remoteAddr = context.WithoutCancel(first.Context()), first.RemoteAddr
+	c.req = newRequest(first, tenant, key)
+	c.req.ctx = c.ctx
 	c.body.br = c.br
-	c.w.nc = nc
-	c.w.hdr = make(http.Header)
 }
 
-// serve answers first, then every request that follows on the
-// connection, until it ends or hands a request back. A handler that
-// panics ends the connection and is logged, as under net/http, whose
-// recover no longer covers this goroutine.
-func (c *wireConn) serve(first *http.Request, tenant, key string) {
+// serve answers c.req, the request that hijacked the connection, then
+// every request that follows on it, until it ends or hands a request
+// back. A handler that panics ends the connection and is logged, as
+// under net/http, whose recover no longer covers this goroutine.
+func (c *wireConn) serve() {
 	handedBack := false
 	defer func() {
 		if err := recover(); err != nil && err != http.ErrAbortHandler {
@@ -286,22 +257,22 @@ func (c *wireConn) serve(first *http.Request, tenant, key string) {
 			if c.o.srv.ErrorLog != nil {
 				logf = c.o.srv.ErrorLog.Printf
 			}
-			logf("http: panic serving %v: %v\n%s", c.req.RemoteAddr, err, buf)
+			logf("http: panic serving %v: %v\n%s", c.remoteAddr, err, buf)
 		}
 		if !handedBack {
 			c.nc.Close()
 		}
 		c.o.h.release(c)
 	}()
-	ok := c.respond(first, tenant, key)
+	ok := c.respond()
 	for ok && c.await() {
-		if tenant, key, ok = c.parse(); !ok {
+		if !c.parse() {
 			handedBack = true
-			c.o.h.countHandBack()
+			c.o.h.handBacks.Add(1)
 			c.handBack()
 			return
 		}
-		ok = c.respond(c.req, tenant, key)
+		ok = c.respond()
 	}
 }
 
@@ -319,119 +290,111 @@ func (c *wireConn) await() bool {
 	return c.state.CompareAndSwap(connIdle, connActive)
 }
 
-// respond answers r through the cache path and reports whether the
+// respond answers c.req through the cache path and reports whether the
 // connection may carry another request.
-func (c *wireConn) respond(r *http.Request, tenant, key string) bool {
+func (c *wireConn) respond() bool {
 	if c.writeTimeout > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout))
 	}
-	c.w.req = r
-	c.requests.Add(1)
-	c.o.h.cache(&c.w, r, tenant, key)
+	c.o.h.requests.Add(1)
+	c.o.h.cache(&c.req, &c.rep)
 	// A body not read to its end leaves the stream mid-request, and a
 	// 413 is the handler refusing to read it: like net/http, hang up,
 	// and say so unless the client itself ended the body early.
-	keep := c.body.n == 0 && c.w.status != http.StatusRequestEntityTooLarge && !c.o.closing.Load()
-	err := c.w.finish(!keep && !c.body.eof)
+	keep := c.body.n == 0 && c.rep.Status != http.StatusRequestEntityTooLarge && !c.o.closing.Load()
+	err := c.write(!keep && !c.body.eof)
 	c.state.Store(connIdle)
 	return err == nil && keep && !c.o.closing.Load()
 }
 
 var crlf2 = []byte("\r\n\r\n")
 
-// parse reads the next request head from the buffered bytes into c.req
-// and returns its tenant and key. ok is false, with nothing consumed,
-// for a request the connection does not serve itself: one that is not
-// an HTTP/1.1 GET, HEAD, PUT or DELETE on a clean cache path, whose head
-// is not all buffered, that needs net/http to do more than call the
-// handler, or that net/http would refuse.
-func (c *wireConn) parse() (tenant, key string, ok bool) {
+// parse reads the next request head from the buffered bytes into c.req.
+// It returns false, with nothing consumed, for a request the connection
+// does not serve itself: one that is not an HTTP/1.1 GET, HEAD, PUT or
+// DELETE on a clean cache path, whose head is not all buffered, that
+// needs net/http to do more than call the handler, or that net/http
+// would refuse.
+func (c *wireConn) parse() bool {
 	buf, _ := c.br.Peek(c.br.Buffered())
 	end := bytes.Index(buf, crlf2)
 	if end < 0 {
-		return "", "", false
+		return false
 	}
-	line, rest, _ := bytes.Cut(buf[:end+2], crlf2[:2])
+	// The values of c.req point into a copy of the head: reading a body
+	// refills the reader, which moves its bytes.
+	c.head = append(c.head[:0], buf[:end+2]...)
+	line, rest, _ := bytes.Cut(c.head, crlf2[:2])
 	method, target, ok := requestLine(line)
 	if !ok {
-		return "", "", false
+		return false
 	}
 	if string(target) != c.target {
 		c.target = string(target)
 	}
-	uri := c.target
-	path, query, hasQuery := strings.Cut(uri, "?")
-	if tenant, key, ok = cachePath(path); !ok {
-		return "", "", false
+	path, _, _ := strings.Cut(c.target, "?")
+	tenant, key, ok := cachePath(path)
+	if !ok {
+		return false
 	}
 
-	req := c.req
-	clear(req.Header)
-	host, hosts, length := "", 0, int64(-1)
-	for i := 0; len(rest) > 0; i++ {
+	req := request{Request: cluster.Request{Method: method, Path: path}, tenant: tenant, key: key, ctx: c.ctx, body: &c.body}
+	var seen [len(cluster.RequestHeaders) + 1]bool // the last: ForwardedHeader
+	host, hosts, length := []byte(nil), 0, int64(-1)
+	for len(rest) > 0 {
 		line, rest, _ = bytes.Cut(rest, crlf2[:2])
-		hl, ok := c.headerLine(i, line)
+		name, value, ok := headerField(line)
 		if !ok {
-			return "", "", false
+			return false
 		}
-		switch hl.key {
-		case "Host":
-			host, hosts = hl.vals[0], hosts+1
-			continue
-		case "Content-Length":
-			n, err := strconv.ParseUint(hl.vals[0], 10, 63)
+		switch {
+		case bytes.EqualFold(name, []byte("Host")):
+			host, hosts = value, hosts+1
+		case bytes.EqualFold(name, []byte("Content-Length")):
+			n, err := strconv.ParseUint(string(value), 10, 63)
 			if length >= 0 || err != nil {
-				return "", "", false
+				return false
 			}
 			length = int64(n)
-		}
-		if slices.Contains(connectionHeaders[:], hl.key) {
-			return "", "", false
-		}
-		if vs, dup := req.Header[hl.key]; dup {
-			req.Header[hl.key] = append(vs[:len(vs):len(vs)], hl.vals...)
-		} else {
-			req.Header[hl.key] = hl.vals
+		default:
+			for _, k := range connectionHeaders {
+				if bytes.EqualFold(name, []byte(k)) {
+					return false
+				}
+			}
+			// Of each header, the first value counts, as with Header.Get.
+			for i, k := range cluster.RequestHeaders {
+				if !seen[i] && bytes.EqualFold(name, []byte(k)) {
+					req.Header[i], seen[i] = value, true
+				}
+			}
+			if f := len(seen) - 1; !seen[f] && bytes.EqualFold(name, []byte(cluster.ForwardedHeader)) {
+				req.forwarded, seen[f] = len(value) > 0, true
+			}
 		}
 	}
 	if hosts != 1 || !validHost(host) {
-		return "", "", false
+		return false
 	}
 	if length < 0 {
 		length = 0 // a request without Content-Length has no body
 	} else if length > 0 && method != http.MethodPut {
-		return "", "", false
+		return false
 	}
 
 	c.br.Discard(end + len(crlf2))
-	req.Method, req.Host, req.RequestURI, req.Close = method, host, uri, false
-	u := req.URL
-	u.Path, u.RawPath = path, ""
-	if needsEscape(path) {
-		// What url.ParseRequestURI keeps: the unescaped path, and the
-		// path as sent when escaping the former does not give it back.
-		// requestLine checked every escape, so unescaping cannot fail.
-		u.Path, _ = url.PathUnescape(path)
-		if (&url.URL{Path: u.Path}).EscapedPath() != path {
-			u.RawPath = path
+	c.body.n, c.body.eof = length, false
+	req.length = length
+	c.req = req
+	if length > 0 {
+		switch {
+		case c.readTimeout > 0:
+			c.nc.SetReadDeadline(time.Now().Add(c.readTimeout))
+		case c.idleTimeout > 0:
+			c.nc.SetReadDeadline(time.Time{}) // the idle deadline must not cut the body
 		}
 	}
-	u.ForceQuery = hasQuery && query == ""
-	u.RawQuery = query
-	req.ContentLength = length
-	c.body.n, c.body.eof = length, false
-	if length == 0 {
-		req.Body = http.NoBody
-		return tenant, key, true
-	}
-	req.Body = &c.body
-	switch {
-	case c.readTimeout > 0:
-		c.nc.SetReadDeadline(time.Now().Add(c.readTimeout))
-	case c.idleTimeout > 0:
-		c.nc.SetReadDeadline(time.Time{}) // the idle deadline must not cut the body
-	}
-	return tenant, key, true
+	return true
 }
 
 // requestLine splits "METHOD target HTTP/1.1" for the methods and
@@ -464,73 +427,49 @@ func requestLine(line []byte) (method string, target []byte, ok bool) {
 	return method, target, true
 }
 
-// headerLine returns line i of the head, parsed: reused when the
-// previous head had the same line there, else checked as net/http
-// checks it and canonicalized. ok is false for a line net/http would
-// refuse or fold.
-func (c *wireConn) headerLine(i int, line []byte) (*headerLine, bool) {
-	if i < len(c.lines) && bytes.Equal(c.lines[i].raw, line) {
-		return &c.lines[i], true
-	}
+// headerField splits a header line into its name and value, checked as
+// net/http checks them; ok is false for a line net/http would refuse or
+// fold.
+func headerField(line []byte) (name, value []byte, ok bool) {
 	name, value, found := bytes.Cut(line, []byte{':'})
 	if !found || len(name) == 0 {
-		return nil, false
+		return nil, nil, false
 	}
 	for _, b := range name {
 		if !tokenByte[b] {
-			return nil, false
+			return nil, nil, false
 		}
 	}
 	value = bytes.Trim(value, " \t")
 	for _, b := range value {
 		if (b < ' ' && b != '\t') || b == 0x7f {
-			return nil, false
+			return nil, nil, false
 		}
 	}
-	if i == len(c.lines) {
-		c.lines = append(c.lines, headerLine{})
-	}
-	hl := &c.lines[i]
-	hl.raw = append(hl.raw[:0], line...)
-	hl.key = textproto.CanonicalMIMEHeaderKey(string(name))
-	hl.vals = []string{string(value)}
-	return hl, true
+	return name, value, true
 }
 
 // validHost accepts the Host values parse serves: a name or address
 // with an optional port. Anything else goes to net/http, which decides.
-func validHost(h string) bool {
-	for i := 0; i < len(h); i++ {
-		if !hostByte[h[i]] {
+func validHost(h []byte) bool {
+	for _, b := range h {
+		if !hostByte[b] {
 			return false
 		}
 	}
-	return h != ""
-}
-
-// needsEscape reports whether p has a byte that url's path escaping
-// would write differently, so that the unescaped path must be computed.
-func needsEscape(p string) bool {
-	for i := 0; i < len(p); i++ {
-		if !plainPathByte[p[i]] {
-			return true
-		}
-	}
-	return false
+	return len(h) > 0
 }
 
 func isHex(b byte) bool { return '0' <= b && b <= '9' || 'a' <= b && b <= 'f' || 'A' <= b && b <= 'F' }
 
 // Byte classes: pathByte, the target bytes net/http keeps as sent in an
 // escaped path (RFC 3986 pchar, '/', and the brackets url leaves alone);
-// plainPathByte, those url's path escaping writes as they are;
 // tokenByte, the bytes of a header name (RFC 9110 token); hostByte, the
 // bytes of a Host value parse serves.
 var (
-	pathByte      = byteSet("-._~!$&'()*+,;=:@[]/%")
-	plainPathByte = byteSet("-_.~$&+,/:;=@")
-	tokenByte     = byteSet("!#$%&'*+-.^_`|~")
-	hostByte      = byteSet("-.:[]_")
+	pathByte  = byteSet("-._~!$&'()*+,;=:@[]/%")
+	tokenByte = byteSet("!#$%&'*+-.^_`|~")
+	hostByte  = byteSet("-.:[]_")
 )
 
 // byteSet marks the ASCII letters and digits and the bytes of extra.
@@ -638,168 +577,76 @@ func (b *wireBody) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (b *wireBody) Close() error { return nil }
-
 // A reply goes out in one write when its body is at most inlineBody
 // bytes, the body copied after the head; a larger body is written on
-// its own. maxKeptBody caps the body buffer a connection keeps between
-// replies.
-const (
-	inlineBody  = 2 << 10
-	maxKeptBody = 4 << 10
-)
-
-// wireWriter is the http.ResponseWriter of an owned connection. It holds
-// the reply until the handler returns and then frames it by
-// Content-Length, writing what net/http's server writes for the same
-// handler calls: the status line, the handler's headers in sorted order,
-// then Date, Content-Length and a sniffed Content-Type as net/http adds
-// them, and the body unless the request is HEAD or the status has none.
-// The handlers it serves set no framing header and no Date of their own.
-// An ETag set as bytes (SetETag) takes the place of a header-map value,
-// at the same place in the sorted order.
-type wireWriter struct {
-	nc      net.Conn
-	hdr     http.Header
-	req     *http.Request
-	status  int
-	head    []byte // status line and the handler's headers, as of WriteHeader
-	hasType bool
-	etag    []byte // the ETag value, when hasETag
-	hasETag bool
-	body    []byte
-	keys    []string
-	date    []byte
-	dateSec int64
-}
-
-func (w *wireWriter) Header() http.Header { return w.hdr }
-
-// SetETag sets the reply's ETag to a copy of tag, cleaned as net/http
-// cleans a header value: newlines made spaces, ends trimmed. It
-// implements cluster.ETagWriter, so that a relayed tag stays bytes.
-func (w *wireWriter) SetETag(tag []byte) {
-	w.etag = append(w.etag[:0], textproto.TrimBytes(tag)...)
-	for i, b := range w.etag {
-		if b == '\r' || b == '\n' {
-			w.etag[i] = ' '
-		}
-	}
-	w.hasETag = true
-}
-
-// closeValue is the Connection header of a 413.
-var closeValue = []string{"close"}
-
-func (w *wireWriter) WriteHeader(code int) {
-	if w.status != 0 {
-		return
-	}
-	w.status = code
-	if text := http.StatusText(code); text != "" {
-		w.head = append(w.head[:0], "HTTP/1.1 "...)
-		w.head = strconv.AppendInt(w.head, int64(code), 10)
-		w.head = append(append(append(w.head, ' '), text...), "\r\n"...)
-	} else {
-		w.head = fmt.Appendf(w.head[:0], "HTTP/1.1 %03d status code %d\r\n", code, code)
-	}
-	w.keys = w.keys[:0]
-	for k := range w.hdr {
-		w.keys = append(w.keys, k)
-	}
-	if _, ok := w.hdr["Etag"]; w.hasETag && !ok {
-		w.keys = append(w.keys, "Etag")
-	}
-	// A 413 is the handler refusing a body it did not read to its end,
-	// and net/http's server, noticing that, marks the handler's headers
-	// Connection: close before they are written.
-	if code == http.StatusRequestEntityTooLarge {
-		w.keys = append(w.keys, "Connection")
-	}
-	slices.Sort(w.keys)
-	_, w.hasType = w.hdr["Content-Type"]
-	for _, k := range w.keys {
-		if k == "Etag" && w.hasETag {
-			w.head = append(append(append(append(w.head, k...), ": "...), w.etag...), "\r\n"...)
-			continue
-		}
-		vs := w.hdr[k]
-		if k == "Connection" {
-			vs = closeValue
-		}
-		for _, v := range vs {
-			if strings.ContainsAny(v, "\r\n") {
-				v = newlineToSpace.Replace(v) // as net/http does: no header injection
-			}
-			w.head = append(append(append(w.head, k...), ": "...), textproto.TrimString(v)...)
-			w.head = append(w.head, "\r\n"...)
-		}
-	}
-}
-
-var newlineToSpace = strings.NewReplacer("\n", " ", "\r", " ")
+// its own.
+const inlineBody = 2 << 10
 
 // bodyAllowed reports whether a reply with status may carry a body.
 func bodyAllowed(status int) bool {
 	return status >= 200 && status != http.StatusNoContent && status != http.StatusNotModified
 }
 
-func (w *wireWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.WriteHeader(http.StatusOK)
+// write writes c.rep, framed by Content-Length, in the bytes net/http's
+// server writes for the same reply: the status line; the reply's
+// headers in the sorted order net/http writes a handler's in, with
+// Connection: close first on a 413; Date; Content-Length and a sniffed
+// Content-Type as net/http adds them; Connection: close when closing;
+// and the body unless the request is HEAD or the status has none. The
+// reply's values were cleaned where they came in. Then it resets c.rep.
+func (c *wireConn) write(closing bool) error {
+	rep := &c.rep
+	out := c.out[:0]
+	if text := http.StatusText(rep.Status); text != "" {
+		out = strconv.AppendInt(append(out, "HTTP/1.1 "...), int64(rep.Status), 10)
+		out = append(append(append(out, ' '), text...), "\r\n"...)
+	} else {
+		out = fmt.Appendf(out, "HTTP/1.1 %03d status code %d\r\n", rep.Status, rep.Status)
 	}
-	if len(p) == 0 {
-		return 0, nil
+	if rep.Status == http.StatusRequestEntityTooLarge {
+		out = append(out, "Connection: close\r\n"...)
 	}
-	if !bodyAllowed(w.status) {
-		return 0, http.ErrBodyNotAllowed
+	out = appendField(out, "Content-Type", rep.ContentType)
+	out = appendField(out, "Etag", rep.ETag)
+	out = appendField(out, "X-Talus-Cache", rep.Cache)
+	out = appendField(out, "X-Talus-Node", rep.Node)
+	if now := time.Now(); now.Unix() != c.dateAt {
+		c.date = now.UTC().AppendFormat(c.date[:0], http.TimeFormat)
+		c.dateAt = now.Unix()
 	}
-	w.body = append(w.body, p...)
-	return len(p), nil
-}
-
-// finish writes the reply and readies w for the next one; closing adds
-// Connection: close, which a 413 already has.
-func (w *wireWriter) finish(closing bool) error {
-	if w.status == 0 {
-		w.WriteHeader(http.StatusOK)
-	}
-	if now := time.Now(); now.Unix() != w.dateSec {
-		w.date = now.UTC().AppendFormat(w.date[:0], http.TimeFormat)
-		w.dateSec = now.Unix()
-	}
-	out := append(append(append(w.head, "Date: "...), w.date...), "\r\n"...)
-	isHead := w.req.Method == http.MethodHead
-	allowed := bodyAllowed(w.status)
-	if allowed && (!isHead || len(w.body) > 0) {
-		out = strconv.AppendInt(append(out, "Content-Length: "...), int64(len(w.body)), 10)
+	out = appendField(out, "Date", c.date)
+	body, allowed := rep.Body, bodyAllowed(rep.Status)
+	if allowed && (len(body) > 0 || c.req.Method != http.MethodHead) {
+		out = strconv.AppendInt(append(out, "Content-Length: "...), int64(len(body)), 10)
 		out = append(out, "\r\n"...)
 	}
-	if allowed && !w.hasType && len(w.body) > 0 {
-		out = append(append(append(out, "Content-Type: "...), http.DetectContentType(w.body)...), "\r\n"...)
+	if allowed && len(body) > 0 && rep.ContentType == "" {
+		out = appendField(out, "Content-Type", http.DetectContentType(body))
 	}
-	if closing && w.status != http.StatusRequestEntityTooLarge {
+	if closing && rep.Status != http.StatusRequestEntityTooLarge {
 		out = append(out, "Connection: close\r\n"...)
 	}
 	out = append(out, "\r\n"...)
-	body := w.body
-	if !allowed || isHead {
+	if !allowed || c.req.Method == http.MethodHead {
 		body = nil
 	}
 	if len(body) <= inlineBody {
 		out, body = append(out, body...), nil
 	}
-	_, err := w.nc.Write(out)
+	_, err := c.nc.Write(out)
 	if err == nil && len(body) > 0 {
-		_, err = w.nc.Write(body)
+		_, err = c.nc.Write(body)
 	}
-	w.head = out[:0]
-	clear(w.hdr)
-	w.hasETag = false
-	w.status = 0
-	w.body = w.body[:0]
-	if cap(w.body) > maxKeptBody {
-		w.body = nil
-	}
+	c.out = out[:0]
+	c.rep.Reset()
 	return err
+}
+
+// appendField appends the header line "k: v" to out, or nothing when v
+// is empty.
+func appendField[V string | []byte](out []byte, k string, v V) []byte {
+	if len(v) == 0 {
+		return out
+	}
+	return append(append(append(append(out, k...), ": "...), v...), "\r\n"...)
 }

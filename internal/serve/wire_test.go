@@ -197,39 +197,56 @@ func readRaw(br *bufio.Reader, method string) (string, error) {
 // aside — status line, header order, Date, Content-Length (also on
 // HEAD), no body on 204 and 304, a sniffed Content-Type on a relayed
 // body without one, Connection: close after a refused body, and none
-// after a body the client cut short.
+// after a body the client cut short. A CR or LF in a header value, from
+// an owner's reply or in the node's own ID, is a space on both, never a
+// header line of its own.
 func TestWireMatchesNetHTTP(t *testing.T) {
-	peer := startFakeOwner(t, func(_ int64, c net.Conn) bool {
+	const injected = "X-Injected: 1"
+	peer := startFakeOwner(t, func(_ int64, line string, c net.Conn) bool {
+		if strings.Contains(line, " /v1/cache/cr/") {
+			io.WriteString(c, "HTTP/1.1 200 OK\r\nX-Talus-Node: owner\r"+injected+"\r\n"+
+				"Etag: \"e\r"+injected+"\"\r\nContent-Length: 5\r\n\r\nhello")
+			return false
+		}
 		io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello")
 		return false
 	})
 	type node struct {
-		addr    string
-		ring    *cluster.Ring
-		hijacks *atomic.Int64
+		addr, crlfAddr string // crlfAddr: a node whose NodeID holds "\r\n"
+		ring           *cluster.Ring
+		hijacks        *atomic.Int64
 	}
 	var nodes []node
 	for _, tr := range transports {
-		srv := httptest.NewUnstartedServer(nil)
-		addr := srv.Listener.Addr().String()
-		cl, err := cluster.New(cluster.Config{Self: addr, Nodes: []string{addr, peer.addr}, Seed: 99})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := newStore(t, store.Config{Tenants: []string{"a"}, NodeID: "node"})
-		srv.Config.Handler = tr.handler(serve.NewHandler(st, serve.Config{Cluster: cl, MaxValueBytes: 16}))
 		hijacks := new(atomic.Int64)
-		srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-			if s == http.StateHijacked {
-				hijacks.Add(1)
+		start := func(nodeID string, cl func(addr string) *cluster.Cluster) string {
+			srv := httptest.NewUnstartedServer(nil)
+			addr := srv.Listener.Addr().String()
+			st := newStore(t, store.Config{Tenants: []string{"a"}, NodeID: nodeID})
+			srv.Config.Handler = tr.handler(serve.NewHandler(st, serve.Config{Cluster: cl(addr), MaxValueBytes: 16}))
+			srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+				if s == http.StateHijacked {
+					hijacks.Add(1)
+				}
 			}
+			srv.Start()
+			t.Cleanup(func() {
+				closeServer(srv)
+				st.Close()
+			})
+			return addr
 		}
-		srv.Start()
-		t.Cleanup(func() {
-			closeServer(srv)
-			st.Close()
+		var ring *cluster.Ring
+		addr := start("node", func(addr string) *cluster.Cluster {
+			cl, err := cluster.New(cluster.Config{Self: addr, Nodes: []string{addr, peer.addr}, Seed: 99})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring = cl.Ring()
+			return cl
 		})
-		nodes = append(nodes, node{addr, cl.Ring(), hijacks})
+		crlfAddr := start("node\r\n"+injected, func(string) *cluster.Cluster { return nil })
+		nodes = append(nodes, node{addr, crlfAddr, ring, hijacks})
 	}
 	// keyOn returns a key of tenant every node's ring assigns to the
 	// node itself, or to the peer.
@@ -254,7 +271,10 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 	get := func(target, extra string) string {
 		return "GET " + target + " HTTP/1.1\r\nHost: x\r\n" + extra + "\r\n"
 	}
+	remoteCR := "/v1/cache/cr/" + keyOn("cr", false) // the fake owner answers tenant cr with a bare CR in two values
 	exchanges := []struct{ method, req string }{
+		// A connection of its own to the node whose NodeID holds "\r\n".
+		{"GET", get(path, "")},
 		{"GET", get(path, "")},
 		{"PUT", "PUT " + path + " HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello"},
 		{"GET", get(path, "")},
@@ -262,6 +282,7 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 		{"HEAD", "HEAD " + path + " HTTP/1.1\r\nHost: x\r\n\r\n"},
 		{"GET", get(path, "If-None-Match: *\r\n")},
 		{"GET", get("/v1/cache/a/"+remote, "")},
+		{"GET", get(remoteCR, "")},
 		{"PUT", "PUT " + path + " HTTP/1.1\r\nHost: x\r\nX-Talus-TTL: soon\r\nContent-Length: 1\r\n\r\nx"},
 		{"DELETE", "DELETE " + path + " HTTP/1.1\r\nHost: x\r\n\r\n"},
 		{"DELETE", "DELETE " + path + " HTTP/1.1\r\nHost: x\r\n\r\n"},
@@ -273,21 +294,27 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 		{"GET", get(path, "")},
 		{"PUT", "PUT " + path + " HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\nshort"},
 	}
-	const secondConn = 14 // the first exchange on the second connection
+	const crlfNode, firstConn, secondConn = 0, 1, 16 // the first exchange on each connection
 	var seen [2][]string
 	for i, n := range nodes {
 		var c net.Conn
 		var br *bufio.Reader
 		for j, x := range exchanges {
-			if j == 0 || j == secondConn {
-				if c != nil {
+			if j == crlfNode || j == firstConn || j == secondConn {
+				if j == secondConn {
 					if _, err := br.ReadByte(); err != io.EOF {
 						t.Errorf("%s: connection open after a 413: %v", transports[i].name, err)
 					}
+				}
+				if c != nil {
 					c.Close()
 				}
+				addr := n.addr
+				if j == crlfNode {
+					addr = n.crlfAddr
+				}
 				var err error
-				if c, err = net.Dial("tcp", n.addr); err != nil {
+				if c, err = net.Dial("tcp", addr); err != nil {
 					t.Fatal(err)
 				}
 				defer c.Close()
@@ -316,10 +343,15 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 	// The exchanges reach the cases the writer frames itself.
 	all := strings.Join(seen[0], "")
 	for _, want := range []string{"\r\nContent-Type: text/plain; charset=utf-8\r\n",
-		"HTTP/1.1 413 Request Entity Too Large\r\n", "\r\nConnection: close\r\n"} {
+		"HTTP/1.1 413 Request Entity Too Large\r\n", "\r\nConnection: close\r\n",
+		"\r\nX-Talus-Node: node  " + injected + "\r\n",
+		"\r\nEtag: \"e " + injected + "\"\r\nX-Talus-Node: owner " + injected + "\r\n"} {
 		if !strings.Contains(all, want) {
 			t.Errorf("no reply has %q", want)
 		}
+	}
+	if strings.Contains(all, "\r"+injected) || strings.Contains(all, "\n"+injected) {
+		t.Errorf("a header value became a header line: %q", all)
 	}
 }
 
@@ -387,8 +419,8 @@ func TestBodyFaultIsClientError(t *testing.T) {
 	}
 }
 
-// ownedCounts is the "owned" block of a /v1/stats reply.
-type ownedCounts struct{ Connections, Requests, HandBacks int64 }
+// ownedStats is the "owned" block of a /v1/stats reply.
+type ownedStats struct{ Connections, Requests, HandBacks int64 }
 
 // TestOwnedCountsInStats: /v1/stats counts the connections the handler
 // took over, the requests it answered on them, and the requests it
@@ -408,7 +440,7 @@ func TestOwnedCountsInStats(t *testing.T) {
 			defer c.Close()
 			c.SetDeadline(time.Now().Add(10 * time.Second))
 			br := bufio.NewReader(c)
-			var seen []ownedCounts
+			var seen []ownedStats
 			for _, path := range []string{"/v1/cache/a/k", "/v1/cache/a/k", "/v1/stats", "/v1/cache/a/k", "/v1/stats"} {
 				if _, err := io.WriteString(c, "GET "+path+" HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
 					t.Fatal(err)
@@ -422,16 +454,16 @@ func TestOwnedCountsInStats(t *testing.T) {
 					t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
 				}
 				if path == "/v1/stats" {
-					var stats struct{ Owned ownedCounts }
+					var stats struct{ Owned ownedStats }
 					if err := json.Unmarshal(body, &stats); err != nil {
 						t.Fatal(err)
 					}
 					seen = append(seen, stats.Owned)
 				}
 			}
-			want := []ownedCounts{{1, 2, 1}, {2, 3, 2}}
+			want := []ownedStats{{1, 2, 1}, {2, 3, 2}}
 			if tr.wrap != nil {
-				want = []ownedCounts{{}, {}}
+				want = []ownedStats{{}, {}}
 			}
 			if !reflect.DeepEqual(seen, want) {
 				t.Fatalf("owned counts %+v, want %+v", seen, want)
@@ -451,10 +483,10 @@ func TestOwnedCountsAddUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Listener.Addr().String()
-	stats := func() ownedCounts {
+	stats := func() ownedStats {
 		t.Helper()
 		resp, body := do(t, http.MethodGet, "http://"+addr+"/v1/stats", nil)
-		var payload struct{ Owned ownedCounts }
+		var payload struct{ Owned ownedStats }
 		if err := json.Unmarshal(body, &payload); err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("stats = %d %s: %v", resp.StatusCode, body, err)
 		}
@@ -486,7 +518,7 @@ func TestOwnedCountsAddUp(t *testing.T) {
 		select {
 		case <-done:
 			// A request is counted before its reply is written.
-			if got, want := stats(), (ownedCounts{clients, clients * gets, 0}); got != want {
+			if got, want := stats(), (ownedStats{clients, clients * gets, 0}); got != want {
 				t.Fatalf("owned counts %+v, want %+v", got, want)
 			}
 			return
@@ -597,7 +629,7 @@ func TestCloseEndsOwnedConnections(t *testing.T) {
 // does not return before it has.
 func TestShutdownDrainsOwnedConnections(t *testing.T) {
 	received, release := make(chan struct{}), make(chan struct{})
-	peer := startFakeOwner(t, func(_ int64, c net.Conn) bool {
+	peer := startFakeOwner(t, func(_ int64, _ string, c net.Conn) bool {
 		close(received)
 		<-release
 		io.WriteString(c, "HTTP/1.1 204 No Content\r\n\r\n")
