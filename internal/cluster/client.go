@@ -83,9 +83,15 @@ type conn struct {
 	abort func() // ends the attempt in progress: the caller's context ended
 }
 
-func (p *peer) dial(ctx context.Context) (*conn, error) {
+// dial opens a connection to the peer at addr: TCP, within
+// DefaultTimeout. The fuzz tests swap it for in-memory connections.
+var dial = func(ctx context.Context, addr string) (net.Conn, error) {
 	d := net.Dialer{Timeout: DefaultTimeout}
-	nc, err := d.DialContext(ctx, "tcp", p.addr)
+	return d.DialContext(ctx, "tcp", addr)
+}
+
+func (p *peer) dial(ctx context.Context) (*conn, error) {
+	nc, err := dial(ctx, p.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +185,7 @@ func (p *peer) roundTrip(ctx context.Context, c *conn, from string, req *Request
 	bw := c.bw
 	bw.WriteString(req.Method)
 	bw.WriteByte(' ')
-	bw.WriteString(req.Path)
+	bw.Write(req.Path)
 	bw.WriteString(" HTTP/1.1\r\nHost: ")
 	bw.WriteString(p.addr)
 	bw.WriteString("\r\n" + ForwardedHeader + ": ")

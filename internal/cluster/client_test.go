@@ -120,7 +120,7 @@ func newTestCluster(t *testing.T, peer string) *Cluster {
 }
 
 // get is a bodyless GET of path.
-func get(path string) *Request { return &Request{Method: http.MethodGet, Path: path} }
+func get(path string) *Request { return &Request{Method: http.MethodGet, Path: []byte(path)} }
 
 // header returns rep's value of the response header k, "" for one a
 // Reply does not carry.
@@ -145,9 +145,9 @@ func TestRelayWireFormat(t *testing.T) {
 	f := startFakePeer(t, func(int, string) (string, bool) { return "HTTP/1.1 204 No Content\r\n\r\n", false })
 	c := newTestCluster(t, f.addr)
 	for _, req := range []*Request{
-		{Method: http.MethodPut, Path: "/v1/cache/a/k%2Fx", Header: [...][]byte{IfNoneMatch: []byte(`"t"`), TTL: []byte("5"),
+		{Method: http.MethodPut, Path: []byte("/v1/cache/a/k%2Fx"), Header: [...][]byte{IfNoneMatch: []byte(`"t"`), TTL: []byte("5"),
 			ContentType: []byte("text/plain")}, Body: []byte("hello")},
-		{Method: http.MethodPut, Path: "/v1/cache/a/empty", Body: []byte{}},
+		{Method: http.MethodPut, Path: []byte("/v1/cache/a/empty"), Body: []byte{}},
 		get("/v1/cache/a/k"),
 	} {
 		if err := c.Relay(context.Background(), f.addr, req, new(Reply)); err != nil {
@@ -214,7 +214,7 @@ func TestRelayFraming(t *testing.T) {
 			})
 			cl := newTestCluster(t, f.addr)
 			rep := new(Reply)
-			if err := cl.Relay(context.Background(), f.addr, &Request{Method: c.method, Path: "/v1/cache/a/k"}, rep); err != nil {
+			if err := cl.Relay(context.Background(), f.addr, &Request{Method: c.method, Path: []byte("/v1/cache/a/k")}, rep); err != nil {
 				t.Fatal(err)
 			}
 			if rep.Status != c.status || string(rep.Body) != c.body {
@@ -282,7 +282,7 @@ func TestRelayMalformedIsAnErrorBeforeAnyWrite(t *testing.T) {
 		f := startFakePeer(t, func(int, string) (string, bool) { return resp, true })
 		c := newTestCluster(t, f.addr)
 		rep := new(Reply)
-		if err := c.Relay(context.Background(), f.addr, &Request{Method: http.MethodPut, Path: "/v1/cache/a/k", Body: []byte("v")}, rep); err == nil {
+		if err := c.Relay(context.Background(), f.addr, &Request{Method: http.MethodPut, Path: []byte("/v1/cache/a/k"), Body: []byte("v")}, rep); err == nil {
 			t.Errorf("%q: relayed without error", resp)
 		}
 		if !untouched(rep) {
@@ -312,7 +312,7 @@ func TestRelayResendsOnlyUnsent(t *testing.T) {
 		return "HTTP/1.1 204 No Content\r\n\r\n", i == 0
 	})
 	c := newTestCluster(t, f.addr)
-	del := &Request{Method: http.MethodDelete, Path: "/v1/cache/a/k"}
+	del := &Request{Method: http.MethodDelete, Path: []byte("/v1/cache/a/k")}
 	for i := 0; i < 2; i++ {
 		if err := c.Relay(context.Background(), f.addr, del, new(Reply)); err != nil {
 			t.Fatalf("relay %d over a stale pooled connection: %v", i, err)

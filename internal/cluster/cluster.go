@@ -66,16 +66,20 @@ func (c *Cluster) Self() string { return c.self }
 // Ring returns the membership ring.
 func (c *Cluster) Ring() *Ring { return c.ring }
 
-// Owner returns the node owning (tenant, key).
-func (c *Cluster) Owner(tenant, key string) string { return c.ring.Route(tenant, key) }
+// Owner returns the node owning (tenant, key), as Ring.Route does for
+// their strings.
+func (c *Cluster) Owner(tenant, key []byte) string {
+	return c.ring.owner(keyHash(c.ring.seed, tenant, key))
+}
 
 // Request is the part of a cache request the hop relays to its owner:
 // the method, the escaped path, the request headers that keep their
 // meaning across the hop, and the body.
 type Request struct {
-	Method, Path string
-	Header       [len(RequestHeaders)][]byte // the values of RequestHeaders; empty: not sent
-	Body         []byte
+	Method string
+	Path   []byte
+	Header [len(RequestHeaders)][]byte // the values of RequestHeaders; empty: not sent
+	Body   []byte
 }
 
 // The relayed request headers, as indexes into RequestHeaders and

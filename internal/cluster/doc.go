@@ -58,8 +58,9 @@
 // relayed, not retried.
 //
 // Cluster binds a Ring to this node's own identity and the peer pools:
-// serve.Handler asks Owner(tenant, key) on each cache request and
-// relays misses-of-ownership to that owner: it sends a Request as it
+// serve.Handler asks Owner(tenant, key) of each cache request's bytes,
+// which hash as Ring.Route's strings do, and relays
+// misses-of-ownership to that owner: it sends a Request as it
 // is and fills a Reply with the owner's status, body and X-Talus-Cache /
 // X-Talus-Node / ETag / Content-Type, the first occurrence of each,
 // cleaned by Clean as net/http cleans a value it writes (CR and LF made

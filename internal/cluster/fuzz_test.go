@@ -13,13 +13,11 @@ import (
 const relayDeadline = 10 * time.Second
 
 // FuzzRelay answers one relayed GET with arbitrary bytes from an owner
-// on loopback, which then hangs up. Relay must return within
-// relayDeadline, without a panic, in one of two ways: an error, with the
-// reply untouched; or a reply whose status is 200–999, whose header
-// values hold no CR or LF, and whose body is no longer than what the
-// owner sent. The owner half-closes after its bytes and resets the
-// connection once the relay has returned, so that a run of many inputs
-// leaves no socket in TIME_WAIT.
+// on an in-memory connection, which then hangs up. Relay must return
+// within relayDeadline, without a panic, in one of two ways: an error,
+// with the reply untouched; or a reply whose status is 200–999, whose
+// header values hold no CR or LF, and whose body is no longer than what
+// the owner sent.
 func FuzzRelay(f *testing.F) {
 	for _, c := range framings {
 		f.Add([]byte(c.resp))
@@ -30,12 +28,8 @@ func FuzzRelay(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200 OK\r\nX-Talus-Node: a\rb\r\nEtag: \"e\rf\"\r\nContent-Type: \r\n\r\n"))
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 999999999999999999\r\n\r\nabc"))
 	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nfffffffffffffff\r\nabc"))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { ln.Close() })
-	owner := ln.Addr().String()
+	accepted := dialPipes(f)
+	const owner = "owner:1"
 
 	f.Fuzz(func(t *testing.T, resp []byte) {
 		cl, err := New(Config{Self: "self:1", Nodes: []string{"self:1", owner}})
@@ -45,10 +39,11 @@ func FuzzRelay(f *testing.F) {
 		rep := new(Reply)
 		done := make(chan error, 1)
 		go func() { done <- cl.Relay(context.Background(), owner, get("/v1/cache/a/k"), rep) }()
-		ln.(*net.TCPListener).SetDeadline(time.Now().Add(relayDeadline))
-		c, err := ln.Accept()
-		if err != nil {
-			t.Fatal(err)
+		var c net.Conn
+		select {
+		case c = <-accepted:
+		case err = <-done:
+			t.Fatalf("relay returned %v before it dialled", err)
 		}
 		c.SetDeadline(time.Now().Add(relayDeadline))
 		answered := make(chan struct{})
@@ -57,7 +52,7 @@ func FuzzRelay(f *testing.F) {
 			if _, ok := readRequest(bufio.NewReader(c)); ok {
 				c.Write(resp)
 			}
-			c.(*net.TCPConn).CloseWrite()
+			c.Close()
 		}()
 		select {
 		case err = <-done:
@@ -70,8 +65,6 @@ func FuzzRelay(f *testing.F) {
 			}
 		}
 		<-answered
-		c.(*net.TCPConn).SetLinger(0)
-		c.Close()
 		if err != nil {
 			if !untouched(rep) {
 				t.Fatalf("error %v, and the reply has status %d, %d body bytes", err, rep.Status, len(rep.Body))

@@ -86,18 +86,21 @@ func NewRing(nodes []string, vnodes int, seed uint64) (*Ring, error) {
 	return r, nil
 }
 
-// keyHash places (tenant, key) on the circle. Tenant and key are
-// hashed separately before mixing, so no (tenant, key) concatenation
-// ambiguity exists, and Mix64 destroys FNV's GF(2)-linear structure
-// before the ring lookup.
-func (r *Ring) keyHash(tenant, key string) uint64 {
-	return hash.Mix64(hash.FNV64a(tenant) ^ hash.Mix64(hash.FNV64a(key)^r.seed))
+// keyHash places (tenant, key) on the circle of a ring seeded with
+// seed. Tenant and key are hashed separately before mixing, so no
+// (tenant, key) concatenation ambiguity exists, and Mix64 destroys
+// FNV's GF(2)-linear structure before the ring lookup. A string and its
+// bytes hash alike.
+func keyHash[K string | []byte](seed uint64, tenant, key K) uint64 {
+	return hash.Mix64(hash.FNV64a(tenant) ^ hash.Mix64(hash.FNV64a(key)^seed))
 }
 
 // Route returns the node owning (tenant, key): the first ring point at
 // or clockwise after the key's hash.
-func (r *Ring) Route(tenant, key string) string {
-	h := r.keyHash(tenant, key)
+func (r *Ring) Route(tenant, key string) string { return r.owner(keyHash(r.seed, tenant, key)) }
+
+// owner returns the node owning hash h on the circle.
+func (r *Ring) owner(h uint64) string {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap: the circle's first point owns the top arc

@@ -213,3 +213,19 @@ func TestRingConcurrentRoute(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestOwnerMatchesRoute: Cluster.Owner, which the handler asks on a
+// request's bytes, names the node Ring.Route names for the same strings,
+// which is what clients and the benchmark route by.
+func TestOwnerMatchesRoute(t *testing.T) {
+	nodes := []string{"a:1", "b:1", "c:1"}
+	c, err := New(Config{Self: "a:1", Nodes: nodes, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range sampleKeys(2000) {
+		if got, want := c.Owner([]byte(k[0]), []byte(k[1])), c.Ring().Route(k[0], k[1]); got != want {
+			t.Fatalf("Owner(%q, %q) = %s, Route = %s", k[0], k[1], got, want)
+		}
+	}
+}

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -92,6 +94,21 @@ func (rc *rawConn) roundTrip(req []byte) (int, []byte, error) {
 // 5 → 3. Each node that reads the body drops http.MaxBytesReader and
 // io.ReadAll's growing buffer for that one buffer, so what is left is
 // the body on each node that reads it and the store's entry.
+//
+// Re-based on purpose a third time when an owned request came to be
+// parsed as bytes and the store to keep a PUT body it is handed:
+//   - new-key GET 1 → 0: the request target is no longer copied into a
+//     string; the store copies a key only into an entry it creates;
+//   - local PUT 2 → 1: the store keeps the body the handler read,
+//     rather than copying it;
+//   - forwarded PUT 3 → 2: the same, on the owner.
+//
+// New rows, with their counts before that change: a forwarded GET of a
+// different resident key each request, 2 → 0 (the request-target
+// string on the entry node and on the owner), which is cluster-hop's
+// pattern; and a PUT of a new key each request, 4 → 3 (the second copy
+// of the body), whose three are the body, the key's string and the
+// store's entry.
 func TestAllocationBudget(t *testing.T) {
 	const warm, n = 1000, 10_000
 	h := newCluster(t, 2, 4096)
@@ -120,11 +137,19 @@ func TestAllocationBudget(t *testing.T) {
 	local, remote := h.keyOwnedBy(0, "budget"), h.keyOwnedBy(1, "budget")
 	tag := put(local)
 	put(remote)
-	var rotating [][]byte
+	var rotating, rotatingRemote, newKeys [][]byte
 	for i := 0; i < 8; i++ {
 		key := h.keyOwnedBy(0, "rotate"+strconv.Itoa(i))
 		put(key)
 		rotating = append(rotating, get(key, ""))
+		key = h.keyOwnedBy(1, "rotate"+strconv.Itoa(i))
+		put(key)
+		rotatingRemote = append(rotatingRemote, get(key, ""))
+	}
+	for i := 0; len(newKeys) < warm+n; i++ {
+		if key := "new-" + strconv.Itoa(i); h.ring.Route("alice", key) == h.nodes[0] {
+			newKeys = append(newKeys, putReq(key))
+		}
 	}
 	// The first request on the connection is a GET, which hands it to
 	// the handler; the rows run in order on it.
@@ -136,10 +161,12 @@ func TestAllocationBudget(t *testing.T) {
 	}{
 		{"local GET", [][]byte{get(local, "")}, 200, 0},
 		{"local GET, 304", [][]byte{get(local, "If-None-Match: "+tag+"\r\n")}, 304, 0},
-		{"local GET, a new resident key each request", rotating, 200, 1},
+		{"local GET, a new resident key each request", rotating, 200, 0},
 		{"forwarded GET", [][]byte{get(remote, "")}, 200, 0},
-		{"local PUT", [][]byte{putReq(local)}, 204, 2},
-		{"forwarded PUT", [][]byte{putReq(remote)}, 204, 3},
+		{"forwarded GET, a new resident key each request", rotatingRemote, 200, 0},
+		{"local PUT", [][]byte{putReq(local)}, 204, 1},
+		{"forwarded PUT", [][]byte{putReq(remote)}, 204, 2},
+		{"PUT of a new key each request", newKeys, 204, 3},
 	} {
 		var wantBody []byte
 		if tc.status == 200 {
@@ -241,6 +268,99 @@ func idleConnectionBytes(t *testing.T, tr transport) float64 {
 	runtime.KeepAlive(clients)
 	return (float64(after) - float64(before)) / conns
 }
+
+// TestStoredKeyPinsNoTarget: a key first written over an owned
+// connection holds as much heap as one written in-process. Each way, n
+// new keys of a tenant with a 256-byte name go into a fresh store, PUT
+// on one owned connection or passed to Store.Set as strings of their
+// own, and the live heap per resident key must agree within keySlack.
+// Both read 172 B when the test was written. An entry whose key were
+// cut from the request target would pin the whole
+// "/v1/cache/<tenant>/<key>", tenant name included, a 288-B string in
+// place of a 24-B one: 436 B a key over the wire, as it read while the
+// owned wire kept the target as a string. Skipped under -race, whose
+// shadow memory is not the store's.
+func TestStoredKeyPinsNoTarget(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's shadow memory is not the store's")
+	}
+	const n, keySlack = 2048, 16
+	tenant := strings.Repeat("t", 256)
+	value := bytes.Repeat([]byte("v"), 64)
+	// perKey runs write over a fresh store and returns the live heap it
+	// added per resident key.
+	perKey := func(write func(srv *httptest.Server, st *store.Store) (run func())) float64 {
+		srv, st, _ := newServerVia(t, transports[0], store.Config{Tenants: []string{tenant}}, serve.Config{})
+		run := write(srv, st)
+		keys := func() int64 {
+			s, err := st.Stats(tenant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.Keys
+		}
+		// Two collections on each side: the first leaves what sync.Pool
+		// caches alive in its victim cache.
+		heap := func() uint64 { heapInUse(); return heapInUse() }
+		k0, h0 := keys(), heap()
+		run()
+		h1, k1 := heap(), keys()
+		runtime.KeepAlive(run) // and what it made before h0
+		return (float64(h1) - float64(h0)) / float64(k1-k0)
+	}
+	inProcess := perKey(func(_ *httptest.Server, st *store.Store) func() {
+		// A first Set makes what the first access to the cache makes.
+		if _, err := st.Set(tenant, "warm", value); err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			for i := 0; i < n; i++ {
+				if _, err := st.Set(tenant, residentKey(i), value); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	wire := perKey(func(srv *httptest.Server, st *store.Store) func() {
+		c, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		rc := &rawConn{c: c, br: bufio.NewReaderSize(c, 4096)}
+		put := func(key string) []byte {
+			return []byte("PUT /v1/cache/" + tenant + "/" + key + " HTTP/1.1\r\nHost: x\r\nContent-Length: 64\r\n\r\n" + string(value))
+		}
+		// A GET hands the connection to the handler, and a first PUT
+		// sizes what the connection keeps for a head.
+		for _, req := range [][]byte{[]byte("GET /v1/cache/" + tenant + "/warm HTTP/1.1\r\nHost: x\r\n\r\n"), put("warm")} {
+			if _, _, err := rc.roundTrip(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reqs := make([][]byte, n)
+		for i := range reqs {
+			reqs[i] = put(residentKey(i))
+		}
+		return func() {
+			for _, req := range reqs {
+				if status, _, err := rc.roundTrip(req); err != nil || status != 204 {
+					t.Fatalf("PUT = %d, %v", status, err)
+				}
+			}
+		}
+	})
+	t.Logf("heap per resident key: %.1f B written over the owned wire, %.1f B in-process", wire, inProcess)
+	if math.Abs(wire-inProcess) > keySlack {
+		t.Errorf("a key written over the owned wire holds %.1f B, one written in-process %.1f B; slack %d B",
+			wire, inProcess, keySlack)
+	}
+}
+
+// residentKey is TestStoredKeyPinsNoTarget's i-th key: 20 bytes, too
+// long for the allocator's tiny blocks, which would charge a key for
+// whatever shares its block.
+func residentKey(i int) string { return "resident-key-" + strconv.Itoa(1e6+i) }
 
 // TestDeclaredLengthSizesNoBuffer: a PUT that declares the largest body
 // the server takes and then sends one byte must not make the server hold

@@ -70,12 +70,21 @@
 // context when the hijacking handler returns, which is at once, and
 // after a hijack nothing watches for the client hanging up. A forward
 // in flight when a client hangs up therefore runs to its own timeout.
-// In exchange, an owned request allocates nothing it can avoid: a
-// repeated GET, local or forwarded, and a 304 allocate nothing across
-// the process; a GET of a different key each request allocates the
-// request-target string, which the store may keep as its key; a PUT
-// allocates its body once on each node that reads it, and the store's
-// entry. A PUT body is read once, on either transport: a known length by
+// In exchange, an owned request allocates only what the store keeps. A
+// GET, local or forwarded, of the same key or a different one each
+// request, and a 304 allocate nothing across the process: the head is
+// parsed as bytes in the connection's own storage, a percent-escaped
+// tenant or key is unescaped into a second buffer the connection keeps,
+// and the escaped path goes to the key's owner as it came. A PUT
+// allocates its body once on each node that reads it, and a PUT of a new
+// key adds the store's entry and one copy of the key.
+//
+// Who owns which bytes: the store's public Set copies its value, and
+// the handler's path hands the store (Store.SetBytes) the body it has
+// just read, which nothing else then holds, so the body is kept rather
+// than copied again; the tenant and key are bytes of the request, which
+// the store never keeps, and only an entry it creates copies its key. A
+// PUT body is read once, on either transport: a known length by
 // cluster.ReadFull, into one buffer of its size up to 64 KiB and past
 // that into storage that grows as the bytes arrive; a length over the
 // cap is a 413 with no byte read; a chunked body (net/http's alone) up

@@ -6,9 +6,7 @@ import (
 	"errors"
 	"io"
 	"log"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"syscall"
@@ -61,7 +59,7 @@ func (l *panicLog) take() []string {
 
 // FuzzHandler writes one clean GET and then arbitrary bytes on a
 // keep-alive connection to the unwrapped handler, behind its own
-// http.Server on loopback, and half-closes the connection. Every reply
+// http.Server on in-memory connections, and half-closes the connection. Every reply
 // must parse as a framed HTTP/1.x response with a status in
 // replyStatuses, the server must end the connection before
 // fuzzDeadline, no request may panic the handler, and a fresh
@@ -101,20 +99,18 @@ func FuzzHandler(f *testing.F) {
 		f.Fatal(err)
 	}
 	logged := &panicLog{}
-	srv := httptest.NewUnstartedServer(serve.NewHandler(st, serve.Config{MaxValueBytes: 64}))
-	srv.Config.ErrorLog = log.New(logged, "", 0)
-	srv.Start()
+	srv := &http.Server{Handler: serve.NewHandler(st, serve.Config{MaxValueBytes: 64}), ErrorLog: log.New(logged, "", 0)}
+	ln := newPipeListener()
+	go srv.Serve(ln)
 	f.Cleanup(func() {
 		srv.Close()
-		srv.Config.Close()
 		st.Close()
 	})
-	addr := srv.Listener.Addr().String()
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		const first = "GET /v1/cache/fuzz/k HTTP/1.1\r\nHost: fuzz\r\n\r\n"
 		methods := append([]string{http.MethodGet}, requestMethods(in)...)
-		replies, err := exchange(addr, append([]byte(first), in...), methods)
+		replies, err := exchange(ln, append([]byte(first), in...), methods)
 		if err != nil {
 			t.Fatalf("after %d well-formed replies: %v", replies, err)
 		}
@@ -126,15 +122,13 @@ func FuzzHandler(f *testing.F) {
 		}
 		health := "PUT /v1/cache/fuzz/health HTTP/1.1\r\nHost: fuzz\r\nContent-Length: 2\r\n\r\nok" +
 			"GET /v1/cache/fuzz/health HTTP/1.1\r\nHost: fuzz\r\n\r\n"
-		c, err := net.Dial("tcp", addr)
+		c, err := ln.Dial()
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
 		c.SetDeadline(time.Now().Add(fuzzDeadline))
-		if _, err := io.WriteString(c, health); err != nil {
-			t.Fatal(err)
-		}
+		go io.WriteString(c, health) // an in-memory write waits for the server to read it
 		br := bufio.NewReader(c)
 		for i, want := range []int{204, 200} {
 			resp, err := http.ReadResponse(br, nil)
@@ -166,7 +160,7 @@ func requestMethods(in []byte) []string {
 	}
 }
 
-// exchange writes req on a fresh connection, half-closes it and reads
+// exchange writes req on a fresh connection to ln, half-closes it and reads
 // replies until the server ends the connection, the i-th final reply
 // framed as the answer to a methods[i] request. It returns how many
 // replies parsed, and the first thing wrong: a reply that does not
@@ -175,8 +169,8 @@ func requestMethods(in []byte) []string {
 // exchange cleanly wherever it comes: a server that closes with input
 // unread resets the connection, which may drop reply bytes already
 // sent.
-func exchange(addr string, req []byte, methods []string) (int, error) {
-	c, err := net.Dial("tcp", addr)
+func exchange(ln *pipeListener, req []byte, methods []string) (int, error) {
+	c, err := ln.Dial()
 	if err != nil {
 		return 0, err
 	}
@@ -186,7 +180,7 @@ func exchange(addr string, req []byte, methods []string) (int, error) {
 		// The server may hang up before it has read everything (a 400
 		// closes); what it replied is read below either way.
 		c.Write(req)
-		c.(*net.TCPConn).CloseWrite()
+		c.(*pipeConn).CloseWrite()
 	}()
 	br := bufio.NewReader(c)
 	replies, final := 0, 0

@@ -8,9 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
-	"path"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -88,7 +86,8 @@ func NewHandler(st *store.Store, cfg Config) *Handler {
 	// patterns for what it alone decides: 405 with Allow for other
 	// methods, and the redirects of unclean paths.
 	byPattern := func(w http.ResponseWriter, r *http.Request) {
-		h.serveCache(w, r, r.PathValue("tenant"), r.PathValue("key"))
+		req := newRequest(r, []byte(r.URL.EscapedPath()), []byte(r.PathValue("tenant")), []byte(r.PathValue("key")))
+		h.serveCache(w, &req, new(cluster.Reply))
 	}
 	h.mux.HandleFunc("GET "+cachePrefix+"{tenant}/{key...}", byPattern)
 	h.mux.HandleFunc("PUT "+cachePrefix+"{tenant}/{key...}", byPattern)
@@ -111,9 +110,12 @@ func NewHandler(st *store.Store, cfg Config) *Handler {
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet, http.MethodHead, http.MethodPut, http.MethodDelete:
-		if tenant, key, ok := cachePath(r.URL.EscapedPath()); ok {
-			if !h.own(w, r, tenant, key) {
-				h.serveCache(w, r, tenant, key)
+		x := exchanges.Get().(*exchange)
+		defer exchanges.Put(x)
+		if path, tenant, key, ok := x.buf.split(r); ok {
+			if !h.own(w, r) {
+				req := newRequest(r, path, tenant, key)
+				h.serveCache(w, &req, &x.rep)
 			}
 			return
 		}
@@ -121,56 +123,114 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
+// reqBytes is the storage a request's path, tenant and key are slices
+// of while it is served: the bytes it arrived in, and the segments of
+// its path that were unescaped.
+type reqBytes struct{ head, unescaped []byte }
+
+// exchange is what a cache request net/http's server parsed reuses, as
+// an owned connection keeps one of each: the storage of its path,
+// tenant and key, and the reply it fills, whose ETag and body storage
+// are kept.
+type exchange struct {
+	buf reqBytes
+	rep cluster.Reply
+}
+
+var exchanges = sync.Pool{New: func() any { return new(exchange) }}
+
+// split copies r's escaped path into b and splits it as cachePath does.
+func (b *reqBytes) split(r *http.Request) (path, tenant, key []byte, ok bool) {
+	b.head = append(b.head[:0], r.URL.EscapedPath()...)
+	tenant, key, ok = b.cachePath(b.head)
+	return b.head, tenant, key, ok
+}
+
 // cachePath splits an escaped /v1/cache/{tenant}/{key...} path into its
 // unescaped tenant and key, the way the mux's pattern does: the tenant
 // is one segment, the key the rest, each unescaped on its own (so
 // "a%2Fb" is tenant "a/b"). ok is false for any other path and for a
-// path the mux would redirect to its cleaned form.
-func cachePath(p string) (tenant, key string, ok bool) {
-	rest, ok := strings.CutPrefix(p, cachePrefix)
+// path the mux would redirect to its cleaned form. A segment without
+// escapes is a slice of p, one with escapes of b.unescaped; p is left
+// as it is.
+func (b *reqBytes) cachePath(p []byte) (tenant, key []byte, ok bool) {
+	rest, ok := bytes.CutPrefix(p, []byte(cachePrefix))
 	if !ok {
-		return "", "", false
+		return nil, nil, false
 	}
-	i := strings.IndexByte(rest, '/')
+	i := bytes.IndexByte(rest, '/')
 	if i <= 0 || !isClean(p) {
-		return "", "", false
+		return nil, nil, false
 	}
-	return unescape(rest[:i]), unescape(rest[i+1:]), true
+	b.unescaped = b.unescaped[:0]
+	tenant = b.unescape(rest[:i])
+	key = b.unescape(rest[i+1:])
+	return tenant, key, true
 }
 
-// isClean reports whether the mux would serve p as is: path.Clean
-// leaves it unchanged but for a trailing slash, which the mux keeps.
-func isClean(p string) bool {
-	np := path.Clean(p)
-	return np == p || (len(p) == len(np)+1 && p[len(p)-1] == '/' && strings.HasPrefix(p, np))
+// isClean reports whether the mux would serve p, a cache path, as is:
+// path.Clean leaves it unchanged but for a trailing slash, which the
+// mux keeps. That is, no segment is "." or "..", and none but the last
+// is empty.
+func isClean(p []byte) bool {
+	for rest, more := p[1:], true; more; {
+		var seg []byte
+		seg, rest, more = bytes.Cut(rest, []byte{'/'})
+		if string(seg) == "." || string(seg) == ".." || (len(seg) == 0 && more) {
+			return false
+		}
+	}
+	return true
 }
 
-// unescape undoes path escaping, keeping s as is when it is not validly
-// escaped, as the mux does.
-func unescape(s string) string {
-	u, err := url.PathUnescape(s)
-	if err != nil {
-		return s
+// unescape undoes the path escaping of seg into b.unescaped, keeping
+// seg as it is when it has no escape or is not validly escaped, as the
+// mux does.
+func (b *reqBytes) unescape(seg []byte) []byte {
+	if bytes.IndexByte(seg, '%') < 0 {
+		return seg
 	}
-	return u
+	start := len(b.unescaped)
+	for i := 0; i < len(seg); i++ {
+		c := seg[i]
+		if c == '%' {
+			if i+2 >= len(seg) || !isHex(seg[i+1]) || !isHex(seg[i+2]) {
+				b.unescaped = b.unescaped[:start]
+				return seg
+			}
+			c = unhex(seg[i+1])<<4 | unhex(seg[i+2])
+			i += 2
+		}
+		b.unescaped = append(b.unescaped, c)
+	}
+	return b.unescaped[start:]
+}
+
+// unhex is the value of the hex digit c.
+func unhex(c byte) byte {
+	if c <= '9' {
+		return c - '0'
+	}
+	return c | 0x20 - 'a' + 10 // 'A' | 0x20 is 'a'
 }
 
 // request is one cache request, as either transport hands it to the
-// cache path.
+// cache path. Its path, tenant and key are slices of a reqBytes.
 type request struct {
 	cluster.Request // what the hop relays; Body is read by put
-	tenant, key     string
+	tenant, key     []byte
 	forwarded       bool // X-Talus-Forwarded has a value: the request took its hop
 	ctx             context.Context
 	body            io.Reader // a PUT's body
 	length          int64     // the body's length; -1 when it is chunked
 }
 
-// newRequest reads the cache request net/http's server parsed. Of each
-// header, the first value counts, as with Header.Get.
-func newRequest(r *http.Request, tenant, key string) request {
+// newRequest reads the cache request net/http's server parsed, on its
+// escaped path, tenant and key. Of each header, the first value counts,
+// as with Header.Get.
+func newRequest(r *http.Request, path, tenant, key []byte) request {
 	req := request{
-		Request: cluster.Request{Method: r.Method, Path: r.URL.EscapedPath()},
+		Request: cluster.Request{Method: r.Method, Path: path},
 		tenant:  tenant, key: key, forwarded: r.Header.Get(cluster.ForwardedHeader) != "",
 		ctx: r.Context(), body: r.Body, length: r.ContentLength,
 	}
@@ -180,18 +240,12 @@ func newRequest(r *http.Request, tenant, key string) request {
 	return req
 }
 
-// replies holds the replies serveCache fills, so that their ETag and
-// body storage is reused, as an owned connection reuses its one reply's.
-var replies = sync.Pool{New: func() any { return new(cluster.Reply) }}
-
-// serveCache answers a cache request net/http's server parsed, through w.
-func (h *Handler) serveCache(w http.ResponseWriter, r *http.Request, tenant, key string) {
-	req := newRequest(r, tenant, key)
-	rep := replies.Get().(*cluster.Reply)
-	h.cache(&req, rep)
+// serveCache answers a cache request net/http's server parsed, through
+// w, filling rep.
+func (h *Handler) serveCache(w http.ResponseWriter, req *request, rep *cluster.Reply) {
+	h.cache(req, rep)
 	writeReply(w, rep)
 	rep.Reset()
-	replies.Put(rep)
 }
 
 // writeReply copies rep into w, its header values in one allocation, each
@@ -353,7 +407,7 @@ func ttlOf(v []byte) (time.Duration, error) {
 }
 
 func (h *Handler) get(req *request, rep *cluster.Reply) {
-	value, hit, err := h.st.Get(req.tenant, req.key)
+	value, hit, err := h.st.GetBytes(req.tenant, req.key)
 	rep.Cache = outcome(hit)
 	if err != nil {
 		replyErr(rep, err)
@@ -378,7 +432,8 @@ func (h *Handler) put(req *request, rep *cluster.Reply) {
 		replyErr(rep, err)
 		return
 	}
-	hit, err := h.st.SetTTL(req.tenant, req.key, req.Body, ttl)
+	// The store keeps the body readBody read for this request.
+	hit, err := h.st.SetBytes(req.tenant, req.key, req.Body, ttl)
 	if err != nil {
 		replyErr(rep, err)
 		return
@@ -426,7 +481,7 @@ func readBody(r io.Reader, length, maxValue int64) ([]byte, error) {
 }
 
 func (h *Handler) delete(req *request, rep *cluster.Reply) {
-	existed, err := h.st.Delete(req.tenant, req.key)
+	existed, err := h.st.DeleteBytes(req.tenant, req.key)
 	if err == nil && !existed {
 		err = fmt.Errorf("%w: %q", store.ErrNotFound, req.key)
 	}

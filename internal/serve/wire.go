@@ -61,7 +61,7 @@ var connectionHeaders = [...]string{"Connection", "Expect", "Transfer-Encoding",
 // so every owned request carries r's context without its cancellation.
 // Nothing else could cancel it: a hijack ends net/http's watch for the
 // client hanging up.
-func (h *Handler) own(w http.ResponseWriter, r *http.Request, tenant, key string) bool {
+func (h *Handler) own(w http.ResponseWriter, r *http.Request) bool {
 	srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
 	if srv == nil || srv.Handler != http.Handler(h) || !ownable(r) {
 		return false
@@ -81,7 +81,7 @@ func (h *Handler) own(w http.ResponseWriter, r *http.Request, tenant, key string
 	// The hijack's reader holds net/http's connection: keep only the
 	// bytes it read ahead.
 	buffered, _ := rw.Reader.Peek(rw.Reader.Buffered())
-	c.init(replay(nc, buffered), r, tenant, key)
+	c.init(replay(nc, buffered), r)
 	go c.serve()
 	return true
 }
@@ -217,9 +217,8 @@ type wireConn struct {
 	req        request       // every request parsed here, reused
 	rep        cluster.Reply // every reply, reused
 	body       wireBody
-	target     string // the previous request target, reused when repeated
-	head       []byte // the request head being served, copied out of the reader
-	out        []byte // the reply's bytes
+	buf        reqBytes // what c.req points into: its head, copied out of the reader
+	out        []byte   // the reply's bytes
 	date       []byte
 	dateAt     int64 // the second date was formatted for
 }
@@ -228,9 +227,9 @@ type wireConn struct {
 // its own.
 const connBufferSize = 4 << 10
 
-// init readies c to serve nc, answering first, for tenant and key,
-// before anything read from nc.
-func (c *wireConn) init(nc net.Conn, first *http.Request, tenant, key string) {
+// init readies c to serve nc, answering first, a request on a cache
+// path, before anything read from nc.
+func (c *wireConn) init(nc net.Conn, first *http.Request) {
 	c.nc, c.br = nc, bufio.NewReaderSize(nc, connBufferSize)
 	srv := c.o.srv
 	c.idleTimeout, c.readTimeout, c.writeTimeout = srv.IdleTimeout, srv.ReadTimeout, srv.WriteTimeout
@@ -238,7 +237,8 @@ func (c *wireConn) init(nc net.Conn, first *http.Request, tenant, key string) {
 		c.idleTimeout = c.readTimeout
 	}
 	c.ctx, c.remoteAddr = context.WithoutCancel(first.Context()), first.RemoteAddr
-	c.req = newRequest(first, tenant, key)
+	path, tenant, key, _ := c.buf.split(first)
+	c.req = newRequest(first, path, tenant, key)
 	c.req.ctx = c.ctx
 	c.body.br = c.br
 }
@@ -323,17 +323,14 @@ func (c *wireConn) parse() bool {
 	}
 	// The values of c.req point into a copy of the head: reading a body
 	// refills the reader, which moves its bytes.
-	c.head = append(c.head[:0], buf[:end+2]...)
-	line, rest, _ := bytes.Cut(c.head, crlf2[:2])
+	c.buf.head = append(c.buf.head[:0], buf[:end+2]...)
+	line, rest, _ := bytes.Cut(c.buf.head, crlf2[:2])
 	method, target, ok := requestLine(line)
 	if !ok {
 		return false
 	}
-	if string(target) != c.target {
-		c.target = string(target)
-	}
-	path, _, _ := strings.Cut(c.target, "?")
-	tenant, key, ok := cachePath(path)
+	path, _, _ := bytes.Cut(target, []byte{'?'})
+	tenant, key, ok := c.buf.cachePath(path)
 	if !ok {
 		return false
 	}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
+	"path"
 	"strconv"
 	"strings"
 	"sync"
@@ -92,4 +94,41 @@ func TestHandBackStaysOneLayer(t *testing.T) {
 	if len(replays) != 1 {
 		t.Fatalf("%d replayConns over %d hand-backs of one connection, want 1", len(replays), pairs)
 	}
+}
+
+// TestPathBytesMatchStrings: isClean and unescape, which work on a
+// request's bytes, agree with the mux's rules as the standard library
+// states them on strings, over every string of up to seven bytes from
+// an alphabet that makes each case: path.Clean leaving a cache path
+// unchanged but for a trailing slash, and url.PathUnescape, whose
+// segment is kept as it is when it does not unescape.
+func TestPathBytesMatchStrings(t *testing.T) {
+	var b reqBytes
+	var each func(prefix string, alphabet string, n int, f func(string))
+	each = func(prefix, alphabet string, n int, f func(string)) {
+		f(prefix)
+		if n == 0 {
+			return
+		}
+		for i := range alphabet {
+			each(prefix+alphabet[i:i+1], alphabet, n-1, f)
+		}
+	}
+	each(cachePrefix, "a./", 7, func(p string) {
+		np := path.Clean(p)
+		want := np == p || (len(p) == len(np)+1 && p[len(p)-1] == '/' && strings.HasPrefix(p, np))
+		if got := isClean([]byte(p)); got != want {
+			t.Errorf("isClean(%q) = %v, want %v", p, got, want)
+		}
+	})
+	each("", "a%2Fg", 6, func(seg string) {
+		want, err := url.PathUnescape(seg)
+		if err != nil {
+			want = seg
+		}
+		b.unescaped = b.unescaped[:0]
+		if got := b.unescape([]byte(seg)); string(got) != want {
+			t.Errorf("unescape(%q) = %q, want %q", seg, got, want)
+		}
+	})
 }

@@ -102,6 +102,20 @@
 // pid, start time, GOMAXPROCS) for /v1/stats and cluster attribution;
 // SetNow is the test seam for the TTL clock.
 //
+// # Who owns a key and a value
+//
+// Get, Set, SetTTL and Delete take their tenant and key as strings;
+// GetBytes, SetBytes and DeleteBytes, which the HTTP front-end calls on
+// bytes of a request it reuses for the next, take them as bytes. Each
+// pair runs one body, generic over string and []byte. The store keeps
+// no caller's key: only an entry it creates, or one whose line another
+// key takes over, stores its key, as string(key), which for a string is
+// the string itself and for bytes one copy of exactly the key. Set and
+// SetTTL copy their value. SetBytes keeps the value it is handed, which
+// its caller must not write into again, unless the value's capacity is
+// not its length: then it copies too, so that the bytes the books count
+// are the bytes held.
+//
 // All methods are safe for concurrent use when the underlying adaptive
 // cache is (build it over a sharded inner cache).
 package store

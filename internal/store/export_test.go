@@ -13,3 +13,15 @@ func Recount(s *Store, tenant string) (keys, bytes int64) {
 	}
 	return keys, bytes
 }
+
+// Value returns the slice the store holds as (tenant, key)'s value, nil
+// when it holds none, without a cache access.
+func Value(s *Store, tenant, key string) []byte {
+	t := s.roster.Load().byName[tenant]
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if e := find(t, hashKey(key), key); e != nil {
+		return e.val
+	}
+	return nil
+}

@@ -11,7 +11,8 @@ import (
 )
 
 // TestStoreCountLedger records what the store's four basic operations
-// cost in mallocs, and the heap one resident value holds, in
+// cost in mallocs, through the string entry points and the byte ones
+// the HTTP front-end calls, and the heap one resident value holds, in
 // TestAllocationBudget's pattern: each row is its recorded count plus a
 // stated slack, and every run logs the counts. The store is built with
 // no epoch inside the run (an epoch step allocates its curves), no
@@ -33,6 +34,12 @@ func TestStoreCountLedger(t *testing.T) {
 	for i := range keys {
 		keys[i] = "k" + strconv.Itoa(i)
 	}
+	byteKeys := make([][]byte, n) // never kept: a new entry copies its key
+	for i := range byteKeys {
+		byteKeys[i] = []byte("b" + strconv.Itoa(i))
+	}
+	tenant, resident := []byte("a"), []byte("resident")
+	kept := value[:len(value):len(value)] // kept as it is, not copied
 	if _, err := s.Set("a", "resident", value); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +72,7 @@ func TestStoreCountLedger(t *testing.T) {
 		t.Errorf("heap per resident value: %.1f B, budget %d + %d", perValue, heapBudget, heapSlack)
 	}
 
-	next := n // the next never-written key
+	next, nextBytes := n, 0 // the next never-written keys
 	for _, row := range []struct {
 		name   string
 		op     func() error
@@ -78,6 +85,16 @@ func TestStoreCountLedger(t *testing.T) {
 		{"Get of an absent key", func() error { s.Get("a", "absent"); return nil }, 3, true},
 		{"Set of a resident key", func() error { _, err := s.Set("a", "resident", value); return err }, 1, false},
 		{"Set of a new key", func() error { _, err := s.Set("a", keys[next], value); next++; return err }, 2, false},
+		// The byte entry points. A new key costs the same two as through
+		// Set, the entry and the copy of its key, where Set's caller made
+		// the key; a kept value costs nothing.
+		{"GetBytes hit", func() error { _, _, err := s.GetBytes(tenant, resident); return err }, 0, false},
+		{"SetBytes of a resident key, its value kept", func() error { _, err := s.SetBytes(tenant, resident, kept, 0); return err }, 0, false},
+		{"SetBytes of a new key, its value kept", func() error {
+			_, err := s.SetBytes(tenant, byteKeys[nextBytes], kept, 0)
+			nextBytes++
+			return err
+		}, 2, false},
 	} {
 		per, err := mallocsPerOp(n, row.op)
 		if err != nil {

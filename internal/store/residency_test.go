@@ -35,7 +35,7 @@ func TestLineHoldsOneValue(t *testing.T) {
 		t.Helper()
 		var bytes int64
 		for _, k := range []string{"k1", "k2"} {
-			got, ok, _ := s.read(tn, line, k)
+			got, ok, _ := read(s, tn, line, k)
 			switch {
 			case k == resident && (!ok || string(got) != val):
 				t.Fatalf("%s: %s reads %q (present %v), want %q", step, k, got, ok, val)
@@ -60,22 +60,22 @@ func TestLineHoldsOneValue(t *testing.T) {
 			t.Fatalf("%s: Evictions %d, AdmitDrops %d; want %d, %d", step, st.Evictions, st.AdmitDrops, evictions, drops)
 		}
 	}
-	admit := func(key, v string) {
-		s.admitValue(tn, key, line, []byte(v), 0)
+	onto := func(key, v string) {
+		admit(s, tn, key, line, []byte(v), 0)
 		resident, val = key, v
 	}
 
-	admit("k1", "first")
+	onto("k1", "first")
 	check("k1 admitted", 0, 0)
-	admit("k2", "second")
+	onto("k2", "second")
 	check("k2 admitted onto k1's line", 1, 0)
 	if v, hit, err := s.Get("a", "k1"); !errors.Is(err, ErrNotFound) || hit {
 		t.Fatalf("Get k1 with k2 on its line = %q, hit %v, %v; want ErrNotFound", v, hit, err)
 	}
-	admit("k2", "second, overwritten longer")
+	onto("k2", "second, overwritten longer")
 	check("k2 overwritten", 1, 0)
 
-	s.admitValue(tn, "k1", line, make([]byte, 65), 0)
+	admit(s, tn, "k1", line, make([]byte, 65), 0)
 	check("k1 refused by the byte cap", 1, 1)
 
 	if existed, err := s.Delete("a", "k1"); existed || err != nil {
@@ -103,7 +103,7 @@ func TestLineHoldsOneValue(t *testing.T) {
 	resident, val = "", ""
 	check("k1 deleted", 2, 1)
 
-	admit("k2", "evict me")
+	onto("k2", "evict me")
 	check("k2 admitted onto the empty line", 2, 1)
 	s.onEvict(tn.part, line|tn.space)
 	resident, val = "", ""

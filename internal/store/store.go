@@ -133,6 +133,13 @@ type TenantStats struct {
 	BackendSets int64 `json:"backendSets"` // write-through stores performed
 }
 
+// text is a tenant name or key as the store takes it: a string from a
+// library caller, the bytes of a request from the HTTP front-end. Both
+// run one body. string(k) is the string itself for a string; for bytes
+// it is a copy, made only where a key must outlive the call: in a new
+// entry, and for a Backend, which takes strings (see backendKey).
+type text interface{ string | []byte }
+
 // entry is the one value resident on a simulated line. Fields are read
 // and written under the tenant's mu.
 type entry struct {
@@ -267,14 +274,14 @@ func (s *Store) onEvict(part int, addr uint64) {
 	}
 	t := r.byPart[part]
 	t.mu.Lock()
-	s.drop(t, addr&addrMask, "") // strip the feeder's partition-space bits
+	drop(s, t, addr&addrMask, "") // strip the feeder's partition-space bits
 	t.mu.Unlock()
 }
 
 // find returns key's entry on line addr, or nil when the line holds no
 // value or another key's. Caller holds t.mu.
-func (t *tenant) find(addr uint64, key string) *entry {
-	if e := t.lines[addr]; e != nil && e.key == key {
+func find[K text](t *tenant, addr uint64, key K) *entry {
+	if e := t.lines[addr]; e != nil && e.key == string(key) {
 		return e
 	}
 	return nil
@@ -287,7 +294,7 @@ func (t *tenant) find(addr uint64, key string) *entry {
 // key's counts as an eviction, since its line is gone (the eviction
 // hook passes key "", so any value it drops is one). Reports whether
 // key's own value was dropped. Caller holds t.mu.
-func (s *Store) drop(t *tenant, addr uint64, key string) bool {
+func drop[K text](s *Store, t *tenant, addr uint64, key K) bool {
 	e := t.lines[addr]
 	if e == nil {
 		return false
@@ -295,7 +302,7 @@ func (s *Store) drop(t *tenant, addr uint64, key string) bool {
 	delete(t.lines, addr)
 	t.bytes -= int64(len(e.val))
 	s.bytesTotal.Add(-int64(len(e.val)))
-	if e.key != key {
+	if e.key != string(key) {
 		t.evictions.Add(1)
 		return false
 	}
@@ -305,7 +312,7 @@ func (s *Store) drop(t *tenant, addr uint64, key string) bool {
 // hashKey maps a key to its 48-bit line address by FNV-1a: stable
 // across processes and platforms, so traces recorded here replay
 // anywhere. Bits 48–63 stay clear for the feeders' partition offsets.
-func hashKey(key string) uint64 { return hash.FNV64a(key) & addrMask }
+func hashKey[K text](key K) uint64 { return hash.FNV64a(key) & addrMask }
 
 // register claims the next free partition for name and publishes the
 // roster with it.
@@ -371,17 +378,17 @@ func (s *Store) access(t *tenant, addr uint64) bool {
 }
 
 // resolve returns the tenant for name, auto-registering it when allowed.
-func (s *Store) resolve(name string, autoRegister bool) (*tenant, error) {
-	if name == "" {
+func resolve[K text](s *Store, name K, autoRegister bool) (*tenant, error) {
+	if len(name) == 0 {
 		return nil, ErrEmptyTenant
 	}
-	if t := s.roster.Load().byName[name]; t != nil {
+	if t := s.roster.Load().byName[string(name)]; t != nil {
 		return t, nil
 	}
 	if !autoRegister || s.cfg.Static {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
 	}
-	return s.register(name)
+	return s.register(string(name))
 }
 
 // Get looks key up for tenant. It always performs one cache access
@@ -402,21 +409,31 @@ func (s *Store) resolve(name string, autoRegister bool) (*tenant, error) {
 // residency). The returned slice is shared — callers must not modify
 // it.
 func (s *Store) Get(tenantName, key string) (value []byte, hit bool, err error) {
-	if key == "" {
+	return get(s, tenantName, key)
+}
+
+// GetBytes is Get with the tenant and key as bytes, which it does not
+// keep.
+func (s *Store) GetBytes(tenantName, key []byte) (value []byte, hit bool, err error) {
+	return get(s, tenantName, key)
+}
+
+func get[K text](s *Store, tenantName, key K) (value []byte, hit bool, err error) {
+	if len(key) == 0 {
 		return nil, false, ErrEmptyKey
 	}
-	t, err := s.resolve(tenantName, false)
+	t, err := resolve(s, tenantName, false)
 	if err != nil {
 		return nil, false, err
 	}
 	t.gets.Add(1)
 	addr := hashKey(key)
 	s.access(t, addr)
-	value, ok, expired := s.read(t, addr, key)
+	value, ok, expired := read(s, t, addr, key)
 	if ok {
 		return value, true, nil
 	}
-	value, err = s.readThrough(t, key, addr)
+	value, err = readThrough(s, t, key, addr)
 	if err != nil && expired {
 		// Nothing was re-admitted, so the expired key's line goes. Not
 		// before the read-through: a re-admitted value hangs off this
@@ -435,20 +452,37 @@ func (s *Store) Get(tenantName, key string) (value []byte, hit bool, err error) 
 // fresh DefaultTTL (the backend does not remember per-entry TTLs).
 // Without a Backend the Get is ErrNotFound; when the Backend lacks the
 // key, it is the Backend's own ErrNotFound, as it is.
-func (s *Store) readThrough(t *tenant, key string, addr uint64) ([]byte, error) {
+func readThrough[K text](s *Store, t *tenant, key K, addr uint64) ([]byte, error) {
 	if s.cfg.Backend == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	t.backendGets.Add(1)
-	v, err := s.cfg.Backend.Get(t.name, key)
+	k := backendKey(t, addr, key)
+	v, err := s.cfg.Backend.Get(t.name, k)
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {
 			return nil, err
 		}
 		return nil, fmt.Errorf("%w: %v", ErrBackend, err)
 	}
-	s.admitValue(t, key, addr, v, s.deadlineFor(0))
+	admit(s, t, k, addr, v, s.deadlineFor(0))
 	return v, nil
+}
+
+// backendKey returns key as the string a Backend call takes: a string
+// as it is; bytes whose entry is resident on line addr as the entry's
+// key, so that a write-through of a resident key copies nothing; other
+// bytes as a copy.
+func backendKey[K text](t *tenant, addr uint64, key K) string {
+	if k, ok := any(key).(string); ok {
+		return k
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if e := find(t, addr, key); e != nil {
+		return e.key
+	}
+	return string(key)
 }
 
 // read returns key's live value off line addr. A value whose TTL has
@@ -456,9 +490,9 @@ func (s *Store) readThrough(t *tenant, key string, addr uint64) ([]byte, error) 
 // line is the caller's to invalidate (see Get). Expiry is re-checked
 // under the write lock, where a Set racing it may have landed a fresh
 // value that must be served, not swallowed.
-func (s *Store) read(t *tenant, addr uint64, key string) (value []byte, ok, expired bool) {
+func read[K text](s *Store, t *tenant, addr uint64, key K) (value []byte, ok, expired bool) {
 	t.mu.RLock()
-	e := t.find(addr, key)
+	e := find(t, addr, key)
 	if e != nil && !s.past(e.deadline) {
 		value, ok = e.val, true
 	}
@@ -468,13 +502,13 @@ func (s *Store) read(t *tenant, addr uint64, key string) (value []byte, ok, expi
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e = t.find(addr, key); e == nil {
+	if e = find(t, addr, key); e == nil {
 		return nil, false, false
 	}
 	if !s.past(e.deadline) {
 		return e.val, true, false
 	}
-	s.drop(t, addr, key)
+	drop(s, t, addr, key)
 	t.expirations.Add(1)
 	return nil, false, true
 }
@@ -502,7 +536,7 @@ func (s *Store) deadlineFor(ttl time.Duration) int64 {
 // and reports whether that line hit (i.e. the key's line was already
 // resident). The value is copied. The write goes through to the Backend
 // first (when one is configured) and the cached copy is then kept
-// unless it would overdraw MaxBytes (see admitValue), which is not an
+// unless it would overdraw MaxBytes (see admit), which is not an
 // error — with a Backend the value is durable either way.
 // The value expires after Config.DefaultTTL (never, when zero); use
 // SetTTL for a per-entry TTL.
@@ -516,32 +550,48 @@ func (s *Store) Set(tenantName, key string, value []byte) (hit bool, err error) 
 // Set always restarts the clock, and a Set without a TTL on a key that
 // had one clears it.
 func (s *Store) SetTTL(tenantName, key string, value []byte, ttl time.Duration) (hit bool, err error) {
-	if key == "" {
+	return set(s, tenantName, key, value, ttl, false)
+}
+
+// SetBytes is SetTTL with the tenant and key as bytes, which it does not
+// keep, and a value that it keeps rather than copies: the caller hands
+// value over and must not write into it again. A value whose capacity is
+// not its length is copied all the same, so that the bytes the books
+// count are the bytes the value holds.
+func (s *Store) SetBytes(tenantName, key, value []byte, ttl time.Duration) (hit bool, err error) {
+	return set(s, tenantName, key, value, ttl, true)
+}
+
+func set[K text](s *Store, tenantName, key K, value []byte, ttl time.Duration, keep bool) (hit bool, err error) {
+	if len(key) == 0 {
 		return false, ErrEmptyKey
 	}
 	if ttl < 0 {
 		return false, fmt.Errorf("%w: %s", ErrBadTTL, ttl)
 	}
-	t, err := s.resolve(tenantName, true)
+	t, err := resolve(s, tenantName, true)
 	if err != nil {
 		return false, err
 	}
+	if !keep || cap(value) != len(value) {
+		cp := make([]byte, len(value))
+		copy(cp, value)
+		value = cp
+	}
+	addr := hashKey(key)
 	if s.cfg.Backend != nil {
-		if berr := s.cfg.Backend.Set(tenantName, key, value); berr != nil {
+		if berr := s.cfg.Backend.Set(t.name, backendKey(t, addr, key), value); berr != nil {
 			return false, fmt.Errorf("%w: %v", ErrBackend, berr)
 		}
 		t.backendSets.Add(1)
 	}
 	t.sets.Add(1)
-	addr := hashKey(key)
 	hit = s.access(t, addr)
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	s.admitValue(t, key, addr, cp, s.deadlineFor(ttl))
+	admit(s, t, key, addr, value, s.deadlineFor(ttl))
 	return hit, nil
 }
 
-// admitValue makes cp (t, key)'s value on line addr with the given
+// admit makes value (t, key)'s value on line addr with the given
 // expiry deadline (unix nanos; 0 = never — a fresh Set without a TTL
 // does not inherit a stale one), unless under MaxBytes it would
 // overdraw the global byte bound. A line holds one value: another
@@ -552,11 +602,11 @@ func (s *Store) SetTTL(tenantName, key string, value []byte, ttl time.Duration) 
 // Which lines are worth their capacity is Talus's decision, made on the
 // lines themselves; the store only keeps the byte bound. Caller must
 // not hold t.mu.
-func (s *Store) admitValue(t *tenant, key string, addr uint64, cp []byte, deadline int64) {
+func admit[K text](s *Store, t *tenant, key K, addr uint64, value []byte, deadline int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.lines[addr]
-	delta := int64(len(cp))
+	delta := int64(len(value))
 	if e != nil {
 		delta -= int64(len(e.val))
 	}
@@ -566,8 +616,8 @@ func (s *Store) admitValue(t *tenant, key string, addr uint64, cp []byte, deadli
 		if s.bytesTotal.Add(delta) > s.cfg.MaxBytes {
 			s.bytesTotal.Add(-delta)
 			t.admitDrops.Add(1)
-			if e != nil && e.key == key {
-				s.drop(t, addr, key)
+			if e != nil && e.key == string(key) {
+				drop(s, t, addr, key)
 			}
 			return
 		}
@@ -575,16 +625,17 @@ func (s *Store) admitValue(t *tenant, key string, addr uint64, cp []byte, deadli
 		s.bytesTotal.Add(delta)
 	}
 	t.bytes += delta
-	// An overwrite keeps the key string the entry holds: a caller's key
-	// may be cut from a longer request string the entry would then pin.
+	// A key is stored only by an entry that did not hold it, and a byte
+	// key is copied then, to its length; an overwrite of the same key
+	// keeps the string the entry has.
 	if e == nil {
-		e = &entry{key: key}
+		e = &entry{key: string(key)}
 		t.lines[addr] = e
-	} else if e.key != key {
-		e.key = key
+	} else if e.key != string(key) {
+		e.key = string(key)
 		t.evictions.Add(1)
 	}
-	e.val, e.deadline = cp, deadline
+	e.val, e.deadline = value, deadline
 }
 
 // Delete removes (tenant, key), reporting whether a cached value
@@ -597,26 +648,36 @@ func (s *Store) admitValue(t *tenant, key string, addr uint64, cp []byte, deadli
 // first; existed still reports the cached copy only (an evicted value
 // deletes as existed=false even though the backend held it).
 func (s *Store) Delete(tenantName, key string) (existed bool, err error) {
-	if key == "" {
+	return del(s, tenantName, key)
+}
+
+// DeleteBytes is Delete with the tenant and key as bytes, which it does
+// not keep.
+func (s *Store) DeleteBytes(tenantName, key []byte) (existed bool, err error) {
+	return del(s, tenantName, key)
+}
+
+func del[K text](s *Store, tenantName, key K) (existed bool, err error) {
+	if len(key) == 0 {
 		return false, ErrEmptyKey
 	}
-	t, err := s.resolve(tenantName, false)
+	t, err := resolve(s, tenantName, false)
 	if err != nil {
 		return false, err
 	}
+	addr := hashKey(key)
 	if s.cfg.Backend != nil {
-		if berr := s.cfg.Backend.Delete(tenantName, key); berr != nil {
+		if berr := s.cfg.Backend.Delete(t.name, backendKey(t, addr, key)); berr != nil {
 			return false, fmt.Errorf("%w: %v", ErrBackend, berr)
 		}
 	}
 	t.deletes.Add(1)
-	addr := hashKey(key)
 	// Invalidate before touching t.mu: invalidation takes a shard lock,
 	// and the eviction hook takes t.mu while holding one — taking them
 	// in the opposite order here would deadlock.
 	s.ac.Invalidate(addr|t.space, t.part)
 	t.mu.Lock()
-	existed = s.drop(t, addr, key)
+	existed = drop(s, t, addr, key)
 	t.mu.Unlock()
 	return existed, nil
 }
@@ -665,7 +726,7 @@ func (s *Store) statsOf(t *tenant, allocs []int64) TenantStats {
 
 // Stats returns one tenant's serving counters.
 func (s *Store) Stats(tenantName string) (TenantStats, error) {
-	t, err := s.resolve(tenantName, false)
+	t, err := resolve(s, tenantName, false)
 	if err != nil {
 		return TenantStats{}, err
 	}
@@ -690,7 +751,7 @@ func (s *Store) StatsAll() []TenantStats {
 // the curve Talus realizes for it. Both are nil before the first epoch
 // with traffic.
 func (s *Store) Curves(tenantName string) (measured, hulled *curve.Curve, err error) {
-	t, err := s.resolve(tenantName, false)
+	t, err := resolve(s, tenantName, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -706,7 +767,7 @@ func (s *Store) Curves(tenantName string) (measured, hulled *curve.Curve, err er
 // epoch's allocation. Never auto-registers: naming an unknown tenant
 // fails with ErrUnknownTenant.
 func (s *Store) SetTenantWeight(tenantName string, w float64) error {
-	t, err := s.resolve(tenantName, false)
+	t, err := resolve(s, tenantName, false)
 	if err != nil {
 		return err
 	}

@@ -100,6 +100,43 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSetBytesKeepsExactValues: SetBytes keeps a value whose capacity
+// is its length as it is and copies any other to its length, so a held
+// value's capacity is the length the books count; Set always copies.
+func TestSetBytesKeepsExactValues(t *testing.T) {
+	s := buildStore(t, 8192, 1, 2, store.Config{})
+	exact := []byte("exact value")
+	grown := append(make([]byte, 0, 64), "grown value"...)
+	for _, c := range []struct {
+		key    string
+		value  []byte
+		viaSet bool
+		kept   bool
+	}{
+		{"exact", exact, false, true},
+		{"grown", grown, false, false},
+		{"set", exact, true, false},
+	} {
+		var err error
+		if c.viaSet {
+			_, err = s.Set("a", c.key, c.value)
+		} else {
+			_, err = s.SetBytes([]byte("a"), []byte(c.key), c.value, 0)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := store.Value(s, "a", c.key)
+		if string(held) != string(c.value) || cap(held) != len(held) || (&held[0] == &c.value[0]) != c.kept {
+			t.Errorf("%s: holds %q, len %d cap %d, the caller's storage %v; want %q, cap = len, the caller's storage %v",
+				c.key, held, len(held), cap(held), &held[0] == &c.value[0], c.value, c.kept)
+		}
+	}
+	if st, _ := s.Stats("a"); st.Bytes != int64(2*len(exact)+len("grown value")) {
+		t.Errorf("Bytes = %d", st.Bytes)
+	}
+}
+
 func TestStoreBoundaryErrors(t *testing.T) {
 	s := buildStore(t, 8192, 1, 2, store.Config{Tenants: []string{"a"}})
 
