@@ -1,7 +1,9 @@
 package talus_test
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -69,6 +71,43 @@ func TestChangesEntriesStayShort(t *testing.T) {
 	for i, e := range entries[changesUncapped:] {
 		if n := utf8.RuneCountInString(e); n > maxEntry {
 			t.Errorf("CHANGES.md entry %d is %d characters (cap %d): %.60s…", changesUncapped+i+1, n, maxEntry, e)
+		}
+	}
+}
+
+// TestDocsCiteRealTests fails when README.md or DESIGN.md cites a Test…,
+// Fuzz… or Benchmark… function that no _test.go file in the tree
+// (bench/ included) declares: a test that was renamed, folded into
+// another or deleted must take its citations with it.
+func TestDocsCiteRealTests(t *testing.T) {
+	declared := make(map[string]bool)
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, "_test.go") {
+			if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // build output and tool state
+			}
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range cited.FindAllString(string(text), -1) {
+			if !declared[name] {
+				t.Errorf("%s cites %s, which no _test.go file declares", doc, name)
+			}
 		}
 	}
 }

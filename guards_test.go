@@ -83,6 +83,11 @@ func TestGuards(t *testing.T) {
 		// costs. /v1/stats reads one counter per owned-connection fact.
 		{name: "one-request-one-reply", dir: "internal", tests: true,
 			pattern: `ETagWriter|wireWriter|SetETag|setETag|headerLine|needsEscape|plainPathByte|relayValues|hitValue|missValue|octetValue|jsonValue|countHandBack|ownedCounts`},
+		// Every cache reply is framed by Content-Length on both
+		// transports, so the hop decodes no other framing, and the mux is
+		// the one dispatcher of the cache requests net/http parses.
+		{name: "one-framing", dir: "internal", tests: true,
+			pattern: `NewChunkedReader|^exchanges?$`},
 		{name: "no-net-http-client-in-the-hop", dir: "internal/cluster",
 			pattern: `^http\.(Client|Transport|NewRequest)`},
 		{name: "talus-serve-removed-flags", cmd: "cmd/talus-serve",

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httputil"
 	"net/textproto"
 	"strconv"
 	"strings"
@@ -183,7 +182,11 @@ func (p *peer) roundTrip(ctx context.Context, c *conn, from string, req *Request
 	}
 
 	bw := c.bw
-	bw.WriteString(req.Method)
+	if req.Method == http.MethodHead {
+		bw.WriteString(http.MethodGet)
+	} else {
+		bw.WriteString(req.Method)
+	}
 	bw.WriteByte(' ')
 	bw.Write(req.Path)
 	bw.WriteString(" HTTP/1.1\r\nHost: ")
@@ -212,31 +215,32 @@ func (p *peer) roundTrip(ctx context.Context, c *conn, from string, req *Request
 	if _, err = c.br.Peek(1); err != nil {
 		return endedEarly(err), false, err
 	}
-	reuse, err = p.readResponse(c, rep, req.Method == http.MethodHead)
+	reuse, err = p.readResponse(c, rep)
 	return false, reuse, err
 }
 
 // readResponse parses one response from c and, once its body is in
-// hand, fills rep with status, relayed headers and body. The body is
-// copied into rep's own storage: read once, a chunked one decoded. keep
-// reports that the response ended cleanly on a connection the owner
-// keeps open.
-func (p *peer) readResponse(c *conn, rep *Reply, head bool) (keep bool, err error) {
+// hand, fills rep with status, relayed headers and body. A response is
+// HTTP/1.1, its body framed by Content-Length, or absent on a 204 or
+// 304: the framing a talus-serve owner writes on either transport. Any
+// other is malformed. The body is read once, into rep's own storage.
+// keep reports that the response ended cleanly on a connection the
+// owner keeps open.
+func (p *peer) readResponse(c *conn, rep *Reply) (keep bool, err error) {
 	br := c.br
 	// "HTTP/1.1 200 OK\r\n"
 	line, err := br.ReadSlice('\n')
 	if err != nil {
 		return false, err
 	}
-	if len(line) < 13 || !bytes.HasPrefix(line, []byte("HTTP/1.")) || line[8] != ' ' || strings.IndexByte(" \r\n", line[12]) < 0 {
+	if len(line) < 13 || !bytes.HasPrefix(line, []byte("HTTP/1.1 ")) || strings.IndexByte(" \r\n", line[12]) < 0 {
 		return false, fmt.Errorf("malformed status line %q", line)
 	}
 	status, ok := atoi(line[9:12])
 	if !ok || status < 200 {
 		return false, fmt.Errorf("malformed status line %q", line)
 	}
-	closing := line[7] == '0' // HTTP/1.0 closes unless told otherwise
-	length, chunked := -1, false
+	length, closing := -1, false
 	c.etag = c.etag[:0]
 	var vals [len(relayedHeaders)]string // the ETag's goes to c.etag
 	var seen [len(relayedHeaders)]bool
@@ -259,10 +263,7 @@ func (p *peer) readResponse(c *conn, rep *Reply, head bool) (keep bool, err erro
 				return false, fmt.Errorf("malformed Content-Length %q", val)
 			}
 		case bytes.EqualFold(name, []byte("Transfer-Encoding")):
-			if !bytes.EqualFold(val, []byte("chunked")) {
-				return false, fmt.Errorf("unsupported Transfer-Encoding %q", val)
-			}
-			chunked = true
+			return false, fmt.Errorf("unsupported Transfer-Encoding %q", val)
 		case bytes.EqualFold(name, []byte("Connection")):
 			closing = bytes.EqualFold(val, []byte("close"))
 		default:
@@ -282,26 +283,10 @@ func (p *peer) readResponse(c *conn, rep *Reply, head bool) (keep bool, err erro
 	}
 
 	own := rep.own[:0]
-	switch {
-	case head || status == http.StatusNoContent || status == http.StatusNotModified:
-	case chunked:
-		if own, err = io.ReadAll(httputil.NewChunkedReader(br)); err != nil {
-			return false, err
+	if status != http.StatusNoContent && status != http.StatusNotModified {
+		if length < 0 {
+			return false, errors.New("response body without Content-Length")
 		}
-		for { // the trailer, up to its blank line
-			if line, err = br.ReadSlice('\n'); err != nil {
-				return false, err
-			}
-			if len(trimEOL(line)) == 0 {
-				break
-			}
-		}
-	case length < 0: // delimited by the owner closing the connection
-		if own, err = io.ReadAll(br); err != nil {
-			return false, err
-		}
-		closing = true
-	default:
 		if own, err = ReadFull(br, own, length); err != nil {
 			return false, err
 		}

@@ -138,9 +138,10 @@ func header(rep *Reply, k string) string {
 	return ""
 }
 
-// TestRelayWireFormat pins the request the hop writes: method, escaped
-// path, Host, the forwarded mark naming the sender, the three relayed
-// request headers and no others, Content-Length and the body.
+// TestRelayWireFormat pins the request the hop writes: method (GET for
+// a HEAD), escaped path, Host, the forwarded mark naming the sender, the
+// three relayed request headers and no others, Content-Length and the
+// body.
 func TestRelayWireFormat(t *testing.T) {
 	f := startFakePeer(t, func(int, string) (string, bool) { return "HTTP/1.1 204 No Content\r\n\r\n", false })
 	c := newTestCluster(t, f.addr)
@@ -149,6 +150,7 @@ func TestRelayWireFormat(t *testing.T) {
 			ContentType: []byte("text/plain")}, Body: []byte("hello")},
 		{Method: http.MethodPut, Path: []byte("/v1/cache/a/empty"), Body: []byte{}},
 		get("/v1/cache/a/k"),
+		{Method: http.MethodHead, Path: []byte("/v1/cache/a/k")},
 	} {
 		if err := c.Relay(context.Background(), f.addr, req, new(Reply)); err != nil {
 			t.Fatal(err)
@@ -159,6 +161,7 @@ func TestRelayWireFormat(t *testing.T) {
 			"If-None-Match: \"t\"\r\nX-Talus-Ttl: 5\r\nContent-Type: text/plain\r\nContent-Length: 5\r\n\r\nhello",
 		"PUT /v1/cache/a/empty HTTP/1.1\r\nHost: " + f.addr + "\r\nX-Talus-Forwarded: self:1\r\nContent-Length: 0\r\n\r\n",
 		"GET /v1/cache/a/k HTTP/1.1\r\nHost: " + f.addr + "\r\nX-Talus-Forwarded: self:1\r\n\r\n",
+		"GET /v1/cache/a/k HTTP/1.1\r\nHost: " + f.addr + "\r\nX-Talus-Forwarded: self:1\r\n\r\n",
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -168,12 +171,13 @@ func TestRelayWireFormat(t *testing.T) {
 		}
 	}
 	if len(f.conns) != 1 {
-		t.Errorf("three requests took %d connections, want 1 pooled", len(f.conns))
+		t.Errorf("four requests took %d connections, want 1 pooled", len(f.conns))
 	}
 }
 
-// framings are the responses TestRelayFraming relays, one per framing
-// the hop accepts, with what each relays. NODE stands for the peer's
+// framings are the responses TestRelayFraming relays, one per case of
+// the one framing the hop accepts (Content-Length, or no body on HEAD,
+// 204 and 304), with what each relays. NODE stands for the peer's
 // address.
 var framings = []struct {
 	name, method, resp string
@@ -187,19 +191,17 @@ var framings = []struct {
 		200, map[string]string{"X-Talus-Cache": "hit", "X-Talus-Node": "NODE", "Etag": `"e"`,
 			"Content-Type": "application/octet-stream", "Date": ""}, "hello", true},
 	{"beyond the buffer", "GET", "HTTP/1.1 200 OK\r\nContent-Length: 10000\r\n\r\n" + big, 200, nil, big, true},
-	{"chunked with trailer", "GET", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nx-talus-cache: miss\r\n\r\n" +
-		"5\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: t\r\n\r\n", 200, map[string]string{"X-Talus-Cache": "miss"}, "hello world", true},
 	{"connection close", "GET", "HTTP/1.1 404 Not Found\r\nConnection: close\r\nContent-Type: application/json\r\n" +
 		"Content-Length: 2\r\n\r\n{}", 404, map[string]string{"Content-Type": "application/json"}, "{}", false},
-	{"close-delimited", "GET", "HTTP/1.1 200 OK\r\n\r\nuntil EOF", 200, nil, "until EOF", false},
 	{"not modified", "GET", "HTTP/1.1 304 Not Modified\r\nEtag: \"e\"\r\n\r\n", 304, map[string]string{"Etag": `"e"`}, "", true},
-	{"head", "HEAD", "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n", 200, nil, "", true},
+	// A HEAD crosses the hop as a GET, whose body it relays.
+	{"head", "HEAD", "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello", 200, nil, "hello", true},
 	{"relayed 5xx", "GET", "HTTP/1.1 502 Bad Gateway\r\nContent-Length: 3\r\n\r\nbad", 502, nil, "bad", true},
 }
 
 var big = strings.Repeat("0123456789", 1000) // past the 4 KiB read buffer
 
-// TestRelayFraming: each framing the hop accepts relays the same status,
+// TestRelayFraming: each response the hop accepts relays its status,
 // headers and body, and only a response consumed whole on a connection
 // the owner keeps open leaves the connection pooled.
 func TestRelayFraming(t *testing.T) {
@@ -208,7 +210,7 @@ func TestRelayFraming(t *testing.T) {
 			var f *fakePeer
 			f = startFakePeer(t, func(i int, _ string) (string, bool) {
 				if i == 0 {
-					return strings.ReplaceAll(c.resp, "NODE", f.addr), c.name == "close-delimited"
+					return strings.ReplaceAll(c.resp, "NODE", f.addr), false
 				}
 				return "HTTP/1.1 204 No Content\r\n\r\n", false
 			})
@@ -258,8 +260,13 @@ func TestReadFullGrowsAsBytesArrive(t *testing.T) {
 }
 
 // malformed are owner responses outside the subset the hop accepts, or
-// cut short.
+// cut short. A talus-serve owner frames every body by Content-Length,
+// so a chunked or close-delimited body is outside it.
 var malformed = []string{
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nx-talus-cache: miss\r\n\r\n" +
+		"5\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: t\r\n\r\n",
+	"HTTP/1.1 200 OK\r\n\r\nuntil EOF",
+	"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok",
 	"HTTP/1.1 OK\r\n\r\n",
 	"HTTP/1.1 2000 OK\r\n\r\n",
 	"HTTP/1.1 100 Continue\r\n\r\n",
@@ -275,8 +282,8 @@ var malformed = []string{
 
 // TestRelayMalformedIsAnErrorBeforeAnyWrite: a response outside the
 // subset, or one cut short, leaves the reply untouched, with no status,
-// for the caller's 502, and the request — which reached the owner — is
-// not sent again.
+// for the caller's 502; the request, which reached the owner, is not
+// sent again; and the connection is not pooled.
 func TestRelayMalformedIsAnErrorBeforeAnyWrite(t *testing.T) {
 	for _, resp := range malformed {
 		f := startFakePeer(t, func(int, string) (string, bool) { return resp, true })
@@ -291,6 +298,9 @@ func TestRelayMalformedIsAnErrorBeforeAnyWrite(t *testing.T) {
 		}
 		if reqs, _ := f.counts(); reqs != 1 {
 			t.Errorf("%q: owner received %d requests, want 1", resp, reqs)
+		}
+		if n := len(c.peers[f.addr].idle); n != 0 {
+			t.Errorf("%q: %d connections pooled", resp, n)
 		}
 	}
 }

@@ -126,8 +126,10 @@ func (r *Reply) Reset() {
 // Relay forwards req to the peer owner and fills rep from the owner's
 // answer: its status, its body and the relayed response headers. req is
 // sent as given, stamped with ForwardedHeader so the owner serves
-// locally. Any answer the owner gives — a 5xx included — is relayed, not
-// an error. On error rep is left as it was, so a reset reply still has
+// locally, except that a HEAD is sent as the GET the owner serves it
+// as: its body is what the caller's HEAD reply states the length of.
+// Any answer the owner gives — a 5xx included — is relayed, not an
+// error. On error rep is left as it was, so a reset reply still has
 // Status 0 and the caller chooses the status.
 func (c *Cluster) Relay(ctx context.Context, owner string, req *Request, rep *Reply) error {
 	p := c.peers[owner]

@@ -41,10 +41,17 @@
 // writer each. Cluster.Relay writes the request itself (method, escaped
 // path, Host, ForwardedHeader, the relayed request headers,
 // Content-Length, body) and parses the status line and the few headers
-// it needs (the relayed ones plus framing). It fills nothing of the
-// caller's Reply until the whole response is in hand, the body read
-// once into the Reply's own storage, a chunked one decoded. A failure
-// mid-response is therefore still the caller's clean 502.
+// it needs (the relayed ones plus framing). The handler frames every
+// reply by Content-Length on either transport, so that is the one
+// framing the hop reads: a body of Content-Length bytes, or none on a
+// 204 or 304. A HEAD goes to the owner as the GET it is served as, so
+// that the entry node's HEAD reply states the length of the body it
+// does not send. Anything else (a transfer coding, a body delimited by
+// the owner hanging up, an HTTP/1.0 status line) is a malformed reply.
+// It fills nothing of the caller's Reply until the whole response is in
+// hand, the body read once into the Reply's own storage. A malformed
+// reply or a failure mid-response is therefore still the caller's clean
+// 502, and is not sent again.
 //
 // Every attempt has a DefaultTimeout deadline and ends early when the
 // caller's context does. A connection is pooled again only after its

@@ -8,11 +8,12 @@
 //
 // # Routes
 //
-// All routes are method-dispatched; wrong methods get 405 with Allow set,
-// unknown paths 404, and unclean paths ("..", "//") a 301 to their clean
-// form. Cache requests on clean paths are dispatched by Handler.ServeHTTP
-// itself, exactly as the mux's pattern would (HEAD is served as GET);
-// the mux decides everything else. TestRoutingTable pins both.
+// All routes are method-dispatched by one http.ServeMux, the cache
+// routes through three patterns (HEAD is served as GET); wrong methods
+// get 405 with Allow set, unknown paths 404, and unclean paths ("..",
+// "//") a 301 to their clean form. Every reply whose status allows a
+// body is framed by Content-Length, so net/http never chunks one.
+// TestRoutingTable pins the table on both transports below.
 //
 //	GET    /v1/cache/{tenant}/{key}   → stored bytes; X-Talus-Cache: hit|miss; ETag; 304 on If-None-Match
 //	PUT    /v1/cache/{tenant}/{key}   → store body (204); X-Talus-Cache + ETag set; X-Talus-TTL: secs honored
@@ -38,14 +39,16 @@
 // request head straight into the one request value the cache path
 // takes on either transport, answers GET, HEAD, PUT and DELETE on clean
 // cache paths into its one reply value, and writes that framed by
-// Content-Length: the bytes net/http's server writes, Date value aside,
-// except that a body over 2 KiB is not chunked. Any other request —
-// another method or path, an unclean path, a head not received in one
-// piece, one of the headers above, a body on a GET, HEAD or DELETE — is
-// handed back, with no byte consumed, to the same server, which serves
-// the connection from then on as one of its own until a later request
-// hijacks it again. So every mux route, redirect, 405, 431 and
-// malformed-request reply stays net/http's.
+// Content-Length: the bytes net/http's server writes, Date value aside
+// (TestWireMatchesNetHTTP on a table, FuzzWireDifferential on arbitrary
+// input). Like net/http, it waits for four bytes of the next request
+// and hangs up silently on a connection that ends before them. Any
+// other request — another method or path, an unclean path, a head not
+// received in one piece, one of the headers above, a body on a GET,
+// HEAD or DELETE — is handed back, with no byte consumed, to the same
+// server, which serves the connection from then on as one of its own
+// until a later request hijacks it again. So every mux route, redirect,
+// 405, 431 and malformed-request reply stays net/http's.
 //
 // Wrapping the Handler (middleware, http.TimeoutHandler, a tracing
 // wrapper) opts out: a wrapped Handler never hijacks, and net/http's

@@ -37,10 +37,9 @@ func (h *clusterHarness) keyOwnedBy(node int, prefix string) string {
 var relayedResponseHeaders = []string{"X-Talus-Cache", "X-Talus-Node", "ETag", "Content-Type"}
 
 // TestRelayConformance: a GET through the non-owner returns the owner's
-// exact status, bytes and relayed headers at every value size, across
-// both framings an owner answers in: Content-Length at every size on a
-// connection its handler owns, and, through net/http's server behind a
-// wrapper, Content-Length up to 2 KiB and chunked above.
+// exact status, bytes and relayed headers at every value size, and both
+// replies are framed by Content-Length at every size on either
+// transport: the one framing the hop reads.
 func TestRelayConformance(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
@@ -67,8 +66,10 @@ func TestRelayConformance(t *testing.T) {
 						t.Fatalf("%d B: relayed %s = %q, owner's = %q", size, k, got, want)
 					}
 				}
-				if chunked := len(direct.TransferEncoding) > 0; chunked != (tr.wrap != nil && size > 2048) {
-					t.Fatalf("%d B: owner framing chunked=%v, the sizes no longer cover both framings", size, chunked)
+				for _, resp := range []*http.Response{relayed, direct} {
+					if resp.ContentLength != int64(size) || len(resp.TransferEncoding) > 0 {
+						t.Fatalf("%d B: framed by Content-Length %d, Transfer-Encoding %q", size, resp.ContentLength, resp.TransferEncoding)
+					}
 				}
 			}
 		})
@@ -103,10 +104,12 @@ func TestRelayRequestHeaders(t *testing.T) {
 		t.Fatalf("If-None-Match via non-owner = %d %q, ETag %q", resp.StatusCode, body, resp.Header.Get("ETag"))
 	}
 
+	// A HEAD states the length of the body a GET would carry.
 	req, _ = http.NewRequest(http.MethodHead, url, nil)
 	resp, body = doReq(t, req)
 	if resp.StatusCode != http.StatusOK || len(body) != 0 || resp.Header.Get("ETag") != tag ||
-		resp.Header.Get("X-Talus-Cache") != "hit" || resp.Header.Get("X-Talus-Node") != h.nodes[1] {
+		resp.Header.Get("X-Talus-Cache") != "hit" || resp.Header.Get("X-Talus-Node") != h.nodes[1] ||
+		resp.Header.Get("Content-Length") != strconv.Itoa(len("short-lived")) {
 		t.Fatalf("HEAD via non-owner = %d %q, headers %v", resp.StatusCode, body, resp.Header)
 	}
 

@@ -11,8 +11,8 @@ import (
 )
 
 // TestRoutingTable pins what each (method, raw path) is answered with —
-// status, Allow, Location and body — so the cache routes' dispatch
-// outside the mux cannot drift from what the mux decided. Rows run in
+// status, Allow, Location and body — so that the owned connections'
+// own dispatch of cache requests cannot drift from the mux's. Rows run in
 // order against one server; a body ending in "…" is a prefix. The rows
 // run on each transport, and both must see the same replies, header for
 // header and byte for byte.

@@ -82,12 +82,13 @@ func NewHandler(st *store.Store, cfg Config) *Handler {
 	node := string(cluster.Clean([]byte(st.Node().ID)))
 	h := &Handler{st: st, maxValue: cfg.MaxValueBytes, recordDir: cfg.RecordDir, control: cfg.Control,
 		cluster: cfg.Cluster, node: node, mux: http.NewServeMux()}
-	// ServeHTTP answers clean cache paths itself; the mux keeps the cache
-	// patterns for what it alone decides: 405 with Allow for other
-	// methods, and the redirects of unclean paths.
+	// A cache request that can start an owned connection hands it to h
+	// (wire.go); any other is answered here.
 	byPattern := func(w http.ResponseWriter, r *http.Request) {
 		req := newRequest(r, []byte(r.URL.EscapedPath()), []byte(r.PathValue("tenant")), []byte(r.PathValue("key")))
-		h.serveCache(w, &req, new(cluster.Reply))
+		if !h.own(w, r, req) {
+			h.serveCache(w, &req, new(cluster.Reply))
+		}
 	}
 	h.mux.HandleFunc("GET "+cachePrefix+"{tenant}/{key...}", byPattern)
 	h.mux.HandleFunc("PUT "+cachePrefix+"{tenant}/{key...}", byPattern)
@@ -101,50 +102,18 @@ func NewHandler(st *store.Store, cfg Config) *Handler {
 	return h
 }
 
-// ServeHTTP implements http.Handler. A cache request on a clean path is
-// dispatched here, exactly as the mux's pattern would, without paying
-// for its matching; everything else goes through the mux. When h is
-// its server's own Handler, a clean bodyless cache request also hands
-// its connection to h, which serves the cache requests that follow on
-// it itself (wire.go).
+// ServeHTTP implements http.Handler: the mux dispatches every request.
+// When h is its server's own Handler, a clean bodyless cache request
+// also hands its connection to h, which serves the cache requests that
+// follow on it itself (wire.go).
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet, http.MethodHead, http.MethodPut, http.MethodDelete:
-		x := exchanges.Get().(*exchange)
-		defer exchanges.Put(x)
-		if path, tenant, key, ok := x.buf.split(r); ok {
-			if !h.own(w, r) {
-				req := newRequest(r, path, tenant, key)
-				h.serveCache(w, &req, &x.rep)
-			}
-			return
-		}
-	}
 	h.mux.ServeHTTP(w, r)
 }
 
-// reqBytes is the storage a request's path, tenant and key are slices
-// of while it is served: the bytes it arrived in, and the segments of
-// its path that were unescaped.
+// reqBytes is the storage an owned request's path, tenant and key are
+// slices of while it is served: the bytes it arrived in, and the
+// segments of its path that were unescaped.
 type reqBytes struct{ head, unescaped []byte }
-
-// exchange is what a cache request net/http's server parsed reuses, as
-// an owned connection keeps one of each: the storage of its path,
-// tenant and key, and the reply it fills, whose ETag and body storage
-// are kept.
-type exchange struct {
-	buf reqBytes
-	rep cluster.Reply
-}
-
-var exchanges = sync.Pool{New: func() any { return new(exchange) }}
-
-// split copies r's escaped path into b and splits it as cachePath does.
-func (b *reqBytes) split(r *http.Request) (path, tenant, key []byte, ok bool) {
-	b.head = append(b.head[:0], r.URL.EscapedPath()...)
-	tenant, key, ok = b.cachePath(b.head)
-	return b.head, tenant, key, ok
-}
 
 // cachePath splits an escaped /v1/cache/{tenant}/{key...} path into its
 // unescaped tenant and key, the way the mux's pattern does: the tenant
@@ -249,12 +218,17 @@ func (h *Handler) serveCache(w http.ResponseWriter, req *request, rep *cluster.R
 }
 
 // writeReply copies rep into w, its header values in one allocation, each
-// a one-element slice of it. A 413 is the handler refusing a body it did
-// not read to its end, and says Connection: close.
+// a one-element slice of it. Content-Length frames every reply whose
+// status allows a body, so net/http never chunks one: the framing the
+// owned wire writes. A 413 is the handler refusing a body it did not
+// read to its end, and says Connection: close.
 func writeReply(w http.ResponseWriter, rep *cluster.Reply) {
 	hdr := w.Header()
-	fields := [...]struct{ k, v string }{
+	fields := [...]struct{ k, v string }{{"Content-Length", ""},
 		{"Content-Type", rep.ContentType}, {"Etag", string(rep.ETag)}, {"X-Talus-Cache", rep.Cache}, {"X-Talus-Node", rep.Node}}
+	if bodyAllowed(rep.Status) {
+		fields[0].v = strconv.Itoa(len(rep.Body))
+	}
 	vals := make([]string, len(fields))
 	for i, f := range fields {
 		if f.v != "" {

@@ -53,15 +53,15 @@ func ownable(r *http.Request) bool {
 var connectionHeaders = [...]string{"Connection", "Expect", "Transfer-Encoding", "Upgrade", "Trailer"}
 
 // own hijacks r's connection and serves it from a goroutine of its own
-// until it ends, answering r first; false leaves r to the caller. It
-// declines when h is not the server's own Handler and when r is not
-// ownable.
+// until it ends, answering req, r as the cache path reads it, first;
+// false leaves r to the caller. It declines when h is not the server's
+// own Handler and when r is not ownable.
 //
 // net/http cancels r's context once ServeHTTP returns, which is at once,
 // so every owned request carries r's context without its cancellation.
 // Nothing else could cancel it: a hijack ends net/http's watch for the
 // client hanging up.
-func (h *Handler) own(w http.ResponseWriter, r *http.Request) bool {
+func (h *Handler) own(w http.ResponseWriter, r *http.Request, req request) bool {
 	srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
 	if srv == nil || srv.Handler != http.Handler(h) || !ownable(r) {
 		return false
@@ -81,7 +81,7 @@ func (h *Handler) own(w http.ResponseWriter, r *http.Request) bool {
 	// The hijack's reader holds net/http's connection: keep only the
 	// bytes it read ahead.
 	buffered, _ := rw.Reader.Peek(rw.Reader.Buffered())
-	c.init(replay(nc, buffered), r)
+	c.init(replay(nc, buffered), r, req)
 	go c.serve()
 	return true
 }
@@ -227,9 +227,9 @@ type wireConn struct {
 // its own.
 const connBufferSize = 4 << 10
 
-// init readies c to serve nc, answering first, a request on a cache
-// path, before anything read from nc.
-func (c *wireConn) init(nc net.Conn, first *http.Request) {
+// init readies c to serve nc, answering req, the cache request first,
+// before anything read from nc.
+func (c *wireConn) init(nc net.Conn, first *http.Request, req request) {
 	c.nc, c.br = nc, bufio.NewReaderSize(nc, connBufferSize)
 	srv := c.o.srv
 	c.idleTimeout, c.readTimeout, c.writeTimeout = srv.IdleTimeout, srv.ReadTimeout, srv.WriteTimeout
@@ -237,8 +237,7 @@ func (c *wireConn) init(nc net.Conn, first *http.Request) {
 		c.idleTimeout = c.readTimeout
 	}
 	c.ctx, c.remoteAddr = context.WithoutCancel(first.Context()), first.RemoteAddr
-	path, tenant, key, _ := c.buf.split(first)
-	c.req = newRequest(first, path, tenant, key)
+	c.req = req
 	c.req.ctx = c.ctx
 	c.body.br = c.br
 }
@@ -276,14 +275,15 @@ func (c *wireConn) serve() {
 	}
 }
 
-// await waits for the next request's first byte; false when the
-// connection ended, timed out idle, or was closed by its server.
+// await waits, as net/http's server does, for the next request's first
+// four bytes; false when the connection ended before them, timed out
+// idle, or was closed by its server.
 func (c *wireConn) await() bool {
-	if c.br.Buffered() == 0 {
+	if c.br.Buffered() < 4 {
 		if c.idleTimeout > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(c.idleTimeout))
 		}
-		if _, err := c.br.Peek(1); err != nil {
+		if _, err := c.br.Peek(4); err != nil {
 			return false
 		}
 	}
@@ -586,11 +586,12 @@ func bodyAllowed(status int) bool {
 
 // write writes c.rep, framed by Content-Length, in the bytes net/http's
 // server writes for the same reply: the status line; the reply's
-// headers in the sorted order net/http writes a handler's in, with
-// Connection: close first on a 413; Date; Content-Length and a sniffed
-// Content-Type as net/http adds them; Connection: close when closing;
-// and the body unless the request is HEAD or the status has none. The
-// reply's values were cleaned where they came in. Then it resets c.rep.
+// headers, Content-Length among them when the status allows a body, in
+// the sorted order net/http writes a handler's in, with Connection:
+// close first on a 413; Date; a sniffed Content-Type as net/http adds
+// one; Connection: close when closing; and the body unless the request
+// is HEAD or the status has none. The reply's values were cleaned where
+// they came in. Then it resets c.rep.
 func (c *wireConn) write(closing bool) error {
 	rep := &c.rep
 	out := c.out[:0]
@@ -603,6 +604,11 @@ func (c *wireConn) write(closing bool) error {
 	if rep.Status == http.StatusRequestEntityTooLarge {
 		out = append(out, "Connection: close\r\n"...)
 	}
+	body, allowed := rep.Body, bodyAllowed(rep.Status)
+	if allowed {
+		out = strconv.AppendInt(append(out, "Content-Length: "...), int64(len(body)), 10)
+		out = append(out, "\r\n"...)
+	}
 	out = appendField(out, "Content-Type", rep.ContentType)
 	out = appendField(out, "Etag", rep.ETag)
 	out = appendField(out, "X-Talus-Cache", rep.Cache)
@@ -612,11 +618,6 @@ func (c *wireConn) write(closing bool) error {
 		c.dateAt = now.Unix()
 	}
 	out = appendField(out, "Date", c.date)
-	body, allowed := rep.Body, bodyAllowed(rep.Status)
-	if allowed && (len(body) > 0 || c.req.Method != http.MethodHead) {
-		out = strconv.AppendInt(append(out, "Content-Length: "...), int64(len(body)), 10)
-		out = append(out, "\r\n"...)
-	}
 	if allowed && len(body) > 0 && rep.ContentType == "" {
 		out = appendField(out, "Content-Type", http.DetectContentType(body))
 	}

@@ -194,12 +194,14 @@ func readRaw(br *bufio.Reader, method string) (string, error) {
 
 // TestWireMatchesNetHTTP: every reply an owned connection writes is the
 // bytes net/http's server writes for the same handler calls, Date value
-// aside — status line, header order, Date, Content-Length (also on
-// HEAD), no body on 204 and 304, a sniffed Content-Type on a relayed
-// body without one, Connection: close after a refused body, and none
-// after a body the client cut short. A CR or LF in a header value, from
-// an owner's reply or in the node's own ID, is a space on both, never a
-// header line of its own.
+// aside — status line, header order, Date, Content-Length on every reply
+// whose status allows a body (a HEAD of an empty value and bodies past
+// net/http's 2 KiB buffer included, so neither transport chunks), no
+// body on 204 and 304, a sniffed Content-Type on a relayed body without
+// one, Connection: close after a refused body, and none after a body
+// the client cut short. A CR or LF in a header value, from an owner's
+// reply or in the node's own ID, is a space on both, never a header line
+// of its own.
 func TestWireMatchesNetHTTP(t *testing.T) {
 	const injected = "X-Injected: 1"
 	peer := startFakeOwner(t, func(_ int64, line string, c net.Conn) bool {
@@ -214,12 +216,13 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 	type node struct {
 		addr, crlfAddr string // crlfAddr: a node whose NodeID holds "\r\n"
 		ring           *cluster.Ring
+		st             *store.Store
 		hijacks        *atomic.Int64
 	}
 	var nodes []node
 	for _, tr := range transports {
 		hijacks := new(atomic.Int64)
-		start := func(nodeID string, cl func(addr string) *cluster.Cluster) string {
+		start := func(nodeID string, cl func(addr string) *cluster.Cluster) (string, *store.Store) {
 			srv := httptest.NewUnstartedServer(nil)
 			addr := srv.Listener.Addr().String()
 			st := newStore(t, store.Config{Tenants: []string{"a"}, NodeID: nodeID})
@@ -234,10 +237,10 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 				closeServer(srv)
 				st.Close()
 			})
-			return addr
+			return addr, st
 		}
 		var ring *cluster.Ring
-		addr := start("node", func(addr string) *cluster.Cluster {
+		addr, st := start("node", func(addr string) *cluster.Cluster {
 			cl, err := cluster.New(cluster.Config{Self: addr, Nodes: []string{addr, peer.addr}, Seed: 99})
 			if err != nil {
 				t.Fatal(err)
@@ -245,14 +248,14 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 			ring = cl.Ring()
 			return cl
 		})
-		crlfAddr := start("node\r\n"+injected, func(string) *cluster.Cluster { return nil })
-		nodes = append(nodes, node{addr, crlfAddr, ring, hijacks})
+		crlfAddr, _ := start("node\r\n"+injected, func(string) *cluster.Cluster { return nil })
+		nodes = append(nodes, node{addr, crlfAddr, ring, st, hijacks})
 	}
-	// keyOn returns a key of tenant every node's ring assigns to the
-	// node itself, or to the peer.
-	keyOn := func(tenant string, self bool) string {
+	// keyOn returns a key of tenant, prefix and a number, that every
+	// node's ring assigns to the node itself, or to the peer.
+	keyOn := func(tenant, prefix string, self bool) string {
 		for k := 0; ; k++ {
-			key := "k" + strconv.Itoa(k)
+			key := prefix + strconv.Itoa(k)
 			ok := true
 			for _, n := range nodes {
 				owner := peer.addr
@@ -266,13 +269,26 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 			}
 		}
 	}
-	local, remote := keyOn("a", true), keyOn("a", false)
+	local, remote := keyOn("a", "k", true), keyOn("a", "k", false)
 	path := "/v1/cache/a/" + local
+	// Values past the node's 16-B PUT cap, stored directly: one just past
+	// net/http's 2 KiB response buffer, one past a read buffer, one past
+	// 64 KiB; and an empty one, for a HEAD.
+	sized := map[int]string{}
+	for _, size := range []int{2049, 4 << 10, 64 << 10, 0} {
+		key := keyOn("a", "size"+strconv.Itoa(size)+"-", true)
+		for _, n := range nodes {
+			if _, err := n.st.Set("a", key, bytes.Repeat([]byte{'s'}, size)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sized[size] = "/v1/cache/a/" + key
+	}
 	get := func(target, extra string) string {
 		return "GET " + target + " HTTP/1.1\r\nHost: x\r\n" + extra + "\r\n"
 	}
-	remoteCR := "/v1/cache/cr/" + keyOn("cr", false) // the fake owner answers tenant cr with a bare CR in two values
-	exchanges := []struct{ method, req string }{
+	remoteCR := "/v1/cache/cr/" + keyOn("cr", "k", false) // the fake owner answers tenant cr with a bare CR in two values
+	steps := []struct{ method, req string }{
 		// A connection of its own to the node whose NodeID holds "\r\n".
 		{"GET", get(path, "")},
 		{"GET", get(path, "")},
@@ -282,24 +298,29 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 		{"HEAD", "HEAD " + path + " HTTP/1.1\r\nHost: x\r\n\r\n"},
 		{"GET", get(path, "If-None-Match: *\r\n")},
 		{"GET", get("/v1/cache/a/"+remote, "")},
+		{"HEAD", "HEAD /v1/cache/a/" + remote + " HTTP/1.1\r\nHost: x\r\n\r\n"},
 		{"GET", get(remoteCR, "")},
 		{"PUT", "PUT " + path + " HTTP/1.1\r\nHost: x\r\nX-Talus-TTL: soon\r\nContent-Length: 1\r\n\r\nx"},
 		{"DELETE", "DELETE " + path + " HTTP/1.1\r\nHost: x\r\n\r\n"},
 		{"DELETE", "DELETE " + path + " HTTP/1.1\r\nHost: x\r\n\r\n"},
 		{"HEAD", "HEAD " + path + " HTTP/1.1\r\nHost: x\r\n\r\n"},
 		{"GET", get("/v1/stats/", "")},
-		{"GET", get("/v1/cache/a%2Fb/"+keyOn("a/b", true), "")},
+		{"GET", get("/v1/cache/a%2Fb/"+keyOn("a/b", "k", true), "")},
+		{"GET", get(sized[2049], "")},
+		{"GET", get(sized[4<<10], "")},
+		{"GET", get(sized[64<<10], "")},
+		{"HEAD", "HEAD " + sized[0] + " HTTP/1.1\r\nHost: x\r\n\r\n"},
 		{"PUT", "PUT " + path + " HTTP/1.1\r\nHost: x\r\nContent-Length: 17\r\n\r\n" + strings.Repeat("v", 17)},
 		// A second connection, whose client sends half a body and hangs up.
 		{"GET", get(path, "")},
 		{"PUT", "PUT " + path + " HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\nshort"},
 	}
-	const crlfNode, firstConn, secondConn = 0, 1, 16 // the first exchange on each connection
+	const crlfNode, firstConn, secondConn = 0, 1, 21 // the first step on each connection
 	var seen [2][]string
 	for i, n := range nodes {
 		var c net.Conn
 		var br *bufio.Reader
-		for j, x := range exchanges {
+		for j, x := range steps {
 			if j == crlfNode || j == firstConn || j == secondConn {
 				if j == secondConn {
 					if _, err := br.ReadByte(); err != io.EOF {
@@ -324,7 +345,7 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 			if _, err := io.WriteString(c, x.req); err != nil {
 				t.Fatal(err)
 			}
-			if j == len(exchanges)-1 {
+			if j == len(steps)-1 {
 				c.(*net.TCPConn).CloseWrite()
 			}
 			raw, err := readRaw(br, x.method)
@@ -335,12 +356,17 @@ func TestWireMatchesNetHTTP(t *testing.T) {
 		}
 		transports[i].checkHijacks(t, n.hijacks)
 	}
-	for i, x := range exchanges {
+	for i, x := range steps {
 		if seen[0][i] != seen[1][i] {
-			t.Errorf("%q:\n%s:\n%s\n%s:\n%s", x.req, transports[0].name, seen[0][i], transports[1].name, seen[1][i])
+			t.Errorf("%q:\n%s:\n%.600s\n%s:\n%.600s", x.req, transports[0].name, seen[0][i], transports[1].name, seen[1][i])
+		}
+		head, _, _ := strings.Cut(seen[0][i], "\r\n\r\n")
+		noBody := strings.HasPrefix(head, "HTTP/1.1 204 ") || strings.HasPrefix(head, "HTTP/1.1 304 ")
+		if !noBody && !strings.Contains(head, "\r\nContent-Length: ") {
+			t.Errorf("%q: reply without Content-Length:\n%s", x.req, head)
 		}
 	}
-	// The exchanges reach the cases the writer frames itself.
+	// The steps reach the cases the writer frames itself.
 	all := strings.Join(seen[0], "")
 	for _, want := range []string{"\r\nContent-Type: text/plain; charset=utf-8\r\n",
 		"HTTP/1.1 413 Request Entity Too Large\r\n", "\r\nConnection: close\r\n",
